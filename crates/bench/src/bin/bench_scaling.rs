@@ -489,8 +489,8 @@ fn main() -> ExitCode {
         // site 1, workers at site 0). Each thread walks its own four-page
         // file sequentially in 64-byte reads under a shared whole-file lock
         // held for the entire phase, wrapping at end-of-file. The untimed
-        // prep walks the file once so "hot" measures a warmed cache
-        // (readahead fills the later pages on the first miss); cold runs
+        // prep walks the file once so "hot" measures a warmed cache (the
+        // walk's second miss reads ahead to the end of the file); cold runs
         // the identical cycle with the page cache disabled, so every read
         // is a remote RPC.
         push(run_phase(

@@ -295,8 +295,8 @@ impl Volume {
         Ok((data, committed_len, vers))
     }
 
-    /// Install-version sentinel in [`Volume::read_with_meta`] /
-    /// [`Volume::prefetch_page_image`] output: "do not cache this page".
+    /// Install-version sentinel in [`Volume::read_with_meta`] output: "do not
+    /// cache this page".
     pub const VERS_UNCACHEABLE: u64 = u64::MAX;
 
     /// Writes `data` at `range.start` on behalf of `owner`; extends the
@@ -707,45 +707,6 @@ impl Volume {
         let mut st = self.state.lock();
         let hit = self.ensure_buffer(&mut st, ino, page, acct)?;
         Ok(!hit)
-    }
-
-    /// A full page image for pushing to a remote reader's page cache
-    /// (readahead). `None` — not an error — when the page is not entirely
-    /// within the committed length, or carries *any* owner's uncommitted
-    /// bytes (a prefetch request names no owner, so the foreign-writer test
-    /// of [`Volume::read_with_meta`] degrades to "any writer"). Otherwise
-    /// returns the page's install version and its current bytes, which at
-    /// this point equal the committed bytes.
-    pub fn prefetch_page_image(
-        &self,
-        fid: Fid,
-        page: PageNo,
-        acct: &mut Account,
-    ) -> Result<Option<(u64, PageData)>> {
-        let ino = self.check_fid(fid)?;
-        let ps = self.page_size();
-        let mut st = self.state.lock();
-        self.load_inode(&mut st, ino, acct)?;
-        let committed_len = st.incore[&ino].len;
-        if (u64::from(page.0) + 1) * ps as u64 > committed_len {
-            return Ok(None);
-        }
-        self.ensure_buffer(&mut st, ino, page, acct)?;
-        let buf = &st.files[&ino].buffers[&page];
-        if buf
-            .writers
-            .iter()
-            .any(|(_, rs)| rs.iter().any(|r| !r.is_empty()))
-        {
-            return Ok(None);
-        }
-        let mut bytes = vec![0u8; ps];
-        let avail = buf.current.len().min(ps);
-        bytes[..avail].copy_from_slice(&buf.current[..avail]);
-        Ok(Some((
-            st.incore[&ino].page_version(page),
-            PageData::new(bytes),
-        )))
     }
 
     /// Installs committed images pushed (or pulled) from the primary update

@@ -1,6 +1,6 @@
 //! The page cache must be invisible: a cluster running with per-site page
-//! caching (and its readahead) enabled must produce exactly the results an
-//! uncached cluster produces for any program. These tests drive the same
+//! caching (page-granular fetches and readahead included) must produce
+//! exactly the results an uncached cluster produces for any program. These tests drive the same
 //! seeded random scripts against a cached cluster and an uncached reference
 //! cluster and compare every operation result and the final file bytes.
 //!
@@ -97,6 +97,12 @@ fn gen_programs(seed: u64) -> Vec<(usize, Vec<Op>)> {
 
 /// Builds a cluster with `/eq0` on site 0 and `/eq1` on site 1, zero-filled.
 fn build_cluster(cached: bool) -> Cluster {
+    build_cluster_with(cached, vec![0; FILE_LEN as usize])
+}
+
+/// Builds a cluster with `/eq0` on site 0 and `/eq1` on site 1, both holding
+/// `contents`, committed.
+fn build_cluster_with(cached: bool, contents: Vec<u8>) -> Cluster {
     let c = Cluster::new(SITES);
     if !cached {
         for i in 0..SITES {
@@ -114,7 +120,7 @@ fn build_cluster(cached: bool) -> Cluster {
                 Op::Creat(format!("/eq{f}")),
                 Op::Write {
                     ch: 0,
-                    data: vec![0; FILE_LEN as usize],
+                    data: contents.clone(),
                 },
                 Op::Close(0),
             ],
@@ -129,12 +135,28 @@ fn build_cluster(cached: bool) -> Cluster {
 /// per-process results (data, ranges, errors — all of it) and the final
 /// durable bytes of both files read through a fresh probe process.
 fn observe(c: &Cluster, seed: u64) -> String {
-    let programs = gen_programs(seed);
+    observe_programs(c, seed, &gen_programs(seed), None, FILE_LEN)
+}
+
+/// [`observe`] for given programs; `reboot` names a driver step before which
+/// site 0 is crashed and at once rebooted.
+fn observe_programs(
+    c: &Cluster,
+    seed: u64,
+    programs: &[(usize, Vec<Op>)],
+    reboot: Option<usize>,
+    file_len: u64,
+) -> String {
     let mut drv = Driver::new(c, seed.wrapping_mul(0x9e37_79b9));
-    for (home, ops) in &programs {
+    for (home, ops) in programs {
         drv.spawn(*home, ops.clone());
     }
-    let outcome = drv.run();
+    let outcome = drv.run_with_hook(&mut |step, _| {
+        if reboot == Some(step) {
+            c.crash_site(0);
+            c.reboot_site(0);
+        }
+    });
     let mut out = format!("outcome: {outcome}\n");
     for i in 0..drv.n_procs() {
         out.push_str(&format!("proc {i}: {:?}\n", drv.results(i)));
@@ -145,7 +167,7 @@ fn observe(c: &Cluster, seed: u64) -> String {
         let probe = k.spawn();
         let bytes = k
             .open(probe, &format!("/eq{f}"), false, &mut a)
-            .and_then(|ch| k.read(probe, ch, FILE_LEN, &mut a));
+            .and_then(|ch| k.read(probe, ch, file_len, &mut a));
         let _ = k.exit(probe, &mut a);
         out.push_str(&format!("file {f}: {bytes:?}\n"));
     }
@@ -163,6 +185,179 @@ proptest! {
         let reference = observe(&build_cluster(false), seed);
         prop_assert_eq!(cached, reference, "cache-visible divergence, seed {}", seed);
     }
+}
+
+// ----- Locked scans: what page-granular fetching changes --------------------
+
+/// Six pages and a ragged tail, so scans meet the visible-length clip.
+const SCAN_FILE_LEN: u64 = 6 * 1024 + 200;
+
+/// Every byte distinct from its neighbours and from the same offset on other
+/// pages: a fetch that hands the caller the wrong slice of a widened reply
+/// cannot go unnoticed.
+fn scan_contents() -> Vec<u8> {
+    (0..SCAN_FILE_LEN).map(|i| (i % 251) as u8 + 1).collect()
+}
+
+/// One scanner at site 1 — remote from `/eq0` — that locks a page-unaligned
+/// range and reads records through it in order, starting a little before the
+/// lock and running past its end; sibling owners that write to the same
+/// pages meanwhile; and, half the time, a reboot of the storage site in
+/// mid-scan. Returns the programs and the reboot step.
+///
+/// A reboot empties the storage site's lock list and buffers while the
+/// scanner's kernel still trusts its lock cache (ROADMAP backlog: coverage
+/// under failover), so bytes the scanner believes locked can then change
+/// under *any* local copy of them. That hole is not this test's subject, so
+/// the runs with a reboot keep clear of its two ways in: siblings write only
+/// outside the locked bytes, and the scanner is not a transaction (whose
+/// lock would adopt a sibling's uncommitted bytes as its own, cacheable,
+/// and lose them to the reboot).
+fn gen_scan(seed: u64) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
+    let mut rng = DetRng::seeded(seed);
+    let reboot = rng.chance(0.5).then(|| 8 + rng.below(40) as usize);
+    let lock_start = rng.below(1500);
+    // Half the locks are long enough for readahead to find whole pages.
+    let lock_len = if rng.chance(0.5) {
+        200 + rng.below(3000)
+    } else {
+        3500 + rng.below(2500)
+    };
+    let lock_end = lock_start + lock_len;
+    let mode = if rng.chance(0.7) {
+        LockRequestMode::Shared
+    } else {
+        LockRequestMode::Exclusive
+    };
+    let in_txn = reboot.is_none() && rng.chance(0.4);
+
+    let mut scan = Vec::new();
+    if in_txn {
+        scan.push(Op::BeginTrans);
+    }
+    scan.push(Op::Open {
+        name: "/eq0".into(),
+        write: true,
+    });
+    scan.push(Op::Seek {
+        ch: 0,
+        pos: lock_start,
+    });
+    scan.push(Op::Lock {
+        ch: 0,
+        len: lock_len,
+        mode,
+        opts: LockOpts::default(),
+    });
+    scan.push(Op::Seek {
+        ch: 0,
+        pos: lock_start.saturating_sub(rng.below(150)),
+    });
+    let rec = 32 + rng.below(300);
+    for _ in 0..lock_len / rec + 3 {
+        scan.push(Op::Read { ch: 0, len: rec });
+        if rng.chance(0.1) {
+            // Re-read something behind the cursor, or skip ahead.
+            scan.push(Op::Seek {
+                ch: 0,
+                pos: lock_start + rng.below(lock_len),
+            });
+        }
+    }
+    scan.push(Op::Seek {
+        ch: 0,
+        pos: lock_start,
+    });
+    scan.push(Op::Unlock {
+        ch: 0,
+        len: lock_len,
+    });
+    scan.push(Op::Seek {
+        ch: 0,
+        pos: lock_start,
+    });
+    scan.push(Op::Read { ch: 0, len: rec });
+    if in_txn {
+        scan.push(Op::EndTrans);
+    }
+    let mut programs = vec![(1, scan)];
+
+    for _ in 0..1 + rng.below(2) {
+        let mut ops = vec![Op::Open {
+            name: "/eq0".into(),
+            write: true,
+        }];
+        for _ in 0..3 + rng.below(6) {
+            // Bytes just outside the lock: the pages the scanner's fetches
+            // are widened on. Without a reboot, bytes inside it too — the
+            // enforced lock refuses those, identically in both clusters.
+            let pos = match rng.below(if reboot.is_some() { 2 } else { 3 }) {
+                0 => lock_start.saturating_sub(1 + rng.below(200)),
+                1 => lock_end + rng.below(200),
+                _ => lock_start + rng.below(lock_len),
+            };
+            let len = 1 + rng.below(24);
+            let len = if pos < lock_start {
+                len.min(lock_start - pos)
+            } else {
+                len
+            };
+            ops.push(Op::Seek { ch: 0, pos });
+            ops.push(Op::Write {
+                ch: 0,
+                data: vec![rng.below(4) as u8 + 252; len as usize],
+            });
+            match rng.below(8) {
+                0 => ops.push(Op::CommitFile(0)),
+                1 => ops.push(Op::AbortFile(0)),
+                _ => {}
+            }
+        }
+        ops.push(Op::Close(0));
+        programs.push((rng.below(SITES as u64) as usize, ops));
+    }
+    (programs, reboot)
+}
+
+fn observe_scan(cached: bool, seed: u64) -> (String, locus_sim::CountersSnapshot) {
+    let c = build_cluster_with(cached, scan_contents());
+    let before = c.counters();
+    let (programs, reboot) = gen_scan(seed);
+    let seen = observe_programs(&c, seed, &programs, reboot, SCAN_FILE_LEN);
+    (seen, c.counters().since(&before))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Locked multi-record scans under page-unaligned locks, with sibling
+    /// owners writing to the same pages and the storage site rebooting
+    /// mid-scan: every read of the caching cluster returns what the uncached
+    /// one returns, step for step.
+    #[test]
+    fn locked_scans_match_uncached_reference(seed in any::<u64>()) {
+        let (cached, _) = observe_scan(true, seed);
+        let (reference, _) = observe_scan(false, seed);
+        prop_assert_eq!(cached, reference, "cache-visible divergence, seed {}", seed);
+    }
+}
+
+/// The scan generator really drives what it is meant to compare: widened
+/// fetches, readahead and cache hits on one side, none of them on the other.
+#[test]
+fn locked_scans_exercise_page_fetches_and_readahead() {
+    let (mut hits, mut ahead, mut saved) = (0, 0, 0);
+    for seed in 0..24 {
+        let (_, on) = observe_scan(true, seed);
+        let (_, off) = observe_scan(false, seed);
+        assert_eq!((off.page_cache_hits, off.prefetches), (0, 0), "seed {seed}");
+        hits += on.page_cache_hits;
+        ahead += on.prefetches;
+        saved += off.msgs_for(locus_types::Service::File) - on.msgs_for(locus_types::Service::File);
+    }
+    assert!(hits > 100, "only {hits} cached reads in 24 scans");
+    assert!(ahead > 5, "only {ahead} pages read ahead in 24 scans");
+    assert!(saved > 100, "only {saved} file messages saved in 24 scans");
 }
 
 /// The chaos workload with read probes, fault-free, cached vs uncached:

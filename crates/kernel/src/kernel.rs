@@ -49,10 +49,6 @@ pub struct Kernel {
     /// Kill switch for the page cache's read fast path (the equivalence
     /// proptests compare a caching kernel against one with this off).
     pub page_cache_enabled: AtomicBool,
-    /// Sequential-read detector state for readahead: last read's end offset
-    /// per open channel. Purely a heuristic — cleaned up on close, exit,
-    /// migration, and crash.
-    read_cursors: Mutex<std::collections::HashMap<(Pid, Channel), (Fid, u64)>>,
     transport: RwLock<Option<Arc<dyn Transport>>>,
     /// The transaction control plane serving `Msg::Txn` at this site
     /// (registered by `locus-core` when the site assembly is built).
@@ -129,7 +125,6 @@ impl Kernel {
             cache: Arc::new(LockCache::new()),
             pages: Arc::new(PageCache::new()),
             page_cache_enabled: AtomicBool::new(true),
-            read_cursors: Mutex::new(std::collections::HashMap::new()),
             transport: RwLock::new(None),
             txn_service: RwLock::new(None),
             wake_slots: Mutex::new(std::collections::HashMap::new()),
@@ -284,30 +279,6 @@ impl Kernel {
         self.pages.drop_owner(owner);
     }
 
-    // ----- Sequential-read cursors (readahead heuristic) ---------------------
-
-    /// The previous read's `(fid, end)` for a channel, replaced with the new
-    /// cursor. Returns the old value so the caller can test for sequentiality.
-    pub(crate) fn swap_read_cursor(
-        &self,
-        pid: Pid,
-        ch: Channel,
-        fid: Fid,
-        end: u64,
-    ) -> Option<(Fid, u64)> {
-        self.read_cursors.lock().insert((pid, ch), (fid, end))
-    }
-
-    /// Forgets one channel's cursor (close).
-    pub(crate) fn drop_read_cursor(&self, pid: Pid, ch: Channel) {
-        self.read_cursors.lock().remove(&(pid, ch));
-    }
-
-    /// Forgets every cursor of a process (exit, migration).
-    pub(crate) fn drop_read_cursors_of(&self, pid: Pid) {
-        self.read_cursors.lock().retain(|(p, _), _| *p != pid);
-    }
-
     pub(crate) fn with_channel(
         &self,
         pid: Pid,
@@ -399,7 +370,6 @@ impl Kernel {
         self.locks.crash();
         self.cache.crash();
         self.pages.crash();
-        self.read_cursors.lock().clear();
         for v in self.volumes.read().values() {
             v.crash();
         }

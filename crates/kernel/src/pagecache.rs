@@ -4,10 +4,10 @@
 //! lock use *local* copies of the locked data without re-contacting the
 //! storage site. The lock cache (striped, per-owner) already kills repeat
 //! lock RPCs; this cache gives the data path the same treatment: bytes
-//! returned by `ReadResp` (and pushed by `PrefetchResp`) are kept per
-//! `(fid, owner, page)` together with the page's install version, and a
-//! later read that is still covered by the owner's cached lock is served
-//! entirely locally.
+//! returned by `ReadResp` — the covered pages around the request, see
+//! `Kernel::read` — are kept per `(fid, owner, page)` together with the
+//! page's install version, and a later read that is still covered by the
+//! owner's cached lock is served entirely locally.
 //!
 //! Coherence comes from the lock cache acting as the protocol:
 //!
@@ -247,7 +247,7 @@ impl PageCache {
     }
 
     /// Whether `(fid, owner, page)` has a cached entry covering the given
-    /// page-relative span (tests).
+    /// page-relative span.
     pub fn covers_page_span(&self, fid: Fid, owner: Owner, page: PageNo, span: ByteRange) -> bool {
         self.shard(fid)
             .lock()

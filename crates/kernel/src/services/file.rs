@@ -67,21 +67,6 @@ impl ServiceHandler for FileService {
                     epoch: k.boot_epoch(),
                 }))
             }
-            FileMsg::PrefetchReq { fid, pages } => {
-                let vol = k.volume(fid.volume)?;
-                let mut out = Vec::with_capacity(pages.len());
-                for p in pages {
-                    // Prefetch failures never fail the caller's read — they
-                    // are dropped, but counted so a sick volume is visible.
-                    match vol.prefetch_page_image(fid, p, acct) {
-                        Ok(Some((vers, data))) => out.push((p, vers, data)),
-                        Ok(None) => {}
-                        Err(_) => k.counters.prefetch_errors(),
-                    }
-                    k.counters.prefetches();
-                }
-                Ok(Msg::File(FileMsg::PrefetchResp { pages: out }))
-            }
             FileMsg::CommitReq { fid, owner } => {
                 k.require_primary(fid)?;
                 k.reclaim_lease(fid, acct)?;
@@ -268,7 +253,6 @@ impl Kernel {
                 .remove(of.fid, Owner::Proc(pid), ByteRange::new(0, u64::MAX));
             self.pages.drop_fid_owner(of.fid, Owner::Proc(pid));
         }
-        self.drop_read_cursor(pid, ch);
         self.procs.with_mut(pid, |rec| {
             rec.open_files.remove(&ch);
         })?;
@@ -298,8 +282,10 @@ impl Kernel {
     /// 2. *Page cache*: the bytes were fetched earlier under lock coverage
     ///    the owner still holds — serve them locally (Section 5.1: the lock
     ///    holder "may use local copies").
-    /// 3. *Remote read*: fetch from the storage site and, when coverage and
-    ///    the response's version stamps allow, populate the page cache.
+    /// 3. *Remote read*: fetch the covered pages around the request (see
+    ///    `fetch_extent`) from the storage site, hand the caller its slice
+    ///    and, when coverage and the response's version stamps allow,
+    ///    populate the page cache with the rest.
     pub fn read(&self, pid: Pid, ch: Channel, len: u64, acct: &mut Account) -> Result<Vec<u8>> {
         self.check_up()?;
         acct.cpu_instrs(&self.model, self.model.syscall_instrs);
@@ -375,6 +361,11 @@ impl Kernel {
         if caching && !range.is_empty() {
             self.counters.page_cache_misses();
         }
+        let extent = if caching {
+            self.fetch_extent(of.fid, owner, range)
+        } else {
+            range
+        };
         // Snapshot the owner's write generation *before* the fetch: if a
         // sibling thread of this owner writes while the read is in flight,
         // the stale response must not enter the cache.
@@ -385,12 +376,12 @@ impl Kernel {
                 fid: of.fid,
                 pid,
                 owner,
-                range,
+                range: extent,
             }),
             acct,
         )?;
         let Msg::File(FileMsg::ReadResp {
-            data,
+            mut data,
             committed_len,
             vers,
         }) = resp
@@ -399,12 +390,17 @@ impl Kernel {
                 "unexpected read response {resp:?}"
             )));
         };
-        let clipped = ByteRange::new(range.start, data.len() as u64);
+        let clipped = ByteRange::new(extent.start, data.len() as u64);
         if caching {
+            let demand_last = range.pages(ps).last();
             for (page, v) in clipped.pages(ps).zip(&vers) {
                 let Some(slice) = clipped.slice_on_page(page, ps) else {
                     continue;
                 };
+                if Some(page) > demand_last {
+                    // Past the caller's last page: shipped as readahead.
+                    self.counters.prefetches();
+                }
                 let page_base = u64::from(page.0) * ps as u64;
                 let abs = ByteRange::new(page_base + slice.start, slice.len);
                 // Cache only committed bytes the owner's locks still cover.
@@ -422,8 +418,11 @@ impl Kernel {
                     gen,
                 );
             }
-            self.readahead(pid, ch, &of, serve, owner, &clipped, committed_len, acct);
         }
+        // The caller's slice of the reply: what the storage site would have
+        // returned for `range` itself, visible-length clip included.
+        data.truncate((range.end() - extent.start).min(data.len() as u64) as usize);
+        data.drain(..((range.start - extent.start) as usize).min(data.len()));
         self.procs.with_mut(pid, |rec| {
             if let Some(of) = rec.open_files.get_mut(&ch) {
                 of.pos += data.len() as u64;
@@ -432,60 +431,40 @@ impl Kernel {
         Ok(data)
     }
 
-    /// Sequential readahead (Section 5.2's prefetch idea applied to the
-    /// requesting site): when a remote read continues exactly where the
-    /// channel's previous read ended, ask the storage site for the next few
-    /// committed pages and stash them in the page cache — if the owner's
-    /// lock coverage extends that far. Never fails the read: prefetch errors
-    /// are dropped and counted.
-    #[allow(clippy::too_many_arguments)]
-    fn readahead(
-        &self,
-        pid: Pid,
-        ch: Channel,
-        of: &OpenFile,
-        serve: SiteId,
-        owner: Owner,
-        clipped: &ByteRange,
-        committed_len: u64,
-        acct: &mut Account,
-    ) {
-        const READAHEAD_PAGES: u32 = 2;
-        let prev = self.swap_read_cursor(pid, ch, of.fid, clipped.end());
-        if clipped.is_empty() || prev != Some((of.fid, clipped.start)) {
-            return;
-        }
+    /// What a missed remote read of `range` asks the storage site for.
+    ///
+    /// Where the owner's cached lock covers it, the request is widened to
+    /// the boundaries of the pages it touches, so the one round trip (and
+    /// the page transfer it is charged anyway) serves every later read of
+    /// those pages; bytes of a page outside the coverage stay out, because
+    /// coverage — not the page — is what keeps other owners from changing
+    /// them. When the access is sequential the next `READAHEAD_PAGES`
+    /// pages ride along, as far as they are wholly covered (Section 5.2
+    /// prefetches "the locked pages"). Sequential is judged without state:
+    /// the byte just before the first demanded page is in this owner's page
+    /// cache, i.e. the owner has just read up to this page boundary under
+    /// the same coverage. With no coverage the extent is `range` itself.
+    fn fetch_extent(&self, fid: Fid, owner: Owner, range: ByteRange) -> ByteRange {
+        const READAHEAD_PAGES: u64 = 2;
         let ps = self.model.page_size as u64;
-        let next_page = clipped.end().div_ceil(ps) as u32;
-        let wanted: Vec<_> = (next_page..next_page + READAHEAD_PAGES)
-            .map(locus_types::PageNo)
-            .filter(|p| {
-                let span = ByteRange::new(u64::from(p.0) * ps, ps);
-                span.end() <= committed_len && self.cache.covers(of.fid, owner, span, false)
-            })
-            .collect();
-        if wanted.is_empty() {
-            return;
-        }
-        let gen = self.pages.write_gen(of.fid, owner);
-        let resp = self.rpc(
-            serve,
-            Msg::File(FileMsg::PrefetchReq {
-                fid: of.fid,
-                pages: wanted,
-            }),
-            acct,
-        );
-        match resp {
-            Ok(Msg::File(FileMsg::PrefetchResp { pages })) => {
-                for (page, vers, bytes) in pages {
-                    let span = ByteRange::new(0, ps);
-                    self.pages
-                        .insert(of.fid, owner, page, vers, span, bytes, gen);
-                }
+        let first = range.start / ps * ps;
+        let demand_end = range.end().div_ceil(ps).saturating_mul(ps);
+        let sequential = first > 0
+            && self.pages.covers_page_span(
+                fid,
+                owner,
+                locus_types::PageNo((first / ps - 1) as u32),
+                ByteRange::new(ps - 1, 1),
+            );
+        let ahead = if sequential { READAHEAD_PAGES * ps } else { 0 };
+        let within = ByteRange::new(first, demand_end.saturating_add(ahead) - first);
+        match self.cache.read_extent(fid, owner, range, within) {
+            // Readahead ships whole pages only.
+            Some(ext) if ext.end() > demand_end => {
+                ByteRange::new(ext.start, ext.end() / ps * ps - ext.start)
             }
-            Ok(_) => {}
-            Err(_) => self.counters.prefetch_errors(),
+            Some(ext) => ext,
+            None => range,
         }
     }
 

@@ -91,11 +91,10 @@ impl Kernel {
             Ok(_) => {
                 self.procs.finish_migrate_out(pid);
                 self.registry.set(pid, dest);
-                // The process now runs elsewhere; its cached pages and
-                // readahead cursors at this site will never be consulted
-                // again (pids are not recycled) — free them.
+                // The process now runs elsewhere; its cached pages at this
+                // site will never be consulted again (pids are not
+                // recycled) — free them.
                 self.pages.drop_owner(Owner::Proc(pid));
-                self.drop_read_cursors_of(pid);
                 self.counters.migrations();
                 self.events.push(Event::MigrateEnd { pid, at: dest });
                 Ok(())
@@ -141,7 +140,6 @@ impl Kernel {
             let _ = self.rpc_batch(site, msgs, acct);
         }
         self.drop_owner_caches(Owner::Proc(pid));
-        self.drop_read_cursors_of(pid);
         // A transaction member reports its completion and its file-list to
         // the top-level process (Section 4.1).
         if let (Some(tid), Some(top)) = (rec.tid, rec.top) {

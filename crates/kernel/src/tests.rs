@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use locus_disk::SimDisk;
 use locus_fs::Volume;
-use locus_net::SimTransport;
+use locus_net::{FileMsg, Msg, SimTransport};
 use locus_proc::ProcessRegistry;
 use locus_sim::{Account, CostModel, Counters, EventLog, SimDuration};
-use locus_types::{ByteRange, Error, LockRequestMode, SiteId, VolumeId};
+use locus_types::{ByteRange, Error, LockRequestMode, Owner, SiteId, VolumeId};
 
 use crate::catalog::Catalog;
 use crate::kernel::Kernel;
@@ -1036,46 +1036,207 @@ fn unlock_drops_cache_and_later_reads_see_new_commits() {
     assert_eq!(got, b"fresh!");
 }
 
+/// Records the range of every `ReadReq` that crosses the wire, delivering
+/// everything untouched: what the storage site was actually asked for.
+#[derive(Default)]
+struct ReadTap(parking_lot::Mutex<Vec<ByteRange>>);
+
+impl locus_net::FaultInjector for ReadTap {
+    fn decide(&self, _: SiteId, _: SiteId, msg: &Msg, _: bool) -> locus_net::FaultDecision {
+        if let Msg::File(FileMsg::ReadReq { range, .. }) = msg {
+            self.0.lock().push(*range);
+        }
+        locus_net::FaultDecision::Deliver
+    }
+}
+
+fn tap_reads(c: &MiniCluster) -> Arc<ReadTap> {
+    let tap = Arc::new(ReadTap::default());
+    c.transport.set_fault_injector(Some(tap.clone()));
+    tap
+}
+
+/// Site 1 opens `/cached` read/write and locks `len` bytes at `start`.
+fn open_locked(
+    k1: &Kernel,
+    a1: &mut Account,
+    start: u64,
+    len: u64,
+    mode: LockRequestMode,
+) -> (locus_types::Pid, locus_types::Channel, locus_types::Fid) {
+    let p1 = k1.spawn();
+    let ch1 = k1.open(p1, "/cached", true, a1).unwrap();
+    k1.lseek(p1, ch1, start, a1).unwrap();
+    k1.lock(p1, ch1, len, mode, LockOpts::default(), a1)
+        .unwrap();
+    let fid = k1.procs.get(p1).unwrap().open_files[&ch1].fid;
+    (p1, ch1, fid)
+}
+
+fn page(n: u32) -> locus_types::PageNo {
+    locus_types::PageNo(n)
+}
+
+const FULL_PAGE: ByteRange = ByteRange {
+    start: 0,
+    len: 1024,
+};
+
 #[test]
 fn readahead_lands_pages_in_cache() {
     let c = mini_cluster(2);
-    seed_remote_file(&c, 4096); // Four committed pages.
+    seed_remote_file(&c, 5120); // Five committed pages.
+    let tap = tap_reads(&c);
     let k1 = &c.kernels[1];
     let mut a1 = acct(1);
-    let p1 = k1.spawn();
-    let ch1 = k1.open(p1, "/cached", true, &mut a1).unwrap();
     // Lock the whole file so readahead pages fall under coverage
     // (Section 5.2 prefetches the *locked* range).
-    k1.lock(
-        p1,
-        ch1,
-        4096,
-        LockRequestMode::Shared,
-        LockOpts::default(),
-        &mut a1,
-    )
-    .unwrap();
-    let fid = k1.procs.get(p1).unwrap().open_files[&ch1].fid;
-    let owner = locus_types::Owner::Proc(p1);
-    // Two back-to-back sequential reads trigger readahead of pages 1–2.
-    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 5120, LockRequestMode::Shared);
+    let owner = Owner::Proc(p1);
+    let cached = |n| k1.pages.covers_page_span(fid, owner, page(n), FULL_PAGE);
+    // A first touch is not sequential: the miss brings in its own page,
+    // whole, and nothing ahead of it.
+    k1.lseek(p1, ch1, 1024 + 100, &mut a1).unwrap();
     k1.read(p1, ch1, 100, &mut a1).unwrap();
+    assert_eq!(*tap.0.lock(), [ByteRange::new(1024, 1024)]);
+    assert!(cached(1) && !cached(0) && !cached(2));
+    assert_eq!(k1.counters.snapshot().prefetches, 0);
+    // Reading on within the page is a hit; hits need no bookkeeping for the
+    // next miss to be recognised as sequential.
+    let before = a1.clone();
+    k1.read(p1, ch1, 824, &mut a1).unwrap();
+    assert_eq!(a1.delta_since(&before).messages, 0);
+    // The miss at the next page boundary finds the preceding page's last
+    // byte cached: sequential, so two pages ride along with the demand page.
     k1.read(p1, ch1, 100, &mut a1).unwrap();
-    let page = |n| locus_types::PageNo(n);
-    let full = ByteRange::new(0, 1024);
-    assert!(
-        k1.pages.covers_page_span(fid, owner, page(1), full),
-        "page 1 must be prefetched into the cache"
-    );
-    assert!(
-        k1.pages.covers_page_span(fid, owner, page(2), full),
-        "page 2 must be prefetched into the cache"
-    );
+    assert_eq!(tap.0.lock()[1..], [ByteRange::new(2048, 3072)]);
+    assert!(cached(2) && cached(3) && cached(4));
+    assert_eq!(k1.counters.snapshot().prefetches, 2);
     // Reading a prefetched page is free of network traffic.
     let before = a1.clone();
-    k1.lseek(p1, ch1, 1024, &mut a1).unwrap();
-    assert_eq!(k1.read(p1, ch1, 1024, &mut a1).unwrap(), vec![7u8; 1024]);
+    k1.lseek(p1, ch1, 3072, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 2048, &mut a1).unwrap(), vec![7u8; 2048]);
     assert_eq!(a1.delta_since(&before).messages, 0);
+}
+
+#[test]
+fn locked_sequential_scan_costs_two_file_messages() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 4096, 4096, LockRequestMode::Shared);
+    let before = k1.counters.snapshot();
+    for _ in 0..64 {
+        assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    }
+    let d = k1.counters.snapshot().since(&before);
+    // Page 4 on the first miss, pages 5-7 on the second; everything else
+    // is served from the page cache.
+    assert_eq!(d.msgs_for(locus_types::Service::File), 2);
+    assert_eq!(d.page_cache_hits, 62);
+    assert_eq!(d.page_cache_misses, 2);
+    assert_eq!(d.prefetches, 2);
+}
+
+#[test]
+fn fetch_never_leaves_lock_coverage() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = tap_reads(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    // The lock covers bytes [100, 300) of page 0 and nothing else.
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 100, 200, LockRequestMode::Shared);
+    let owner = Owner::Proc(p1);
+    k1.lseek(p1, ch1, 150, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 10, &mut a1).unwrap(), vec![7u8; 10]);
+    // Widened to the coverage, not to the page.
+    assert_eq!(*tap.0.lock(), [ByteRange::new(100, 200)]);
+    let spans = |s, l| {
+        k1.pages
+            .covers_page_span(fid, owner, page(0), ByteRange::new(s, l))
+    };
+    assert!(spans(100, 200));
+    assert!(!spans(99, 2) && !spans(299, 2) && !spans(0, 1));
+    // The rest of the coverage is now local...
+    let before = a1.clone();
+    k1.lseek(p1, ch1, 100, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 200, &mut a1).unwrap(), vec![7u8; 200]);
+    assert_eq!(a1.delta_since(&before).messages, 0);
+    // ...while a read outside it goes remote, for exactly its own bytes,
+    // every time.
+    for _ in 0..2 {
+        k1.lseek(p1, ch1, 300, &mut a1).unwrap();
+        assert_eq!(k1.read(p1, ch1, 50, &mut a1).unwrap(), vec![7u8; 50]);
+    }
+    // So does one that only partly lies inside it.
+    k1.lseek(p1, ch1, 290, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 20, &mut a1).unwrap(), vec![7u8; 20]);
+    let uncovered = [
+        ByteRange::new(300, 50),
+        ByteRange::new(300, 50),
+        ByteRange::new(290, 20),
+    ];
+    assert_eq!(tap.0.lock()[1..], uncovered);
+    assert!(!spans(300, 1));
+}
+
+#[test]
+fn page_cache_disabled_sends_the_callers_exact_range() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = tap_reads(&c);
+    let k1 = &c.kernels[1];
+    k1.page_cache_enabled
+        .store(false, std::sync::atomic::Ordering::Relaxed);
+    let mut a1 = acct(1);
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 4096, LockRequestMode::Shared);
+    k1.lseek(p1, ch1, 1000, &mut a1).unwrap();
+    for _ in 0..3 {
+        assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    }
+    let exact = [
+        ByteRange::new(1000, 64),
+        ByteRange::new(1064, 64),
+        ByteRange::new(1128, 64),
+    ];
+    assert_eq!(*tap.0.lock(), exact);
+    assert!(k1.pages.is_empty());
+    assert_eq!(k1.counters.snapshot().prefetches, 0);
+}
+
+#[test]
+fn widened_read_skips_pages_with_foreign_uncommitted_bytes() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let k0 = &c.kernels[0];
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    // The reader holds [0, 2048) except the last 24 bytes of page 1...
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 2024, LockRequestMode::Shared);
+    let owner = Owner::Proc(p1);
+    // ...where another owner leaves uncommitted bytes.
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    k0.lseek(p0, ch0, 2030, &mut a0).unwrap();
+    k0.write(p0, ch0, b"dirty", &mut a0).unwrap();
+    // Page 0, then a sequential miss on page 1 whose widened fetch covers
+    // [1024, 2024): the caller gets its slice, the page is not cached.
+    assert_eq!(k1.read(p1, ch1, 1024, &mut a1).unwrap(), vec![7u8; 1024]);
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    assert!(k1.pages.covers_page_span(fid, owner, page(0), FULL_PAGE));
+    assert!(!k1
+        .pages
+        .covers_page_span(fid, owner, page(1), ByteRange::new(0, 1)));
+    assert_eq!(k1.pages.len(), 1);
+    // Once the other owner's bytes are rolled back, the page caches again.
+    k0.abort_file(p0, ch0, &mut a0).unwrap();
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    assert!(k1
+        .pages
+        .covers_page_span(fid, owner, page(1), ByteRange::new(0, 1000)));
 }
 
 #[test]

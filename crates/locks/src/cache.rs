@@ -17,11 +17,52 @@ use parking_lot::Mutex;
 
 use locus_types::{range, ByteRange, Fid, LockMode, Owner};
 
+/// (fid, owner) → ranges held in one mode, kept sorted and coalesced.
+type RangeMap = HashMap<(Fid, Owner), Vec<ByteRange>>;
+
 #[derive(Debug, Default)]
 struct CacheInner {
-    /// (fid, owner) → ranges held, per mode.
-    shared: HashMap<(Fid, Owner), Vec<ByteRange>>,
-    exclusive: HashMap<(Fid, Owner), Vec<ByteRange>>,
+    shared: RangeMap,
+    exclusive: RangeMap,
+}
+
+impl CacheInner {
+    /// The owner's held ranges in the modes that permit the access.
+    fn held(&self, fid: Fid, owner: Owner, write: bool) -> Held<'_> {
+        fn list(map: &RangeMap, key: (Fid, Owner)) -> &[ByteRange] {
+            map.get(&key).map_or(&[], Vec::as_slice)
+        }
+        let shared = if write {
+            &[]
+        } else {
+            list(&self.shared, (fid, owner))
+        };
+        Held([list(&self.exclusive, (fid, owner)), shared])
+    }
+}
+
+/// One owner's ranges on one file that permit an access, per mode. Each
+/// mode's list is coalesced, so walking coverage crosses a whole held range
+/// per step: no allocation, and one step in the common single-lock case.
+struct Held<'a>([&'a [ByteRange]; 2]);
+
+impl Held<'_> {
+    /// The held range containing byte `at`.
+    fn at(&self, at: u64) -> Option<&ByteRange> {
+        self.0.iter().copied().flatten().find(|h| h.contains(at))
+    }
+
+    /// How far unbroken coverage runs from `from`, stopping at `limit`.
+    fn run_end(&self, from: u64, limit: u64) -> u64 {
+        let mut at = from;
+        while at < limit {
+            match self.at(at) {
+                Some(h) => at = h.end(),
+                None => break,
+            }
+        }
+        at.min(limit)
+    }
 }
 
 /// Number of cache stripes: the cache sits on the no-RPC fast path of every
@@ -110,25 +151,42 @@ impl LockCache {
     }
 
     /// Whether `owner` is known to hold a lock sufficient for the access:
-    /// exclusive coverage for writes, shared-or-exclusive for reads.
+    /// exclusive coverage for writes, shared-or-exclusive for reads. An empty
+    /// range is never covered.
     pub fn covers(&self, fid: Fid, owner: Owner, r: ByteRange, write: bool) -> bool {
         let inner = self.shards[shard_of(fid)].lock();
-        let mut remaining = vec![r];
-        let subtract_map = |remaining: Vec<ByteRange>, held: Option<&Vec<ByteRange>>| {
-            let Some(held) = held else {
-                return remaining;
-            };
-            let mut rem = remaining;
-            for h in held {
-                rem = rem.into_iter().flat_map(|x| x.subtract(h)).collect();
-            }
-            rem
-        };
-        remaining = subtract_map(remaining, inner.exclusive.get(&(fid, owner)));
-        if !write {
-            remaining = subtract_map(remaining, inner.shared.get(&(fid, owner)));
+        !r.is_empty() && inner.held(fid, owner, write).run_end(r.start, r.end()) == r.end()
+    }
+
+    /// The widest run of bytes around `r`, kept inside `within`, that `owner`
+    /// is known to hold read coverage for; `None` unless `r` itself is
+    /// covered. This is how far a remote read of `r` may be widened and
+    /// still have every returned byte cacheable (Section 5.1: the lock
+    /// holder may use local copies of the *locked* data, and only that).
+    pub fn read_extent(
+        &self,
+        fid: Fid,
+        owner: Owner,
+        r: ByteRange,
+        within: ByteRange,
+    ) -> Option<ByteRange> {
+        if r.is_empty() || !within.contains_range(&r) {
+            return None;
         }
-        remaining.is_empty()
+        let inner = self.shards[shard_of(fid)].lock();
+        let held = inner.held(fid, owner, false);
+        let end = held.run_end(r.start, within.end());
+        if end < r.end() {
+            return None;
+        }
+        let mut start = r.start;
+        while start > within.start {
+            match held.at(start - 1) {
+                Some(h) => start = h.start.max(within.start),
+                None => break,
+            }
+        }
+        Some(ByteRange::new(start, end - start))
     }
 
     /// Clears the cache (site crash; it is volatile state).
@@ -146,6 +204,8 @@ impl LockCache {
 mod tests {
     use super::*;
     use locus_types::{Pid, SiteId, VolumeId};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn fid() -> Fid {
         Fid::new(VolumeId(0), 1)
@@ -153,6 +213,86 @@ mod tests {
 
     fn owner() -> Owner {
         Owner::Proc(Pid::new(SiteId(0), 1))
+    }
+
+    /// The original `subtract`-based coverage test, kept as the reference the
+    /// allocation-free walk is checked against.
+    fn covers_reference(c: &LockCache, fid: Fid, owner: Owner, r: ByteRange, write: bool) -> bool {
+        let inner = c.shards[shard_of(fid)].lock();
+        let mut remaining = vec![r];
+        let mut maps = vec![&inner.exclusive];
+        if !write {
+            maps.push(&inner.shared);
+        }
+        for held in maps.into_iter().filter_map(|m| m.get(&(fid, owner))) {
+            for h in held {
+                remaining = remaining.into_iter().flat_map(|x| x.subtract(h)).collect();
+            }
+        }
+        remaining.is_empty()
+    }
+
+    proptest! {
+        /// Random grants, upgrades, downgrades and partial unlocks: the walk
+        /// agrees with the reference on every probe, and `read_extent` is
+        /// exactly the widest covered run around the probe inside its bound.
+        #[test]
+        fn covers_matches_reference(
+            ops in vec((0u8..3, 0u64..96, 0u64..40), 0..12),
+            probes in vec((0u64..120, 0u64..48, any::<bool>()), 1..24),
+        ) {
+            let c = LockCache::new();
+            for (kind, start, len) in ops {
+                let r = ByteRange::new(start, len);
+                match kind {
+                    0 => c.insert(fid(), owner(), LockMode::Shared, r),
+                    1 => c.insert(fid(), owner(), LockMode::Exclusive, r),
+                    _ => c.remove(fid(), owner(), r),
+                }
+            }
+            for (start, len, write) in probes {
+                let r = ByteRange::new(start, len);
+                prop_assert_eq!(
+                    c.covers(fid(), owner(), r, write),
+                    covers_reference(&c, fid(), owner(), r, write),
+                    "covers({}, write {})", r, write
+                );
+                let within = ByteRange::new(start.saturating_sub(16), len + 40);
+                let byte = |at: u64| covers_reference(&c, fid(), owner(), ByteRange::new(at, 1), false);
+                match c.read_extent(fid(), owner(), r, within) {
+                    None => prop_assert!(!covers_reference(&c, fid(), owner(), r, false)),
+                    Some(ext) => {
+                        prop_assert!(ext.contains_range(&r) && within.contains_range(&ext));
+                        prop_assert!((ext.start..ext.end()).all(byte));
+                        prop_assert!(ext.start == within.start || !byte(ext.start - 1));
+                        prop_assert!(ext.end() == within.end() || !byte(ext.end()));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_extent_stays_inside_coverage_and_bound() {
+        let c = LockCache::new();
+        c.insert(fid(), owner(), LockMode::Shared, ByteRange::new(100, 200));
+        let page = ByteRange::new(0, 1024);
+        let got = c.read_extent(fid(), owner(), ByteRange::new(150, 10), page);
+        assert_eq!(got, Some(ByteRange::new(100, 200)));
+        // A request poking out of the coverage is not widened at all.
+        assert_eq!(
+            c.read_extent(fid(), owner(), ByteRange::new(290, 20), page),
+            None
+        );
+        // Adjacent shared + exclusive grants compose; the bound clips.
+        c.insert(
+            fid(),
+            owner(),
+            LockMode::Exclusive,
+            ByteRange::new(300, 2000),
+        );
+        let got = c.read_extent(fid(), owner(), ByteRange::new(150, 10), page);
+        assert_eq!(got, Some(ByteRange::new(100, 924)));
     }
 
     #[test]

@@ -32,7 +32,10 @@ pub enum FileMsg {
     OpenResp { len: u64, epoch: u64 },
     /// Deregister an open.
     CloseReq { fid: Fid, pid: Pid },
-    /// Read `range` of `fid` on behalf of `owner`.
+    /// Read `range` of `fid` on behalf of `owner`. `range` is what the
+    /// requesting kernel wants shipped — the caller's bytes, widened to the
+    /// covered pages around them when it will cache the reply — and all of
+    /// it is validated against the lock list.
     ReadReq {
         fid: Fid,
         pid: Pid,
@@ -61,14 +64,6 @@ pub enum FileMsg {
     /// Write accepted; new file length and the storage site's boot epoch
     /// returned.
     WriteResp { new_len: u64, epoch: u64 },
-    /// Ask the storage site to prefetch pages ahead of a locked range
-    /// (Section 5.2 optimization).
-    PrefetchReq { fid: Fid, pages: Vec<PageNo> },
-    /// Prefetched page images: `(page, install version, current bytes)` for
-    /// every requested page that lies fully within the committed length.
-    /// The requesting site installs these in its page cache (under its lock
-    /// coverage) so sequential readers stop paying one RPC per page.
-    PrefetchResp { pages: Vec<(PageNo, u64, PageData)> },
     /// Commit one owner's changes to a file via the single-file commit.
     CommitReq { fid: Fid, owner: Owner },
     /// Discard one owner's uncommitted changes to a file.
@@ -290,8 +285,6 @@ impl Msg {
                 FileMsg::ReadResp { .. } => "ReadResp",
                 FileMsg::WriteReq { .. } => "WriteReq",
                 FileMsg::WriteResp { .. } => "WriteResp",
-                FileMsg::PrefetchReq { .. } => "PrefetchReq",
-                FileMsg::PrefetchResp { .. } => "PrefetchResp",
                 FileMsg::CommitReq { .. } => "CommitReq",
                 FileMsg::AbortReq { .. } => "AbortReq",
             },
@@ -338,9 +331,6 @@ impl Msg {
         let bytes = match self {
             Msg::File(FileMsg::ReadResp { data, .. })
             | Msg::File(FileMsg::WriteReq { data, .. }) => data.len(),
-            Msg::File(FileMsg::PrefetchResp { pages }) => {
-                pages.iter().map(|(_, _, d)| d.len()).sum()
-            }
             Msg::Proc(ProcMsg::Migrate { blob, .. }) => blob.len(),
             Msg::Replica(ReplicaMsg::Sync { pages, .. })
             | Msg::Replica(ReplicaMsg::PullResp { pages, .. }) => {
@@ -359,10 +349,7 @@ impl Msg {
         match self {
             Msg::File(m) => matches!(
                 m,
-                FileMsg::OpenResp { .. }
-                    | FileMsg::ReadResp { .. }
-                    | FileMsg::WriteResp { .. }
-                    | FileMsg::PrefetchResp { .. }
+                FileMsg::OpenResp { .. } | FileMsg::ReadResp { .. } | FileMsg::WriteResp { .. }
             ),
             Msg::Lock(m) => matches!(m, LockMsg::Resp { .. }),
             Msg::Txn(m) => matches!(m, TxnMsg::PrepareDone { .. } | TxnMsg::StatusAnswer { .. }),

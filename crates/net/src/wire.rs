@@ -200,14 +200,6 @@ fn enc_file(e: &mut Enc, m: &FileMsg) {
             e.u64(*new_len);
             e.u64(*epoch);
         }
-        FileMsg::PrefetchReq { fid, pages } => {
-            e.u8(7);
-            enc_fid(e, *fid);
-            e.u32(pages.len() as u32);
-            for p in pages {
-                e.u32(p.0);
-            }
-        }
         FileMsg::CommitReq { fid, owner } => {
             e.u8(8);
             enc_fid(e, *fid);
@@ -217,15 +209,6 @@ fn enc_file(e: &mut Enc, m: &FileMsg) {
             e.u8(9);
             enc_fid(e, *fid);
             enc_owner(e, *owner);
-        }
-        FileMsg::PrefetchResp { pages } => {
-            e.u8(10);
-            e.u32(pages.len() as u32);
-            for (p, v, data) in pages {
-                e.u32(p.0);
-                e.u64(*v);
-                e.bytes(data);
-            }
         }
     }
 }
@@ -278,15 +261,6 @@ fn dec_file(d: &mut Dec<'_>) -> Option<FileMsg> {
             new_len: d.u64()?,
             epoch: d.u64()?,
         },
-        7 => {
-            let fid = dec_fid(d)?;
-            let n = d.u32()?;
-            let mut pages = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                pages.push(PageNo(d.u32()?));
-            }
-            FileMsg::PrefetchReq { fid, pages }
-        }
         8 => FileMsg::CommitReq {
             fid: dec_fid(d)?,
             owner: dec_owner(d)?,
@@ -295,16 +269,8 @@ fn dec_file(d: &mut Dec<'_>) -> Option<FileMsg> {
             fid: dec_fid(d)?,
             owner: dec_owner(d)?,
         },
-        10 => {
-            let n = d.u32()?;
-            let mut pages = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let p = PageNo(d.u32()?);
-                let v = d.u64()?;
-                pages.push((p, v, locus_types::PageData::from(d.bytes()?)));
-            }
-            FileMsg::PrefetchResp { pages }
-        }
+        // 7 and 10 were PrefetchReq / PrefetchResp (retired). They stay
+        // unassigned so an old frame is refused, not read as something else.
         _ => return None,
     })
 }
@@ -959,16 +925,6 @@ mod tests {
             Msg::File(FileMsg::WriteResp {
                 new_len: 3,
                 epoch: 0,
-            }),
-            Msg::File(FileMsg::PrefetchReq {
-                fid: fid(),
-                pages: vec![PageNo(0), PageNo(5)],
-            }),
-            Msg::File(FileMsg::PrefetchResp {
-                pages: vec![
-                    (PageNo(0), 2, locus_types::PageData::new(vec![8u8; 12])),
-                    (PageNo(5), 0, locus_types::PageData::new(Vec::new())),
-                ],
             }),
             Msg::File(FileMsg::CommitReq {
                 fid: fid(),

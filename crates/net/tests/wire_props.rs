@@ -83,13 +83,6 @@ fn file_msg() -> BoxedStrategy<FileMsg> {
         }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(new_len, epoch)| FileMsg::WriteResp { new_len, epoch }),
-        (fid(), vec((0u32..64).prop_map(PageNo), 0..5))
-            .prop_map(|(fid, pages)| FileMsg::PrefetchReq { fid, pages }),
-        vec(
-            ((0u32..64).prop_map(PageNo), any::<u64>(), page_data()),
-            0..4
-        )
-        .prop_map(|pages| FileMsg::PrefetchResp { pages }),
         (fid(), owner()).prop_map(|(fid, owner)| FileMsg::CommitReq { fid, owner }),
         (fid(), owner()).prop_map(|(fid, owner)| FileMsg::AbortReq { fid, owner }),
     ]
@@ -334,6 +327,26 @@ proptest! {
             let keep = 1 + (cut as usize % (bytes.len() - 1));
             prop_assert!(decode_msg(&bytes[..keep]).is_none());
         }
+    }
+
+    /// The file-service variant bytes that carried the retired
+    /// `PrefetchReq` / `PrefetchResp` pair (7 and 10) are refused whatever
+    /// follows them — alone or as a batch member — and never panic or alias
+    /// a live message.
+    #[test]
+    fn retired_prefetch_tags_never_decode(
+        tag in prop_oneof![Just(7u8), Just(10u8)],
+        tail in vec(any::<u8>(), 0..96),
+    ) {
+        const TAG_FILE: u8 = 0;
+        let mut frame = vec![locus_net::wire::WIRE_VERSION, TAG_FILE, tag];
+        frame.extend_from_slice(&tail);
+        prop_assert_eq!(decode_msg(&frame), None);
+        // The same bytes as the sole member of a batch.
+        let mut batch = encode_msg(&Msg::Batch(vec![Msg::Ok]));
+        prop_assert_eq!(batch.pop(), Some(encode_msg(&Msg::Ok)[1]));
+        batch.extend_from_slice(&frame[1..]);
+        prop_assert_eq!(decode_msg(&batch), None);
     }
 
     /// The batched encoding of N messages costs less wire than N separate

@@ -43,6 +43,9 @@ pub struct Counters {
     pub file_list_retries: AtomicU64,
     pub buffer_hits: AtomicU64,
     pub buffer_misses: AtomicU64,
+    /// Pages shipped ahead of demand: loaded into the storage site's buffers
+    /// on a lock grant (`prefetch_on_lock`), or riding a remote read's reply
+    /// past the pages the caller asked for (readahead).
     pub prefetches: AtomicU64,
     /// Reads served entirely from the per-site coherent page cache (no
     /// storage-site RPC issued).
@@ -50,9 +53,6 @@ pub struct Counters {
     /// Reads that went to the storage site because the page cache could not
     /// cover them (cache disabled, uncovered, or partially cached).
     pub page_cache_misses: AtomicU64,
-    /// Prefetch requests whose page fetch failed at the storage site (these
-    /// errors are deliberately non-fatal but must not vanish silently).
-    pub prefetch_errors: AtomicU64,
     /// Reads/writes that bypassed message construction and dispatch because
     /// the caller is the storage site.
     pub local_fast_paths: AtomicU64,
@@ -97,7 +97,6 @@ bump!(
     prefetches,
     page_cache_hits,
     page_cache_misses,
-    prefetch_errors,
     local_fast_paths,
 );
 
@@ -136,7 +135,6 @@ impl Counters {
             prefetches: self.prefetches.load(Ordering::Relaxed),
             page_cache_hits: self.page_cache_hits.load(Ordering::Relaxed),
             page_cache_misses: self.page_cache_misses.load(Ordering::Relaxed),
-            prefetch_errors: self.prefetch_errors.load(Ordering::Relaxed),
             local_fast_paths: self.local_fast_paths.load(Ordering::Relaxed),
         }
     }
@@ -172,7 +170,6 @@ pub struct CountersSnapshot {
     pub prefetches: u64,
     pub page_cache_hits: u64,
     pub page_cache_misses: u64,
-    pub prefetch_errors: u64,
     pub local_fast_paths: u64,
 }
 
@@ -206,7 +203,6 @@ impl CountersSnapshot {
             prefetches: self.prefetches - earlier.prefetches,
             page_cache_hits: self.page_cache_hits - earlier.page_cache_hits,
             page_cache_misses: self.page_cache_misses - earlier.page_cache_misses,
-            prefetch_errors: self.prefetch_errors - earlier.prefetch_errors,
             local_fast_paths: self.local_fast_paths - earlier.local_fast_paths,
         }
     }

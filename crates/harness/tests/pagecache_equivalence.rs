@@ -15,10 +15,10 @@ use proptest::prelude::*;
 
 use locus_harness::chaos::{run_schedule, ChaosConfig, Schedule};
 use locus_harness::cluster::Cluster;
-use locus_harness::script::{Driver, Op, RunOutcome};
+use locus_harness::script::{Driver, Op, OpResult, RunOutcome};
 use locus_kernel::LockOpts;
 use locus_sim::DetRng;
-use locus_types::LockRequestMode;
+use locus_types::{ByteRange, LockRequestMode, SiteId};
 
 const SITES: usize = 2;
 /// Three pages' worth at the default 1 KiB page size, so random reads cross
@@ -135,18 +135,19 @@ fn build_cluster_with(cached: bool, contents: Vec<u8>) -> Cluster {
 /// per-process results (data, ranges, errors — all of it) and the final
 /// durable bytes of both files read through a fresh probe process.
 fn observe(c: &Cluster, seed: u64) -> String {
-    observe_programs(c, seed, &gen_programs(seed), None, FILE_LEN)
+    observe_programs(c, seed, &gen_programs(seed), None, FILE_LEN).0
 }
 
 /// [`observe`] for given programs; `reboot` names a driver step before which
-/// site 0 is crashed and at once rebooted.
+/// site 0 is crashed and at once rebooted. Also returns the first program's
+/// results as they are.
 fn observe_programs(
     c: &Cluster,
     seed: u64,
     programs: &[(usize, Vec<Op>)],
     reboot: Option<usize>,
     file_len: u64,
-) -> String {
+) -> (String, Vec<OpResult>) {
     let mut drv = Driver::new(c, seed.wrapping_mul(0x9e37_79b9));
     for (home, ops) in programs {
         drv.spawn(*home, ops.clone());
@@ -171,7 +172,7 @@ fn observe_programs(
         let _ = k.exit(probe, &mut a);
         out.push_str(&format!("file {f}: {bytes:?}\n"));
     }
-    out
+    (out, drv.results(0).to_vec())
 }
 
 proptest! {
@@ -202,20 +203,30 @@ fn scan_contents() -> Vec<u8> {
 /// One scanner at site 1 — remote from `/eq0` — that locks a page-unaligned
 /// range and reads records through it in order, starting a little before the
 /// lock and running past its end; sibling owners that write to the same
-/// pages meanwhile; and, half the time, a reboot of the storage site in
-/// mid-scan. Returns the programs and the reboot step.
+/// pages meanwhile; when the scanner is a transaction, sometimes a forked
+/// member of it that migrates to the storage site and writes there; and,
+/// half the time, a reboot of the storage site in mid-scan. Returns the
+/// programs and the reboot step.
 ///
-/// A reboot empties the storage site's lock list and buffers while the
-/// scanner's kernel still trusts its lock cache (ROADMAP backlog: coverage
-/// under failover), so bytes the scanner believes locked can then change
-/// under *any* local copy of them. That hole is not this test's subject, so
-/// the runs with a reboot keep clear of its two ways in: siblings write only
-/// outside the locked bytes, and the scanner is not a transaction (whose
-/// lock would adopt a sibling's uncommitted bytes as its own, cacheable,
-/// and lose them to the reboot).
-fn gen_scan(seed: u64) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
+/// The generator keeps clear of two known holes (both in ROADMAP's
+/// backlog), each pinned by an `#[ignore]`d test below:
+///
+/// * A reboot empties the storage site's lock list and buffers while the
+///   scanner's kernel still trusts its lock cache, so bytes the scanner
+///   believes locked can then change under *any* local copy of them. Runs
+///   with a reboot therefore have siblings write only outside the locked
+///   bytes, and no transactional scanner (whose lock would adopt a sibling's
+///   uncommitted bytes as its own, cacheable, and lose them to the reboot).
+///   `reboot_hole` lifts both restrictions and always reboots.
+/// * A write invalidates cached pages at the writer's site only, so a
+///   transaction re-reading bytes it has cached misses a write a member made
+///   to them at another site since. With a migrated member the scanner
+///   therefore reads every byte once: no seeks back, no read after the
+///   unlock. (Bytes it has *not* read are never cached for a transaction —
+///   the fetch is not widened — which is what these runs check.)
+fn gen_scan(seed: u64, reboot_hole: bool) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
     let mut rng = DetRng::seeded(seed);
-    let reboot = rng.chance(0.5).then(|| 8 + rng.below(40) as usize);
+    let reboot = (reboot_hole || rng.chance(0.5)).then(|| 8 + rng.below(40) as usize);
     let lock_start = rng.below(1500);
     // Half the locks are long enough for readahead to find whole pages.
     let lock_len = if rng.chance(0.5) {
@@ -229,7 +240,8 @@ fn gen_scan(seed: u64) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
     } else {
         LockRequestMode::Exclusive
     };
-    let in_txn = reboot.is_none() && rng.chance(0.4);
+    let in_txn = (reboot_hole || reboot.is_none()) && rng.chance(0.4);
+    let member = in_txn && !reboot_hole && rng.chance(0.6);
 
     let mut scan = Vec::new();
     if in_txn {
@@ -254,9 +266,28 @@ fn gen_scan(seed: u64) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
         pos: lock_start.saturating_sub(rng.below(150)),
     });
     let rec = 32 + rng.below(300);
-    for _ in 0..lock_len / rec + 3 {
+    let n_reads = lock_len / rec + 3;
+    let fork_at = rng.below(3.min(n_reads));
+    for i in 0..n_reads {
+        if member && i == fork_at {
+            // Same transaction, other site: the member goes to the storage
+            // site and writes records on the pages the scanner is reading.
+            let mut ops = vec![Op::Migrate(SiteId(0))];
+            for _ in 0..2 + rng.below(5) {
+                ops.push(Op::Seek {
+                    ch: 0,
+                    pos: lock_start + rng.below(lock_len),
+                });
+                // Zeros: no other writer and no original byte is one.
+                ops.push(Op::Write {
+                    ch: 0,
+                    data: vec![0; 1 + rng.below(24) as usize],
+                });
+            }
+            scan.push(Op::Fork(ops));
+        }
         scan.push(Op::Read { ch: 0, len: rec });
-        if rng.chance(0.1) {
+        if !member && rng.chance(0.1) {
             // Re-read something behind the cursor, or skip ahead.
             scan.push(Op::Seek {
                 ch: 0,
@@ -272,11 +303,13 @@ fn gen_scan(seed: u64) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
         ch: 0,
         len: lock_len,
     });
-    scan.push(Op::Seek {
-        ch: 0,
-        pos: lock_start,
-    });
-    scan.push(Op::Read { ch: 0, len: rec });
+    if !member {
+        scan.push(Op::Seek {
+            ch: 0,
+            pos: lock_start,
+        });
+        scan.push(Op::Read { ch: 0, len: rec });
+    }
     if in_txn {
         scan.push(Op::EndTrans);
     }
@@ -291,7 +324,9 @@ fn gen_scan(seed: u64) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
             // Bytes just outside the lock: the pages the scanner's fetches
             // are widened on. Without a reboot, bytes inside it too — the
             // enforced lock refuses those, identically in both clusters.
-            let pos = match rng.below(if reboot.is_some() { 2 } else { 3 }) {
+            // (After a reboot it no longer does: the hole described above.)
+            let in_lock = reboot.is_none() || reboot_hole;
+            let pos = match rng.below(if in_lock { 3 } else { 2 }) {
                 0 => lock_start.saturating_sub(1 + rng.below(200)),
                 1 => lock_end + rng.below(200),
                 _ => lock_start + rng.below(lock_len),
@@ -319,26 +354,57 @@ fn gen_scan(seed: u64) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
     (programs, reboot)
 }
 
-fn observe_scan(cached: bool, seed: u64) -> (String, locus_sim::CountersSnapshot) {
+/// What one generated scan showed: everything observable, rendered; whether
+/// the scanner read bytes a migrated member of its transaction had written;
+/// and the cluster's counts.
+struct ScanRun {
+    seen: String,
+    read_members_write: bool,
+    counts: locus_sim::CountersSnapshot,
+}
+
+fn observe_scan(cached: bool, seed: u64, reboot_hole: bool) -> ScanRun {
     let c = build_cluster_with(cached, scan_contents());
     let before = c.counters();
-    let (programs, reboot) = gen_scan(seed);
-    let seen = observe_programs(&c, seed, &programs, reboot, SCAN_FILE_LEN);
-    (seen, c.counters().since(&before))
+    let (programs, reboot) = gen_scan(seed, reboot_hole);
+    let (seen, scanner) = observe_programs(&c, seed, &programs, reboot, SCAN_FILE_LEN);
+    ScanRun {
+        seen,
+        read_members_write: scanner
+            .iter()
+            .any(|r| matches!(r, OpResult::Data(d) if d.contains(&0))),
+        counts: c.counters().since(&before),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Locked multi-record scans under page-unaligned locks, with sibling
-    /// owners writing to the same pages and the storage site rebooting
+    /// owners writing to the same pages, a member of the scanning
+    /// transaction writing from another site and the storage site rebooting
     /// mid-scan: every read of the caching cluster returns what the uncached
     /// one returns, step for step.
     #[test]
     fn locked_scans_match_uncached_reference(seed in any::<u64>()) {
-        let (cached, _) = observe_scan(true, seed);
-        let (reference, _) = observe_scan(false, seed);
+        let cached = observe_scan(true, seed, false).seen;
+        let reference = observe_scan(false, seed, false).seen;
         prop_assert_eq!(cached, reference, "cache-visible divergence, seed {}", seed);
+    }
+}
+
+/// The combination the generator otherwise steers around: a reboot of the
+/// storage site in mid-scan *with* sibling writes inside the locked bytes and
+/// transactional scanners. About one seed in thirty diverges, until
+/// lock-cache coverage is revalidated after a storage-site reboot (ROADMAP
+/// backlog); this is that fix's acceptance test.
+#[test]
+#[ignore = "known hole: a stale LockCache outlives a storage-site reboot (ROADMAP backlog)"]
+fn locked_scans_match_uncached_reference_across_reboot_with_in_lock_writes() {
+    for seed in 0..128 {
+        let cached = observe_scan(true, seed, true).seen;
+        let reference = observe_scan(false, seed, true).seen;
+        assert_eq!(cached, reference, "cache-visible divergence, seed {seed}");
     }
 }
 
@@ -346,10 +412,13 @@ proptest! {
 /// fetches, readahead and cache hits on one side, none of them on the other.
 #[test]
 fn locked_scans_exercise_page_fetches_and_readahead() {
-    let (mut hits, mut ahead, mut saved) = (0, 0, 0);
+    let (mut hits, mut ahead, mut saved, mut members) = (0, 0, 0, 0);
     for seed in 0..24 {
-        let (_, on) = observe_scan(true, seed);
-        let (_, off) = observe_scan(false, seed);
+        let on = observe_scan(true, seed, false);
+        let off = observe_scan(false, seed, false);
+        assert_eq!(on.read_members_write, off.read_members_write, "seed {seed}");
+        members += u64::from(on.read_members_write);
+        let (on, off) = (on.counts, off.counts);
         assert_eq!((off.page_cache_hits, off.prefetches), (0, 0), "seed {seed}");
         hits += on.page_cache_hits;
         ahead += on.prefetches;
@@ -358,6 +427,79 @@ fn locked_scans_exercise_page_fetches_and_readahead() {
     assert!(hits > 100, "only {hits} cached reads in 24 scans");
     assert!(ahead > 5, "only {ahead} pages read ahead in 24 scans");
     assert!(saved > 100, "only {saved} file messages saved in 24 scans");
+    assert!(members > 0, "no scan read a migrated member's write");
+}
+
+/// A transaction at site 1 locks page 0 of `/eq0` (filled with 1s) and reads
+/// its first record; a forked member migrates to the storage site and writes
+/// 9s over `member_writes`; the parent then reads `parent_reads`. Returns
+/// what the parent saw and the file messages the parent's site sent for it.
+fn read_after_migrated_members_write(
+    cached: bool,
+    member_writes: ByteRange,
+    parent_reads: ByteRange,
+) -> (Vec<u8>, u64) {
+    let c = build_cluster_with(cached, vec![1; FILE_LEN as usize]);
+    let (s0, s1) = (c.site(0), c.site(1));
+    let (mut a0, mut a1) = (c.account(0), c.account(1));
+    let top = s1.kernel.spawn();
+    s1.txn.begin_trans(top, &mut a1).unwrap();
+    let ch = s1.kernel.open(top, "/eq0", true, &mut a1).unwrap();
+    s1.kernel
+        .lock(
+            top,
+            ch,
+            1024,
+            LockRequestMode::Exclusive,
+            LockOpts::default(),
+            &mut a1,
+        )
+        .unwrap();
+    assert_eq!(s1.kernel.read(top, ch, 64, &mut a1).unwrap(), vec![1; 64]);
+
+    let member = s1.kernel.fork(top, &mut a1).unwrap();
+    s1.kernel.migrate(member, SiteId(0), &mut a1).unwrap();
+    s0.kernel
+        .lseek(member, ch, member_writes.start, &mut a0)
+        .unwrap();
+    s0.kernel
+        .write(member, ch, &vec![9; member_writes.len as usize], &mut a0)
+        .unwrap();
+
+    let before = c.counters();
+    s1.kernel
+        .lseek(top, ch, parent_reads.start, &mut a1)
+        .unwrap();
+    let seen = s1.kernel.read(top, ch, parent_reads.len, &mut a1).unwrap();
+    let msgs = c
+        .counters()
+        .since(&before)
+        .msgs_for(locus_types::Service::File);
+    (seen, msgs)
+}
+
+/// A transaction sees its own members' uncommitted writes, wherever they
+/// were made: a record the parent has not read yet must come from the
+/// storage site even though it shares a locked page with one it has read.
+/// (Widening a transaction's fetch to the page made this read stale.)
+#[test]
+fn transaction_sees_a_migrated_members_write_to_a_page_it_has_read() {
+    let record = ByteRange::new(64, 64);
+    for cached in [true, false] {
+        let (seen, msgs) = read_after_migrated_members_write(cached, record, record);
+        assert_eq!(seen, vec![9; 64], "cached {cached}");
+        assert_eq!(msgs, 1, "cached {cached}");
+    }
+}
+
+/// The same, for bytes the parent *has* read and so has cached: nothing
+/// tells the parent's site that the member wrote them at another one.
+#[test]
+#[ignore = "known hole: a write invalidates the owner's cached pages at the writer's site only (ROADMAP backlog)"]
+fn transaction_rereads_see_a_migrated_members_write() {
+    let record = ByteRange::new(0, 64);
+    let (seen, _) = read_after_migrated_members_write(true, record, record);
+    assert_eq!(seen, vec![9; 64]);
 }
 
 /// The chaos workload with read probes, fault-free, cached vs uncached:

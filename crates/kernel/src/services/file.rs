@@ -361,7 +361,7 @@ impl Kernel {
         if caching && !range.is_empty() {
             self.counters.page_cache_misses();
         }
-        let extent = if caching {
+        let mut extent = if caching {
             self.fetch_extent(of.fid, owner, range)
         } else {
             range
@@ -370,16 +370,25 @@ impl Kernel {
         // sibling thread of this owner writes while the read is in flight,
         // the stale response must not enter the cache.
         let gen = self.pages.write_gen(of.fid, owner);
-        let resp = self.rpc(
-            serve,
-            Msg::File(FileMsg::ReadReq {
+        let fetch = |extent: ByteRange, acct: &mut Account| {
+            let req = FileMsg::ReadReq {
                 fid: of.fid,
                 pid,
                 owner,
                 range: extent,
-            }),
-            acct,
-        )?;
+            };
+            self.rpc(serve, Msg::File(req), acct)
+        };
+        let resp = match fetch(extent, acct) {
+            // The storage site refused bytes the caller never asked for (its
+            // lock list no longer matches this site's lock cache): the
+            // caller's own range still gets its own answer.
+            Err(Error::AccessDenied { .. }) if extent != range => {
+                extent = range;
+                fetch(range, acct)
+            }
+            resp => resp,
+        }?;
         let Msg::File(FileMsg::ReadResp {
             mut data,
             committed_len,
@@ -444,8 +453,17 @@ impl Kernel {
     /// the byte just before the first demanded page is in this owner's page
     /// cache, i.e. the owner has just read up to this page boundary under
     /// the same coverage. With no coverage the extent is `range` itself.
+    ///
+    /// A transaction's reads are never widened. Its members can run at
+    /// several sites (fork, then migrate) while page invalidation on a write
+    /// reaches the writer's site only, so a page fetched here ahead of its
+    /// use could miss a record another member has written since — and a
+    /// transaction must see its own uncommitted writes.
     fn fetch_extent(&self, fid: Fid, owner: Owner, range: ByteRange) -> ByteRange {
         const READAHEAD_PAGES: u64 = 2;
+        if matches!(owner, Owner::Trans(_)) {
+            return range;
+        }
         let ps = self.model.page_size as u64;
         let first = range.start / ps * ps;
         let demand_end = range.end().div_ceil(ps).saturating_mul(ps);

@@ -1240,6 +1240,47 @@ fn widened_read_skips_pages_with_foreign_uncommitted_bytes() {
 }
 
 #[test]
+fn refused_widening_falls_back_to_the_callers_range() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let k0 = &c.kernels[0];
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 2048, LockRequestMode::Shared);
+    // The storage site reboots and forgets the lock; site 1's lock cache
+    // does not, and another process then locks part of the old range.
+    k0.crash();
+    k0.reboot();
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    k0.lseek(p0, ch0, 512, &mut a0).unwrap();
+    k0.lock(
+        p0,
+        ch0,
+        100,
+        LockRequestMode::Exclusive,
+        LockOpts::default(),
+        &mut a0,
+    )
+    .unwrap();
+    // The page-wide fetch runs into that lock and is refused; the caller's
+    // own 64 bytes do not, and it gets them as it would without a cache.
+    let tap = tap_reads(&c);
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    assert_eq!(
+        *tap.0.lock(),
+        [ByteRange::new(0, 1024), ByteRange::new(0, 64)]
+    );
+    // A read of the refused bytes themselves still fails.
+    k1.lseek(p1, ch1, 512, &mut a1).unwrap();
+    assert!(matches!(
+        k1.read(p1, ch1, 64, &mut a1),
+        Err(Error::AccessDenied { .. })
+    ));
+}
+
+#[test]
 fn local_reads_and_writes_skip_message_construction() {
     let c = mini_cluster(1);
     let k = &c.kernels[0];

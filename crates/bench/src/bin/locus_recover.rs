@@ -10,16 +10,19 @@
 //! Each campaign records a clean run of the seed's workload, classifies the
 //! durable-mutation stream of every site's home volume (shadow block
 //! writes, prepare-log appends, coordinator-log records, the commit record,
-//! inode installs, log truncations), then replays the same seed once per
-//! crash point with the disk armed to die at exactly that mutation —
+//! inode installs, journal flushes that release a dead prefix), then replays
+//! the same seed once per crash point with the disk armed to die at exactly
+//! that mutation —
 //! cleanly, torn mid-page, or losing unbarriered buffered writes. The site
 //! is crashed when the point fires, recovered in the epilogue, and the
 //! durability ledger asserts every acked committed write survived. Exits
-//! nonzero on any loss or any point that failed to fire.
+//! nonzero on any loss, any point that failed to fire, or a campaign that
+//! armed no reclaiming flush (space reclamation rides the commit path's own
+//! flushes; a run that never crash-tests one has stopped covering it).
 
 use std::process::ExitCode;
 
-use locus_harness::chaos::torture::run_campaign;
+use locus_harness::chaos::torture::{run_campaign, CrashClass};
 use locus_harness::chaos::ChaosConfig;
 use locus_sim::CostModel;
 
@@ -79,11 +82,15 @@ fn main() -> ExitCode {
     for &seed in &args.seeds {
         let report = run_campaign(&ChaosConfig::with_seed(seed), args.quick, page_size);
         print!("{report}");
-        if !report.ok() {
+        let reclaims = report.armed(CrashClass::JournalReclaim);
+        if reclaims == 0 {
+            println!("  FAIL no reclaiming journal flush was armed as a crash point");
+        }
+        if !report.ok() || reclaims == 0 {
             failures += 1;
         }
     }
-    println!("{} campaign(s), {failures} with losses", args.seeds.len());
+    println!("{} campaign(s), {failures} failed", args.seeds.len());
     if failures == 0 {
         ExitCode::SUCCESS
     } else {

@@ -227,13 +227,12 @@ impl TxnManager {
     /// and then drives two-phase commit.
     pub fn end_trans(&self, pid: Pid, acct: &mut Account) -> Result<EndOutcome> {
         acct.cpu_instrs(&self.kernel.model, self.kernel.model.syscall_instrs);
-        let rec = self
+        let (tid, nest, top, live_members) = self
             .kernel
             .procs
-            .get(pid)
-            .ok_or(Error::NoSuchProcess(pid))?;
-        let tid = rec.tid.ok_or(Error::NotInTransaction)?;
-        if rec.nest > 1 || rec.top != Some(pid) {
+            .with_mut(pid, |r| (r.tid, r.nest, r.top, r.live_members))?;
+        let tid = tid.ok_or(Error::NotInTransaction)?;
+        if nest > 1 || top != Some(pid) {
             // Inner pair, or a member process closing its own bracket: the
             // enclosing transaction continues.
             self.kernel.procs.with_mut(pid, |r| {
@@ -241,9 +240,9 @@ impl TxnManager {
             })?;
             return Ok(EndOutcome::Nested);
         }
-        if rec.live_members > 0 {
+        if live_members > 0 {
             return Err(Error::ChildrenActive {
-                remaining: rec.live_members as usize,
+                remaining: live_members as usize,
             });
         }
         // Nesting returned to zero at the top level: commit.
@@ -294,12 +293,10 @@ impl TxnManager {
     /// interpreting each effect against the substrate and feeding the
     /// results back in until the machine has nothing more to ask.
     fn commit_transaction(&self, tid: TransId, top: Pid, acct: &mut Account) -> Result<()> {
-        let rec = self
+        let files: Vec<FileListEntry> = self
             .kernel
             .procs
-            .get(top)
-            .ok_or(Error::NoSuchProcess(top))?;
-        let files: Vec<FileListEntry> = rec.file_list.iter().copied().collect();
+            .with_mut(top, |r| r.file_list.iter().copied().collect())?;
         let parallel = self.parallel_fanout.load(Ordering::Relaxed);
 
         let mut result: Result<()> = Ok(());

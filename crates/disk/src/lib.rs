@@ -91,11 +91,10 @@ pub enum MutationKind {
     /// reaches the platters only at the next [`MutationKind::JournalFlush`].
     JournalAppend(u64),
     /// A group-commit flush of the journal tail — `frames` buffered frames
-    /// reach the platters in one sequential transfer. A write barrier.
-    JournalFlush { frames: u64 },
-    /// A journal compaction: the durable region is atomically rewritten to
-    /// hold only the `kept` live frames. A write barrier.
-    JournalTruncate { kept: u64 },
+    /// reach the platters in one sequential transfer, and once they have all
+    /// landed the `released` oldest frames of the log are free space (the
+    /// flush carries the log's low-water mark). A write barrier.
+    JournalFlush { frames: u64, released: u64 },
 }
 
 impl MutationKind {
@@ -104,8 +103,7 @@ impl MutationKind {
         match self {
             MutationKind::Write(_)
             | MutationKind::JournalAppend(_)
-            | MutationKind::JournalFlush { .. }
-            | MutationKind::JournalTruncate { .. } => None,
+            | MutationKind::JournalFlush { .. } => None,
             MutationKind::StablePut(k)
             | MutationKind::StableAppend(k)
             | MutationKind::StableDelete(k) => Some(k),
@@ -484,12 +482,24 @@ impl SimDisk {
     /// however many frames are buffered — this is the group-commit batching.
     /// A write barrier (flushes buffered block writes like any stable op).
     /// Free when the tail is already empty. Returns the number of frames
-    /// made durable.
+    /// made durable. Releases nothing: see [`SimDisk::journal_flush_keep`].
+    pub fn journal_flush(&self, acct: &mut Account) -> Result<u64> {
+        self.journal_flush_keep(u64::MAX, acct)
+    }
+
+    /// [`SimDisk::journal_flush`] carrying the log's low-water mark, the way
+    /// a log record header carries the tail pointer: once this flush has
+    /// landed, only the newest `keep` frames of the log (durable frames then
+    /// this batch) are still wanted, and everything older is free space.
+    ///
+    /// The release happens when — and only when — the whole batch lands. A
+    /// trip in any mode leaves every old frame in place: the header that
+    /// would have moved the mark is part of the transfer that died.
     ///
     /// A [`CrashPointMode::Torn`] trip lands a whole-frame prefix of the
     /// tail (frames are sector-aligned; `keep_bytes` of the transfer
     /// completed) — partial group durability, which recovery must tolerate.
-    pub fn journal_flush(&self, acct: &mut Account) -> Result<u64> {
+    pub fn journal_flush_keep(&self, keep: u64, acct: &mut Account) -> Result<u64> {
         let mut inner = self.inner.lock();
         if inner.tripped {
             return Err(Error::DiskOffline);
@@ -503,11 +513,13 @@ impl SimDisk {
             self.charge(acct, IoKind::Write);
         }
         let frames = inner.log_tail.len() as u64;
-        match inner.gate(|| MutationKind::JournalFlush { frames })? {
+        let released = (inner.log_frames.len() as u64 + frames).saturating_sub(keep);
+        match inner.gate(|| MutationKind::JournalFlush { frames, released })? {
             None => {
                 inner.journal.clear();
                 let mut tail = std::mem::take(&mut inner.log_tail);
                 inner.log_frames.append(&mut tail);
+                inner.log_frames.drain(..released as usize);
                 Ok(frames)
             }
             Some(CrashPointMode::Torn { keep_bytes }) => {
@@ -543,33 +555,6 @@ impl SimDisk {
     /// inspects; the volatile tail is never visible here.
     pub fn journal_peek(&self) -> Vec<Vec<u8>> {
         self.inner.lock().log_frames.clone()
-    }
-
-    /// Compacts the journal: atomically replaces the durable region with the
-    /// given live frames (a real log writes the survivors to a fresh extent
-    /// and swings the tail pointer). One sequential transfer; a write
-    /// barrier. A trip leaves the old region intact — the pointer never
-    /// swung. The volatile tail must be empty (flush first).
-    pub fn journal_compact(&self, live: Vec<Vec<u8>>, acct: &mut Account) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.tripped {
-            return Err(Error::DiskOffline);
-        }
-        debug_assert!(inner.log_tail.is_empty(), "flush before compacting");
-        self.charge(acct, IoKind::SeqWrite);
-        let kept = live.len() as u64;
-        match inner.gate(|| MutationKind::JournalTruncate { kept })? {
-            None => {
-                inner.journal.clear();
-                inner.log_frames = live;
-                Ok(())
-            }
-            Some(CrashPointMode::LostBuffer { max_rollback }) => {
-                inner.rollback_journal(max_rollback);
-                Err(Error::DiskOffline)
-            }
-            Some(_) => Err(Error::DiskOffline),
-        }
     }
 
     /// Records a crash. Disk contents are non-volatile and survive — except
@@ -941,24 +926,56 @@ mod tests {
     }
 
     #[test]
-    fn journal_compact_replaces_durable_frames_atomically() {
+    fn flush_releases_the_dead_prefix_only_when_it_lands_whole() {
         let (d, mut a) = disk();
         for i in 0..4u8 {
-            d.journal_append(vec![i], &mut a).unwrap();
+            d.journal_append(vec![i; 4], &mut a).unwrap();
         }
         d.journal_flush(&mut a).unwrap();
-        d.journal_compact(vec![vec![2], vec![3]], &mut a).unwrap();
-        assert_eq!(d.journal_peek(), vec![vec![2], vec![3]]);
+        assert_eq!(d.journal_frame_counts(), (4, 0), "a plain flush keeps all");
 
-        // A tripped compaction leaves the old region intact.
-        let at = d.mutation_count();
-        d.arm_crash_point(at, CrashPointMode::Clean);
+        // Keep the newest three of 4 durable + 2 buffered: three released,
+        // in the same single transfer.
+        d.set_recording(true);
+        d.journal_append(vec![4; 4], &mut a).unwrap();
+        d.journal_append(vec![5; 4], &mut a).unwrap();
+        let before = a.seq_ios;
+        assert_eq!(d.journal_flush_keep(3, &mut a).unwrap(), 2);
+        assert_eq!(a.seq_ios, before + 1);
+        assert_eq!(d.journal_peek(), vec![vec![3; 4], vec![4; 4], vec![5; 4]]);
         assert_eq!(
-            d.journal_compact(vec![vec![9]], &mut a),
-            Err(Error::DiskOffline)
+            d.take_mutation_log().last(),
+            Some(&MutationKind::JournalFlush {
+                frames: 2,
+                released: 3
+            })
         );
-        d.reboot();
-        assert_eq!(d.journal_peek(), vec![vec![2], vec![3]]);
+
+        // The mark may pass the durable frames into the batch itself.
+        d.journal_append(vec![6; 4], &mut a).unwrap();
+        d.journal_append(vec![7; 4], &mut a).unwrap();
+        d.journal_flush_keep(1, &mut a).unwrap();
+        assert_eq!(d.journal_peek(), vec![vec![7; 4]]);
+
+        // A trip in any mode releases nothing; a torn one still lands its
+        // whole-frame prefix next to the old frames.
+        for mode in [
+            CrashPointMode::Clean,
+            CrashPointMode::Torn { keep_bytes: 5 },
+            CrashPointMode::LostBuffer { max_rollback: 4 },
+        ] {
+            let old = d.journal_peek();
+            d.journal_append(vec![8; 4], &mut a).unwrap();
+            d.journal_append(vec![9; 4], &mut a).unwrap();
+            d.arm_crash_point(d.mutation_count(), mode);
+            assert_eq!(d.journal_flush_keep(0, &mut a), Err(Error::DiskOffline));
+            d.reboot();
+            let mut want = old;
+            if matches!(mode, CrashPointMode::Torn { .. }) {
+                want.push(vec![8; 4]);
+            }
+            assert_eq!(d.journal_peek(), want, "{mode:?}");
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! classified by what the commit protocol was doing — writing a
 //! shadow/intentions block, buffering a journal record, flushing the
 //! journal tail (the group-commit barrier that makes prepare records and
-//! the commit mark durable), compacting the journal, or the atomic inode
-//! overwrite that installs an intentions list — and the same seed is then
-//! replayed once per selected
+//! the commit mark durable; a flush that also releases a dead prefix of the
+//! log is a class of its own), or the atomic inode overwrite that installs
+//! an intentions list — and the same seed is then replayed once per selected
 //! point with the disk armed to die *at* that mutation (cleanly, torn, or
 //! losing unbarriered buffered writes). The harness crashes the site when
 //! the point fires, recovers it in the epilogue, and the durability
@@ -40,8 +40,10 @@ pub enum CrashClass {
     /// makes a prepare vote or the commit mark durable. Dying here is the
     /// paper's commit-point window: the whole batch must land or vanish.
     JournalFlush,
-    /// The journal compaction rewrite that reclaims truncated records.
-    JournalTruncate,
+    /// A group-commit flush that also carries a low-water mark past dead
+    /// frames: the same commit-point window, plus the reclamation boundary —
+    /// dying here must land (a prefix of) the batch and release nothing.
+    JournalReclaim,
     /// The atomic inode overwrite installing an intentions list (the
     /// per-file commit point of Figure 4b differencing).
     InodeFlush,
@@ -53,7 +55,7 @@ impl fmt::Display for CrashClass {
             CrashClass::BlockWrite => "block-write",
             CrashClass::JournalAppend => "journal-append",
             CrashClass::JournalFlush => "journal-flush",
-            CrashClass::JournalTruncate => "journal-truncate",
+            CrashClass::JournalReclaim => "journal-reclaim",
             CrashClass::InodeFlush => "inode-flush",
         };
         f.write_str(s)
@@ -75,8 +77,8 @@ pub fn classify(m: &MutationKind) -> Option<CrashClass> {
             }
         }
         MutationKind::JournalAppend(_) => Some(CrashClass::JournalAppend),
-        MutationKind::JournalFlush { .. } => Some(CrashClass::JournalFlush),
-        MutationKind::JournalTruncate { .. } => Some(CrashClass::JournalTruncate),
+        MutationKind::JournalFlush { released: 0, .. } => Some(CrashClass::JournalFlush),
+        MutationKind::JournalFlush { .. } => Some(CrashClass::JournalReclaim),
         // The per-record stable log keys are gone — transaction logs live in
         // the append-only journal now. Stray stable ops are not commit path.
         MutationKind::StableAppend(_) | MutationKind::StableDelete(_) => None,
@@ -113,6 +115,11 @@ pub struct TortureReport {
 impl TortureReport {
     pub fn ok(&self) -> bool {
         self.cases.iter().all(|c| c.fired && c.violations == 0)
+    }
+
+    /// How many armed replays died at a point of `class`.
+    pub fn armed(&self, class: CrashClass) -> usize {
+        self.cases.iter().filter(|c| c.point.class == class).count()
     }
 
     pub fn failed(&self) -> Vec<&TortureCase> {
@@ -181,13 +188,13 @@ pub fn enumerate_points(cfg: &ChaosConfig) -> (Vec<TorturePoint>, TortureRun) {
 }
 
 /// The fault modes each class is tortured with. Torn pages make sense for
-/// block writes and for the journal flush (a torn flush lands only a
-/// whole-frame prefix of the batch) — other stable operations are
+/// block writes and for the journal flush, reclaiming or not (a torn flush
+/// lands only a whole-frame prefix of the batch) — other stable operations are
 /// sector-atomic and torn degrades to clean there. A lost buffered write
 /// needs preceding unbarriered block writes to roll back.
 fn modes_for(class: CrashClass, page_size: usize) -> Vec<CrashPointMode> {
     match class {
-        CrashClass::BlockWrite | CrashClass::JournalFlush => vec![
+        CrashClass::BlockWrite | CrashClass::JournalFlush | CrashClass::JournalReclaim => vec![
             CrashPointMode::Clean,
             CrashPointMode::Torn {
                 keep_bytes: page_size / 2,
@@ -284,12 +291,24 @@ mod tests {
             Some(CrashClass::JournalAppend)
         );
         assert_eq!(
-            classify(&MutationKind::JournalFlush { frames: 3 }),
+            classify(&MutationKind::JournalFlush {
+                frames: 3,
+                released: 0
+            }),
             Some(CrashClass::JournalFlush)
         );
         assert_eq!(
-            classify(&MutationKind::JournalTruncate { kept: 2 }),
-            Some(CrashClass::JournalTruncate)
+            classify(&MutationKind::JournalFlush {
+                frames: 3,
+                released: 2
+            }),
+            Some(CrashClass::JournalReclaim)
+        );
+        // A reclaiming flush is still the commit-point flush: it gets the
+        // torn and lost-buffer replays too.
+        assert_eq!(
+            modes_for(CrashClass::JournalReclaim, 1024),
+            modes_for(CrashClass::JournalFlush, 1024)
         );
         assert_eq!(
             classify(&MutationKind::StablePut("site/boot_epoch".into())),
@@ -310,7 +329,7 @@ mod tests {
             CrashClass::BlockWrite,
             CrashClass::JournalAppend,
             CrashClass::JournalFlush,
-            CrashClass::JournalTruncate,
+            CrashClass::JournalReclaim,
             CrashClass::InodeFlush,
         ] {
             assert!(

@@ -320,6 +320,31 @@ pub fn fig5_txn_io(model: CostModel, files: usize, pages: u64) -> Fig5Report {
     }
 }
 
+/// Figure 5 in steady state: `(sequential, random)` I/Os of each of `txns`
+/// consecutive one-page local transactions on one file, synchronous window
+/// and deferred phase two together. [`fig5_txn_io`] prices the first
+/// transaction on an empty journal; this prices the ones after it, when the
+/// journal must also give back the space of the transactions before.
+pub fn fig5_steady_state(model: CostModel, txns: usize) -> Vec<(u64, u64)> {
+    let c = Cluster::with_model(1, model);
+    let site = c.site(0);
+    let mut acct = c.account(0);
+    let pid = site.kernel.spawn();
+    let ch = site.kernel.creat(pid, "/f", &mut acct).unwrap();
+    (0..txns)
+        .map(|_| {
+            let before = acct.clone();
+            site.txn.begin_trans(pid, &mut acct).unwrap();
+            site.kernel.lseek(pid, ch, 0, &mut acct).unwrap();
+            site.kernel.write(pid, ch, b"rec", &mut acct).unwrap();
+            site.txn.end_trans(pid, &mut acct).unwrap();
+            site.txn.run_async_work(&mut acct);
+            let d = acct.delta_since(&before);
+            (d.seq_ios, d.disk_reads + d.disk_writes)
+        })
+        .collect()
+}
+
 /// Stable barriers per commit, before vs. after group commit.
 ///
 /// `frames` counts the commit-path journal records made durable during the
@@ -1100,6 +1125,17 @@ mod tests {
         // simple transaction pays 5 sync I/Os (was 6 with per-record writes).
         let r = fig5_txn_io(CostModel::paper_1985(), 1, 1);
         assert_eq!(r.sync_ios, 5);
+    }
+
+    #[test]
+    fn fig5_steady_state_costs_what_the_first_transaction_costs() {
+        // Three journal flushes (prepare, commit mark, purge) and two random
+        // writes (data page, inode install), every time: the journal gives
+        // back the space of earlier transactions inside those same flushes.
+        let per_txn = fig5_steady_state(CostModel::default(), 100);
+        assert_eq!(per_txn, vec![(3, 2); 100]);
+        let first = fig5_txn_io(CostModel::default(), 1, 1);
+        assert_eq!(first.sync_ios + first.async_ios, 3 + 2, "as the first");
     }
 
     #[test]

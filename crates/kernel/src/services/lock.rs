@@ -186,7 +186,7 @@ impl Kernel {
         opts: LockOpts,
         acct: &mut Account,
     ) -> Result<ByteRange> {
-        let rec_tid = self.procs.get(pid).and_then(|r| r.tid);
+        let rec_tid = self.procs.with_mut(pid, |r| r.tid).ok().flatten();
         let class = if opts.non_transaction || rec_tid.is_none() {
             LockClass::NonTransaction
         } else {

@@ -19,8 +19,19 @@
 //! rebuilt on reboot by a single scan of the durable frames with
 //! last-writer-wins replay on [`JournalKey`]); reads never re-parse string
 //! keys by convention.
+//!
+//! Space is reclaimed on the flush that is already being paid for. Every
+//! live record remembers the sequence number of the `Put` frame that last
+//! wrote it whole (its *base*); the smallest base is the log's low-water
+//! mark, and under last-writer-wins replay every frame below it is dead: it
+//! belongs to a key that was truncated or re-put later. Each flush carries
+//! the mark to the disk ([`locus_disk::SimDisk::journal_flush_keep`]), which
+//! frees the prefix once the batch has landed whole. Records that live long
+//! enough to pin a mostly-dead prefix are re-put into the same batch, so the
+//! log never holds more than `2·live + RECLAIM_SLACK` frames after a flush
+//! and reclamation never costs an I/O of its own.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,11 +44,76 @@ use locus_types::{
     TransId, TxnStatus,
 };
 
-/// Compact once the durable region holds this many frames beyond twice the
-/// live-record count. Small enough that torture/chaos runs exercise the
-/// truncation crash class; large enough that compaction stays off the
-/// per-commit fast path.
-const COMPACT_SLACK: u64 = 6;
+/// A flush copies the oldest live records forward once the log would
+/// otherwise keep this many frames beyond twice the live-record count.
+/// Small enough that torture/chaos runs exercise copy-forward; large enough
+/// that a commit's own handful of frames never triggers it.
+const RECLAIM_SLACK: u64 = 6;
+
+/// The materialized log: every live record with the sequence number of its
+/// base `Put` frame, and the `Put`s in log order.
+#[derive(Debug, Default)]
+struct View {
+    coord: BTreeMap<TransId, (u64, CoordLogRecord)>,
+    /// Keyed per file per transaction.
+    prepare: BTreeMap<(TransId, Fid), (u64, PrepareLogRecord)>,
+    /// `(seq, key)` of every `Put` from the low-water mark on, oldest first.
+    /// An entry whose record has since been truncated or re-put is stale;
+    /// stale entries are dropped as they reach the front, so the mark is
+    /// found without scanning the record maps.
+    puts: VecDeque<(u64, JournalKey)>,
+}
+
+impl View {
+    /// Last-writer-wins application of the entry numbered `seq`.
+    fn apply(&mut self, seq: u64, op: JournalOp) {
+        match op {
+            JournalOp::CoordPut(rec) => {
+                self.puts.push_back((seq, JournalKey::Coord(rec.tid)));
+                self.coord.insert(rec.tid, (seq, rec));
+            }
+            JournalOp::CoordStatus { tid, status } => {
+                // A status delta whose base record did not survive is
+                // ignored: the base was lost with the volatile tail, and
+                // presumed abort covers the transaction.
+                if let Some((_, rec)) = self.coord.get_mut(&tid) {
+                    rec.status = status;
+                }
+            }
+            JournalOp::PreparePut(rec) => {
+                let (tid, fid) = (rec.tid, rec.intentions.fid);
+                self.puts.push_back((seq, JournalKey::Prepare(tid, fid)));
+                self.prepare.insert((tid, fid), (seq, rec));
+            }
+            JournalOp::Truncate(JournalKey::Coord(tid)) => {
+                self.coord.remove(&tid);
+            }
+            JournalOp::Truncate(JournalKey::Prepare(tid, fid)) => {
+                self.prepare.remove(&(tid, fid));
+            }
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.coord.len() + self.prepare.len()
+    }
+
+    /// The oldest live record's base and key: the log's low-water mark.
+    /// `None` when nothing is live (every frame in the log is dead).
+    fn low_water(&mut self) -> Option<(u64, JournalKey)> {
+        while let Some(&(seq, key)) = self.puts.front() {
+            let base = match key {
+                JournalKey::Coord(tid) => self.coord.get(&tid).map(|(b, _)| *b),
+                JournalKey::Prepare(tid, fid) => self.prepare.get(&(tid, fid)).map(|(b, _)| *b),
+            };
+            if base == Some(seq) {
+                return Some((seq, key));
+            }
+            self.puts.pop_front();
+        }
+        None
+    }
+}
 
 #[derive(Debug, Default)]
 struct JournalState {
@@ -58,14 +134,14 @@ struct JournalState {
     /// holds the gather window open when this exceeds one — a lone
     /// committer must not trade its latency for a batch that cannot form.
     barrier_entrants: u64,
-    /// Materialized coordinator log (in-core view incl. buffered entries).
-    coord: BTreeMap<TransId, CoordLogRecord>,
-    /// Materialized prepare log, keyed per file per transaction.
-    prepare: BTreeMap<(TransId, Fid), PrepareLogRecord>,
+    /// Materialized coordinator and prepare logs (in-core view incl.
+    /// buffered entries).
+    view: View,
     /// Flush count / frames flushed, for the group-commit experiments.
     flushes: u64,
     frames_flushed: u64,
-    compactions: u64,
+    /// Records re-put by a flush to free the prefix they pinned.
+    copied_forward: u64,
 }
 
 /// Append-only commit journal for one volume.
@@ -94,12 +170,13 @@ impl Journal {
         self.state.lock().group_window = window;
     }
 
-    /// `(flushes, frames_flushed, compactions)` since creation — the
+    /// `(flushes, frames_flushed, copied_forward)` since creation — the
     /// group-commit coalescing evidence (frames per flush > 1 means barriers
-    /// were merged).
+    /// were merged) and how many of those frames were long-lived records
+    /// re-put to free the prefix they pinned.
     pub fn flush_stats(&self) -> (u64, u64, u64) {
         let st = self.state.lock();
-        (st.flushes, st.frames_flushed, st.compactions)
+        (st.flushes, st.frames_flushed, st.copied_forward)
     }
 
     fn append_locked(
@@ -115,7 +192,7 @@ impl Journal {
         self.disk.journal_append(entry.encode(), acct)?;
         st.next_seq += 1;
         st.appended_seq = entry.seq;
-        apply(&mut st.coord, &mut st.prepare, &entry.op);
+        st.view.apply(entry.seq, entry.op);
         Ok(())
     }
 
@@ -136,7 +213,7 @@ impl Journal {
         acct: &mut Account,
     ) -> Result<()> {
         let mut st = self.state.lock();
-        if !st.coord.contains_key(&tid) {
+        if !st.view.coord.contains_key(&tid) {
             return Err(Error::ProtocolViolation(format!(
                 "no coordinator log for {tid}"
             )));
@@ -145,7 +222,8 @@ impl Journal {
     }
 
     pub fn coord_get(&self, tid: TransId) -> Option<CoordLogRecord> {
-        self.state.lock().coord.get(&tid).cloned()
+        let st = self.state.lock();
+        st.view.coord.get(&tid).map(|(_, rec)| rec.clone())
     }
 
     /// Appends a coordinator-log truncation (lazy: rides the next flush; a
@@ -153,14 +231,15 @@ impl Journal {
     /// again).
     pub fn coord_delete(&self, tid: TransId, acct: &mut Account) -> Result<()> {
         let mut st = self.state.lock();
-        if !st.coord.contains_key(&tid) {
+        if !st.view.coord.contains_key(&tid) {
             return Ok(());
         }
         self.append_locked(&mut st, JournalOp::Truncate(JournalKey::Coord(tid)), acct)
     }
 
     pub fn coord_scan(&self) -> Vec<CoordLogRecord> {
-        self.state.lock().coord.values().cloned().collect()
+        let st = self.state.lock();
+        st.view.coord.values().map(|(_, rec)| rec.clone()).collect()
     }
 
     // ----- Prepare log -----------------------------------------------------
@@ -171,12 +250,13 @@ impl Journal {
     }
 
     pub fn prepare_get(&self, tid: TransId, fid: Fid) -> Option<PrepareLogRecord> {
-        self.state.lock().prepare.get(&(tid, fid)).cloned()
+        let st = self.state.lock();
+        st.view.prepare.get(&(tid, fid)).map(|(_, rec)| rec.clone())
     }
 
     pub fn prepare_delete(&self, tid: TransId, fid: Fid, acct: &mut Account) -> Result<()> {
         let mut st = self.state.lock();
-        if !st.prepare.contains_key(&(tid, fid)) {
+        if !st.view.prepare.contains_key(&(tid, fid)) {
             return Ok(());
         }
         self.append_locked(
@@ -187,13 +267,17 @@ impl Journal {
     }
 
     pub fn prepare_scan(&self) -> Vec<PrepareLogRecord> {
-        self.state.lock().prepare.values().cloned().collect()
+        let st = self.state.lock();
+        st.view
+            .prepare
+            .values()
+            .map(|(_, rec)| rec.clone())
+            .collect()
     }
 
     /// Number of live records (coordinator + prepare) in the in-core view.
     pub fn live_records(&self) -> usize {
-        let st = self.state.lock();
-        st.coord.len() + st.prepare.len()
+        self.state.lock().view.live()
     }
 
     // ----- Group commit ----------------------------------------------------
@@ -241,65 +325,55 @@ impl Journal {
                     let _ = self.flushed.wait_until(st, deadline);
                 }
             }
-            let target = st.appended_seq;
-            let res = self.disk.journal_flush(acct);
+            let res = self.flush_locked(st, acct);
             st.flush_in_progress = false;
-            if let Ok(frames) = res {
-                st.flushed_seq = st.flushed_seq.max(target);
-                st.flushes += 1;
-                st.frames_flushed += frames;
+            // Every waiter counted itself in under the lock, so a lone
+            // committer skips the wake-up (a futex syscall with nobody on
+            // the other end).
+            if st.barrier_entrants > 1 {
+                self.flushed.notify_all();
             }
-            self.flushed.notify_all();
             res?;
-            // Compaction is an optimization; its failure (the disk died at
-            // the compaction point) must not retract the durability promise
-            // of the flush that already succeeded above.
-            let _ = self.maybe_compact(st, acct);
         }
     }
 
-    /// Rewrites the durable region down to the live records once dead
-    /// frames (superseded or truncated entries) dominate. Called with the
-    /// tail empty, right after a successful flush.
-    fn maybe_compact(&self, st: &mut JournalState, acct: &mut Account) -> Result<()> {
-        let (durable, buffered) = self.disk.journal_frame_counts();
-        let live = (st.coord.len() + st.prepare.len()) as u64;
-        if buffered != 0 || durable <= live * 2 + COMPACT_SLACK {
-            return Ok(());
-        }
-        // Assign fresh sequence numbers from a local counter and only adopt
-        // them once the rewrite has landed: a failed compaction leaves both
-        // the durable frames and the in-core sequence state untouched.
-        let mut next = st.next_seq;
-        let mut frames = Vec::with_capacity(live as usize);
-        for rec in st.coord.values() {
-            frames.push(
-                JournalEntry {
-                    seq: next,
-                    op: JournalOp::CoordPut(rec.clone()),
-                }
-                .encode(),
-            );
-            next += 1;
-        }
-        for rec in st.prepare.values() {
-            frames.push(
-                JournalEntry {
-                    seq: next,
-                    op: JournalOp::PreparePut(rec.clone()),
-                }
-                .encode(),
-            );
-            next += 1;
-        }
-        self.disk.journal_compact(frames, acct)?;
-        st.next_seq = next;
-        if next > 1 {
-            st.appended_seq = next - 1;
-        }
+    /// One flush of everything appended so far, carrying the low-water mark.
+    fn flush_locked(&self, st: &mut JournalState, acct: &mut Account) -> Result<()> {
+        let low_water = self.copy_forward(st, acct)?;
+        // Sequence numbers are dense, so the frames from the mark on are
+        // exactly the newest `next_seq - low_water` in the log.
+        let frames = self
+            .disk
+            .journal_flush_keep(st.next_seq - low_water, acct)?;
         st.flushed_seq = st.appended_seq;
-        st.compactions += 1;
+        st.flushes += 1;
+        st.frames_flushed += frames;
         Ok(())
+    }
+
+    /// Re-puts the oldest live records into the batch about to be flushed
+    /// while the log would otherwise keep more than `2·live + RECLAIM_SLACK`
+    /// frames, and returns the resulting low-water mark. A record that
+    /// outlives the traffic behind it pins a prefix of dead frames; moving
+    /// it to the head frees them on this flush. Each copy carries the
+    /// record's current status, and lands after every entry it reflects.
+    /// Ends after at most `live` copies, when the log from the mark on is
+    /// the copies alone.
+    fn copy_forward(&self, st: &mut JournalState, acct: &mut Account) -> Result<u64> {
+        while let Some((low_water, key)) = st.view.low_water() {
+            if st.next_seq - low_water <= 2 * st.view.live() as u64 + RECLAIM_SLACK {
+                return Ok(low_water);
+            }
+            let op = match key {
+                JournalKey::Coord(tid) => JournalOp::CoordPut(st.view.coord[&tid].1.clone()),
+                JournalKey::Prepare(tid, fid) => {
+                    JournalOp::PreparePut(st.view.prepare[&(tid, fid)].1.clone())
+                }
+            };
+            self.append_locked(st, op, acct)?;
+            st.copied_forward += 1;
+        }
+        Ok(st.next_seq)
     }
 
     // ----- Crash / recovery ------------------------------------------------
@@ -308,8 +382,7 @@ impl Journal {
     /// disk independently drops its buffered tail).
     pub fn crash(&self) {
         let mut st = self.state.lock();
-        st.coord.clear();
-        st.prepare.clear();
+        st.view = View::default();
         st.flush_in_progress = false;
     }
 
@@ -318,10 +391,9 @@ impl Journal {
     /// charges explicitly for each record it processes.
     pub fn recover(&self) {
         let frames = self.disk.journal_peek();
-        let (coord, prepare, max_seq) = replay(&frames);
+        let (view, max_seq) = replay(&frames);
         let mut st = self.state.lock();
-        st.coord = coord;
-        st.prepare = prepare;
+        st.view = view;
         st.next_seq = max_seq + 1;
         st.appended_seq = max_seq;
         st.flushed_seq = max_seq;
@@ -333,7 +405,8 @@ impl Journal {
     /// excluded, exactly what a crash would leave).
     pub fn durable_prepare_records(&self) -> Vec<PrepareLogRecord> {
         let frames = self.disk.journal_peek();
-        replay(&frames).1.into_values().collect()
+        let prepare = replay(&frames).0.prepare;
+        prepare.into_values().map(|(_, rec)| rec).collect()
     }
 
     /// The coordinator records reconstructible from the *durable* frames
@@ -343,62 +416,28 @@ impl Journal {
     /// commit point.
     pub fn durable_coord_records(&self) -> Vec<CoordLogRecord> {
         let frames = self.disk.journal_peek();
-        replay(&frames).0.into_values().collect()
+        let coord = replay(&frames).0.coord;
+        coord.into_values().map(|(_, rec)| rec).collect()
     }
 }
 
-fn apply(
-    coord: &mut BTreeMap<TransId, CoordLogRecord>,
-    prepare: &mut BTreeMap<(TransId, Fid), PrepareLogRecord>,
-    op: &JournalOp,
-) {
-    match op {
-        JournalOp::CoordPut(rec) => {
-            coord.insert(rec.tid, rec.clone());
-        }
-        JournalOp::CoordStatus { tid, status } => {
-            // A status delta whose base record did not survive is ignored:
-            // the base was lost with the volatile tail, and presumed abort
-            // covers the transaction.
-            if let Some(rec) = coord.get_mut(tid) {
-                rec.status = *status;
-            }
-        }
-        JournalOp::PreparePut(rec) => {
-            prepare.insert((rec.tid, rec.intentions.fid), rec.clone());
-        }
-        JournalOp::Truncate(JournalKey::Coord(tid)) => {
-            coord.remove(tid);
-        }
-        JournalOp::Truncate(JournalKey::Prepare(tid, fid)) => {
-            prepare.remove(&(*tid, *fid));
-        }
-    }
-}
-
-type Replayed = (
-    BTreeMap<TransId, CoordLogRecord>,
-    BTreeMap<(TransId, Fid), PrepareLogRecord>,
-    u64,
-);
-
-/// Last-writer-wins replay of encoded frames. Frames that fail to decode
-/// are skipped (a torn flush drops partial frames at the disk layer already;
-/// this guards the decoder itself). Entries are applied in sequence order.
-fn replay(frames: &[Vec<u8>]) -> Replayed {
+/// Last-writer-wins replay of encoded frames, and the highest sequence
+/// number seen. Frames that fail to decode are skipped (a torn flush drops
+/// partial frames at the disk layer already; this guards the decoder
+/// itself). Entries are applied in sequence order.
+fn replay(frames: &[Vec<u8>]) -> (View, u64) {
     let mut entries: Vec<JournalEntry> = frames
         .iter()
         .filter_map(|f| JournalEntry::decode(f))
         .collect();
     entries.sort_by_key(|e| e.seq);
-    let mut coord = BTreeMap::new();
-    let mut prepare = BTreeMap::new();
+    let mut view = View::default();
     let mut max_seq = 0;
-    for ent in &entries {
-        apply(&mut coord, &mut prepare, &ent.op);
+    for ent in entries {
         max_seq = max_seq.max(ent.seq);
+        view.apply(ent.seq, ent.op);
     }
-    (coord, prepare, max_seq)
+    (view, max_seq)
 }
 
 #[cfg(test)]
@@ -487,6 +526,9 @@ mod tests {
     #[test]
     fn truncation_hides_records_and_compaction_reclaims_frames() {
         let (j, disk, mut a) = setup();
+        let keeper = prep_rec(100, 1);
+        j.prepare_put(&keeper, &mut a).unwrap();
+        j.barrier(&mut a).unwrap();
         for i in 0..8 {
             j.coord_put(&coord_rec(i, TxnStatus::Unknown), &mut a)
                 .unwrap();
@@ -494,15 +536,41 @@ mod tests {
                 .unwrap();
             j.coord_delete(TransId::new(SiteId(0), i), &mut a).unwrap();
         }
+        let ios = a.seq_ios;
         j.barrier(&mut a).unwrap();
         assert!(j.coord_scan().is_empty());
-        // 24 dead frames > 2*0 + slack: compaction rewrote the region empty.
-        let (_, _, compactions) = j.flush_stats();
-        assert_eq!(compactions, 1);
-        assert_eq!(disk.journal_frame_counts(), (0, 0));
+        // 24 dead frames behind one live record: the flush that made them
+        // durable also moved the record past them and released the lot, in
+        // the one transfer it was already paying for.
+        assert_eq!(a.seq_ios, ios + 1);
+        assert_eq!(j.flush_stats(), (2, 26, 1));
+        assert_eq!(disk.journal_frame_counts(), (1, 0));
+        j.prepare_delete(keeper.tid, keeper.intentions.fid, &mut a)
+            .unwrap();
+        j.barrier(&mut a).unwrap();
+        assert_eq!(disk.journal_frame_counts(), (0, 0), "nothing live");
         j.crash();
         j.recover();
-        assert!(j.coord_scan().is_empty());
+        assert!(j.coord_scan().is_empty() && j.prepare_scan().is_empty());
+    }
+
+    #[test]
+    fn a_failed_reclaiming_flush_keeps_every_old_frame() {
+        let (j, disk, mut a) = setup();
+        let old = prep_rec(1, 1);
+        j.prepare_put(&old, &mut a).unwrap();
+        j.barrier(&mut a).unwrap();
+        // The delete makes the durable frame dead; the flush carrying that
+        // news dies, so the frame — and the record — are still there.
+        j.prepare_delete(old.tid, old.intentions.fid, &mut a)
+            .unwrap();
+        j.prepare_put(&prep_rec(2, 1), &mut a).unwrap();
+        disk.arm_crash_point(disk.mutation_count(), locus_disk::CrashPointMode::Clean);
+        assert_eq!(j.barrier(&mut a), Err(Error::DiskOffline));
+        j.crash();
+        disk.reboot();
+        j.recover();
+        assert_eq!(j.prepare_scan(), vec![old]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! them through fresh machines to prove the live run never mutated
 //! protocol state outside a machine transition.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ use locus_net::{Msg, TxnMsg};
 use locus_sim::{Account, Event, SpanPhase, VirtSpan};
 use locus_types::{
     CoordLogRecord, Error, Fid, FileListEntry, Owner, Pid, PrepareLogRecord, Result, SiteId,
-    TransId, TxnStatus,
+    TransId, TxnStatus, VolumeId,
 };
 
 pub use crate::protocol::{group_by_site, site_epochs};
@@ -504,6 +504,12 @@ impl TxnManager {
     /// participant has finished. Unreachable participants leave the work
     /// queued (recovery will re-drive it). Returns how many transactions
     /// fully completed.
+    ///
+    /// Nothing here forces the journal: the purges are lazy truncations that
+    /// ride the next flush of the home journal (the next commit's mark). A
+    /// crash before then resurfaces the `Committed` records and recovery
+    /// redoes an already idempotent phase two — once, because
+    /// `Site::reboot_and_recover` ends with a force.
     pub fn run_async_work(&self, acct: &mut Account) -> usize {
         let work: Vec<Phase2Work> = self.async_work.lock().drain(..).collect();
         if work.is_empty() {
@@ -598,14 +604,6 @@ impl TxnManager {
                     commit: w.commit,
                     participants,
                 });
-            }
-        }
-        if completed > 0 {
-            // Phase two runs off the commit latency path, so one batched
-            // flush here makes the purged coordinator records durable —
-            // otherwise a crash would resurface them and redo phase two.
-            if let Ok(home) = self.kernel.home() {
-                let _ = home.log_barrier(acct);
             }
         }
         span.finish(&self.kernel.counters.spans, &self.kernel.model, acct);
@@ -774,11 +772,21 @@ impl TxnManager {
         vote
     }
 
-    /// Flushes modified records and writes the durable prepare logs for one
-    /// prepare round: intentions list + lock list per file, then one
-    /// group-commit flush per touched volume (N files, one barrier — the
-    /// yes vote must be durable before it is cast, but nothing forces a
-    /// barrier per file).
+    /// Flushes modified records and writes the prepare logs for one prepare
+    /// round: intentions list + lock list per file, then one group-commit
+    /// flush per touched volume (N files, one barrier — a yes vote that
+    /// leaves this site must be durable before it is cast, but nothing
+    /// forces a barrier per file).
+    ///
+    /// One volume is exempt: the home volume, when the coordinator is this
+    /// site. Its journal is the one that will carry the commit mark, the
+    /// vote is consumed only by the co-located coordinator, and nothing
+    /// irrevocable happens on its strength before the mark. The mark's own
+    /// flush then makes the prepare record durable (it sits ahead of the
+    /// mark in the same log, and a flush lands a whole-frame prefix) and,
+    /// being a write barrier, the shadow blocks the record names. Any other
+    /// volume — a remote coordinator, or a second volume mounted at the
+    /// coordinator's site — keeps its force: the mark is in another log.
     fn stage_prepare(
         &self,
         tid: TransId,
@@ -818,19 +826,17 @@ impl TxnManager {
                 return false;
             }
         }
-        let mut flushed = std::collections::BTreeSet::new();
-        for fid in files {
-            if !flushed.insert(fid.volume) {
-                continue;
-            }
-            let Ok(vol) = self.kernel.volume(fid.volume) else {
-                return false;
-            };
-            if vol.log_barrier(acct).is_err() {
-                return false;
-            }
-        }
-        true
+        let rides_mark = (coordinator == self.site()).then_some(self.kernel.home_volume);
+        let forced: BTreeSet<VolumeId> = files
+            .iter()
+            .map(|fid| fid.volume)
+            .filter(|v| Some(*v) != rides_mark)
+            .collect();
+        forced.into_iter().all(|v| {
+            self.kernel
+                .volume(v)
+                .is_ok_and(|vol| vol.log_barrier(acct).is_ok())
+        })
     }
 
     /// Participant phase two (commit): single-file commit per file, release

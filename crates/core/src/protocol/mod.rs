@@ -107,8 +107,10 @@ pub enum Input {
     /// the transaction (coordinating entry, locks, dirty pages, prepare
     /// log). Presumed abort votes no on a stranger.
     KnownChecked { tid: TransId, known: bool },
-    /// Result of [`Effect::StageAndLog`]: the intentions and lock lists
-    /// reached stable storage (or the disk died mid-write).
+    /// Result of [`Effect::StageAndLog`]: the intentions and lock lists are
+    /// as durable as the decision that can rely on them — on the platters,
+    /// or (the coordinator's own home journal) ordered ahead of the commit
+    /// mark that will force them — or the disk died mid-write.
     Staged { tid: TransId, ok: bool },
     /// A phase-two `Commit` arrived.
     CommitReq { tid: TransId, files: Vec<Fid> },
@@ -222,8 +224,11 @@ pub enum Effect {
     /// [`Input::KnownChecked`].
     CheckKnown { tid: TransId, files: Vec<Fid> },
     /// Flush modified records and write the prepare logs (intentions + lock
-    /// lists), one group-commit barrier per touched volume; answer with
-    /// [`Input::Staged`].
+    /// lists); answer with [`Input::Staged`]. The driver forces one
+    /// group-commit barrier per touched volume, except the volume whose
+    /// journal will carry this transaction's commit mark (the home volume
+    /// when `coordinator` is this site): there the record rides the mark's
+    /// own force. Scheduling, not protocol — the machine sees only `ok`.
     StageAndLog {
         tid: TransId,
         coordinator: SiteId,

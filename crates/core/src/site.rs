@@ -43,6 +43,12 @@ impl Site {
         let report = self.txn.recover(acct);
         // Re-drive whatever phase-two work recovery queued.
         self.txn.run_async_work(acct);
+        // Steady-state purges are lazy and ride the next commit's flush;
+        // recovery forces its own, so a second crash before any commit does
+        // not resurface the records and redo the pass.
+        if let Ok(home) = self.kernel.home() {
+            let _ = home.log_barrier(acct);
+        }
         report
     }
 }

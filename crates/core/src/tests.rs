@@ -125,10 +125,9 @@ fn simple_transaction_commits_durably() {
 
 #[test]
 fn figure5_io_counts_for_simple_transaction() {
-    // Figure 5: a simple one-page, one-file transaction costs 3 I/Os beyond
-    // normal file activity before completing (coordinator log, data flush,
-    // prepare log), a 4th for the commit mark, and 1 more asynchronously for
-    // the inode install.
+    // Figure 5 prices a simple one-page, one-file transaction at 4 I/Os
+    // before completing (coordinator log, data flush, prepare log, commit
+    // mark) and 1 more asynchronously for the inode install.
     let c = TestCluster::new(1);
     let s = c.site(0);
     let k = &s.kernel;
@@ -141,28 +140,23 @@ fn figure5_io_counts_for_simple_transaction() {
     let before = a.clone();
     s.txn.end_trans(pid, &mut a).unwrap();
     let d = a.delta_since(&before);
-    // With the commit journal, the coordinator-log and prepare-log appends
-    // are buffered; each phase pays one group-commit flush instead of one
-    // stable write per record: data flush + prepare flush + commit-mark
-    // flush. (Figure 5's 4th I/O, the separate coordinator-log write, rides
-    // in the prepare/commit flushes.)
-    assert_eq!(
-        d.total_ios(),
-        3,
-        "data flush + prepare-log flush + commit-mark flush"
-    );
+    // With the commit journal the coordinator record, the local prepare
+    // record and the commit mark are three frames of one log, and the
+    // mark's group-commit flush is the only force: a prepare record ahead
+    // of the mark in the same journal is durable whenever the mark is.
+    assert_eq!(d.total_ios(), 2, "data flush + commit-mark flush");
 
     let mut bg = acct(0);
     s.txn.run_async_work(&mut bg);
-    // Inode install plus the batched flush of the purged coordinator
-    // record — both off the commit latency path.
-    assert_eq!(bg.total_ios(), 2, "async inode install + log purge flush");
+    // Inode install only: the purge of the coordinator and prepare records
+    // is a lazy truncation that rides the next commit's flush.
+    assert_eq!(bg.total_ios(), 1, "async inode install");
 }
 
 #[test]
 fn figure5_footnote9_doubles_log_writes() {
-    // With the 1985 prototype's double log appends, each journal flush costs
-    // two I/Os: 5 before completion instead of 3.
+    // With the 1985 prototype's double log appends, the one journal flush
+    // costs two I/Os: 3 before completion instead of 2.
     let c = TestCluster::with_model(1, CostModel::paper_1985());
     let s = c.site(0);
     let k = &s.kernel;
@@ -173,7 +167,7 @@ fn figure5_footnote9_doubles_log_writes() {
     k.write(pid, ch, b"x", &mut a).unwrap();
     let before = a.clone();
     s.txn.end_trans(pid, &mut a).unwrap();
-    assert_eq!(a.delta_since(&before).total_ios(), 5);
+    assert_eq!(a.delta_since(&before).total_ios(), 3);
 }
 
 #[test]
@@ -192,8 +186,8 @@ fn multi_page_transaction_repeats_only_data_flush() {
     }
     let before = a.clone();
     s.txn.end_trans(pid, &mut a).unwrap();
-    // 4 data flushes + 1 prepare-log flush + 1 commit-mark flush.
-    assert_eq!(a.delta_since(&before).total_ios(), 6);
+    // 4 data flushes + 1 commit-mark flush.
+    assert_eq!(a.delta_since(&before).total_ios(), 5);
 }
 
 #[test]
@@ -1083,4 +1077,276 @@ fn begin_after_commit_starts_fresh_transaction() {
     let t2 = s.txn.begin_trans(pid, &mut a).unwrap();
     assert_ne!(t1, t2, "transaction ids are temporally unique");
     s.txn.end_trans(pid, &mut a).unwrap();
+}
+
+// ----- What the single-force commit relies on --------------------------------
+
+/// Commits `data` at offset 0 of `name` in a transaction of its own and runs
+/// phase two.
+fn commit_record(s: &Site, name: &str, data: &[u8], a: &mut Account) -> Result<(), Error> {
+    let pid = s.kernel.spawn();
+    s.txn.begin_trans(pid, a)?;
+    let ch = s.kernel.open(pid, name, true, a)?;
+    s.kernel.write(pid, ch, data, a)?;
+    let res = s.txn.end_trans(pid, a).map(|_| ());
+    s.txn.run_async_work(a);
+    res
+}
+
+fn read_record(s: &Site, name: &str, len: u64, a: &mut Account) -> Vec<u8> {
+    let pid = s.kernel.spawn();
+    let ch = s.kernel.open(pid, name, false, a).unwrap();
+    s.kernel.read(pid, ch, len, a).unwrap()
+}
+
+#[test]
+fn single_site_commit_is_one_log_force() {
+    // Coordinator record, prepare record, commit mark and the two purges of
+    // the transaction before: five frames, all in the home journal, all on
+    // the mark's flush.
+    let c = TestCluster::new(1);
+    let s = c.site(0);
+    let mut a = acct(0);
+    let pid = s.kernel.spawn();
+    let ch = s.kernel.creat(pid, "/f", &mut a).unwrap();
+    s.kernel.close(pid, ch, &mut a).unwrap();
+    commit_record(s, "/f", b"first", &mut a).unwrap();
+
+    let home = s.kernel.home().unwrap();
+    for round in 0..3 {
+        let (fl0, fr0, _) = home.journal().flush_stats();
+        commit_record(s, "/f", b"again", &mut a).unwrap();
+        let (fl1, fr1, _) = home.journal().flush_stats();
+        assert_eq!((fl1 - fl0, fr1 - fr0), (1, 5), "round {round}");
+    }
+}
+
+#[test]
+fn a_vote_whose_mark_is_in_another_journal_is_durable_before_it_is_cast() {
+    use locus_net::{Msg, TxnMsg};
+    let c = TestCluster::new(2);
+    let (s0, s1) = (c.site(0), c.site(1));
+    let mut a0 = acct(0);
+    let mut a1 = acct(1);
+
+    // Three files: on the coordinator's home volume, on a second volume
+    // mounted at the coordinator's own site, and at a remote site.
+    let p = s0.kernel.spawn();
+    let ch = s0.kernel.creat(p, "/home", &mut a0).unwrap();
+    s0.kernel.close(p, ch, &mut a0).unwrap();
+    let model = s0.kernel.model.clone();
+    let disk = Arc::new(SimDisk::new(8192, model.clone(), c.counters.clone()));
+    let second = Arc::new(Volume::new(
+        VolumeId(9),
+        SiteId(0),
+        disk,
+        model,
+        c.counters.clone(),
+        c.events.clone(),
+    ));
+    s0.kernel.mount(second.clone());
+    let fid2 = second.create_file(&mut a0).unwrap();
+    s0.kernel
+        .catalog
+        .register("/second", locus_kernel::FileLoc::single(fid2, SiteId(0)))
+        .unwrap();
+    s0.kernel.locks.ensure_file(fid2, 0);
+    let p1 = s1.kernel.spawn();
+    let ch = s1.kernel.creat(p1, "/remote", &mut a1).unwrap();
+    s1.kernel.close(p1, ch, &mut a1).unwrap();
+
+    let pid = s0.kernel.spawn();
+    let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    for name in ["/home", "/second", "/remote"] {
+        let ch = s0.kernel.open(pid, name, true, &mut a0).unwrap();
+        s0.kernel.write(pid, ch, b"vote", &mut a0).unwrap();
+    }
+    let (remote, local): (Vec<_>, Vec<_>) = s0
+        .kernel
+        .procs
+        .get(pid)
+        .unwrap()
+        .file_list
+        .iter()
+        .map(|f| f.fid)
+        .partition(|fid| fid.volume == s1.kernel.home_volume);
+    assert_eq!((remote.len(), local.len()), (1, 2));
+    let yes = |resp: Msg| matches!(resp, Msg::Txn(TxnMsg::PrepareDone { ok: true, .. }));
+    let prepare = |files| TxnMsg::Prepare {
+        tid,
+        coordinator: SiteId(0),
+        files,
+        epoch: 0,
+    };
+
+    // Remote participant: the record is on the platters when the yes arrives.
+    let resp = s0
+        .kernel
+        .rpc(SiteId(1), Msg::Txn(prepare(remote)), &mut a0)
+        .unwrap();
+    assert!(yes(resp));
+    let durable = s1.kernel.home().unwrap().durable_prepare_records();
+    assert_eq!(durable.len(), 1);
+    assert_eq!(durable[0].tid, tid);
+
+    // Co-located participant: the second volume's journal will never carry
+    // the mark, so its record is forced; the home volume's rides the mark.
+    assert!(yes(s0.txn.handle_txn(SiteId(0), prepare(local), &mut a0)));
+    let durable = second.durable_prepare_records();
+    assert_eq!(durable.len(), 1);
+    assert_eq!((durable[0].tid, durable[0].intentions.fid), (tid, fid2));
+    let home = s0.kernel.home().unwrap();
+    assert!(home.durable_prepare_records().is_empty());
+    assert!(home.prepare_log_scan(&mut a0).iter().any(|r| r.tid == tid));
+}
+
+#[test]
+fn a_purge_lost_with_the_volatile_tail_is_redone_once() {
+    let c = TestCluster::new(1);
+    let s = c.site(0);
+    let mut a = acct(0);
+    let pid = s.kernel.spawn();
+    let ch = s.kernel.creat(pid, "/f", &mut a).unwrap();
+    s.kernel.close(pid, ch, &mut a).unwrap();
+    commit_record(s, "/f", b"purged", &mut a).unwrap();
+    // Phase two installed the inode; the two truncations are buffered.
+    let home = s.kernel.home().unwrap();
+    assert!(home.coord_log_scan(&mut a).is_empty());
+    assert_eq!(home.durable_coord_records().len(), 1);
+    s.crash();
+
+    // The `Committed` record resurfaces; redoing its phase two changes
+    // nothing, and recovery's own force makes the purge stick.
+    let mut ra = acct(0);
+    assert_eq!(s.reboot_and_recover(&mut ra).redone, 1);
+    assert_eq!(read_record(s, "/f", 6, &mut ra), b"purged");
+    s.crash();
+    let report = s.reboot_and_recover(&mut ra);
+    assert_eq!((report.redone, report.aborted), (0, 0));
+    assert_eq!(read_record(s, "/f", 6, &mut ra), b"purged");
+    assert!(home.durable_coord_records().is_empty());
+    assert!(home.durable_prepare_records().is_empty());
+}
+
+#[test]
+fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
+    use locus_disk::{CrashPointMode, MutationKind};
+    const OLD: &[u8] = b"old-old-";
+    const NEW: &[u8] = b"new-new-";
+
+    // One steady-state site: "/f" holds OLD, committed by a transaction
+    // whose purge is still in the journal's volatile tail. Returns with a
+    // crash point armed `at` durable mutations into the next commit.
+    let armed = |point: Option<(u64, CrashPointMode)>| -> TestCluster {
+        let c = TestCluster::new(1);
+        let s = c.site(0);
+        let mut a = acct(0);
+        let pid = s.kernel.spawn();
+        let ch = s.kernel.creat(pid, "/f", &mut a).unwrap();
+        s.kernel.close(pid, ch, &mut a).unwrap();
+        commit_record(s, "/f", OLD, &mut a).unwrap();
+        let disk = s.kernel.home().unwrap().disk().clone();
+        match point {
+            Some((at, mode)) => disk.arm_crash_point(disk.mutation_count() + at, mode),
+            None => disk.set_recording(true),
+        }
+        c
+    };
+
+    // Clean run: the mutation stream of `end_trans` + phase two, and what a
+    // healthy volume looks like afterwards.
+    let c = armed(None);
+    let s = c.site(0);
+    let home = s.kernel.home().unwrap();
+    let mut a = acct(0);
+    commit_record(s, "/f", NEW, &mut a).unwrap();
+    let stream = home.disk().take_mutation_log();
+    let flushes: Vec<u64> = stream
+        .iter()
+        .filter_map(|m| match m {
+            MutationKind::JournalFlush { frames, .. } => Some(*frames),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(flushes, [5], "one force, five frames: {stream:?}");
+    let healthy_blocks = home.disk().allocated_count();
+
+    // The byte length of each frame that flush carries: tear it after the
+    // last byte, so the whole batch lands and nothing is released.
+    let flush_at = stream
+        .iter()
+        .position(|m| matches!(m, MutationKind::JournalFlush { .. }))
+        .unwrap() as u64;
+    let whole = CrashPointMode::Torn {
+        keep_bytes: usize::MAX,
+    };
+    let c = armed(Some((flush_at, whole)));
+    let home = c.site(0).kernel.home().unwrap();
+    commit_record(c.site(0), "/f", NEW, &mut acct(0)).unwrap_err();
+    let durable = home.disk().journal_peek();
+    let frame_lens: Vec<usize> = durable[durable.len() - 5..].iter().map(Vec::len).collect();
+
+    let mut points = Vec::new();
+    for (at, m) in stream.iter().enumerate() {
+        let at = at as u64;
+        points.push((at, CrashPointMode::Clean));
+        points.push((at, CrashPointMode::LostBuffer { max_rollback: 8 }));
+        match m {
+            MutationKind::Write(_) => points.push((at, CrashPointMode::Torn { keep_bytes: 512 })),
+            MutationKind::JournalFlush { .. } => {
+                // Torn after each whole frame, the last one included: the
+                // mark lands although the call that wrote it fails.
+                let mut landed = 0;
+                for len in &frame_lens {
+                    landed += len;
+                    points.push((at, CrashPointMode::Torn { keep_bytes: landed }));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    let mut outcomes = [0usize; 2];
+    for (at, mode) in points {
+        let c = armed(Some((at, mode)));
+        let s = c.site(0);
+        let home = s.kernel.home().unwrap();
+        let mut a = acct(0);
+        let acked = commit_record(s, "/f", NEW, &mut a).is_ok();
+        assert!(home.disk().tripped(), "point {at} {mode:?} never fired");
+        s.crash();
+        let mut ra = acct(0);
+        s.reboot_and_recover(&mut ra);
+
+        let got = read_record(s, "/f", 8, &mut ra);
+        assert!(
+            got == OLD || got == NEW,
+            "point {at} {mode:?}: torn {got:?}"
+        );
+        assert!(
+            !acked || got == NEW,
+            "point {at} {mode:?}: acked commit lost"
+        );
+        outcomes[usize::from(got == NEW)] += 1;
+
+        // One more commit flushes whatever recovery left lazy; after it the
+        // volume holds this file's one page and no log record of anyone's.
+        commit_record(s, "/f", b"after-it", &mut ra).unwrap();
+        home.log_barrier(&mut ra).unwrap();
+        assert_eq!(read_record(s, "/f", 8, &mut ra), b"after-it");
+        assert!(
+            home.durable_coord_records().is_empty(),
+            "point {at} {mode:?}"
+        );
+        assert!(
+            home.durable_prepare_records().is_empty(),
+            "point {at} {mode:?}"
+        );
+        assert_eq!(
+            home.disk().allocated_count(),
+            healthy_blocks,
+            "point {at} {mode:?}"
+        );
+    }
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }

@@ -911,9 +911,12 @@ impl Volume {
 
     /// Appends a status delta for a coordinator log record. For
     /// `Committed` this *is* the commit point (Section 4.2): the delta —
-    /// and, via group commit, every other buffered entry, including the
-    /// transaction's own `Unknown` record — is flushed durably in one
-    /// barrier before the commit mark is announced.
+    /// and, via group commit, every other buffered entry ahead of it — is
+    /// flushed durably in one barrier before the commit mark is announced.
+    /// On the coordinator's home volume "every other buffered entry" is
+    /// most of the transaction: its own `Unknown` record, the prepare
+    /// records of its files on this volume (a local vote is not forced
+    /// separately), and the lazy truncations of earlier transactions.
     pub fn coord_log_set_status(
         &self,
         tid: TransId,
@@ -968,7 +971,8 @@ impl Volume {
 
     /// Appends a participant prepare log record for one file. Buffered; the
     /// participant flushes once, via [`Volume::log_barrier`], before voting
-    /// yes — N files, one barrier.
+    /// yes — N files, one barrier — unless this journal is the one that
+    /// will carry the commit mark, whose flush then covers the record.
     pub fn prepare_log_put(&self, rec: &PrepareLogRecord, acct: &mut Account) -> Result<()> {
         self.journal.prepare_put(rec, acct)?;
         self.events.push(Event::PrepareLog {

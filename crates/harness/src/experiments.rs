@@ -290,6 +290,13 @@ pub fn fig5_txn_io(model: CostModel, files: usize, pages: u64) -> Fig5Report {
         async_acct.disk_reads += a.disk_reads;
     }
 
+    // The rule, not a count: data pages, then one force per journal that
+    // must be durable before something irrevocable happens on its strength
+    // — every participant volume except the coordinator's home journal
+    // (file 0 lives there; its prepare record rides the mark), then the
+    // mark itself. Truncations are lazy everywhere, so phase two defers
+    // the inode installs and nothing else.
+    let forced_votes = files.saturating_sub(1) as u64;
     let steps = vec![
         (
             "1. append transaction structure to coordinator journal (buffered)".to_string(),
@@ -300,16 +307,16 @@ pub fn fig5_txn_io(model: CostModel, files: usize, pages: u64) -> Fig5Report {
             pages * files as u64,
         ),
         (
-            format!("3. group-commit flush of prepare records (× {files} volumes)"),
-            log_ios * files as u64,
+            format!("3. force of prepare records (× {forced_votes} volumes other than the coordinator's home)"),
+            log_ios * forced_votes,
         ),
         (
-            "4. group-commit flush of the commit mark".to_string(),
+            "4. force of the commit mark (+ the home volume's prepare record)".to_string(),
             log_ios,
         ),
         (
-            format!("5. (async) install intentions into inode (× {files}) + log purge flush"),
-            files as u64 + log_ios,
+            format!("5. (async) install intentions into inode (× {files}); purges are lazy"),
+            files as u64,
         ),
     ];
     Fig5Report {
@@ -351,10 +358,14 @@ pub fn fig5_steady_state(model: CostModel, txns: usize) -> Vec<(u64, u64)> {
 /// synchronous window of one `end_trans` — under the old individually
 /// barriered KV layout each of those was its own synchronous stable write,
 /// so it *is* the "before" barrier count. `flushes` counts the actual
-/// group-commit flushes issued in the same window ("after"). The async
-/// pair covers phase two (inode installs aside): truncations ride the
-/// step-boundary flush, one per touched volume, no matter how many records
-/// they purge.
+/// forces issued in the same window ("after"): one per participant volume
+/// that is not the coordinator's home journal, plus the commit mark — the
+/// home journal's own prepare record rides the mark. The async pair covers
+/// phase two (inode installs aside): its truncations are lazy and force
+/// nothing; what is counted there is [`Cluster::drain_async`]'s
+/// step-boundary flush, one per touched volume no matter how many records
+/// it purges. Without that harness flush they ride each journal's next
+/// commit-path force.
 pub struct GroupCommitReport {
     pub files: usize,
     pub sync_frames: u64,
@@ -1121,21 +1132,22 @@ mod tests {
             assert_eq!(r.sync_ios, sync, "{files} files {pages} pages (sync)");
             assert_eq!(r.async_ios, async_, "{files} files {pages} pages (async)");
         }
-        // Footnote 9 variant: both group-commit flushes cost double, so the
-        // simple transaction pays 5 sync I/Os (was 6 with per-record writes).
+        // Footnote 9 variant: the one force costs double, so the simple
+        // transaction pays 3 sync I/Os (was 6 with per-record writes).
         let r = fig5_txn_io(CostModel::paper_1985(), 1, 1);
-        assert_eq!(r.sync_ios, 5);
+        assert_eq!(r.sync_ios, 3);
     }
 
     #[test]
     fn fig5_steady_state_costs_what_the_first_transaction_costs() {
-        // Three journal flushes (prepare, commit mark, purge) and two random
-        // writes (data page, inode install), every time: the journal gives
-        // back the space of earlier transactions inside those same flushes.
+        // One journal force (the commit mark, carrying the prepare record
+        // and the purge of the transaction before) and two random writes
+        // (data page, inode install), every time: the journal gives back the
+        // space of earlier transactions inside that same flush.
         let per_txn = fig5_steady_state(CostModel::default(), 100);
-        assert_eq!(per_txn, vec![(3, 2); 100]);
+        assert_eq!(per_txn, vec![(1, 2); 100]);
         let first = fig5_txn_io(CostModel::default(), 1, 1);
-        assert_eq!(first.sync_ios + first.async_ios, 3 + 2, "as the first");
+        assert_eq!(first.sync_ios + first.async_ios, 1 + 2, "as the first");
     }
 
     #[test]
@@ -1211,17 +1223,18 @@ mod tests {
     }
 
     /// The EXPERIMENTS.md group-commit table: N+2 commit-path records
-    /// (coordinator put, N prepares, commit mark) reach the platters in
-    /// N+1 sync flushes — the coordinator's put rides its local prepare
-    /// flush — and phase two's N+1 truncations coalesce into one flush per
-    /// touched volume.
+    /// (coordinator put, N prepares, commit mark) reach the platters in N
+    /// sync forces — N−1 remote votes and the mark, which carries the
+    /// coordinator's put and its local prepare — and phase two's N+1
+    /// truncations coalesce into one step-boundary flush per touched
+    /// volume.
     #[test]
     fn group_commit_coalesces_commit_path_barriers() {
         for files in [1usize, 2, 4] {
             let n = files as u64;
             let r = group_commit_barriers(files);
             assert_eq!(r.sync_frames, n + 2, "{files} files: sync frames");
-            assert_eq!(r.sync_flushes, n + 1, "{files} files: sync flushes");
+            assert_eq!(r.sync_flushes, n, "{files} files: sync flushes");
             assert_eq!(r.async_frames, n + 1, "{files} files: async frames");
             assert_eq!(r.async_flushes, n, "{files} files: async flushes");
         }

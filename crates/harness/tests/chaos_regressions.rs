@@ -3,7 +3,8 @@
 //! The three named scenarios are minimized schedules of real violations the
 //! chaos sweep found (and the protocol fixes they drove); each replays the
 //! exact failing schedule under the seed that produced it and asserts the
-//! oracles stay quiet.
+//! oracles stay quiet. The two `#[ignore]`d `replicated_seed_*` scenarios are
+//! minimized schedules of violations that are still open.
 
 use proptest::prelude::*;
 
@@ -13,7 +14,10 @@ use locus_sim::DetRng;
 use locus_types::SiteId;
 
 fn run_text(seed: u64, schedule: &str) -> locus_harness::chaos::ChaosReport {
-    let cfg = ChaosConfig::with_seed(seed);
+    run_text_with(ChaosConfig::with_seed(seed), schedule)
+}
+
+fn run_text_with(cfg: ChaosConfig, schedule: &str) -> locus_harness::chaos::ChaosReport {
     let sched: Schedule = schedule.parse().expect("schedule parses");
     run_schedule(&cfg, &sched)
 }
@@ -142,6 +146,39 @@ fn replica_divergence_campaign_passes_seed_corpus() {
         let report = run_seed(&cfg);
         assert!(report.ok(), "replicated seed {seed}: {report}");
     }
+}
+
+/// Replays a minimized schedule with two replica copies per workload file.
+fn run_text_replicated(seed: u64, schedule: &str) -> locus_harness::chaos::ChaosReport {
+    let mut cfg = ChaosConfig::with_seed(seed);
+    cfg.replicas = 2;
+    run_text_with(cfg, schedule)
+}
+
+/// OPEN (ROADMAP correctness backlog, "Replicated chaos seeds 28 and 97"):
+/// `locus-chaos --seeds 1..300 --replicas 2` seed 28, minimized to one
+/// fault. A replica site crashes and is never rebooted by the schedule; after
+/// the quiesce epilogue `/chaos2`'s copy at site 1 still lacks bytes the
+/// primary (site 0) committed — REPLICA-DIVERGENCE at offset 8. Present
+/// before the single-force commit (PR 15 found it while sizing, on the
+/// parent commit too); CI's replicated shard covers seeds 1..8 only.
+#[test]
+#[ignore = "known replica divergence, predates PR 15; acceptance test for the backlog entry"]
+fn replicated_seed_28_replica_crash_leaves_a_copy_behind() {
+    let report = run_text_replicated(28, "step 17 crash site=2\n");
+    assert!(report.ok(), "replicated seed 28: {:?}", report.violations);
+}
+
+/// OPEN (same backlog entry): seed 97 under `--replicas 2`, minimized to a
+/// migration followed by a crash of site 1. Two oracles fire:
+/// REPLICA-DIVERGENCE (`/chaos0` at site 2 vs primary site 0, offset 24) and
+/// DURABILITY (file 0 record 3: the acked value `0x10001` is gone). Present
+/// on the parent commit as well.
+#[test]
+#[ignore = "known acked-write loss under replication, predates PR 15; acceptance test for the backlog entry"]
+fn replicated_seed_97_migrate_then_crash_loses_an_acked_write() {
+    let report = run_text_replicated(97, "step 13 migrate slot=4 to=0\nstep 43 crash site=1\n");
+    assert!(report.ok(), "replicated seed 97: {:?}", report.violations);
 }
 
 /// Commits `data` to `name` through a non-transaction open/write/close at

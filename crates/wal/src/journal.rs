@@ -287,6 +287,13 @@ impl Journal {
     /// transfer flushes the whole buffered batch, and concurrent barriers
     /// coalesce — a caller whose entries were covered by an in-flight or
     /// just-completed flush returns without issuing another.
+    ///
+    /// Two ordering guarantees callers build on (a single-site commit
+    /// forces nothing but its commit mark because of them): the batch
+    /// reaches the platters as a whole-frame *prefix* in append order, even
+    /// when the transfer dies, so an entry is durable whenever a later one
+    /// is; and the flush is a write barrier for the block device, so every
+    /// block written before it is durable once it returns.
     pub fn barrier(&self, acct: &mut Account) -> Result<()> {
         let span = VirtSpan::begin(SpanPhase::Flush, acct);
         let mut st = self.state.lock();

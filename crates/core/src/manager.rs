@@ -1,27 +1,30 @@
-//! The per-site transaction manager: the *driver* for the sans-IO protocol
-//! machines in [`crate::protocol`].
+//! The per-site transaction manager: the kernel-backed [`Substrate`] for the
+//! sans-IO protocol machines in [`crate::protocol`], and their scheduler.
 //!
 //! Every protocol decision — when to vote no, when the commit point is
 //! reached, what phase two must do, how a journal scan resolves — is made
-//! by the pure [`CoordinatorSm`] and [`ParticipantSm`]. This module owns
-//! everything else: it observes the real substrate (journal, locks,
-//! volumes, transport, catalog fences), feeds those observations in as
-//! [`Input`]s, and interprets the returned [`Effect`]s back against the
-//! substrate. The driver also owns pure *scheduling*: the asynchronous
-//! phase-two queue, per-site message batching, and the parallel prepare
-//! fan-out, none of which change what the protocol decides — only when.
+//! by the pure [`CoordinatorSm`] and [`ParticipantSm`]. What each [`Effect`]
+//! means against the real world (journal, locks, volumes, transport, catalog
+//! fences) is written once, in `KernelSubstrate::interpret`; every entry
+//! point below builds one around its per-call context and hands an [`Input`]
+//! to [`drive`]. The rest of this module is pure *scheduling*: the
+//! asynchronous phase-two queue, per-site message batching, and the
+//! parallel prepare fan-out, none of which change what the protocol
+//! decides — only when.
 //!
-//! The driver records `(input, effects)` transcripts on demand (see
+//! The manager records `(input, effects)` transcripts on demand (see
 //! [`TxnManager::set_transcript_recording`]); the chaos harness replays
 //! them through fresh machines to prove the live run never mutated
 //! protocol state outside a machine transition.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use locus_fs::Volume;
 use locus_kernel::{Kernel, TxnService};
 use locus_net::{Msg, TxnMsg};
 use locus_sim::{Account, Event, SpanPhase, VirtSpan};
@@ -30,11 +33,11 @@ use locus_types::{
     TransId, TxnStatus, VolumeId,
 };
 
-pub use crate::protocol::{group_by_site, site_epochs};
 use crate::protocol::{
-    CoordinatorSm, Effect, Input, MachineTranscript, ParticipantSm, PrepareOutcome, ProtocolSm,
-    ProtocolTranscripts, TranscriptStep,
+    drive, CoordinatorSm, Effect, Input, MachineTranscript, ParticipantSm, PrepareOutcome,
+    ProtocolSm, ProtocolTranscripts, Substrate, TranscriptStep,
 };
+pub use crate::protocol::{group_by_site, site_epochs};
 
 /// What an `EndTrans` call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,16 +129,6 @@ impl TxnManager {
 
     fn site(&self) -> SiteId {
         self.kernel.site
-    }
-
-    /// Steps the coordinator machine (recording the transition if enabled).
-    fn cstep(&self, input: Input) -> Vec<Effect> {
-        self.coord.lock().step(input)
-    }
-
-    /// Steps the participant machine (recording the transition if enabled).
-    fn pstep(&self, input: Input) -> Vec<Effect> {
-        self.part.lock().step(input)
     }
 
     // ----- Transcripts (conformance checking) --------------------------------
@@ -289,187 +282,21 @@ impl TxnManager {
 
     // ----- Two-phase commit (Section 4.2) ------------------------------------
 
-    /// Drives the coordinator machine from `CommitRequested` to a decision,
-    /// interpreting each effect against the substrate and feeding the
-    /// results back in until the machine has nothing more to ask.
+    /// Drives the coordinator machine from `CommitRequested` to a decision.
     fn commit_transaction(&self, tid: TransId, top: Pid, acct: &mut Account) -> Result<()> {
         let files: Vec<FileListEntry> = self
             .kernel
             .procs
             .with_mut(top, |r| r.file_list.iter().copied().collect())?;
         let parallel = self.parallel_fanout.load(Ordering::Relaxed);
-
-        let mut result: Result<()> = Ok(());
-        let mut queue: VecDeque<Effect> = self
-            .cstep(Input::CommitRequested {
-                tid,
-                files,
-                parallel,
-            })
-            .into();
-        while let Some(eff) = queue.pop_front() {
-            match eff {
-                Effect::LogStart { tid, files } => {
-                    // Step 1: the coordinator log, status = unknown
-                    // (Figure 5 step 1).
-                    let res = self.kernel.home().and_then(|vol| {
-                        vol.coord_log_put(
-                            &CoordLogRecord {
-                                tid,
-                                files,
-                                status: TxnStatus::Unknown,
-                            },
-                            acct,
-                        )
-                    });
-                    let ok = res.is_ok();
-                    if let Err(e) = res {
-                        result = Err(e);
-                    }
-                    queue.extend(self.cstep(Input::StartLogged { tid, ok }));
-                }
-                Effect::SendPrepare {
-                    tid,
-                    site,
-                    files,
-                    epoch,
-                } => {
-                    // Steps 2–3: prepare messages. The machine emits one
-                    // effect at a time in sequential mode and the whole
-                    // fan-out at once in parallel mode; a run of consecutive
-                    // SendPrepares is therefore exactly one fan-out wave.
-                    let mut wave = vec![(site, files, epoch)];
-                    while let Some(Effect::SendPrepare { .. }) = queue.front() {
-                        let Some(Effect::SendPrepare {
-                            site, files, epoch, ..
-                        }) = queue.pop_front()
-                        else {
-                            unreachable!()
-                        };
-                        wave.push((site, files, epoch));
-                    }
-                    for (site, ok) in self.send_prepare_wave(tid, wave, acct) {
-                        queue.extend(self.cstep(Input::Vote { tid, site, ok }));
-                    }
-                }
-                Effect::RaiseFences { tid, files } => {
-                    // Raise the commit fence on every replicated file before
-                    // the mark: between the commit mark and the end of phase
-                    // two the new bytes exist only in prepare logs at the
-                    // primaries, so a failover in that window would promote
-                    // a replica past an acked commit (no-op for single-copy
-                    // files).
-                    for fid in files {
-                        self.kernel.catalog.fence_add(fid, tid);
-                    }
-                }
-                Effect::LogStatus { tid, status, .. } => {
-                    // Step 4 (commit): the durable mark — THE commit point
-                    // (Figure 5 step 4). On failure the fence deliberately
-                    // stays up: a torn flush may have landed the durable
-                    // `Committed` frame even as the call errored, and a
-                    // failover in that window would promote past the acked
-                    // commit. Recovery resolves the mark either way.
-                    let res = self
-                        .kernel
-                        .home()
-                        .and_then(|vol| vol.coord_log_set_status(tid, status, acct));
-                    let ok = res.is_ok();
-                    if let Err(e) = res {
-                        result = Err(e);
-                    }
-                    queue.extend(self.cstep(Input::StatusLogged { tid, ok }));
-                }
-                Effect::QueuePhase2 {
-                    tid,
-                    commit,
-                    participants,
-                } => {
-                    // Step 5 happens asynchronously (Figure 5's deferred
-                    // fifth write).
-                    self.queue_phase2(tid, commit, participants);
-                }
-                Effect::FinishLocal { tid, commit } => {
-                    self.finish_process_state(tid, top);
-                    if commit {
-                        self.kernel.counters.txns_committed();
-                    } else {
-                        self.kernel.counters.txns_aborted();
-                        self.kernel.events.push(Event::Aborted { tid });
-                        result = Err(Error::TxnAborted(tid));
-                    }
-                }
-                // Only the file-less trivial commit completes inline;
-                // real transactions announce at phase-two completion.
-                Effect::NoteCompleted { tid, commit } if commit => {
-                    self.kernel.events.push(Event::Committed { tid });
-                }
-                _ => {}
-            }
-        }
-        result
-    }
-
-    /// Phase one, one fan-out wave: one `Prepare` per participant site.
-    /// A single-element wave (the sequential protocol) runs inline on the
-    /// caller's account; a multi-element wave (parallel fan-out) contacts
-    /// every site from scoped threads and the coordinator's account absorbs
-    /// the slowest branch's latency and the summed message/instruction
-    /// counts. Returns each site's vote in wave order.
-    fn send_prepare_wave(
-        &self,
-        tid: TransId,
-        wave: Vec<(SiteId, Vec<Fid>, u64)>,
-        acct: &mut Account,
-    ) -> Vec<(SiteId, bool)> {
-        let prepare_one = |site: SiteId, fids: &[Fid], epoch: u64, a: &mut Account| -> bool {
-            let span = VirtSpan::begin(SpanPhase::Prepare, a);
-            self.kernel
-                .events
-                .push(Event::PrepareSent { tid, to: site });
-            let resp = self.txn_rpc(
-                site,
-                TxnMsg::Prepare {
-                    tid,
-                    coordinator: self.site(),
-                    files: fids.to_vec(),
-                    // The earliest boot epoch the transaction observed at
-                    // this site; the participant refuses if it has rebooted
-                    // since (its volatile buffers, possibly holding acked
-                    // writes of this transaction, were lost).
-                    epoch,
-                },
-                a,
-            );
-            let ok = matches!(resp, Ok(Msg::Txn(TxnMsg::PrepareDone { ok: true, .. })));
-            self.kernel.events.push(Event::PrepareAck {
-                tid,
-                from: site,
-                ok,
-            });
-            span.finish(&self.kernel.counters.spans, &self.kernel.model, a);
-            ok
-        };
-        if wave.len() > 1 {
-            let mut branches: Vec<Account> =
-                wave.iter().map(|_| Account::new(self.site())).collect();
-            let mut oks = vec![false; wave.len()];
-            crossbeam::thread::scope(|s| {
-                for (((site, fids, epoch), branch), ok) in
-                    wave.iter().zip(branches.iter_mut()).zip(oks.iter_mut())
-                {
-                    s.spawn(move || {
-                        *ok = prepare_one(*site, fids, *epoch, branch);
-                    });
-                }
-            });
-            acct.absorb_parallel(branches.iter());
-            wave.iter().map(|(site, _, _)| *site).zip(oks).collect()
-        } else {
-            wave.into_iter()
-                .map(|(site, fids, epoch)| (site, prepare_one(site, &fids, epoch, acct)))
-                .collect()
-        }
+        let mut sub = self.substrate(Machine::Coordinator, acct);
+        sub.top = Some(top);
+        sub.drive(Input::CommitRequested {
+            tid,
+            files,
+            parallel,
+        });
+        sub.result
     }
 
     /// Clears the (now completed) transaction's process state: the process
@@ -484,14 +311,6 @@ impl TxnManager {
             }
         });
         self.kernel.drop_owner_caches(Owner::Trans(tid));
-    }
-
-    fn queue_phase2(&self, tid: TransId, commit: bool, participants: Vec<(SiteId, Vec<Fid>)>) {
-        self.async_work.lock().push_back(Phase2Work {
-            tid,
-            commit,
-            participants,
-        });
     }
 
     /// Number of queued phase-two work items.
@@ -547,11 +366,12 @@ impl TxnManager {
         }
         // Which participant sites failed to acknowledge, per work item.
         let mut failed: Vec<Vec<SiteId>> = vec![Vec::new(); work.len()];
+        let mut sub = self.substrate(Machine::Coordinator, acct);
         for (site, entries) in by_site {
             let (idxs, msgs): (Vec<usize>, Vec<TxnMsg>) = entries.into_iter().unzip();
-            let acks = self.send_phase2_batch(site, msgs, acct);
+            let acks = self.send_phase2_batch(site, msgs, sub.acct);
             for (i, ok) in idxs.into_iter().zip(acks) {
-                let _ = self.cstep(Input::Phase2Ack {
+                sub.drive(Input::Phase2Ack {
                     tid: work[i].tid,
                     site,
                     ok,
@@ -567,31 +387,10 @@ impl TxnManager {
                 // All participants done. The machine's completion effects
                 // are deliberately idempotent: recovery can requeue work a
                 // surviving pre-crash queue item also completes.
-                for eff in self.cstep(Input::Phase2Done {
+                sub.drive(Input::Phase2Done {
                     tid: w.tid,
                     commit: w.commit,
-                }) {
-                    match eff {
-                        Effect::PurgeCoordLog { tid } => {
-                            // The coordinator log may be purged (Section
-                            // 4.4: retained until processing completes).
-                            if let Ok(home) = self.kernel.home() {
-                                home.coord_log_delete(tid, acct);
-                            }
-                        }
-                        Effect::DropFence { tid } => {
-                            // Phase two has installed (and pushed)
-                            // everywhere — the commit no longer pins the
-                            // primaries, so failover may proceed. Harmless
-                            // for aborts (never fenced).
-                            self.kernel.catalog.fence_remove(tid);
-                        }
-                        Effect::NoteCompleted { tid, commit } if commit => {
-                            self.kernel.events.push(Event::Committed { tid });
-                        }
-                        _ => {}
-                    }
-                }
+                });
                 completed += 1;
             } else {
                 let participants: Vec<(SiteId, Vec<Fid>)> = w
@@ -657,16 +456,20 @@ impl TxnManager {
                 files,
                 epoch,
             } => {
-                let ok = self.participant_prepare(tid, coordinator, &files, epoch, acct);
+                let input = Input::PrepareReq {
+                    tid,
+                    coordinator,
+                    files,
+                    epoch,
+                };
+                let ok = self.participate(input, acct).reply;
                 Ok(Msg::Txn(TxnMsg::PrepareDone { tid, ok }))
             }
-            TxnMsg::Commit { tid, files } => {
-                self.participant_commit(tid, &files, acct)?;
-                Ok(Msg::Ok)
-            }
+            TxnMsg::Commit { tid, files } => self
+                .participate(Input::CommitReq { tid, files }, acct)
+                .ack(),
             TxnMsg::AbortFiles { tid, files } => {
-                self.participant_abort(tid, &files, acct)?;
-                Ok(Msg::Ok)
+                self.participate(Input::AbortReq { tid, files }, acct).ack()
             }
             TxnMsg::AbortProc { tid, pid } => {
                 self.abort_cascade(tid, pid, acct)?;
@@ -684,92 +487,6 @@ impl TxnManager {
                 Error::ProtocolViolation(format!("transaction manager cannot handle {other:?}")),
             ),
         }
-    }
-
-    /// Participant phase one, driving [`ParticipantSm`] through its no-vote
-    /// guards (refusal set, boot-epoch taint, deposed primary, presumed
-    /// abort's known-check) and, if all pass, the durable prepare: "enough
-    /// of the intentions lists and lock lists for each file to guarantee
-    /// that the files can be committed ... regardless of local failures"
-    /// (Section 4.2).
-    fn participant_prepare(
-        &self,
-        tid: TransId,
-        coordinator: SiteId,
-        files: &[Fid],
-        epoch: u64,
-        acct: &mut Account,
-    ) -> bool {
-        let mut vote = false;
-        let mut queue: VecDeque<Effect> = self
-            .pstep(Input::PrepareReq {
-                tid,
-                coordinator,
-                files: files.to_vec(),
-                epoch,
-            })
-            .into();
-        while let Some(eff) = queue.pop_front() {
-            match eff {
-                Effect::CheckPrimary { tid, files } => {
-                    // A deposed primary must vote no: the transaction's
-                    // writes were buffered against a copy that stopped being
-                    // the file's primary image when a failover promoted
-                    // someone else mid-transaction. Committing them here
-                    // would fork the replica history.
-                    let ok = files
-                        .iter()
-                        .all(|fid| self.kernel.require_primary(*fid).is_ok());
-                    queue.extend(self.pstep(Input::PrimaryChecked { tid, ok }));
-                }
-                Effect::ReclaimLeases { files, .. } => {
-                    // Outstanding lock leases must come home before the lock
-                    // lists are snapshotted into the prepare logs (Section
-                    // 5.2 + 4.2) — and before the known-transaction check,
-                    // which consults the lock tables.
-                    for fid in &files {
-                        let _ = self.kernel.reclaim_lease(*fid, acct);
-                    }
-                }
-                Effect::CheckKnown { tid, files } => {
-                    // Presumed abort: vote no on a transaction this site
-                    // knows nothing about — no live coordinator entry, no
-                    // locks, no uncommitted modifications, no prepare log.
-                    // That is exactly the state after a crash or partition
-                    // rolled the transaction back here unilaterally;
-                    // answering yes would let the coordinator commit a write
-                    // set this site already discarded. A coordinator entry
-                    // counts as knowledge so the coordinator's own site can
-                    // vote yes on a write-free participation — but only
-                    // while the transaction is still undecided: the model
-                    // checker found that a duplicated prepare arriving after
-                    // the commit point would otherwise pass this check and
-                    // re-stage a prepare log for an already-installed
-                    // transaction, leaving an orphan behind the fence drop.
-                    let owner = Owner::Trans(tid);
-                    let known = self.coord.lock().sm.status_of(tid) == Some(TxnStatus::Unknown)
-                        || self.kernel.locks.owner_has_locks(owner)
-                        || files.iter().any(|fid| {
-                            self.kernel.volume(fid.volume).ok().is_some_and(|vol| {
-                                vol.owner_dirty(*fid, owner)
-                                    || vol.prepare_log_get(tid, *fid, acct).is_some()
-                            })
-                        });
-                    queue.extend(self.pstep(Input::KnownChecked { tid, known }));
-                }
-                Effect::StageAndLog {
-                    tid,
-                    coordinator,
-                    files,
-                } => {
-                    let ok = self.stage_prepare(tid, coordinator, &files, acct);
-                    queue.extend(self.pstep(Input::Staged { tid, ok }));
-                }
-                Effect::Vote { ok, .. } => vote = ok,
-                _ => {}
-            }
-        }
-        vote
     }
 
     /// Flushes modified records and writes the prepare logs for one prepare
@@ -839,36 +556,6 @@ impl TxnManager {
         })
     }
 
-    /// Participant phase two (commit): single-file commit per file, release
-    /// the transaction's retained locks, purge the prepare logs.
-    fn participant_commit(&self, tid: TransId, files: &[Fid], acct: &mut Account) -> Result<()> {
-        let mut out: Result<()> = Ok(());
-        let mut queue: VecDeque<Effect> = self
-            .pstep(Input::CommitReq {
-                tid,
-                files: files.to_vec(),
-            })
-            .into();
-        while let Some(eff) = queue.pop_front() {
-            match eff {
-                Effect::Install { tid, files } => {
-                    let res = self.install_files(tid, &files, acct);
-                    let ok = res.is_ok();
-                    if let Err(e) = res {
-                        out = Err(e);
-                    }
-                    queue.extend(self.pstep(Input::Installed { tid, ok }));
-                }
-                Effect::ReleaseLocks { tid } => {
-                    let granted = self.kernel.locks.release_owner(Owner::Trans(tid), acct);
-                    self.kernel.push_grants(granted, acct);
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
     /// Installs the prepared intentions for every file of one phase-two
     /// commit, staging replica pushes and flushing them as one batched round
     /// trip per replica site.
@@ -922,41 +609,11 @@ impl TxnManager {
         Ok(())
     }
 
-    /// Participant abort: roll the files back and release the transaction's
-    /// locks. Duplicate aborts are harmless (temporally unique ids). The
-    /// machine adds `tid` to its permanent refusal set before any rollback
-    /// work, so an interrupted rollback still refuses a later prepare.
-    fn participant_abort(&self, tid: TransId, files: &[Fid], acct: &mut Account) -> Result<()> {
-        let mut out: Result<()> = Ok(());
-        let mut queue: VecDeque<Effect> = self
-            .pstep(Input::AbortReq {
-                tid,
-                files: files.to_vec(),
-            })
-            .into();
-        while let Some(eff) = queue.pop_front() {
-            match eff {
-                Effect::Rollback { tid, files } => {
-                    let res = self.rollback_files(tid, &files, acct);
-                    let ok = res.is_ok();
-                    if let Err(e) = res {
-                        out = Err(e);
-                    }
-                    queue.extend(self.pstep(Input::RolledBack { tid, ok }));
-                }
-                Effect::ReleaseLocks { tid } => {
-                    let granted = self.kernel.locks.release_owner(Owner::Trans(tid), acct);
-                    self.kernel.push_grants(granted, acct);
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
     /// Rolls one abort's files back: free shadow blocks named by logged
     /// prepare records, truncate the records, abort uncommitted in-memory
-    /// modifications.
+    /// modifications. Duplicate aborts are harmless (temporally unique ids),
+    /// and the machine put `tid` in its permanent refusal set before asking
+    /// for this, so an interrupted rollback still refuses a later prepare.
     fn rollback_files(&self, tid: TransId, files: &[Fid], acct: &mut Account) -> Result<()> {
         let owner = Owner::Trans(tid);
         for fid in files {
@@ -1025,36 +682,17 @@ impl TxnManager {
     /// transaction that involves sites outside this site's current
     /// partition.
     pub fn on_topology_change(&self, acct: &mut Account) {
-        let reachable = match self.reachable_sites() {
-            Some(r) => r,
-            None => return, // We are the crashed site.
-        };
+        let reachable = self.kernel.partition_view();
+        if self.kernel.is_crashed() || reachable.is_empty() {
+            return; // We are the crashed site.
+        }
         // Coordinator side: the machine aborts every still-undecided
         // transaction with a lost participant (in tid order — the event
         // trace must be byte-identical across runs of the same seed).
-        for eff in self.cstep(Input::TopologyChanged {
-            reachable: reachable.clone(),
-        }) {
-            match eff {
-                Effect::LogStatus { tid, status, .. } => {
-                    if let Ok(vol) = self.kernel.home() {
-                        let _ = vol.coord_log_set_status(tid, status, acct);
-                    }
-                }
-                Effect::QueuePhase2 {
-                    tid,
-                    commit,
-                    participants,
-                } => {
-                    self.queue_phase2(tid, commit, participants);
-                }
-                Effect::NoteAborted { tid } => {
-                    self.kernel.counters.txns_aborted();
-                    self.kernel.events.push(Event::Aborted { tid });
-                }
-                _ => {}
-            }
-        }
+        self.substrate(Machine::Coordinator, acct)
+            .drive(Input::TopologyChanged {
+                reachable: reachable.clone(),
+            });
         // Member side: local processes whose transaction top-level process
         // is no longer reachable are aborted.
         for pid in self.kernel.procs.all_pids() {
@@ -1106,26 +744,9 @@ impl TxnManager {
                 // coordinator (or recovery's status inquiry) decides.
                 continue;
             }
-            let _ = self.participant_abort(tid, &fids, acct);
+            self.participate(Input::AbortReq { tid, files: fids }, acct);
             self.kernel.events.push(Event::Aborted { tid });
         }
-    }
-
-    fn reachable_sites(&self) -> Option<Vec<SiteId>> {
-        if self.kernel.is_crashed() {
-            return None;
-        }
-        let t = self.transport_partition();
-        if t.is_empty() {
-            None
-        } else {
-            Some(t)
-        }
-    }
-
-    fn transport_partition(&self) -> Vec<SiteId> {
-        // The kernel's transport knows the current partition.
-        self.kernel.partition_view()
     }
 
     // ----- Recovery (Section 4.4) ---------------------------------------------
@@ -1137,9 +758,8 @@ impl TxnManager {
         // prepare rounds died with the old incarnation and its boot epoch
         // must match the kernel's before any post-reboot prepare arrives.
         // (The refusal set survives — the manager outlives the crash.)
-        let _ = self.pstep(Input::Rebooted {
-            epoch: self.kernel.boot_epoch(),
-        });
+        let epoch = self.kernel.boot_epoch();
+        self.participate(Input::Rebooted { epoch }, acct);
         self.kernel
             .events
             .push(Event::RecoveryStart { site: self.site() });
@@ -1157,118 +777,33 @@ impl TxnManager {
     /// medium as the files to which they refer".
     pub fn recover_volume(
         &self,
-        vol: &std::sync::Arc<locus_fs::Volume>,
+        vol: &Arc<Volume>,
         acct: &mut Account,
         report: &mut RecoveryReport,
     ) {
+        let mut sub = self.substrate(Machine::Coordinator, acct);
+        sub.scanned = Some(vol);
+        sub.report = *report;
         // Coordinator logs: committed → redo phase two; otherwise → abort.
-        for rec in vol.coord_log_scan(acct) {
-            for eff in self.cstep(Input::CoordScan {
+        for rec in vol.coord_log_scan(sub.acct) {
+            sub.drive(Input::CoordScan {
                 tid: rec.tid,
-                files: rec.files.clone(),
+                files: rec.files,
                 status: rec.status,
-            }) {
-                match eff {
-                    Effect::NoteRecoveryRedo { tid } => {
-                        self.kernel.events.push(Event::RecoveryRedo { tid });
-                        report.redone += 1;
-                    }
-                    Effect::NoteRecoveryAbort { tid } => {
-                        self.kernel.events.push(Event::RecoveryAbort { tid });
-                        report.aborted += 1;
-                    }
-                    Effect::LogStatus { tid, status, .. } => {
-                        let _ = vol.coord_log_set_status(tid, status, acct);
-                    }
-                    Effect::QueuePhase2 {
-                        tid,
-                        commit,
-                        participants,
-                    } => {
-                        self.queue_phase2(tid, commit, participants);
-                    }
-                    _ => {}
-                }
-            }
+            });
         }
-
         // Participant prepare logs: ask each coordinator for the outcome.
-        for rec in vol.prepare_log_scan(acct) {
-            let fid = rec.intentions.fid;
-            let mut queue: VecDeque<Effect> = self
-                .pstep(Input::RecoveredPrepare {
-                    tid: rec.tid,
-                    fid,
-                    coordinator: rec.coordinator,
-                })
-                .into();
-            while let Some(eff) = queue.pop_front() {
-                match eff {
-                    Effect::QueryStatus {
-                        tid,
-                        fid,
-                        coordinator,
-                    } => {
-                        let outcome = if coordinator == self.site() {
-                            // Our own coordinator log lives on this volume.
-                            match vol.coord_log_get(tid, acct).map(|r| r.status) {
-                                Some(TxnStatus::Committed) => PrepareOutcome::Committed,
-                                Some(TxnStatus::Unknown) => PrepareOutcome::Undecided,
-                                Some(TxnStatus::Aborted) | None => {
-                                    PrepareOutcome::AbortedOrForgotten
-                                }
-                            }
-                        } else {
-                            match self.txn_rpc(coordinator, TxnMsg::StatusInquiry { tid }, acct) {
-                                Ok(Msg::Txn(TxnMsg::StatusAnswer { status })) => match status {
-                                    Some(TxnStatus::Committed) => PrepareOutcome::Committed,
-                                    Some(TxnStatus::Unknown) => PrepareOutcome::Undecided,
-                                    Some(TxnStatus::Aborted) | None => {
-                                        PrepareOutcome::AbortedOrForgotten
-                                    }
-                                },
-                                _ => PrepareOutcome::Unreachable,
-                            }
-                        };
-                        if matches!(
-                            outcome,
-                            PrepareOutcome::Undecided | PrepareOutcome::Unreachable
-                        ) {
-                            // Stay in doubt, keep the log: either the
-                            // coordinator has not decided (it will drive
-                            // phase two itself) or it was unreachable (a
-                            // later recovery pass resolves it).
-                            report.in_doubt += 1;
-                        }
-                        queue.extend(self.pstep(Input::StatusResolved { tid, fid, outcome }));
-                    }
-                    Effect::InstallRecovered { tid, fid } => {
-                        vol.install_intentions(&rec.intentions, None, acct)
-                            .unwrap_or(());
-                        // The replicas missed the phase-two push while this
-                        // site was down; forward the recovered install (best
-                        // effort — an unreachable replica drops to unsynced
-                        // and pulls).
-                        let _ = self.kernel.sync_replicas(fid, &rec.intentions, acct);
-                        let _ = vol.prepare_log_delete(tid, fid, acct);
-                        report.participant_committed += 1;
-                    }
-                    Effect::PurgePrepareLog { tid, fid } => {
-                        // Absent coordinator log ⇒ the transaction finished
-                        // everywhere; but a surviving prepare log means *we*
-                        // did not finish — with presumed abort semantics,
-                        // roll back. Do NOT free the shadow pages directly:
-                        // truncations are lazy, so a resurfaced stale record
-                        // may name blocks that were since installed into an
-                        // inode or reallocated. Truncate only; the scavenge
-                        // pass below reclaims true orphans.
-                        let _ = vol.prepare_log_delete(tid, fid, acct);
-                        report.participant_aborted += 1;
-                    }
-                    _ => {}
-                }
-            }
+        sub.machine = Machine::Participant;
+        for rec in vol.prepare_log_scan(sub.acct) {
+            let input = Input::RecoveredPrepare {
+                tid: rec.tid,
+                fid: rec.intentions.fid,
+                coordinator: rec.coordinator,
+            };
+            sub.recovered = Some(rec);
+            sub.drive(input);
         }
+        *report = sub.report;
 
         // Orphaned shadow pages from crashes between allocation and logging.
         report.scavenged += vol.scavenge(acct);
@@ -1276,6 +811,409 @@ impl TxnManager {
         // Persist the replayed truncations and status rewrites in one flush
         // so a second crash does not redo the whole pass.
         let _ = vol.log_barrier(acct);
+    }
+}
+
+// ----- The effect interpreter ----------------------------------------------
+
+/// Which of the site's two machines a substrate steps.
+#[derive(Clone, Copy)]
+enum Machine {
+    Coordinator,
+    Participant,
+}
+
+/// The kernel-backed [`Substrate`]: one of this site's protocol machines,
+/// the real world its effects act on, and the context of the call being
+/// served. Built per entry point, driven, then read for what came of it.
+struct KernelSubstrate<'a> {
+    mgr: &'a TxnManager,
+    /// Who pays for the work.
+    acct: &'a mut Account,
+    machine: Machine,
+    /// `EndTrans`: the top-level process whose transaction state
+    /// `FinishLocal` clears.
+    top: Option<Pid>,
+    /// Recovery: the volume whose logs are being replayed. Its records are
+    /// rewritten, installed and purged where they were found — on removable
+    /// media that is not this site's home volume.
+    scanned: Option<&'a Arc<Volume>>,
+    /// Recovery: the prepare record being resolved.
+    recovered: Option<PrepareLogRecord>,
+    report: RecoveryReport,
+    /// The last substrate failure: the journal error behind a failed
+    /// `EndTrans`, the disk error behind a phase-two nack.
+    result: Result<()>,
+    /// What the machine told the remote caller — its vote, or its phase-two
+    /// ack. No until it says yes.
+    reply: bool,
+}
+
+impl TxnManager {
+    /// A fresh substrate around `machine` with no per-call context.
+    fn substrate<'a>(&'a self, machine: Machine, acct: &'a mut Account) -> KernelSubstrate<'a> {
+        KernelSubstrate {
+            mgr: self,
+            acct,
+            machine,
+            top: None,
+            scanned: None,
+            recovered: None,
+            report: RecoveryReport::default(),
+            result: Ok(()),
+            reply: false,
+        }
+    }
+
+    /// Drives the participant machine through one input and returns the
+    /// substrate for what it said and what failed.
+    fn participate<'a>(&'a self, input: Input, acct: &'a mut Account) -> KernelSubstrate<'a> {
+        let mut sub = self.substrate(Machine::Participant, acct);
+        sub.drive(input);
+        sub
+    }
+}
+
+impl KernelSubstrate<'_> {
+    fn drive(&mut self, input: Input) {
+        let Ok(()) = drive(self, input);
+    }
+
+    /// Records a substrate failure and reports whether there was none.
+    fn succeeded(&mut self, res: Result<()>) -> bool {
+        let ok = res.is_ok();
+        if let Err(e) = res {
+            self.result = Err(e);
+        }
+        ok
+    }
+
+    /// The phase-two reply: `Ok` exactly when the machine acked, otherwise
+    /// the failure that made it nack.
+    fn ack(self) -> Result<Msg> {
+        if self.reply {
+            return Ok(Msg::Ok);
+        }
+        self.result.and(Err(Error::ProtocolViolation(
+            "phase two ended without an ack".into(),
+        )))
+    }
+}
+
+impl Substrate for KernelSubstrate<'_> {
+    type Error = Infallible;
+
+    fn step(&mut self, input: Input) -> Vec<Effect> {
+        match self.machine {
+            Machine::Coordinator => self.mgr.coord.lock().step(input),
+            Machine::Participant => self.mgr.part.lock().step(input),
+        }
+    }
+
+    // No catch-all arm over `Effect`: a new effect kind must not compile
+    // until this substrate says what it means.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn interpret(&mut self, effect: Effect) -> std::result::Result<Option<Input>, Infallible> {
+        let mgr = self.mgr;
+        let kernel = &mgr.kernel;
+        let acct = &mut *self.acct;
+        Ok(match effect {
+            Effect::LogStart { tid, files } => {
+                // Step 1: the coordinator log, status = unknown (Figure 5
+                // step 1).
+                let rec = CoordLogRecord {
+                    tid,
+                    files,
+                    status: TxnStatus::Unknown,
+                };
+                let res = kernel.home().and_then(|vol| vol.coord_log_put(&rec, acct));
+                let ok = self.succeeded(res);
+                Some(Input::StartLogged { tid, ok })
+            }
+            Effect::SendPrepare {
+                tid,
+                site,
+                files,
+                epoch,
+            } => {
+                // Steps 2–3: one prepare message and its vote. `epoch` is
+                // the earliest boot epoch the transaction observed at the
+                // site; the participant refuses if it has rebooted since
+                // (its volatile buffers, possibly holding acked writes of
+                // this transaction, were lost).
+                let span = VirtSpan::begin(SpanPhase::Prepare, acct);
+                kernel.events.push(Event::PrepareSent { tid, to: site });
+                let prepare = TxnMsg::Prepare {
+                    tid,
+                    coordinator: mgr.site(),
+                    files,
+                    epoch,
+                };
+                let resp = mgr.txn_rpc(site, prepare, acct);
+                let ok = matches!(resp, Ok(Msg::Txn(TxnMsg::PrepareDone { ok: true, .. })));
+                kernel.events.push(Event::PrepareAck {
+                    tid,
+                    from: site,
+                    ok,
+                });
+                span.finish(&kernel.counters.spans, &kernel.model, acct);
+                Some(Input::Vote { tid, site, ok })
+            }
+            Effect::RaiseFences { tid, files } => {
+                // Raise the commit fence on every replicated file before
+                // the mark: between the commit mark and the end of phase
+                // two the new bytes exist only in prepare logs at the
+                // primaries, so a failover in that window would promote
+                // a replica past an acked commit (no-op for single-copy
+                // files).
+                for fid in files {
+                    kernel.catalog.fence_add(fid, tid);
+                }
+                None
+            }
+            Effect::LogStatus {
+                tid,
+                status,
+                critical,
+            } => {
+                // The coordinator log lives on the home volume; a record
+                // recovery scanned off another volume is rewritten there.
+                // Step 4 (commit) is the critical one: the durable mark —
+                // THE commit point (Figure 5 step 4). When it fails the
+                // fence deliberately stays up: a torn flush may have landed
+                // the durable `Committed` frame even as the call errored,
+                // and a failover in that window would promote past the acked
+                // commit. Recovery resolves the mark either way. The other
+                // rewrites are best effort.
+                let vol = self.scanned.cloned().map_or_else(|| kernel.home(), Ok);
+                let res = vol.and_then(|vol| vol.coord_log_set_status(tid, status, acct));
+                critical.then(|| Input::StatusLogged {
+                    tid,
+                    ok: self.succeeded(res),
+                })
+            }
+            Effect::QueuePhase2 {
+                tid,
+                commit,
+                participants,
+            } => {
+                // Step 5 happens asynchronously (Figure 5's deferred fifth
+                // write).
+                mgr.async_work.lock().push_back(Phase2Work {
+                    tid,
+                    commit,
+                    participants,
+                });
+                None
+            }
+            Effect::FinishLocal { tid, commit } => {
+                if let Some(top) = self.top {
+                    mgr.finish_process_state(tid, top);
+                }
+                if commit {
+                    kernel.counters.txns_committed();
+                } else {
+                    kernel.counters.txns_aborted();
+                    kernel.events.push(Event::Aborted { tid });
+                    self.result = Err(Error::TxnAborted(tid));
+                }
+                None
+            }
+            Effect::NoteAborted { tid } => {
+                kernel.counters.txns_aborted();
+                kernel.events.push(Event::Aborted { tid });
+                None
+            }
+            Effect::PurgeCoordLog { tid } => {
+                // The coordinator log may be purged (Section 4.4: retained
+                // until processing completes).
+                if let Ok(home) = kernel.home() {
+                    home.coord_log_delete(tid, acct);
+                }
+                None
+            }
+            Effect::DropFence { tid } => {
+                // Phase two has installed (and pushed) everywhere — the
+                // commit no longer pins the primaries, so failover may
+                // proceed. Harmless for aborts (never fenced).
+                kernel.catalog.fence_remove(tid);
+                None
+            }
+            Effect::NoteCompleted { tid, commit } => {
+                // Inline for the file-less trivial commit, at phase-two
+                // completion for every other.
+                if commit {
+                    kernel.events.push(Event::Committed { tid });
+                }
+                None
+            }
+            Effect::NoteRecoveryRedo { tid } => {
+                kernel.events.push(Event::RecoveryRedo { tid });
+                self.report.redone += 1;
+                None
+            }
+            Effect::NoteRecoveryAbort { tid } => {
+                kernel.events.push(Event::RecoveryAbort { tid });
+                self.report.aborted += 1;
+                None
+            }
+            Effect::CheckPrimary { tid, files } => {
+                // A deposed primary must vote no: the transaction's
+                // writes were buffered against a copy that stopped being
+                // the file's primary image when a failover promoted
+                // someone else mid-transaction. Committing them here
+                // would fork the replica history.
+                let ok = files.iter().all(|fid| kernel.require_primary(*fid).is_ok());
+                Some(Input::PrimaryChecked { tid, ok })
+            }
+            Effect::ReclaimLeases { files, .. } => {
+                // Outstanding lock leases must come home before the lock
+                // lists are snapshotted into the prepare logs (Section
+                // 5.2 + 4.2) — and before the known-transaction check,
+                // which consults the lock tables.
+                for fid in &files {
+                    let _ = kernel.reclaim_lease(*fid, acct);
+                }
+                None
+            }
+            Effect::CheckKnown { tid, files } => {
+                // Presumed abort: vote no on a transaction this site
+                // knows nothing about — no live coordinator entry, no
+                // locks, no uncommitted modifications, no prepare log.
+                // That is exactly the state after a crash or partition
+                // rolled the transaction back here unilaterally;
+                // answering yes would let the coordinator commit a write
+                // set this site already discarded. A coordinator entry
+                // counts as knowledge so the coordinator's own site can
+                // vote yes on a write-free participation — but only
+                // while the transaction is still undecided: the model
+                // checker found that a duplicated prepare arriving after
+                // the commit point would otherwise pass this check and
+                // re-stage a prepare log for an already-installed
+                // transaction, leaving an orphan behind the fence drop.
+                let owner = Owner::Trans(tid);
+                let known = mgr.coord.lock().sm.status_of(tid) == Some(TxnStatus::Unknown)
+                    || kernel.locks.owner_has_locks(owner)
+                    || files.iter().any(|fid| {
+                        kernel.volume(fid.volume).ok().is_some_and(|vol| {
+                            vol.owner_dirty(*fid, owner)
+                                || vol.prepare_log_get(tid, *fid, acct).is_some()
+                        })
+                    });
+                Some(Input::KnownChecked { tid, known })
+            }
+            Effect::StageAndLog {
+                tid,
+                coordinator,
+                files,
+            } => {
+                // Every no-vote guard passed; now the durable prepare:
+                // "enough of the intentions lists and lock lists for each
+                // file to guarantee that the files can be committed ...
+                // regardless of local failures" (Section 4.2).
+                let ok = mgr.stage_prepare(tid, coordinator, &files, acct);
+                Some(Input::Staged { tid, ok })
+            }
+            Effect::Vote { ok, .. } | Effect::Ack { ok, .. } => {
+                self.reply = ok;
+                None
+            }
+            Effect::Install { tid, files } => {
+                let res = mgr.install_files(tid, &files, acct);
+                let ok = self.succeeded(res);
+                Some(Input::Installed { tid, ok })
+            }
+            Effect::Rollback { tid, files } => {
+                let res = mgr.rollback_files(tid, &files, acct);
+                let ok = self.succeeded(res);
+                Some(Input::RolledBack { tid, ok })
+            }
+            Effect::ReleaseLocks { tid } => {
+                let granted = kernel.locks.release_owner(Owner::Trans(tid), acct);
+                kernel.push_grants(granted, acct);
+                None
+            }
+            Effect::QueryStatus {
+                tid,
+                fid,
+                coordinator,
+            } => {
+                // The coordinator's log is on *its* home volume, whichever
+                // volume this prepare record was found on; when the
+                // coordinator is this site the inquiry short-circuits to
+                // our own home journal.
+                let inquiry = TxnMsg::StatusInquiry { tid };
+                let outcome = match mgr.txn_rpc(coordinator, inquiry, acct) {
+                    Ok(Msg::Txn(TxnMsg::StatusAnswer { status })) => status.into(),
+                    Ok(_) | Err(_) => PrepareOutcome::Unreachable,
+                };
+                if matches!(
+                    outcome,
+                    PrepareOutcome::Undecided | PrepareOutcome::Unreachable
+                ) {
+                    // Stay in doubt, keep the log: either the coordinator
+                    // has not decided (it will drive phase two itself) or
+                    // it was unreachable (a later recovery pass resolves
+                    // it).
+                    self.report.in_doubt += 1;
+                }
+                Some(Input::StatusResolved { tid, fid, outcome })
+            }
+            Effect::InstallRecovered { tid, fid } => {
+                if let (Some(vol), Some(rec)) = (self.scanned, &self.recovered) {
+                    vol.install_intentions(&rec.intentions, None, acct)
+                        .unwrap_or(());
+                    // The replicas missed the phase-two push while this
+                    // site was down; forward the recovered install (best
+                    // effort — an unreachable replica drops to unsynced
+                    // and pulls).
+                    let _ = kernel.sync_replicas(fid, &rec.intentions, acct);
+                    let _ = vol.prepare_log_delete(tid, fid, acct);
+                    self.report.participant_committed += 1;
+                }
+                None
+            }
+            Effect::PurgePrepareLog { tid, fid } => {
+                // Absent coordinator log ⇒ the transaction finished
+                // everywhere; but a surviving prepare log means *we*
+                // did not finish — with presumed abort semantics,
+                // roll back. Do NOT free the shadow pages directly:
+                // truncations are lazy, so a resurfaced stale record
+                // may name blocks that were since installed into an
+                // inode or reallocated. Truncate only; the scavenge
+                // pass that follows the scan reclaims true orphans.
+                if let Some(vol) = self.scanned {
+                    let _ = vol.prepare_log_delete(tid, fid, acct);
+                    self.report.participant_aborted += 1;
+                }
+                None
+            }
+        })
+    }
+
+    /// Parallel fan-out: each site of the wave is contacted from its own
+    /// scoped thread on its own account, and the coordinator's account
+    /// absorbs the slowest branch's latency and the summed message and
+    /// instruction counts.
+    fn prepare_wave(&mut self, wave: Vec<Effect>) -> std::result::Result<Vec<Input>, Infallible> {
+        let mgr = self.mgr;
+        let mut branches: Vec<Account> = wave.iter().map(|_| Account::new(mgr.site())).collect();
+        let mut votes: Vec<Option<Input>> = vec![None; wave.len()];
+        crossbeam::thread::scope(|s| {
+            for ((prepare, branch), vote) in wave.into_iter().zip(&mut branches).zip(&mut votes) {
+                s.spawn(move || {
+                    let Ok(answer) = mgr
+                        .substrate(Machine::Coordinator, branch)
+                        .interpret(prepare);
+                    *vote = answer;
+                });
+            }
+        });
+        self.acct.absorb_parallel(branches.iter());
+        Ok(votes.into_iter().flatten().collect())
     }
 }
 

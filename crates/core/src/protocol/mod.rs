@@ -3,13 +3,13 @@
 //!
 //! Every protocol decision lives in [`CoordinatorSm`] and [`ParticipantSm`];
 //! neither touches a disk, a socket, or a clock. A transition is the pure
-//! call `step(&mut self, input) -> Vec<Effect>`: the driver (the
-//! [`crate::manager::TxnManager`]) observes the world, feeds an [`Input`],
-//! and interprets the returned [`Effect`]s against the real substrate — the
-//! journal, the transport, the filesystem's shadow-page installer, the
-//! catalog's commit fences. Observation results flow back in as further
-//! inputs (`StartLogged`, `Vote`, `Staged`, …), so the machines never block
-//! and never guess.
+//! call `step(&mut self, input) -> Vec<Effect>`. One loop, [`drive`], feeds
+//! an [`Input`] and hands each returned [`Effect`] to a [`Substrate`] — in
+//! production the [`crate::manager::TxnManager`]'s: the journal, the
+//! transport, the filesystem's shadow-page installer, the catalog's commit
+//! fences. Observation results flow back in as further inputs
+//! (`StartLogged`, `Vote`, `Staged`, …), so the machines never block and
+//! never guess.
 //!
 //! The split buys three things:
 //!
@@ -33,9 +33,11 @@
 //! depends on is a machine transition.
 
 pub mod coordinator;
+mod drive;
 pub mod participant;
 
 pub use coordinator::CoordinatorSm;
+pub use drive::{drive, Substrate};
 pub use participant::{ParticipantFaults, ParticipantSm};
 
 use std::collections::{BTreeMap, HashMap};
@@ -150,6 +152,18 @@ pub enum PrepareOutcome {
     Undecided,
     /// The coordinator site did not answer; stay in doubt, keep the log.
     Unreachable,
+}
+
+/// What a coordinator log's answer to a status inquiry means: the record's
+/// status, or `None` when the log holds no record for the transaction.
+impl From<Option<TxnStatus>> for PrepareOutcome {
+    fn from(status: Option<TxnStatus>) -> Self {
+        match status {
+            Some(TxnStatus::Committed) => PrepareOutcome::Committed,
+            Some(TxnStatus::Unknown) => PrepareOutcome::Undecided,
+            Some(TxnStatus::Aborted) | None => PrepareOutcome::AbortedOrForgotten,
+        }
+    }
 }
 
 /// A side effect a protocol machine wants performed. Effects are requests:

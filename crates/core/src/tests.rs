@@ -1121,6 +1121,29 @@ fn single_site_commit_is_one_log_force() {
     }
 }
 
+/// Mounts a second volume at site 0 and creates "/second" on it.
+fn mount_second_volume(c: &TestCluster, a: &mut Account) -> (Arc<Volume>, locus_types::Fid) {
+    let s0 = c.site(0);
+    let model = s0.kernel.model.clone();
+    let disk = Arc::new(SimDisk::new(8192, model.clone(), c.counters.clone()));
+    let second = Arc::new(Volume::new(
+        VolumeId(9),
+        SiteId(0),
+        disk,
+        model,
+        c.counters.clone(),
+        c.events.clone(),
+    ));
+    s0.kernel.mount(second.clone());
+    let fid = second.create_file(a).unwrap();
+    s0.kernel
+        .catalog
+        .register("/second", locus_kernel::FileLoc::single(fid, SiteId(0)))
+        .unwrap();
+    s0.kernel.locks.ensure_file(fid, 0);
+    (second, fid)
+}
+
 #[test]
 fn a_vote_whose_mark_is_in_another_journal_is_durable_before_it_is_cast() {
     use locus_net::{Msg, TxnMsg};
@@ -1134,23 +1157,7 @@ fn a_vote_whose_mark_is_in_another_journal_is_durable_before_it_is_cast() {
     let p = s0.kernel.spawn();
     let ch = s0.kernel.creat(p, "/home", &mut a0).unwrap();
     s0.kernel.close(p, ch, &mut a0).unwrap();
-    let model = s0.kernel.model.clone();
-    let disk = Arc::new(SimDisk::new(8192, model.clone(), c.counters.clone()));
-    let second = Arc::new(Volume::new(
-        VolumeId(9),
-        SiteId(0),
-        disk,
-        model,
-        c.counters.clone(),
-        c.events.clone(),
-    ));
-    s0.kernel.mount(second.clone());
-    let fid2 = second.create_file(&mut a0).unwrap();
-    s0.kernel
-        .catalog
-        .register("/second", locus_kernel::FileLoc::single(fid2, SiteId(0)))
-        .unwrap();
-    s0.kernel.locks.ensure_file(fid2, 0);
+    let (second, fid2) = mount_second_volume(&c, &mut a0);
     let p1 = s1.kernel.spawn();
     let ch = s1.kernel.creat(p1, "/remote", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
@@ -1198,6 +1205,91 @@ fn a_vote_whose_mark_is_in_another_journal_is_durable_before_it_is_cast() {
     let home = s0.kernel.home().unwrap();
     assert!(home.durable_prepare_records().is_empty());
     assert!(home.prepare_log_scan(&mut a0).iter().any(|r| r.tid == tid));
+}
+
+#[test]
+fn an_acked_commit_on_a_second_volume_survives_recovery() {
+    // The prepare record is on the second volume, the coordinator record on
+    // the home volume: recovery must ask the home journal what became of
+    // the transaction, not the volume it found the prepare record on.
+    let c = TestCluster::new(1);
+    let s = c.site(0);
+    let mut a = acct(0);
+    mount_second_volume(&c, &mut a);
+    let pid = s.kernel.spawn();
+    s.txn.begin_trans(pid, &mut a).unwrap();
+    let ch = s.kernel.open(pid, "/second", true, &mut a).unwrap();
+    s.kernel.write(pid, ch, b"acked", &mut a).unwrap();
+    s.txn.end_trans(pid, &mut a).unwrap();
+    // Crash with phase two still queued.
+    s.crash();
+
+    let mut ra = acct(0);
+    let report = s.reboot_and_recover(&mut ra);
+    assert_eq!(
+        (
+            report.redone,
+            report.participant_committed,
+            report.participant_aborted
+        ),
+        (1, 1, 0),
+        "{report:?}"
+    );
+    assert_eq!(read_record(s, "/second", 5, &mut ra), b"acked");
+    s.crash();
+    assert_eq!(s.reboot_and_recover(&mut ra), Default::default());
+    assert_eq!(read_record(s, "/second", 5, &mut ra), b"acked");
+}
+
+#[test]
+fn a_stalled_install_is_nacked_and_keeps_its_promise() {
+    use locus_disk::CrashPointMode;
+    use locus_net::{Msg, TxnMsg};
+    use locus_types::Owner;
+
+    use crate::protocol::Effect;
+
+    let c = TestCluster::new(1);
+    let s = c.site(0);
+    let mut a = acct(0);
+    let pid = s.kernel.spawn();
+    let ch = s.kernel.creat(pid, "/f", &mut a).unwrap();
+    s.kernel.close(pid, ch, &mut a).unwrap();
+    s.txn.begin_trans(pid, &mut a).unwrap();
+    let ch = s.kernel.open(pid, "/f", true, &mut a).unwrap();
+    s.kernel.write(pid, ch, b"promised", &mut a).unwrap();
+    let file_list = s.kernel.procs.get(pid).unwrap().file_list;
+    let fids: Vec<_> = file_list.iter().map(|f| f.fid).collect();
+    let EndOutcome::Committed(tid) = s.txn.end_trans(pid, &mut a).unwrap() else {
+        panic!("top-level EndTrans commits");
+    };
+
+    // The disk dies on the next durable mutation: phase two's inode install.
+    let home = s.kernel.home().unwrap();
+    let disk = home.disk().clone();
+    disk.arm_crash_point(disk.mutation_count(), CrashPointMode::Clean);
+    s.txn.set_transcript_recording(true);
+    let commit = TxnMsg::Commit {
+        tid,
+        files: fids.clone(),
+    };
+    let reply = s.txn.handle_txn(SiteId(0), commit, &mut a);
+    assert!(disk.tripped());
+    assert!(matches!(reply, Msg::Err(Error::DiskOffline)), "{reply:?}");
+    // The queued phase two gets the same nack and stays queued.
+    assert_eq!(s.txn.run_async_work(&mut a), 0);
+    assert_eq!(s.txn.pending_async(), 1);
+
+    // The promise stands: prepare record durable, locks still held.
+    let durable = home.durable_prepare_records();
+    assert_eq!(durable.len(), 1);
+    assert_eq!((durable[0].tid, durable[0].intentions.fid), (tid, fids[0]));
+    assert!(s.kernel.locks.owner_has_locks(Owner::Trans(tid)));
+    let steps = s.txn.transcripts().participant.steps;
+    assert_eq!(
+        steps.last().unwrap().effects,
+        [Effect::Ack { tid, ok: false }]
+    );
 }
 
 #[test]
@@ -1349,4 +1441,135 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
         );
     }
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+}
+
+// ----- `drive` over a scripted substrate --------------------------------------
+
+mod scripted_drive {
+    use std::convert::Infallible;
+
+    use locus_types::{Fid, FileListEntry, SiteId, TransId, TxnStatus, VolumeId};
+
+    use crate::protocol::{drive, Effect, Input, ProtocolSm, Substrate};
+    use crate::CoordinatorSm;
+
+    /// A coordinator machine over a substrate that answers from a script
+    /// and remembers what it was asked.
+    struct Scripted {
+        sm: CoordinatorSm,
+        no_votes: Vec<SiteId>,
+        mark_ok: bool,
+        /// Every input the machine was stepped with, in order.
+        stepped: Vec<Input>,
+        /// Every effect kind interpreted, in order.
+        seen: Vec<&'static str>,
+        /// The sites of each delivery of prepares: one entry per single
+        /// prepare, one per wave.
+        prepares: Vec<Vec<SiteId>>,
+    }
+
+    impl Substrate for Scripted {
+        type Error = Infallible;
+
+        fn step(&mut self, input: Input) -> Vec<Effect> {
+            self.stepped.push(input.clone());
+            self.sm.step(&input)
+        }
+
+        fn interpret(&mut self, effect: Effect) -> Result<Option<Input>, Infallible> {
+            self.seen.push(effect.name());
+            Ok(match effect {
+                Effect::LogStart { tid, .. } => Some(Input::StartLogged { tid, ok: true }),
+                Effect::SendPrepare { tid, site, .. } => {
+                    self.prepares.push(vec![site]);
+                    let ok = !self.no_votes.contains(&site);
+                    Some(Input::Vote { tid, site, ok })
+                }
+                Effect::LogStatus {
+                    tid,
+                    critical: true,
+                    ..
+                } => Some(Input::StatusLogged {
+                    tid,
+                    ok: self.mark_ok,
+                }),
+                _ => None,
+            })
+        }
+
+        fn prepare_wave(&mut self, wave: Vec<Effect>) -> Result<Vec<Input>, Infallible> {
+            let first = self.prepares.len();
+            let mut votes = Vec::new();
+            for prepare in wave {
+                votes.extend(self.interpret(prepare)?);
+            }
+            let sites = self.prepares.drain(first..).flatten().collect();
+            self.prepares.push(sites);
+            Ok(votes)
+        }
+    }
+
+    fn tid() -> TransId {
+        TransId::new(SiteId(0), 1)
+    }
+
+    /// Drives a commit request over one file at each of three sites.
+    fn commit(parallel: bool, no_votes: &[SiteId], mark_ok: bool) -> Scripted {
+        let mut sub = Scripted {
+            sm: CoordinatorSm::new(SiteId(0)),
+            no_votes: no_votes.to_vec(),
+            mark_ok,
+            stepped: Vec::new(),
+            seen: Vec::new(),
+            prepares: Vec::new(),
+        };
+        let files = (0..3)
+            .map(|s| FileListEntry {
+                fid: Fid::new(VolumeId(s), 1),
+                storage_site: SiteId(s),
+                epoch: 0,
+            })
+            .collect();
+        let request = Input::CommitRequested {
+            tid: tid(),
+            files,
+            parallel,
+        };
+        let Ok(()) = drive(&mut sub, request);
+        sub
+    }
+
+    #[test]
+    fn sequential_prepares_stop_at_the_first_no_vote() {
+        let sub = commit(false, &[SiteId(1)], true);
+        assert_eq!(sub.prepares, [[SiteId(0)], [SiteId(1)]]);
+        assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Aborted));
+    }
+
+    #[test]
+    fn a_parallel_fan_out_is_one_wave_and_its_votes_are_stepped_in_wave_order() {
+        let sub = commit(true, &[SiteId(1)], true);
+        assert_eq!(sub.prepares, [[SiteId(0), SiteId(1), SiteId(2)]]);
+        // Request, start record, the three votes in wave order, and only
+        // then the mark: the no in the middle did not cut the wave short.
+        let votes: Vec<(u32, bool)> = sub.stepped[2..5]
+            .iter()
+            .map(|i| match i {
+                Input::Vote { site, ok, .. } => (site.0, *ok),
+                other => panic!("expected a vote, stepped {other:?}"),
+            })
+            .collect();
+        assert_eq!(votes, [(0, true), (1, false), (2, true)]);
+        assert!(matches!(sub.stepped[5], Input::StatusLogged { .. }));
+        assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Aborted));
+    }
+
+    #[test]
+    fn a_failed_commit_mark_stays_fenced_and_undecided() {
+        let sub = commit(false, &[], false);
+        assert_eq!(sub.seen[sub.seen.len() - 2..], ["RaiseFences", "LogStatus"]);
+        assert!(!sub.seen.contains(&"QueuePhase2") && !sub.seen.contains(&"DropFence"));
+        assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Unknown));
+        assert!(format!("{:?}", sub.sm).contains("MarkFailed"));
+    }
 }

@@ -1,12 +1,15 @@
 //! Exhaustive small-scope model checker for the sans-IO 2PC machines.
 //!
 //! The checker drives the *production* [`CoordinatorSm`] and
-//! [`ParticipantSm`] structs — the same code the live `TxnManager` drives —
-//! through every interleaving a bounded scope allows, and asserts the 2PC
-//! safety invariants on every edge. A [`World`] is the two machines plus an
+//! [`ParticipantSm`] structs through the *production* effect loop,
+//! [`drive`] — the same code the live `TxnManager` runs — over every
+//! interleaving a bounded scope allows, and asserts the 2PC safety
+//! invariants on every edge. One global state is the machines plus an
 //! abstract substrate: the durable coordinator log, per-site prepare logs,
 //! the global commit-fence set, dirty/installed bookkeeping, in-flight
-//! messages, and the asynchronous phase-two queue. Exploration is
+//! messages, and the asynchronous phase-two queue. What each [`Effect`]
+//! means against that substrate is one exhaustive `match`, so a new effect
+//! kind does not compile until the model says what it does. Exploration is
 //! breadth-first with full-state deduplication, so a reported
 //! counterexample trace is shortest-possible.
 //!
@@ -52,7 +55,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 pub use locus_core::protocol::ParticipantFaults;
-use locus_core::protocol::{Effect, Input, PrepareOutcome, ProtocolSm};
+use locus_core::protocol::{drive, Effect, Input, PrepareOutcome, ProtocolSm, Substrate};
 use locus_core::{CoordinatorSm, ParticipantSm};
 use locus_types::{Fid, FileListEntry, SiteId, TransId, TxnStatus, VolumeId};
 
@@ -278,90 +281,23 @@ impl World {
         Ok(())
     }
 
-    /// Interpret the coordinator machine's effects against the abstract
-    /// substrate, feeding substrate answers back in until quiescent.
-    fn drive_coord(
+    /// Feed `input` to one machine and interpret its effects against the
+    /// abstract substrate until quiescent. Returns what the machine told its
+    /// remote caller — a yes vote or a phase-two ack; no if it said nothing.
+    fn drive(
         &mut self,
+        at: Machine,
         input: Input,
         seen: &mut BTreeSet<&'static str>,
-    ) -> Result<(), String> {
-        let mut q: VecDeque<Input> = VecDeque::new();
-        q.push_back(input);
-        while let Some(inp) = q.pop_front() {
-            let effects = self.coord.step(&inp);
-            for e in effects {
-                seen.insert(e.name());
-                match e {
-                    Effect::LogStart { tid, .. } => {
-                        self.coord_log.insert(tid, TxnStatus::Unknown);
-                        q.push_back(Input::StartLogged { tid, ok: true });
-                    }
-                    Effect::SendPrepare {
-                        tid, site, epoch, ..
-                    } => {
-                        self.add_msg(Msg::Prepare {
-                            tid,
-                            to: site.0,
-                            epoch,
-                        });
-                    }
-                    Effect::RaiseFences { tid, .. } => {
-                        self.fences.insert(tid);
-                    }
-                    Effect::LogStatus {
-                        tid,
-                        status,
-                        critical,
-                    } => {
-                        self.log_status(tid, status)?;
-                        if critical {
-                            q.push_back(Input::StatusLogged { tid, ok: true });
-                        }
-                    }
-                    Effect::QueuePhase2 {
-                        tid,
-                        commit,
-                        participants,
-                    } => {
-                        self.queue.push(P2Item {
-                            tid,
-                            commit,
-                            pending: participants.iter().map(|(s, _)| s.0).collect(),
-                        });
-                    }
-                    Effect::PurgeCoordLog { tid } => {
-                        self.coord_log.remove(&tid);
-                    }
-                    Effect::DropFence { tid } => {
-                        if self.committed.contains(&tid) {
-                            for (i, p) in self.parts.iter().enumerate() {
-                                if p.prepare_log.contains(&tid) {
-                                    return Err(format!(
-                                        "fence-holds-through-phase-two: fence for \
-                                         committed {tid} dropped while site{i} still \
-                                         holds its prepare log"
-                                    ));
-                                }
-                            }
-                        }
-                        self.fences.remove(&tid);
-                    }
-                    // Announcements and local process bookkeeping: no
-                    // substrate in the model.
-                    Effect::FinishLocal { .. }
-                    | Effect::NoteAborted { .. }
-                    | Effect::NoteCompleted { .. }
-                    | Effect::NoteRecoveryRedo { .. }
-                    | Effect::NoteRecoveryAbort { .. } => {}
-                    other => {
-                        return Err(format!(
-                            "model-scope: coordinator emitted unhandled effect {other:?}"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+    ) -> Result<bool, String> {
+        let mut sub = Model {
+            w: self,
+            at,
+            seen,
+            reply: false,
+        };
+        drive(&mut sub, input)?;
+        Ok(sub.reply)
     }
 
     /// Run one full prepare round at site `s` (the participant side of the
@@ -373,46 +309,13 @@ impl World {
         epoch: u64,
         seen: &mut BTreeSet<&'static str>,
     ) -> Result<bool, String> {
-        let files = vec![fid_at(s as u32)];
-        let mut q: VecDeque<Input> = VecDeque::new();
-        q.push_back(Input::PrepareReq {
+        let input = Input::PrepareReq {
             tid,
             coordinator: SiteId(0),
-            files: files.clone(),
+            files: vec![fid_at(s as u32)],
             epoch,
-        });
-        let mut vote = false;
-        while let Some(inp) = q.pop_front() {
-            let effects = self.parts[s].sm.step(&inp);
-            for e in effects {
-                seen.insert(e.name());
-                match e {
-                    Effect::CheckPrimary { tid, .. } => {
-                        // No failover in this scope: always still primary.
-                        q.push_back(Input::PrimaryChecked { tid, ok: true });
-                    }
-                    Effect::ReclaimLeases { .. } => {}
-                    Effect::CheckKnown { tid, .. } => {
-                        let known = self.parts[s].dirty.contains(&tid)
-                            || self.parts[s].prepare_log.contains(&tid)
-                            || (s == 0 && self.coord.status_of(tid) == Some(TxnStatus::Unknown));
-                        q.push_back(Input::KnownChecked { tid, known });
-                    }
-                    Effect::StageAndLog { tid, .. } => {
-                        // Staging is reliable in-scope; crashes are the
-                        // injected fault, not disk errors.
-                        self.parts[s].prepare_log.insert(tid);
-                        q.push_back(Input::Staged { tid, ok: true });
-                    }
-                    Effect::Vote { ok, .. } => vote = ok,
-                    other => {
-                        return Err(format!(
-                            "model-scope: participant emitted unhandled prepare effect {other:?}"
-                        ));
-                    }
-                }
-            }
-        }
+        };
+        let vote = self.drive(Machine::Part(s), input, seen)?;
         if vote && self.parts[s].sm.refuses(tid) {
             return Err(format!(
                 "refusal-set-honored: site{s} voted yes on {tid} it had unilaterally rolled back"
@@ -481,56 +384,21 @@ impl World {
                 files,
             }
         };
-        let mut q: VecDeque<Input> = VecDeque::new();
-        q.push_back(first);
-        let mut acked = false;
-        while let Some(inp) = q.pop_front() {
-            let effects = self.parts[s].sm.step(&inp);
-            for e in effects {
-                seen.insert(e.name());
-                match e {
-                    Effect::Install { tid, .. } => {
-                        self.install_at(s, tid)?;
-                        q.push_back(Input::Installed { tid, ok: true });
-                    }
-                    Effect::Rollback { tid, .. } => {
-                        // Coordinator-decided abort: discard staged state.
-                        // Not a "lost write" — the transaction is aborted,
-                        // so nothing acked survives by design.
-                        self.parts[s].prepare_log.remove(&tid);
-                        self.parts[s].dirty.remove(&tid);
-                        q.push_back(Input::RolledBack { tid, ok: true });
-                    }
-                    Effect::ReleaseLocks { .. } => {}
-                    Effect::Ack { ok, .. } => acked = ok,
-                    other => {
-                        return Err(format!(
-                            "model-scope: participant emitted unhandled phase-two \
-                             effect {other:?}"
-                        ));
-                    }
-                }
-            }
-        }
-        if acked {
-            self.drive_coord(
-                Input::Phase2Ack {
-                    tid: item.tid,
-                    site: SiteId(s as u32),
-                    ok: true,
-                },
-                seen,
-            )?;
+        if self.drive(Machine::Part(s), first, seen)? {
+            let ack = Input::Phase2Ack {
+                tid: item.tid,
+                site: SiteId(s as u32),
+                ok: true,
+            };
+            self.drive(Machine::Coord, ack, seen)?;
             self.queue[i].pending.remove(&(s as u32));
             if self.queue[i].pending.is_empty() {
                 let done = self.queue.remove(i);
-                self.drive_coord(
-                    Input::Phase2Done {
-                        tid: done.tid,
-                        commit: done.commit,
-                    },
-                    seen,
-                )?;
+                let done = Input::Phase2Done {
+                    tid: done.tid,
+                    commit: done.commit,
+                };
+                self.drive(Machine::Coord, done, seen)?;
             }
         }
         Ok(())
@@ -562,8 +430,7 @@ impl World {
     fn reboot(&mut self, s: usize, seen: &mut BTreeSet<&'static str>) -> Result<(), String> {
         self.parts[s].up = true;
         let epoch = self.parts[s].sm.boot_epoch() + 1;
-        let effects = self.parts[s].sm.step(&Input::Rebooted { epoch });
-        debug_assert!(effects.is_empty());
+        self.drive(Machine::Part(s), Input::Rebooted { epoch }, seen)?;
         if s == 0 {
             // Coordinator-log scan: re-drive committed transactions, abort
             // undecided ones (presumed abort).
@@ -571,56 +438,23 @@ impl World {
                 self.coord_log.iter().map(|(t, st)| (*t, *st)).collect();
             for (tid, status) in scans {
                 let files = self.files_for(tid);
-                self.drive_coord(Input::CoordScan { tid, files, status }, seen)?;
+                self.drive(
+                    Machine::Coord,
+                    Input::CoordScan { tid, files, status },
+                    seen,
+                )?;
             }
         }
         // Prepare-log scan: resolve each in-doubt prepare against the
         // coordinator (reachable only if site 0 is up).
         let recovered: Vec<TransId> = self.parts[s].prepare_log.iter().copied().collect();
         for tid in recovered {
-            let fid = fid_at(s as u32);
-            let effects = self.parts[s].sm.step(&Input::RecoveredPrepare {
+            let input = Input::RecoveredPrepare {
                 tid,
-                fid,
+                fid: fid_at(s as u32),
                 coordinator: SiteId(0),
-            });
-            for e in effects {
-                seen.insert(e.name());
-                let Effect::QueryStatus { tid, fid, .. } = e else {
-                    return Err(format!(
-                        "model-scope: participant emitted unhandled recovery effect {e:?}"
-                    ));
-                };
-                let outcome = if s == 0 || self.parts[0].up {
-                    match self.coord_log.get(&tid) {
-                        Some(TxnStatus::Committed) => PrepareOutcome::Committed,
-                        Some(TxnStatus::Unknown) => PrepareOutcome::Undecided,
-                        Some(TxnStatus::Aborted) | None => PrepareOutcome::AbortedOrForgotten,
-                    }
-                } else {
-                    PrepareOutcome::Unreachable
-                };
-                let resolved = self.parts[s]
-                    .sm
-                    .step(&Input::StatusResolved { tid, fid, outcome });
-                for r in resolved {
-                    seen.insert(r.name());
-                    match r {
-                        Effect::InstallRecovered { tid, .. } => {
-                            self.install_at(s, tid)?;
-                        }
-                        Effect::PurgePrepareLog { tid, .. } => {
-                            self.parts[s].prepare_log.remove(&tid);
-                        }
-                        other => {
-                            return Err(format!(
-                                "model-scope: participant emitted unhandled resolution \
-                                 effect {other:?}"
-                            ));
-                        }
-                    }
-                }
-            }
+            };
+            self.drive(Machine::Part(s), input, seen)?;
         }
         Ok(())
     }
@@ -641,14 +475,12 @@ impl World {
             p.dirty.insert(tid);
         }
         let files = self.files_for(tid);
-        self.drive_coord(
-            Input::CommitRequested {
-                tid,
-                files,
-                parallel,
-            },
-            seen,
-        )
+        let input = Input::CommitRequested {
+            tid,
+            files,
+            parallel,
+        };
+        self.drive(Machine::Coord, input, seen).map(|_| ())
     }
 
     /// Unilateral rollback of an undecided transaction at site `s` — what
@@ -663,29 +495,174 @@ impl World {
     ) -> Result<(), String> {
         self.lost.insert((s as u32, tid));
         let files = vec![fid_at(s as u32)];
-        let mut q: VecDeque<Input> = VecDeque::new();
-        q.push_back(Input::AbortReq { tid, files });
-        while let Some(inp) = q.pop_front() {
-            let effects = self.parts[s].sm.step(&inp);
-            for e in effects {
-                seen.insert(e.name());
-                match e {
-                    Effect::Rollback { tid, .. } => {
-                        self.parts[s].prepare_log.remove(&tid);
-                        self.parts[s].dirty.remove(&tid);
-                        q.push_back(Input::RolledBack { tid, ok: true });
-                    }
-                    Effect::ReleaseLocks { .. } | Effect::Ack { .. } => {}
-                    other => {
-                        return Err(format!(
-                            "model-scope: participant emitted unhandled rollback \
-                             effect {other:?}"
-                        ));
+        self.drive(Machine::Part(s), Input::AbortReq { tid, files }, seen)
+            .map(|_| ())
+    }
+}
+
+/// Which machine a [`Model`] steps: the coordinator (at site 0) or the
+/// participant at one site.
+#[derive(Clone, Copy)]
+enum Machine {
+    Coord,
+    Part(usize),
+}
+
+/// The abstract [`Substrate`]: one machine of a [`World`], the world's sets
+/// and maps as the things effects act on, and the invariants checked as they
+/// do. A violated invariant is the substrate's error and ends the drive.
+struct Model<'a> {
+    w: &'a mut World,
+    at: Machine,
+    /// Every effect kind interpreted, for the coverage report.
+    seen: &'a mut BTreeSet<&'static str>,
+    /// The machine's vote or phase-two ack; no until it says yes.
+    reply: bool,
+}
+
+impl Substrate for Model<'_> {
+    type Error = String;
+
+    fn step(&mut self, input: Input) -> Vec<Effect> {
+        match self.at {
+            Machine::Coord => self.w.coord.step(&input),
+            Machine::Part(s) => self.w.parts[s].sm.step(&input),
+        }
+    }
+
+    // No catch-all arm over `Effect`: a new effect kind must not compile
+    // until this substrate says what it means.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    fn interpret(&mut self, effect: Effect) -> Result<Option<Input>, String> {
+        self.seen.insert(effect.name());
+        let w = &mut *self.w;
+        // The site a participant effect acts at; the coordinator is site 0.
+        let s = match self.at {
+            Machine::Coord => 0,
+            Machine::Part(s) => s,
+        };
+        Ok(match effect {
+            Effect::LogStart { tid, .. } => {
+                w.coord_log.insert(tid, TxnStatus::Unknown);
+                Some(Input::StartLogged { tid, ok: true })
+            }
+            Effect::SendPrepare {
+                tid, site, epoch, ..
+            } => {
+                // The vote comes back as a message of its own, so deliveries,
+                // drops and duplicates interleave with everything else.
+                w.add_msg(Msg::Prepare {
+                    tid,
+                    to: site.0,
+                    epoch,
+                });
+                None
+            }
+            Effect::RaiseFences { tid, .. } => {
+                w.fences.insert(tid);
+                None
+            }
+            Effect::LogStatus {
+                tid,
+                status,
+                critical,
+            } => {
+                w.log_status(tid, status)?;
+                critical.then_some(Input::StatusLogged { tid, ok: true })
+            }
+            Effect::QueuePhase2 {
+                tid,
+                commit,
+                participants,
+            } => {
+                w.queue.push(P2Item {
+                    tid,
+                    commit,
+                    pending: participants.iter().map(|(s, _)| s.0).collect(),
+                });
+                None
+            }
+            Effect::PurgeCoordLog { tid } => {
+                w.coord_log.remove(&tid);
+                None
+            }
+            Effect::DropFence { tid } => {
+                if w.committed.contains(&tid) {
+                    for (i, p) in w.parts.iter().enumerate() {
+                        if p.prepare_log.contains(&tid) {
+                            return Err(format!(
+                                "fence-holds-through-phase-two: fence for \
+                                 committed {tid} dropped while site{i} still \
+                                 holds its prepare log"
+                            ));
+                        }
                     }
                 }
+                w.fences.remove(&tid);
+                None
             }
-        }
-        Ok(())
+            // Announcements, local process bookkeeping, leases and locks:
+            // no substrate in the model.
+            Effect::FinishLocal { .. }
+            | Effect::NoteAborted { .. }
+            | Effect::NoteCompleted { .. }
+            | Effect::NoteRecoveryRedo { .. }
+            | Effect::NoteRecoveryAbort { .. }
+            | Effect::ReclaimLeases { .. }
+            | Effect::ReleaseLocks { .. } => None,
+            Effect::CheckPrimary { tid, .. } => {
+                // No failover in this scope: always still primary.
+                Some(Input::PrimaryChecked { tid, ok: true })
+            }
+            Effect::CheckKnown { tid, .. } => {
+                let known = w.parts[s].dirty.contains(&tid)
+                    || w.parts[s].prepare_log.contains(&tid)
+                    || (s == 0 && w.coord.status_of(tid) == Some(TxnStatus::Unknown));
+                Some(Input::KnownChecked { tid, known })
+            }
+            Effect::StageAndLog { tid, .. } => {
+                // Staging is reliable in-scope; crashes are the injected
+                // fault, not disk errors.
+                w.parts[s].prepare_log.insert(tid);
+                Some(Input::Staged { tid, ok: true })
+            }
+            Effect::Vote { ok, .. } | Effect::Ack { ok, .. } => {
+                self.reply = ok;
+                None
+            }
+            Effect::Install { tid, .. } => {
+                w.install_at(s, tid)?;
+                Some(Input::Installed { tid, ok: true })
+            }
+            Effect::Rollback { tid, .. } => {
+                // Discard staged state. After a coordinator-decided abort
+                // that is not a "lost write" — nothing acked survives an
+                // abort by design; a unilateral rollback records the loss
+                // itself.
+                w.parts[s].prepare_log.remove(&tid);
+                w.parts[s].dirty.remove(&tid);
+                Some(Input::RolledBack { tid, ok: true })
+            }
+            Effect::QueryStatus { tid, fid, .. } => {
+                let outcome = if s == 0 || w.parts[0].up {
+                    w.coord_log.get(&tid).copied().into()
+                } else {
+                    PrepareOutcome::Unreachable
+                };
+                Some(Input::StatusResolved { tid, fid, outcome })
+            }
+            Effect::InstallRecovered { tid, .. } => {
+                w.install_at(s, tid)?;
+                None
+            }
+            Effect::PurgePrepareLog { tid, .. } => {
+                w.parts[s].prepare_log.remove(&tid);
+                None
+            }
+        })
     }
 }
 
@@ -759,16 +736,12 @@ fn successors(
                 if w.parts[0].up {
                     let mut n = w.clone();
                     n.take_msg(m);
-                    let r = n
-                        .drive_coord(
-                            Input::Vote {
-                                tid,
-                                site: SiteId(from),
-                                ok,
-                            },
-                            seen,
-                        )
-                        .map(|_| n);
+                    let vote = Input::Vote {
+                        tid,
+                        site: SiteId(from),
+                        ok,
+                    };
+                    let r = n.drive(Machine::Coord, vote, seen).map(|_| n);
                     out.push((
                         format!(
                             "deliver vote {tid} site{from}={}",

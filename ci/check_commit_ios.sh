@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Pins the disk I/Os a commit costs, as the repository's one benchmark
-# counts them.
+# Pins the disk I/Os a commit costs, and the log-force, message and
+# page-cache counts under them, as the repository's one benchmark counts them.
 #
 # `disk_ios_per_op` comes from the benchmark's count pass — one client, a
 # fixed number of ops, nothing concurrent — so it repeats exactly for a seed
@@ -15,27 +15,48 @@
 #
 # A change that adds a force to the commit path, or a compaction pass to the
 # journal, moves one of these and fails here with the number it moved to.
+#
+# The per-layer counts of the traced pass repeat the same way (identical on
+# seeds 1 and 2) and pin what two deleted wall-clock gates stood for:
+#
+#   wal.flushes_per_op  1 / 3 / 1: one log force per single-site commit, one
+#       per participant vote plus the mark across sites.
+#   wal.frames_per_op >= 4.99 on commit_local: that one force carries all
+#       five of the commit's frames (the old 4.5 frames-per-flush floor).
+#   read_shared: net.msgs_per_op 4 and kernel.pagecache_hit_rate 0.96875 —
+#       62 of a locked scan's 64 reads are served from the page cache and the
+#       whole scan costs four messages (the old "a cached re-read is at least
+#       2x a cold one and sends nothing").
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# check WORKLOAD METRIC==VALUE|METRIC>=VALUE ...
+# One run with --trace omitted: the end-to-end result line, then the
+# per-layer one.
 check() {
-    local workload=$1 want=$2 line
-    line=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
-    printf '%s' "$line" | python3 -c '
-import json, sys
-workload, want = sys.argv[1], float(sys.argv[2])
-r = json.loads(sys.stdin.read())
-got = r["metrics"]["disk_ios_per_op"]["value"]
-if r["correct"] is not True or r["failed"] != 0:
-    sys.exit("check_commit_ios: {}: correct={} failed={}".format(workload, r["correct"], r["failed"]))
-if got != want:
-    sys.exit("check_commit_ios: {}: disk_ios_per_op is {}, pinned at {:g}".format(workload, got, want))
-print("check_commit_ios: {} disk_ios_per_op = {}".format(workload, got))
-' "$workload" "$want"
+    local workload=$1
+    shift
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 | grep '^{' | python3 -c '
+import json, re, sys
+workload, pins = sys.argv[1], sys.argv[2:]
+metrics = {}
+for line in sys.stdin:
+    r = json.loads(line)
+    if r["correct"] is not True or r["failed"] != 0:
+        sys.exit("check_commit_ios: {}: correct={} failed={}".format(workload, r["correct"], r["failed"]))
+    metrics.update(r["metrics"])
+for pin in pins:
+    metric, op, want = re.fullmatch(r"(.+?)(==|>=)(.+)", pin).groups()
+    got = metrics[metric]["value"]
+    if not (got == float(want) if op == "==" else got >= float(want)):
+        sys.exit("check_commit_ios: {}: {} is {}, pinned at {} {}".format(workload, metric, got, op, want))
+    print("check_commit_ios: {} {} = {}".format(workload, metric, got))
+' "$workload" "$@"
 }
 
-check commit_local 3
-check commit_dist 7
-check hot_records 3
+check commit_local disk_ios_per_op==3 wal.flushes_per_op==1 'wal.frames_per_op>=4.99'
+check commit_dist disk_ios_per_op==7 wal.flushes_per_op==3
+check hot_records disk_ios_per_op==3 wal.flushes_per_op==1
+check read_shared net.msgs_per_op==4 kernel.pagecache_hit_rate==0.96875

@@ -1,29 +1,38 @@
 #!/usr/bin/env bash
-# Guard against declared-but-unused workspace dependencies.
+# Guard against declared-but-unused dependencies.
 #
 # The deadlock crate sat in the harness's Cargo.toml for several PRs with no
 # `use locus_deadlock::` anywhere — dead weight in every build and a silent
-# lie about the dependency graph. This check fails CI when any crate in the
-# workspace declares a `locus-*` dependency whose `locus_*` path never
-# appears in that crate's sources (src/, tests/, benches/, examples/).
+# lie about the dependency graph. This check fails CI when the root package
+# or any crate under crates/ declares a dependency, in [dependencies] or
+# [dev-dependencies], whose identifier never appears as a path, macro or
+# import in that package's sources (src/, tests/, benches/, examples/).
+#
+# It sees names, not meaning: a dependency whose only use is a derive that
+# expands to nothing (the vendored serialization shim deleted in PR 17) passes
+# here and has to be found by reading the shim.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 fail=0
-for manifest in crates/*/Cargo.toml; do
+for manifest in Cargo.toml crates/*/Cargo.toml; do
     crate_dir=$(dirname "$manifest")
-    crate=$(basename "$crate_dir")
-    # Dependency names: `locus-foo.workspace = true` or `locus-foo = {...}`,
-    # in [dependencies] or [dev-dependencies].
-    deps=$(grep -oE '^locus-[a-z0-9-]+' "$manifest" | sort -u || true)
+    crate=$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)
+    # Dependency names: `foo.workspace = true` or `foo = {...}` under the
+    # two sections that declare a use ([workspace.dependencies] only names
+    # where a dependency lives).
+    deps=$(awk '
+        /^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") }
+        on && match($0, /^[A-Za-z0-9_-]+/) { print substr($0, 1, RLENGTH) }
+    ' "$manifest" | sort -u)
+    dirs=()
+    for d in src tests benches examples; do
+        [ -d "$crate_dir/$d" ] && dirs+=("$crate_dir/$d")
+    done
     for dep in $deps; do
         ident=${dep//-/_}
-        if ! grep -rqE "\b${ident}(::|\s*;|\s*\{|\s+as\b)" \
-            "$crate_dir/src" \
-            $( [ -d "$crate_dir/tests" ] && echo "$crate_dir/tests" ) \
-            $( [ -d "$crate_dir/benches" ] && echo "$crate_dir/benches" ) \
-            $( [ -d "$crate_dir/examples" ] && echo "$crate_dir/examples" ); then
+        if ! grep -rqE "\b${ident}(::|!)|\buse\s+${ident}\s*(;|as\b)" "${dirs[@]}"; then
             echo "UNUSED: $crate declares $dep but never references $ident" >&2
             fail=1
         fi
@@ -31,7 +40,7 @@ for manifest in crates/*/Cargo.toml; do
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "error: unused workspace dependencies (remove them or use them)" >&2
+    echo "error: unused dependencies (remove them or use them)" >&2
     exit 1
 fi
-echo "check_unused_deps: all declared locus-* dependencies are referenced"
+echo "check_unused_deps: every declared dependency is referenced"

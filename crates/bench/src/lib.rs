@@ -1,16 +1,11 @@
-//! Experiment binaries and Criterion benches for every table and figure in
-//! the paper's evaluation (see DESIGN.md §4 for the index).
+//! The runnable edge of the reproduction: four binaries, no library code.
 //!
-//! Binaries (each prints one paper artifact):
+//! | binary          | what it does |
+//! |-----------------|--------------|
+//! | `locus-repro`   | prints the paper's tables and figures, one by name or all in paper order (`locus-repro no_such` lists them; DESIGN.md §4 is the index) |
+//! | `locus-chaos`   | seeded fault-injection runs under the chaos oracles |
+//! | `locus-recover` | crash-point torture of the commit and recovery paths |
+//! | `locus-mc`      | exhaustive model check of two-phase commit |
 //!
-//! | binary            | artifact |
-//! |-------------------|----------|
-//! | `fig1_compat`     | Figure 1: synchronization rules matrix |
-//! | `fig3_locklist`   | Figure 3: a live lock list |
-//! | `fig4_record_commit` | Figure 4: direct vs differencing record commit |
-//! | `fig5_txn_io`     | Figure 5: transaction I/O overhead |
-//! | `fig6_commit_perf`| Figure 6: measured commit performance |
-//! | `tbl_lock_latency`| Section 6.2: local vs remote locking |
-//! | `tbl_shadow_vs_log` | Section 6 analysis: shadow paging vs logging |
-//! | `ablation_prefetch` | Section 5.2 prefetch-on-lock ablation |
-//! | `summary`         | everything above, in order |
+//! Wall-clock and per-layer measurement lives in `benchmark/`, a package of
+//! its own (see its README).

@@ -1202,7 +1202,7 @@ impl Substrate for KernelSubstrate<'_> {
         let mgr = self.mgr;
         let mut branches: Vec<Account> = wave.iter().map(|_| Account::new(mgr.site())).collect();
         let mut votes: Vec<Option<Input>> = vec![None; wave.len()];
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for ((prepare, branch), vote) in wave.into_iter().zip(&mut branches).zip(&mut votes) {
                 s.spawn(move || {
                     let Ok(answer) = mgr

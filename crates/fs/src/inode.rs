@@ -120,20 +120,12 @@ impl Inode {
             inode: InodeNo(d.u32()?),
         };
         let len = d.u64()?;
-        let n = d.u32()?;
-        let mut pages = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            pages.push(match d.u8()? {
-                1 => Some(PhysPage(d.u32()?)),
-                0 => None,
-                _ => return None,
-            });
-        }
-        let nv = d.u32()?;
-        let mut vers = Vec::with_capacity(nv as usize);
-        for _ in 0..nv {
-            vers.push(d.u64()?);
-        }
+        let pages = d.seq(|d| match d.u8()? {
+            1 => Some(Some(PhysPage(d.u32()?))),
+            0 => Some(None),
+            _ => None,
+        })?;
+        let vers = d.seq(Dec::u64)?;
         Some(Inode {
             fid,
             len,
@@ -187,6 +179,18 @@ mod tests {
         ino.pages = vec![Some(PhysPage(4)), None, Some(PhysPage(6))];
         let got = Inode::decode(&ino.encode()).unwrap();
         assert_eq!(got, ino);
+    }
+
+    #[test]
+    fn decode_refuses_counts_the_block_cannot_hold() {
+        // fid (8) + len (8), then the page count and the version count.
+        let empty = Inode::new(fid()).encode();
+        assert_eq!(empty.len(), 24);
+        for count_at in [16, 20] {
+            let mut bad = empty.clone();
+            bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(Inode::decode(&bad).is_none());
+        }
     }
 
     #[test]

@@ -722,9 +722,8 @@ pub fn fig3_lock_list(model: CostModel) -> String {
     t.render()
 }
 
-/// End-to-end throughput measurement used by the Criterion benches and the
-/// summary table: commits `n` simple transactions and reports modeled time
-/// per transaction.
+/// End-to-end throughput measurement behind `locus-repro e2e_throughput`:
+/// commits `n` simple transactions and reports modeled time per transaction.
 pub fn txn_throughput(model: CostModel, n: usize, remote: bool) -> SimDuration {
     let c = Cluster::with_model(2, model);
     let storage = 0usize;

@@ -1,154 +1,10 @@
-//! Schema-versioned JSON reports and Figure-6-style decomposition tables.
-//!
-//! Both report binaries (`bench_scaling` and the experiment `summary`) emit
-//! the same envelope so CI artifact diffs stop churning on formatting:
-//!
-//! ```json
-//! {
-//!   "schema": 1,
-//!   "report": "scaling",
-//!   "mode": "full",
-//!   "phases": [ { ... one object per line ... } ],
-//!   "decomposition": [ { "clock": "virtual", "phase": "commit", ... } ]
-//! }
-//! ```
-//!
-//! `phases` carries the report-specific measurements; `decomposition` always
-//! has one shape — one row per (clock bank, span phase) with the span count,
-//! bucket-floor p50/p99, and the paper's cost axes (instructions, disk wait,
-//! network) plus lock wait. Phase objects are rendered one per line on
-//! purpose: the CI gate parses them back with a line-based scanner, no JSON
-//! library needed.
+//! The Figure-6-style latency decomposition table: one row per (clock bank,
+//! span phase) with the span count, bucket-floor p50/p99, and the paper's
+//! cost axes (instructions, disk wait, network) plus lock wait.
 
-use locus_sim::{PhaseSpanSnapshot, SpanPhase, SpanRegistrySnapshot};
+use locus_sim::{SpanPhase, SpanRegistrySnapshot};
 
 use crate::table::Table;
-
-/// Version of the report envelope. Bump when a field changes meaning or
-/// moves; adding fields is backward compatible for the line-based parser.
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// Builder for a one-line JSON object with deterministic field order.
-#[derive(Debug, Default, Clone)]
-pub struct JsonObj {
-    fields: Vec<String>,
-}
-
-impl JsonObj {
-    pub fn new() -> Self {
-        JsonObj::default()
-    }
-
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        // Report strings are identifiers (phase names, modes); escape the
-        // two characters that could break the quoting anyway.
-        let escaped = value.replace('\\', "\\\\").replace('"', "\\\"");
-        self.fields.push(format!("\"{key}\": \"{escaped}\""));
-        self
-    }
-
-    pub fn int(mut self, key: &str, value: u64) -> Self {
-        self.fields.push(format!("\"{key}\": {value}"));
-        self
-    }
-
-    pub fn num(mut self, key: &str, value: f64, decimals: usize) -> Self {
-        self.fields.push(format!(
-            "\"{key}\": {value:.decimals$}",
-            decimals = decimals
-        ));
-        self
-    }
-
-    /// Renders as a single line: `{ "a": 1, "b": "x" }`.
-    pub fn render(&self) -> String {
-        format!("{{ {} }}", self.fields.join(", "))
-    }
-}
-
-/// The shared schema-versioned report envelope.
-pub struct Report {
-    kind: &'static str,
-    mode: String,
-    phases: Vec<JsonObj>,
-    decomposition: Vec<JsonObj>,
-}
-
-impl Report {
-    /// A new report of the given kind (`"scaling"`, `"summary"`) and mode
-    /// (`"quick"`, `"full"`, `"paper-model"`).
-    pub fn new(kind: &'static str, mode: &str) -> Self {
-        Report {
-            kind,
-            mode: mode.to_string(),
-            phases: Vec::new(),
-            decomposition: Vec::new(),
-        }
-    }
-
-    /// Appends one report-specific measurement object.
-    pub fn phase(&mut self, obj: JsonObj) {
-        self.phases.push(obj);
-    }
-
-    /// Sets the latency decomposition from a span-registry snapshot.
-    pub fn decomposition(&mut self, snap: &SpanRegistrySnapshot) {
-        self.decomposition = decomposition_rows(snap);
-    }
-
-    /// Renders the full envelope.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"report\": \"{}\",\n", self.kind));
-        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        let list = |name: &str, objs: &[JsonObj], last: bool| -> String {
-            let mut s = format!("  \"{name}\": [\n");
-            for (i, o) in objs.iter().enumerate() {
-                let comma = if i + 1 < objs.len() { "," } else { "" };
-                s.push_str(&format!("    {}{comma}\n", o.render()));
-            }
-            s.push_str(if last { "  ]\n" } else { "  ],\n" });
-            s
-        };
-        out.push_str(&list("phases", &self.phases, false));
-        out.push_str(&list("decomposition", &self.decomposition, true));
-        out.push_str("}\n");
-        out
-    }
-}
-
-fn decomp_row(clock: &str, phase: SpanPhase, p: &PhaseSpanSnapshot) -> JsonObj {
-    let ms = |ns: u64| ns as f64 / 1e6;
-    JsonObj::new()
-        .str("clock", clock)
-        .str("phase", phase.name())
-        .int("count", p.count)
-        .num("p50_us", p.latency.quantile_ns(0.50) as f64 / 1e3, 2)
-        .num("p99_us", p.latency.quantile_ns(0.99) as f64 / 1e3, 2)
-        .num("mean_us", p.latency.mean_ns() as f64 / 1e3, 2)
-        .num("instr_ms", ms(p.instr_ns), 3)
-        .num("disk_ms", ms(p.disk_ns), 3)
-        .num("net_ms", ms(p.net_ns), 3)
-        .num("lock_wait_ms", ms(p.lock_wait_ns), 3)
-        .num("total_ms", ms(p.total_ns), 3)
-}
-
-/// Decomposition rows for every non-empty (clock, phase) pair, in a fixed
-/// order: virtual bank then wall bank, phases in [`SpanPhase::ALL`] order.
-pub fn decomposition_rows(snap: &SpanRegistrySnapshot) -> Vec<JsonObj> {
-    let mut rows = Vec::new();
-    for (clock, bank) in [("virtual", &snap.virt), ("wall", &snap.wall)] {
-        for phase in SpanPhase::ALL {
-            let p = &bank[phase.index()];
-            if p.count > 0 {
-                rows.push(decomp_row(clock, phase, p));
-            }
-        }
-    }
-    rows
-}
 
 /// Renders the Figure-6-style per-phase decomposition table: where each
 /// phase's time went, split into the paper's cost axes.
@@ -203,50 +59,13 @@ mod tests {
     }
 
     #[test]
-    fn envelope_has_schema_and_sections() {
-        let mut r = Report::new("scaling", "quick");
-        r.phase(JsonObj::new().str("phase", "lock").int("threads", 4));
-        r.decomposition(&sample_snapshot());
-        let s = r.render();
-        assert!(s.contains("\"schema\": 1"));
-        assert!(s.contains("\"report\": \"scaling\""));
-        assert!(s.contains("\"mode\": \"quick\""));
-        assert!(s.contains("\"phases\": ["));
-        assert!(s.contains("\"decomposition\": ["));
-        assert!(s.contains("\"clock\": \"wall\""));
-        assert!(s.contains("\"phase\": \"commit\""));
-        // One object per line: every phase/decomposition line is standalone.
-        assert!(s
-            .lines()
-            .filter(|l| l.trim_start().starts_with('{') && l.contains("\"phase\""))
-            .all(|l| l.trim_end().trim_end_matches(',').ends_with('}')));
-    }
-
-    #[test]
-    fn decomposition_rows_skip_empty_phases() {
-        let rows = decomposition_rows(&sample_snapshot());
-        assert_eq!(rows.len(), 2); // wall commit + wall lock_acquire
-        let all = rows.iter().map(|r| r.render()).collect::<String>();
-        assert!(all.contains("\"lock_wait_ms\": 0.500"));
-        assert!(!all.contains("\"clock\": \"virtual\""));
-    }
-
-    #[test]
     fn table_lists_nonempty_rows() {
         let s = decomposition_table("Decomposition", &sample_snapshot());
         assert!(s.contains("commit"));
         assert!(s.contains("lock_acquire"));
         assert!(s.contains("total ms"));
+        assert!(s.contains("0.500"), "the commit row carries its lock wait");
         assert!(!s.contains("rpc_send"));
-    }
-
-    #[test]
-    fn render_is_deterministic() {
-        let snap = sample_snapshot();
-        let mut a = Report::new("summary", "paper-model");
-        a.decomposition(&snap);
-        let mut b = Report::new("summary", "paper-model");
-        b.decomposition(&snap);
-        assert_eq!(a.render(), b.render());
+        assert!(!s.contains("virtual"));
     }
 }

@@ -1,27 +1,24 @@
 //! Determinism of the latency-decomposition reports: the canonical
 //! decomposition workload and the seed-1 chaos run must render byte-identical
-//! schema-versioned JSON run-to-run. The span layer feeds CI trend artifacts;
-//! if two identical runs ever disagree, every trend comparison is noise.
+//! tables run-to-run. The table is a committed artifact (EXPERIMENTS.md); if
+//! two identical runs ever disagree, every comparison against it is noise.
 
 use locus_harness::chaos::{run_seed, ChaosConfig};
 use locus_harness::experiments::decomposition_workload;
-use locus_harness::report::{decomposition_rows, Report};
-use locus_sim::{CostModel, SpanPhase, SpanRegistrySnapshot};
-
-fn render(kind: &'static str, snap: &SpanRegistrySnapshot) -> String {
-    let mut r = Report::new(kind, "pinned");
-    r.decomposition(snap);
-    r.render()
-}
+use locus_harness::report::decomposition_table;
+use locus_sim::{CostModel, SpanPhase};
 
 /// The canonical workload behind the Figure-6 table is fully deterministic:
-/// two runs produce byte-identical decomposition JSON.
+/// two runs produce a byte-identical decomposition table.
 #[test]
 fn decomposition_workload_json_is_reproducible() {
     let a = decomposition_workload(CostModel::default());
     let b = decomposition_workload(CostModel::default());
     assert_eq!(a, b, "span snapshots diverged between identical runs");
-    assert_eq!(render("summary", &a), render("summary", &b));
+    assert_eq!(
+        decomposition_table("pinned", &a),
+        decomposition_table("pinned", &b)
+    );
 }
 
 /// The canonical workload exercises every span phase the deterministic
@@ -42,7 +39,7 @@ fn decomposition_workload_covers_all_virtual_phases() {
 }
 
 /// Seed-1 chaos decomposition is as deterministic as its event trace: the
-/// same seed yields the same spans, hence the same JSON rows, run-to-run.
+/// same seed yields the same spans, hence the same table rows, run-to-run.
 #[test]
 fn seed_1_chaos_decomposition_is_reproducible() {
     let a = run_seed(&ChaosConfig::with_seed(1));
@@ -52,15 +49,10 @@ fn seed_1_chaos_decomposition_is_reproducible() {
         a.spans, b.spans,
         "seed-1 span decomposition diverged between identical runs"
     );
-    let rows_a: Vec<String> = decomposition_rows(&a.spans)
-        .iter()
-        .map(|r| r.render())
-        .collect();
-    let rows_b: Vec<String> = decomposition_rows(&b.spans)
-        .iter()
-        .map(|r| r.render())
-        .collect();
-    assert_eq!(rows_a, rows_b);
+    assert_eq!(
+        decomposition_table("seed 1", &a.spans),
+        decomposition_table("seed 1", &b.spans)
+    );
     // The chaos workload commits transactions, so the commit pipeline's
     // spans must be present.
     assert!(a.spans.virt_phase(SpanPhase::Commit).count > 0);

@@ -12,8 +12,6 @@
 //! Payload structures live in `locus-types` so both the kernel and
 //! transaction crates can build and consume them.
 
-use serde::{Deserialize, Serialize};
-
 use locus_types::{
     ByteRange, Error, Fid, FileListEntry, IntentionsList, LockClass, LockRequestMode, Owner,
     PageData, PageNo, Pid, Service, SiteId, TransId, TxnStatus,
@@ -22,7 +20,7 @@ use locus_types::{
 /// Filesystem data plane: remote open/read/write and the single-file
 /// commit/abort mechanism (the non-transaction path: base Locus commits
 /// files atomically as its default operating mode, Section 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FileMsg {
     /// Register an open of `fid` by `pid` at the storage site.
     OpenReq { fid: Fid, pid: Pid, write: bool },
@@ -72,7 +70,7 @@ pub enum FileMsg {
 
 /// Record locking: `Lock(file, length, mode)` forwarding (Section 5.1),
 /// grant pushes, and the lock-control lease migration of Section 5.2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LockMsg {
     /// Lock request forwarded to the storage site. `append` requests the
     /// atomic extend-and-lock of Section 3.2; `wait` selects queueing over a
@@ -111,7 +109,7 @@ pub enum LockMsg {
 
 /// Process machinery: migration, file-list merging toward the top-level
 /// process (Section 4.1), and transaction-member tracking (Section 4.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProcMsg {
     /// Carry a migrating process to its new site (opaque to the transport;
     /// the kernel serializes its process record).
@@ -138,7 +136,7 @@ pub enum ProcMsg {
 
 /// Two-phase commit control plane (Section 4.2) plus the cascading-abort and
 /// recovery inquiries of Sections 4.3/4.4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TxnMsg {
     /// Coordinator → participant: prepare these files of `tid`. `epoch` is
     /// the participant's boot epoch as first observed by the transaction; a
@@ -173,7 +171,7 @@ pub enum TxnMsg {
 /// *epoch*: a counter bumped on each primary promotion, so pushes and pulls
 /// from a deposed primary (or to a site that missed a promotion) are refused
 /// instead of silently diverging the copies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReplicaMsg {
     /// Primary → replica: install the committed image of the file's changed
     /// pages.
@@ -214,7 +212,7 @@ pub enum ReplicaMsg {
 
 /// A kernel-to-kernel message: one service's request/response/notification,
 /// a batch of them, or a generic acknowledgement/error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     File(FileMsg),
     Lock(LockMsg),
@@ -390,30 +388,15 @@ pub fn encode_intentions(lists: &[IntentionsList]) -> Vec<u8> {
 
 /// Decodes the payload produced by [`encode_intentions`].
 pub fn decode_intentions(bytes: &[u8]) -> Option<Vec<IntentionsList>> {
+    use locus_types::codec::Dec;
     use locus_types::{Fid, IntentionsEntry, PhysPage, VolumeId};
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> Option<&[u8]> {
-        let s = bytes.get(pos..pos + n)?;
-        pos += n;
-        Some(s)
-    };
-    let count = u32::from_le_bytes(take(4)?.try_into().ok()?);
-    let mut lists = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let vol = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        let ino = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        let new_len = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        let n = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        let mut list = IntentionsList::new(Fid::new(VolumeId(vol), ino), new_len);
-        for _ in 0..n {
-            let page = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            let phys = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            list.entries
-                .push(IntentionsEntry::whole(PageNo(page), PhysPage(phys)));
-        }
-        lists.push(list);
-    }
-    Some(lists)
+    Dec::new(bytes).seq(|d| {
+        let fid = Fid::new(VolumeId(d.u32()?), d.u32()?);
+        let mut list = IntentionsList::new(fid, d.u64()?);
+        list.entries =
+            d.seq(|d| Some(IntentionsEntry::whole(PageNo(d.u32()?), PhysPage(d.u32()?))))?;
+        Some(list)
+    })
 }
 
 #[cfg(test)]
@@ -507,5 +490,12 @@ mod tests {
             .push(IntentionsEntry::whole(PageNo(0), PhysPage(40)));
         let bytes = encode_intentions(&[a]);
         assert!(decode_intentions(&bytes[..bytes.len() - 1]).is_none());
+        // A list count, or an entry count (after volume, inode and length),
+        // that the payload cannot hold: refused, not reserved for.
+        for count_at in [0, 20] {
+            let mut bad = bytes.clone();
+            bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_intentions(&bad).is_none());
+        }
     }
 }

@@ -130,12 +130,7 @@ fn enc_fids(e: &mut Enc, files: &[Fid]) {
 }
 
 fn dec_fids(d: &mut Dec<'_>) -> Option<Vec<Fid>> {
-    let n = d.u32()?;
-    let mut files = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        files.push(dec_fid(d)?);
-    }
-    Some(files)
+    d.seq(dec_fid)
 }
 
 fn enc_file(e: &mut Enc, m: &FileMsg) {
@@ -239,11 +234,7 @@ fn dec_file(d: &mut Dec<'_>) -> Option<FileMsg> {
             // the deserialization boundary — the frame buffer is transient.
             let data = d.bytes()?.to_vec();
             let committed_len = d.u64()?;
-            let n = d.u32()?;
-            let mut vers = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                vers.push(d.u64()?);
-            }
+            let vers = d.seq(Dec::u64)?;
             FileMsg::ReadResp {
                 data,
                 committed_len,
@@ -433,15 +424,13 @@ fn dec_proc(d: &mut Dec<'_>) -> Option<ProcMsg> {
             let tid = dec_tid(d)?;
             let top = Pid(d.u64()?);
             let from = Pid(d.u64()?);
-            let n = d.u32()?;
-            let mut entries = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                entries.push(FileListEntry {
+            let entries = d.seq(|d| {
+                Some(FileListEntry {
                     fid: dec_fid(d)?,
                     storage_site: SiteId(d.u32()?),
                     epoch: d.u64()?,
-                });
-            }
+                })
+            })?;
             ProcMsg::FileListMerge {
                 tid,
                 top,
@@ -553,14 +542,11 @@ fn enc_vers_pages(e: &mut Enc, pages: &[(PageNo, u64, locus_types::PageData)]) {
 }
 
 fn dec_vers_pages(d: &mut Dec<'_>) -> Option<Vec<(PageNo, u64, locus_types::PageData)>> {
-    let n = d.u32()?;
-    let mut pages = Vec::with_capacity(n as usize);
-    for _ in 0..n {
+    d.seq(|d| {
         let p = PageNo(d.u32()?);
         let v = d.u64()?;
-        pages.push((p, v, locus_types::PageData::from(d.bytes()?)));
-    }
-    Some(pages)
+        Some((p, v, locus_types::PageData::from(d.bytes()?)))
+    })
 }
 
 fn enc_replica(e: &mut Enc, m: &ReplicaMsg) {
@@ -630,11 +616,7 @@ fn dec_replica(d: &mut Dec<'_>) -> Option<ReplicaMsg> {
             let fid = dec_fid(d)?;
             let epoch = d.u64()?;
             let start = PageNo(d.u32()?);
-            let n = d.u32()?;
-            let mut have = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                have.push(d.u64()?);
-            }
+            let have = d.seq(Dec::u64)?;
             let tail = match d.u8()? {
                 0 => false,
                 1 => true,
@@ -832,12 +814,7 @@ fn dec_msg(d: &mut Dec<'_>, allow_batch: bool) -> Option<Msg> {
             if !allow_batch {
                 return None;
             }
-            let n = d.u32()?;
-            let mut msgs = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                msgs.push(dec_msg(d, false)?);
-            }
-            Msg::Batch(msgs)
+            Msg::Batch(d.seq(|d| dec_msg(d, false))?)
         }
         TAG_OK => Msg::Ok,
         TAG_ERR => Msg::Err(dec_err(d)?),

@@ -1,7 +1,8 @@
 //! Wire-codec property tests: arbitrary messages from every service enum —
 //! and arbitrary `Msg::Batch` groupings of them — must round-trip through
 //! `encode`/`decode` bit-exactly, and the advertised `wire_len` must match
-//! the encoding.
+//! the encoding. Bytes that are not an encoding decode to `None`: they never
+//! panic and never make the decoder reserve more than the frame could hold.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -357,5 +358,41 @@ proptest! {
         let separate: usize = members.iter().map(wire_len).sum();
         let batched = wire_len(&Msg::Batch(members));
         prop_assert!(batched <= separate + 5);
+    }
+}
+
+/// A vector's count comes off the wire; one the frame cannot hold is refused
+/// before anything is reserved for it. (Trusted, this exact 20-odd-byte
+/// frame asks the allocator for 32 GiB and aborts the process.)
+#[test]
+fn hostile_vector_count_is_refused() {
+    let mut frame = encode_msg(&Msg::File(FileMsg::ReadResp {
+        data: vec![],
+        committed_len: 0,
+        vers: vec![],
+    }));
+    let count_at = frame.len() - 4;
+    frame[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(decode_msg(&frame), None);
+}
+
+proptest! {
+    /// Bytes nobody vouches for — pure noise, and a valid encoding with a
+    /// four-byte window (the width of a count or a length) overwritten —
+    /// decode to `None` or `Some`, nothing else.
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        noise in vec(any::<u8>(), 0..256),
+        msg in any_msg(),
+        at in any::<u64>(),
+        window in prop_oneof![any::<u32>(), 0u32..64],
+    ) {
+        let _ = decode_msg(&noise);
+        let mut frame = encode_msg(&msg);
+        if frame.len() >= 4 {
+            let at = at as usize % (frame.len() - 3);
+            frame[at..at + 4].copy_from_slice(&window.to_le_bytes());
+        }
+        let _ = decode_msg(&frame);
     }
 }

@@ -9,8 +9,8 @@
 //! executed, network round trips, and disk I/Os. We reproduce those tables by
 //! *charging* every simulated operation against a [`CostModel`] calibrated to
 //! the paper's constants and accumulating virtual time on a per-activity
-//! [`Account`]. This makes the experiment binaries exact and deterministic,
-//! while Criterion benches separately measure the real CPU cost of our
+//! [`Account`]. This makes the reproduced tables exact and deterministic,
+//! while `benchmark/` separately measures the real CPU cost of our
 //! implementation.
 
 pub mod account;

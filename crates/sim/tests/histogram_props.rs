@@ -1,8 +1,8 @@
 //! Property tests for the log-linear latency histogram: merging shards is
 //! associative, commutative, and byte-deterministic, so per-site (or
 //! per-phase-run) histograms can be folded together in any order without
-//! moving a single bucket — the invariant the whole-run decomposition in
-//! `bench_scaling` relies on.
+//! moving a single bucket — the invariant any whole-run decomposition
+//! assembled from per-site registries relies on.
 
 use proptest::prelude::*;
 

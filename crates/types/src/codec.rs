@@ -1,7 +1,7 @@
 //! Minimal byte codec for the few structures that must become real bytes:
 //! migrating process records, on-disk inodes, and transaction log records.
-//! (No serialization *format* crate is in the approved dependency list —
-//! `serde` alone provides traits, not encoders — so these are hand-rolled.)
+//! (No serialization crate is in the approved dependency list, so these are
+//! hand-rolled.)
 
 /// Append-only byte writer.
 #[derive(Debug, Default)]
@@ -89,6 +89,23 @@ impl<'a> Dec<'a> {
         self.take(n)
     }
 
+    /// A `u32` count followed by that many elements, each read by `elem`.
+    /// The count comes from bytes nobody vouches for (a frame, a journal
+    /// tail, a disk block) and every element is at least one byte, so a
+    /// count above the bytes remaining is `None` before anything is
+    /// reserved; honest input still allocates exactly once.
+    pub fn seq<T>(&mut self, mut elem: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.u32()? as usize;
+        if n > self.buf.len() - self.pos {
+            return None;
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(elem(self)?);
+        }
+        Some(out)
+    }
+
     /// Whether the input is fully consumed.
     pub fn done(&self) -> bool {
         self.pos == self.buf.len()
@@ -117,6 +134,21 @@ mod tests {
         assert_eq!(d.opt_u64(), Some(Some(42)));
         assert_eq!(d.bytes(), Some(&b"hello"[..]));
         assert!(d.done());
+    }
+
+    #[test]
+    fn seq_reads_counted_elements_and_refuses_a_count_the_input_cannot_hold() {
+        let mut e = Enc::new();
+        e.u32(3);
+        for v in [10u64, 20, 30] {
+            e.u64(v);
+        }
+        let mut bytes = e.finish();
+        assert_eq!(Dec::new(&bytes).seq(Dec::u64), Some(vec![10, 20, 30]));
+        assert_eq!(Dec::new(&bytes[..20]).seq(Dec::u64), None, "truncated");
+        bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Dec::new(&bytes).seq(Dec::u64), None, "hostile count");
+        assert_eq!(Dec::new(&0u32.to_le_bytes()).seq(Dec::u64), Some(vec![]));
     }
 
     #[test]

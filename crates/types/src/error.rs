@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::{Fid, Pid, SiteId, TransId};
 use crate::range::ByteRange;
 
@@ -15,7 +13,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// modes" than the single-machine case (Section 1); this enum is the catalog
 /// of them. Variants that cross the wire (lock conflicts, in-transit
 /// processes, site failures) are serializable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// A lock request conflicts with an existing lock and the caller asked
     /// for a non-blocking attempt ("the requestor will receive an indication

@@ -6,10 +6,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A network node ("site" in Locus terminology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u32);
 
 impl fmt::Display for SiteId {
@@ -23,7 +21,7 @@ impl fmt::Display for SiteId {
 /// The originating site's number is kept in the high 32 bits so that a pid
 /// allocated at one site can never collide with one allocated elsewhere, even
 /// after the process migrates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub u64);
 
 impl Pid {
@@ -57,7 +55,7 @@ impl fmt::Display for Pid {
 /// sequence is journalled to the site's volume). Temporal uniqueness is what
 /// makes duplicate commit/abort messages harmless during recovery
 /// (Section 4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TransId {
     /// Site at which `BeginTrans` was issued.
     pub site: SiteId,
@@ -81,7 +79,7 @@ impl fmt::Display for TransId {
 ///
 /// The paper keeps one transaction log per logical volume so that removable
 /// media stay self-describing (Section 4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VolumeId(pub u32);
 
 impl fmt::Display for VolumeId {
@@ -91,11 +89,11 @@ impl fmt::Display for VolumeId {
 }
 
 /// Index of an inode within a volume's inode table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InodeNo(pub u32);
 
 /// A globally unique file identifier: volume plus inode number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fid {
     pub volume: VolumeId,
     pub inode: InodeNo,
@@ -117,7 +115,7 @@ impl fmt::Display for Fid {
 }
 
 /// A logical page number within a file (byte offset / page size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageNo(pub u32);
 
 impl fmt::Display for PageNo {
@@ -127,7 +125,7 @@ impl fmt::Display for PageNo {
 }
 
 /// A physical block number on a volume's block device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysPage(pub u32);
 
 impl fmt::Display for PhysPage {
@@ -139,7 +137,7 @@ impl fmt::Display for PhysPage {
 /// An open-file channel number, as returned by `open` (the paper's record
 /// locking interface identifies files by "the channel number returned by the
 /// open call", Section 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Channel(pub u32);
 
 impl fmt::Display for Channel {

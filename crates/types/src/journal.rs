@@ -9,8 +9,6 @@
 //! reconstructed by a single scan with last-writer-wins replay on
 //! [`JournalKey`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Dec, Enc};
 use crate::id::{Fid, InodeNo, SiteId, TransId, VolumeId};
 use crate::logrec::{CoordLogRecord, PrepareLogRecord};
@@ -18,7 +16,7 @@ use crate::proto::TxnStatus;
 
 /// Identity of one logical log record — what the old string keys spelled as
 /// `coordlog/{site}.{seq}` and `preplog/{site}.{seq}/{vol}.{ino}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum JournalKey {
     /// Coordinator log record for a transaction.
     Coord(TransId),
@@ -28,7 +26,7 @@ pub enum JournalKey {
 }
 
 /// One typed journal mutation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalOp {
     /// Full coordinator log record (written once, at `begin commit`).
     CoordPut(CoordLogRecord),
@@ -55,7 +53,7 @@ impl JournalOp {
 
 /// One appended journal frame: a sequence number (strictly increasing per
 /// volume) plus the typed operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     pub seq: u64,
     pub op: JournalOp,

@@ -1,7 +1,7 @@
 //! Common identifiers, byte ranges, lock modes, errors, and wire-visible
 //! structures shared by every Locus subsystem.
 //!
-//! This crate is dependency-light (only `serde`) so that every other crate in
+//! This crate has no dependencies so that every other crate in
 //! the workspace — the simulated disk, the filesystem, the lock manager, the
 //! kernel, and the transaction facility — can share one vocabulary without
 //! import cycles.

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The mode in which a range of bytes is held.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Implicit, conventional Unix access with no lock held. Unix processes
     /// that have not issued lock requests fall in this row/column of
@@ -79,7 +77,7 @@ impl fmt::Display for LockMode {
 }
 
 /// What data access survives a pairing of holders (the *cells* of Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Figure 1 cell "r/w".
     ReadWrite,
@@ -101,7 +99,7 @@ impl fmt::Display for AccessKind {
 }
 
 /// Which locking discipline governs a lock (Section 3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockClass {
     /// Acquired by a process inside a transaction: two-phase locking is
     /// enforced, the lock is retained until commit or abort.
@@ -114,7 +112,7 @@ pub enum LockClass {
 
 /// A lock *request* as issued through the `Lock(file, length, mode)` system
 /// call (Section 3.2): shared, exclusive, or unlock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockRequestMode {
     Shared,
     Exclusive,

@@ -10,8 +10,6 @@
 //! * The third level — the per-file shadow pages — are ordinary data blocks
 //!   named by the intentions lists.
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{Dec, Enc};
 use crate::id::{Fid, InodeNo, PageNo, PhysPage, Pid, SiteId, TransId, VolumeId};
 use crate::lockmode::{LockClass, LockMode};
@@ -19,7 +17,7 @@ use crate::proto::{FileListEntry, IntentionsEntry, IntentionsList, LockDescripto
 use crate::range::ByteRange;
 
 /// Coordinator log record (one per transaction, Section 4.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordLogRecord {
     pub tid: TransId,
     /// Every file containing records used by the transaction, with its
@@ -50,18 +48,16 @@ impl CoordLogRecord {
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut d = Dec::new(bytes);
         let tid = dec_tid(&mut d)?;
-        let n = d.u32()?;
-        let mut files = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            files.push(FileListEntry {
+        let files = d.seq(|d| {
+            Some(FileListEntry {
                 fid: Fid {
                     volume: VolumeId(d.u32()?),
                     inode: InodeNo(d.u32()?),
                 },
                 storage_site: SiteId(d.u32()?),
                 epoch: d.u64()?,
-            });
-        }
+            })
+        })?;
         let status = match d.u8()? {
             0 => TxnStatus::Unknown,
             1 => TxnStatus::Committed,
@@ -74,7 +70,7 @@ impl CoordLogRecord {
 
 /// Prepare log record (one per file per transaction at the participant,
 /// matching footnote 10's "one prepare log per file per transaction").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrepareLogRecord {
     pub tid: TransId,
     pub coordinator: SiteId,
@@ -146,8 +142,7 @@ impl PrepareLogRecord {
         };
         let new_len = d.u64()?;
         let mut intentions = IntentionsList::new(fid, new_len);
-        let n = d.u32()?;
-        for _ in 0..n {
+        intentions.entries = d.seq(|d| {
             let page = PageNo(d.u32()?);
             let new_phys = PhysPage(d.u32()?);
             let old_phys = match d.u8()? {
@@ -156,25 +151,19 @@ impl PrepareLogRecord {
                 _ => return None,
             };
             let old_vers = d.u64()?;
-            let nr = d.u32()?;
-            let mut ranges = Vec::with_capacity(nr as usize);
-            for _ in 0..nr {
-                ranges.push(ByteRange::new(d.u64()?, d.u64()?));
-            }
-            intentions.entries.push(IntentionsEntry {
+            let ranges = d.seq(|d| Some(ByteRange::new(d.u64()?, d.u64()?)))?;
+            Some(IntentionsEntry {
                 page,
                 new_phys,
                 old_phys,
                 old_vers,
                 ranges,
-            });
-        }
-        let nl = d.u32()?;
-        let mut locks = Vec::with_capacity(nl as usize);
-        for _ in 0..nl {
+            })
+        })?;
+        let locks = d.seq(|d| {
             let pid = Pid(d.u64()?);
             let ltid = match d.u8()? {
-                1 => Some(dec_tid(&mut d)?),
+                1 => Some(dec_tid(d)?),
                 0 => None,
                 _ => return None,
             };
@@ -191,15 +180,15 @@ impl PrepareLogRecord {
             };
             let range = ByteRange::new(d.u64()?, d.u64()?);
             let retained = d.u8()? != 0;
-            locks.push(LockDescriptor {
+            Some(LockDescriptor {
                 pid,
                 tid: ltid,
                 mode,
                 class,
                 range,
                 retained,
-            });
-        }
+            })
+        })?;
         Some(PrepareLogRecord {
             tid,
             coordinator,
@@ -257,6 +246,13 @@ mod tests {
         assert!(CoordLogRecord::decode(&bytes[..bytes.len() - 1]).is_none());
         let mut bad = bytes.clone();
         *bad.last_mut().unwrap() = 9; // Invalid status tag.
+        assert!(CoordLogRecord::decode(&bad).is_none());
+        // A file count the record cannot hold: refused, not reserved for.
+        let mut empty = coord();
+        empty.files.clear();
+        let mut bad = empty.encode();
+        let count_at = bad.len() - 5; // count, then the status byte
+        bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(CoordLogRecord::decode(&bad).is_none());
     }
 

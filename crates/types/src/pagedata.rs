@@ -3,15 +3,12 @@
 //! [`PageData`] wraps page bytes in an `Arc<[u8]>` so a payload produced
 //! once (a committed page image, a prefetched page) can be handed to the
 //! page cache, the replica fan-out, and the transport without copying the
-//! bytes again — cloning a `PageData` bumps a refcount. The serde impls
-//! are written by hand (the workspace `serde` is marker traits only); on
-//! the wire these are plain length-prefixed bytes.
+//! bytes again — cloning a `PageData` bumps a refcount. On the wire these
+//! are plain length-prefixed bytes.
 
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 
 /// An immutable, reference-counted page payload.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -66,10 +63,6 @@ impl fmt::Debug for PageData {
         write!(f, "PageData({} bytes)", self.0.len())
     }
 }
-
-impl Serialize for PageData {}
-
-impl<'de> Deserialize<'de> for PageData {}
 
 #[cfg(test)]
 mod tests {

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::{Fid, PageNo, PhysPage, Pid, SiteId, TransId};
 use crate::lockmode::{LockClass, LockMode};
 use crate::range::ByteRange;
@@ -16,7 +14,7 @@ use crate::range::ByteRange;
 /// Who owns an uncommitted modification or a lock: a transaction (all of its
 /// member processes act as one owner for synchronization, Section 3.1) or a
 /// single non-transaction process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Owner {
     Trans(TransId),
     Proc(Pid),
@@ -57,7 +55,7 @@ impl fmt::Display for Owner {
 /// number alone: freed blocks are recycled, so a long-pending prepare (an
 /// in-doubt transaction across a coordinator crash) can find the inode
 /// pointing at a *reallocated* block with its old number.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntentionsEntry {
     pub page: PageNo,
     pub new_phys: PhysPage,
@@ -90,7 +88,7 @@ impl IntentionsEntry {
 /// An intentions list for a single file (Section 4): "The list consists of a
 /// set of page pointers for the file". Committing the list atomically
 /// overwrites the inode with the new pointers and frees the old pages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntentionsList {
     pub fid: Fid,
     pub entries: Vec<IntentionsEntry>,
@@ -122,7 +120,7 @@ impl IntentionsList {
 /// (Figure 3): holder process, transaction membership, mode, class, byte
 /// range, and whether the lock is *retained* (unlocked by the holder but kept
 /// until transaction outcome, Section 3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockDescriptor {
     /// Process that most recently held/touched the lock.
     pub pid: Pid,
@@ -148,7 +146,7 @@ impl LockDescriptor {
 /// One file used by a transaction, with its storage site — the unit of the
 /// per-process *file-list* that is merged up to the top-level process and
 /// drives two-phase commit (Section 4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileListEntry {
     pub fid: Fid,
     pub storage_site: SiteId,
@@ -163,7 +161,7 @@ pub struct FileListEntry {
 
 /// Status marker in the coordinator log (Section 4.2): initially `Unknown`,
 /// flipped to `Committed` at the commit point or `Aborted` on abort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TxnStatus {
     Unknown,
     Committed,

@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::PageNo;
 
 /// A half-open byte range `[start, start + len)` within a file.
@@ -14,7 +12,7 @@ use crate::id::PageNo;
 /// bytes in that file may be locked in several modes". Ranges also describe
 /// which bytes of a page each owner has modified, which drives the
 /// page-differencing commit (Section 5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ByteRange {
     pub start: u64,
     pub len: u64,

@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The subsystem a message belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Service {
     /// Filesystem data plane: open/close/read/write/prefetch, single-file
     /// commit and abort.

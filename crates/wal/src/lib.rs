@@ -1,29 +1,21 @@
-//! The baseline the paper argues against — and concedes ground to.
+//! The log side of the paper's Section 6 argument, and the log the
+//! shadow-page side itself keeps.
 //!
 //! Section 6 opens: "Logging mechanisms are generally viewed as superior to
 //! intentions list strategies ... However, some investigators have indicated
-//! that the methods are competitive." This crate supplies both sides of that
-//! sentence:
+//! that the methods are competitive."
 //!
-//! * [`store::WalStore`] — a working undo/redo **write-ahead log** record
-//!   commit mechanism (the ENCOMPASS/TABS-style alternative), exposing the
-//!   same prepare/commit/abort surface as the shadow-page
-//!   `locus_fs::Volume`, so the transaction layer genuinely "relies only on
-//!   the functionality of the record commit mechanism, and not on the
-//!   specific implementation" (Section 4).
-//! * [`model`] — the Weinstein '85 *operation-counting* analysis: closed-form
-//!   I/O counts per transaction for shadow paging vs. commit logging over
-//!   record size and placement, used by the `tbl_shadow_vs_log` experiment
-//!   binary to locate the crossovers.
-
+//! * [`model`] — the Weinstein '85 *operation-counting* analysis the paper
+//!   itself uses to weigh that sentence: closed-form I/O counts per
+//!   transaction for shadow paging vs. commit logging over record size and
+//!   placement, printed by `locus-repro tbl_shadow_vs_log` to locate the
+//!   crossovers.
 //! * [`journal::Journal`] — the shadow-page side's own log layer: the
 //!   per-volume append-only **commit journal** with group commit that backs
 //!   the coordinator and prepare logs of Section 4.2/4.4.
 
 pub mod journal;
 pub mod model;
-pub mod store;
 
 pub use journal::Journal;
 pub use model::{CommitCost, TxnProfile};
-pub use store::WalStore;

@@ -82,10 +82,6 @@ pub enum MutationKind {
     Write(PhysPage),
     /// An atomic stable-store overwrite (inode table, commit-point write).
     StablePut(String),
-    /// A stable log append or append-replace (transaction log records).
-    StableAppend(String),
-    /// A stable record deletion (log truncation/purge).
-    StableDelete(String),
     /// A frame appended to the journal region's volatile tail (the frame
     /// index in the combined durable+tail stream). Not a barrier: the frame
     /// reaches the platters only at the next [`MutationKind::JournalFlush`].
@@ -95,20 +91,6 @@ pub enum MutationKind {
     /// landed the `released` oldest frames of the log are free space (the
     /// flush carries the log's low-water mark). A write barrier.
     JournalFlush { frames: u64, released: u64 },
-}
-
-impl MutationKind {
-    /// The stable key this mutation touches, if it is a stable-store op.
-    pub fn stable_key(&self) -> Option<&str> {
-        match self {
-            MutationKind::Write(_)
-            | MutationKind::JournalAppend(_)
-            | MutationKind::JournalFlush { .. } => None,
-            MutationKind::StablePut(k)
-            | MutationKind::StableAppend(k)
-            | MutationKind::StableDelete(k) => Some(k),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -374,45 +356,6 @@ impl SimDisk {
         Ok(())
     }
 
-    /// Appends to a stable log record. Charged as a sequential I/O, plus an
-    /// extra inode-style write when the cost model's footnote-9 flag is set.
-    pub fn stable_append(&self, key: &str, value: &[u8], acct: &mut Account) -> Result<()> {
-        self.charge(acct, IoKind::SeqWrite);
-        if self.model.log_double_write {
-            // Footnote 9: the 1985 prototype also rewrote the log's inode.
-            self.charge(acct, IoKind::Write);
-        }
-        let mut inner = self.inner.lock();
-        inner.stable_gate(|| MutationKind::StableAppend(key.to_string()))?;
-        inner
-            .stable
-            .entry(key.to_string())
-            .or_default()
-            .extend_from_slice(value);
-        Ok(())
-    }
-
-    /// Writes or overwrites a stable record *charged as a log append*
-    /// (sequential I/O, plus the footnote-9 inode write when enabled). Used
-    /// for transaction log records, which are appended once and then
-    /// replaced in place on status updates.
-    pub fn stable_append_replace(
-        &self,
-        key: &str,
-        value: Vec<u8>,
-        acct: &mut Account,
-    ) -> Result<()> {
-        self.charge(acct, IoKind::SeqWrite);
-        if self.model.log_double_write {
-            // Footnote 9: the 1985 prototype also rewrote the log's inode.
-            self.charge(acct, IoKind::Write);
-        }
-        let mut inner = self.inner.lock();
-        inner.stable_gate(|| MutationKind::StableAppend(key.to_string()))?;
-        inner.stable.insert(key.to_string(), value);
-        Ok(())
-    }
-
     /// Reads a stable-store record (one random I/O), if present.
     pub fn stable_get(&self, key: &str, acct: &mut Account) -> Option<Vec<u8>> {
         self.charge(acct, IoKind::Read);
@@ -427,18 +370,6 @@ impl SimDisk {
     /// kept in kernel memory (e.g. the in-core inode of an open file).
     pub fn stable_peek(&self, key: &str) -> Option<Vec<u8>> {
         self.inner.lock().stable.get(key).cloned()
-    }
-
-    /// Deletes a stable record. No I/O is charged: log space is reclaimed
-    /// lazily (a real log truncates by advancing its tail pointer on the
-    /// next append), and the paper's Figure 5 accounting does not count log
-    /// purging either.
-    pub fn stable_delete(&self, key: &str, acct: &mut Account) -> Result<()> {
-        let _ = acct;
-        let mut inner = self.inner.lock();
-        inner.stable_gate(|| MutationKind::StableDelete(key.to_string()))?;
-        inner.stable.remove(key);
-        Ok(())
     }
 
     /// All stable keys with the given prefix, in order. No I/O is charged —
@@ -711,23 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn stable_append_respects_footnote9() {
-        // Corrected design: one sequential I/O per append.
-        let (d, mut a) = disk();
-        d.stable_append("log/1", b"rec", &mut a).unwrap();
-        assert_eq!(a.seq_ios, 1);
-        assert_eq!(a.disk_writes, 0);
-
-        // 1985 prototype: data page + inode write per append.
-        let model = Arc::new(CostModel::paper_1985());
-        let d2 = SimDisk::new(8, model, Arc::new(Counters::default()));
-        let mut a2 = Account::new(SiteId(1));
-        d2.stable_append("log/1", b"rec", &mut a2).unwrap();
-        assert_eq!(a2.seq_ios, 1);
-        assert_eq!(a2.disk_writes, 1);
-    }
-
-    #[test]
     fn stable_keys_filters_by_prefix() {
         let (d, mut a) = disk();
         d.stable_put("coord/1", vec![], &mut a).unwrap();
@@ -743,15 +657,18 @@ mod tests {
         let p = d.alloc(&mut a).unwrap();
         d.write(p, b"x", &mut a).unwrap();
         d.stable_put("inode/1", vec![1], &mut a).unwrap();
-        d.stable_append("log/1", b"r", &mut a).unwrap();
-        d.stable_delete("log/1", &mut a).unwrap();
+        d.journal_append(b"frame".to_vec(), &mut a).unwrap();
+        d.journal_flush(&mut a).unwrap();
         assert_eq!(
             d.take_mutation_log(),
             vec![
                 MutationKind::Write(p),
                 MutationKind::StablePut("inode/1".into()),
-                MutationKind::StableAppend("log/1".into()),
-                MutationKind::StableDelete("log/1".into()),
+                MutationKind::JournalAppend(0),
+                MutationKind::JournalFlush {
+                    frames: 1,
+                    released: 0
+                },
             ]
         );
         assert_eq!(d.mutation_count(), 4);

@@ -3,8 +3,8 @@
 //! committed by ... atomically overwriting the inode on disk with new data,
 //! freeing up the old data pages").
 
-use locus_types::codec::{Dec, Enc};
-use locus_types::{Fid, IntentionsList, PageNo, PhysPage};
+use locus_types::codec::{from_bytes, to_bytes};
+use locus_types::{wire, Fid, IntentionsList, PageNo, PhysPage};
 
 /// In-core/on-disk inode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,6 +20,8 @@ pub struct Inode {
     /// prepared shadow image went stale (see `IntentionsEntry::old_vers`).
     pub vers: Vec<u64>,
 }
+
+wire!(struct Inode { fid, len, pages, vers });
 
 impl Inode {
     pub fn new(fid: Fid) -> Self {
@@ -91,53 +93,18 @@ impl Inode {
 
     /// Serializes for the volume's stable store.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u32(self.fid.volume.0);
-        e.u32(self.fid.inode.0);
-        e.u64(self.len);
-        e.u32(self.pages.len() as u32);
-        for p in &self.pages {
-            match p {
-                Some(pp) => {
-                    e.u8(1);
-                    e.u32(pp.0);
-                }
-                None => e.u8(0),
-            }
-        }
-        e.u32(self.vers.len() as u32);
-        for v in &self.vers {
-            e.u64(*v);
-        }
-        e.finish()
+        to_bytes(self)
     }
 
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        use locus_types::{InodeNo, VolumeId};
-        let mut d = Dec::new(bytes);
-        let fid = Fid {
-            volume: VolumeId(d.u32()?),
-            inode: InodeNo(d.u32()?),
-        };
-        let len = d.u64()?;
-        let pages = d.seq(|d| match d.u8()? {
-            1 => Some(Some(PhysPage(d.u32()?))),
-            0 => Some(None),
-            _ => None,
-        })?;
-        let vers = d.seq(Dec::u64)?;
-        Some(Inode {
-            fid,
-            len,
-            pages,
-            vers,
-        })
+        from_bytes(bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locus_types::codec::assert_pinned;
     use locus_types::{IntentionsEntry, VolumeId};
 
     fn fid() -> Fid {
@@ -172,13 +139,38 @@ mod tests {
         assert_eq!(ino.pages.len(), 1);
     }
 
-    #[test]
-    fn encode_decode_roundtrip() {
+    /// Three pages, the middle one a hole.
+    fn holey() -> Inode {
         let mut ino = Inode::new(fid());
         ino.len = 5000;
         ino.pages = vec![Some(PhysPage(4)), None, Some(PhysPage(6))];
+        ino.vers = vec![2, 0, 1];
+        ino
+    }
+
+    #[test]
+    fn encode_decode_roundtrip() {
+        let ino = holey();
         let got = Inode::decode(&ino.encode()).unwrap();
         assert_eq!(got, ino);
+    }
+
+    /// Golden vector from the hand-written encoder this layout replaced
+    /// (PR 18's parent): inodes already on a volume must keep decoding.
+    #[test]
+    fn layouts_are_pinned() {
+        assert_pinned(
+            &holey(),
+            "00000000010000008813000000000000030000000104000000000106000000030000000200000000\
+             00000000000000000000000100000000000000",
+        );
+    }
+
+    #[test]
+    fn decode_refuses_a_trailing_byte() {
+        let mut block = holey().encode();
+        block.push(0);
+        assert_eq!(Inode::decode(&block), None);
     }
 
     #[test]

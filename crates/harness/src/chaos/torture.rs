@@ -79,9 +79,6 @@ pub fn classify(m: &MutationKind) -> Option<CrashClass> {
         MutationKind::JournalAppend(_) => Some(CrashClass::JournalAppend),
         MutationKind::JournalFlush { released: 0, .. } => Some(CrashClass::JournalFlush),
         MutationKind::JournalFlush { .. } => Some(CrashClass::JournalReclaim),
-        // The per-record stable log keys are gone — transaction logs live in
-        // the append-only journal now. Stray stable ops are not commit path.
-        MutationKind::StableAppend(_) | MutationKind::StableDelete(_) => None,
     }
 }
 
@@ -312,10 +309,6 @@ mod tests {
         );
         assert_eq!(
             classify(&MutationKind::StablePut("site/boot_epoch".into())),
-            None
-        );
-        assert_eq!(
-            classify(&MutationKind::StableDelete("inode/3".into())),
             None
         );
     }

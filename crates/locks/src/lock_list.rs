@@ -201,14 +201,17 @@ impl Eq for EntryList {}
 
 /// The lock state of one file at its storage site: granted entries plus the
 /// wait queue (Figure 3).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct FileLocks {
     pub entries: EntryList,
     pub waiters: VecDeque<Waiter>,
     /// Current end-of-file, maintained by the kernel, used to place
     /// append-mode locks.
     pub eof: u64,
-    next_seq: u64,
+    /// Sequence number the next queued waiter takes. Not part of a
+    /// transfer image: the importing site restarts it past every
+    /// transferred waiter's.
+    pub(crate) next_seq: u64,
 }
 
 impl FileLocks {
@@ -217,12 +220,6 @@ impl FileLocks {
             eof,
             ..FileLocks::default()
         }
-    }
-
-    /// Resets the waiter sequence counter after a state transfer so new
-    /// waiters sort after transferred ones.
-    pub fn restore_seq(&mut self, next: u64) {
-        self.next_seq = self.next_seq.max(next);
     }
 
     /// The first granted entry by a *different* owner whose range overlaps

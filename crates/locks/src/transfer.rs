@@ -9,154 +9,61 @@
 
 use std::collections::VecDeque;
 
-use locus_types::codec::{Dec, Enc};
-use locus_types::{ByteRange, LockClass, LockMode, LockRequestMode, Pid, SiteId, TransId};
+use locus_types::codec::{from_bytes, to_bytes, Dec, Enc, Wire};
+use locus_types::wire;
 
-use crate::lock_list::{FileLocks, LockEntry, LockRequest, Waiter};
+use crate::lock_list::{EntryList, FileLocks, LockEntry, LockRequest, Waiter};
 
-fn enc_mode(e: &mut Enc, m: LockMode) {
-    e.u8(match m {
-        LockMode::Unix => 0,
-        LockMode::Shared => 1,
-        LockMode::Exclusive => 2,
-    });
-}
+wire!(struct LockEntry { pid, tid, mode, class, range, retained });
 
-fn dec_mode(d: &mut Dec<'_>) -> Option<LockMode> {
-    Some(match d.u8()? {
-        0 => LockMode::Unix,
-        1 => LockMode::Shared,
-        2 => LockMode::Exclusive,
-        _ => return None,
-    })
-}
+wire!(struct LockRequest { pid, tid, class, mode, range, append, wait, reply_site });
 
-fn enc_tid_opt(e: &mut Enc, t: Option<TransId>) {
-    match t {
-        Some(t) => {
-            e.u8(1);
-            e.u32(t.site.0);
-            e.u64(t.seq);
+wire!(struct Waiter { request, seq });
+
+/// Entries go back in through `push`, which re-establishes the start order
+/// and the probe bound whatever order the image lists them in.
+impl Wire for EntryList {
+    fn put(&self, e: &mut Enc) {
+        e.seq(self.iter(), LockEntry::put);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Option<Self> {
+        let mut list = EntryList::default();
+        for entry in d.seq(LockEntry::get)? {
+            list.push(entry);
         }
-        None => e.u8(0),
+        Some(list)
     }
 }
 
-fn dec_tid_opt(d: &mut Dec<'_>) -> Option<Option<TransId>> {
-    match d.u8()? {
-        0 => Some(None),
-        1 => Some(Some(TransId::new(SiteId(d.u32()?), d.u64()?))),
-        _ => None,
-    }
+// The waiter sequence does not travel: it restarts past the largest
+// sequence in the queue, so new waiters sort after transferred ones.
+wire!(struct FileLocks { eof, entries, waiters } + { next_seq: seq_after(&waiters)? });
+
+/// The first sequence number past every queued waiter's. An image whose
+/// largest sequence leaves no successor is refused.
+fn seq_after(waiters: &VecDeque<Waiter>) -> Option<u64> {
+    waiters
+        .iter()
+        .try_fold(0, |next, w| Some(w.seq.checked_add(1)?.max(next)))
 }
 
 /// Serializes the complete lock state of one file.
 pub fn encode_file_locks(fl: &FileLocks) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(fl.eof);
-    e.u32(fl.entries.len() as u32);
-    for ent in &fl.entries {
-        e.u64(ent.pid.0);
-        enc_tid_opt(&mut e, ent.tid);
-        enc_mode(&mut e, ent.mode);
-        e.u8(matches!(ent.class, LockClass::NonTransaction) as u8);
-        e.u64(ent.range.start);
-        e.u64(ent.range.len);
-        e.u8(ent.retained as u8);
-    }
-    e.u32(fl.waiters.len() as u32);
-    for w in &fl.waiters {
-        let r = &w.request;
-        e.u64(r.pid.0);
-        enc_tid_opt(&mut e, r.tid);
-        e.u8(matches!(r.class, LockClass::NonTransaction) as u8);
-        e.u8(match r.mode {
-            LockRequestMode::Shared => 0,
-            LockRequestMode::Exclusive => 1,
-            LockRequestMode::Unlock => 2,
-        });
-        e.u64(r.range.start);
-        e.u64(r.range.len);
-        e.u8(r.append as u8);
-        e.u8(r.wait as u8);
-        e.u32(r.reply_site.0);
-        e.u64(w.seq);
-    }
-    e.finish()
+    to_bytes(fl)
 }
 
 /// Rebuilds a lock list from its transfer image.
 pub fn decode_file_locks(bytes: &[u8]) -> Option<FileLocks> {
-    let mut d = Dec::new(bytes);
-    let eof = d.u64()?;
-    let mut fl = FileLocks::new(eof);
-    let n = d.u32()?;
-    for _ in 0..n {
-        let pid = Pid(d.u64()?);
-        let tid = dec_tid_opt(&mut d)?;
-        let mode = dec_mode(&mut d)?;
-        let class = if d.u8()? != 0 {
-            LockClass::NonTransaction
-        } else {
-            LockClass::Transaction
-        };
-        let range = ByteRange::new(d.u64()?, d.u64()?);
-        let retained = d.u8()? != 0;
-        fl.entries.push(LockEntry {
-            pid,
-            tid,
-            mode,
-            class,
-            range,
-            retained,
-        });
-    }
-    let nw = d.u32()?;
-    let mut waiters = VecDeque::new();
-    let mut max_seq = 0;
-    for _ in 0..nw {
-        let pid = Pid(d.u64()?);
-        let tid = dec_tid_opt(&mut d)?;
-        let class = if d.u8()? != 0 {
-            LockClass::NonTransaction
-        } else {
-            LockClass::Transaction
-        };
-        let mode = match d.u8()? {
-            0 => LockRequestMode::Shared,
-            1 => LockRequestMode::Exclusive,
-            2 => LockRequestMode::Unlock,
-            _ => return None,
-        };
-        let range = ByteRange::new(d.u64()?, d.u64()?);
-        let append = d.u8()? != 0;
-        let wait = d.u8()? != 0;
-        let reply_site = SiteId(d.u32()?);
-        let seq = d.u64()?;
-        max_seq = max_seq.max(seq + 1);
-        waiters.push_back(Waiter {
-            request: LockRequest {
-                pid,
-                tid,
-                class,
-                mode,
-                range,
-                append,
-                wait,
-                reply_site,
-            },
-            seq,
-        });
-    }
-    fl.waiters = waiters;
-    fl.restore_seq(max_seq);
-    Some(fl)
+    from_bytes(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lock_list::LockOutcome;
+    use locus_types::codec::assert_pinned;
+    use locus_types::{ByteRange, LockClass, LockRequestMode, Pid, SiteId, TransId};
 
     fn sample() -> FileLocks {
         let mut fl = FileLocks::new(512);
@@ -236,5 +143,32 @@ mod tests {
     fn decode_rejects_corruption() {
         let bytes = encode_file_locks(&sample());
         assert!(decode_file_locks(&bytes[..bytes.len() - 3]).is_none());
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(decode_file_locks(&padded).is_none(), "trailing byte");
+    }
+
+    /// The image ends with the queued waiter's sequence number. All ones
+    /// leaves no number for the next waiter: refused, where `seq + 1` used
+    /// to overflow (a panic in debug, a sequence that wraps below the queued
+    /// waiter's in release).
+    #[test]
+    fn decode_refuses_a_waiter_sequence_with_no_successor() {
+        let mut bytes = encode_file_locks(&sample());
+        let at = bytes.len() - 8;
+        bytes[at..].fill(0xff);
+        assert!(decode_file_locks(&bytes).is_none());
+    }
+
+    /// Golden vector from the hand-written encoder this layout replaced
+    /// (PR 18's parent): one granted entry, one queued waiter.
+    #[test]
+    fn layouts_are_pinned() {
+        assert_pinned(
+            &sample(),
+            "00020000000000000100000001000000010000000101000000010000000000000002000000000000\
+             00000040000000000000000001000000020000000100000001010000000200000000000000000100\
+             0000000000000040000000000000000001020000000000000000000000",
+        );
     }
 }

@@ -19,4 +19,4 @@ pub mod wire;
 
 pub use msg::{FileMsg, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 pub use transport::{FaultDecision, FaultInjector, SimTransport, SiteHandler, Transport};
-pub use wire::{decode as decode_msg, encode as encode_msg, wire_len};
+pub use wire::{decode as decode_msg, encode as encode_msg};

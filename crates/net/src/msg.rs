@@ -10,11 +10,13 @@
 //! generic acknowledgement and error responses.
 //!
 //! Payload structures live in `locus-types` so both the kernel and
-//! transaction crates can build and consume them.
+//! transaction crates can build and consume them. This file is the
+//! vocabulary only; what each message looks like as bytes is stated in
+//! [`crate::wire`].
 
 use locus_types::{
-    ByteRange, Error, Fid, FileListEntry, IntentionsList, LockClass, LockRequestMode, Owner,
-    PageData, PageNo, Pid, Service, SiteId, TransId, TxnStatus,
+    ByteRange, Error, Fid, FileListEntry, LockClass, LockRequestMode, Owner, PageData, PageNo, Pid,
+    Service, SiteId, TransId, TxnStatus,
 };
 
 /// Filesystem data plane: remote open/read/write and the single-file
@@ -367,42 +369,10 @@ impl Msg {
     }
 }
 
-/// Builds an intentions-list-bearing prepare log payload so the "log" bytes
-/// on the simulated disk are real (compact custom layout; no serialization
-/// format crate is in the dependency set).
-pub fn encode_intentions(lists: &[IntentionsList]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(lists.len() as u32).to_le_bytes());
-    for l in lists {
-        out.extend_from_slice(&l.fid.volume.0.to_le_bytes());
-        out.extend_from_slice(&l.fid.inode.0.to_le_bytes());
-        out.extend_from_slice(&l.new_len.to_le_bytes());
-        out.extend_from_slice(&(l.entries.len() as u32).to_le_bytes());
-        for e in &l.entries {
-            out.extend_from_slice(&e.page.0.to_le_bytes());
-            out.extend_from_slice(&e.new_phys.0.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Decodes the payload produced by [`encode_intentions`].
-pub fn decode_intentions(bytes: &[u8]) -> Option<Vec<IntentionsList>> {
-    use locus_types::codec::Dec;
-    use locus_types::{Fid, IntentionsEntry, PhysPage, VolumeId};
-    Dec::new(bytes).seq(|d| {
-        let fid = Fid::new(VolumeId(d.u32()?), d.u32()?);
-        let mut list = IntentionsList::new(fid, d.u64()?);
-        list.entries =
-            d.seq(|d| Some(IntentionsEntry::whole(PageNo(d.u32()?), PhysPage(d.u32()?))))?;
-        Some(list)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locus_types::{IntentionsEntry, PhysPage, VolumeId};
+    use locus_types::VolumeId;
 
     #[test]
     fn pages_carried_counts_payload() {
@@ -468,34 +438,5 @@ mod tests {
             })
         ])
         .is_response());
-    }
-
-    #[test]
-    fn intentions_roundtrip() {
-        let mut a = IntentionsList::new(Fid::new(VolumeId(1), 7), 4096);
-        a.entries
-            .push(IntentionsEntry::whole(PageNo(0), PhysPage(40)));
-        a.entries
-            .push(IntentionsEntry::whole(PageNo(3), PhysPage(41)));
-        let b = IntentionsList::new(Fid::new(VolumeId(2), 9), 0);
-        let bytes = encode_intentions(&[a.clone(), b.clone()]);
-        let got = decode_intentions(&bytes).unwrap();
-        assert_eq!(got, vec![a, b]);
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let mut a = IntentionsList::new(Fid::new(VolumeId(1), 7), 4096);
-        a.entries
-            .push(IntentionsEntry::whole(PageNo(0), PhysPage(40)));
-        let bytes = encode_intentions(&[a]);
-        assert!(decode_intentions(&bytes[..bytes.len() - 1]).is_none());
-        // A list count, or an entry count (after volume, inode and length),
-        // that the payload cannot hold: refused, not reserved for.
-        for count_at in [0, 20] {
-            let mut bad = bytes.clone();
-            bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert!(decode_intentions(&bad).is_none());
-        }
     }
 }

@@ -3,9 +3,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use locus_types::{Channel, Fid, FileListEntry, InodeNo, Pid, SiteId, TransId, VolumeId};
-
-use locus_types::codec::{Dec, Enc};
+use locus_types::codec::{from_bytes, to_bytes};
+use locus_types::{wire, Channel, Fid, FileListEntry, Pid, SiteId, TransId};
 
 /// Lifecycle state of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +35,8 @@ pub struct OpenFile {
     pub write: bool,
 }
 
+wire!(struct OpenFile { fid, storage_site, epoch, pos, append, write });
+
 /// The kernel's record of one process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessRecord {
@@ -60,6 +61,12 @@ pub struct ProcessRecord {
     pub next_channel: u32,
     pub state: ProcState,
 }
+
+// `state` does not travel: a record is encoded only to migrate, and the
+// process it describes is running once it arrives.
+wire!(struct ProcessRecord {
+    pid, parent, children, tid, nest, top, live_members, file_list, open_files, next_channel
+} + { state: ProcState::Running });
 
 impl ProcessRecord {
     pub fn new(pid: Pid) -> Self {
@@ -106,115 +113,20 @@ impl ProcessRecord {
     /// Serializes the record for a migration message. The blob length is
     /// what the transport charges transfer time for.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(self.pid.0);
-        e.opt_u64(self.parent.map(|p| p.0));
-        e.u32(self.children.len() as u32);
-        for c in &self.children {
-            e.u64(c.0);
-        }
-        match self.tid {
-            Some(t) => {
-                e.u8(1);
-                e.u32(t.site.0);
-                e.u64(t.seq);
-            }
-            None => e.u8(0),
-        }
-        e.u32(self.nest);
-        e.opt_u64(self.top.map(|p| p.0));
-        e.u32(self.live_members);
-        e.u32(self.file_list.len() as u32);
-        for f in &self.file_list {
-            e.u32(f.fid.volume.0);
-            e.u32(f.fid.inode.0);
-            e.u32(f.storage_site.0);
-            e.u64(f.epoch);
-        }
-        e.u32(self.open_files.len() as u32);
-        for (ch, of) in &self.open_files {
-            e.u32(ch.0);
-            e.u32(of.fid.volume.0);
-            e.u32(of.fid.inode.0);
-            e.u32(of.storage_site.0);
-            e.u64(of.epoch);
-            e.u64(of.pos);
-            e.u8(of.append as u8);
-            e.u8(of.write as u8);
-        }
-        e.u32(self.next_channel);
-        e.finish()
+        to_bytes(self)
     }
 
     /// Decodes a migration blob. Returns `None` on corruption.
     pub fn decode(bytes: &[u8]) -> Option<ProcessRecord> {
-        let mut d = Dec::new(bytes);
-        let pid = Pid(d.u64()?);
-        let parent = d.opt_u64()?.map(Pid);
-        let n_children = d.u32()?;
-        let mut children = BTreeSet::new();
-        for _ in 0..n_children {
-            children.insert(Pid(d.u64()?));
-        }
-        let tid = match d.u8()? {
-            1 => Some(TransId::new(SiteId(d.u32()?), d.u64()?)),
-            0 => None,
-            _ => return None,
-        };
-        let nest = d.u32()?;
-        let top = d.opt_u64()?.map(Pid);
-        let live_members = d.u32()?;
-        let n_files = d.u32()?;
-        let mut file_list = BTreeSet::new();
-        for _ in 0..n_files {
-            file_list.insert(FileListEntry {
-                fid: Fid {
-                    volume: VolumeId(d.u32()?),
-                    inode: InodeNo(d.u32()?),
-                },
-                storage_site: SiteId(d.u32()?),
-                epoch: d.u64()?,
-            });
-        }
-        let n_open = d.u32()?;
-        let mut open_files = BTreeMap::new();
-        for _ in 0..n_open {
-            let ch = Channel(d.u32()?);
-            open_files.insert(
-                ch,
-                OpenFile {
-                    fid: Fid {
-                        volume: VolumeId(d.u32()?),
-                        inode: InodeNo(d.u32()?),
-                    },
-                    storage_site: SiteId(d.u32()?),
-                    epoch: d.u64()?,
-                    pos: d.u64()?,
-                    append: d.u8()? != 0,
-                    write: d.u8()? != 0,
-                },
-            );
-        }
-        let next_channel = d.u32()?;
-        Some(ProcessRecord {
-            pid,
-            parent,
-            children,
-            tid,
-            nest,
-            top,
-            live_members,
-            file_list,
-            open_files,
-            next_channel,
-            state: ProcState::Running,
-        })
+        from_bytes(bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locus_types::codec::assert_pinned;
+    use locus_types::VolumeId;
 
     fn sample() -> ProcessRecord {
         let mut r = ProcessRecord::new(Pid::new(SiteId(1), 7));
@@ -244,12 +156,41 @@ mod tests {
         assert_eq!(got, r);
     }
 
+    /// Golden vector from the hand-written encoder this layout replaced
+    /// (PR 18's parent). The sample is inside a transaction, with a child, a
+    /// file-list entry and an open file.
+    #[test]
+    fn layouts_are_pinned() {
+        assert_pinned(
+            &sample(),
+            "07000000010000000103000000010000000100000001000000020000000101000000630000000000\
+             00000200000001070000000100000001000000010000000000000005000000020000000300000000\
+             00000001000000000000000000000005000000020000000300000000000000800000000000000001\
+             0101000000",
+        );
+    }
+
     #[test]
     fn decode_rejects_truncation() {
         let blob = sample().encode();
         for cut in [1, 8, blob.len() - 1] {
             assert!(ProcessRecord::decode(&blob[..cut]).is_none(), "cut={cut}");
         }
+    }
+
+    #[test]
+    fn decode_refuses_a_trailing_byte() {
+        let mut blob = sample().encode();
+        blob.push(0);
+        assert!(ProcessRecord::decode(&blob).is_none());
+    }
+
+    #[test]
+    fn lifecycle_state_does_not_travel() {
+        let mut r = sample();
+        r.state = ProcState::InTransit;
+        let got = ProcessRecord::decode(&r.encode()).unwrap();
+        assert_eq!(got.state, ProcState::Running);
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub mod error;
 pub mod id;
 pub mod journal;
 pub mod lockmode;
-pub mod logrec;
 pub mod pagedata;
 pub mod proto;
 pub mod range;
@@ -22,9 +21,8 @@ pub mod service;
 
 pub use error::{Error, Result};
 pub use id::{Channel, Fid, InodeNo, PageNo, PhysPage, Pid, SiteId, TransId, VolumeId};
-pub use journal::{JournalEntry, JournalKey, JournalOp};
+pub use journal::{CoordLogRecord, JournalEntry, JournalKey, JournalOp, PrepareLogRecord};
 pub use lockmode::{AccessKind, LockClass, LockMode, LockRequestMode};
-pub use logrec::{CoordLogRecord, PrepareLogRecord};
 pub use pagedata::PageData;
 pub use proto::{FileListEntry, IntentionsEntry, IntentionsList, LockDescriptor, Owner, TxnStatus};
 pub use range::ByteRange;

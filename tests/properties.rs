@@ -145,3 +145,153 @@ proptest! {
         prop_assert!(data.iter().all(|b| *b == 0xEE), "leak under seed {}", seed);
     }
 }
+
+/// Whether the bytes decode.
+type Decoder = fn(&[u8]) -> bool;
+
+/// One valid encoding per decoder that reads bytes nobody vouches for — a
+/// network frame, a journal frame and the two records it carries, an inode
+/// block, a migration blob, a lock-list image — with the decoder itself.
+fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
+    use locus::fs::inode::Inode;
+    use locus::locks::lock_list::{FileLocks, LockRequest};
+    use locus::locks::transfer::{decode_file_locks, encode_file_locks};
+    use locus::net::{decode_msg, encode_msg, Msg, ProcMsg, TxnMsg};
+    use locus::proc::record::{OpenFile, ProcessRecord};
+    use locus::types::{
+        CoordLogRecord, Fid, FileListEntry, IntentionsEntry, IntentionsList, JournalEntry,
+        JournalOp, LockClass, LockDescriptor, LockMode, PageNo, PhysPage, Pid, PrepareLogRecord,
+        SiteId, TransId, TxnStatus, VolumeId,
+    };
+
+    let fid = Fid::new(VolumeId(1), 4);
+    let tid = TransId::new(SiteId(2), 17);
+    let pid = Pid::new(SiteId(1), 7);
+    let file = FileListEntry {
+        fid,
+        storage_site: SiteId(1),
+        epoch: 3,
+    };
+
+    let msg = Msg::Batch(vec![
+        Msg::Txn(TxnMsg::Prepare {
+            tid,
+            coordinator: SiteId(0),
+            files: vec![fid, Fid::new(VolumeId(0), 1)],
+            epoch: 5,
+        }),
+        Msg::Proc(ProcMsg::FileListMerge {
+            tid,
+            top: pid,
+            from: Pid::new(SiteId(0), 1),
+            entries: vec![file],
+        }),
+    ]);
+    let coord = CoordLogRecord {
+        tid,
+        files: vec![file],
+        status: TxnStatus::Unknown,
+    };
+    let mut intentions = IntentionsList::new(fid, 2048);
+    intentions.entries.push(IntentionsEntry {
+        page: PageNo(0),
+        new_phys: PhysPage(55),
+        old_phys: Some(PhysPage(12)),
+        old_vers: 3,
+        ranges: vec![ByteRange::new(40, 8), ByteRange::new(72, 16)],
+    });
+    let prepare = PrepareLogRecord {
+        tid,
+        coordinator: SiteId(0),
+        intentions,
+        locks: vec![LockDescriptor {
+            pid,
+            tid: Some(tid),
+            mode: LockMode::Exclusive,
+            class: LockClass::Transaction,
+            range: ByteRange::new(100, 50),
+            retained: true,
+        }],
+    };
+    let frame = JournalEntry {
+        seq: 9,
+        op: JournalOp::PreparePut(prepare.clone()),
+    };
+    let mut inode = Inode::new(fid);
+    inode.len = 5000;
+    inode.pages = vec![Some(PhysPage(4)), None, Some(PhysPage(6))];
+    inode.vers = vec![2, 0, 1];
+    let mut record = ProcessRecord::new(pid);
+    record.parent = Some(Pid::new(SiteId(1), 3));
+    record.children.insert(Pid::new(SiteId(2), 1));
+    record.tid = Some(tid);
+    record.top = Some(pid);
+    record.note_file(fid, SiteId(1), 3);
+    record.add_open(OpenFile {
+        fid,
+        storage_site: SiteId(1),
+        epoch: 3,
+        pos: 128,
+        append: true,
+        write: true,
+    });
+    let mut locks = FileLocks::new(512);
+    for p in [1, 2] {
+        // The second request conflicts with the first and queues behind it.
+        locks.request(LockRequest {
+            pid: Pid::new(SiteId(1), p),
+            tid: Some(TransId::new(SiteId(1), u64::from(p))),
+            class: LockClass::Transaction,
+            mode: LockRequestMode::Exclusive,
+            range: ByteRange::new(0, 64),
+            append: false,
+            wait: true,
+            reply_site: SiteId(2),
+        });
+    }
+    assert_eq!((locks.entries.len(), locks.waiters.len()), (1, 1));
+
+    vec![
+        ("decode_msg", encode_msg(&msg), |b| decode_msg(b).is_some()),
+        ("JournalEntry", frame.encode(), |b| {
+            JournalEntry::decode(b).is_some()
+        }),
+        ("CoordLogRecord", coord.encode(), |b| {
+            CoordLogRecord::decode(b).is_some()
+        }),
+        ("PrepareLogRecord", prepare.encode(), |b| {
+            PrepareLogRecord::decode(b).is_some()
+        }),
+        ("Inode", inode.encode(), |b| Inode::decode(b).is_some()),
+        ("ProcessRecord", record.encode(), |b| {
+            ProcessRecord::decode(b).is_some()
+        }),
+        ("decode_file_locks", encode_file_locks(&locks), |b| {
+            decode_file_locks(b).is_some()
+        }),
+    ]
+}
+
+proptest! {
+    /// Every decoder meets hostile bytes: pure noise, and a valid encoding
+    /// with a four- or eight-byte window (the width of a count, a length, a
+    /// sequence number) overwritten. `None` or `Some`, never a panic and
+    /// never a reservation the input could not fill.
+    #[test]
+    fn every_decoder_survives_arbitrary_bytes(
+        noise in proptest::collection::vec(any::<u8>(), 0..256),
+        at in any::<u64>(),
+        wide in any::<bool>(),
+        fill in prop_oneof![any::<u64>(), 0u64..64, Just(u64::MAX)],
+    ) {
+        let width = if wide { 8 } else { 4 };
+        for (name, valid, decodes) in decoders() {
+            prop_assert!(decodes(&valid), "{}: the sample is an encoding", name);
+            let _ = decodes(&noise);
+            let mut bytes = valid;
+            let at = at as usize % (bytes.len() - width + 1);
+            bytes[at..at + width].copy_from_slice(&fill.to_le_bytes()[..width]);
+            let _ = decodes(&bytes);
+        }
+    }
+}

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Pins the disk I/Os a commit costs, and the log-force, message and
-# page-cache counts under them, as the repository's one benchmark counts them.
+# Pins the disk I/Os and the modeled time a commit costs, and the log-force,
+# message and page-cache counts under them, as the repository's one benchmark
+# counts them — and that nothing under crates/core/src starts a thread.
 #
 # `disk_ios_per_op` comes from the benchmark's count pass — one client, a
 # fixed number of ops, nothing concurrent — so it repeats exactly for a seed
@@ -15,6 +16,14 @@
 #
 # A change that adds a force to the commit path, or a compaction pass to the
 # journal, moves one of these and fails here with the number it moved to.
+#
+# `virt_ms_per_op` comes from the same pass and is as exact (model_ms, the
+# paper's 1985 clock): 73.05 / 205.75 / 80.95. On commit_dist the two
+# participants are one wave — prepared together, installed together — so the
+# caller's commit window (`sim.virt_commit_ms_per_op`) is 71.4 = one 57.2
+# prepare branch + the mark, not two branches, and the phase-two pump 43.95 =
+# one install branch + the purge. A participant contacted after another
+# instead of with it moves all three.
 #
 # The per-layer counts of the traced pass repeat the same way (identical on
 # seeds 1 and 2) and pin what two deleted wall-clock gates stood for:
@@ -56,7 +65,16 @@ for pin in pins:
 ' "$workload" "$@"
 }
 
-check commit_local disk_ios_per_op==3 wal.flushes_per_op==1 'wal.frames_per_op>=4.99'
-check commit_dist disk_ios_per_op==7 wal.flushes_per_op==3
-check hot_records disk_ios_per_op==3 wal.flushes_per_op==1
+check commit_local disk_ios_per_op==3 virt_ms_per_op==73.05 wal.flushes_per_op==1 'wal.frames_per_op>=4.99'
+check commit_dist disk_ios_per_op==7 virt_ms_per_op==205.75 wal.flushes_per_op==3 \
+    sim.virt_commit_ms_per_op==71.4 sim.virt_phase_two_ms_per_op==43.95
+check hot_records disk_ios_per_op==3 virt_ms_per_op==80.95 wal.flushes_per_op==1
 check read_shared net.msgs_per_op==4 kernel.pagecache_hit_rate==0.96875
+
+# A wave of prepares or phase-two messages runs on its caller's thread
+# (DESIGN.md §3): the only threads are the simulated processes', started by
+# whoever drives the cluster. `tests.rs` is the crate's `#[cfg(test)]` module.
+if grep -rn 'thread::' crates/core/src --exclude=tests.rs; then
+    echo "check_commit_ios: program code under crates/core/src names thread::"
+    exit 1
+fi

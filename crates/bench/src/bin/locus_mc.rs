@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! locus-mc --sites 2 --txns 1                  # small scope, full report
-//! locus-mc --sites 3 --txns 2 --sequential     # bigger scope, serial prepares
+//! locus-mc --sites 2 --txns 2 --rollbacks 0    # bigger scope, one fault budget zeroed
 //! locus-mc --sites 2 --txns 1 --fault skip-refused-check
 //!     # bug reintroduction: expects a counterexample, exits 3 if none found
 //! ```
@@ -31,7 +31,7 @@ struct Args {
 fn usage(err: &str) -> ! {
     eprintln!("locus-mc: {err}");
     eprintln!(
-        "usage: locus-mc [--sites N] [--txns N] [--sequential] [--crashes N] \
+        "usage: locus-mc [--sites N] [--txns N] [--crashes N] \
          [--drops N] [--dups N] [--rollbacks N] [--max-states N] \
          [--allow-truncation] \
          [--fault skip-refused-check|skip-epoch-check] [--artifacts DIR]"
@@ -63,7 +63,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage("bad --txns"));
             }
-            "--sequential" => args.cfg.parallel = false,
             "--crashes" => {
                 args.cfg.crashes = value("--crashes")
                     .parse()
@@ -113,14 +112,9 @@ fn main() -> ExitCode {
     let args = parse_args();
     let cfg = args.cfg;
     println!(
-        "locus-mc: sites={} txns={} mode={} crashes={} drops={} dups={} rollbacks={}{}",
+        "locus-mc: sites={} txns={} crashes={} drops={} dups={} rollbacks={}{}",
         cfg.sites,
         cfg.txns,
-        if cfg.parallel {
-            "parallel"
-        } else {
-            "sequential"
-        },
         cfg.crashes,
         cfg.drops,
         cfg.dups,

@@ -8,9 +8,10 @@
 //! fences) is written once, in `KernelSubstrate::interpret`; every entry
 //! point below builds one around its per-call context and hands an [`Input`]
 //! to [`drive`]. The rest of this module is pure *scheduling*: the
-//! asynchronous phase-two queue, per-site message batching, and the
-//! parallel prepare fan-out, none of which change what the protocol
-//! decides — only when.
+//! asynchronous phase-two queue, per-site message batching, and what a wave
+//! of messages to distinct sites costs (`TxnManager::wave`), none of which
+//! change what the protocol decides — only when. Nothing here starts a
+//! thread: every wave runs on its caller's.
 //!
 //! The manager records `(input, effects)` transcripts on demand (see
 //! [`TxnManager::set_transcript_recording`]); the chaos harness replays
@@ -105,11 +106,12 @@ pub struct TxnManager {
     /// crashes underneath it).
     part: Mutex<Recorded<ParticipantSm>>,
     async_work: Mutex<VecDeque<Phase2Work>>,
-    /// When set, 2PC prepare messages to distinct participant sites are sent
-    /// concurrently from scoped threads (enabled by the threaded driver; the
-    /// deterministic simulation keeps the sequential order). The
-    /// coordinator's account absorbs the slowest branch's latency plus the
-    /// summed counts.
+    /// Inert: nothing reads it. It once chose between sending prepares one
+    /// after another and from one scoped thread per site; there is now one
+    /// schedule (see `TxnManager::wave`). The field stays only because
+    /// `benchmark/src/passes.rs` — its one remaining writer — still stores to
+    /// it and the PR that removed its meaning could not edit `benchmark/`;
+    /// the next `benchmark` PR deletes that store and this field together.
     pub parallel_fanout: AtomicBool,
 }
 
@@ -288,14 +290,9 @@ impl TxnManager {
             .kernel
             .procs
             .with_mut(top, |r| r.file_list.iter().copied().collect())?;
-        let parallel = self.parallel_fanout.load(Ordering::Relaxed);
         let mut sub = self.substrate(Machine::Coordinator, acct);
         sub.top = Some(top);
-        sub.drive(Input::CommitRequested {
-            tid,
-            files,
-            parallel,
-        });
+        sub.drive(Input::commit_requested(tid, files));
         sub.result
     }
 
@@ -366,10 +363,12 @@ impl TxnManager {
         }
         // Which participant sites failed to acknowledge, per work item.
         let mut failed: Vec<Vec<SiteId>> = vec![Vec::new(); work.len()];
-        let mut sub = self.substrate(Machine::Coordinator, acct);
-        for (site, entries) in by_site {
+        // The sites' messages are one wave: each site installs while the
+        // others do.
+        self.wave(acct, by_site, |(site, entries), branch| {
             let (idxs, msgs): (Vec<usize>, Vec<TxnMsg>) = entries.into_iter().unzip();
-            let acks = self.send_phase2_batch(site, msgs, sub.acct);
+            let acks = self.send_phase2_batch(site, msgs, branch);
+            let mut sub = self.substrate(Machine::Coordinator, branch);
             for (i, ok) in idxs.into_iter().zip(acks) {
                 sub.drive(Input::Phase2Ack {
                     tid: work[i].tid,
@@ -380,7 +379,8 @@ impl TxnManager {
                     failed[i].push(site);
                 }
             }
-        }
+        });
+        let mut sub = self.substrate(Machine::Coordinator, acct);
         let mut completed = 0;
         for (i, w) in work.into_iter().enumerate() {
             if failed[i].is_empty() {
@@ -407,6 +407,35 @@ impl TxnManager {
         }
         span.finish(&self.kernel.counters.spans, &self.kernel.model, acct);
         completed
+    }
+
+    /// One wave of work bound for distinct sites, on the caller's thread.
+    ///
+    /// The paper's coordinator sends to every site and then waits, so the
+    /// sites work at the same time and the caller waits for the slowest. A
+    /// message's real delay here is zero — a second thread has nothing to
+    /// overlap — so the branches run one after another, in `items` order,
+    /// each on a fresh account, and the overlap is stated on the model clock
+    /// alone: [`Account::absorb_parallel`] charges `acct` the slowest
+    /// branch's latency and every branch's counts. The fold also overlaps
+    /// the coordinator's own handling of each branch's message, which one
+    /// processor would serialise: 0.5 model ms too little per branch after
+    /// the first (DESIGN.md §3).
+    fn wave<T>(
+        &self,
+        acct: &mut Account,
+        items: impl IntoIterator<Item = T>,
+        mut branch: impl FnMut(T, &mut Account),
+    ) {
+        let branches: Vec<Account> = items
+            .into_iter()
+            .map(|item| {
+                let mut b = Account::new(self.site());
+                branch(item, &mut b);
+                b
+            })
+            .collect();
+        acct.absorb_parallel(&branches);
     }
 
     /// Sends one participant site's phase-two messages — one network message
@@ -1194,26 +1223,18 @@ impl Substrate for KernelSubstrate<'_> {
         })
     }
 
-    /// Parallel fan-out: each site of the wave is contacted from its own
-    /// scoped thread on its own account, and the coordinator's account
-    /// absorbs the slowest branch's latency and the summed message and
-    /// instruction counts.
+    /// The prepares of one commit are one [`TxnManager::wave`]: each site is
+    /// contacted in wave order, and the round costs the slowest site.
     fn prepare_wave(&mut self, wave: Vec<Effect>) -> std::result::Result<Vec<Input>, Infallible> {
         let mgr = self.mgr;
-        let mut branches: Vec<Account> = wave.iter().map(|_| Account::new(mgr.site())).collect();
-        let mut votes: Vec<Option<Input>> = vec![None; wave.len()];
-        std::thread::scope(|s| {
-            for ((prepare, branch), vote) in wave.into_iter().zip(&mut branches).zip(&mut votes) {
-                s.spawn(move || {
-                    let Ok(answer) = mgr
-                        .substrate(Machine::Coordinator, branch)
-                        .interpret(prepare);
-                    *vote = answer;
-                });
-            }
+        let mut votes = Vec::with_capacity(wave.len());
+        mgr.wave(self.acct, wave, |prepare, branch| {
+            let Ok(vote) = mgr
+                .substrate(Machine::Coordinator, branch)
+                .interpret(prepare);
+            votes.extend(vote);
         });
-        self.acct.absorb_parallel(branches.iter());
-        Ok(votes.into_iter().flatten().collect())
+        Ok(votes)
     }
 }
 

@@ -17,14 +17,10 @@ use super::{group_by_site, site_epochs, Effect, Input, ProtocolSm};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CoordPhase {
     /// Waiting for the status-`Unknown` start record to reach the journal.
-    LoggingStart { parallel: bool },
-    /// Prepares are out (all at once when `parallel`, one at a time
-    /// otherwise); collecting votes.
+    LoggingStart,
+    /// One prepare is out to every participant site; collecting votes.
     Preparing {
-        parallel: bool,
-        /// Next participant index to contact (sequential mode).
-        next: usize,
-        /// Votes received so far (parallel mode).
+        /// Votes received so far, by site.
         votes: BTreeMap<SiteId, bool>,
     },
     /// Decision made; waiting for the durable decision mark.
@@ -116,11 +112,7 @@ impl ProtocolSm for CoordinatorSm {
     fn step(&mut self, input: &Input) -> Vec<Effect> {
         let mut effects = Vec::new();
         match input {
-            Input::CommitRequested {
-                tid,
-                files,
-                parallel,
-            } => {
+            Input::CommitRequested { tid, files, .. } => {
                 if files.is_empty() {
                     // Nothing touched any file: commit is trivially durable
                     // with no journal record, no prepares, no phase two.
@@ -140,9 +132,7 @@ impl ProtocolSm for CoordinatorSm {
                             files: files.clone(),
                             participants,
                             status: TxnStatus::Unknown,
-                            phase: CoordPhase::LoggingStart {
-                                parallel: *parallel,
-                            },
+                            phase: CoordPhase::LoggingStart,
                         },
                     );
                     effects.push(Effect::LogStart {
@@ -156,9 +146,9 @@ impl ProtocolSm for CoordinatorSm {
                 let Some(t) = self.txns.get_mut(tid) else {
                     return effects;
                 };
-                let CoordPhase::LoggingStart { parallel } = t.phase else {
+                if t.phase != CoordPhase::LoggingStart {
                     return effects;
-                };
+                }
                 if !*ok {
                     // The start record never became durable, so no prepare
                     // was ever sent: the caller sees the journal error and
@@ -166,83 +156,41 @@ impl ProtocolSm for CoordinatorSm {
                     self.txns.remove(tid);
                     return effects;
                 }
+                // One prepare per participant site, all in this step: the
+                // round is one wave, and the decision waits for every vote
+                // instead of stopping at the first no.
                 let epochs = site_epochs(&t.files);
-                if parallel && t.participants.len() > 1 {
-                    for (site, fids) in &t.participants {
-                        effects.push(Effect::SendPrepare {
-                            tid: *tid,
-                            site: *site,
-                            files: fids.clone(),
-                            epoch: epochs.get(site).copied().unwrap_or(0),
-                        });
-                    }
-                    t.phase = CoordPhase::Preparing {
-                        parallel: true,
-                        next: t.participants.len(),
-                        votes: BTreeMap::new(),
-                    };
-                } else {
-                    let (site, fids) = t.participants[0].clone();
+                for (site, fids) in &t.participants {
                     effects.push(Effect::SendPrepare {
                         tid: *tid,
-                        site,
-                        files: fids,
-                        epoch: epochs.get(&site).copied().unwrap_or(0),
+                        site: *site,
+                        files: fids.clone(),
+                        epoch: epochs.get(site).copied().unwrap_or(0),
                     });
-                    t.phase = CoordPhase::Preparing {
-                        parallel: false,
-                        next: 1,
-                        votes: BTreeMap::new(),
-                    };
                 }
+                t.phase = CoordPhase::Preparing {
+                    votes: BTreeMap::new(),
+                };
             }
 
             Input::Vote { tid, site, ok } => {
                 let Some(t) = self.txns.get_mut(tid) else {
                     return effects;
                 };
-                let CoordPhase::Preparing {
-                    parallel,
-                    next,
-                    ref mut votes,
-                } = t.phase
-                else {
+                let CoordPhase::Preparing { ref mut votes } = t.phase else {
                     return effects;
                 };
-                if parallel {
-                    // Only participants may vote: with duplicated messages a
-                    // stray vote from a non-participant must not complete the
-                    // tally.
-                    if !t.participants.iter().any(|(s, _)| s == site) {
-                        return effects;
-                    }
-                    votes.insert(*site, *ok);
-                    if votes.len() == t.participants.len() {
-                        let all_ok = votes.values().all(|v| *v);
-                        Self::decide(t, *tid, all_ok, &mut effects);
-                    }
-                } else if *site != t.participants[next - 1].0 {
-                    // Sequential mode awaits exactly one site's vote; a
-                    // duplicate vote from an earlier participant must not be
-                    // credited to the one still preparing.
-                } else if !*ok {
-                    Self::decide(t, *tid, false, &mut effects);
-                } else if next < t.participants.len() {
-                    let epochs = site_epochs(&t.files);
-                    let (s, fids) = t.participants[next].clone();
-                    effects.push(Effect::SendPrepare {
-                        tid: *tid,
-                        site: s,
-                        files: fids,
-                        epoch: epochs.get(&s).copied().unwrap_or(0),
-                    });
-                    t.phase = CoordPhase::Preparing {
-                        parallel: false,
-                        next: next + 1,
-                        votes: BTreeMap::new(),
-                    };
-                } else {
-                    Self::decide(t, *tid, true, &mut effects);
+                // Only participants may vote: with duplicated messages a
+                // stray vote from a non-participant must not complete the
+                // tally. A duplicate from a participant lands on its own
+                // entry.
+                if !t.participants.iter().any(|(s, _)| s == site) {
+                    return effects;
+                }
+                votes.insert(*site, *ok);
+                if votes.len() == t.participants.len() {
+                    let all_ok = votes.values().all(|v| *v);
+                    Self::decide(t, *tid, all_ok, &mut effects);
                 }
             }
 

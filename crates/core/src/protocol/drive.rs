@@ -26,9 +26,9 @@ pub trait Substrate {
     /// lives.
     fn interpret(&mut self, effect: Effect) -> Result<Option<Input>, Self::Error>;
 
-    /// Performs one parallel fan-out wave — two or more `SendPrepare`s the
-    /// machine emitted together — and returns the votes in wave order. How a
-    /// wave overlaps is scheduling; by default it does not.
+    /// Performs one prepare wave — two or more `SendPrepare`s the machine
+    /// emitted together — and returns the votes in wave order. What a wave
+    /// costs is the substrate's business; by default, each prepare in turn.
     fn prepare_wave(&mut self, wave: Vec<Effect>) -> Result<Vec<Input>, Self::Error> {
         let mut votes = Vec::with_capacity(wave.len());
         for prepare in wave {

@@ -27,10 +27,12 @@
 //!   unit tests.
 //!
 //! The driver boundary is strict: effects carry *what* must happen, never
-//! how. Scheduling (the asynchronous phase-two queue, per-site message
-//! batching, parallel prepare fan-out) stays in the driver — it affects
-//! performance, not safety — while every state change that 2PC correctness
-//! depends on is a machine transition.
+//! how. The machine fixes the schedule's shape — one prepare per participant
+//! site, emitted together, the decision when every vote is in — and the
+//! driver keeps the rest of the scheduling (the asynchronous phase-two
+//! queue, per-site message batching, what a wave of prepares costs on the
+//! model clock): that affects performance, not safety, while every state
+//! change that 2PC correctness depends on is a machine transition.
 
 pub mod coordinator;
 mod drive;
@@ -55,9 +57,12 @@ pub enum Input {
     CommitRequested {
         tid: TransId,
         files: Vec<FileListEntry>,
-        /// Contact distinct participant sites concurrently (the threaded
-        /// driver); the machine then emits all `SendPrepare`s at once
-        /// instead of one per vote.
+        /// Inert: no machine reads it. It once chose between one prepare per
+        /// vote and all prepares at once; there is now one schedule. It stays
+        /// only because `benchmark/src/probes.rs` still names it and the PR
+        /// that removed its meaning could not edit `benchmark/`; the next
+        /// `benchmark` PR deletes it there, here, and
+        /// [`Input::commit_requested`] with it.
         parallel: bool,
     },
     /// Result of [`Effect::LogStart`] (the status-`Unknown` coordinator
@@ -138,6 +143,18 @@ pub enum Input {
     /// The site rebooted under a new boot epoch; volatile prepare rounds
     /// died with the old incarnation.
     Rebooted { epoch: u64 },
+}
+
+impl Input {
+    /// [`Input::CommitRequested`], so that its inert field is spelled here
+    /// and nowhere else in the program.
+    pub fn commit_requested(tid: TransId, files: Vec<FileListEntry>) -> Input {
+        Input::CommitRequested {
+            tid,
+            files,
+            parallel: true,
+        }
+    }
 }
 
 /// How a recovery status inquiry resolved.

@@ -8,7 +8,7 @@ use locus_fs::Volume;
 use locus_kernel::{Catalog, Kernel, LockOpts};
 use locus_net::SimTransport;
 use locus_proc::ProcessRegistry;
-use locus_sim::{Account, CostModel, Counters, Event, EventLog};
+use locus_sim::{Account, CostModel, Counters, Event, EventLog, SimDuration, SpanPhase};
 use locus_types::{ByteRange, Error, LockRequestMode, SiteId, TxnStatus, VolumeId};
 
 use crate::manager::EndOutcome;
@@ -1443,6 +1443,80 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }
 
+// ----- One prepare wave and one phase-two wave per commit ---------------------
+
+/// A three-site cluster in which site 0 coordinates one transaction that
+/// writes a record into a file stored at each of `storage`. Returns what
+/// `end_trans` and the phase-two pump after it were charged.
+fn commit_across(storage: &[usize]) -> (TestCluster, Account, Account) {
+    let c = TestCluster::new(3);
+    for &i in storage {
+        let (s, mut a) = (c.site(i), acct(i as u32));
+        let p = s.kernel.spawn();
+        let ch = s.kernel.creat(p, &format!("/f{i}"), &mut a).unwrap();
+        s.kernel.close(p, ch, &mut a).unwrap();
+    }
+    let s0 = c.site(0);
+    let mut a = acct(0);
+    let pid = s0.kernel.spawn();
+    s0.txn.begin_trans(pid, &mut a).unwrap();
+    for &i in storage {
+        let ch = s0
+            .kernel
+            .open(pid, &format!("/f{i}"), true, &mut a)
+            .unwrap();
+        s0.kernel.write(pid, ch, b"rec", &mut a).unwrap();
+    }
+    let before = a.clone();
+    s0.txn.end_trans(pid, &mut a).unwrap();
+    let sync = a.delta_since(&before);
+    let mut bg = acct(0);
+    assert_eq!(s0.txn.run_async_work(&mut bg), 1);
+    (c, sync, bg)
+}
+
+#[test]
+fn two_remote_participants_cost_the_delay_of_one() {
+    let (_, one, one_bg) = commit_across(&[1]);
+    let (c, two, two_bg) = commit_across(&[1, 2]);
+    // Twice the work: a prepare message, a data page and a forced vote per
+    // participant, then the mark (the Figure 5 rule); an install each after.
+    assert_eq!((one.messages, two.messages), (1, 2));
+    assert_eq!((one.total_ios(), two.total_ios()), (2 + 1, 2 * 2 + 1));
+    assert_eq!((one_bg.messages, two_bg.messages), (1, 2));
+    assert_eq!((one_bg.total_ios(), two_bg.total_ios()), (1, 2));
+    // In the time of one: both sites prepare at once and install at once, so
+    // the caller waits for one prepare branch and the mark, and the pump for
+    // one install. The second branch is all there in `overlapped`.
+    assert_eq!(two.elapsed, one.elapsed);
+    assert_eq!(two_bg.elapsed, one_bg.elapsed);
+    let spans = c.counters.spans.snapshot();
+    let prepare = spans.virt_phase(SpanPhase::Prepare);
+    assert_eq!(prepare.count, 2);
+    assert_eq!(two.overlapped.as_nanos(), prepare.total_ns / 2);
+    assert!(two_bg.overlapped > SimDuration::ZERO);
+    assert_eq!(one.overlapped + one_bg.overlapped, SimDuration::ZERO);
+}
+
+#[test]
+fn a_wave_on_the_callers_thread_repeats_byte_for_byte() {
+    let (a, b) = (commit_across(&[1, 2]).0, commit_across(&[1, 2]).0);
+    assert_eq!(a.events.all(), b.events.all());
+    assert_eq!(a.counters.spans.snapshot(), b.counters.spans.snapshot());
+}
+
+#[test]
+fn a_local_and_a_remote_participant_still_force_one_journal_each() {
+    // The chaos workload's shape. The wave changes when the two sites are
+    // charged, not what they force: the remote vote its own journal, the
+    // local vote nothing — it rides the mark's force of the home journal.
+    // (Set-up and phase two force no journal, so these are the run's totals.)
+    let (c, sync, _) = commit_across(&[0, 1]);
+    let forces = |s: &Arc<Site>| s.kernel.home().unwrap().journal().flush_stats().0;
+    assert_eq!(c.sites.iter().map(forces).collect::<Vec<_>>(), [1, 1, 0]);
+    assert_eq!((sync.seq_ios, sync.messages), (2, 1));
+}
+
 // ----- `drive` over a scripted substrate --------------------------------------
 
 mod scripted_drive {
@@ -1466,6 +1540,10 @@ mod scripted_drive {
         /// The sites of each delivery of prepares: one entry per single
         /// prepare, one per wave.
         prepares: Vec<Vec<SiteId>>,
+        /// Every decision mark asked for.
+        marks: Vec<TxnStatus>,
+        /// Every phase-two item queued: the outcome and the sites to tell.
+        queued: Vec<(bool, Vec<SiteId>)>,
     }
 
     impl Substrate for Scripted {
@@ -1487,12 +1565,24 @@ mod scripted_drive {
                 }
                 Effect::LogStatus {
                     tid,
+                    status,
                     critical: true,
+                } => {
+                    self.marks.push(status);
+                    Some(Input::StatusLogged {
+                        tid,
+                        ok: self.mark_ok,
+                    })
+                }
+                Effect::QueuePhase2 {
+                    commit,
+                    participants,
                     ..
-                } => Some(Input::StatusLogged {
-                    tid,
-                    ok: self.mark_ok,
-                }),
+                } => {
+                    let sites = participants.iter().map(|(site, _)| *site).collect();
+                    self.queued.push((commit, sites));
+                    None
+                }
                 _ => None,
             })
         }
@@ -1514,7 +1604,7 @@ mod scripted_drive {
     }
 
     /// Drives a commit request over one file at each of three sites.
-    fn commit(parallel: bool, no_votes: &[SiteId], mark_ok: bool) -> Scripted {
+    fn commit(no_votes: &[SiteId], mark_ok: bool) -> Scripted {
         let mut sub = Scripted {
             sm: CoordinatorSm::new(SiteId(0)),
             no_votes: no_votes.to_vec(),
@@ -1522,6 +1612,8 @@ mod scripted_drive {
             stepped: Vec::new(),
             seen: Vec::new(),
             prepares: Vec::new(),
+            marks: Vec::new(),
+            queued: Vec::new(),
         };
         let files = (0..3)
             .map(|s| FileListEntry {
@@ -1530,25 +1622,26 @@ mod scripted_drive {
                 epoch: 0,
             })
             .collect();
-        let request = Input::CommitRequested {
-            tid: tid(),
-            files,
-            parallel,
-        };
-        let Ok(()) = drive(&mut sub, request);
+        let Ok(()) = drive(&mut sub, Input::commit_requested(tid(), files));
         sub
     }
 
     #[test]
-    fn sequential_prepares_stop_at_the_first_no_vote() {
-        let sub = commit(false, &[SiteId(1)], true);
-        assert_eq!(sub.prepares, [[SiteId(0)], [SiteId(1)]]);
+    fn a_middle_no_still_prepares_all_three_and_aborts_once() {
+        let sub = commit(&[SiteId(1)], true);
+        let all = [SiteId(0), SiteId(1), SiteId(2)];
+        assert_eq!(sub.prepares.concat(), all);
+        // One decision, taken when the last vote is in, and every site —
+        // the two that prepared and the one that refused — is told.
+        assert_eq!(sub.marks, [TxnStatus::Aborted]);
+        assert_eq!(sub.queued, [(false, all.to_vec())]);
+        assert!(!sub.seen.contains(&"RaiseFences"));
         assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Aborted));
     }
 
     #[test]
     fn a_parallel_fan_out_is_one_wave_and_its_votes_are_stepped_in_wave_order() {
-        let sub = commit(true, &[SiteId(1)], true);
+        let sub = commit(&[SiteId(1)], true);
         assert_eq!(sub.prepares, [[SiteId(0), SiteId(1), SiteId(2)]]);
         // Request, start record, the three votes in wave order, and only
         // then the mark: the no in the middle did not cut the wave short.
@@ -1566,7 +1659,7 @@ mod scripted_drive {
 
     #[test]
     fn a_failed_commit_mark_stays_fenced_and_undecided() {
-        let sub = commit(false, &[], false);
+        let sub = commit(&[], false);
         assert_eq!(sub.seen[sub.seen.len() - 2..], ["RaiseFences", "LogStatus"]);
         assert!(!sub.seen.contains(&"QueuePhase2") && !sub.seen.contains(&"DropFence"));
         assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Unknown));

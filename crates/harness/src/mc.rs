@@ -68,8 +68,6 @@ pub struct McConfig {
     pub sites: u32,
     /// Number of transactions (started sequentially, run concurrently).
     pub txns: u64,
-    /// Contact participants concurrently (the threaded driver's mode).
-    pub parallel: bool,
     /// How many site crashes the scope may inject.
     pub crashes: u8,
     /// How many prepare messages may be dropped.
@@ -90,7 +88,6 @@ impl McConfig {
         McConfig {
             sites,
             txns,
-            parallel: true,
             crashes: 1,
             drops: 1,
             dups: 1,
@@ -462,11 +459,7 @@ impl World {
     /// Start transaction number `txns_started`: acked dirty writes land at
     /// every site (epochs captured per site, as the file list does at open
     /// time), then the top-level `EndTrans` requests commit.
-    fn start_txn(
-        &mut self,
-        parallel: bool,
-        seen: &mut BTreeSet<&'static str>,
-    ) -> Result<(), String> {
+    fn start_txn(&mut self, seen: &mut BTreeSet<&'static str>) -> Result<(), String> {
         let tid = tid_for(self.txns_started);
         self.txns_started += 1;
         let epochs: Vec<u64> = self.parts.iter().map(|p| p.sm.boot_epoch()).collect();
@@ -475,12 +468,8 @@ impl World {
             p.dirty.insert(tid);
         }
         let files = self.files_for(tid);
-        let input = Input::CommitRequested {
-            tid,
-            files,
-            parallel,
-        };
-        self.drive(Machine::Coord, input, seen).map(|_| ())
+        self.drive(Machine::Coord, Input::commit_requested(tid, files), seen)
+            .map(|_| ())
     }
 
     /// Unilateral rollback of an undecided transaction at site `s` — what
@@ -682,7 +671,7 @@ fn successors(
     if w.txns_started < cfg.txns && all_up {
         let tid = tid_for(w.txns_started);
         let mut n = w.clone();
-        let r = n.start_txn(cfg.parallel, seen).map(|_| n);
+        let r = n.start_txn(seen).map(|_| n);
         out.push((format!("start {tid}"), r));
     }
 

@@ -1,6 +1,8 @@
 //! The Figure-6-style latency decomposition table: one row per (clock bank,
 //! span phase) with the span count, bucket-floor p50/p99, and the paper's
-//! cost axes (instructions, disk wait, network) plus lock wait.
+//! cost axes (instructions, disk wait, network) plus lock wait. A virtual
+//! row adds up: instr + disk + net - overlapped = total, where `overlapped`
+//! is the axis time that ran on several sites at once.
 
 use locus_sim::{SpanPhase, SpanRegistrySnapshot};
 
@@ -19,6 +21,7 @@ pub fn decomposition_table(title: &str, snap: &SpanRegistrySnapshot) -> String {
         "disk ms",
         "net ms",
         "lock-wait ms",
+        "overlapped ms",
         "total ms",
     ]);
     let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
@@ -38,6 +41,7 @@ pub fn decomposition_table(title: &str, snap: &SpanRegistrySnapshot) -> String {
                 ms(p.disk_ns),
                 ms(p.net_ns),
                 ms(p.lock_wait_ns),
+                ms(p.overlapped_ns),
                 ms(p.total_ns),
             ]);
         }

@@ -5,6 +5,11 @@
 //! condition variable and retries when granted; `EndTrans` likewise waits for
 //! member completion. This exercises the same kernels as the deterministic
 //! driver under genuine concurrency.
+//!
+//! The only threads are the processes': a commit runs on the thread that
+//! called `EndTrans`, its prepares and phase-two messages as waves on that
+//! thread (`TxnManager::wave`) exactly as under the deterministic driver. The
+//! two drivers differ in who interleaves system calls, not in what one does.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,14 +34,8 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    /// Spawns a fresh process at `site`. The threaded driver runs processes
-    /// on real OS threads, so the site's transaction manager is switched to
-    /// parallel prepare fan-out: phase one contacts distinct participant
-    /// sites from scoped threads instead of sequentially.
+    /// Spawns a fresh process at `site`.
     pub fn new(site: Arc<Site>) -> Self {
-        site.txn
-            .parallel_fanout
-            .store(true, std::sync::atomic::Ordering::Relaxed);
         // With real concurrency, hold each journal flush open briefly so
         // commits racing on the same volume coalesce into one barrier
         // (group commit); the deterministic driver keeps a zero window.
@@ -254,8 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_prepare_fanout_commits_multi_site_transaction() {
-        use std::sync::atomic::Ordering;
+    fn prepare_wave_commits_multi_site_transaction() {
         let c = Cluster::new(3);
         for (i, name) in [(1usize, "/p1"), (2usize, "/p2")] {
             let setup = ThreadCtx::new(c.site(i).clone());
@@ -264,9 +262,6 @@ mod tests {
             setup.close(ch).unwrap();
         }
         let ctx = ThreadCtx::new(c.site(0).clone());
-        // The threaded driver switched this site to parallel fan-out; with
-        // two participant sites the prepares go out from scoped threads.
-        assert!(c.site(0).txn.parallel_fanout.load(Ordering::Relaxed));
         ctx.begin_trans().unwrap();
         for name in ["/p1", "/p2"] {
             let ch = ctx.open(name, true).unwrap();

@@ -52,19 +52,6 @@ fn two_site_one_txn_scope_is_exhausted_without_violations() {
 }
 
 #[test]
-fn sequential_mode_is_also_clean() {
-    let mut cfg = McConfig::new(2, 1);
-    cfg.parallel = false;
-    let report = check(&cfg);
-    assert!(report.complete);
-    assert!(
-        report.violation.is_none(),
-        "sequential-prepare violation: {:?}",
-        report.violation
-    );
-}
-
-#[test]
 fn disabling_the_refusal_transition_yields_a_counterexample() {
     let mut cfg = McConfig::new(2, 1);
     cfg.faults.skip_refused_check = true;

@@ -24,6 +24,11 @@ pub struct Account {
     pub at: SiteId,
     /// Total elapsed virtual time (latency).
     pub elapsed: SimDuration,
+    /// Time that passed on more than one branch at once: what
+    /// [`Account::absorb_parallel`] left out of `elapsed` by charging only
+    /// the slowest branch. `elapsed + overlapped` is the time all the work
+    /// would have taken end to end.
+    pub overlapped: SimDuration,
     /// CPU time consumed at the home site.
     pub cpu_home: SimDuration,
     /// CPU time consumed at other sites on this activity's behalf.
@@ -47,6 +52,7 @@ impl Account {
             home: site,
             at: site,
             elapsed: SimDuration::ZERO,
+            overlapped: SimDuration::ZERO,
             cpu_home: SimDuration::ZERO,
             cpu_remote: SimDuration::ZERO,
             disk_reads: 0,
@@ -96,15 +102,19 @@ impl Account {
     }
 
     /// Folds the costs of activities that ran *in parallel* on this
-    /// activity's behalf (e.g. a 2PC fan-out where each participant site was
-    /// driven by its own thread). Latency is the slowest branch; CPU, I/O,
-    /// and message counts are the sum of all branches — the work happened,
-    /// it just overlapped in time. Each branch account should start from
-    /// `Account::new` so its totals are pure deltas.
+    /// activity's behalf (e.g. a 2PC fan-out where every participant site
+    /// works at once). Latency is the slowest branch; CPU, I/O, and message
+    /// counts are the sum of all branches — the work happened, it just
+    /// overlapped in time, and `overlapped` keeps how much. Each branch
+    /// account should start from `Account::new` so its totals are pure
+    /// deltas.
     pub fn absorb_parallel<'a>(&mut self, branches: impl IntoIterator<Item = &'a Account>) {
         let mut max_elapsed = SimDuration::ZERO;
+        let mut sum_elapsed = SimDuration::ZERO;
         for b in branches {
             max_elapsed = max_elapsed.max(b.elapsed);
+            sum_elapsed += b.elapsed;
+            self.overlapped += b.overlapped;
             self.cpu_home += b.cpu_home;
             self.cpu_remote += b.cpu_remote;
             self.disk_reads += b.disk_reads;
@@ -114,6 +124,7 @@ impl Account {
             self.pages_differenced += b.pages_differenced;
         }
         self.elapsed += max_elapsed;
+        self.overlapped += sum_elapsed - max_elapsed;
     }
 
     /// Difference `self − earlier`, for measuring a span of activity.
@@ -122,6 +133,7 @@ impl Account {
             home: self.home,
             at: self.at,
             elapsed: self.elapsed.saturating_sub(earlier.elapsed),
+            overlapped: self.overlapped.saturating_sub(earlier.overlapped),
             cpu_home: self.cpu_home.saturating_sub(earlier.cpu_home),
             cpu_remote: self.cpu_remote.saturating_sub(earlier.cpu_remote),
             disk_reads: self.disk_reads - earlier.disk_reads,
@@ -187,6 +199,7 @@ mod tests {
 
         main.absorb_parallel([&b1, &b2]);
         assert_eq!(main.elapsed, base + SimDuration::from_millis(50));
+        assert_eq!(main.overlapped, SimDuration::from_millis(30));
         assert_eq!(main.messages, 5);
         assert_eq!(main.disk_writes, 1);
     }

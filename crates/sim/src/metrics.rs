@@ -473,6 +473,7 @@ pub struct PhaseSpans {
     disk_ns: AtomicU64,
     net_ns: AtomicU64,
     lock_wait_ns: AtomicU64,
+    overlapped_ns: AtomicU64,
     total_ns: AtomicU64,
     latency: Histogram,
 }
@@ -485,6 +486,8 @@ impl PhaseSpans {
         self.net_ns.fetch_add(axes.net_ns, Ordering::Relaxed);
         self.lock_wait_ns
             .fetch_add(axes.lock_wait_ns, Ordering::Relaxed);
+        self.overlapped_ns
+            .fetch_add(axes.overlapped_ns, Ordering::Relaxed);
         self.total_ns.fetch_add(axes.total_ns, Ordering::Relaxed);
         self.latency.record(axes.total_ns);
     }
@@ -496,6 +499,7 @@ impl PhaseSpans {
             disk_ns: self.disk_ns.load(Ordering::Relaxed),
             net_ns: self.net_ns.load(Ordering::Relaxed),
             lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
+            overlapped_ns: self.overlapped_ns.load(Ordering::Relaxed),
             total_ns: self.total_ns.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
         }
@@ -515,6 +519,10 @@ pub struct PhaseSpanSnapshot {
     pub net_ns: u64,
     /// Time parked waiting for a lock (wall-clock spans only).
     pub lock_wait_ns: u64,
+    /// Axis time that ran on overlapping branches and is therefore not in
+    /// `total_ns` (virtual spans only): `instr_ns + disk_ns + net_ns -
+    /// overlapped_ns == total_ns`.
+    pub overlapped_ns: u64,
     /// End-to-end span latency.
     pub total_ns: u64,
     /// Distribution of `total_ns` across spans.
@@ -529,6 +537,7 @@ impl PhaseSpanSnapshot {
         self.disk_ns += other.disk_ns;
         self.net_ns += other.net_ns;
         self.lock_wait_ns += other.lock_wait_ns;
+        self.overlapped_ns += other.overlapped_ns;
         self.total_ns += other.total_ns;
         self.latency.merge(&other.latency);
     }
@@ -561,24 +570,28 @@ impl SpanRegistry {
     ///
     /// Axis decomposition: instruction time is the delta's CPU total; disk
     /// wait is reconstructed exactly from I/O counts × model latencies (the
-    /// disk charges precisely those); network time is the remaining elapsed
-    /// time (RTT, page transfer, injected delays — all of which are `wait`s
-    /// the account cannot otherwise classify). `lock_wait` is zero here:
-    /// deterministic drivers suspend a blocked process instead of waiting.
-    /// Under a parallel fan-out the axes sum over branches while elapsed is
-    /// the slowest branch, so axes may legitimately exceed `total_ns`.
+    /// disk charges precisely those); network time is the rest of the time
+    /// the work took (RTT, page transfer, injected delays — all of which are
+    /// `wait`s the account cannot otherwise classify). `lock_wait` is zero
+    /// here: deterministic drivers suspend a blocked process instead of
+    /// waiting. Under a wave the axes sum over branches while elapsed is the
+    /// slowest branch: the difference is the account's `overlapped`, which
+    /// the row carries, so `instr + disk + net - overlapped == total` holds
+    /// with and without overlap.
     pub fn record_virt(&self, phase: SpanPhase, model: &CostModel, delta: &Account) {
         let total = delta.elapsed.as_nanos();
+        let overlapped = delta.overlapped.as_nanos();
         let instr = delta.cpu_total().as_nanos();
         let disk = (delta.disk_reads + delta.disk_writes) * model.disk_io.as_nanos()
             + delta.seq_ios * model.disk_seq_io.as_nanos();
-        let net = total.saturating_sub(instr + disk);
+        let net = (total + overlapped).saturating_sub(instr + disk);
         self.virt[phase.index()].record(&PhaseSpanSnapshot {
             count: 1,
             instr_ns: instr,
             disk_ns: disk,
             net_ns: net,
             lock_wait_ns: 0,
+            overlapped_ns: overlapped,
             total_ns: total,
             latency: HistogramSnapshot::default(),
         });
@@ -810,6 +823,46 @@ mod tests {
         // Other phases and the wall bank untouched.
         assert_eq!(s.virt_phase(SpanPhase::Prepare).count, 0);
         assert_eq!(s.wall_phase(SpanPhase::Commit).count, 0);
+    }
+
+    #[test]
+    fn virt_span_over_a_wave_still_adds_up() {
+        use locus_types::SiteId;
+        let model = CostModel::paper_1985();
+        let reg = SpanRegistry::default();
+        let mut acct = Account::new(SiteId(0));
+        let span = VirtSpan::begin(SpanPhase::Commit, &acct);
+        acct.cpu_instrs(&model, 1000);
+        // Two sites work at once, one of them with an extra disk write.
+        let branches: Vec<Account> = (0..2)
+            .map(|extra| {
+                let mut b = Account::new(SiteId(0));
+                b.cpu_instrs(&model, 500);
+                b.wait(model.net_rtt);
+                b.messages += 1;
+                b.wait(model.disk_io * (1 + extra));
+                b.disk_writes += 1 + extra;
+                b
+            })
+            .collect();
+        acct.absorb_parallel(&branches);
+        span.finish(&reg, &model, &acct);
+
+        let s = reg.snapshot();
+        let c = s.virt_phase(SpanPhase::Commit);
+        // Every axis counts both branches; the total only the slower one.
+        assert_eq!(c.instr_ns, model.instrs(2000).as_nanos());
+        assert_eq!(c.disk_ns, 3 * model.disk_io.as_nanos());
+        assert_eq!(c.net_ns, 2 * model.net_rtt.as_nanos());
+        assert_eq!(c.overlapped_ns, branches[0].elapsed.as_nanos());
+        assert_eq!(
+            c.total_ns,
+            (model.instrs(1000) + branches[1].elapsed).as_nanos()
+        );
+        assert_eq!(
+            c.instr_ns + c.disk_ns + c.net_ns - c.overlapped_ns,
+            c.total_ns
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 
 use proptest::prelude::*;
 
-use locus_sim::{Histogram, HistogramSnapshot, SpanPhase, SpanRegistry};
+use locus_sim::{
+    Account, CostModel, Histogram, HistogramSnapshot, SimDuration, SpanPhase, SpanRegistry,
+};
+use locus_types::SiteId;
 
 /// Records a batch of values into a fresh histogram and snapshots it.
 fn hist_of(values: &[u64]) -> HistogramSnapshot {
@@ -109,16 +112,28 @@ proptest! {
 
     /// Span-registry snapshots merge phase-wise with the same order
     /// independence: fold A then B equals fold B then A for every phase's
-    /// counts, axes, and histogram bytes.
+    /// counts, axes (the overlapped one included), and histogram bytes — and
+    /// the merged virtual rows still add up.
     #[test]
     fn span_registry_merge_is_commutative(
         xs in proptest::collection::vec((0usize..10, any::<u32>()), 0..32),
         ys in proptest::collection::vec((0usize..10, any::<u32>()), 0..32),
     ) {
+        let model = CostModel::default();
         let fill = |pairs: &[(usize, u32)]| {
             let reg = SpanRegistry::default();
             for &(p, total) in pairs {
                 reg.record_wall(SpanPhase::ALL[p], total as u64, (total / 2) as u64);
+                // A virtual span over a two-branch wave, so `overlapped_ns`
+                // is exercised: one branch waits `total`, the other half.
+                let mut acct = Account::new(SiteId(0));
+                let branches = [total, total / 2].map(|ns| {
+                    let mut b = Account::new(SiteId(0));
+                    b.wait(SimDuration::from_nanos(ns as u64));
+                    b
+                });
+                acct.absorb_parallel(&branches);
+                reg.record_virt(SpanPhase::ALL[p], &model, &acct);
             }
             reg.snapshot()
         };
@@ -127,6 +142,9 @@ proptest! {
         ab.merge(&sb);
         let mut ba = sb.clone();
         ba.merge(&sa);
+        for v in &ab.virt {
+            prop_assert_eq!(v.instr_ns + v.disk_ns + v.net_ns - v.overlapped_ns, v.total_ns);
+        }
         prop_assert_eq!(ab, ba);
     }
 }

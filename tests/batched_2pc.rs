@@ -173,9 +173,9 @@ fn participant_crash_mid_prepare_fanout_cascades_abort() {
         c.site(0).kernel.write(pid, ch, b"new!", &mut acct).unwrap();
     }
 
-    // Site 2 dies before the fan-out reaches it. The sequential fan-out
-    // prepares site 1 first (prepare log written, pages pinned), then fails
-    // against site 2 and must abort the whole transaction.
+    // Site 2 dies before the fan-out reaches it. The wave prepares site 1
+    // (prepare log written, pages pinned), fails against site 2 and must
+    // abort the whole transaction.
     c.crash_site(2);
     c.events.clear();
     let before = c.counters();

@@ -4,6 +4,15 @@
 //! calls plus the explicit single-file `commit_file`/`abort_file` (base
 //! Locus commits files atomically as its default operating mode, Section 4).
 //! Server side: the storage-site handler for [`FileMsg`] requests.
+//!
+//! A transaction's `read` and `write` take their implicit lock on the way
+//! (Section 3.1). When the lock list and the data are at the same remote
+//! site the lock does not get a message of its own: the `ReadReq` /
+//! `WriteReq` goes out with `lock: true` and the storage site locks, then
+//! serves, in one round trip — or answers the lock's error with the file
+//! untouched. `Kernel::ensure_locked` decides whether the lock rides and
+//! `Kernel::lock_rode` applies what the answer means here; both are in
+//! [`crate::services::lock`], next to the explicit path they stand in for.
 
 use locus_net::{FileMsg, LockMsg, Msg};
 use locus_proc::OpenFile;
@@ -12,7 +21,7 @@ use locus_types::{ByteRange, Channel, Error, Fid, Owner, Pid, Result, SiteId};
 
 use crate::catalog::FileLoc;
 use crate::kernel::Kernel;
-use crate::services::ServiceHandler;
+use crate::services::{check_range, ServiceHandler};
 
 /// Storage-site handler for the filesystem data plane.
 pub(crate) struct FileService;
@@ -20,7 +29,7 @@ pub(crate) struct FileService;
 impl ServiceHandler for FileService {
     type Request = FileMsg;
 
-    fn handle(k: &Kernel, _from: SiteId, req: FileMsg, acct: &mut Account) -> Result<Msg> {
+    fn handle(k: &Kernel, from: SiteId, req: FileMsg, acct: &mut Account) -> Result<Msg> {
         match req {
             FileMsg::OpenReq {
                 fid,
@@ -40,7 +49,12 @@ impl ServiceHandler for FileService {
                 pid,
                 owner,
                 range,
+                lock,
             } => {
+                check_range(range)?;
+                if lock {
+                    k.serve_implicit_lock(from, fid, pid, owner, range, false, acct)?;
+                }
                 k.locks.validate_access(fid, owner, pid, range, false)?;
                 let vol = k.volume(fid.volume)?;
                 let (data, committed_len, vers) = vol.read_with_meta(fid, owner, range, acct)?;
@@ -56,8 +70,13 @@ impl ServiceHandler for FileService {
                 owner,
                 range,
                 data,
+                lock,
             } => {
+                check_range(range)?;
                 k.require_primary(fid)?;
+                if lock {
+                    k.serve_implicit_lock(from, fid, pid, owner, range, true, acct)?;
+                }
                 k.locks.validate_access(fid, owner, pid, range, true)?;
                 let vol = k.volume(fid.volume)?;
                 let new_len = vol.write(fid, owner, range, &data, acct)?;
@@ -273,7 +292,8 @@ impl Kernel {
 
     /// Reads `len` bytes at the current position. Transactions lock
     /// implicitly ("implicitly (at the time of record access)",
-    /// Section 3.1); a queued implicit lock surfaces as
+    /// Section 3.1) — with the read itself when it goes to the remote site
+    /// that keeps the lock list; a queued implicit lock surfaces as
     /// [`Error::WouldBlock`] and the caller retries after its wakeup.
     ///
     /// Three serving tiers, cheapest first:
@@ -308,7 +328,12 @@ impl Kernel {
                     return None;
                 }
                 let range = ByteRange::new(of.pos, len);
-                if range.is_empty() || !self.cache.covers(of.fid, Owner::Proc(pid), range, false) {
+                // A range past the address space falls through too: the slow
+                // path is where it is refused.
+                if range.is_empty()
+                    || range.checked_end().is_none()
+                    || !self.cache.covers(of.fid, Owner::Proc(pid), range, false)
+                {
                     return None;
                 }
                 let out = self.pages.read_vec(of.fid, Owner::Proc(pid), range, ps)?;
@@ -323,11 +348,10 @@ impl Kernel {
         }
         let (of, tid) = self.with_channel(pid, ch)?;
         let range = ByteRange::new(of.pos, len);
-        if tid.is_some() {
-            self.ensure_locked(pid, ch, &of, range, false, acct)?;
-        }
-        let owner = self.owner_of(pid);
+        check_range(range)?;
         let serve = self.read_site(&of, tid.is_some());
+        let lock = tid.is_some() && self.ensure_locked(pid, ch, &of, serve, range, false, acct)?;
+        let owner = self.owner_of(pid);
         if serve == self.site {
             // Local fast path: exactly what the ReadReq handler would do,
             // minus the message.
@@ -370,16 +394,20 @@ impl Kernel {
         // sibling thread of this owner writes while the read is in flight,
         // the stale response must not enter the cache.
         let gen = self.pages.write_gen(of.fid, owner);
+        // A transaction's read is never widened (`fetch_extent`), so a lock
+        // that rides it is a lock on the caller's own range.
+        debug_assert!(!lock || extent == range);
         let fetch = |extent: ByteRange, acct: &mut Account| {
             let req = FileMsg::ReadReq {
                 fid: of.fid,
                 pid,
                 owner,
                 range: extent,
+                lock,
             };
             self.rpc(serve, Msg::File(req), acct)
         };
-        let resp = match fetch(extent, acct) {
+        let mut resp = match fetch(extent, acct) {
             // The storage site refused bytes the caller never asked for (its
             // lock list no longer matches this site's lock cache): the
             // caller's own range still gets its own answer.
@@ -388,7 +416,13 @@ impl Kernel {
                 fetch(range, acct)
             }
             resp => resp,
-        }?;
+        };
+        if lock {
+            // Before the populate loop below, whose coverage check needs the
+            // lock this read just took.
+            resp = self.lock_rode(pid, &of, serve, range, false, resp);
+        }
+        let resp = resp?;
         let Msg::File(FileMsg::ReadResp {
             mut data,
             committed_len,
@@ -487,7 +521,8 @@ impl Kernel {
     }
 
     /// Writes `data` at the current position. Requires write-mode open;
-    /// transactions lock the range exclusively, implicitly.
+    /// transactions lock the range exclusively, implicitly, with the write
+    /// itself when it goes to the remote site that keeps the lock list.
     pub fn write(&self, pid: Pid, ch: Channel, data: &[u8], acct: &mut Account) -> Result<()> {
         self.check_up()?;
         acct.cpu_instrs(&self.model, self.model.syscall_instrs);
@@ -496,11 +531,10 @@ impl Kernel {
             return Err(Error::PermissionDenied { fid: of.fid });
         }
         let range = ByteRange::new(of.pos, data.len() as u64);
-        if tid.is_some() {
-            self.ensure_locked(pid, ch, &of, range, true, acct)?;
-        }
-        let owner = self.owner_of(pid);
+        check_range(range)?;
         let serve = self.update_site(&of);
+        let lock = tid.is_some() && self.ensure_locked(pid, ch, &of, serve, range, true, acct)?;
+        let owner = self.owner_of(pid);
         let write_epoch = if serve == self.site {
             // Local fast path: the WriteReq handler's work, sans message.
             self.counters.local_fast_paths();
@@ -511,7 +545,7 @@ impl Kernel {
             self.locks.set_eof(of.fid, new_len);
             self.boot_epoch()
         } else {
-            let resp = self.rpc(
+            let mut resp = self.rpc(
                 serve,
                 Msg::File(FileMsg::WriteReq {
                     fid: of.fid,
@@ -519,9 +553,14 @@ impl Kernel {
                     owner,
                     range,
                     data: data.to_vec(),
+                    lock,
                 }),
                 acct,
-            )?;
+            );
+            if lock {
+                resp = self.lock_rode(pid, &of, serve, range, true, resp);
+            }
+            let resp = resp?;
             // The storage site's boot epoch at the moment it acked this
             // write; recorded in the file-list so prepare can detect a later
             // reboot that discarded the buffered (acked) bytes.

@@ -3,6 +3,18 @@
 //! (grant/deny/queue, Section 3.3 rule-2 adoption, grant pushes) on the
 //! server side. The Section 5.2 lease arms of [`LockMsg`] are delegated to
 //! the [`crate::services::lease`] module.
+//!
+//! A lock request reaches a lock list in one of two ways, and both end in
+//! `Kernel::serve_lock`: as a [`LockMsg::Req`] of its own (the `lock()`
+//! system call; an implicit lock whose list is here, leased here, or at a
+//! site the access is not going to), or inside the `ReadReq` / `WriteReq` it
+//! guards (`lock: true`: a transaction's implicit lock when list and data are
+//! at the same remote site — `Kernel::ensure_locked` decides,
+//! `Kernel::serve_implicit_lock` serves, `Kernel::lock_rode` books the
+//! answer). Not a [`Msg::Batch`] of the two: a batch keeps going after a
+//! failing member, and the data handler's access check only refuses a
+//! *conflicting holder*, so a write batched behind a lock request that was
+//! merely queued would land with no lock.
 
 use std::sync::atomic::Ordering;
 
@@ -11,11 +23,11 @@ use locus_net::{LockMsg, Msg};
 use locus_proc::OpenFile;
 use locus_sim::{Account, SpanPhase, VirtSpan};
 use locus_types::{
-    ByteRange, Channel, Error, Fid, LockClass, LockRequestMode, Pid, Result, SiteId,
+    ByteRange, Channel, Error, Fid, LockClass, LockRequestMode, Owner, Pid, Result, SiteId,
 };
 
 use crate::kernel::Kernel;
-use crate::services::{lease, ServiceHandler};
+use crate::services::{check_range, lease, ServiceHandler};
 
 /// Options for the `Lock(file, length, mode)` system call (Section 3.2).
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,6 +40,16 @@ pub struct LockOpts {
     /// Interpret the range relative to end-of-file and atomically extend
     /// (Section 3.2 append mode).
     pub append: bool,
+}
+
+/// The mode a transaction's implicit lock takes: exclusive under a write,
+/// shared under a read.
+pub(crate) fn implicit_mode(write: bool) -> LockRequestMode {
+    if write {
+        LockRequestMode::Exclusive
+    } else {
+        LockRequestMode::Shared
+    }
 }
 
 /// Storage-site (and delegate-site) handler for the lock protocol.
@@ -49,6 +71,7 @@ impl ServiceHandler for LockService {
                 wait,
                 reply_site,
             } => {
+                check_range(range)?;
                 let req = LockRequest {
                     pid,
                     tid,
@@ -59,20 +82,7 @@ impl ServiceHandler for LockService {
                     wait,
                     reply_site,
                 };
-                if k.leased.read().contains(&fid) {
-                    // This site is the delegate: grant from the leased list.
-                    return lease::delegate_lock(k, fid, req, acct);
-                }
-                // Storage site: if the lease is out and someone other than
-                // the delegate is asking, the locking pattern changed —
-                // recall the lease first (Section 5.2: control "would
-                // migrate if the locking patterns changed").
-                k.reclaim_lease(fid, acct)?;
-                let out = k.storage_site_lock(fid, req, acct);
-                if out.is_ok() {
-                    lease::maybe_delegate(k, fid, from, acct);
-                }
-                out
+                k.serve_lock(from, fid, req, acct)
             }
             LockMsg::Granted { fid, pid, range } => {
                 // A queued request of a local process was granted at the
@@ -83,9 +93,7 @@ impl ServiceHandler for LockService {
             }
             LockMsg::UnlockAll { fid, pid } => {
                 k.reclaim_lease(fid, acct)?;
-                let granted = k
-                    .locks
-                    .release_owner_file(fid, locus_types::Owner::Proc(pid), acct);
+                let granted = k.locks.release_owner_file(fid, Owner::Proc(pid), acct);
                 k.push_grants(granted, acct);
                 Ok(Msg::Ok)
             }
@@ -143,27 +151,41 @@ impl Kernel {
         )
     }
 
-    /// Implicit two-phase locking on data access for transaction processes.
+    /// Implicit two-phase locking on data access for transaction processes:
+    /// the lock step of a read or write of `range` that `serve` will serve.
+    ///
+    /// Returns `true` when the lock *rides the access* — the caller sends
+    /// its `ReadReq` / `WriteReq` with `lock: true` and hands the outcome to
+    /// [`Kernel::lock_rode`] — and `false` when the lock is already in hand.
+    /// It rides exactly when taking it here would cost a round trip to the
+    /// site the access is about to visit anyway: the lock cache does not
+    /// cover the range, the lock list is at the data site (`serve` is the
+    /// file's update site, and no lease has brought the list here), and that
+    /// site is remote. In every other case the lock is taken now, as an
+    /// explicit `lock(wait)` would take it.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn ensure_locked(
         &self,
         pid: Pid,
         ch: Channel,
         of: &OpenFile,
+        serve: SiteId,
         range: ByteRange,
         write: bool,
         acct: &mut Account,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let owner = self.owner_of(pid);
         if self.cache.covers(of.fid, owner, range, write) {
             self.counters.lock_cache_hits();
             acct.cpu_instrs(&self.model, self.model.buffer_hit_instrs);
-            return Ok(());
+            return Ok(false);
         }
-        let mode = if write {
-            LockRequestMode::Exclusive
-        } else {
-            LockRequestMode::Shared
-        };
+        if serve != self.site
+            && serve == self.update_site(of)
+            && !self.leased.read().contains(&of.fid)
+        {
+            return Ok(true);
+        }
         let mut temp_of = *of;
         temp_of.pos = range.start;
         temp_of.append = false;
@@ -171,8 +193,53 @@ impl Kernel {
             wait: true,
             ..LockOpts::default()
         };
-        self.lock_channel(pid, ch, &temp_of, range.len, mode, opts, acct)
-            .map(|_| ())
+        self.lock_channel(
+            pid,
+            ch,
+            &temp_of,
+            range.len,
+            implicit_mode(write),
+            opts,
+            acct,
+        )?;
+        Ok(false)
+    }
+
+    /// What an access that carried its lock leaves at this site, given the
+    /// storage site's answer `res`. Granted and served: the lock cache and
+    /// the transaction's file list learn what `lock_channel` would have
+    /// taught them. Queued or refused: nothing happened there; the caller
+    /// retries after the grant's wake-up, the retry rides again, and the
+    /// lock list's reacquisition fast path makes that idempotent. Anything
+    /// else — a lost reply included — leaves the outcome unknown: the lock
+    /// may be held and the bytes written, so the site still joins the file
+    /// list, and commit or abort will reach it.
+    pub(crate) fn lock_rode<T>(
+        &self,
+        pid: Pid,
+        of: &OpenFile,
+        serve: SiteId,
+        range: ByteRange,
+        write: bool,
+        res: Result<T>,
+    ) -> Result<T> {
+        if matches!(
+            res,
+            Err(Error::WouldBlock { .. } | Error::LockConflict { .. })
+        ) {
+            return res;
+        }
+        let granted = res.as_ref().ok().and(implicit_mode(write).as_mode());
+        // One pass over the process stripe (the lock cache's shard lock is a
+        // leaf, as in `read`'s cached fast path).
+        let noted = self.procs.with_mut(pid, |rec| {
+            let Some(tid) = rec.tid else { return };
+            if let Some(mode) = granted {
+                self.cache.insert(of.fid, Owner::Trans(tid), mode, range);
+            }
+            rec.note_file(of.fid, serve, of.epoch);
+        });
+        res.and_then(|out| noted.map(|()| out))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -195,11 +262,12 @@ impl Kernel {
         // Unlock requests address already-held ranges at the current file
         // pointer; only acquisitions are placed append-relative.
         let append = (opts.append || of.append) && mode != LockRequestMode::Unlock;
-        let start = if append { 0 } else { of.pos };
+        let range = ByteRange::new(if append { 0 } else { of.pos }, len);
+        check_range(range)?;
         let owner = if let (Some(tid), LockClass::Transaction) = (rec_tid, class) {
-            locus_types::Owner::Trans(tid)
+            Owner::Trans(tid)
         } else {
-            locus_types::Owner::Proc(pid)
+            Owner::Proc(pid)
         };
         // Section 5.2 lock-control migration: if this site holds the lease
         // on the file's lock list, the request is processed locally.
@@ -223,7 +291,7 @@ impl Kernel {
                 tid: rec_tid,
                 mode,
                 class,
-                range: ByteRange::new(start, len),
+                range,
                 append,
                 wait: opts.wait,
                 reply_site: self.site,
@@ -260,6 +328,68 @@ impl Kernel {
                 "unexpected lock response {other:?}"
             ))),
         }
+    }
+
+    /// Serves one lock request that arrived at this site from `from`: as
+    /// the delegate when the file's lock list is leased here, otherwise as
+    /// the storage site — recalling an outstanding lease first (Section 5.2:
+    /// control "would migrate if the locking patterns changed"), then
+    /// granting, denying or queueing, then counting the request toward the
+    /// delegation trigger. The one body behind [`LockMsg::Req`] and behind a
+    /// data request that carries its lock ([`Kernel::serve_implicit_lock`]).
+    pub(crate) fn serve_lock(
+        &self,
+        from: SiteId,
+        fid: Fid,
+        req: LockRequest,
+        acct: &mut Account,
+    ) -> Result<Msg> {
+        if self.leased.read().contains(&fid) {
+            return lease::delegate_lock(self, fid, req, acct);
+        }
+        self.reclaim_lease(fid, acct)?;
+        let out = self.storage_site_lock(fid, req, acct);
+        if out.is_ok() {
+            lease::maybe_delegate(self, fid, from, acct);
+        }
+        out
+    }
+
+    /// The lock half of a `ReadReq` / `WriteReq` sent with `lock: true`: the
+    /// request `ensure_locked` would have sent from `from` on its own. Any
+    /// error — queued, refused, recall failed — is the data request's
+    /// answer, and the handler returns it before touching the file.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn serve_implicit_lock(
+        &self,
+        from: SiteId,
+        fid: Fid,
+        pid: Pid,
+        owner: Owner,
+        range: ByteRange,
+        write: bool,
+        acct: &mut Account,
+    ) -> Result<()> {
+        let Owner::Trans(tid) = owner else {
+            return Err(Error::ProtocolViolation(format!(
+                "{owner:?} is not a transaction: only a transaction locks implicitly"
+            )));
+        };
+        let req = LockRequest {
+            pid,
+            tid: Some(tid),
+            class: LockClass::Transaction,
+            mode: implicit_mode(write),
+            range,
+            append: false,
+            wait: true,
+            reply_site: from,
+        };
+        let resp = self.serve_lock(from, fid, req, acct)?;
+        // Only an append-mode grant lands anywhere but where it was asked
+        // for, which is why no range travels back with the data.
+        debug_assert_eq!(resp, Msg::Lock(LockMsg::Resp { granted: range }));
+        Ok(())
     }
 
     /// Storage-site lock processing: grant/deny/queue, then apply the

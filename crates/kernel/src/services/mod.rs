@@ -27,7 +27,7 @@ pub use txn::TxnService;
 
 use locus_net::Msg;
 use locus_sim::Account;
-use locus_types::{Error, Result, SiteId};
+use locus_types::{ByteRange, Error, Result, SiteId};
 
 use crate::kernel::Kernel;
 
@@ -39,6 +39,20 @@ pub(crate) trait ServiceHandler {
     type Request;
 
     fn handle(k: &Kernel, from: SiteId, req: Self::Request, acct: &mut Account) -> Result<Msg>;
+}
+
+/// Refuses a range whose `start + len` does not fit the address space, at
+/// the two kinds of place one enters the kernel: a system call's `pos + len`
+/// and a range in a message from another site. Past this check
+/// [`ByteRange::end`] cannot overflow.
+pub(crate) fn check_range(range: ByteRange) -> Result<()> {
+    match range.checked_end() {
+        Some(_) => Ok(()),
+        None => Err(Error::InvalidArgument(format!(
+            "byte range {}+{} overflows the file address space",
+            range.start, range.len
+        ))),
+    }
 }
 
 /// Routes one message to its service handler. Batch members are dispatched

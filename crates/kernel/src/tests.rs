@@ -9,7 +9,10 @@ use locus_fs::Volume;
 use locus_net::{FileMsg, Msg, SimTransport};
 use locus_proc::ProcessRegistry;
 use locus_sim::{Account, CostModel, Counters, EventLog, SimDuration};
-use locus_types::{ByteRange, Error, LockRequestMode, Owner, SiteId, VolumeId};
+use locus_types::{
+    ByteRange, Channel, Error, Fid, LockMode, LockRequestMode, Owner, Pid, SiteId, TransId,
+    VolumeId,
+};
 
 use crate::catalog::Catalog;
 use crate::kernel::Kernel;
@@ -1336,4 +1339,494 @@ fn downgrade_admits_readers() {
             &mut a
         )
         .is_ok());
+}
+
+// ----- The access carries its lock -------------------------------------------
+
+/// Records where every message that crosses the wire went and what kind it
+/// was, and applies `fault` to the first message of the kind it names.
+#[derive(Default)]
+struct WireTap {
+    seen: parking_lot::Mutex<Vec<(SiteId, &'static str)>>,
+    fault: parking_lot::Mutex<Option<(&'static str, locus_net::FaultDecision)>>,
+}
+
+impl WireTap {
+    fn install(c: &MiniCluster) -> Arc<WireTap> {
+        let tap = Arc::new(WireTap::default());
+        c.transport.set_fault_injector(Some(tap.clone()));
+        tap
+    }
+
+    /// The kinds seen since the last call.
+    fn kinds(&self) -> Vec<&'static str> {
+        self.seen.lock().drain(..).map(|(_, kind)| kind).collect()
+    }
+}
+
+impl locus_net::FaultInjector for WireTap {
+    fn decide(&self, _: SiteId, to: SiteId, msg: &Msg, _: bool) -> locus_net::FaultDecision {
+        self.seen.lock().push((to, msg.kind()));
+        let mut fault = self.fault.lock();
+        match *fault {
+            Some((kind, decision)) if kind == msg.kind() => {
+                *fault = None;
+                decision
+            }
+            _ => locus_net::FaultDecision::Deliver,
+        }
+    }
+}
+
+/// Puts `pid` in a transaction of its own, as `BeginTrans` does (the
+/// transaction manager itself lives in `locus-core`).
+fn enter_txn(k: &Kernel, pid: Pid, seq: u64) -> TransId {
+    let tid = TransId::new(k.site, seq);
+    k.procs
+        .with_mut(pid, |rec| {
+            rec.tid = Some(tid);
+            rec.top = Some(pid);
+            rec.nest = 1;
+        })
+        .unwrap();
+    tid
+}
+
+/// Site 1 opens `/cached` (stored at site 0) for update, then enters a
+/// transaction: the open is outside it, so the file list starts empty.
+fn remote_txn(c: &MiniCluster, a1: &mut Account, seq: u64) -> (Pid, Channel, Fid, TransId) {
+    let k1 = &c.kernels[1];
+    let p = k1.spawn();
+    let ch = k1.open(p, "/cached", true, a1).unwrap();
+    let fid = k1.procs.get(p).unwrap().open_files[&ch].fid;
+    (p, ch, fid, enter_txn(k1, p, seq))
+}
+
+/// The sites `pid`'s file list names for `fid`.
+fn listed_sites(k: &Kernel, pid: Pid, fid: Fid) -> Vec<SiteId> {
+    let mut sites: Vec<SiteId> = k
+        .procs
+        .get(pid)
+        .unwrap()
+        .file_list
+        .iter()
+        .filter(|e| e.fid == fid)
+        .map(|e| e.storage_site)
+        .collect();
+    sites.dedup();
+    sites
+}
+
+/// `(mode, range)` of every lock `owner` holds on `fid` at `k`.
+fn locks_of(k: &Kernel, fid: Fid, owner: Owner) -> Vec<(LockMode, ByteRange)> {
+    k.locks
+        .descriptors(fid)
+        .into_iter()
+        .filter(|d| d.owner() == owner)
+        .map(|d| (d.mode, d.range))
+        .collect()
+}
+
+fn queued_waiters(k: &Kernel, fid: Fid) -> usize {
+    let image = k.locks.export_file(fid).expect("a lock list");
+    locus_locks::decode_file_locks(&image)
+        .expect("a valid image")
+        .waiters
+        .len()
+}
+
+/// Everybody's uncommitted modifications to the first page of `fid` at `k`.
+fn uncommitted(k: &Kernel, fid: Fid) -> Vec<(Owner, ByteRange)> {
+    let nobody = Owner::Proc(Pid::new(SiteId(9), 9));
+    k.volume(fid.volume)
+        .unwrap()
+        .uncommitted_mods_overlapping(fid, FULL_PAGE, nobody)
+}
+
+#[test]
+fn first_remote_touch_of_a_record_is_one_message() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 512);
+    let tap = WireTap::install(&c);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let (p, ch, fid, tid) = remote_txn(&c, &mut a1, 1);
+    let owner = Owner::Trans(tid);
+    tap.kinds();
+
+    // First write: the exclusive lock rides it.
+    let before = a1.clone();
+    k1.write(p, ch, b"rec0", &mut a1).unwrap();
+    let folded = a1.delta_since(&before);
+    assert_eq!(folded.messages, 1);
+    assert_eq!(tap.kinds(), ["WriteReq+Lock"]);
+    let rec0 = ByteRange::new(0, 4);
+    assert_eq!(locks_of(k0, fid, owner), [(LockMode::Exclusive, rec0)]);
+    assert_eq!(listed_sites(k1, p, fid), [SiteId(0)]);
+    assert!(k1.cache.covers(fid, owner, rec0, true));
+
+    // Same record again: the lock is cached, the write travels bare.
+    k1.lseek(p, ch, 0, &mut a1).unwrap();
+    k1.write(p, ch, b"REC0", &mut a1).unwrap();
+    assert_eq!(tap.kinds(), ["WriteReq"]);
+    assert_eq!(locks_of(k0, fid, owner), [(LockMode::Exclusive, rec0)]);
+
+    // The same first touch taken the explicit way costs one round trip more,
+    // and the handling of the message that made it.
+    k1.lseek(p, ch, 64, &mut a1).unwrap();
+    let before = a1.clone();
+    let opts = LockOpts {
+        wait: true,
+        ..LockOpts::default()
+    };
+    k1.lock(p, ch, 4, LockRequestMode::Exclusive, opts, &mut a1)
+        .unwrap();
+    k1.write(p, ch, b"rec1", &mut a1).unwrap();
+    let explicit = a1.delta_since(&before);
+    assert_eq!(tap.kinds(), ["LockReq", "WriteReq"]);
+    assert_eq!(explicit.messages, 2);
+    let saved = explicit.elapsed - folded.elapsed;
+    assert!(
+        saved >= c.model.net_rtt && saved < c.model.net_rtt + SimDuration::from_millis(2),
+        "one round trip saved, not {saved:?}"
+    );
+
+    // Read-modify-write of a third record: two data messages, each with the
+    // lock it needs (shared, then the upgrade), and no lock request.
+    k1.lseek(p, ch, 128, &mut a1).unwrap();
+    assert_eq!(k1.read(p, ch, 8, &mut a1).unwrap(), vec![7u8; 8]);
+    let rec2 = ByteRange::new(128, 8);
+    assert!(locks_of(k0, fid, owner).contains(&(LockMode::Shared, rec2)));
+    k1.lseek(p, ch, 128, &mut a1).unwrap();
+    k1.write(p, ch, &[8u8; 8], &mut a1).unwrap();
+    assert_eq!(tap.kinds(), ["ReadReq+Lock", "WriteReq+Lock"]);
+    assert!(locks_of(k0, fid, owner).contains(&(LockMode::Exclusive, rec2)));
+    k1.lseek(p, ch, 128, &mut a1).unwrap();
+    assert_eq!(k1.read(p, ch, 8, &mut a1).unwrap(), vec![8u8; 8]);
+    assert_eq!(tap.kinds(), ["ReadReq"]);
+}
+
+#[test]
+fn a_queued_lock_leaves_the_file_untouched_and_the_retry_rides_again() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 512);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    // The holder: a transaction at the storage site with an uncommitted
+    // write to the record.
+    let mut a0 = acct(0);
+    let holder = k0.spawn();
+    let hch = k0.open(holder, "/cached", true, &mut a0).unwrap();
+    let held = Owner::Trans(enter_txn(k0, holder, 1));
+    k0.write(holder, hch, b"HOLD", &mut a0).unwrap();
+
+    let tap = WireTap::install(&c);
+    let mut a1 = acct(1);
+    let (p, ch, fid, tid) = remote_txn(&c, &mut a1, 2);
+    let vol = k0.volume(fid.volume).unwrap();
+    let bytes = |a: &mut Account| vol.read(fid, ByteRange::new(0, 16), a).unwrap();
+    let (bytes_before, mods_before) = (bytes(&mut a0), uncommitted(k0, fid));
+    assert_eq!(mods_before, [(held, ByteRange::new(0, 4))]);
+    tap.kinds();
+
+    for _ in 0..2 {
+        // The second attempt is a spurious retry: still one waiter.
+        assert!(matches!(
+            k1.write(p, ch, b"mine", &mut a1),
+            Err(Error::WouldBlock { .. })
+        ));
+        assert_eq!(bytes(&mut a0), bytes_before);
+        assert_eq!(uncommitted(k0, fid), mods_before);
+        assert_eq!(queued_waiters(k0, fid), 1);
+        assert!(locks_of(k0, fid, Owner::Trans(tid)).is_empty());
+        // Nothing happened there, so nothing is remembered here.
+        assert!(listed_sites(k1, p, fid).is_empty());
+        assert!(!k1
+            .cache
+            .covers(fid, Owner::Trans(tid), ByteRange::new(0, 4), true));
+    }
+    assert_eq!(tap.kinds(), ["WriteReq+Lock", "WriteReq+Lock"]);
+
+    // The holder commits and lets go; the grant wakes the writer.
+    k0.rpc(
+        SiteId(0),
+        Msg::File(FileMsg::CommitReq { fid, owner: held }),
+        &mut a0,
+    )
+    .unwrap();
+    let granted = k0.locks.release_owner(held, &mut a0);
+    k0.push_grants(granted, &mut a0);
+    assert!(k1.take_wakeup(p));
+    assert_eq!(tap.kinds(), ["LockGranted"]);
+
+    let before = a1.clone();
+    k1.write(p, ch, b"mine", &mut a1).unwrap();
+    assert_eq!(a1.delta_since(&before).messages, 1);
+    assert_eq!(tap.kinds(), ["WriteReq+Lock"]);
+    assert_eq!(queued_waiters(k0, fid), 0);
+    assert_eq!(
+        locks_of(k0, fid, Owner::Trans(tid)),
+        [(LockMode::Exclusive, ByteRange::new(0, 4))]
+    );
+    assert_eq!(bytes(&mut a0)[..4], *b"mine");
+    assert_eq!(listed_sites(k1, p, fid), [SiteId(0)]);
+}
+
+#[test]
+fn a_leased_lock_list_keeps_the_lock_local_and_the_write_bare() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 512);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    k0.lease_threshold
+        .store(2, std::sync::atomic::Ordering::Relaxed);
+    let tap = WireTap::install(&c);
+    let mut a1 = acct(1);
+    let (p, ch, fid, tid) = remote_txn(&c, &mut a1, 1);
+    tap.kinds();
+    // Two locks that ride their writes count toward the delegation trigger
+    // exactly as two lock requests would: the second one brings the list.
+    for rec in 0..2u64 {
+        k1.lseek(p, ch, rec * 16, &mut a1).unwrap();
+        k1.write(p, ch, b"lease", &mut a1).unwrap();
+    }
+    assert_eq!(
+        tap.kinds(),
+        ["WriteReq+Lock", "WriteReq+Lock", "LeaseGrant"]
+    );
+    assert!(k1.leased.read().contains(&fid));
+    // From here the lock is taken from the leased list, at home.
+    k1.lseek(p, ch, 64, &mut a1).unwrap();
+    let before = a1.clone();
+    k1.write(p, ch, b"local", &mut a1).unwrap();
+    assert_eq!(a1.delta_since(&before).messages, 1);
+    assert_eq!(tap.kinds(), ["WriteReq"]);
+    assert!(locks_of(k1, fid, Owner::Trans(tid))
+        .contains(&(LockMode::Exclusive, ByteRange::new(64, 5))));
+    assert_eq!(listed_sites(k1, p, fid), [SiteId(0)]);
+}
+
+#[test]
+fn the_lock_rides_to_the_catalog_primary_and_a_deposed_one_refuses_it() {
+    let c = mini_cluster(3);
+    let (k0, k1, k2) = (&c.kernels[0], &c.kernels[1], &c.kernels[2]);
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.creat(p0, "/r", &mut a0).unwrap();
+    k0.write(p0, ch0, b"v1v1v1v1", &mut a0).unwrap();
+    k0.close(p0, ch0, &mut a0).unwrap();
+    let counters = Arc::new(Counters::default());
+    let disk = Arc::new(SimDisk::new(1024, c.model.clone(), counters.clone()));
+    k1.mount(Arc::new(Volume::new(
+        VolumeId(0),
+        SiteId(1),
+        disk,
+        c.model.clone(),
+        counters,
+        Arc::new(EventLog::new()),
+    )));
+    k0.catalog.add_replica("/r", SiteId(1)).unwrap();
+    let ch0 = k0.open(p0, "/r", true, &mut a0).unwrap();
+    k0.write(p0, ch0, b"v2", &mut a0).unwrap();
+    k0.close(p0, ch0, &mut a0).unwrap();
+
+    // Opened while site 0 is the primary; site 1 is promoted afterwards.
+    let mut a2 = acct(2);
+    let p = k2.spawn();
+    let ch = k2.open(p, "/r", true, &mut a2).unwrap();
+    let fid = k2.procs.get(p).unwrap().open_files[&ch].fid;
+    let tid = enter_txn(k2, p, 1);
+    k0.catalog.set_primary(fid, SiteId(1)).unwrap();
+
+    let tap = WireTap::install(&c);
+    k2.write(p, ch, b"v3", &mut a2).unwrap();
+    assert_eq!(tap.seen.lock()[0], (SiteId(1), "WriteReq+Lock"));
+    let rec = ByteRange::new(0, 2);
+    assert_eq!(
+        locks_of(k1, fid, Owner::Trans(tid)),
+        [(LockMode::Exclusive, rec)]
+    );
+    assert_eq!(listed_sites(k2, p, fid), [SiteId(1)]);
+
+    // The same request at the deposed primary: refused before the lock.
+    let stale = Msg::File(FileMsg::WriteReq {
+        fid,
+        pid: p,
+        owner: Owner::Trans(tid),
+        range: rec,
+        data: b"v4".to_vec(),
+        lock: true,
+    });
+    assert!(matches!(
+        k2.rpc(SiteId(0), stale, &mut a2),
+        Err(Error::InvalidArgument(_))
+    ));
+    assert!(k0.locks.descriptors(fid).is_empty());
+}
+
+#[test]
+fn a_lost_reply_still_names_the_site_and_a_duplicate_changes_nothing() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 512);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let tap = WireTap::install(&c);
+    let mut a1 = acct(1);
+    let (p, ch, fid, tid) = remote_txn(&c, &mut a1, 1);
+    let owner = Owner::Trans(tid);
+
+    // The reply is lost: the writer cannot know that the lock was granted
+    // and the bytes written, so the site must hear the outcome either way.
+    *tap.fault.lock() = Some(("WriteReq+Lock", locus_net::FaultDecision::DropReply));
+    assert!(k1.write(p, ch, b"lost", &mut a1).is_err());
+    let rec = ByteRange::new(0, 4);
+    assert_eq!(locks_of(k0, fid, owner), [(LockMode::Exclusive, rec)]);
+    assert_eq!(uncommitted(k0, fid), [(owner, rec)]);
+    assert_eq!(listed_sites(k1, p, fid), [SiteId(0)]);
+    // What is unknown is not cached: the retry asks again, harmlessly.
+    assert!(!k1.cache.covers(fid, owner, rec, true));
+    tap.kinds();
+    k1.write(p, ch, b"lost", &mut a1).unwrap();
+    assert_eq!(tap.kinds(), ["WriteReq+Lock"]);
+    assert_eq!(locks_of(k0, fid, owner), [(LockMode::Exclusive, rec)]);
+
+    // Delivered twice: one lock entry, one modified range, the bytes once.
+    let rec = ByteRange::new(32, 4);
+    k1.lseek(p, ch, 32, &mut a1).unwrap();
+    *tap.fault.lock() = Some(("WriteReq+Lock", locus_net::FaultDecision::Duplicate));
+    k1.write(p, ch, b"twin", &mut a1).unwrap();
+    assert_eq!(
+        locks_of(k0, fid, owner),
+        [
+            (LockMode::Exclusive, ByteRange::new(0, 4)),
+            (LockMode::Exclusive, rec)
+        ]
+    );
+    assert_eq!(
+        uncommitted(k0, fid),
+        [(owner, ByteRange::new(0, 4)), (owner, rec)]
+    );
+    let vol = k0.volume(fid.volume).unwrap();
+    assert_eq!(vol.read(fid, ByteRange::new(28, 12), &mut a1).unwrap(), {
+        let mut want = vec![7u8; 12];
+        want[4..8].copy_from_slice(b"twin");
+        want
+    });
+}
+
+#[test]
+fn only_a_transaction_may_ask_for_the_lock_to_ride() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 512);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let p = k1.spawn();
+    let ch = k1.open(p, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p).unwrap().open_files[&ch].fid;
+    let (owner, range) = (Owner::Proc(p), ByteRange::new(0, 4));
+    let requests = [
+        FileMsg::ReadReq {
+            fid,
+            pid: p,
+            owner,
+            range,
+            lock: true,
+        },
+        FileMsg::WriteReq {
+            fid,
+            pid: p,
+            owner,
+            range,
+            data: b"nope".to_vec(),
+            lock: true,
+        },
+    ];
+    for req in requests {
+        assert!(matches!(
+            k1.rpc(SiteId(0), Msg::File(req), &mut a1),
+            Err(Error::ProtocolViolation(_))
+        ));
+    }
+    assert!(k0.locks.descriptors(fid).is_empty());
+    assert!(uncommitted(k0, fid).is_empty());
+}
+
+// ----- Ranges that do not fit the address space --------------------------------
+
+#[test]
+fn a_seek_near_the_top_of_the_address_space_is_refused_not_a_panic() {
+    let c = mini_cluster(1);
+    let k = &c.kernels[0];
+    let mut a = acct(0);
+    let p = k.spawn();
+    let ch = k.creat(p, "/f", &mut a).unwrap();
+    k.lseek(p, ch, u64::MAX - 2, &mut a).unwrap();
+    let refused = |r: Result<(), Error>| matches!(r, Err(Error::InvalidArgument(_)));
+    assert!(refused(k.write(p, ch, b"hello", &mut a)));
+    assert!(refused(k.read(p, ch, 5, &mut a).map(|_| ())));
+    let lock = k.lock(
+        p,
+        ch,
+        5,
+        LockRequestMode::Exclusive,
+        LockOpts::default(),
+        &mut a,
+    );
+    assert!(refused(lock.map(|_| ())));
+    // The pointer did not wrap, and what fits is still served.
+    assert_eq!(k.procs.get(p).unwrap().open_files[&ch].pos, u64::MAX - 2);
+    assert!(k.read(p, ch, 2, &mut a).unwrap().is_empty());
+    let fid = k.procs.get(p).unwrap().open_files[&ch].fid;
+    assert!(k.locks.descriptors(fid).is_empty());
+}
+
+#[test]
+fn a_range_from_another_site_that_overflows_is_refused_by_every_handler() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 512);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let p = k1.spawn();
+    let ch = k1.open(p, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p).unwrap().open_files[&ch].fid;
+    let tid = TransId::new(SiteId(1), 1);
+    let (owner, range) = (Owner::Trans(tid), ByteRange::new(u64::MAX, 2));
+    let requests = [
+        Msg::File(FileMsg::ReadReq {
+            fid,
+            pid: p,
+            owner,
+            range,
+            lock: true,
+        }),
+        Msg::File(FileMsg::WriteReq {
+            fid,
+            pid: p,
+            owner,
+            range,
+            data: b"xx".to_vec(),
+            lock: true,
+        }),
+        Msg::Lock(locus_net::LockMsg::Req {
+            fid,
+            pid: p,
+            tid: Some(tid),
+            mode: LockRequestMode::Exclusive,
+            class: locus_types::LockClass::Transaction,
+            range,
+            append: false,
+            wait: true,
+            reply_site: SiteId(1),
+        }),
+    ];
+    for req in requests {
+        let kind = req.kind();
+        assert!(
+            matches!(
+                k1.rpc(SiteId(0), req, &mut a1),
+                Err(Error::InvalidArgument(_))
+            ),
+            "{kind}"
+        );
+        assert!(k0.locks.descriptors(fid).is_empty(), "{kind}");
+        assert_eq!(queued_waiters(k0, fid), 0, "{kind}");
+    }
+    assert!(uncommitted(k0, fid).is_empty());
 }

@@ -35,12 +35,17 @@ pub enum FileMsg {
     /// Read `range` of `fid` on behalf of `owner`. `range` is what the
     /// requesting kernel wants shipped — the caller's bytes, widened to the
     /// covered pages around them when it will cache the reply — and all of
-    /// it is validated against the lock list.
+    /// it is validated against the lock list. `lock` asks the storage site
+    /// to take the owning transaction's implicit shared lock on `range`
+    /// first (Section 3.1: a transaction locks "at the time of record
+    /// access"), waiting if it must; a lock that is queued or refused fails
+    /// the request with the file untouched.
     ReadReq {
         fid: Fid,
         pid: Pid,
         owner: Owner,
         range: ByteRange,
+        lock: bool,
     },
     /// Data returned from a read. `committed_len` is the file's *committed*
     /// length at the storage site (monotone under the serving inode), and
@@ -53,13 +58,15 @@ pub enum FileMsg {
         committed_len: u64,
         vers: Vec<u64>,
     },
-    /// Write `data` at `range.start` of `fid` on behalf of `owner`.
+    /// Write `data` at `range.start` of `fid` on behalf of `owner`. `lock`
+    /// is [`FileMsg::ReadReq`]'s, for the exclusive lock.
     WriteReq {
         fid: Fid,
         pid: Pid,
         owner: Owner,
         range: ByteRange,
         data: Vec<u8>,
+        lock: bool,
     },
     /// Write accepted; new file length and the storage site's boot epoch
     /// returned.
@@ -281,8 +288,12 @@ impl Msg {
                 FileMsg::OpenReq { .. } => "OpenReq",
                 FileMsg::OpenResp { .. } => "OpenResp",
                 FileMsg::CloseReq { .. } => "CloseReq",
+                // A data request that carries its lock says so, so a trace
+                // shows where the lock request went.
+                FileMsg::ReadReq { lock: true, .. } => "ReadReq+Lock",
                 FileMsg::ReadReq { .. } => "ReadReq",
                 FileMsg::ReadResp { .. } => "ReadResp",
+                FileMsg::WriteReq { lock: true, .. } => "WriteReq+Lock",
                 FileMsg::WriteReq { .. } => "WriteReq",
                 FileMsg::WriteResp { .. } => "WriteResp",
                 FileMsg::CommitReq { .. } => "CommitReq",
@@ -419,6 +430,20 @@ mod tests {
         assert_eq!(m.service(), Service::Txn);
         assert_eq!(m.kind(), "StatusInquiry");
         assert_eq!(Msg::Batch(vec![]).service(), Service::Control);
+        // A data request that carries its lock stays a file-service message
+        // and says what it carries.
+        let read = |lock| {
+            Msg::File(FileMsg::ReadReq {
+                fid: Fid::new(VolumeId(0), 1),
+                pid: Pid::new(SiteId(1), 1),
+                owner: Owner::Trans(TransId::new(SiteId(1), 4)),
+                range: ByteRange::new(0, 8),
+                lock,
+            })
+        };
+        assert_eq!(read(false).kind(), "ReadReq");
+        assert_eq!(read(true).kind(), "ReadReq+Lock");
+        assert_eq!(read(true).service(), Service::File);
         assert_eq!(
             Msg::from(LockMsg::LeaseRecall {
                 fid: Fid::new(VolumeId(0), 1)

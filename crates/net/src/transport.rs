@@ -563,6 +563,7 @@ mod tests {
                 owner: locus_types::Owner::Proc(locus_types::Pid::new(SiteId(0), 1)),
                 range: locus_types::ByteRange::new(0, 2048),
                 data: vec![0; 2048],
+                lock: false,
             }),
             &mut big,
         )

@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 2): a version byte, then a service tag, then a variant
+//! Layout (version 3): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -22,17 +22,18 @@ use locus_types::{wire, TxnStatus};
 use crate::msg::{FileMsg, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 
 /// Format version byte, bumped on incompatible layout changes. Version 2
-/// introduced the service-grouped tag space and `Batch`.
-pub const WIRE_VERSION: u8 = 2;
+/// introduced the service-grouped tag space and `Batch`; version 3 gave
+/// `ReadReq` and `WriteReq` their `lock` flag.
+pub const WIRE_VERSION: u8 = 3;
 
 // 7 and 10 were PrefetchReq / PrefetchResp (retired) and stay unassigned.
 wire!(enum FileMsg {
     0 => OpenReq { fid, pid, write },
     1 => OpenResp { len, epoch },
     2 => CloseReq { fid, pid },
-    3 => ReadReq { fid, pid, owner, range },
+    3 => ReadReq { fid, pid, owner, range, lock },
     4 => ReadResp { data, committed_len, vers },
-    5 => WriteReq { fid, pid, owner, range, data },
+    5 => WriteReq { fid, pid, owner, range, data, lock },
     6 => WriteResp { new_len, epoch },
     8 => CommitReq { fid, owner },
     9 => AbortReq { fid, owner },
@@ -182,6 +183,7 @@ mod tests {
                 pid: pid(),
                 owner: Owner::Trans(tid()),
                 range: ByteRange::new(10, 20),
+                lock: true,
             }),
             Msg::File(FileMsg::ReadResp {
                 data: vec![1, 2, 3],
@@ -194,6 +196,7 @@ mod tests {
                 owner: Owner::Proc(pid()),
                 range: ByteRange::new(0, 3),
                 data: vec![9, 9, 9],
+                lock: false,
             }),
             Msg::File(FileMsg::WriteResp {
                 new_len: 3,
@@ -388,18 +391,20 @@ mod tests {
 
     /// One golden vector per `sample_messages()` entry, in its order,
     /// produced by the hand-paired encoder this file's layouts replaced
-    /// (PR 18's parent).
+    /// (PR 18's parent). A vector starts with the version byte it was
+    /// recorded under: 02 for all but `ReadReq` and `WriteReq`, re-recorded
+    /// at 03 when they gained `lock`. What is pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
         const GOLDEN: [&str; 59] = [
             "0200000200000009000000070000000100000001",
             "02000100100000000000000200000000000000",
             "02000202000000090000000700000001000000",
-            "0200030200000009000000070000000100000000030000002c000000000000000a00000000000000\
-             1400000000000000",
+            "0300030200000009000000070000000100000000030000002c000000000000000a00000000000000\
+             140000000000000001",
             "020004030000000102031e00000000000000010000000400000000000000",
-            "02000502000000090000000700000001000000010700000001000000000000000000000003000000\
-             0000000003000000090909",
+            "03000502000000090000000700000001000000010700000001000000000000000000000003000000\
+             000000000300000009090900",
             "02000603000000000000000000000000000000",
             "0200080200000009000000010700000001000000",
             "020009020000000900000000030000002c00000000000000",
@@ -467,7 +472,8 @@ mod tests {
         let samples = sample_messages();
         assert_eq!(samples.len(), GOLDEN.len());
         for (msg, golden) in samples.iter().zip(GOLDEN) {
-            let body = golden.strip_prefix("02").expect("the version byte");
+            let (version, body) = golden.split_at(2);
+            assert!(["02", "03"].contains(&version), "the version byte");
             assert_pinned(msg, body);
             assert_eq!(encode(msg)[0], WIRE_VERSION);
         }

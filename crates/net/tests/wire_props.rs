@@ -58,12 +58,15 @@ fn file_msg() -> BoxedStrategy<FileMsg> {
         }),
         (any::<u64>(), any::<u64>()).prop_map(|(len, epoch)| FileMsg::OpenResp { len, epoch }),
         (fid(), pid()).prop_map(|(fid, pid)| FileMsg::CloseReq { fid, pid }),
-        (fid(), pid(), owner(), range()).prop_map(|(fid, pid, owner, range)| FileMsg::ReadReq {
-            fid,
-            pid,
-            owner,
-            range
-        }),
+        (fid(), pid(), owner(), range(), any::<bool>()).prop_map(
+            |(fid, pid, owner, range, lock)| FileMsg::ReadReq {
+                fid,
+                pid,
+                owner,
+                range,
+                lock,
+            }
+        ),
         (payload(), any::<u64>(), vec(any::<u64>(), 0..4)).prop_map(
             |(data, committed_len, vers)| FileMsg::ReadResp {
                 data,
@@ -71,15 +74,16 @@ fn file_msg() -> BoxedStrategy<FileMsg> {
                 vers,
             }
         ),
-        (fid(), pid(), owner(), range(), payload()).prop_map(|(fid, pid, owner, range, data)| {
-            FileMsg::WriteReq {
+        (fid(), pid(), owner(), range(), payload(), any::<bool>()).prop_map(
+            |(fid, pid, owner, range, data, lock)| FileMsg::WriteReq {
                 fid,
                 pid,
                 owner,
                 range,
                 data,
+                lock,
             }
-        }),
+        ),
         (any::<u64>(), any::<u64>())
             .prop_map(|(new_len, epoch)| FileMsg::WriteResp { new_len, epoch }),
         (fid(), owner()).prop_map(|(fid, owner)| FileMsg::CommitReq { fid, owner }),

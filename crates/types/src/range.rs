@@ -28,6 +28,14 @@ impl ByteRange {
         self.start + self.len
     }
 
+    /// The exclusive end offset, or `None` when `start + len` does not fit
+    /// the address space. A range that arrives from a caller or from another
+    /// site is asked this once, where it enters; everything past that point
+    /// uses [`ByteRange::end`].
+    pub fn checked_end(&self) -> Option<u64> {
+        self.start.checked_add(self.len)
+    }
+
     /// Whether the range covers zero bytes.
     pub fn is_empty(&self) -> bool {
         self.len == 0

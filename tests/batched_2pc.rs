@@ -6,8 +6,9 @@
 //! site.
 
 use locus::harness::Cluster;
+use locus::kernel::LockOpts;
 use locus::sim::Event;
-use locus::types::{Service, SiteId};
+use locus::types::{LockRequestMode, Service, SiteId};
 
 /// Creates `names[i]` at `sites[i]` with initial contents `old!`.
 fn seed_files(c: &Cluster, files: &[(usize, &str)]) {
@@ -241,6 +242,19 @@ fn every_cross_site_rpc_is_service_tagged() {
     let pid = c.site(0).kernel.spawn();
     c.site(0).txn.begin_trans(pid, &mut acct).unwrap();
     let ch = c.site(0).kernel.open(pid, "/t", true, &mut acct).unwrap();
+    // An explicit lock, so the lock service is on the wire: the implicit
+    // locks of the read and the write below ride those requests.
+    c.site(0)
+        .kernel
+        .lock(
+            pid,
+            ch,
+            2,
+            LockRequestMode::Shared,
+            LockOpts::default(),
+            &mut acct,
+        )
+        .unwrap();
     assert_eq!(
         c.site(0).kernel.read(pid, ch, 4, &mut acct).unwrap(),
         b"old!"

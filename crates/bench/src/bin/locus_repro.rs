@@ -59,11 +59,6 @@ const ARTIFACTS: &[Artifact] = &[
         || exp::prefetch_ablation(model()).render() + "\n",
     ),
     (
-        "ablation_lock_migration",
-        "Section 5.2: lock-control migration ablation",
-        || exp::lock_migration_ablation(model(), 32).render() + "\n",
-    ),
-    (
         "e2e_throughput",
         "End-to-end simple transaction, local and remote storage site (modeled)",
         e2e_throughput,

@@ -646,7 +646,6 @@ impl TxnManager {
     fn rollback_files(&self, tid: TransId, files: &[Fid], acct: &mut Account) -> Result<()> {
         let owner = Owner::Trans(tid);
         for fid in files {
-            let _ = self.kernel.reclaim_lease(*fid, acct);
             if let Ok(vol) = self.kernel.volume(fid.volume) {
                 // Free shadow blocks named by a logged prepare record first.
                 if let Some(rec) = vol.prepare_log_get(tid, *fid, acct) {
@@ -1097,16 +1096,6 @@ impl Substrate for KernelSubstrate<'_> {
                 // would fork the replica history.
                 let ok = files.iter().all(|fid| kernel.require_primary(*fid).is_ok());
                 Some(Input::PrimaryChecked { tid, ok })
-            }
-            Effect::ReclaimLeases { files, .. } => {
-                // Outstanding lock leases must come home before the lock
-                // lists are snapshotted into the prepare logs (Section
-                // 5.2 + 4.2) — and before the known-transaction check,
-                // which consults the lock tables.
-                for fid in &files {
-                    let _ = kernel.reclaim_lease(*fid, acct);
-                }
-                None
             }
             Effect::CheckKnown { tid, files } => {
                 // Presumed abort: vote no on a transaction this site

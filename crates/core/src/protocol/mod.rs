@@ -248,9 +248,6 @@ pub enum Effect {
     /// Ask whether this site is still the primary copy of every file;
     /// answer with [`Input::PrimaryChecked`].
     CheckPrimary { tid: TransId, files: Vec<Fid> },
-    /// Reclaim outstanding lock leases so the lock lists snapshotted into
-    /// the prepare logs are complete. Fire-and-forget.
-    ReclaimLeases { tid: TransId, files: Vec<Fid> },
     /// Ask whether this site knows the transaction at all; answer with
     /// [`Input::KnownChecked`].
     CheckKnown { tid: TransId, files: Vec<Fid> },
@@ -310,7 +307,6 @@ impl Effect {
             Effect::NoteRecoveryRedo { .. } => "NoteRecoveryRedo",
             Effect::NoteRecoveryAbort { .. } => "NoteRecoveryAbort",
             Effect::CheckPrimary { .. } => "CheckPrimary",
-            Effect::ReclaimLeases { .. } => "ReclaimLeases",
             Effect::CheckKnown { .. } => "CheckKnown",
             Effect::StageAndLog { .. } => "StageAndLog",
             Effect::Vote { .. } => "Vote",

@@ -160,10 +160,6 @@ impl ProtocolSm for ParticipantSm {
                     });
                 } else {
                     round.stage = PrepareStage::AwaitKnown;
-                    effects.push(Effect::ReclaimLeases {
-                        tid: *tid,
-                        files: round.files.clone(),
-                    });
                     effects.push(Effect::CheckKnown {
                         tid: *tid,
                         files: round.files.clone(),
@@ -351,7 +347,6 @@ mod tests {
                     }
                     Effect::StageAndLog { tid, .. } => queue.push(Input::Staged { tid, ok: true }),
                     Effect::Vote { ok, .. } => vote = Some(ok),
-                    Effect::ReclaimLeases { .. } => {}
                     other => panic!("unexpected prepare effect {other:?}"),
                 }
             }

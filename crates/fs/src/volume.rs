@@ -314,6 +314,16 @@ impl Volume {
         }
         let ino = self.check_fid(fid)?;
         let ps = self.page_size();
+        // A page is named by `PageNo(u32)`, so a file holds at most 2^32 of
+        // them: a write that would put a byte, or the length, past that is
+        // refused here, before `pages` forms a number that does not fit.
+        let max_len = (u64::from(u32::MAX) + 1) * ps as u64;
+        if range.checked_end().is_none_or(|end| end > max_len) {
+            return Err(Error::InvalidArgument(format!(
+                "write at {}+{} runs past the largest file a volume holds ({max_len} bytes)",
+                range.start, range.len
+            )));
+        }
         let mut st = self.state.lock();
         self.load_inode(&mut st, ino, acct)?;
         for page in range.pages(ps) {

@@ -503,72 +503,6 @@ impl PrefetchReport {
     }
 }
 
-/// Ablation: Section 5.2 lock-control migration — per-lock latency for a
-/// remote site issuing a burst of lock requests, with the lease disabled vs
-/// enabled.
-pub struct LeaseReport {
-    pub without: SimDuration,
-    pub with_lease: SimDuration,
-    pub threshold: u32,
-}
-
-pub fn lock_migration_ablation(model: CostModel, burst: u64) -> LeaseReport {
-    let run = |threshold: u32| -> SimDuration {
-        let c = Cluster::with_model(2, model.clone());
-        c.site(0)
-            .kernel
-            .lease_threshold
-            .store(threshold, std::sync::atomic::Ordering::Relaxed);
-        let mut a0 = c.account(0);
-        let p0 = c.site(0).kernel.spawn();
-        let ch0 = c.site(0).kernel.creat(p0, "/hot", &mut a0).unwrap();
-        c.site(0)
-            .kernel
-            .write(p0, ch0, &vec![0u8; 65536], &mut a0)
-            .unwrap();
-        c.site(0).kernel.close(p0, ch0, &mut a0).unwrap();
-
-        let mut acct = c.account(1);
-        let p = c.site(1).kernel.spawn();
-        let ch = c.site(1).kernel.open(p, "/hot", true, &mut acct).unwrap();
-        let before = acct.clone();
-        for i in 0..burst {
-            c.site(1).kernel.lseek(p, ch, i * 16, &mut acct).unwrap();
-            c.site(1)
-                .kernel
-                .lock(
-                    p,
-                    ch,
-                    16,
-                    LockRequestMode::Exclusive,
-                    LockOpts::default(),
-                    &mut acct,
-                )
-                .unwrap();
-        }
-        acct.delta_since(&before).elapsed / burst
-    };
-    let threshold = 4;
-    LeaseReport {
-        without: run(0),
-        with_lease: run(threshold),
-        threshold,
-    }
-}
-
-impl LeaseReport {
-    pub fn render(&self) -> String {
-        let mut t = Table::new("Ablation: lock-control migration (Section 5.2)")
-            .header(["configuration", "avg per-lock latency (remote burst)"]);
-        t.row(["no delegation".to_string(), format!("{}", self.without)]);
-        t.row([
-            format!("lease after {} requests", self.threshold),
-            format!("{}", self.with_lease),
-        ]);
-        t.render()
-    }
-}
-
 /// Figure 4 demonstration: direct vs differencing record commit on one page.
 pub struct Fig4Report {
     pub direct: Measured,
@@ -1147,19 +1081,6 @@ mod tests {
         assert_eq!(per_txn, vec![(1, 2); 100]);
         let first = fig5_txn_io(CostModel::default(), 1, 1);
         assert_eq!(first.sync_ios + first.async_ios, 1 + 2, "as the first");
-    }
-
-    #[test]
-    fn lock_migration_cuts_remote_lock_latency() {
-        let r = lock_migration_ablation(CostModel::default(), 32);
-        // Once the lease lands, locks are local (~2 ms) instead of one RTT
-        // (~18 ms); over a 32-lock burst the average falls well below half.
-        assert!(
-            r.with_lease.as_nanos() * 2 < r.without.as_nanos(),
-            "with {} vs without {}",
-            r.with_lease,
-            r.without
-        );
     }
 
     #[test]

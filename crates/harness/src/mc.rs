@@ -593,14 +593,13 @@ impl Substrate for Model<'_> {
                 w.fences.remove(&tid);
                 None
             }
-            // Announcements, local process bookkeeping, leases and locks:
+            // Announcements, local process bookkeeping and locks:
             // no substrate in the model.
             Effect::FinishLocal { .. }
             | Effect::NoteAborted { .. }
             | Effect::NoteCompleted { .. }
             | Effect::NoteRecoveryRedo { .. }
             | Effect::NoteRecoveryAbort { .. }
-            | Effect::ReclaimLeases { .. }
             | Effect::ReleaseLocks { .. } => None,
             Effect::CheckPrimary { tid, .. } => {
                 // No failover in this scope: always still primary.

@@ -154,16 +154,13 @@ struct Run {
 /// take the same steps. With `explicit`, every read and write is preceded by
 /// the `lock(wait)` call that takes its lock the old way, unless the lock
 /// cache already covers it.
-fn run(script: &[Step], lease_threshold: u32, explicit: bool) -> Run {
+fn run(script: &[Step], explicit: bool) -> Run {
     let c = build_cluster();
     let fids = [fid_of(&c, "/eq0"), fid_of(&c, "/eq1")];
     let mut accts: Vec<Account> = (0..SITES).map(|s| c.account(s)).collect();
     let (mut procs, mut tids) = (Vec::new(), Vec::new());
     for (s, a) in accts.iter_mut().enumerate() {
         let site = c.site(s);
-        site.kernel
-            .lease_threshold
-            .store(lease_threshold, std::sync::atomic::Ordering::Relaxed);
         let p = site.kernel.spawn();
         let chs = [
             site.kernel.open(p, "/eq0", true, a).unwrap(),
@@ -216,11 +213,13 @@ fn run(script: &[Step], lease_threshold: u32, explicit: bool) -> Run {
     let render = |label: &str, seen: &mut String| {
         for s in 0..SITES {
             let k = &c.site(s).kernel;
+            // Per file: the table's own order is a hash map's.
+            let table = k.locks.snapshot();
             for (f, fid) in fids.iter().enumerate() {
-                // Wherever the list is: at the storage site, or leased out.
+                let held: Vec<_> = table.held.iter().filter(|(h, _)| h == fid).collect();
+                let edges: Vec<_> = table.edges.iter().filter(|e| e.fid == *fid).collect();
                 seen.push_str(&format!(
-                    "{label} locks of /eq{f} at site {s}: {:?}\n",
-                    k.locks.export_file(*fid)
+                    "{label} locks of /eq{f} at site {s}: {held:?}, waits {edges:?}\n"
                 ));
             }
             let bytes = k
@@ -246,22 +245,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The same script, bare and with an explicit `lock(wait)` before every
-    /// access: identical result per call, lock-list images, file bytes and
-    /// file lists, before and after both transactions end — with the lock
-    /// lists at their storage sites, and with lease migration moving them.
-    /// Only the message count may differ, and only downwards.
+    /// access: identical result per call, lock tables (granted descriptors
+    /// and wait-for edges), file bytes and file lists, before and after both
+    /// transactions end. Only the message count may differ, and only
+    /// downwards.
     #[test]
     fn riding_locks_match_explicit_locks(seed in any::<u64>()) {
         let script = gen_script(seed);
-        for lease_threshold in [0, 2] {
-            let bare = run(&script, lease_threshold, false);
-            let explicit = run(&script, lease_threshold, true);
-            prop_assert_eq!(
-                &bare.seen, &explicit.seen,
-                "seed {}, lease threshold {}", seed, lease_threshold
-            );
-            prop_assert!(bare.messages <= explicit.messages);
-        }
+        let bare = run(&script, false);
+        let explicit = run(&script, true);
+        prop_assert_eq!(&bare.seen, &explicit.seen, "seed {}", seed);
+        prop_assert!(bare.messages <= explicit.messages);
     }
 }
 
@@ -273,7 +267,7 @@ fn the_scripts_fold_lock_requests_and_meet_conflicts() {
     let (mut saved, mut queued) = (0, 0);
     for seed in 0..16 {
         let script = gen_script(seed);
-        let (bare, explicit) = (run(&script, 0, false), run(&script, 0, true));
+        let (bare, explicit) = (run(&script, false), run(&script, true));
         saved += explicit.messages - bare.messages;
         queued += bare.seen.matches("WouldBlock").count();
     }

@@ -1,8 +1,8 @@
 //! The per-site kernel object: shared state (volumes, locks, processes,
-//! wakeups, lease tables) and the transport plumbing every service rides on.
+//! wakeups) and the transport plumbing every service rides on.
 //!
 //! The system-call surface and the storage-site request handlers live in
-//! [`crate::services`], one module per subsystem (file, lock, lease, proc,
+//! [`crate::services`], one module per subsystem (file, lock, proc,
 //! replica, txn); this file owns the `Kernel` struct itself and the
 //! cross-cutting machinery: RPC/notify/batch send paths, wakeups for blocked
 //! lock requests, and failure injection.
@@ -64,20 +64,6 @@ pub struct Kernel {
     /// Section 5.2 optimization: prefetch the locked byte range's pages into
     /// the storage site's buffers when a lock is granted.
     pub prefetch_on_lock: AtomicBool,
-    /// Section 5.2 lock-control migration: number of consecutive remote lock
-    /// requests from one site after which the storage site leases the file's
-    /// lock management to it. Zero disables the optimization (the default —
-    /// the paper proposed but did not implement it).
-    pub lease_threshold: std::sync::atomic::AtomicU32,
-    /// Storage-site view: files whose lock management is currently leased
-    /// out, and to whom. RwLock: every lock request checks it, only lease
-    /// grants/recalls write it.
-    pub(crate) delegated: RwLock<std::collections::HashMap<Fid, SiteId>>,
-    /// Delegate view: files whose lock lists this site currently manages on
-    /// behalf of their storage sites. RwLock for the same reason.
-    pub(crate) leased: RwLock<std::collections::HashSet<Fid>>,
-    /// Storage-site streak tracking for the delegation trigger.
-    pub(crate) lock_streaks: Mutex<std::collections::HashMap<Fid, (SiteId, u32)>>,
 }
 
 /// Per-process wakeup slot: a flag plus a condvar private to the process, so
@@ -131,10 +117,6 @@ impl Kernel {
             crashed: AtomicBool::new(false),
             boot_epoch: AtomicU64::new(boot_epoch),
             prefetch_on_lock: AtomicBool::new(false),
-            lease_threshold: std::sync::atomic::AtomicU32::new(0),
-            delegated: RwLock::new(std::collections::HashMap::new()),
-            leased: RwLock::new(std::collections::HashSet::new()),
-            lock_streaks: Mutex::new(std::collections::HashMap::new()),
         }
     }
 
@@ -377,9 +359,6 @@ impl Kernel {
             let _ = pid;
         }
         self.wake_slots.lock().clear();
-        self.delegated.write().clear();
-        self.leased.write().clear();
-        self.lock_streaks.lock().clear();
     }
 
     const EPOCH_KEY: &'static str = "site/boot_epoch";

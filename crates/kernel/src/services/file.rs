@@ -88,7 +88,6 @@ impl ServiceHandler for FileService {
             }
             FileMsg::CommitReq { fid, owner } => {
                 k.require_primary(fid)?;
-                k.reclaim_lease(fid, acct)?;
                 acct.cpu_instrs(&k.model, k.model.commit_storage_instrs);
                 let vol = k.volume(fid.volume)?;
                 let il = vol.commit_file(fid, owner, acct)?;
@@ -97,7 +96,6 @@ impl ServiceHandler for FileService {
                 Ok(Msg::Ok)
             }
             FileMsg::AbortReq { fid, owner } => {
-                k.reclaim_lease(fid, acct)?;
                 let vol = k.volume(fid.volume)?;
                 vol.abort_owner(fid, owner, acct)?;
                 Ok(Msg::Ok)

@@ -1,13 +1,13 @@
 //! The lock service: the `Lock(file, length, mode)` system call of
 //! Section 3.2 on the client side, and the storage-site lock list processing
 //! (grant/deny/queue, Section 3.3 rule-2 adoption, grant pushes) on the
-//! server side. The Section 5.2 lease arms of [`LockMsg`] are delegated to
-//! the [`crate::services::lease`] module.
+//! server side. A file's lock list lives at its update site and nowhere
+//! else (Section 5.1: requests are processed "at the storage site").
 //!
 //! A lock request reaches a lock list in one of two ways, and both end in
-//! `Kernel::serve_lock`: as a [`LockMsg::Req`] of its own (the `lock()`
-//! system call; an implicit lock whose list is here, leased here, or at a
-//! site the access is not going to), or inside the `ReadReq` / `WriteReq` it
+//! `Kernel::storage_site_lock`: as a [`LockMsg::Req`] of its own (the
+//! `lock()` system call; an implicit lock whose list is here or at a site
+//! the access is not going to), or inside the `ReadReq` / `WriteReq` it
 //! guards (`lock: true`: a transaction's implicit lock when list and data are
 //! at the same remote site — `Kernel::ensure_locked` decides,
 //! `Kernel::serve_implicit_lock` serves, `Kernel::lock_rode` books the
@@ -27,7 +27,7 @@ use locus_types::{
 };
 
 use crate::kernel::Kernel;
-use crate::services::{check_range, lease, ServiceHandler};
+use crate::services::{check_range, ServiceHandler};
 
 /// Options for the `Lock(file, length, mode)` system call (Section 3.2).
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,13 +52,13 @@ pub(crate) fn implicit_mode(write: bool) -> LockRequestMode {
     }
 }
 
-/// Storage-site (and delegate-site) handler for the lock protocol.
+/// Storage-site handler for the lock protocol.
 pub(crate) struct LockService;
 
 impl ServiceHandler for LockService {
     type Request = LockMsg;
 
-    fn handle(k: &Kernel, from: SiteId, req: LockMsg, acct: &mut Account) -> Result<Msg> {
+    fn handle(k: &Kernel, _from: SiteId, req: LockMsg, acct: &mut Account) -> Result<Msg> {
         match req {
             LockMsg::Req {
                 fid,
@@ -82,7 +82,7 @@ impl ServiceHandler for LockService {
                     wait,
                     reply_site,
                 };
-                k.serve_lock(from, fid, req, acct)
+                k.storage_site_lock(fid, req, acct)
             }
             LockMsg::Granted { fid, pid, range } => {
                 // A queued request of a local process was granted at the
@@ -92,16 +92,13 @@ impl ServiceHandler for LockService {
                 Ok(Msg::Ok)
             }
             LockMsg::UnlockAll { fid, pid } => {
-                k.reclaim_lease(fid, acct)?;
                 let granted = k.locks.release_owner_file(fid, Owner::Proc(pid), acct);
                 k.push_grants(granted, acct);
                 Ok(Msg::Ok)
             }
-            LockMsg::LeaseGrant { fid, state } => lease::accept_lease(k, fid, &state),
-            LockMsg::LeaseRecall { fid } => lease::surrender_lease(k, fid),
-            other @ (LockMsg::Resp { .. } | LockMsg::LeaseState { .. }) => Err(
-                Error::ProtocolViolation(format!("lock service cannot handle {other:?}")),
-            ),
+            other @ LockMsg::Resp { .. } => Err(Error::ProtocolViolation(format!(
+                "lock service cannot handle {other:?}"
+            ))),
         }
     }
 }
@@ -160,9 +157,8 @@ impl Kernel {
     /// It rides exactly when taking it here would cost a round trip to the
     /// site the access is about to visit anyway: the lock cache does not
     /// cover the range, the lock list is at the data site (`serve` is the
-    /// file's update site, and no lease has brought the list here), and that
-    /// site is remote. In every other case the lock is taken now, as an
-    /// explicit `lock(wait)` would take it.
+    /// file's update site), and that site is remote. In every other case the
+    /// lock is taken now, as an explicit `lock(wait)` would take it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn ensure_locked(
         &self,
@@ -180,10 +176,7 @@ impl Kernel {
             acct.cpu_instrs(&self.model, self.model.buffer_hit_instrs);
             return Ok(false);
         }
-        if serve != self.site
-            && serve == self.update_site(of)
-            && !self.leased.read().contains(&of.fid)
-        {
+        if serve != self.site && serve == self.update_site(of) {
             return Ok(true);
         }
         let mut temp_of = *of;
@@ -269,22 +262,16 @@ impl Kernel {
         } else {
             Owner::Proc(pid)
         };
-        // Section 5.2 lock-control migration: if this site holds the lease
-        // on the file's lock list, the request is processed locally.
-        // Otherwise the lock list lives at the file's *current primary*
-        // update site — the lock cache stays primary-anchored, so locks
-        // follow a failover instead of piling up at a deposed primary or a
-        // read-serving replica.
-        let leased = self.leased.read().contains(&of.fid);
-        // The prepare participant is wherever the data lives; under a lease
-        // the locks are here but the file is still at its storage site.
+        // The lock list lives at the file's *current primary* update site —
+        // the lock cache stays primary-anchored, so locks follow a failover
+        // instead of piling up at a deposed primary or a read-serving
+        // replica. That site is also the transaction's prepare participant.
         let participant = match self.catalog.loc_of(of.fid) {
             Some(loc) if loc.replicated() => loc.primary,
             _ => of.storage_site,
         };
-        let target = if leased { self.site } else { participant };
         let resp = self.rpc(
-            target,
+            participant,
             Msg::Lock(LockMsg::Req {
                 fid: of.fid,
                 pid,
@@ -330,35 +317,10 @@ impl Kernel {
         }
     }
 
-    /// Serves one lock request that arrived at this site from `from`: as
-    /// the delegate when the file's lock list is leased here, otherwise as
-    /// the storage site — recalling an outstanding lease first (Section 5.2:
-    /// control "would migrate if the locking patterns changed"), then
-    /// granting, denying or queueing, then counting the request toward the
-    /// delegation trigger. The one body behind [`LockMsg::Req`] and behind a
-    /// data request that carries its lock ([`Kernel::serve_implicit_lock`]).
-    pub(crate) fn serve_lock(
-        &self,
-        from: SiteId,
-        fid: Fid,
-        req: LockRequest,
-        acct: &mut Account,
-    ) -> Result<Msg> {
-        if self.leased.read().contains(&fid) {
-            return lease::delegate_lock(self, fid, req, acct);
-        }
-        self.reclaim_lease(fid, acct)?;
-        let out = self.storage_site_lock(fid, req, acct);
-        if out.is_ok() {
-            lease::maybe_delegate(self, fid, from, acct);
-        }
-        out
-    }
-
     /// The lock half of a `ReadReq` / `WriteReq` sent with `lock: true`: the
     /// request `ensure_locked` would have sent from `from` on its own. Any
-    /// error — queued, refused, recall failed — is the data request's
-    /// answer, and the handler returns it before touching the file.
+    /// error — queued or refused — is the data request's answer, and the
+    /// handler returns it before touching the file.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_implicit_lock(
         &self,
@@ -385,7 +347,7 @@ impl Kernel {
             wait: true,
             reply_site: from,
         };
-        let resp = self.serve_lock(from, fid, req, acct)?;
+        let resp = self.storage_site_lock(fid, req, acct)?;
         // Only an append-mode grant lands anywhere but where it was asked
         // for, which is why no range travels back with the data.
         debug_assert_eq!(resp, Msg::Lock(LockMsg::Resp { granted: range }));
@@ -393,8 +355,15 @@ impl Kernel {
     }
 
     /// Storage-site lock processing: grant/deny/queue, then apply the
-    /// Section 3.3 rule-2 adoption of modified-uncommitted records.
-    fn storage_site_lock(&self, fid: Fid, req: LockRequest, acct: &mut Account) -> Result<Msg> {
+    /// Section 3.3 rule-2 adoption of modified-uncommitted records. The one
+    /// body behind [`LockMsg::Req`] and behind a data request that carries
+    /// its lock ([`Kernel::serve_implicit_lock`]).
+    pub(crate) fn storage_site_lock(
+        &self,
+        fid: Fid,
+        req: LockRequest,
+        acct: &mut Account,
+    ) -> Result<Msg> {
         let vol = self.volume(fid.volume)?;
         // First contact with the file needs its end-of-file to place
         // append-mode locks; after that the lock list maintains the hint
@@ -406,6 +375,7 @@ impl Kernel {
         let owner = req.owner();
         let is_txn_lock = owner.is_transaction();
         let is_unlock = req.mode == LockRequestMode::Unlock;
+        let asked = req.range;
         match self.locks.request(fid, req, acct) {
             LockOutcome::Granted { range } => {
                 if is_txn_lock && !is_unlock {
@@ -445,6 +415,10 @@ impl Kernel {
                 fid,
                 range: ByteRange::new(0, 0),
             }),
+            LockOutcome::OutOfRange => Err(Error::InvalidArgument(format!(
+                "append-mode range {}+{} past end-of-file overflows the file address space",
+                asked.start, asked.len
+            ))),
         }
     }
 

@@ -6,7 +6,6 @@
 //! |-----------|-----------------------|------------------------------------|
 //! | `file`    | [`locus_net::FileMsg`]| open/read/write, single-file commit|
 //! | `lock`    | [`locus_net::LockMsg`]| record locking                     |
-//! | `lease`   | (lease `LockMsg` arms)| Section 5.2 lock-control migration |
 //! | `proc`    | [`locus_net::ProcMsg`]| migration, file-list merging       |
 //! | `replica` | [`locus_net::ReplicaMsg`] | primary-site replication       |
 //! | `txn`     | [`locus_net::TxnMsg`] | 2PC control plane (via [`TxnService`]) |
@@ -16,7 +15,6 @@
 //! into positional per-member responses.
 
 pub mod file;
-pub mod lease;
 pub mod lock;
 pub mod proc;
 pub mod replica;

@@ -522,208 +522,6 @@ fn prefetch_on_lock_fills_buffers() {
 }
 
 #[test]
-fn lock_lease_migrates_control_to_heavy_user() {
-    let c = mini_cluster(2);
-    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
-    k0.lease_threshold
-        .store(3, std::sync::atomic::Ordering::Relaxed);
-    let mut a0 = acct(0);
-    let p0 = k0.spawn();
-    let ch0 = k0.creat(p0, "/hot", &mut a0).unwrap();
-    k0.write(p0, ch0, &vec![0u8; 8192], &mut a0).unwrap();
-    k0.close(p0, ch0, &mut a0).unwrap();
-
-    let mut a1 = acct(1);
-    let p1 = k1.spawn();
-    let ch1 = k1.open(p1, "/hot", true, &mut a1).unwrap();
-    // Three remote locks trip the delegation threshold.
-    for i in 0..3u64 {
-        k1.lseek(p1, ch1, i * 16, &mut a1).unwrap();
-        k1.lock(
-            p1,
-            ch1,
-            16,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a1,
-        )
-        .unwrap();
-    }
-    // The fourth lock is processed at the delegate: no network messages.
-    let before = a1.clone();
-    k1.lseek(p1, ch1, 100 * 16, &mut a1).unwrap();
-    k1.lock(
-        p1,
-        ch1,
-        16,
-        LockRequestMode::Exclusive,
-        LockOpts::default(),
-        &mut a1,
-    )
-    .unwrap();
-    let d = a1.delta_since(&before);
-    assert_eq!(d.messages, 0, "leased lock must not cross the network");
-    let ms = d.elapsed.as_millis_f64();
-    assert!(ms < 5.0, "leased lock took {ms} ms (should be local-cost)");
-}
-
-#[test]
-fn lock_lease_recalled_when_pattern_changes() {
-    let c = mini_cluster(3);
-    let (k0, k1, k2) = (&c.kernels[0], &c.kernels[1], &c.kernels[2]);
-    k0.lease_threshold
-        .store(2, std::sync::atomic::Ordering::Relaxed);
-    let mut a0 = acct(0);
-    let p0 = k0.spawn();
-    let ch0 = k0.creat(p0, "/hot", &mut a0).unwrap();
-    k0.write(p0, ch0, &vec![0u8; 1024], &mut a0).unwrap();
-    k0.close(p0, ch0, &mut a0).unwrap();
-
-    // Site 1 earns the lease and holds a lock.
-    let mut a1 = acct(1);
-    let p1 = k1.spawn();
-    let ch1 = k1.open(p1, "/hot", true, &mut a1).unwrap();
-    for i in 0..2u64 {
-        k1.lseek(p1, ch1, i * 16, &mut a1).unwrap();
-        k1.lock(
-            p1,
-            ch1,
-            16,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a1,
-        )
-        .unwrap();
-    }
-    // Site 2 now asks: the storage site recalls the lease and still sees
-    // site 1's locks — conflict is detected.
-    let mut a2 = acct(2);
-    let p2 = k2.spawn();
-    let ch2 = k2.open(p2, "/hot", true, &mut a2).unwrap();
-    assert!(matches!(
-        k2.lock(
-            p2,
-            ch2,
-            16,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a2
-        ),
-        Err(Error::LockConflict { .. })
-    ));
-    // A disjoint range is granted at the storage site again.
-    k2.lseek(p2, ch2, 512, &mut a2).unwrap();
-    assert!(k2
-        .lock(
-            p2,
-            ch2,
-            16,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a2
-        )
-        .is_ok());
-}
-
-#[test]
-fn lock_lease_survives_commit_cycle() {
-    // A non-transaction close (single-file commit) recalls the lease so the
-    // release happens on the authoritative list.
-    let c = mini_cluster(2);
-    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
-    k0.lease_threshold
-        .store(2, std::sync::atomic::Ordering::Relaxed);
-    let mut a0 = acct(0);
-    let p0 = k0.spawn();
-    let ch0 = k0.creat(p0, "/hot", &mut a0).unwrap();
-    k0.write(p0, ch0, &vec![0u8; 1024], &mut a0).unwrap();
-    k0.close(p0, ch0, &mut a0).unwrap();
-
-    let mut a1 = acct(1);
-    let p1 = k1.spawn();
-    let ch1 = k1.open(p1, "/hot", true, &mut a1).unwrap();
-    for i in 0..3u64 {
-        k1.lseek(p1, ch1, i * 16, &mut a1).unwrap();
-        k1.lock(
-            p1,
-            ch1,
-            16,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a1,
-        )
-        .unwrap();
-    }
-    k1.write(p1, ch1, b"leased-write", &mut a1).unwrap();
-    k1.close(p1, ch1, &mut a1).unwrap(); // Commit + unlock-all recalls.
-
-    // All locks released: another site can lock everything.
-    let mut a0b = acct(0);
-    let p0b = k0.spawn();
-    let ch0b = k0.open(p0b, "/hot", true, &mut a0b).unwrap();
-    assert!(k0
-        .lock(
-            p0b,
-            ch0b,
-            64,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a0b
-        )
-        .is_ok());
-    // And the leased-era write (at the third lock's offset 32) committed.
-    k0.lseek(p0b, ch0b, 32, &mut a0b).unwrap();
-    assert_eq!(k0.read(p0b, ch0b, 12, &mut a0b).unwrap(), b"leased-write");
-}
-
-#[test]
-fn lock_lease_delegate_crash_falls_back_to_snapshot() {
-    let c = mini_cluster(2);
-    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
-    k0.lease_threshold
-        .store(2, std::sync::atomic::Ordering::Relaxed);
-    let mut a0 = acct(0);
-    let p0 = k0.spawn();
-    let ch0 = k0.creat(p0, "/hot", &mut a0).unwrap();
-    k0.write(p0, ch0, &vec![0u8; 1024], &mut a0).unwrap();
-    k0.close(p0, ch0, &mut a0).unwrap();
-
-    let mut a1 = acct(1);
-    let p1 = k1.spawn();
-    let ch1 = k1.open(p1, "/hot", true, &mut a1).unwrap();
-    for i in 0..2u64 {
-        k1.lseek(p1, ch1, i * 16, &mut a1).unwrap();
-        k1.lock(
-            p1,
-            ch1,
-            16,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a1,
-        )
-        .unwrap();
-    }
-    // Delegate dies with the lease.
-    k1.crash();
-    c.transport.site_down(SiteId(1));
-    // Storage site falls back to its snapshot; new locking proceeds.
-    let p0b = k0.spawn();
-    let mut a0b = acct(0);
-    let ch0b = k0.open(p0b, "/hot", true, &mut a0b).unwrap();
-    k0.lseek(p0b, ch0b, 512, &mut a0b).unwrap();
-    assert!(k0
-        .lock(
-            p0b,
-            ch0b,
-            16,
-            LockRequestMode::Exclusive,
-            LockOpts::default(),
-            &mut a0b
-        )
-        .is_ok());
-}
-
-#[test]
 fn primary_update_site_can_migrate() {
     // Section 5.2 footnote 8: storage-site service migrates to the primary
     // update site. Model: the catalog's primary pointer moves, and update
@@ -1427,12 +1225,11 @@ fn locks_of(k: &Kernel, fid: Fid, owner: Owner) -> Vec<(LockMode, ByteRange)> {
         .collect()
 }
 
-fn queued_waiters(k: &Kernel, fid: Fid) -> usize {
-    let image = k.locks.export_file(fid).expect("a lock list");
-    locus_locks::decode_file_locks(&image)
-        .expect("a valid image")
-        .waiters
-        .len()
+/// Wait-for edges in `fid`'s queue at `k`: one per waiter and the holder or
+/// earlier waiter it is blocked behind.
+fn wait_edges(k: &Kernel, fid: Fid) -> usize {
+    let edges = k.locks.snapshot().edges;
+    edges.iter().filter(|e| e.fid == fid).count()
 }
 
 /// Everybody's uncommitted modifications to the first page of `fid` at `k`.
@@ -1536,7 +1333,7 @@ fn a_queued_lock_leaves_the_file_untouched_and_the_retry_rides_again() {
         ));
         assert_eq!(bytes(&mut a0), bytes_before);
         assert_eq!(uncommitted(k0, fid), mods_before);
-        assert_eq!(queued_waiters(k0, fid), 1);
+        assert_eq!(wait_edges(k0, fid), 1);
         assert!(locks_of(k0, fid, Owner::Trans(tid)).is_empty());
         // Nothing happened there, so nothing is remembered here.
         assert!(listed_sites(k1, p, fid).is_empty());
@@ -1562,45 +1359,12 @@ fn a_queued_lock_leaves_the_file_untouched_and_the_retry_rides_again() {
     k1.write(p, ch, b"mine", &mut a1).unwrap();
     assert_eq!(a1.delta_since(&before).messages, 1);
     assert_eq!(tap.kinds(), ["WriteReq+Lock"]);
-    assert_eq!(queued_waiters(k0, fid), 0);
+    assert_eq!(wait_edges(k0, fid), 0);
     assert_eq!(
         locks_of(k0, fid, Owner::Trans(tid)),
         [(LockMode::Exclusive, ByteRange::new(0, 4))]
     );
     assert_eq!(bytes(&mut a0)[..4], *b"mine");
-    assert_eq!(listed_sites(k1, p, fid), [SiteId(0)]);
-}
-
-#[test]
-fn a_leased_lock_list_keeps_the_lock_local_and_the_write_bare() {
-    let c = mini_cluster(2);
-    seed_remote_file(&c, 512);
-    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
-    k0.lease_threshold
-        .store(2, std::sync::atomic::Ordering::Relaxed);
-    let tap = WireTap::install(&c);
-    let mut a1 = acct(1);
-    let (p, ch, fid, tid) = remote_txn(&c, &mut a1, 1);
-    tap.kinds();
-    // Two locks that ride their writes count toward the delegation trigger
-    // exactly as two lock requests would: the second one brings the list.
-    for rec in 0..2u64 {
-        k1.lseek(p, ch, rec * 16, &mut a1).unwrap();
-        k1.write(p, ch, b"lease", &mut a1).unwrap();
-    }
-    assert_eq!(
-        tap.kinds(),
-        ["WriteReq+Lock", "WriteReq+Lock", "LeaseGrant"]
-    );
-    assert!(k1.leased.read().contains(&fid));
-    // From here the lock is taken from the leased list, at home.
-    k1.lseek(p, ch, 64, &mut a1).unwrap();
-    let before = a1.clone();
-    k1.write(p, ch, b"local", &mut a1).unwrap();
-    assert_eq!(a1.delta_since(&before).messages, 1);
-    assert_eq!(tap.kinds(), ["WriteReq"]);
-    assert!(locks_of(k1, fid, Owner::Trans(tid))
-        .contains(&(LockMode::Exclusive, ByteRange::new(64, 5))));
     assert_eq!(listed_sites(k1, p, fid), [SiteId(0)]);
 }
 
@@ -1826,7 +1590,90 @@ fn a_range_from_another_site_that_overflows_is_refused_by_every_handler() {
             "{kind}"
         );
         assert!(k0.locks.descriptors(fid).is_empty(), "{kind}");
-        assert_eq!(queued_waiters(k0, fid), 0, "{kind}");
+        assert_eq!(wait_edges(k0, fid), 0, "{kind}");
     }
     assert!(uncommitted(k0, fid).is_empty());
+}
+
+#[test]
+fn an_append_lock_that_overflows_past_end_of_file_is_refused_not_a_panic() {
+    let c = mini_cluster(1);
+    let k = &c.kernels[0];
+    let mut a = acct(0);
+    let p = k.spawn();
+    let ch = k.creat(p, "/f", &mut a).unwrap();
+    k.write(p, ch, b"not empty", &mut a).unwrap();
+    let fid = k.procs.get(p).unwrap().open_files[&ch].fid;
+    let append = LockOpts {
+        append: true,
+        ..LockOpts::default()
+    };
+    // `check_range` passes 0 + u64::MAX; end-of-file + u64::MAX is what
+    // does not fit, and only the lock list knows end-of-file.
+    let lock = k.lock(p, ch, u64::MAX, LockRequestMode::Exclusive, append, &mut a);
+    assert!(matches!(lock, Err(Error::InvalidArgument(_))), "{lock:?}");
+    assert!(k.locks.descriptors(fid).is_empty());
+    // What fits is placed at end-of-file as before.
+    let lock = k.lock(p, ch, 16, LockRequestMode::Exclusive, append, &mut a);
+    assert_eq!(lock, Ok(ByteRange::new(9, 16)));
+}
+
+#[test]
+fn an_append_lock_request_from_another_site_that_overflows_is_refused() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 512);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let p = k1.spawn();
+    let ch = k1.open(p, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p).unwrap().open_files[&ch].fid;
+    // Each fits the address space by itself and not behind 512 bytes of
+    // file: by its length, and by its end-of-file-relative start.
+    for range in [ByteRange::new(0, u64::MAX), ByteRange::new(u64::MAX - 1, 1)] {
+        for mode in [LockRequestMode::Exclusive, LockRequestMode::Unlock] {
+            let req = Msg::Lock(locus_net::LockMsg::Req {
+                fid,
+                pid: p,
+                tid: None,
+                mode,
+                class: locus_types::LockClass::NonTransaction,
+                range,
+                append: true,
+                wait: true,
+                reply_site: SiteId(1),
+            });
+            let resp = k1.rpc(SiteId(0), req, &mut a1);
+            assert!(
+                matches!(resp, Err(Error::InvalidArgument(_))),
+                "{range:?} {mode:?}: {resp:?}"
+            );
+            assert!(k0.locks.descriptors(fid).is_empty());
+            assert_eq!(wait_edges(k0, fid), 0);
+        }
+    }
+}
+
+#[test]
+fn a_write_past_the_last_page_a_file_can_name_is_refused_not_a_panic() {
+    let c = mini_cluster(1);
+    let k = &c.kernels[0];
+    let mut a = acct(0);
+    let p = k.spawn();
+    let ch = k.creat(p, "/f", &mut a).unwrap();
+    k.write(p, ch, b"abc", &mut a).unwrap();
+    let fid = k.procs.get(p).unwrap().open_files[&ch].fid;
+    let vol = k.volume(fid.volume).unwrap();
+    let mods = uncommitted(k, fid);
+    // Page 2^32 is the first whose number `PageNo(u32)` cannot hold.
+    let first_unnameable = (u64::from(u32::MAX) + 1) * c.model.page_size as u64;
+    for pos in [first_unnameable, first_unnameable - 2, 5 << 40] {
+        k.lseek(p, ch, pos, &mut a).unwrap();
+        let wrote = k.write(p, ch, b"hello", &mut a);
+        assert!(matches!(wrote, Err(Error::InvalidArgument(_))), "{wrote:?}");
+        assert_eq!(k.procs.get(p).unwrap().open_files[&ch].pos, pos);
+        assert_eq!(vol.len(fid, &mut a).unwrap(), 3);
+        assert_eq!(uncommitted(k, fid), mods);
+    }
+    k.lseek(p, ch, 0, &mut a).unwrap();
+    assert_eq!(k.read(p, ch, 8, &mut a).unwrap(), b"abc");
 }

@@ -15,9 +15,7 @@
 pub mod cache;
 pub mod lock_list;
 pub mod manager;
-pub mod transfer;
 
 pub use cache::LockCache;
 pub use lock_list::{EntryList, FileLocks, LockEntry, LockOutcome, LockRequest, Waiter};
 pub use manager::{GrantedWaiter, LockManager, LockTableSnapshot, WaitEdge};
-pub use transfer::{decode_file_locks, encode_file_locks};

@@ -86,6 +86,9 @@ pub enum LockOutcome {
     Denied { conflicting: ByteRange },
     /// Conflict; the request has been queued.
     Queued,
+    /// An append-mode request whose range, placed at the current
+    /// end-of-file, runs past the end of the file address space.
+    OutOfRange,
 }
 
 /// A queued request awaiting grant.
@@ -237,20 +240,23 @@ impl FileLocks {
 
     /// Resolves an append-relative range against the current end-of-file
     /// (Section 3.2: append-mode requests "are interpreted as being relative
-    /// to the end of file").
-    fn effective_range(&self, req: &LockRequest) -> ByteRange {
-        if req.append {
-            ByteRange::new(self.eof + req.range.start, req.range.len)
-        } else {
-            req.range
+    /// to the end of file"). `None` when the placed range does not fit the
+    /// address space; past this check [`ByteRange::end`] cannot overflow.
+    fn effective_range(&self, req: &LockRequest) -> Option<ByteRange> {
+        if !req.append {
+            return Some(req.range);
         }
+        let placed = ByteRange::new(self.eof.checked_add(req.range.start)?, req.range.len);
+        placed.checked_end().map(|_| placed)
     }
 
     /// Processes a lock or unlock request.
     pub fn request(&mut self, req: LockRequest) -> LockOutcome {
         match req.mode {
             LockRequestMode::Unlock => {
-                let range = self.effective_range(&req);
+                let Some(range) = self.effective_range(&req) else {
+                    return LockOutcome::OutOfRange;
+                };
                 self.unlock(&req, range);
                 LockOutcome::Granted { range }
             }
@@ -269,7 +275,7 @@ impl FileLocks {
     ) -> Option<ByteRange> {
         self.waiters.iter().find_map(|w| {
             let wmode = w.request.mode.as_mode()?;
-            let wrange = self.effective_range(&w.request);
+            let wrange = self.effective_range(&w.request)?;
             if w.request.owner() != owner && wrange.overlaps(&range) && !wmode.compatible(mode) {
                 Some(wrange)
             } else {
@@ -303,7 +309,9 @@ impl FileLocks {
             .as_mode()
             .expect("acquire called only for lock modes");
         let owner = req.owner();
-        let range = self.effective_range(&req);
+        let Some(range) = self.effective_range(&req) else {
+            return LockOutcome::OutOfRange;
+        };
         // Reacquisition fast path: an owner whose coverage already satisfies
         // the request (including a lock just granted off the wait queue, or
         // a retained lock being reclaimed) is granted immediately — queued
@@ -431,7 +439,13 @@ impl FileLocks {
                     self.waiters.remove(i);
                     continue;
                 };
-                let range = self.effective_range(&req);
+                // End-of-file can grow while an append request waits; one
+                // that no longer fits below the top of the address space
+                // stays queued (blocking nobody) until its owner goes.
+                let Some(range) = self.effective_range(&req) else {
+                    i += 1;
+                    continue;
+                };
                 let owner = req.owner();
                 let held_conflict = self.first_conflict(owner, mode, range).is_some();
                 let earlier_conflict = self.waiters.iter().take(i).any(|w| {
@@ -441,7 +455,9 @@ impl FileLocks {
                             .as_mode()
                             .map(|m| !m.compatible(mode))
                             .unwrap_or(false)
-                        && self.effective_range(&w.request).overlaps(&range)
+                        && self
+                            .effective_range(&w.request)
+                            .is_some_and(|w| w.overlaps(&range))
                 });
                 if held_conflict || earlier_conflict {
                     i += 1;
@@ -773,6 +789,34 @@ mod tests {
         let granted = fl.pump();
         assert_eq!(granted[0].1, ByteRange::new(200, 10));
         assert_eq!(fl.eof, 210);
+    }
+
+    #[test]
+    fn a_queued_append_lock_that_stops_fitting_waits_and_blocks_nobody() {
+        let mut fl = FileLocks::new(100);
+        fl.request(req(1, None, LockRequestMode::Exclusive, 0, 1000));
+        let mut w = req(2, None, LockRequestMode::Exclusive, 0, 10);
+        w.append = true;
+        w.wait = true;
+        assert_eq!(fl.request(w.clone()), LockOutcome::Queued);
+        // End-of-file moved to within 10 bytes of the top of the address
+        // space while the waiter was queued: it cannot be placed any more.
+        fl.eof = u64::MAX - 5;
+        assert_eq!(fl.request(w), LockOutcome::OutOfRange);
+        fl.release_owner(Owner::Proc(pid(1)));
+        assert!(fl.pump().is_empty());
+        assert_eq!(fl.waiters.len(), 1);
+        // Neither a new arrival nor a later waiter queues behind it.
+        let mut fits = req(3, None, LockRequestMode::Exclusive, 0, 5);
+        fits.append = true;
+        assert_eq!(
+            fl.request(fits),
+            LockOutcome::Granted {
+                range: ByteRange::new(u64::MAX - 5, 5)
+            }
+        );
+        fl.drop_waiters_of(pid(2));
+        assert!(fl.waiters.is_empty());
     }
 
     #[test]

@@ -133,6 +133,8 @@ impl LockManager {
                 self.counters.locks_queued();
                 self.log.push(Event::LockQueued { fid, pid });
             }
+            // A malformed request, not a lock decision: nothing to count.
+            LockOutcome::OutOfRange => {}
         }
         out
     }
@@ -267,39 +269,6 @@ impl LockManager {
             span.finish(&self.counters.spans, &self.model, acct);
         }
         granted
-    }
-
-    /// Encodes a file's lock state for a lease transfer (Section 5.2
-    /// lock-control migration). The local list is left in place: until the
-    /// delegation is recorded it remains authoritative, and while the lease
-    /// is out it serves as a conservative snapshot for enforced-lock
-    /// validation of data accesses.
-    pub fn export_file(&self, fid: Fid) -> Option<Vec<u8>> {
-        self.shard(fid)
-            .lock()
-            .get(&fid)
-            .map(crate::transfer::encode_file_locks)
-    }
-
-    /// Installs transferred lock state, replacing the local list.
-    pub fn import_file(&self, fid: Fid, bytes: &[u8]) -> Result<()> {
-        let fl = crate::transfer::decode_file_locks(bytes)
-            .ok_or_else(|| Error::InvalidArgument("corrupt lock-lease state".into()))?;
-        let idx = shard_of(fid);
-        let mut files = self.shards[idx].lock();
-        files.insert(fid, fl);
-        self.note_occupancy(idx, files.len());
-        Ok(())
-    }
-
-    /// Removes a file's lock state entirely, returning its encoded form
-    /// (the delegate handing a lease back).
-    pub fn remove_file(&self, fid: Fid) -> Option<Vec<u8>> {
-        let idx = shard_of(fid);
-        let mut files = self.shards[idx].lock();
-        let fl = files.remove(&fid);
-        self.note_occupancy(idx, files.len());
-        fl.map(|fl| crate::transfer::encode_file_locks(&fl))
     }
 
     /// Drops queued requests of an exiting process across all files, then

@@ -77,8 +77,8 @@ pub enum FileMsg {
     AbortReq { fid: Fid, owner: Owner },
 }
 
-/// Record locking: `Lock(file, length, mode)` forwarding (Section 5.1),
-/// grant pushes, and the lock-control lease migration of Section 5.2.
+/// Record locking: `Lock(file, length, mode)` forwarding (Section 5.1) and
+/// grant pushes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LockMsg {
     /// Lock request forwarded to the storage site. `append` requests the
@@ -106,14 +106,6 @@ pub enum LockMsg {
     },
     /// Release all locks held by a process on a file (close / exit path).
     UnlockAll { fid: Fid, pid: Pid },
-    /// Storage site → delegate: take over lock management for `fid`
-    /// (`state` is the encoded lock list).
-    LeaseGrant { fid: Fid, state: Vec<u8> },
-    /// Storage site → delegate: return the lease (locking patterns changed,
-    /// or a commit needs the authoritative lock list home).
-    LeaseRecall { fid: Fid },
-    /// Delegate → storage site: the returned lock-list state.
-    LeaseState { state: Vec<u8> },
 }
 
 /// Process machinery: migration, file-list merging toward the top-level
@@ -304,9 +296,6 @@ impl Msg {
                 LockMsg::Resp { .. } => "LockResp",
                 LockMsg::Granted { .. } => "LockGranted",
                 LockMsg::UnlockAll { .. } => "UnlockAll",
-                LockMsg::LeaseGrant { .. } => "LeaseGrant",
-                LockMsg::LeaseRecall { .. } => "LeaseRecall",
-                LockMsg::LeaseState { .. } => "LeaseState",
             },
             Msg::Proc(m) => match m {
                 ProcMsg::Migrate { .. } => "Migrate",
@@ -445,8 +434,9 @@ mod tests {
         assert_eq!(read(true).kind(), "ReadReq+Lock");
         assert_eq!(read(true).service(), Service::File);
         assert_eq!(
-            Msg::from(LockMsg::LeaseRecall {
-                fid: Fid::new(VolumeId(0), 1)
+            Msg::from(LockMsg::UnlockAll {
+                fid: Fid::new(VolumeId(0), 1),
+                pid: Pid::new(SiteId(1), 1),
             })
             .service(),
             Service::Lock

@@ -128,9 +128,6 @@ fn lock_msg() -> BoxedStrategy<LockMsg> {
         range().prop_map(|granted| LockMsg::Resp { granted }),
         (fid(), pid(), range()).prop_map(|(fid, pid, range)| LockMsg::Granted { fid, pid, range }),
         (fid(), pid()).prop_map(|(fid, pid)| LockMsg::UnlockAll { fid, pid }),
-        (fid(), payload()).prop_map(|(fid, state)| LockMsg::LeaseGrant { fid, state }),
-        fid().prop_map(|fid| LockMsg::LeaseRecall { fid }),
-        payload().prop_map(|state| LockMsg::LeaseState { state }),
     ]
     .boxed()
 }

@@ -416,7 +416,7 @@ pub enum SpanPhase {
     Commit,
     /// Client-visible lock acquisition (`Kernel::lock`), network included.
     LockAcquire,
-    /// Lock-site transfer: lease delegation, recall, or queued-waiter grant.
+    /// Lock-site transfer: a queued waiter's grant.
     LockTransfer,
     /// Remote RPC exchange as seen by the sender (RTT + remote service).
     RpcSend,

@@ -13,7 +13,7 @@
 //! there, next to the type. Integers are little-endian; a flag is one byte,
 //! 0 or 1, and any other value is refused.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::Error;
 use crate::id::{Channel, Fid, InodeNo, PageNo, PhysPage, Pid, SiteId, TransId, VolumeId};
@@ -392,7 +392,7 @@ macro_rules! wire_seq {
     )*};
 }
 
-wire_seq!(Vec, VecDeque, BTreeSet: Ord);
+wire_seq!(Vec, BTreeSet: Ord);
 
 impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
     #[inline]

@@ -14,7 +14,7 @@ pub enum Service {
     /// Filesystem data plane: open/close/read/write/prefetch, single-file
     /// commit and abort.
     File,
-    /// Record locking: lock/unlock requests, grant pushes, lease migration.
+    /// Record locking: lock/unlock requests, grant pushes.
     Lock,
     /// Process machinery: migration, file-list merging, member tracking.
     Proc,

@@ -151,11 +151,11 @@ type Decoder = fn(&[u8]) -> bool;
 
 /// One valid encoding per decoder that reads bytes nobody vouches for — a
 /// network frame, a journal frame and the two records it carries, an inode
-/// block, a migration blob, a lock-list image — with the decoder itself.
+/// block, a migration blob — with the decoder itself. Six entry points: the
+/// seventh, the lock-list image, left with lock-control migration, the only
+/// thing that ever put a lock list on the wire.
 fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
     use locus::fs::inode::Inode;
-    use locus::locks::lock_list::{FileLocks, LockRequest};
-    use locus::locks::transfer::{decode_file_locks, encode_file_locks};
     use locus::net::{decode_msg, encode_msg, Msg, ProcMsg, TxnMsg};
     use locus::proc::record::{OpenFile, ProcessRecord};
     use locus::types::{
@@ -235,21 +235,6 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
         append: true,
         write: true,
     });
-    let mut locks = FileLocks::new(512);
-    for p in [1, 2] {
-        // The second request conflicts with the first and queues behind it.
-        locks.request(LockRequest {
-            pid: Pid::new(SiteId(1), p),
-            tid: Some(TransId::new(SiteId(1), u64::from(p))),
-            class: LockClass::Transaction,
-            mode: LockRequestMode::Exclusive,
-            range: ByteRange::new(0, 64),
-            append: false,
-            wait: true,
-            reply_site: SiteId(2),
-        });
-    }
-    assert_eq!((locks.entries.len(), locks.waiters.len()), (1, 1));
 
     vec![
         ("decode_msg", encode_msg(&msg), |b| decode_msg(b).is_some()),
@@ -265,9 +250,6 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
         ("Inode", inode.encode(), |b| Inode::decode(b).is_some()),
         ("ProcessRecord", record.encode(), |b| {
             ProcessRecord::decode(b).is_some()
-        }),
-        ("decode_file_locks", encode_file_locks(&locks), |b| {
-            decode_file_locks(b).is_some()
         }),
     ]
 }

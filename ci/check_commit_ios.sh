@@ -36,14 +36,20 @@
 #       per participant vote plus the mark across sites.
 #   wal.frames_per_op >= 4.99 on commit_local: that one force carries all
 #       five of the commit's frames (the old 4.5 frames-per-flush floor).
-#   read_shared: kernel.pagecache_hit_rate 0.96875 — 62 of a locked scan's 64
-#       reads are served from the page cache (the old "a cached re-read is at
-#       least 2x a cold one and sends nothing") — and net.msgs_per_op 3.89925.
-#       A scan costs four messages; an update cost four while its lock
-#       travelled alone (so the figure was 4 on every seed) and costs three
-#       now that the lock rides the write, so the figure is 4 minus the
-#       update share of the traced pass, 0.10075 of its ops at seed 1. It is
-#       exact for the seed this script passes, not seed-independent.
+#   read_shared: a locked scan is two messages, the grant with its pages
+#       and the unlock. A shared lock's grant carries the first four pages
+#       of the range it guards (DESIGN.md §3), which is all of a 4-page
+#       scan, so every one of its 64 reads is served from the page cache —
+#       kernel.pagecache_hit_rate 1 (the old "a cached re-read is at least
+#       2x a cold one and sends nothing") — and no `ReadReq` is sent:
+#       net.msgs_file_per_op is the update share alone, 0.10075 of the
+#       traced pass's ops at seed 1 (one `WriteReq` each, its lock riding
+#       it), and net.msgs_per_op 2.10075 = 2 + that share. The pages cost
+#       what they cost when two reads fetched them — disk_ios_per_op
+#       2.289625, `net_page_transfer` per page — so virt_ms_per_op 175.759707
+#       is the old 204.176007 minus the two round trips. A grant that goes
+#       back to travelling bare moves all five. Exact for the seed this
+#       script passes, not seed-independent.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,7 +84,8 @@ check commit_dist disk_ios_per_op==7 virt_ms_per_op==173.75 wal.flushes_per_op==
     sim.virt_commit_ms_per_op==71.4 sim.virt_phase_two_ms_per_op==43.95 \
     net.msgs_per_op==6 net.msgs_lock_per_op==0 sim.virt_other_ms_per_op==57.9
 check hot_records disk_ios_per_op==3 virt_ms_per_op==80.95 wal.flushes_per_op==1
-check read_shared net.msgs_per_op==3.89925 kernel.pagecache_hit_rate==0.96875
+check read_shared net.msgs_per_op==2.10075 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \
+    disk_ios_per_op==2.289625 virt_ms_per_op==175.759707
 
 # A wave of prepares or phase-two messages runs on its caller's thread
 # (DESIGN.md §3): the only threads are the simulated processes', started by

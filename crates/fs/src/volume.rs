@@ -709,16 +709,6 @@ impl Volume {
         Ok(())
     }
 
-    /// Loads one page into the buffer cache ahead of use (Section 5.2's
-    /// prefetch-on-lock optimization). Returns true when a disk read was
-    /// actually performed (i.e. the page was not already buffered).
-    pub fn prefetch_page(&self, fid: Fid, page: PageNo, acct: &mut Account) -> Result<bool> {
-        let ino = self.check_fid(fid)?;
-        let mut st = self.state.lock();
-        let hit = self.ensure_buffer(&mut st, ino, page, acct)?;
-        Ok(!hit)
-    }
-
     /// Installs committed images pushed (or pulled) from the primary update
     /// site (replica refresh, Section 5.2). Each image arrives with the
     /// primary's per-page install counter; the replica *adopts* those

@@ -61,9 +61,6 @@ pub struct Kernel {
     /// a mismatch at prepare time means this site rebooted mid-transaction
     /// and its volatile buffers (possibly holding acked writes) were lost.
     boot_epoch: AtomicU64,
-    /// Section 5.2 optimization: prefetch the locked byte range's pages into
-    /// the storage site's buffers when a lock is granted.
-    pub prefetch_on_lock: AtomicBool,
 }
 
 /// Per-process wakeup slot: a flag plus a condvar private to the process, so
@@ -116,7 +113,6 @@ impl Kernel {
             wake_slots: Mutex::new(std::collections::HashMap::new()),
             crashed: AtomicBool::new(false),
             boot_epoch: AtomicU64::new(boot_epoch),
-            prefetch_on_lock: AtomicBool::new(false),
         }
     }
 

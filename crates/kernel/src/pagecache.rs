@@ -165,7 +165,8 @@ impl PageCache {
     /// Serves `range` (absolute bytes) from cached entries as a freshly
     /// built buffer, taking the fid's shard lock exactly once (all pages of
     /// a fid hash to the same shard). All-or-nothing: `None` unless every
-    /// page's needed slice is cached.
+    /// page's needed slice is cached — so a range longer than the shard's
+    /// entries put together (2^62 bytes, say) misses before a buffer is sized.
     pub fn read_vec(
         &self,
         fid: Fid,
@@ -174,6 +175,9 @@ impl PageCache {
         page_size: usize,
     ) -> Option<Vec<u8>> {
         let sh = self.shard(fid).lock();
+        if range.len > (sh.entries.len() * page_size) as u64 {
+            return None;
+        }
         let mut out = Vec::with_capacity(range.len as usize);
         for page in range.pages(page_size) {
             let slice = range.slice_on_page(page, page_size)?;
@@ -318,6 +322,16 @@ mod tests {
         assert!(put(&c, 1, 1, 0, &[9, 9, 9, 9]));
         let out = c.read_vec(fid(), owner(), r, PS).unwrap();
         assert_eq!(&out[PS..], &[9, 9, 9, 9]);
+    }
+
+    #[test]
+    fn a_range_longer_than_the_cache_misses_without_allocating() {
+        let c = PageCache::new();
+        assert!(put(&c, 0, 1, 0, &vec![1u8; PS]));
+        for len in [1 << 40, 1 << 62, u64::MAX] {
+            let r = ByteRange::new(0, len);
+            assert!(c.read_vec(fid(), owner(), r, PS).is_none());
+        }
     }
 
     #[test]

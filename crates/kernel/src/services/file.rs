@@ -17,11 +17,14 @@
 use locus_net::{FileMsg, LockMsg, Msg};
 use locus_proc::OpenFile;
 use locus_sim::Account;
-use locus_types::{ByteRange, Channel, Error, Fid, Owner, Pid, Result, SiteId};
+use locus_types::{ByteRange, Channel, Error, Fid, Owner, PageData, PageNo, Pid, Result, SiteId};
 
 use crate::catalog::FileLoc;
 use crate::kernel::Kernel;
 use crate::services::{check_range, ServiceHandler};
+
+/// Pages a sequential read brings along past the demanded ones.
+pub(crate) const READAHEAD_PAGES: u64 = 2;
 
 /// Storage-site handler for the filesystem data plane.
 pub(crate) struct FileService;
@@ -232,7 +235,7 @@ impl Kernel {
     /// synced; a stale replica falls back to the primary instead of serving
     /// old bytes. Channels pointed at a deposed primary follow the catalog
     /// to the current one.
-    fn read_site(&self, of: &OpenFile, in_txn: bool) -> SiteId {
+    pub(crate) fn read_site(&self, of: &OpenFile, in_txn: bool) -> SiteId {
         let Some(loc) = self.catalog.loc_of(of.fid) else {
             return of.storage_site;
         };
@@ -431,34 +434,10 @@ impl Kernel {
                 "unexpected read response {resp:?}"
             )));
         };
-        let clipped = ByteRange::new(extent.start, data.len() as u64);
         if caching {
-            let demand_last = range.pages(ps).last();
-            for (page, v) in clipped.pages(ps).zip(&vers) {
-                let Some(slice) = clipped.slice_on_page(page, ps) else {
-                    continue;
-                };
-                if Some(page) > demand_last {
-                    // Past the caller's last page: shipped as readahead.
-                    self.counters.prefetches();
-                }
-                let page_base = u64::from(page.0) * ps as u64;
-                let abs = ByteRange::new(page_base + slice.start, slice.len);
-                // Cache only committed bytes the owner's locks still cover.
-                if abs.end() > committed_len || !self.cache.covers(of.fid, owner, abs, false) {
-                    continue;
-                }
-                let off = (abs.start - clipped.start) as usize;
-                self.pages.insert(
-                    of.fid,
-                    owner,
-                    page,
-                    *v,
-                    slice,
-                    locus_types::PageData::from(&data[off..off + slice.len as usize]),
-                    gen,
-                );
-            }
+            let shipped = (&data[..], committed_len, &vers[..]);
+            let last = range.last_page(ps);
+            self.cache_pages(of.fid, owner, extent.start, shipped, last, gen);
         }
         // The caller's slice of the reply: what the storage site would have
         // returned for `range` itself, visible-length clip included.
@@ -470,6 +449,48 @@ impl Kernel {
             }
         })?;
         Ok(data)
+    }
+
+    /// The one populate step, behind a read's reply and behind a grant that
+    /// carried its pages (`Kernel::lock_channel`): caches what the storage
+    /// site shipped from byte `start` — [`FileMsg::ReadResp`]'s triple — as
+    /// far as `owner`'s cached locks cover it. `gen` is the owner's write
+    /// generation before the request; pages past `demand_last` are prefetches.
+    pub(crate) fn cache_pages(
+        &self,
+        fid: Fid,
+        owner: Owner,
+        start: u64,
+        (data, committed_len, vers): (&[u8], u64, &[u64]),
+        demand_last: Option<PageNo>,
+        gen: u64,
+    ) {
+        let ps = self.model.page_size;
+        let clipped = ByteRange::new(start, data.len() as u64);
+        for (page, v) in clipped.pages(ps).zip(vers) {
+            let Some(slice) = clipped.slice_on_page(page, ps) else {
+                continue;
+            };
+            if Some(page) > demand_last {
+                self.counters.prefetches();
+            }
+            let page_base = u64::from(page.0) * ps as u64;
+            let abs = ByteRange::new(page_base + slice.start, slice.len);
+            // Cache only committed bytes the owner's locks still cover.
+            if abs.end() > committed_len || !self.cache.covers(fid, owner, abs, false) {
+                continue;
+            }
+            let off = (abs.start - clipped.start) as usize;
+            self.pages.insert(
+                fid,
+                owner,
+                page,
+                *v,
+                slice,
+                PageData::from(&data[off..off + slice.len as usize]),
+                gen,
+            );
+        }
     }
 
     /// What a missed remote read of `range` asks the storage site for.
@@ -492,7 +513,6 @@ impl Kernel {
     /// use could miss a record another member has written since — and a
     /// transaction must see its own uncommitted writes.
     fn fetch_extent(&self, fid: Fid, owner: Owner, range: ByteRange) -> ByteRange {
-        const READAHEAD_PAGES: u64 = 2;
         if matches!(owner, Owner::Trans(_)) {
             return range;
         }
@@ -503,7 +523,7 @@ impl Kernel {
             && self.pages.covers_page_span(
                 fid,
                 owner,
-                locus_types::PageNo((first / ps - 1) as u32),
+                PageNo((first / ps - 1) as u32),
                 ByteRange::new(ps - 1, 1),
             );
         let ahead = if sequential { READAHEAD_PAGES * ps } else { 0 };

@@ -27,6 +27,7 @@ use locus_types::{
 };
 
 use crate::kernel::Kernel;
+use crate::services::file::READAHEAD_PAGES;
 use crate::services::{check_range, ServiceHandler};
 
 /// Options for the `Lock(file, length, mode)` system call (Section 3.2).
@@ -70,8 +71,14 @@ impl ServiceHandler for LockService {
                 append,
                 wait,
                 reply_site,
+                fetch,
             } => {
                 check_range(range)?;
+                if fetch && (mode != LockRequestMode::Shared || append || tid.is_some()) {
+                    return Err(Error::ProtocolViolation(format!(
+                        "a {mode:?} lock (append {append}, {tid:?}) cannot carry its pages"
+                    )));
+                }
                 let req = LockRequest {
                     pid,
                     tid,
@@ -82,7 +89,7 @@ impl ServiceHandler for LockService {
                     wait,
                     reply_site,
                 };
-                k.storage_site_lock(fid, req, acct)
+                k.storage_site_lock(fid, req, fetch, acct)
             }
             LockMsg::Granted { fid, pid, range } => {
                 // A queued request of a local process was granted at the
@@ -270,6 +277,18 @@ impl Kernel {
             Some(loc) if loc.replicated() => loc.primary,
             _ => of.storage_site,
         };
+        // A shared lock permits its holder to read the range and nothing
+        // else, so the request says the reads are coming: ask for the pages
+        // with the grant (Section 5.2; DESIGN.md §3 has each clause's
+        // reason). Mode first: an exclusive lock pays one compare.
+        let fetch = mode == LockRequestMode::Shared
+            && rec_tid.is_none()
+            && !append
+            && participant != self.site
+            && self.page_cache_enabled.load(Ordering::Relaxed)
+            && participant == self.read_site(of, false);
+        // The write generation from before the request, as in `read`.
+        let gen = fetch.then(|| self.pages.write_gen(of.fid, owner));
         let resp = self.rpc(
             participant,
             Msg::Lock(LockMsg::Req {
@@ -282,11 +301,17 @@ impl Kernel {
                 append,
                 wait: opts.wait,
                 reply_site: self.site,
+                fetch,
             }),
             acct,
         )?;
         match resp {
-            Msg::Lock(LockMsg::Resp { granted }) => {
+            Msg::Lock(LockMsg::Resp {
+                granted,
+                data,
+                committed_len,
+                vers,
+            }) => {
                 match mode.as_mode() {
                     Some(m) => self.cache.insert(of.fid, owner, m, granted),
                     None => {
@@ -296,6 +321,11 @@ impl Kernel {
                         self.pages
                             .remove(of.fid, owner, granted, self.model.page_size);
                     }
+                }
+                if let Some(gen) = gen {
+                    // After the insert above: coverage is what admits a page.
+                    let shipped = (&data[..], committed_len, &vers[..]);
+                    self.cache_pages(of.fid, owner, granted.start, shipped, None, gen);
                 }
                 self.procs.with_mut(pid, |rec| {
                     if rec.tid.is_some() {
@@ -347,10 +377,13 @@ impl Kernel {
             wait: true,
             reply_site: from,
         };
-        let resp = self.storage_site_lock(fid, req, acct)?;
+        let resp = self.storage_site_lock(fid, req, false, acct)?;
         // Only an append-mode grant lands anywhere but where it was asked
         // for, which is why no range travels back with the data.
-        debug_assert_eq!(resp, Msg::Lock(LockMsg::Resp { granted: range }));
+        debug_assert!(matches!(
+            resp,
+            Msg::Lock(LockMsg::Resp { granted, .. }) if granted == range
+        ));
         Ok(())
     }
 
@@ -358,10 +391,14 @@ impl Kernel {
     /// Section 3.3 rule-2 adoption of modified-uncommitted records. The one
     /// body behind [`LockMsg::Req`] and behind a data request that carries
     /// its lock ([`Kernel::serve_implicit_lock`]).
+    /// With `fetch`, a grant carries the bytes it guards, from the range's
+    /// first byte to the page boundary a sequential reader's first two
+    /// `ReadReq`s reached: never more than the reads this replaces.
     pub(crate) fn storage_site_lock(
         &self,
         fid: Fid,
         req: LockRequest,
+        fetch: bool,
         acct: &mut Account,
     ) -> Result<Msg> {
         let vol = self.volume(fid.volume)?;
@@ -388,24 +425,27 @@ impl Kernel {
                         self.locks.pin_retained(fid, owner, range);
                     }
                 }
-                if !is_unlock && self.prefetch_on_lock.load(Ordering::Relaxed) {
-                    // Section 5.2: prefetch the locked pages in anticipation
-                    // of their use. Charged to a background account — the
-                    // point of the optimization is to overlap this I/O with
-                    // the requester's network round trip.
-                    let mut bg = Account::new(self.site);
-                    for p in range.pages(self.model.page_size) {
-                        if vol.prefetch_page(fid, p, &mut bg).unwrap_or(false) {
-                            self.counters.prefetches();
-                        }
-                    }
-                }
                 // Unlock may unblock queued waiters.
                 if is_unlock {
                     let granted = self.locks.pump_file(fid, acct);
                     self.push_grants(granted, acct);
                 }
-                Ok(Msg::Lock(LockMsg::Resp { granted: range }))
+                let (data, committed_len, vers) = if fetch {
+                    let ps = self.model.page_size as u64;
+                    let stop = (range.start / ps + 2 + READAHEAD_PAGES).saturating_mul(ps);
+                    let ship = ByteRange::new(range.start, range.end().min(stop) - range.start);
+                    // The lock stands either way: a failed read is a bare grant.
+                    let read = vol.read_with_meta(fid, owner, ship, acct);
+                    read.unwrap_or_default()
+                } else {
+                    Default::default()
+                };
+                Ok(Msg::Lock(LockMsg::Resp {
+                    granted: range,
+                    data,
+                    committed_len,
+                    vers,
+                }))
             }
             LockOutcome::Denied { conflicting } => Err(Error::LockConflict {
                 fid,

@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use locus_disk::SimDisk;
 use locus_fs::Volume;
-use locus_net::{FileMsg, Msg, SimTransport};
+use locus_net::{FileMsg, LockMsg, Msg, SimTransport};
 use locus_proc::ProcessRegistry;
 use locus_sim::{Account, CostModel, Counters, EventLog, SimDuration};
 use locus_types::{
-    ByteRange, Channel, Error, Fid, LockMode, LockRequestMode, Owner, Pid, SiteId, TransId,
-    VolumeId,
+    ByteRange, Channel, Error, Fid, LockClass, LockMode, LockRequestMode, Owner, Pid, SiteId,
+    TransId, VolumeId,
 };
 
 use crate::catalog::Catalog;
@@ -491,37 +491,6 @@ fn duplicate_create_fails_before_commit() {
 }
 
 #[test]
-fn prefetch_on_lock_fills_buffers() {
-    let c = mini_cluster(1);
-    let k = &c.kernels[0];
-    k.prefetch_on_lock
-        .store(true, std::sync::atomic::Ordering::Relaxed);
-    let mut a = acct(0);
-    let p = k.spawn();
-    let ch = k.creat(p, "/f", &mut a).unwrap();
-    k.write(p, ch, &vec![7u8; 3000], &mut a).unwrap();
-    k.close(p, ch, &mut a).unwrap();
-    k.crash(); // Empty the buffer cache.
-    k.reboot();
-    let p2 = k.spawn();
-    let mut a2 = acct(0);
-    let ch2 = k.open(p2, "/f", true, &mut a2).unwrap();
-    k.lock(
-        p2,
-        ch2,
-        3000,
-        LockRequestMode::Shared,
-        LockOpts::default(),
-        &mut a2,
-    )
-    .unwrap();
-    // The subsequent read hits buffers: no disk reads charged to the reader.
-    let before = a2.clone();
-    k.read(p2, ch2, 3000, &mut a2).unwrap();
-    assert_eq!(a2.delta_since(&before).disk_reads, 0);
-}
-
-#[test]
 fn primary_update_site_can_migrate() {
     // Section 5.2 footnote 8: storage-site service migrates to the primary
     // update site. Model: the catalog's primary pointer moves, and update
@@ -724,7 +693,7 @@ fn cached_reread_is_local_and_byte_identical() {
         &mut a1,
     )
     .unwrap();
-    // First read fetches remotely and populates the page cache.
+    // The first read finds what the grant brought.
     k1.lseek(p1, ch1, 0, &mut a1).unwrap();
     let first = k1.read(p1, ch1, 512, &mut a1).unwrap();
     assert_eq!(first, vec![7u8; 512]);
@@ -891,8 +860,10 @@ fn readahead_lands_pages_in_cache() {
     let k1 = &c.kernels[1];
     let mut a1 = acct(1);
     // Lock the whole file so readahead pages fall under coverage
-    // (Section 5.2 prefetches the *locked* range).
-    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 5120, LockRequestMode::Shared);
+    // (Section 5.2 prefetches the *locked* range) — exclusively, so the
+    // grant comes bare and every page here is the read path's doing.
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 5120, LockRequestMode::Exclusive);
+    assert!(k1.pages.is_empty());
     let owner = Owner::Proc(p1);
     let cached = |n| k1.pages.covers_page_span(fid, owner, page(n), FULL_PAGE);
     // A first touch is not sequential: the miss brings in its own page,
@@ -926,7 +897,9 @@ fn locked_sequential_scan_costs_two_file_messages() {
     seed_remote_file(&c, 8192);
     let k1 = &c.kernels[1];
     let mut a1 = acct(1);
-    let (p1, ch1, _) = open_locked(k1, &mut a1, 4096, 4096, LockRequestMode::Shared);
+    // Exclusive: the read path's own scan (a shared grant brings the pages,
+    // `a_shared_lock_brings_its_pages_and_the_scan_sends_nothing_more`).
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 4096, 4096, LockRequestMode::Exclusive);
     let before = k1.counters.snapshot();
     for _ in 0..64 {
         assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
@@ -947,8 +920,9 @@ fn fetch_never_leaves_lock_coverage() {
     let tap = tap_reads(&c);
     let k1 = &c.kernels[1];
     let mut a1 = acct(1);
-    // The lock covers bytes [100, 300) of page 0 and nothing else.
-    let (p1, ch1, fid) = open_locked(k1, &mut a1, 100, 200, LockRequestMode::Shared);
+    // The lock covers bytes [100, 300) of page 0 and nothing else (and is
+    // exclusive: a shared one would have brought them along).
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 100, 200, LockRequestMode::Exclusive);
     let owner = Owner::Proc(p1);
     k1.lseek(p1, ch1, 150, &mut a1).unwrap();
     assert_eq!(k1.read(p1, ch1, 10, &mut a1).unwrap(), vec![7u8; 10]);
@@ -1015,7 +989,7 @@ fn widened_read_skips_pages_with_foreign_uncommitted_bytes() {
     let k1 = &c.kernels[1];
     let mut a1 = acct(1);
     // The reader holds [0, 2048) except the last 24 bytes of page 1...
-    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 2024, LockRequestMode::Shared);
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 2024, LockRequestMode::Exclusive);
     let owner = Owner::Proc(p1);
     // ...where another owner leaves uncommitted bytes.
     let mut a0 = acct(0);
@@ -1047,7 +1021,7 @@ fn refused_widening_falls_back_to_the_callers_range() {
     let k0 = &c.kernels[0];
     let k1 = &c.kernels[1];
     let mut a1 = acct(1);
-    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 2048, LockRequestMode::Shared);
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 2048, LockRequestMode::Exclusive);
     // The storage site reboots and forgets the lock; site 1's lock cache
     // does not, and another process then locks part of the old range.
     k0.crash();
@@ -1512,6 +1486,432 @@ fn only_a_transaction_may_ask_for_the_lock_to_ride() {
     assert!(uncommitted(k0, fid).is_empty());
 }
 
+// ----- The grant carries its pages ---------------------------------------------
+
+const SHARED: LockRequestMode = LockRequestMode::Shared;
+
+/// Whether site `k` has all of page `n` of `fid` cached for `owner`.
+fn has_page(k: &Kernel, fid: Fid, owner: Owner, n: u32) -> bool {
+    k.pages.covers_page_span(fid, owner, page(n), FULL_PAGE)
+}
+
+/// A non-transaction `LockReq` for `range` of `fid` from `pid` at site 1.
+fn lock_req(fid: Fid, pid: Pid, mode: LockRequestMode, range: ByteRange, fetch: bool) -> Msg {
+    Msg::Lock(LockMsg::Req {
+        fid,
+        pid,
+        tid: None,
+        mode,
+        class: LockClass::NonTransaction,
+        range,
+        append: false,
+        wait: false,
+        reply_site: SiteId(1),
+        fetch,
+    })
+}
+
+#[test]
+fn a_shared_lock_brings_its_pages_and_the_scan_sends_nothing_more() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let tap = WireTap::install(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let p1 = k1.spawn();
+    let ch1 = k1.open(p1, "/cached", true, &mut a1).unwrap();
+    k1.lseek(p1, ch1, 4096, &mut a1).unwrap();
+    tap.kinds();
+    let before = (k1.counters.snapshot(), a1.clone());
+    k1.lock(p1, ch1, 4096, SHARED, LockOpts::default(), &mut a1)
+        .unwrap();
+    // One round trip, charged for the four pages that came back with it.
+    let locked = a1.delta_since(&before.1);
+    assert_eq!(locked.messages, 1);
+    assert!(locked.elapsed >= c.model.net_rtt + c.model.net_page_transfer * 4);
+    for _ in 0..64 {
+        assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    }
+    assert_eq!(tap.kinds(), ["LockReq+Fetch"]);
+    let d = k1.counters.snapshot().since(&before.0);
+    assert_eq!(d.msgs_for(locus_types::Service::Lock), 1);
+    assert_eq!(d.msgs_for(locus_types::Service::File), 0);
+    assert_eq!((d.page_cache_hits, d.page_cache_misses), (64, 0));
+    assert_eq!(d.prefetches, 4);
+    assert_eq!(a1.delta_since(&before.1).messages, 1);
+}
+
+#[test]
+fn every_other_lock_request_gets_a_bare_grant() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = WireTap::install(&c);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let opts = LockOpts::default();
+    let append = LockOpts {
+        append: true,
+        ..opts
+    };
+    let open = |a1: &mut Account| {
+        let p = k1.spawn();
+        (p, k1.open(p, "/cached", true, a1).unwrap())
+    };
+    // The same request, differing in the one thing that keeps the pages home:
+    // its mode, append placement, a transaction, the page cache being off.
+    let (p, ch) = open(&mut a1);
+    tap.kinds();
+    let before = a1.clone();
+    k1.lock(p, ch, 4096, LockRequestMode::Exclusive, opts, &mut a1)
+        .unwrap();
+    let exclusive = a1.delta_since(&before);
+    k1.unlock(p, ch, 4096, &mut a1).unwrap();
+    k1.lock(p, ch, 64, SHARED, append, &mut a1).unwrap();
+    k1.close(p, ch, &mut a1).unwrap();
+    let (p, ch) = open(&mut a1);
+    enter_txn(k1, p, 1);
+    k1.lock(p, ch, 4096, SHARED, opts, &mut a1).unwrap();
+    k0.locks
+        .release_owner(Owner::Trans(TransId::new(SiteId(1), 1)), &mut a1);
+    let (p, ch) = open(&mut a1);
+    k1.page_cache_enabled
+        .store(false, std::sync::atomic::Ordering::Relaxed);
+    let before = a1.clone();
+    k1.lock(p, ch, 4096, SHARED, opts, &mut a1).unwrap();
+    let cache_off = a1.delta_since(&before);
+    let sent = tap.kinds();
+    let locks: Vec<_> = sent
+        .iter()
+        .copied()
+        .filter(|k| k.starts_with("Lock"))
+        .collect();
+    assert_eq!(locks, ["LockReq"; 5], "{sent:?}");
+    assert!(k1.pages.is_empty());
+    assert_eq!(k1.counters.snapshot().prefetches, 0);
+    // Bare is bare: the shared grant without pages costs what the exclusive
+    // one does, to the microsecond — Section 6.2's remote lock.
+    assert_eq!(cache_off.elapsed, exclusive.elapsed);
+    let ms = exclusive.elapsed.as_millis_f64();
+    assert!((17.0..20.0).contains(&ms), "remote lock took {ms} ms");
+}
+
+#[test]
+fn a_lock_whose_reads_a_local_replica_serves_gets_a_bare_grant() {
+    let c = mini_cluster(2);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.creat(p0, "/r", &mut a0).unwrap();
+    k0.write(p0, ch0, &[7u8; 2048], &mut a0).unwrap();
+    k0.close(p0, ch0, &mut a0).unwrap();
+    let counters = Arc::new(Counters::default());
+    let disk = Arc::new(SimDisk::new(1024, c.model.clone(), counters.clone()));
+    k1.mount(Arc::new(Volume::new(
+        VolumeId(0),
+        SiteId(1),
+        disk,
+        c.model.clone(),
+        counters,
+        Arc::new(EventLog::new()),
+    )));
+    k0.catalog.add_replica("/r", SiteId(1)).unwrap();
+    // Opened for update while site 0 is the primary; then site 1 is promoted.
+    // Site 0's copy is still synced, so it serves this channel's reads
+    // itself, while the lock list is now at site 1.
+    let ch0 = k0.open(p0, "/r", true, &mut a0).unwrap();
+    k0.write(p0, ch0, b"v2", &mut a0).unwrap();
+    k0.commit_file(p0, ch0, &mut a0).unwrap();
+    let fid = k0.procs.get(p0).unwrap().open_files[&ch0].fid;
+    k0.catalog.set_primary(fid, SiteId(1)).unwrap();
+    let tap = WireTap::install(&c);
+    k0.lseek(p0, ch0, 0, &mut a0).unwrap();
+    k0.lock(p0, ch0, 2048, SHARED, LockOpts::default(), &mut a0)
+        .unwrap();
+    assert_eq!(*tap.seen.lock(), [(SiteId(1), "LockReq")]);
+    assert!(k0.pages.is_empty());
+    let before = a0.clone();
+    assert_eq!(k0.read(p0, ch0, 2, &mut a0).unwrap(), b"v2");
+    assert_eq!(a0.delta_since(&before).messages, 0);
+}
+
+#[test]
+fn a_five_page_lock_ships_four_and_the_fifth_comes_by_one_sequential_read() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 5120);
+    let tap = tap_reads(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 5120, SHARED);
+    let owner = Owner::Proc(p1);
+    assert!((0..4).all(|n| has_page(k1, fid, owner, n)));
+    assert_eq!(k1.pages.len(), 4);
+    assert_eq!(k1.counters.snapshot().prefetches, 4);
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    for _ in 0..5 {
+        assert_eq!(k1.read(p1, ch1, 1024, &mut a1).unwrap(), vec![7u8; 1024]);
+    }
+    // The read path takes over where the grant stopped: page 3's last byte
+    // is cached, so the miss on page 4 is a sequential one.
+    assert_eq!(*tap.0.lock(), [ByteRange::new(4096, 1024)]);
+    assert!(has_page(k1, fid, owner, 4));
+}
+
+#[test]
+fn a_grant_ships_the_locked_bytes_of_a_page_and_no_others() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = tap_reads(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    // From mid-page 0 to mid-page 2, in a file that goes on past it.
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 1000, 1500, SHARED);
+    let spans = |n, s, l| {
+        k1.pages
+            .covers_page_span(fid, Owner::Proc(p1), page(n), ByteRange::new(s, l))
+    };
+    assert!(spans(0, 1000, 24) && has_page(k1, fid, Owner::Proc(p1), 1) && spans(2, 0, 452));
+    assert!(!spans(0, 999, 1) && !spans(2, 452, 1));
+    assert_eq!(k1.pages.len(), 3);
+    assert_eq!(k1.read(p1, ch1, 1500, &mut a1).unwrap(), vec![7u8; 1500]);
+    assert!(tap.0.lock().is_empty());
+}
+
+#[test]
+fn a_queued_request_ships_nothing_and_its_retry_after_the_grant_does() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 2048);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a0 = acct(0);
+    let holder = k0.spawn();
+    let hch = k0.open(holder, "/cached", true, &mut a0).unwrap();
+    k0.lock(
+        holder,
+        hch,
+        64,
+        LockRequestMode::Exclusive,
+        LockOpts::default(),
+        &mut a0,
+    )
+    .unwrap();
+
+    let tap = WireTap::install(&c);
+    let mut a1 = acct(1);
+    let p1 = k1.spawn();
+    let ch1 = k1.open(p1, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p1).unwrap().open_files[&ch1].fid;
+    let wait = LockOpts {
+        wait: true,
+        ..LockOpts::default()
+    };
+    tap.kinds();
+    let before = a1.clone();
+    assert!(matches!(
+        k1.lock(p1, ch1, 2048, SHARED, wait, &mut a1),
+        Err(Error::WouldBlock { .. })
+    ));
+    // Queued is an error reply: no pages on the wire, none in the cache.
+    let queued = a1.delta_since(&before);
+    assert!(queued.elapsed < c.model.net_rtt + c.model.net_page_transfer);
+    assert!(k1.pages.is_empty());
+    assert!(!k1
+        .cache
+        .covers(fid, Owner::Proc(p1), ByteRange::new(0, 1), false));
+
+    k0.unlock(holder, hch, 64, &mut a0).unwrap();
+    assert!(k1.take_wakeup(p1));
+    k1.lock(p1, ch1, 2048, SHARED, wait, &mut a1).unwrap();
+    assert_eq!(
+        tap.kinds(),
+        ["LockReq+Fetch", "LockGranted", "LockReq+Fetch"]
+    );
+    assert_eq!(
+        locks_of(k0, fid, Owner::Proc(p1)),
+        [(LockMode::Shared, ByteRange::new(0, 2048))]
+    );
+    assert!((0..2).all(|n| has_page(k1, fid, Owner::Proc(p1), n)));
+    let before = a1.clone();
+    assert_eq!(k1.read(p1, ch1, 2048, &mut a1).unwrap(), vec![7u8; 2048]);
+    assert_eq!(a1.delta_since(&before).messages, 0);
+}
+
+#[test]
+fn a_granted_page_with_another_owners_uncommitted_bytes_is_not_cached() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    // Another owner's uncommitted bytes sit at the end of page 1...
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    k0.lseek(p0, ch0, 2030, &mut a0).unwrap();
+    k0.write(p0, ch0, b"dirty", &mut a0).unwrap();
+    // ...just past what the reader locks.
+    let mut a1 = acct(1);
+    let p1 = k1.spawn();
+    let ch1 = k1.open(p1, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p1).unwrap().open_files[&ch1].fid;
+    let range = ByteRange::new(0, 2024);
+    let resp = k1.rpc(SiteId(0), lock_req(fid, p1, SHARED, range, true), &mut a1);
+    let Ok(Msg::Lock(LockMsg::Resp { data, vers, .. })) = resp else {
+        panic!("{resp:?}");
+    };
+    assert_eq!(data, vec![7u8; 2024]);
+    assert_eq!(vers.len(), 2);
+    assert!(vers[0] != crate::pagecache::VERS_UNCACHEABLE);
+    assert_eq!(vers[1], crate::pagecache::VERS_UNCACHEABLE);
+
+    k1.lock(p1, ch1, 2024, SHARED, LockOpts::default(), &mut a1)
+        .unwrap();
+    let owner = Owner::Proc(p1);
+    assert!(has_page(k1, fid, owner, 0));
+    assert_eq!(k1.pages.len(), 1);
+    // Once those bytes are rolled back the page caches, by the read path.
+    k0.abort_file(p0, ch0, &mut a0).unwrap();
+    k1.lseek(p1, ch1, 1024, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    assert!(k1
+        .pages
+        .covers_page_span(fid, owner, page(1), ByteRange::new(0, 1000)));
+}
+
+#[test]
+fn a_lost_or_doubled_grant_leaves_one_lock_entry_and_a_coherent_cache() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 2048);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let tap = WireTap::install(&c);
+    let mut a1 = acct(1);
+    let p1 = k1.spawn();
+    let ch1 = k1.open(p1, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p1).unwrap().open_files[&ch1].fid;
+    let owner = Owner::Proc(p1);
+    let held = [(LockMode::Shared, ByteRange::new(0, 2048))];
+
+    // The grant and its pages are lost on the way back: the storage site
+    // holds the lock, this site knows nothing and has cached nothing.
+    *tap.fault.lock() = Some(("LockReq+Fetch", locus_net::FaultDecision::DropReply));
+    assert!(k1
+        .lock(p1, ch1, 2048, SHARED, LockOpts::default(), &mut a1)
+        .is_err());
+    assert_eq!(locks_of(k0, fid, owner), held);
+    assert!(!k1.cache.covers(fid, owner, ByteRange::new(0, 1), false));
+    assert!(k1.pages.is_empty());
+    // Asking again is harmless, and fetches again.
+    *tap.fault.lock() = Some(("LockReq+Fetch", locus_net::FaultDecision::Duplicate));
+    k1.lock(p1, ch1, 2048, SHARED, LockOpts::default(), &mut a1)
+        .unwrap();
+    assert_eq!(locks_of(k0, fid, owner), held);
+    assert_eq!(k1.pages.len(), 2);
+    let before = a1.clone();
+    assert_eq!(k1.read(p1, ch1, 2048, &mut a1).unwrap(), vec![7u8; 2048]);
+    assert_eq!(a1.delta_since(&before).messages, 0);
+    // Letting go drops the pages with the coverage, as for any lock.
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    k1.unlock(p1, ch1, 2048, &mut a1).unwrap();
+    assert!(k1.pages.is_empty() && k0.locks.descriptors(fid).is_empty());
+}
+
+#[test]
+fn the_storage_site_refuses_a_fetch_it_would_never_be_sent() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 2048);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let p = k1.spawn();
+    let ch = k1.open(p, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p).unwrap().open_files[&ch].fid;
+    let range = ByteRange::new(0, 1024);
+    let tid = TransId::new(SiteId(1), 1);
+    let mut appending = lock_req(fid, p, SHARED, range, true);
+    if let Msg::Lock(LockMsg::Req { append, .. }) = &mut appending {
+        *append = true;
+    }
+    let hostile = [
+        lock_req(fid, p, LockRequestMode::Unlock, range, true),
+        lock_req(fid, p, LockRequestMode::Exclusive, range, true),
+        appending,
+        Msg::Lock(LockMsg::Req {
+            fid,
+            pid: p,
+            tid: Some(tid),
+            mode: SHARED,
+            class: LockClass::Transaction,
+            range,
+            append: false,
+            wait: true,
+            reply_site: SiteId(1),
+            fetch: true,
+        }),
+    ];
+    for req in hostile {
+        let shown = format!("{req:?}");
+        let resp = k1.rpc(SiteId(0), req, &mut a1);
+        assert!(
+            matches!(resp, Err(Error::ProtocolViolation(_))),
+            "{shown}: {resp:?}"
+        );
+        assert!(k0.locks.descriptors(fid).is_empty(), "{shown}");
+    }
+    // The request it is sent is served.
+    let resp = k1.rpc(SiteId(0), lock_req(fid, p, SHARED, range, true), &mut a1);
+    assert!(matches!(resp, Ok(Msg::Lock(LockMsg::Resp { data, .. })) if data.len() == 1024));
+}
+
+// ----- The caller's range as it came ---------------------------------------------
+
+#[test]
+fn a_read_of_more_than_memory_under_a_whole_file_lock_returns_the_file() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = tap_reads(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, u64::MAX, SHARED);
+    // The page cache is asked first, under coverage that holds: it must not
+    // size a buffer by the request.
+    for len in [1 << 40, 1 << 62, u64::MAX] {
+        k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+        assert_eq!(k1.read(p1, ch1, len, &mut a1).unwrap(), vec![7u8; 4096]);
+    }
+    // Each is a miss (the cache cannot hold that many pages), asked of the
+    // storage site as it came and answered with what there is.
+    assert_eq!(
+        *tap.0.lock(),
+        [1 << 40, 1 << 62, u64::MAX].map(|len| ByteRange::new(0, len))
+    );
+    // What is cached still serves a read that fits it.
+    let before = a1.clone();
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 4096, &mut a1).unwrap(), vec![7u8; 4096]);
+    assert_eq!(a1.delta_since(&before).messages, 0);
+}
+
+#[test]
+fn a_range_of_any_length_visits_only_the_pages_that_came_back() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    // A shared lock on the whole address space of an 8-page file ships the
+    // cap, four pages, and looks at no page beyond them.
+    let before = k1.counters.snapshot();
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, u64::MAX, SHARED);
+    let d = k1.counters.snapshot().since(&before);
+    assert_eq!((d.prefetches, k1.pages.len()), (4, 4));
+    assert!((0..4).all(|n| has_page(k1, fid, Owner::Proc(p1), n)));
+    // A read of 2^40 bytes from page 4 on brings what the file has, four
+    // pages, all of them demanded: the last page asked for is computed, not
+    // walked to (2^30 pages; 2^52 for the read after it).
+    for len in [1 << 40, 1 << 62] {
+        k1.lseek(p1, ch1, 4096, &mut a1).unwrap();
+        let before = k1.counters.snapshot();
+        assert_eq!(k1.read(p1, ch1, len, &mut a1).unwrap(), vec![7u8; 4096]);
+        let d = k1.counters.snapshot().since(&before);
+        assert_eq!((d.page_cache_misses, d.prefetches), (1, 0));
+        assert_eq!(k1.pages.len(), 8);
+    }
+}
+
 // ----- Ranges that do not fit the address space --------------------------------
 
 #[test]
@@ -1578,6 +1978,7 @@ fn a_range_from_another_site_that_overflows_is_refused_by_every_handler() {
             append: false,
             wait: true,
             reply_site: SiteId(1),
+            fetch: false,
         }),
     ];
     for req in requests {
@@ -1641,6 +2042,7 @@ fn an_append_lock_request_from_another_site_that_overflows_is_refused() {
                 append: true,
                 wait: true,
                 reply_site: SiteId(1),
+                fetch: false,
             });
             let resp = k1.rpc(SiteId(0), req, &mut a1);
             assert!(

@@ -83,7 +83,9 @@ pub enum FileMsg {
 pub enum LockMsg {
     /// Lock request forwarded to the storage site. `append` requests the
     /// atomic extend-and-lock of Section 3.2; `wait` selects queueing over a
-    /// conflict error.
+    /// conflict error. `fetch` asks for the first pages of the granted range
+    /// to come back with the grant (Section 5.2 "prefetches the locked
+    /// pages"): a shared, non-append lock outside any transaction only.
     Req {
         fid: Fid,
         pid: Pid,
@@ -94,10 +96,17 @@ pub enum LockMsg {
         append: bool,
         wait: bool,
         reply_site: SiteId,
+        fetch: bool,
     },
     /// Lock granted; the effective range is returned (append-mode locks are
-    /// placed relative to end-of-file by the storage site).
-    Resp { granted: ByteRange },
+    /// placed relative to end-of-file by the storage site). The rest is
+    /// [`FileMsg::ReadResp`] for the bytes a `fetch` asked for, else empty.
+    Resp {
+        granted: ByteRange,
+        data: Vec<u8>,
+        committed_len: u64,
+        vers: Vec<u64>,
+    },
     /// One-way notification: a queued lock request has been granted.
     Granted {
         fid: Fid,
@@ -292,6 +301,7 @@ impl Msg {
                 FileMsg::AbortReq { .. } => "AbortReq",
             },
             Msg::Lock(m) => match m {
+                LockMsg::Req { fetch: true, .. } => "LockReq+Fetch",
                 LockMsg::Req { .. } => "LockReq",
                 LockMsg::Resp { .. } => "LockResp",
                 LockMsg::Granted { .. } => "LockGranted",
@@ -330,7 +340,8 @@ impl Msg {
     pub fn pages_carried(&self, page_size: usize) -> u64 {
         let bytes = match self {
             Msg::File(FileMsg::ReadResp { data, .. })
-            | Msg::File(FileMsg::WriteReq { data, .. }) => data.len(),
+            | Msg::File(FileMsg::WriteReq { data, .. })
+            | Msg::Lock(LockMsg::Resp { data, .. }) => data.len(),
             Msg::Proc(ProcMsg::Migrate { blob, .. }) => blob.len(),
             Msg::Replica(ReplicaMsg::Sync { pages, .. })
             | Msg::Replica(ReplicaMsg::PullResp { pages, .. }) => {
@@ -383,6 +394,17 @@ mod tests {
         });
         assert_eq!(m.pages_carried(1024), 3);
         assert_eq!(Msg::Ok.pages_carried(1024), 0);
+        // A grant pays for the pages it carries, and a bare one for none.
+        let grant = |data: Vec<u8>| {
+            Msg::Lock(LockMsg::Resp {
+                granted: ByteRange::new(0, 4096),
+                committed_len: data.len() as u64,
+                vers: vec![1; data.len().div_ceil(1024)],
+                data,
+            })
+        };
+        assert_eq!(grant(vec![0; 4096]).pages_carried(1024), 4);
+        assert_eq!(grant(vec![]).pages_carried(1024), 0);
     }
 
     #[test]
@@ -433,6 +455,24 @@ mod tests {
         assert_eq!(read(false).kind(), "ReadReq");
         assert_eq!(read(true).kind(), "ReadReq+Lock");
         assert_eq!(read(true).service(), Service::File);
+        // So does a lock request that asks for its pages.
+        let lock = |fetch| {
+            Msg::Lock(LockMsg::Req {
+                fid: Fid::new(VolumeId(0), 1),
+                pid: Pid::new(SiteId(1), 1),
+                tid: None,
+                mode: LockRequestMode::Shared,
+                class: LockClass::NonTransaction,
+                range: ByteRange::new(0, 8),
+                append: false,
+                wait: false,
+                reply_site: SiteId(1),
+                fetch,
+            })
+        };
+        assert_eq!(lock(false).kind(), "LockReq");
+        assert_eq!(lock(true).kind(), "LockReq+Fetch");
+        assert_eq!(lock(true).service(), Service::Lock);
         assert_eq!(
             Msg::from(LockMsg::UnlockAll {
                 fid: Fid::new(VolumeId(0), 1),

@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 3): a version byte, then a service tag, then a variant
+//! Layout (version 4): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -23,8 +23,9 @@ use crate::msg::{FileMsg, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 
 /// Format version byte, bumped on incompatible layout changes. Version 2
 /// introduced the service-grouped tag space and `Batch`; version 3 gave
-/// `ReadReq` and `WriteReq` their `lock` flag.
-pub const WIRE_VERSION: u8 = 3;
+/// `ReadReq` and `WriteReq` their `lock` flag; version 4 gave `LockReq` its
+/// `fetch` flag and `LockResp` the `ReadResp` triple it answers with.
+pub const WIRE_VERSION: u8 = 4;
 
 // 7 and 10 were PrefetchReq / PrefetchResp (retired) and stay unassigned.
 wire!(enum FileMsg {
@@ -41,8 +42,8 @@ wire!(enum FileMsg {
 
 // 4, 5 and 6 carried lock-control migration (retired) and stay unassigned.
 wire!(enum LockMsg {
-    0 => Req { fid, pid, tid, mode, class, range, append, wait, reply_site },
-    1 => Resp { granted },
+    0 => Req { fid, pid, tid, mode, class, range, append, wait, reply_site, fetch },
+    1 => Resp { granted, data, committed_len, vers },
     2 => Granted { fid, pid, range },
     3 => UnlockAll { fid, pid },
 });
@@ -244,9 +245,13 @@ mod tests {
                 append: true,
                 wait: true,
                 reply_site: SiteId(2),
+                fetch: true,
             }),
             Msg::Lock(LockMsg::Resp {
                 granted: ByteRange::new(100, 50),
+                data: vec![1, 2, 3],
+                committed_len: 30,
+                vers: vec![4],
             }),
             Msg::Lock(LockMsg::Granted {
                 fid: fid(),
@@ -327,6 +332,7 @@ mod tests {
                 append: false,
                 wait: false,
                 reply_site: SiteId(1),
+                fetch: false,
             }),
             Msg::Batch(vec![
                 Msg::Txn(TxnMsg::Prepare {
@@ -385,7 +391,9 @@ mod tests {
     /// produced by the hand-paired encoder this file's layouts replaced
     /// (PR 18's parent). A vector starts with the version byte it was
     /// recorded under: 02 for all but `ReadReq` and `WriteReq`, re-recorded
-    /// at 03 when they gained `lock`. What is pinned is the body after it.
+    /// at 03 when they gained `lock`, and `LockReq` (both samples) and
+    /// `LockResp`, re-recorded at 04 when they gained `fetch` and the pages
+    /// it asks for. What is pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
         const GOLDEN: [&str; 56] = [
@@ -408,9 +416,10 @@ mod tests {
             "02040304000000000000000010000000000000020000000000000002000000000000001000000001\
              01010101010101010101010101010102000000080000000000000010000000020202020202020202\
              02020202020202",
-            "0201000200000009000000070000000100000001030000002c000000000000000100640000000000\
-             00003200000000000000010102000000",
-            "02010164000000000000003200000000000000",
+            "0401000200000009000000070000000100000001030000002c000000000000000100640000000000\
+             0000320000000000000001010200000001",
+            "04010164000000000000003200000000000000030000000102031e00000000000000010000000400\
+             000000000000",
             "0201020200000009000000070000000100000000000000000000000800000000000000",
             "02010302000000090000000700000001000000",
             "020200070000000100000020000000ababababababababababababababababababababababababab\
@@ -430,8 +439,8 @@ mod tests {
             "02030600",
             "02030601",
             "02030603",
-            "02010002000000090000000700000001000000000201000000000000000001000000000000000000\
-             01000000",
+            "04010002000000090000000700000001000000000201000000000000000001000000000000000000\
+             0100000000",
             "0205030000000300030000002c000000000000000000000001000000020000000900000000000000\
              00000000010302000000090000000700000001000000000802000000090000000107000000010000\
              00",
@@ -462,7 +471,7 @@ mod tests {
         assert_eq!(samples.len(), GOLDEN.len());
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
-            assert!(["02", "03"].contains(&version), "the version byte");
+            assert!(["02", "03", "04"].contains(&version), "the version byte");
             assert_pinned(msg, body);
             assert_eq!(encode(msg)[0], WIRE_VERSION);
         }

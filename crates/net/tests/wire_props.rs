@@ -107,11 +107,11 @@ fn lock_msg() -> BoxedStrategy<LockMsg> {
             Just(LockClass::NonTransaction)
         ],
         range(),
-        (any::<bool>(), any::<bool>()),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
         site(),
     )
         .prop_map(
-            |(fid, pid, tid, mode, class, range, (append, wait), reply_site)| LockMsg::Req {
+            |(fid, pid, tid, mode, class, range, (append, wait, fetch), reply_site)| LockMsg::Req {
                 fid,
                 pid,
                 tid,
@@ -121,11 +121,19 @@ fn lock_msg() -> BoxedStrategy<LockMsg> {
                 append,
                 wait,
                 reply_site,
+                fetch,
             },
         );
     prop_oneof![
         req,
-        range().prop_map(|granted| LockMsg::Resp { granted }),
+        (range(), payload(), any::<u64>(), vec(any::<u64>(), 0..4)).prop_map(
+            |(granted, data, committed_len, vers)| LockMsg::Resp {
+                granted,
+                data,
+                committed_len,
+                vers,
+            }
+        ),
         (fid(), pid(), range()).prop_map(|(fid, pid, range)| LockMsg::Granted { fid, pid, range }),
         (fid(), pid()).prop_map(|(fid, pid)| LockMsg::UnlockAll { fid, pid }),
     ]

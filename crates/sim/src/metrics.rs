@@ -43,9 +43,9 @@ pub struct Counters {
     pub file_list_retries: AtomicU64,
     pub buffer_hits: AtomicU64,
     pub buffer_misses: AtomicU64,
-    /// Pages shipped ahead of demand: loaded into the storage site's buffers
-    /// on a lock grant (`prefetch_on_lock`), or riding a remote read's reply
-    /// past the pages the caller asked for (readahead).
+    /// Pages shipped ahead of demand: carried back by a shared lock's grant,
+    /// or riding a remote read's reply past the pages the caller asked for
+    /// (readahead).
     pub prefetches: AtomicU64,
     /// Reads served entirely from the per-site coherent page cache (no
     /// storage-site RPC issued).

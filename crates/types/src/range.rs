@@ -101,17 +101,21 @@ impl ByteRange {
         out
     }
 
+    /// The last logical page a range touches, `None` for an empty range:
+    /// arithmetic, however long the range. A page past the last one
+    /// `PageNo(u32)` can name (no file holds it) reads as that last one.
+    pub fn last_page(&self, page_size: usize) -> Option<PageNo> {
+        let last = (self.start + self.len.checked_sub(1)?) / page_size as u64;
+        Some(PageNo(u32::try_from(last).unwrap_or(u32::MAX)))
+    }
+
     /// The logical pages a range touches, for a given page size.
     pub fn pages(&self, page_size: usize) -> impl Iterator<Item = PageNo> {
-        let ps = page_size as u64;
-        let first = self.start / ps;
-        let last = if self.is_empty() {
-            first
-        } else {
-            (self.end() - 1) / ps
-        };
-        let empty = self.is_empty();
-        (first..=last).filter_map(move |p| if empty { None } else { Some(PageNo(p as u32)) })
+        let first = self.start / page_size as u64;
+        let end = self
+            .last_page(page_size)
+            .map_or(first, |p| u64::from(p.0) + 1);
+        (first..end).map(|p| PageNo(p as u32))
     }
 
     /// The portion of this range falling on logical page `page`, expressed as
@@ -207,6 +211,15 @@ mod tests {
             Some(ByteRange::new(0, 76))
         );
         assert_eq!(r.slice_on_page(PageNo(2), 1024), None);
+        // The last page is computed, not walked to, and an empty range has
+        // none wherever it starts.
+        assert_eq!(r.last_page(1024), Some(PageNo(1)));
+        assert_eq!(ByteRange::new(1024, 1024).last_page(1024), Some(PageNo(1)));
+        assert_eq!(ByteRange::new(5000, 0).last_page(1024), None);
+        assert_eq!(ByteRange::new(5000, 0).pages(1024).count(), 0);
+        let huge = ByteRange::new(100, 1 << 62);
+        assert_eq!(huge.last_page(1024), Some(PageNo(u32::MAX)));
+        assert_eq!(huge.pages(1024).next(), Some(PageNo(0)));
     }
 
     #[test]

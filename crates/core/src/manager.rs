@@ -159,12 +159,6 @@ impl TxnManager {
         }
     }
 
-    /// Drops recorded transcripts (the pristine replay seeds are kept).
-    pub fn clear_transcripts(&self) {
-        self.coord.lock().log.clear();
-        self.part.lock().log.clear();
-    }
-
     /// Sends a transaction control-plane message. Remote messages go through
     /// the kernel's transport to the destination's service dispatcher; local
     /// ones short-circuit to this manager (which also keeps a standalone

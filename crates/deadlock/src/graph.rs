@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use locus_locks::WaitEdge;
 use locus_types::Owner;
 
 /// Wait-for graph over lock owners (transactions and processes).
@@ -15,16 +14,6 @@ pub struct WaitForGraph {
 impl WaitForGraph {
     pub fn new() -> Self {
         WaitForGraph::default()
-    }
-
-    /// Builds the graph from per-site snapshots (conventional techniques,
-    /// [Coffman 71]).
-    pub fn from_edges<I: IntoIterator<Item = WaitEdge>>(edges: I) -> Self {
-        let mut g = WaitForGraph::new();
-        for e in edges {
-            g.add(e.waiter, e.holder);
-        }
-        g
     }
 
     pub fn add(&mut self, waiter: Owner, holder: Owner) {

@@ -233,21 +233,23 @@ impl SimDisk {
 
     fn charge(&self, acct: &mut Account, kind: IoKind) {
         acct.cpu_instrs(&self.model, self.model.disk_setup_instrs);
-        let (latency, ctr): (SimDuration, _) = match kind {
+        let latency: SimDuration = match kind {
             IoKind::Read => {
                 acct.disk_reads += 1;
-                (self.model.disk_io, &self.counters.disk_reads)
+                self.counters.disk_reads();
+                self.model.disk_io
             }
             IoKind::Write => {
                 acct.disk_writes += 1;
-                (self.model.disk_io, &self.counters.disk_writes)
+                self.counters.disk_writes();
+                self.model.disk_io
             }
             IoKind::SeqWrite => {
                 acct.seq_ios += 1;
-                (self.model.disk_seq_io, &self.counters.disk_seq_writes)
+                self.counters.disk_seq_writes();
+                self.model.disk_seq_io
             }
         };
-        ctr.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         acct.wait(latency);
     }
 
@@ -531,13 +533,6 @@ impl SimDisk {
     pub fn arm_crash_point(&self, at: u64, mode: CrashPointMode) {
         let mut inner = self.inner.lock();
         inner.armed = Some((at, mode));
-        inner.journal.clear();
-    }
-
-    /// Disarms a pending crash point (a tripped disk stays tripped).
-    pub fn disarm(&self) {
-        let mut inner = self.inner.lock();
-        inner.armed = None;
         inner.journal.clear();
     }
 

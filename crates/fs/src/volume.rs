@@ -133,11 +133,6 @@ impl Volume {
         Ok(fid)
     }
 
-    /// Whether the file exists on this volume (committed on disk).
-    pub fn file_exists(&self, fid: Fid) -> bool {
-        fid.volume == self.id && self.disk.stable_peek(&Self::inode_key(fid.inode)).is_some()
-    }
-
     fn load_inode(&self, st: &mut VolState, ino: InodeNo, acct: &mut Account) -> Result<()> {
         if st.incore.contains_key(&ino) {
             return Ok(());
@@ -169,6 +164,12 @@ impl Volume {
 
     fn page_size(&self) -> usize {
         self.model.page_size
+    }
+
+    /// The largest file a volume holds: a page is named by `PageNo(u32)`,
+    /// so a file has at most 2^32 of them.
+    fn max_file_len(&self) -> u64 {
+        (u64::from(u32::MAX) + 1) * self.page_size() as u64
     }
 
     /// Ensures the page is buffered, reading it from disk when the committed
@@ -314,10 +315,8 @@ impl Volume {
         }
         let ino = self.check_fid(fid)?;
         let ps = self.page_size();
-        // A page is named by `PageNo(u32)`, so a file holds at most 2^32 of
-        // them: a write that would put a byte, or the length, past that is
-        // refused here, before `pages` forms a number that does not fit.
-        let max_len = (u64::from(u32::MAX) + 1) * ps as u64;
+        // Refused here, before `pages` forms a number that does not fit.
+        let max_len = self.max_file_len();
         if range.checked_end().is_none_or(|end| end > max_len) {
             return Err(Error::InvalidArgument(format!(
                 "write at {}+{} runs past the largest file a volume holds ({max_len} bytes)",
@@ -726,6 +725,14 @@ impl Volume {
         acct: &mut Account,
     ) -> Result<()> {
         let ino = self.check_fid(fid)?;
+        // The length and the page numbers come off the wire: a well-formed
+        // message may still name a file no `write` could have produced.
+        let max_len = self.max_file_len();
+        if new_len > max_len {
+            return Err(Error::InvalidArgument(format!(
+                "replica image of {fid} is {new_len} bytes, past the largest file a volume holds ({max_len} bytes)"
+            )));
+        }
         if self.disk.stable_peek(&Self::inode_key(ino)).is_none() {
             // First replica copy: materialize an empty inode.
             let inode = Inode::new(fid);
@@ -739,6 +746,15 @@ impl Volume {
         let mut st = self.state.lock();
         self.load_inode(&mut st, ino, acct)?;
         let inode = st.incore.get_mut(&ino).expect("loaded above");
+        // Refused before a block is allocated or the page table is sized by
+        // a page number: every image lies inside the file it belongs to.
+        let page_limit = inode.len.max(new_len).div_ceil(self.page_size() as u64);
+        if let Some((page, ..)) = pages.iter().find(|(p, ..)| u64::from(p.0) >= page_limit) {
+            return Err(Error::InvalidArgument(format!(
+                "replica image of {fid} carries page {} of a {page_limit}-page file",
+                page.0
+            )));
+        }
         let mut fresh: Vec<(PageNo, u64, PhysPage)> = Vec::new();
         for (page, vers, data) in pages {
             if *vers <= inode.page_version(*page) {

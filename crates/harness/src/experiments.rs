@@ -689,12 +689,6 @@ pub fn txn_throughput(model: CostModel, n: usize, remote: bool) -> SimDuration {
     acct.delta_since(&before).elapsed / n as u64
 }
 
-/// Sanity accessor used by tests: total pages committed via each path.
-pub fn commit_path_counts(c: &Cluster) -> (u64, u64) {
-    let s = c.counters();
-    (s.pages_committed_direct, s.pages_committed_diff)
-}
-
 /// One measured phase of the [`service_breakdown`] workload.
 pub struct ServicePhase {
     pub name: &'static str,

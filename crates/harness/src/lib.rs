@@ -1,6 +1,6 @@
-//! Experiment harness: cluster construction, process drivers, workload
-//! generators, fault injection, and the table printers behind every figure
-//! and table reproduction.
+//! Experiment harness: cluster construction, process drivers, fault
+//! injection, and the experiments and table printers behind every figure and
+//! table reproduction.
 //!
 //! Two ways to run programs against a [`Cluster`]:
 //!
@@ -22,7 +22,6 @@ pub mod report;
 pub mod script;
 pub mod table;
 pub mod threaded;
-pub mod workload;
 
 pub use cluster::Cluster;
 pub use script::{Driver, FailureReport, Op, OpResult, RunOutcome};

@@ -107,18 +107,6 @@ impl ThreadCtx {
         res
     }
 
-    /// Non-blocking lock attempt.
-    pub fn try_lock(&self, ch: Channel, len: u64, mode: LockRequestMode) -> Result<ByteRange> {
-        self.site.kernel.lock(
-            self.pid,
-            ch,
-            len,
-            mode,
-            LockOpts::default(),
-            &mut self.acct(),
-        )
-    }
-
     pub fn unlock(&self, ch: Channel, len: u64) -> Result<ByteRange> {
         self.site.kernel.unlock(self.pid, ch, len, &mut self.acct())
     }

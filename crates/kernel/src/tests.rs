@@ -72,6 +72,22 @@ pub(crate) fn mini_cluster_with(n: usize, model: CostModel) -> MiniCluster {
     }
 }
 
+/// Mounts a replica of site 0's volume at site 1, on a disk of its own.
+fn mount_replica(c: &MiniCluster) -> (Arc<Volume>, Arc<SimDisk>) {
+    let counters = Arc::new(Counters::default());
+    let disk = Arc::new(SimDisk::new(1024, c.model.clone(), counters.clone()));
+    let replica = Arc::new(Volume::new(
+        VolumeId(0),
+        SiteId(1),
+        disk.clone(),
+        c.model.clone(),
+        counters,
+        Arc::new(EventLog::new()),
+    ));
+    c.kernels[1].mount(replica.clone());
+    (replica, disk)
+}
+
 fn acct(site: u32) -> Account {
     Account::new(SiteId(site))
 }
@@ -390,17 +406,7 @@ fn replica_sync_propagates_committed_data() {
     let p = k0.spawn();
     let ch = k0.creat(p, "/rep", &mut a).unwrap();
     // Mount a replica of site 0's volume at site 1 (its own disk).
-    let counters = Arc::new(Counters::default());
-    let disk = Arc::new(SimDisk::new(1024, c.model.clone(), counters.clone()));
-    let replica = Arc::new(Volume::new(
-        VolumeId(0),
-        SiteId(1),
-        disk,
-        c.model.clone(),
-        counters,
-        Arc::new(EventLog::new()),
-    ));
-    k1.mount(replica);
+    mount_replica(&c);
     k0.catalog.add_replica("/rep", SiteId(1)).unwrap();
 
     k0.write(p, ch, b"replicated!", &mut a).unwrap();
@@ -496,7 +502,7 @@ fn primary_update_site_can_migrate() {
     // update site. Model: the catalog's primary pointer moves, and update
     // opens follow it.
     let c = mini_cluster(3);
-    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let k0 = &c.kernels[0];
     let mut a0 = acct(0);
     let p0 = k0.spawn();
     let ch = k0.creat(p0, "/r", &mut a0).unwrap();
@@ -504,17 +510,7 @@ fn primary_update_site_can_migrate() {
     k0.close(p0, ch, &mut a0).unwrap();
 
     // Replica at site 1, then promote it to primary.
-    let counters = Arc::new(Counters::default());
-    let disk = Arc::new(SimDisk::new(1024, c.model.clone(), counters.clone()));
-    let replica = Arc::new(Volume::new(
-        VolumeId(0),
-        SiteId(1),
-        disk,
-        c.model.clone(),
-        counters,
-        Arc::new(EventLog::new()),
-    ));
-    k1.mount(replica);
+    mount_replica(&c);
     k0.catalog.add_replica("/r", SiteId(1)).unwrap();
     // Push current contents to the replica before promotion.
     let ch2 = k0.open(p0, "/r", true, &mut a0).unwrap();
@@ -1351,16 +1347,7 @@ fn the_lock_rides_to_the_catalog_primary_and_a_deposed_one_refuses_it() {
     let ch0 = k0.creat(p0, "/r", &mut a0).unwrap();
     k0.write(p0, ch0, b"v1v1v1v1", &mut a0).unwrap();
     k0.close(p0, ch0, &mut a0).unwrap();
-    let counters = Arc::new(Counters::default());
-    let disk = Arc::new(SimDisk::new(1024, c.model.clone(), counters.clone()));
-    k1.mount(Arc::new(Volume::new(
-        VolumeId(0),
-        SiteId(1),
-        disk,
-        c.model.clone(),
-        counters,
-        Arc::new(EventLog::new()),
-    )));
+    mount_replica(&c);
     k0.catalog.add_replica("/r", SiteId(1)).unwrap();
     let ch0 = k0.open(p0, "/r", true, &mut a0).unwrap();
     k0.write(p0, ch0, b"v2", &mut a0).unwrap();
@@ -1598,22 +1585,13 @@ fn every_other_lock_request_gets_a_bare_grant() {
 #[test]
 fn a_lock_whose_reads_a_local_replica_serves_gets_a_bare_grant() {
     let c = mini_cluster(2);
-    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let k0 = &c.kernels[0];
     let mut a0 = acct(0);
     let p0 = k0.spawn();
     let ch0 = k0.creat(p0, "/r", &mut a0).unwrap();
     k0.write(p0, ch0, &[7u8; 2048], &mut a0).unwrap();
     k0.close(p0, ch0, &mut a0).unwrap();
-    let counters = Arc::new(Counters::default());
-    let disk = Arc::new(SimDisk::new(1024, c.model.clone(), counters.clone()));
-    k1.mount(Arc::new(Volume::new(
-        VolumeId(0),
-        SiteId(1),
-        disk,
-        c.model.clone(),
-        counters,
-        Arc::new(EventLog::new()),
-    )));
+    mount_replica(&c);
     k0.catalog.add_replica("/r", SiteId(1)).unwrap();
     // Opened for update while site 0 is the primary; then site 1 is promoted.
     // Site 0's copy is still synced, so it serves this channel's reads
@@ -2078,4 +2056,55 @@ fn a_write_past_the_last_page_a_file_can_name_is_refused_not_a_panic() {
     }
     k.lseek(p, ch, 0, &mut a).unwrap();
     assert_eq!(k.read(p, ch, 8, &mut a).unwrap(), b"abc");
+}
+
+#[test]
+fn a_sync_naming_a_page_outside_the_file_is_refused_and_the_replica_untouched() {
+    let c = mini_cluster(2);
+    let k0 = &c.kernels[0];
+    let mut a = acct(0);
+    let p = k0.spawn();
+    let ch = k0.creat(p, "/rep", &mut a).unwrap();
+    let (replica, disk) = mount_replica(&c);
+    k0.catalog.add_replica("/rep", SiteId(1)).unwrap();
+    k0.write(p, ch, b"replicated!", &mut a).unwrap();
+    k0.close(p, ch, &mut a).unwrap();
+    let loc = k0.catalog.resolve("/rep").unwrap();
+    let fid = loc.fid;
+    let state = |a: &mut Account| {
+        (
+            replica.durable_peek(fid, ByteRange::new(0, 64)),
+            replica.replica_versions(fid, a),
+            disk.allocated_count(),
+        )
+    };
+    let before = state(&mut a);
+    assert_eq!(before.0.as_deref(), Some(&b"replicated!"[..]));
+
+    let image = locus_types::PageData::new(vec![0xEE; c.model.page_size]);
+    let max_len = (u64::from(u32::MAX) + 1) * c.model.page_size as u64;
+    // A page table sized by the page number would be 2^32 entries; a length
+    // no `write` accepts; and the first page past an 11-byte file.
+    for (new_len, page) in [
+        (11, Some(u32::MAX)),
+        (max_len + 1, None),
+        (u64::MAX, Some(0)),
+        (11, Some(1)),
+    ] {
+        let sync = Msg::Replica(locus_net::ReplicaMsg::Sync {
+            fid,
+            new_len,
+            epoch: loc.epoch,
+            pages: page
+                .map(|n| (locus_types::PageNo(n), 99, image.clone()))
+                .into_iter()
+                .collect(),
+        });
+        let resp = k0.rpc(SiteId(1), sync, &mut a);
+        assert!(
+            matches!(resp, Err(Error::InvalidArgument(_))),
+            "{new_len} {page:?}: {resp:?}"
+        );
+        assert_eq!(state(&mut a), before, "{new_len} {page:?}");
+    }
 }

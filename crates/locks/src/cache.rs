@@ -66,10 +66,12 @@ impl Held<'_> {
 }
 
 /// Number of cache stripes: the cache sits on the no-RPC fast path of every
-/// read/write validation, so it is striped like the lock manager.
+/// read/write validation, so unrelated files must not share a mutex
+/// (DESIGN.md §8 has the measurement that keeps it striped).
 const CACHE_SHARDS: usize = 16;
 
-/// Deterministic stripe for a fid (same scheme as the lock manager's).
+/// Deterministic stripe for a fid. No `RandomState`: placement must not vary
+/// between runs of the same binary.
 fn shard_of(fid: Fid) -> usize {
     let h = fid.volume.0 ^ fid.inode.0.wrapping_mul(0x9E37_79B1);
     h as usize % CACHE_SHARDS

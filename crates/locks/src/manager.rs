@@ -5,8 +5,7 @@
 //! request is charged the paper's ~750 instructions (Section 6.2) through the
 //! cost model.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -43,26 +42,19 @@ pub struct LockTableSnapshot {
     pub edges: Vec<WaitEdge>,
 }
 
-/// Number of lock-table stripes. Lock traffic on files in different stripes
-/// never shares a mutex, so distinct-file requests proceed in parallel.
-pub const LOCK_SHARDS: usize = 16;
-
-/// Deterministic stripe for a fid. No `RandomState`: the chaos harness
-/// replays traces byte-for-byte from a seed, so placement must not vary
-/// between runs of the same binary.
-fn shard_of(fid: Fid) -> usize {
-    let h = fid.volume.0 ^ fid.inode.0.wrapping_mul(0x9E37_79B1);
-    h as usize % LOCK_SHARDS
-}
-
-/// Lock manager for all files stored at one site, striped by fid hash.
+/// Lock manager for all files stored at one site.
+///
+/// One ordered table under one mutex: the storage site processes lock
+/// requests one after another (Section 5.1). What comes here is a lock
+/// request, a commit or abort step, or a data access that has already
+/// travelled to the storage site and is about to touch the volume; a read
+/// served from the requester's caches never does, so there is no traffic
+/// for stripes to separate (DESIGN.md §8 has the measurement). The
+/// `BTreeMap` makes every cross-file sweep run in fid order, which keeps
+/// the trace events those sweeps emit byte-identical from run to run, and
+/// the single mutex makes each sweep see one consistent table.
 pub struct LockManager {
-    shards: [Mutex<HashMap<Fid, FileLocks>>; LOCK_SHARDS],
-    /// Per-shard file counts, written under the shard lock. Cross-shard
-    /// sweeps ([`LockManager::for_each_file`]) read them to skip empty
-    /// stripes without taking their mutexes — a release that runs on every
-    /// commit must not pay 16 lock acquisitions for two occupied stripes.
-    occupancy: [AtomicUsize; LOCK_SHARDS],
+    files: Mutex<BTreeMap<Fid, FileLocks>>,
     model: Arc<CostModel>,
     counters: Arc<Counters>,
     log: Arc<EventLog>,
@@ -71,36 +63,26 @@ pub struct LockManager {
 impl LockManager {
     pub fn new(model: Arc<CostModel>, counters: Arc<Counters>, log: Arc<EventLog>) -> Self {
         LockManager {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            occupancy: std::array::from_fn(|_| AtomicUsize::new(0)),
+            files: Mutex::new(BTreeMap::new()),
             model,
             counters,
             log,
         }
     }
 
-    fn shard(&self, fid: Fid) -> &Mutex<HashMap<Fid, FileLocks>> {
-        &self.shards[shard_of(fid)]
-    }
-
-    /// Records a shard's file count after a mutation made under its lock.
-    fn note_occupancy(&self, idx: usize, len: usize) {
-        self.occupancy[idx].store(len, Ordering::Relaxed);
-    }
-
     /// Ensures a lock list exists for `fid` with the given end-of-file.
     pub fn ensure_file(&self, fid: Fid, eof: u64) {
-        let idx = shard_of(fid);
-        let mut files = self.shards[idx].lock();
-        files.entry(fid).or_insert_with(|| FileLocks::new(eof));
-        self.note_occupancy(idx, files.len());
+        self.files
+            .lock()
+            .entry(fid)
+            .or_insert_with(|| FileLocks::new(eof));
     }
 
     /// Whether a lock list already exists for `fid`. Callers use this to
     /// skip the end-of-file lookup [`LockManager::ensure_file`] needs on
     /// first contact — the common case on the lock hot path.
     pub fn has_file(&self, fid: Fid) -> bool {
-        self.shard(fid).lock().contains_key(&fid)
+        self.files.lock().contains_key(&fid)
     }
 
     /// Raises the end-of-file hint used to place append-mode locks. The
@@ -108,7 +90,7 @@ impl LockManager {
     /// data, and a write landing earlier in the file must not clobber the
     /// reservation. (File truncation is not supported.)
     pub fn set_eof(&self, fid: Fid, eof: u64) {
-        if let Some(fl) = self.shard(fid).lock().get_mut(&fid) {
+        if let Some(fl) = self.files.lock().get_mut(&fid) {
             fl.eof = fl.eof.max(eof);
         }
     }
@@ -116,11 +98,8 @@ impl LockManager {
     /// Processes one lock/unlock request, charging the paper's lock cost.
     pub fn request(&self, fid: Fid, req: LockRequest, acct: &mut Account) -> LockOutcome {
         acct.cpu_instrs(&self.model, self.model.lock_instrs);
-        let idx = shard_of(fid);
-        let mut files = self.shards[idx].lock();
-        files.entry(fid).or_insert_with(|| FileLocks::new(0));
-        self.occupancy[idx].store(files.len(), Ordering::Relaxed);
-        let fl = files.get_mut(&fid).expect("just inserted");
+        let mut files = self.files.lock();
+        let fl = files.entry(fid).or_insert_with(|| FileLocks::new(0));
         let pid = req.pid;
         let out = fl.request(req);
         match &out {
@@ -148,7 +127,7 @@ impl LockManager {
         range: ByteRange,
         write: bool,
     ) -> Result<()> {
-        let files = self.shard(fid).lock();
+        let files = self.files.lock();
         let Some(fl) = files.get(&fid) else {
             return Ok(()); // No locks on the file: plain Unix semantics.
         };
@@ -161,45 +140,17 @@ impl LockManager {
 
     /// Pins locks covering modified-uncommitted data (Section 3.3 rule 2).
     pub fn pin_retained(&self, fid: Fid, owner: Owner, range: ByteRange) {
-        if let Some(fl) = self.shard(fid).lock().get_mut(&fid) {
+        if let Some(fl) = self.files.lock().get_mut(&fid) {
             fl.pin_retained(owner, range);
         }
     }
 
-    /// Runs `f` over every lock list: shards in index order, fids in sorted
-    /// order within each shard. The fixed visiting order matters — cross-file
-    /// operations emit trace events, and the chaos harness replays traces
-    /// byte-for-byte from a seed (HashMap iteration order varies run to run).
-    /// Only one shard's mutex is held at a time.
-    fn for_each_file(&self, mut f: impl FnMut(Fid, &mut FileLocks)) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            if self.occupancy[i].load(Ordering::Relaxed) == 0 {
-                // A file inserted concurrently with this unlocked check may
-                // be skipped, but such an interleaving has no defined order
-                // anyway; the deterministic driver is single-threaded, so
-                // the count is always exact where replay equality matters.
-                continue;
-            }
-            let mut files = shard.lock();
-            match files.len() {
-                0 => {}
-                1 => {
-                    // Most shards hold zero or one file; skip the sort (and
-                    // its allocation) that multi-file shards need for a
-                    // deterministic visit order.
-                    let (&fid, fl) = files.iter_mut().next().expect("len checked");
-                    f(fid, fl);
-                }
-                _ => {
-                    let mut fids: Vec<Fid> = files.keys().copied().collect();
-                    fids.sort_unstable();
-                    for fid in fids {
-                        if let Some(fl) = files.get_mut(&fid) {
-                            f(fid, fl);
-                        }
-                    }
-                }
-            }
+    /// Pumps one file's wait queue, counting each grant and collecting it
+    /// for notification at the waiter's requesting site.
+    fn pump_into(&self, fid: Fid, fl: &mut FileLocks, granted: &mut Vec<GrantedWaiter>) {
+        for (waiter, range) in fl.pump() {
+            self.counters.locks_granted();
+            granted.push(GrantedWaiter { fid, waiter, range });
         }
     }
 
@@ -210,19 +161,15 @@ impl LockManager {
         let span = VirtSpan::begin(SpanPhase::LockTransfer, acct);
         acct.cpu_instrs(&self.model, self.model.lock_instrs / 2);
         let mut granted = Vec::new();
-        self.for_each_file(|fid, fl| {
-            let released = fl.release_owner(owner);
-            if released > 0 {
+        for (&fid, fl) in self.files.lock().iter_mut() {
+            if fl.release_owner(owner) > 0 {
                 self.counters.locks_released();
                 if let Owner::Trans(tid) = owner {
                     self.log.push(Event::RetainedReleased { tid, fid });
                 }
             }
-            for (waiter, range) in fl.pump() {
-                self.counters.locks_granted();
-                granted.push(GrantedWaiter { fid, waiter, range });
-            }
-        });
+            self.pump_into(fid, fl, &mut granted);
+        }
         // A release only counts as a lock *transfer* when it woke someone.
         if !granted.is_empty() {
             span.finish(&self.counters.spans, &self.model, acct);
@@ -240,15 +187,11 @@ impl LockManager {
     ) -> Vec<GrantedWaiter> {
         acct.cpu_instrs(&self.model, self.model.lock_instrs / 2);
         let mut granted = Vec::new();
-        let mut files = self.shard(fid).lock();
-        if let Some(fl) = files.get_mut(&fid) {
+        if let Some(fl) = self.files.lock().get_mut(&fid) {
             if fl.release_owner(owner) > 0 {
                 self.counters.locks_released();
             }
-            for (waiter, range) in fl.pump() {
-                self.counters.locks_granted();
-                granted.push(GrantedWaiter { fid, waiter, range });
-            }
+            self.pump_into(fid, fl, &mut granted);
         }
         granted
     }
@@ -259,11 +202,8 @@ impl LockManager {
         let span = VirtSpan::begin(SpanPhase::LockTransfer, acct);
         acct.cpu_instrs(&self.model, self.model.lock_instrs / 4);
         let mut granted = Vec::new();
-        if let Some(fl) = self.shard(fid).lock().get_mut(&fid) {
-            for (waiter, range) in fl.pump() {
-                self.counters.locks_granted();
-                granted.push(GrantedWaiter { fid, waiter, range });
-            }
+        if let Some(fl) = self.files.lock().get_mut(&fid) {
+            self.pump_into(fid, fl, &mut granted);
         }
         if !granted.is_empty() {
             span.finish(&self.counters.spans, &self.model, acct);
@@ -276,22 +216,19 @@ impl LockManager {
     /// thing blocking later ones. Returns the newly granted waiters.
     pub fn drop_waiters_of(&self, pid: Pid) -> Vec<GrantedWaiter> {
         let mut granted = Vec::new();
-        self.for_each_file(|fid, fl| {
+        for (&fid, fl) in self.files.lock().iter_mut() {
             let before = fl.waiters.len();
             fl.drop_waiters_of(pid);
             if fl.waiters.len() != before {
-                for (waiter, range) in fl.pump() {
-                    self.counters.locks_granted();
-                    granted.push(GrantedWaiter { fid, waiter, range });
-                }
+                self.pump_into(fid, fl, &mut granted);
             }
-        });
+        }
         granted
     }
 
     /// Ranges currently locked (or retained) by `owner` on `fid`.
     pub fn ranges_of(&self, fid: Fid, owner: Owner) -> Vec<ByteRange> {
-        self.shard(fid)
+        self.files
             .lock()
             .get(&fid)
             .map(|fl| fl.ranges_of(owner))
@@ -301,7 +238,7 @@ impl LockManager {
     /// Lock descriptors for one file (prepare logging stores these alongside
     /// the intentions lists, Section 4.2).
     pub fn descriptors(&self, fid: Fid) -> Vec<LockDescriptor> {
-        self.shard(fid)
+        self.files
             .lock()
             .get(&fid)
             .map(|fl| fl.descriptors())
@@ -310,13 +247,10 @@ impl LockManager {
 
     /// Whether any lock list mentions `owner`.
     pub fn owner_has_locks(&self, owner: Owner) -> bool {
-        self.shards.iter().enumerate().any(|(i, shard)| {
-            self.occupancy[i].load(Ordering::Relaxed) != 0
-                && shard
-                    .lock()
-                    .values()
-                    .any(|fl| fl.entries.iter().any(|e| e.owner() == owner))
-        })
+        self.files
+            .lock()
+            .values()
+            .any(|fl| fl.entries.iter().any(|e| e.owner() == owner))
     }
 
     /// Exports the full lock-table snapshot for the user-level deadlock
@@ -324,7 +258,7 @@ impl LockManager {
     /// provided").
     pub fn snapshot(&self) -> LockTableSnapshot {
         let mut snap = LockTableSnapshot::default();
-        self.for_each_file(|fid, fl| {
+        for (&fid, fl) in self.files.lock().iter() {
             if !fl.entries.is_empty() {
                 snap.held.push((fid, fl.descriptors()));
             }
@@ -366,19 +300,14 @@ impl LockManager {
                     }
                 }
             }
-        });
-        snap.held.sort_by_key(|(fid, _)| *fid);
+        }
         snap
     }
 
     /// Drops every lock list (site crash: lock lists are volatile kernel
     /// state).
     pub fn crash(&self) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut files = shard.lock();
-            files.clear();
-            self.note_occupancy(i, 0);
-        }
+        self.files.lock().clear();
     }
 }
 
@@ -466,6 +395,42 @@ mod tests {
         assert_eq!(granted.len(), 2);
         let fids: Vec<_> = granted.iter().map(|g| g.fid).collect();
         assert!(fids.contains(&fid(1)) && fids.contains(&fid(2)));
+    }
+
+    #[test]
+    fn snapshot_racing_a_release_sees_the_owner_on_every_file_or_on_none() {
+        const FILES: u32 = 48;
+        let owner = Owner::Trans(TransId::new(SiteId(0), 1));
+        for _round in 0..50 {
+            let (m, mut a) = mgr();
+            for n in 0..FILES {
+                m.request(
+                    fid(n),
+                    txreq(1, 1, LockRequestMode::Exclusive, 0, 8, false),
+                    &mut a,
+                );
+            }
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    m.release_owner(owner, &mut Account::new(SiteId(0)));
+                });
+                start.wait();
+                loop {
+                    let holding = m
+                        .snapshot()
+                        .held
+                        .iter()
+                        .filter(|(_, descs)| descs.iter().any(|d| d.owner() == owner))
+                        .count() as u32;
+                    if holding == 0 {
+                        break;
+                    }
+                    assert_eq!(holding, FILES, "a release seen half done");
+                }
+            });
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Sharded lock-manager equivalence: for any command sequence over many
-//! files, the striped [`LockManager`] must behave exactly like the old
-//! single-map manager — same per-request outcomes, the same set of waiters
-//! granted by cross-shard sweeps (`release_owner`, `drop_waiters_of`), and
-//! the same final lock tables. The reference model below *is* the old
-//! implementation: one `HashMap<Fid, FileLocks>` swept in sorted-fid order.
+//! Lock-manager sweep order: for any command sequence over many files on
+//! two volumes, [`LockManager`] must behave exactly like the reference model
+//! below — one `HashMap<Fid, FileLocks>` swept in sorted-fid order — with the
+//! same per-request outcomes, the same *sequence* of waiters granted by the
+//! cross-file sweeps (`release_owner`, `drop_waiters_of`), and the same final
+//! lock tables. The sequence is what the trace events and grant
+//! notifications of a sweep are emitted in, so it is what replay pins.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,7 +17,6 @@ use locus_types::{
     ByteRange, Fid, LockClass, LockRequestMode, Owner, Pid, SiteId, TransId, VolumeId,
 };
 
-/// Enough distinct files to populate several stripes (16 exist).
 const FILES: u8 = 12;
 
 #[derive(Debug, Clone)]
@@ -59,8 +59,10 @@ fn cmd() -> impl Strategy<Value = Cmd> {
     ]
 }
 
+/// Files alternate between two volumes, so that fid order — volume first —
+/// is not inode order, nor the order of any hash of the two.
 fn fid(file: u8) -> Fid {
-    Fid::new(VolumeId(0), u32::from(file) + 1)
+    Fid::new(VolumeId(u32::from(file % 2)), u32::from(file / 2) + 1)
 }
 
 fn pid(who: u8) -> Pid {
@@ -103,14 +105,14 @@ fn manager() -> (LockManager, Account) {
     )
 }
 
-/// The pre-sharding manager semantics: one map, cross-file sweeps in sorted
-/// fid order, pump after every mutation that can unblock waiters.
+/// The manager's semantics, stated independently: one map, cross-file sweeps
+/// in sorted fid order, pump after every mutation that can unblock waiters.
 #[derive(Default)]
-struct SingleMapModel {
+struct SortedFidModel {
     files: HashMap<Fid, FileLocks>,
 }
 
-impl SingleMapModel {
+impl SortedFidModel {
     fn request(&mut self, fid: Fid, req: LockRequest) -> locus_locks::LockOutcome {
         self.files
             .entry(fid)
@@ -152,25 +154,41 @@ impl SingleMapModel {
     }
 }
 
-/// Grants compared as multisets: the sharded manager visits stripes in
-/// stripe order (fids sorted within each), the single map visits fids in
-/// globally sorted order — a different but equally valid sweep order. Within
-/// one file the grant order must match exactly (FIFO), which the per-file
-/// waiter seq in the sort key preserves.
-fn canonical(mut grants: Vec<GrantedWaiter>) -> Vec<GrantedWaiter> {
-    grants.sort_by_key(|g| (g.fid, g.waiter.seq));
-    grants
+/// The one sweep the generator below all but never makes grant on two files
+/// at once. A shared holder, then `who` 1 queued exclusive behind it, then
+/// `who` 2 queued shared behind that — blocked by the queue alone — on a
+/// file of each volume, requested in the opposite of fid order.
+#[test]
+fn drop_waiters_of_grants_in_fid_order_across_volumes() {
+    let (m, mut acct) = manager();
+    let files = [fid(1), fid(0)];
+    assert!(files[0] > files[1]);
+    for f in files {
+        for (who, mode) in [
+            (0, LockRequestMode::Shared),
+            (1, LockRequestMode::Exclusive),
+            (2, LockRequestMode::Shared),
+        ] {
+            m.request(f, request(who, false, mode, 0, 8, true), &mut acct);
+        }
+    }
+    let granted = m.drop_waiters_of(pid(1));
+    let order: Vec<(Fid, Pid)> = granted
+        .iter()
+        .map(|g| (g.fid, g.waiter.request.pid))
+        .collect();
+    assert_eq!(order, [(fid(0), pid(2)), (fid(1), pid(2))]);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn sharded_manager_matches_single_map_semantics(
-        cmds in proptest::collection::vec(cmd(), 1..80),
+    fn sweeps_grant_in_sorted_fid_order(
+        cmds in proptest::collection::vec(cmd(), 1..200),
     ) {
         let (m, mut acct) = manager();
-        let mut model = SingleMapModel::default();
+        let mut model = SortedFidModel::default();
 
         for c in cmds {
             match c {
@@ -194,23 +212,23 @@ proptest! {
                         model.request(fid(file), request(who, txn, LockRequestMode::Unlock, at, len, false));
                     prop_assert_eq!(got, want, "unlock outcome diverged");
                     // An explicit unlock may unblock waiters; both sides pump.
-                    let got = canonical(m.pump_file(fid(file), &mut acct));
+                    let got = m.pump_file(fid(file), &mut acct);
                     let mut want = Vec::new();
                     if let Some(fl) = model.files.get_mut(&fid(file)) {
                         for (waiter, range) in fl.pump() {
                             want.push(GrantedWaiter { fid: fid(file), waiter, range });
                         }
                     }
-                    prop_assert_eq!(got, canonical(want), "pump grants diverged");
+                    prop_assert_eq!(got, want, "pump grants diverged");
                 }
                 Cmd::ReleaseOwner { who, txn } => {
-                    let got = canonical(m.release_owner(owner(who, txn), &mut acct));
-                    let want = canonical(model.release_owner(owner(who, txn)));
+                    let got = m.release_owner(owner(who, txn), &mut acct);
+                    let want = model.release_owner(owner(who, txn));
                     prop_assert_eq!(got, want, "release_owner grants diverged");
                 }
                 Cmd::DropWaiters { who } => {
-                    let got = canonical(m.drop_waiters_of(pid(who)));
-                    let want = canonical(model.drop_waiters_of(pid(who)));
+                    let got = m.drop_waiters_of(pid(who));
+                    let want = model.drop_waiters_of(pid(who));
                     prop_assert_eq!(got, want, "drop_waiters_of grants diverged");
                 }
             }
@@ -235,6 +253,6 @@ proptest! {
             .map(|(f, _)| *f)
             .collect();
         want_held.sort_unstable();
-        prop_assert_eq!(held, want_held, "snapshot held-set diverged");
+        prop_assert_eq!(held, want_held, "snapshot held-list diverged");
     }
 }

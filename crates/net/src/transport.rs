@@ -172,10 +172,6 @@ impl SimTransport {
         self.fire_topology_change();
     }
 
-    pub fn is_up(&self, site: SiteId) -> bool {
-        self.state.read().up[site.0 as usize]
-    }
-
     /// Splits the network: sites in `isolated` form their own partition.
     pub fn partition(&self, isolated: &[SiteId]) {
         {

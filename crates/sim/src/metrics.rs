@@ -12,54 +12,23 @@ use locus_types::Service;
 use crate::account::Account;
 use crate::cost::CostModel;
 
-/// Monotonically increasing event counters for one site.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Per-phase latency spans with cost-axis decomposition (Figure 6).
-    pub spans: SpanRegistry,
-    pub disk_reads: AtomicU64,
-    pub disk_writes: AtomicU64,
-    pub disk_seq_writes: AtomicU64,
-    pub messages_sent: AtomicU64,
-    pub messages_handled: AtomicU64,
-    /// Network messages that were batches (each also counts once in
-    /// `messages_sent`); the batch members are counted per-service below.
-    pub batches_sent: AtomicU64,
-    /// Logical messages per service (batch members counted individually).
-    pub service_msgs: [AtomicU64; 6],
-    pub locks_granted: AtomicU64,
-    pub locks_denied: AtomicU64,
-    pub locks_queued: AtomicU64,
-    pub locks_released: AtomicU64,
-    pub lock_cache_hits: AtomicU64,
-    pub pages_committed_direct: AtomicU64,
-    pub pages_committed_diff: AtomicU64,
-    pub pages_rolled_back: AtomicU64,
-    pub txns_started: AtomicU64,
-    pub txns_committed: AtomicU64,
-    pub txns_aborted: AtomicU64,
-    pub migrations: AtomicU64,
-    pub file_list_merges: AtomicU64,
-    pub file_list_retries: AtomicU64,
-    pub buffer_hits: AtomicU64,
-    pub buffer_misses: AtomicU64,
-    /// Pages shipped ahead of demand: carried back by a shared lock's grant,
-    /// or riding a remote read's reply past the pages the caller asked for
-    /// (readahead).
-    pub prefetches: AtomicU64,
-    /// Reads served entirely from the per-site coherent page cache (no
-    /// storage-site RPC issued).
-    pub page_cache_hits: AtomicU64,
-    /// Reads that went to the storage site because the page cache could not
-    /// cover them (cache disabled, uncovered, or partially cached).
-    pub page_cache_misses: AtomicU64,
-    /// Reads/writes that bypassed message construction and dispatch because
-    /// the caller is the storage site.
-    pub local_fast_paths: AtomicU64,
-}
+/// States a site's event counters, once. Each name in the list becomes an
+/// `AtomicU64` of [`Counters`], the method of the same name that adds one to
+/// it, a `u64` field of [`CountersSnapshot`], and its line in
+/// [`Counters::snapshot`] and [`CountersSnapshot::since`]; the doc comment
+/// goes on both fields.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
+        /// Monotonically increasing event counters for one site.
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            /// Per-phase latency spans with cost-axis decomposition (Figure 6).
+            pub spans: SpanRegistry,
+            /// Logical messages per service (batch members counted individually).
+            service_msgs: [AtomicU64; 6],
+            $($(#[$doc])* $name: AtomicU64,)*
+        }
 
-macro_rules! bump {
-    ($($name:ident),* $(,)?) => {
         impl Counters {
             $(
                 #[doc = concat!("Increments `", stringify!($name), "` by one.")]
@@ -67,16 +36,49 @@ macro_rules! bump {
                     self.$name.fetch_add(1, Ordering::Relaxed);
                 }
             )*
+
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> CountersSnapshot {
+                CountersSnapshot {
+                    service_msgs: std::array::from_fn(|i| {
+                        self.service_msgs[i].load(Ordering::Relaxed)
+                    }),
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        /// Plain-data snapshot of [`Counters`], supporting subtraction to
+        /// measure a window of activity.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CountersSnapshot {
+            pub service_msgs: [u64; 6],
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl CountersSnapshot {
+            /// Counter deltas over a window: `self − earlier`.
+            pub fn since(&self, earlier: &CountersSnapshot) -> CountersSnapshot {
+                CountersSnapshot {
+                    service_msgs: std::array::from_fn(|i| {
+                        self.service_msgs[i] - earlier.service_msgs[i]
+                    }),
+                    $($name: self.$name - earlier.$name,)*
+                }
+            }
         }
     };
 }
 
-bump!(
+counters!(
     disk_reads,
     disk_writes,
     disk_seq_writes,
     messages_sent,
     messages_handled,
+    /// Network messages that were batches (each also counts once in
+    /// `messages_sent`); the batch members are counted per service in
+    /// `service_msgs`.
     batches_sent,
     locks_granted,
     locks_denied,
@@ -94,9 +96,18 @@ bump!(
     file_list_retries,
     buffer_hits,
     buffer_misses,
+    /// Pages shipped ahead of demand: carried back by a shared lock's grant,
+    /// or riding a remote read's reply past the pages the caller asked for
+    /// (readahead).
     prefetches,
+    /// Reads served entirely from the per-site coherent page cache (no
+    /// storage-site RPC issued).
     page_cache_hits,
+    /// Reads that went to the storage site because the page cache could not
+    /// cover them (cache disabled, uncovered, or partially cached).
     page_cache_misses,
+    /// Reads/writes that bypassed message construction and dispatch because
+    /// the caller is the storage site.
     local_fast_paths,
 );
 
@@ -105,108 +116,9 @@ impl Counters {
     pub fn service_msg(&self, service: Service) {
         self.service_msgs[service.index()].fetch_add(1, Ordering::Relaxed);
     }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            disk_reads: self.disk_reads.load(Ordering::Relaxed),
-            disk_writes: self.disk_writes.load(Ordering::Relaxed),
-            disk_seq_writes: self.disk_seq_writes.load(Ordering::Relaxed),
-            messages_sent: self.messages_sent.load(Ordering::Relaxed),
-            messages_handled: self.messages_handled.load(Ordering::Relaxed),
-            batches_sent: self.batches_sent.load(Ordering::Relaxed),
-            service_msgs: std::array::from_fn(|i| self.service_msgs[i].load(Ordering::Relaxed)),
-            locks_granted: self.locks_granted.load(Ordering::Relaxed),
-            locks_denied: self.locks_denied.load(Ordering::Relaxed),
-            locks_queued: self.locks_queued.load(Ordering::Relaxed),
-            locks_released: self.locks_released.load(Ordering::Relaxed),
-            lock_cache_hits: self.lock_cache_hits.load(Ordering::Relaxed),
-            pages_committed_direct: self.pages_committed_direct.load(Ordering::Relaxed),
-            pages_committed_diff: self.pages_committed_diff.load(Ordering::Relaxed),
-            pages_rolled_back: self.pages_rolled_back.load(Ordering::Relaxed),
-            txns_started: self.txns_started.load(Ordering::Relaxed),
-            txns_committed: self.txns_committed.load(Ordering::Relaxed),
-            txns_aborted: self.txns_aborted.load(Ordering::Relaxed),
-            migrations: self.migrations.load(Ordering::Relaxed),
-            file_list_merges: self.file_list_merges.load(Ordering::Relaxed),
-            file_list_retries: self.file_list_retries.load(Ordering::Relaxed),
-            buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
-            buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
-            page_cache_hits: self.page_cache_hits.load(Ordering::Relaxed),
-            page_cache_misses: self.page_cache_misses.load(Ordering::Relaxed),
-            local_fast_paths: self.local_fast_paths.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`Counters`], supporting subtraction to measure a
-/// window of activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountersSnapshot {
-    pub disk_reads: u64,
-    pub disk_writes: u64,
-    pub disk_seq_writes: u64,
-    pub messages_sent: u64,
-    pub messages_handled: u64,
-    pub batches_sent: u64,
-    pub service_msgs: [u64; 6],
-    pub locks_granted: u64,
-    pub locks_denied: u64,
-    pub locks_queued: u64,
-    pub locks_released: u64,
-    pub lock_cache_hits: u64,
-    pub pages_committed_direct: u64,
-    pub pages_committed_diff: u64,
-    pub pages_rolled_back: u64,
-    pub txns_started: u64,
-    pub txns_committed: u64,
-    pub txns_aborted: u64,
-    pub migrations: u64,
-    pub file_list_merges: u64,
-    pub file_list_retries: u64,
-    pub buffer_hits: u64,
-    pub buffer_misses: u64,
-    pub prefetches: u64,
-    pub page_cache_hits: u64,
-    pub page_cache_misses: u64,
-    pub local_fast_paths: u64,
 }
 
 impl CountersSnapshot {
-    /// Counter deltas over a window: `self − earlier`.
-    pub fn since(&self, earlier: &CountersSnapshot) -> CountersSnapshot {
-        CountersSnapshot {
-            disk_reads: self.disk_reads - earlier.disk_reads,
-            disk_writes: self.disk_writes - earlier.disk_writes,
-            disk_seq_writes: self.disk_seq_writes - earlier.disk_seq_writes,
-            messages_sent: self.messages_sent - earlier.messages_sent,
-            messages_handled: self.messages_handled - earlier.messages_handled,
-            batches_sent: self.batches_sent - earlier.batches_sent,
-            service_msgs: std::array::from_fn(|i| self.service_msgs[i] - earlier.service_msgs[i]),
-            locks_granted: self.locks_granted - earlier.locks_granted,
-            locks_denied: self.locks_denied - earlier.locks_denied,
-            locks_queued: self.locks_queued - earlier.locks_queued,
-            locks_released: self.locks_released - earlier.locks_released,
-            lock_cache_hits: self.lock_cache_hits - earlier.lock_cache_hits,
-            pages_committed_direct: self.pages_committed_direct - earlier.pages_committed_direct,
-            pages_committed_diff: self.pages_committed_diff - earlier.pages_committed_diff,
-            pages_rolled_back: self.pages_rolled_back - earlier.pages_rolled_back,
-            txns_started: self.txns_started - earlier.txns_started,
-            txns_committed: self.txns_committed - earlier.txns_committed,
-            txns_aborted: self.txns_aborted - earlier.txns_aborted,
-            migrations: self.migrations - earlier.migrations,
-            file_list_merges: self.file_list_merges - earlier.file_list_merges,
-            file_list_retries: self.file_list_retries - earlier.file_list_retries,
-            buffer_hits: self.buffer_hits - earlier.buffer_hits,
-            buffer_misses: self.buffer_misses - earlier.buffer_misses,
-            prefetches: self.prefetches - earlier.prefetches,
-            page_cache_hits: self.page_cache_hits - earlier.page_cache_hits,
-            page_cache_misses: self.page_cache_misses - earlier.page_cache_misses,
-            local_fast_paths: self.local_fast_paths - earlier.local_fast_paths,
-        }
-    }
-
     /// Total physical disk operations.
     pub fn total_ios(&self) -> u64 {
         self.disk_reads + self.disk_writes + self.disk_seq_writes

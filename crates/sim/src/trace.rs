@@ -6,9 +6,7 @@
 //! written after every participant logged its prepare record), and the
 //! experiment binaries use it to narrate Figure 5's I/O sequence.
 
-use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
@@ -140,45 +138,11 @@ impl fmt::Display for Event {
     }
 }
 
-/// Number of per-log buffers. Threads are spread across buffers so pushes
-/// from unrelated threads do not serialize on one mutex.
-const LOG_SHARDS: usize = 16;
-
-/// The buffer a thread appends to: assigned once per thread from a global
-/// round-robin counter, so each OS thread keeps hitting the same (usually
-/// uncontended) mutex.
-fn thread_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    IDX.with(|c| {
-        let mut i = c.get();
-        if i == usize::MAX {
-            i = NEXT.fetch_add(1, Ordering::Relaxed);
-            c.set(i);
-        }
-        i % LOG_SHARDS
-    })
-}
-
-/// Append-only shared event log.
-///
-/// Internally sharded: each push takes a global sequence stamp (one atomic
-/// increment) and lands in the pushing thread's buffer, so concurrent pushes
-/// from different threads do not contend. Readers merge the buffers by stamp
-/// and observe one totally ordered trace. A single-threaded driver uses one
-/// buffer, so its merged order is exactly its push order — the chaos
-/// harness's byte-identical replay is unaffected.
-///
-/// The stamp and the buffer append are not one atomic step, so a reader
-/// racing a push may briefly see stamp `n+1` without `n`; all readers
-/// (oracles, summaries) run after the workload quiesces, where every stamp
-/// is in its buffer.
+/// Append-only shared event log: one buffer in push order. The mutex is the
+/// order — two pushes that race are logged in the order they took it.
 #[derive(Debug, Default)]
 pub struct EventLog {
-    seq: AtomicU64,
-    shards: [Mutex<Vec<(u64, Event)>>; LOG_SHARDS],
+    events: Mutex<Vec<Event>>,
 }
 
 impl EventLog {
@@ -187,61 +151,44 @@ impl EventLog {
     }
 
     pub fn push(&self, e: Event) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.shards[thread_shard()].lock().push((seq, e));
-    }
-
-    fn merged(&self) -> Vec<(u64, Event)> {
-        let mut all: Vec<(u64, Event)> = Vec::new();
-        for shard in &self.shards {
-            all.extend(shard.lock().iter().cloned());
-        }
-        all.sort_unstable_by_key(|(s, _)| *s);
-        all
+        self.events.lock().push(e);
     }
 
     /// Copy of all events so far, in push order.
     pub fn all(&self) -> Vec<Event> {
-        self.merged().into_iter().map(|(_, e)| e).collect()
+        self.events.lock().clone()
     }
 
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
+        self.events.lock().clear();
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.events.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.events.lock().is_empty()
     }
 
     /// Index of the first event satisfying `pred`, if any.
     pub fn position(&self, pred: impl Fn(&Event) -> bool) -> Option<usize> {
-        self.merged().iter().position(|(_, e)| pred(e))
+        self.events.lock().iter().position(pred)
     }
 
     /// Whether an event satisfying `a` occurs strictly before the first event
     /// satisfying `b`. Both must occur.
     pub fn happens_before(&self, a: impl Fn(&Event) -> bool, b: impl Fn(&Event) -> bool) -> bool {
-        let merged = self.merged();
-        let ia = merged.iter().position(|(_, e)| a(e));
-        let ib = merged.iter().position(|(_, e)| b(e));
-        match (ia, ib) {
+        let events = self.events.lock();
+        match (events.iter().position(a), events.iter().position(b)) {
             (Some(ia), Some(ib)) => ia < ib,
             _ => false,
         }
     }
 
-    /// Number of events satisfying `pred` (order-independent: no merge).
+    /// Number of events satisfying `pred`.
     pub fn count(&self, pred: impl Fn(&Event) -> bool) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().iter().filter(|(_, e)| pred(e)).count())
-            .sum()
+        self.events.lock().iter().filter(|e| pred(e)).count()
     }
 }
 

@@ -36,20 +36,25 @@
 #       per participant vote plus the mark across sites.
 #   wal.frames_per_op >= 4.99 on commit_local: that one force carries all
 #       five of the commit's frames (the old 4.5 frames-per-flush floor).
-#   read_shared: a locked scan is two messages, the grant with its pages
-#       and the unlock. A shared lock's grant carries the first four pages
-#       of the range it guards (DESIGN.md §3), which is all of a 4-page
-#       scan, so every one of its 64 reads is served from the page cache —
-#       kernel.pagecache_hit_rate 1 (the old "a cached re-read is at least
-#       2x a cold one and sends nothing") — and no `ReadReq` is sent:
+#   read_shared: a locked scan is still two messages, the grant and the
+#       unlock, but the grant now ships only the pages whose stamp moved.
+#       A shared lock's grant covers the first four pages of the range it
+#       guards (DESIGN.md §3), which is all of a 4-page scan, so every one
+#       of its 64 reads is served from the page cache —
+#       kernel.pagecache_hit_rate 1 — and no `ReadReq` is sent:
 #       net.msgs_file_per_op is the update share alone, 0.10075 of the
 #       traced pass's ops at seed 1 (one `WriteReq` each, its lock riding
-#       it), and net.msgs_per_op 2.10075 = 2 + that share. The pages cost
-#       what they cost when two reads fetched them — disk_ios_per_op
-#       2.289625, `net_page_transfer` per page — so virt_ms_per_op 175.759707
-#       is the old 204.176007 minus the two round trips. A grant that goes
-#       back to travelling bare moves all five. Exact for the seed this
-#       script passes, not seed-independent.
+#       it), and net.msgs_per_op 2.10075 = 2 + that share. An unlock keeps
+#       the pages a grant shipped clean (at most 128 per file and owner),
+#       and the next grant names them by install version: the storage site
+#       neither reads nor ships one that is current, so
+#       kernel.prefetches_per_op is 1.848375 pages shipped per op (3.597
+#       when every grant shipped four), disk.reads_per_op 1.0805625
+#       (1.886625), disk_ios_per_op 1.4835625 (2.289625) and
+#       virt_ms_per_op 136.670982 (175.759707). A release that drops its
+#       pages again moves the last four; a grant that goes back to
+#       travelling bare moves all seven. Exact for the seed this script
+#       passes, not seed-independent.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -85,7 +90,8 @@ check commit_dist disk_ios_per_op==7 virt_ms_per_op==173.75 wal.flushes_per_op==
     net.msgs_per_op==6 net.msgs_lock_per_op==0 sim.virt_other_ms_per_op==57.9
 check hot_records disk_ios_per_op==3 virt_ms_per_op==80.95 wal.flushes_per_op==1
 check read_shared net.msgs_per_op==2.10075 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \
-    disk_ios_per_op==2.289625 virt_ms_per_op==175.759707
+    disk_ios_per_op==1.4835625 virt_ms_per_op==136.67098199999998 \
+    disk.reads_per_op==1.0805625 kernel.prefetches_per_op==1.848375
 
 # A wave of prepares or phase-two messages runs on its caller's thread
 # (DESIGN.md §3): the only threads are the simulated processes', started by

@@ -21,8 +21,9 @@ use parking_lot::Mutex;
 use locus_disk::{IoKind, SimDisk};
 use locus_sim::{Account, CostModel, Counters, Event, EventLog, SpanPhase, VirtSpan};
 use locus_types::{
-    ByteRange, CoordLogRecord, Error, Fid, InodeNo, IntentionsEntry, IntentionsList, Owner,
-    PageData, PageNo, PhysPage, PrepareLogRecord, Result, SiteId, TransId, TxnStatus, VolumeId,
+    ByteRange, CoordLogRecord, Error, Fid, GrantPage, InodeNo, IntentionsEntry, IntentionsList,
+    Owner, PageData, PageNo, PhysPage, PrepareLogRecord, Result, SiteId, TransId, TxnStatus,
+    VolumeId,
 };
 use locus_wal::Journal;
 
@@ -30,8 +31,10 @@ use crate::inode::Inode;
 use crate::pagebuf::PageBuf;
 
 /// Maximum buffered pages per file before clean buffers are evicted (the
-/// paper's LRU buffer pool, Section 6.3, scaled to the simulation).
-const FILE_BUFFER_CAP: usize = 128;
+/// paper's LRU buffer pool, Section 6.3, scaled to the simulation). A
+/// requesting site's page cache keeps no more released pages per file and
+/// owner than this either.
+pub const FILE_BUFFER_CAP: usize = 128;
 
 #[derive(Debug, Default)]
 struct FileState {
@@ -55,6 +58,16 @@ struct VolState {
 /// One committed page image served by a catch-up pull: the page, its
 /// install counter, and its bytes.
 pub type PulledPage = (PageNo, u64, PageData);
+
+/// Copies `slice` (page-relative) of a page's `current` bytes into `dst`;
+/// what lies past `current`'s end is left as it is.
+fn copy_out(current: &[u8], slice: ByteRange, dst: &mut [u8]) {
+    let s = slice.start as usize;
+    let avail = current.len().min(s + dst.len());
+    if avail > s {
+        dst[..avail - s].copy_from_slice(&current[s..avail]);
+    }
+}
 
 /// One mounted volume at a storage site.
 pub struct Volume {
@@ -231,32 +244,69 @@ impl Volume {
         acct: &mut Account,
     ) -> Result<Vec<u8>> {
         self.load_inode(st, ino, acct)?;
+        let clipped = Self::visible_part(st, ino, range);
+        let ps = self.page_size();
+        let mut out = vec![0u8; clipped.len as usize];
+        for page in clipped.pages(ps) {
+            let slice = clipped
+                .slice_on_page(page, ps)
+                .expect("page yielded by range");
+            let page_base = u64::from(page.0) * ps as u64;
+            let dst_off = (page_base + slice.start - clipped.start) as usize;
+            self.ensure_buffer(st, ino, page, acct)?;
+            let dst = &mut out[dst_off..dst_off + slice.len as usize];
+            copy_out(&st.files[&ino].buffers[&page].current, slice, dst);
+        }
+        Ok(out)
+    }
+
+    /// `range` clipped to the visible length (empty past it). The inode must
+    /// be loaded.
+    fn visible_part(st: &VolState, ino: InodeNo, range: ByteRange) -> ByteRange {
         let visible = st.incore[&ino]
             .len
             .max(st.files.get(&ino).map(|f| f.uncommitted_len).unwrap_or(0));
         let end = range.end().min(visible);
-        if range.start >= end {
-            return Ok(Vec::new());
-        }
-        let clipped = ByteRange::new(range.start, end - range.start);
-        let ps = self.page_size();
-        let mut out = vec![0u8; clipped.len as usize];
-        for page in clipped.pages(ps) {
-            self.ensure_buffer(st, ino, page, acct)?;
-            let slice = clipped
-                .slice_on_page(page, ps)
-                .expect("page yielded by range");
-            let buf = &st.files[&ino].buffers[&page];
-            let page_base = u64::from(page.0) * ps as u64;
-            let dst_off = (page_base + slice.start - clipped.start) as usize;
-            let s = slice.start as usize;
-            let e = (slice.start + slice.len) as usize;
-            let avail = buf.current.len().min(e);
-            if avail > s {
-                out[dst_off..dst_off + (avail - s)].copy_from_slice(&buf.current[s..avail]);
-            }
-        }
-        Ok(out)
+        ByteRange::new(range.start, end.saturating_sub(range.start))
+    }
+
+    /// `slice` (page-relative) of `page`, buffered first, as page data: one
+    /// copy straight out of the buffer unless it runs past the buffer's
+    /// materialized length, where the bytes read as zero.
+    fn page_image(
+        &self,
+        st: &mut VolState,
+        ino: InodeNo,
+        page: PageNo,
+        slice: ByteRange,
+        acct: &mut Account,
+    ) -> Result<PageData> {
+        self.ensure_buffer(st, ino, page, acct)?;
+        let current = &st.files[&ino].buffers[&page].current;
+        Ok(
+            match current.get(slice.start as usize..slice.end() as usize) {
+                Some(bytes) => PageData::from(bytes),
+                None => {
+                    let mut bytes = vec![0u8; slice.len as usize];
+                    copy_out(current, slice, &mut bytes);
+                    PageData::new(bytes)
+                }
+            },
+        )
+    }
+
+    /// Whether anybody's uncommitted bytes are on `page`, and whether an
+    /// owner other than `owner`'s are.
+    fn page_writers(st: &VolState, ino: InodeNo, page: PageNo, owner: Owner) -> (bool, bool) {
+        st.files
+            .get(&ino)
+            .and_then(|f| f.buffers.get(&page))
+            .into_iter()
+            .flat_map(|b| &b.writers)
+            .filter(|(_, rs)| rs.iter().any(|r| !r.is_empty()))
+            .fold((false, false), |(_, foreign), (o, _)| {
+                (true, foreign || *o != owner)
+            })
     }
 
     /// [`Volume::read`] plus the metadata a remote reader needs to cache the
@@ -280,13 +330,7 @@ impl Volume {
         let ps = self.page_size();
         let mut vers = Vec::new();
         for page in clipped.pages(ps) {
-            let foreign = st.files.get(&ino).is_some_and(|f| {
-                f.buffers.get(&page).is_some_and(|b| {
-                    b.writers
-                        .iter()
-                        .any(|(o, rs)| *o != owner && rs.iter().any(|r| !r.is_empty()))
-                })
-            });
+            let (_, foreign) = Self::page_writers(&st, ino, page, owner);
             vers.push(if foreign {
                 Self::VERS_UNCACHEABLE
             } else {
@@ -294,6 +338,55 @@ impl Volume {
             });
         }
         Ok((data, committed_len, vers))
+    }
+
+    /// What a shared grant ships of `window` (the caller's ship window,
+    /// clipped here to the visible length), page by page, to a requester that
+    /// holds install version `have[i]` of the window's `i`-th page (0: holds
+    /// nothing). A page still at that version with nobody's uncommitted
+    /// bytes on it is [`GrantPage::Current`]: neither read nor shipped,
+    /// charged a buffer hit's instructions. Every other page is read as
+    /// [`Volume::read_with_meta`] reads it and shipped with its version and
+    /// whether it is clean. Also returns the committed length.
+    pub fn read_grant(
+        &self,
+        fid: Fid,
+        owner: Owner,
+        window: ByteRange,
+        have: &[u64],
+        acct: &mut Account,
+    ) -> Result<(u64, Vec<GrantPage>)> {
+        let ino = self.check_fid(fid)?;
+        let mut st = self.state.lock();
+        self.load_inode(&mut st, ino, acct)?;
+        let clipped = Self::visible_part(&st, ino, window);
+        let ps = self.page_size();
+        let mut out = Vec::new();
+        for (page, held) in clipped
+            .pages(ps)
+            .zip(have.iter().chain(std::iter::repeat(&0)))
+        {
+            let (dirty, foreign) = Self::page_writers(&st, ino, page, owner);
+            let vers = st.incore[&ino].page_version(page);
+            if !dirty && *held != 0 && *held == vers {
+                acct.cpu_instrs(&self.model, self.model.buffer_hit_instrs);
+                out.push(GrantPage::Current);
+                continue;
+            }
+            let slice = clipped
+                .slice_on_page(page, ps)
+                .expect("page yielded by range");
+            out.push(GrantPage::Shipped {
+                vers: if foreign {
+                    Self::VERS_UNCACHEABLE
+                } else {
+                    vers
+                },
+                clean: !dirty,
+                data: self.page_image(&mut st, ino, page, slice, acct)?,
+            });
+        }
+        Ok((st.incore[&ino].len, out))
     }
 
     /// Install-version sentinel in [`Volume::read_with_meta`] output: "do not

@@ -145,29 +145,23 @@ fn build_cluster_with(cached: bool, contents: Vec<u8>) -> Cluster {
 /// per-process results (data, ranges, errors — all of it) and the final
 /// durable bytes of both files read through a fresh probe process.
 fn observe(c: &Cluster, seed: u64) -> String {
-    observe_programs(c, seed, &gen_programs(seed), None, FILE_LEN).0
+    observe_programs(c, seed, &gen_programs(seed), &mut |_, _| {}, FILE_LEN).0
 }
 
-/// [`observe`] for given programs; `reboot` names a driver step before which
-/// site 0 is crashed and at once rebooted. Also returns the first program's
-/// results as they are.
+/// [`observe`] for given programs, with `hook` run before every driver step.
+/// Also returns the first program's results as they are.
 fn observe_programs(
     c: &Cluster,
     seed: u64,
     programs: &[(usize, Vec<Op>)],
-    reboot: Option<usize>,
+    hook: &mut dyn FnMut(usize, &Driver<'_>),
     file_len: u64,
 ) -> (String, Vec<OpResult>) {
     let mut drv = Driver::new(c, seed.wrapping_mul(0x9e37_79b9));
     for (home, ops) in programs {
         drv.spawn(*home, ops.clone());
     }
-    let outcome = drv.run_with_hook(&mut |step, _| {
-        if reboot == Some(step) {
-            c.crash_site(0);
-            c.reboot_site(0);
-        }
-    });
+    let outcome = drv.run_with_hook(hook);
     let mut out = format!("outcome: {outcome}\n");
     for i in 0..drv.n_procs() {
         out.push_str(&format!("proc {i}: {:?}\n", drv.results(i)));
@@ -388,7 +382,12 @@ fn observe_scan(cached: bool, seed: u64, reboot_hole: bool) -> ScanRun {
     let c = build_cluster_with(cached, scan_contents());
     let before = c.counters();
     let (programs, reboot) = gen_scan(seed, reboot_hole);
-    let (seen, scanner) = observe_programs(&c, seed, &programs, reboot, SCAN_FILE_LEN);
+    let mut hook = |step, _: &Driver<'_>| {
+        if reboot == Some(step) {
+            reboot_storage_site(&c);
+        }
+    };
+    let (seen, scanner) = observe_programs(&c, seed, &programs, &mut hook, SCAN_FILE_LEN);
     ScanRun {
         seen,
         read_members_write: scanner
@@ -449,6 +448,274 @@ fn locked_scans_exercise_page_fetches_and_readahead() {
     assert!(ahead > 5, "only {ahead} pages read ahead in 24 scans");
     assert!(saved > 100, "only {saved} file messages saved in 24 scans");
     assert!(members > 0, "no scan read a migrated member's write");
+}
+
+// ----- Relocked scans: what a released lock keeps ---------------------------
+
+fn reboot_storage_site(c: &Cluster) {
+    c.crash_site(0);
+    c.reboot_site(0);
+}
+
+/// What a sibling does between the scanner's two scans of `/eq0`.
+#[derive(Debug, Clone, Copy)]
+enum Between {
+    /// A process at `site` overwrites `range` and commits.
+    Commit { site: usize, range: ByteRange },
+    /// The same, rolled back.
+    Abort { site: usize, range: ByteRange },
+    /// The same, left uncommitted through the second scan.
+    Dirty { site: usize, range: ByteRange },
+    /// A process at `site` overwrites `range`; a transaction there locks
+    /// `lock` exclusively, adopting every uncommitted byte under it (Section
+    /// 3.3 rule 2: the scanner's own, when it has some there, included), and
+    /// aborts; then the writer exits.
+    AdoptAbort {
+        site: usize,
+        range: ByteRange,
+        lock: ByteRange,
+    },
+    /// The storage site crashes and reboots.
+    Reboot,
+}
+
+/// One non-transaction scanner at site 1 — remote from `/eq0` — that
+/// sometimes writes a record of its own first, then locks a range shared,
+/// reads it record by record, unlocks it, and locks and reads the same pages
+/// again, the second lock sometimes shifted within its first page; and what
+/// siblings do between the two scans. Half the scans read exactly the locked
+/// bytes, the others start a little before the lock and run past it. Most
+/// writes land on the pages a grant ships, which are the pages a release
+/// keeps. Returns the scanner's program, the number of its operations up to
+/// and including the first unlock, and the sibling actions.
+fn gen_relock(seed: u64) -> (Vec<Op>, usize, Vec<Between>) {
+    let mut rng = DetRng::seeded(seed);
+    let lock_start = if rng.chance(0.3) {
+        rng.below(2) * 1024
+    } else {
+        rng.below(2500)
+    };
+    let lock_len = if rng.chance(0.5) {
+        (1 + rng.below(5)) * 1024
+    } else {
+        100 + rng.below(5000)
+    };
+    let lock_end = lock_start + lock_len;
+    let shipped_end = lock_end.min((lock_start / 1024 + 4) * 1024);
+    let spot = |rng: &mut DetRng| {
+        if rng.chance(0.7) {
+            lock_start + rng.below(shipped_end - lock_start)
+        } else {
+            lock_start.saturating_sub(200) + rng.below(lock_len + 400)
+        }
+    };
+    let rec = 32 + rng.below(300);
+    let own = rng
+        .chance(0.5)
+        .then(|| ByteRange::new(spot(&mut rng), 1 + rng.below(16)));
+
+    let mut scan = vec![Op::Open {
+        name: "/eq0".into(),
+        write: true,
+    }];
+    if let Some(own) = own {
+        scan.push(Op::Seek {
+            ch: 0,
+            pos: own.start,
+        });
+        // Zeros: no original byte and no sibling's is one.
+        scan.push(Op::Write {
+            ch: 0,
+            data: vec![0; own.len as usize],
+        });
+    }
+    let mut first_scan = 0;
+    for pass in 0..2 {
+        let start = if pass == 1 && rng.chance(0.5) {
+            lock_start + rng.below(600)
+        } else {
+            lock_start
+        };
+        let len = lock_end.saturating_sub(start).max(1);
+        let (from, reads) = if rng.chance(0.5) {
+            (start, len / rec)
+        } else {
+            (start.saturating_sub(rng.below(150)), len / rec + 2)
+        };
+        scan.push(Op::Seek { ch: 0, pos: start });
+        scan.push(Op::Lock {
+            ch: 0,
+            len,
+            mode: LockRequestMode::Shared,
+            opts: LockOpts::default(),
+        });
+        scan.push(Op::Seek { ch: 0, pos: from });
+        for _ in 0..reads {
+            scan.push(Op::Read { ch: 0, len: rec });
+        }
+        scan.push(Op::Seek { ch: 0, pos: start });
+        scan.push(Op::Unlock { ch: 0, len });
+        if pass == 0 {
+            first_scan = scan.len();
+        }
+    }
+    scan.push(Op::Seek {
+        ch: 0,
+        pos: lock_start,
+    });
+    scan.push(Op::Read { ch: 0, len: rec });
+
+    let mut between = Vec::new();
+    for _ in 0..1 + rng.below(4) {
+        let site = rng.below(SITES as u64) as usize;
+        let range = ByteRange::new(spot(&mut rng), 1 + rng.below(24));
+        between.push(match rng.below(5) {
+            0 => Between::Commit { site, range },
+            1 => Between::Abort { site, range },
+            2 => Between::Dirty { site, range },
+            3 => {
+                // Over the sibling's record, and mostly over the scanner's
+                // own as well.
+                let mut lock = range;
+                if let Some(own) = own.filter(|_| rng.chance(0.7)) {
+                    let start = lock.start.min(own.start);
+                    lock = ByteRange::new(start, lock.end().max(own.end()) - start);
+                }
+                Between::AdoptAbort { site, range, lock }
+            }
+            _ => Between::Reboot,
+        });
+    }
+    (scan, first_scan, between)
+}
+
+/// Carries out the sibling actions, rendering what each returned.
+fn run_between(c: &Cluster, actions: &[Between]) -> String {
+    let mut out = String::new();
+    for (i, act) in actions.iter().enumerate() {
+        let fill = 252 + (i % 4) as u8;
+        let res = match *act {
+            Between::Reboot => {
+                reboot_storage_site(c);
+                Ok(())
+            }
+            Between::Commit { site, range }
+            | Between::Abort { site, range }
+            | Between::Dirty { site, range } => {
+                let (k, mut a) = (&c.site(site).kernel, c.account(site));
+                let p = k.spawn();
+                let res = k.open(p, "/eq0", true, &mut a).and_then(|ch| {
+                    k.lseek(p, ch, range.start, &mut a)?;
+                    k.write(p, ch, &vec![fill; range.len as usize], &mut a)?;
+                    match act {
+                        Between::Commit { .. } => k.commit_file(p, ch, &mut a),
+                        Between::Abort { .. } => k.abort_file(p, ch, &mut a),
+                        _ => Ok(()),
+                    }
+                });
+                // A dirty sibling lives on, and its bytes with it.
+                if !matches!(act, Between::Dirty { .. }) {
+                    let _ = k.exit(p, &mut a);
+                }
+                res
+            }
+            Between::AdoptAbort { site, range, lock } => {
+                let (s, mut a) = (c.site(site), c.account(site));
+                let (k, writer, txn) = (&s.kernel, s.kernel.spawn(), s.kernel.spawn());
+                let res = (|| {
+                    let ch = k.open(writer, "/eq0", true, &mut a)?;
+                    k.lseek(writer, ch, range.start, &mut a)?;
+                    k.write(writer, ch, &vec![fill; range.len as usize], &mut a)?;
+                    s.txn.begin_trans(txn, &mut a)?;
+                    let ch = k.open(txn, "/eq0", true, &mut a)?;
+                    k.lseek(txn, ch, lock.start, &mut a)?;
+                    let mode = LockRequestMode::Exclusive;
+                    k.lock(txn, ch, lock.len, mode, LockOpts::default(), &mut a)?;
+                    s.txn.abort_trans(txn, &mut a)
+                })();
+                let _ = k.exit(txn, &mut a);
+                let _ = k.exit(writer, &mut a);
+                res
+            }
+        };
+        out.push_str(&format!("{act:?}: {res:?}\n"));
+    }
+    out
+}
+
+/// What one generated relocked scan showed: everything observable,
+/// rendered; the counts of the first scan and of the second; and how many
+/// pages site 1 kept between them.
+struct RelockRun {
+    seen: String,
+    first: locus_sim::CountersSnapshot,
+    second: locus_sim::CountersSnapshot,
+    retained: usize,
+}
+
+fn observe_relock(cached: bool, seed: u64) -> RelockRun {
+    let c = build_cluster_with(cached, scan_contents());
+    let start = c.counters();
+    let (scan, first_scan, between) = gen_relock(seed);
+    let (mut log, mut first, mut mid, mut retained) = (None, start, start, 0);
+    let mut hook = |_, drv: &Driver<'_>| {
+        if log.is_none() && drv.results(0).len() == first_scan {
+            first = c.counters().since(&start);
+            retained = c.site(1).kernel.pages.retained_len();
+            log = Some(run_between(&c, &between));
+            mid = c.counters();
+        }
+    };
+    let (seen, _) = observe_programs(&c, seed, &[(1, scan)], &mut hook, SCAN_FILE_LEN + 64);
+    RelockRun {
+        seen: format!("{seen}between:\n{}", log.unwrap_or_default()),
+        first,
+        second: c.counters().since(&mid),
+        retained,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A scanner locks, reads and unlocks, then locks and reads the same
+    /// pages again; between the two scans siblings commit, roll back, leave
+    /// bytes uncommitted, have a transaction adopt uncommitted bytes and
+    /// abort, and the storage site reboots. Every read of the caching
+    /// cluster — the second scan's,
+    /// served from pages the first one left behind — returns what the
+    /// uncached one returns, step for step.
+    #[test]
+    fn relocked_scans_match_uncached_reference(seed in any::<u64>()) {
+        let cached = observe_relock(true, seed).seen;
+        let reference = observe_relock(false, seed).seen;
+        prop_assert_eq!(cached, reference, "cache-visible divergence, seed {}", seed);
+    }
+}
+
+/// The relock generator really drives what it is meant to compare: the first
+/// scan leaves pages behind, and in many runs the second ships fewer than
+/// the first did (in the others the siblings changed what was kept) — on the
+/// caching side; the other has nothing to keep.
+#[test]
+fn relocked_scans_reuse_what_the_first_scan_left() {
+    let (mut kept, mut fewer) = (0, 0);
+    for seed in 0..24 {
+        let (on, off) = (observe_relock(true, seed), observe_relock(false, seed));
+        assert_eq!(off.retained, 0, "seed {seed}");
+        assert_eq!(
+            off.first.prefetches + off.second.prefetches,
+            0,
+            "seed {seed}"
+        );
+        kept += on.retained;
+        fewer += usize::from(on.second.prefetches < on.first.prefetches);
+    }
+    assert!(kept > 24, "only {kept} pages kept in 24 relocked scans");
+    assert!(
+        fewer >= 6,
+        "only {fewer} of 24 second scans shipped fewer pages"
+    );
 }
 
 /// A transaction at site 1 locks page 0 of `/eq0` (filled with 1s) and reads

@@ -95,6 +95,13 @@ impl Catalog {
         self.by_name.read().values().find(|l| l.fid == fid).cloned()
     }
 
+    /// The file's replication epoch, read in place (0 for a fid the catalog
+    /// does not know, as for a file that never failed over).
+    pub(crate) fn epoch_of(&self, fid: Fid) -> u64 {
+        let map = self.by_name.read();
+        map.values().find(|l| l.fid == fid).map_or(0, |l| l.epoch)
+    }
+
     /// Adds a replica site for a file. The new replica is optimistically
     /// considered synced: replica volumes are attached before any commit
     /// traffic in this model, and the first push brings them the data. A

@@ -17,14 +17,22 @@
 use locus_net::{FileMsg, LockMsg, Msg};
 use locus_proc::OpenFile;
 use locus_sim::Account;
-use locus_types::{ByteRange, Channel, Error, Fid, Owner, PageData, PageNo, Pid, Result, SiteId};
+use locus_types::{
+    ByteRange, Channel, Error, Fid, GrantPage, Owner, PageData, PageNo, Pid, Result, SiteId,
+};
 
 use crate::catalog::FileLoc;
 use crate::kernel::Kernel;
+use crate::pagecache::Incarnation;
 use crate::services::{check_range, ServiceHandler};
 
 /// Pages a sequential read brings along past the demanded ones.
 pub(crate) const READAHEAD_PAGES: u64 = 2;
+
+/// A page-relative span of `page` as absolute bytes of the file.
+fn on_page(page: PageNo, span: ByteRange, page_size: usize) -> ByteRange {
+    ByteRange::new(u64::from(page.0) * page_size as u64 + span.start, span.len)
+}
 
 /// Storage-site handler for the filesystem data plane.
 pub(crate) struct FileService;
@@ -236,7 +244,18 @@ impl Kernel {
     /// old bytes. Channels pointed at a deposed primary follow the catalog
     /// to the current one.
     pub(crate) fn read_site(&self, of: &OpenFile, in_txn: bool) -> SiteId {
-        let Some(loc) = self.catalog.loc_of(of.fid) else {
+        self.read_site_at(of, in_txn, self.catalog.loc_of(of.fid).as_ref())
+    }
+
+    /// [`Kernel::read_site`] for the file's catalog entry `loc`, already in
+    /// hand.
+    pub(crate) fn read_site_at(
+        &self,
+        of: &OpenFile,
+        in_txn: bool,
+        loc: Option<&FileLoc>,
+    ) -> SiteId {
+        let Some(loc) = loc else {
             return of.storage_site;
         };
         if !loc.replicated() {
@@ -268,10 +287,13 @@ impl Kernel {
                 owner: Owner::Proc(pid),
             });
             let unlock = Msg::Lock(LockMsg::UnlockAll { fid: of.fid, pid });
-            self.rpc_batch(self.update_site(&of), vec![commit, unlock], acct)?;
+            // Before the batch leaves, as for an unlock (`lock_channel`): a
+            // lost reply must not leave the channel served from copies its
+            // released locks no longer vouch for.
             self.cache
                 .remove(of.fid, Owner::Proc(pid), ByteRange::new(0, u64::MAX));
             self.pages.drop_fid_owner(of.fid, Owner::Proc(pid));
+            self.rpc_batch(self.update_site(&of), vec![commit, unlock], acct)?;
         }
         self.procs.with_mut(pid, |rec| {
             rec.open_files.remove(&ch);
@@ -451,12 +473,11 @@ impl Kernel {
         Ok(data)
     }
 
-    /// The one populate step, behind a read's reply and behind a grant that
-    /// carried its pages (`Kernel::lock_channel`): caches what the storage
-    /// site shipped from byte `start` — [`FileMsg::ReadResp`]'s triple — as
-    /// far as `owner`'s cached locks cover it. `gen` is the owner's write
-    /// generation before the request; pages past `demand_last` are prefetches.
-    pub(crate) fn cache_pages(
+    /// A read's populate step: caches what the storage site shipped from
+    /// byte `start` — [`FileMsg::ReadResp`]'s triple — as far as `owner`'s
+    /// cached locks cover it. `gen` is the owner's write generation before
+    /// the request; pages past `demand_last` are prefetches.
+    fn cache_pages(
         &self,
         fid: Fid,
         owner: Owner,
@@ -474,22 +495,62 @@ impl Kernel {
             if Some(page) > demand_last {
                 self.counters.prefetches();
             }
-            let page_base = u64::from(page.0) * ps as u64;
-            let abs = ByteRange::new(page_base + slice.start, slice.len);
+            let abs = on_page(page, slice, ps);
             // Cache only committed bytes the owner's locks still cover.
             if abs.end() > committed_len || !self.cache.covers(fid, owner, abs, false) {
                 continue;
             }
             let off = (abs.start - clipped.start) as usize;
-            self.pages.insert(
-                fid,
-                owner,
-                page,
-                *v,
-                slice,
-                PageData::from(&data[off..off + slice.len as usize]),
-                gen,
-            );
+            let bytes = PageData::from(&data[off..off + slice.len as usize]);
+            self.pages.insert(fid, owner, page, *v, slice, bytes, gen);
+        }
+    }
+
+    /// A grant's populate step, behind `Kernel::lock_channel`: of the ship
+    /// `window`, each page the storage site named current is live again if
+    /// it is the copy `held` named, and each it shipped is cached as a
+    /// read's reply is — stamped with `inc` when it came clean. Every page
+    /// shipped is a prefetch.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn cache_grant(
+        &self,
+        fid: Fid,
+        owner: Owner,
+        window: ByteRange,
+        held: &[u64],
+        (committed_len, pages): (u64, &[GrantPage]),
+        inc: Incarnation,
+        gen: u64,
+    ) {
+        let ps = self.model.page_size;
+        self.pages.note_incarnation(fid, owner, inc);
+        // The grant has just entered the lock cache: its coverage is asked
+        // once, for the whole window.
+        let covered = self.cache.covers(fid, owner, window, false);
+        let held = held.iter().chain(std::iter::repeat(&0));
+        for ((page, shipped), held) in window.pages(ps).zip(pages).zip(held) {
+            let Some(slice) = window.slice_on_page(page, ps) else {
+                continue;
+            };
+            match shipped {
+                GrantPage::Current => {
+                    if covered {
+                        self.pages.revalidate(fid, owner, page, *held, gen);
+                    }
+                }
+                GrantPage::Shipped { vers, clean, data } => {
+                    self.counters.prefetches();
+                    let span = ByteRange::new(slice.start, data.len() as u64);
+                    // Cache only committed bytes of the window.
+                    let committed = on_page(page, span, ps).end() <= committed_len;
+                    if covered && committed && span.len <= slice.len {
+                        let clean = clean.then_some(inc);
+                        let bytes = data.clone();
+                        self.pages
+                            .insert_shipped(fid, owner, page, *vers, span, bytes, gen, clean);
+                    }
+                }
+            }
         }
     }
 
@@ -503,9 +564,10 @@ impl Kernel {
     /// them. When the access is sequential the next `READAHEAD_PAGES`
     /// pages ride along, as far as they are wholly covered (Section 5.2
     /// prefetches "the locked pages"). Sequential is judged without state:
-    /// the byte just before the first demanded page is in this owner's page
-    /// cache, i.e. the owner has just read up to this page boundary under
-    /// the same coverage. With no coverage the extent is `range` itself.
+    /// the byte just before the first demanded page is live in this owner's
+    /// page cache (a page kept from a released lock does not count), i.e.
+    /// the owner has just read up to this page boundary under the same
+    /// coverage. With no coverage the extent is `range` itself.
     ///
     /// A transaction's reads are never widened. Its members can run at
     /// several sites (fork, then migrate) while page invalidation on a write
@@ -616,10 +678,11 @@ impl Kernel {
             fid: of.fid,
             owner: Owner::Proc(pid),
         });
-        self.rpc(self.update_site(&of), msg, acct)?;
-        // The abort reverted this process's uncommitted bytes at the storage
-        // site; locally cached copies of them are now stale.
+        // The abort reverts this process's uncommitted bytes at the storage
+        // site, so locally cached copies of them go — before the request
+        // leaves, or a lost reply would leave them served.
         self.pages.drop_fid_owner(of.fid, Owner::Proc(pid));
+        self.rpc(self.update_site(&of), msg, acct)?;
         Ok(())
     }
 

@@ -19,7 +19,7 @@
 use std::sync::atomic::Ordering;
 
 use locus_locks::{GrantedWaiter, LockOutcome, LockRequest};
-use locus_net::{LockMsg, Msg};
+use locus_net::{Held, LockMsg, Msg};
 use locus_proc::OpenFile;
 use locus_sim::{Account, SpanPhase, VirtSpan};
 use locus_types::{
@@ -27,6 +27,7 @@ use locus_types::{
 };
 
 use crate::kernel::Kernel;
+use crate::pagecache::Incarnation;
 use crate::services::file::READAHEAD_PAGES;
 use crate::services::{check_range, ServiceHandler};
 
@@ -53,6 +54,34 @@ pub(crate) fn implicit_mode(write: bool) -> LockRequestMode {
     }
 }
 
+/// The most pages a shared grant ships: the first page of the range, the
+/// next, and `READAHEAD_PAGES` more — what a sequential reader's first two
+/// `ReadReq`s carried.
+const SHIP_WINDOW_PAGES: u64 = 2 + READAHEAD_PAGES;
+
+/// The bytes a shared grant on `range` ships: from the range's first byte to
+/// the page boundary `SHIP_WINDOW_PAGES` pages on, or the range's end.
+pub(crate) fn ship_window(range: ByteRange, page_size: usize) -> ByteRange {
+    let ps = page_size as u64;
+    let stop = (range.start / ps + SHIP_WINDOW_PAGES).saturating_mul(ps);
+    ByteRange::new(range.start, range.end().min(stop) - range.start)
+}
+
+/// Refuses a held list the requester could not have built for `range`: one
+/// longer than the range's ship window, which is what a list longer than any
+/// ship window or one naming pages past the range's last is.
+fn check_held(held: &Held, range: ByteRange, page_size: usize) -> Result<()> {
+    let named = held.have.len();
+    let window = ship_window(range, page_size).pages(page_size).count();
+    if named > window {
+        return Err(Error::InvalidArgument(format!(
+            "a held list of {named} pages for {range}, whose grant ships {window} \
+             (at most {SHIP_WINDOW_PAGES})"
+        )));
+    }
+    Ok(())
+}
+
 /// Storage-site handler for the lock protocol.
 pub(crate) struct LockService;
 
@@ -74,10 +103,13 @@ impl ServiceHandler for LockService {
                 fetch,
             } => {
                 check_range(range)?;
-                if fetch && (mode != LockRequestMode::Shared || append || tid.is_some()) {
-                    return Err(Error::ProtocolViolation(format!(
-                        "a {mode:?} lock (append {append}, {tid:?}) cannot carry its pages"
-                    )));
+                if let Some(held) = &fetch {
+                    if mode != LockRequestMode::Shared || append || tid.is_some() {
+                        return Err(Error::ProtocolViolation(format!(
+                            "a {mode:?} lock (append {append}, {tid:?}) cannot carry its pages"
+                        )));
+                    }
+                    check_held(held, range, k.model.page_size)?;
                 }
                 let req = LockRequest {
                     pid,
@@ -89,7 +121,7 @@ impl ServiceHandler for LockService {
                     wait,
                     reply_site,
                 };
-                k.storage_site_lock(fid, req, fetch, acct)
+                k.storage_site_lock(fid, req, fetch.as_ref(), acct)
             }
             LockMsg::Granted { fid, pid, range } => {
                 // A queued request of a local process was granted at the
@@ -273,10 +305,20 @@ impl Kernel {
         // the lock cache stays primary-anchored, so locks follow a failover
         // instead of piling up at a deposed primary or a read-serving
         // replica. That site is also the transaction's prepare participant.
-        let participant = match self.catalog.loc_of(of.fid) {
+        let loc = self.catalog.loc_of(of.fid);
+        let participant = match &loc {
             Some(loc) if loc.replicated() => loc.primary,
             _ => of.storage_site,
         };
+        let ps = self.model.page_size;
+        if mode == LockRequestMode::Unlock {
+            // Coverage ends before the request leaves: if the reply is lost
+            // the lock may be gone at the storage site, and nothing here may
+            // go on serving what it guarded. A page a grant shipped clean is
+            // kept for the next grant to name current (`PageCache::demote`).
+            self.cache.remove(of.fid, owner, range);
+            self.pages.demote(of.fid, owner, range, ps);
+        }
         // A shared lock permits its holder to read the range and nothing
         // else, so the request says the reads are coming: ask for the pages
         // with the grant (Section 5.2; DESIGN.md §3 has each clause's
@@ -286,9 +328,17 @@ impl Kernel {
             && !append
             && participant != self.site
             && self.page_cache_enabled.load(Ordering::Relaxed)
-            && participant == self.read_site(of, false);
-        // The write generation from before the request, as in `read`.
-        let gen = fetch.then(|| self.pages.write_gen(of.fid, owner));
+            && participant == self.read_site_at(of, false, loc.as_ref());
+        // What this owner still holds of the pages the grant would ship, and
+        // the write generation from before the request, as in `read`.
+        let repl_epoch = loc.map_or(0, |loc| loc.epoch);
+        let window = ship_window(range, ps);
+        let fetch = fetch.then(|| {
+            let held = self
+                .pages
+                .held(of.fid, owner, participant, repl_epoch, window, ps);
+            (held, self.pages.write_gen(of.fid, owner))
+        });
         let resp = self.rpc(
             participant,
             Msg::Lock(LockMsg::Req {
@@ -301,31 +351,29 @@ impl Kernel {
                 append,
                 wait: opts.wait,
                 reply_site: self.site,
-                fetch,
+                fetch: fetch.as_ref().map(|(held, _)| held.clone()),
             }),
             acct,
         )?;
         match resp {
             Msg::Lock(LockMsg::Resp {
                 granted,
-                data,
+                epoch,
                 committed_len,
-                vers,
+                pages,
             }) => {
-                match mode.as_mode() {
-                    Some(m) => self.cache.insert(of.fid, owner, m, granted),
-                    None => {
-                        self.cache.remove(of.fid, owner, granted);
-                        // Pages were cached under the coverage just released;
-                        // without it their coherence guarantee is gone.
-                        self.pages
-                            .remove(of.fid, owner, granted, self.model.page_size);
-                    }
+                if let Some(m) = mode.as_mode() {
+                    self.cache.insert(of.fid, owner, m, granted);
                 }
-                if let Some(gen) = gen {
+                if let Some((held, gen)) = fetch {
                     // After the insert above: coverage is what admits a page.
-                    let shipped = (&data[..], committed_len, &vers[..]);
-                    self.cache_pages(of.fid, owner, granted.start, shipped, None, gen);
+                    let inc = Incarnation {
+                        site: participant,
+                        boot_epoch: epoch,
+                        repl_epoch,
+                    };
+                    let grant = (committed_len, &pages[..]);
+                    self.cache_grant(of.fid, owner, window, &held.have, grant, inc, gen);
                 }
                 self.procs.with_mut(pid, |rec| {
                     if rec.tid.is_some() {
@@ -377,7 +425,7 @@ impl Kernel {
             wait: true,
             reply_site: from,
         };
-        let resp = self.storage_site_lock(fid, req, false, acct)?;
+        let resp = self.storage_site_lock(fid, req, None, acct)?;
         // Only an append-mode grant lands anywhere but where it was asked
         // for, which is why no range travels back with the data.
         debug_assert!(matches!(
@@ -391,14 +439,16 @@ impl Kernel {
     /// Section 3.3 rule-2 adoption of modified-uncommitted records. The one
     /// body behind [`LockMsg::Req`] and behind a data request that carries
     /// its lock ([`Kernel::serve_implicit_lock`]).
-    /// With `fetch`, a grant carries the bytes it guards, from the range's
-    /// first byte to the page boundary a sequential reader's first two
-    /// `ReadReq`s reached: never more than the reads this replaces.
+    /// With `fetch`, a grant carries the bytes it guards over its ship window
+    /// (`ship_window`: never more than the reads this replaces), except the
+    /// pages the requester holds current copies of: a held copy is current
+    /// under the incarnation it was shipped by, and the volume decides the
+    /// rest (`Volume::read_grant`).
     pub(crate) fn storage_site_lock(
         &self,
         fid: Fid,
         req: LockRequest,
-        fetch: bool,
+        fetch: Option<&Held>,
         acct: &mut Account,
     ) -> Result<Msg> {
         let vol = self.volume(fid.volume)?;
@@ -430,21 +480,25 @@ impl Kernel {
                     let granted = self.locks.pump_file(fid, acct);
                     self.push_grants(granted, acct);
                 }
-                let (data, committed_len, vers) = if fetch {
-                    let ps = self.model.page_size as u64;
-                    let stop = (range.start / ps + 2 + READAHEAD_PAGES).saturating_mul(ps);
-                    let ship = ByteRange::new(range.start, range.end().min(stop) - range.start);
-                    // The lock stands either way: a failed read is a bare grant.
-                    let read = vol.read_with_meta(fid, owner, ship, acct);
-                    read.unwrap_or_default()
-                } else {
-                    Default::default()
+                let epoch = self.boot_epoch();
+                let (committed_len, pages) = match fetch {
+                    Some(held) => {
+                        let current = !held.have.is_empty()
+                            && held.boot_epoch == epoch
+                            && held.repl_epoch == self.catalog.epoch_of(fid);
+                        let have = if current { &held.have[..] } else { &[] };
+                        let window = ship_window(range, self.model.page_size);
+                        // The lock stands either way: a failed read is a bare grant.
+                        let read = vol.read_grant(fid, owner, window, have, acct);
+                        read.unwrap_or_default()
+                    }
+                    None => Default::default(),
                 };
                 Ok(Msg::Lock(LockMsg::Resp {
                     granted: range,
-                    data,
+                    epoch,
                     committed_len,
-                    vers,
+                    pages,
                 }))
             }
             LockOutcome::Denied { conflicting } => Err(Error::LockConflict {

@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use locus_disk::SimDisk;
 use locus_fs::Volume;
-use locus_net::{FileMsg, LockMsg, Msg, SimTransport};
+use locus_net::{FileMsg, Held, LockMsg, Msg, SimTransport};
 use locus_proc::ProcessRegistry;
 use locus_sim::{Account, CostModel, Counters, EventLog, SimDuration};
 use locus_types::{
-    ByteRange, Channel, Error, Fid, LockClass, LockMode, LockRequestMode, Owner, Pid, SiteId,
-    TransId, VolumeId,
+    ByteRange, Channel, Error, Fid, GrantPage, LockClass, LockMode, LockRequestMode, Owner, Pid,
+    SiteId, TransId, VolumeId,
 };
 
 use crate::catalog::Catalog;
@@ -789,7 +789,7 @@ fn unlock_drops_cache_and_later_reads_see_new_commits() {
     k1.unlock(p1, ch1, 64, &mut a1).unwrap();
     assert!(
         k1.pages.is_empty(),
-        "released coverage must drop cached pages"
+        "released coverage must stop serving cached pages"
     );
     // Another process commits new bytes; the uncovered reader sees them.
     let mut a0 = acct(0);
@@ -1482,7 +1482,8 @@ fn has_page(k: &Kernel, fid: Fid, owner: Owner, n: u32) -> bool {
     k.pages.covers_page_span(fid, owner, page(n), FULL_PAGE)
 }
 
-/// A non-transaction `LockReq` for `range` of `fid` from `pid` at site 1.
+/// A non-transaction `LockReq` for `range` of `fid` from `pid` at site 1;
+/// with `fetch`, one that holds nothing.
 fn lock_req(fid: Fid, pid: Pid, mode: LockRequestMode, range: ByteRange, fetch: bool) -> Msg {
     Msg::Lock(LockMsg::Req {
         fid,
@@ -1494,8 +1495,19 @@ fn lock_req(fid: Fid, pid: Pid, mode: LockRequestMode, range: ByteRange, fetch: 
         append: false,
         wait: false,
         reply_site: SiteId(1),
-        fetch,
+        fetch: fetch.then(Held::default),
     })
+}
+
+/// The bytes a grant's pages carry.
+fn shipped_bytes(pages: &[GrantPage]) -> usize {
+    pages
+        .iter()
+        .map(|p| match p {
+            GrantPage::Shipped { data, .. } => data.len(),
+            GrantPage::Current => 0,
+        })
+        .sum()
 }
 
 #[test]
@@ -1730,13 +1742,24 @@ fn a_granted_page_with_another_owners_uncommitted_bytes_is_not_cached() {
     let fid = k1.procs.get(p1).unwrap().open_files[&ch1].fid;
     let range = ByteRange::new(0, 2024);
     let resp = k1.rpc(SiteId(0), lock_req(fid, p1, SHARED, range, true), &mut a1);
-    let Ok(Msg::Lock(LockMsg::Resp { data, vers, .. })) = resp else {
+    let Ok(Msg::Lock(LockMsg::Resp { pages, .. })) = resp else {
         panic!("{resp:?}");
     };
-    assert_eq!(data, vec![7u8; 2024]);
-    assert_eq!(vers.len(), 2);
-    assert!(vers[0] != crate::pagecache::VERS_UNCACHEABLE);
-    assert_eq!(vers[1], crate::pagecache::VERS_UNCACHEABLE);
+    let [GrantPage::Shipped {
+        vers: v0,
+        clean: true,
+        data: d0,
+    }, GrantPage::Shipped {
+        vers: v1,
+        clean: false,
+        data: d1,
+    }] = &pages[..]
+    else {
+        panic!("{pages:?}");
+    };
+    assert_eq!([&d0[..], &d1[..]].concat(), vec![7u8; 2024]);
+    assert!(*v0 != crate::pagecache::VERS_UNCACHEABLE);
+    assert_eq!(*v1, crate::pagecache::VERS_UNCACHEABLE);
 
     k1.lock(p1, ch1, 2024, SHARED, LockOpts::default(), &mut a1)
         .unwrap();
@@ -1783,10 +1806,12 @@ fn a_lost_or_doubled_grant_leaves_one_lock_entry_and_a_coherent_cache() {
     let before = a1.clone();
     assert_eq!(k1.read(p1, ch1, 2048, &mut a1).unwrap(), vec![7u8; 2048]);
     assert_eq!(a1.delta_since(&before).messages, 0);
-    // Letting go drops the pages with the coverage, as for any lock.
+    // Letting go stops serving the pages with the coverage, as for any lock
+    // (the two came clean, and are kept for the next grant to name current).
     k1.lseek(p1, ch1, 0, &mut a1).unwrap();
     k1.unlock(p1, ch1, 2048, &mut a1).unwrap();
     assert!(k1.pages.is_empty() && k0.locks.descriptors(fid).is_empty());
+    assert_eq!(k1.pages.retained_len(), 2);
 }
 
 #[test]
@@ -1818,7 +1843,7 @@ fn the_storage_site_refuses_a_fetch_it_would_never_be_sent() {
             append: false,
             wait: true,
             reply_site: SiteId(1),
-            fetch: true,
+            fetch: Some(Held::default()),
         }),
     ];
     for req in hostile {
@@ -1832,7 +1857,315 @@ fn the_storage_site_refuses_a_fetch_it_would_never_be_sent() {
     }
     // The request it is sent is served.
     let resp = k1.rpc(SiteId(0), lock_req(fid, p, SHARED, range, true), &mut a1);
-    assert!(matches!(resp, Ok(Msg::Lock(LockMsg::Resp { data, .. })) if data.len() == 1024));
+    assert!(
+        matches!(&resp, Ok(Msg::Lock(LockMsg::Resp { pages, .. })) if shipped_bytes(pages) == 1024)
+    );
+}
+
+#[test]
+fn the_storage_site_refuses_a_held_list_it_could_not_have_been_sent() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let p = k1.spawn();
+    let ch = k1.open(p, "/cached", true, &mut a1).unwrap();
+    let fid = k1.procs.get(p).unwrap().open_files[&ch].fid;
+    let holding = |range, have: Vec<u64>| {
+        let mut req = lock_req(fid, p, SHARED, range, true);
+        if let Msg::Lock(LockMsg::Req {
+            fetch: Some(held), ..
+        }) = &mut req
+        {
+            held.have = have;
+        }
+        req
+    };
+    // Longer than any ship window; past the last page of a two-page range.
+    for (range, have) in [
+        (ByteRange::new(0, 8192), vec![1; 5]),
+        (ByteRange::new(0, 2048), vec![1; 3]),
+        (ByteRange::new(1000, 100), vec![1; 3]),
+        (ByteRange::new(0, 0), vec![1]),
+    ] {
+        let resp = k1.rpc(SiteId(0), holding(range, have.clone()), &mut a1);
+        assert!(
+            matches!(resp, Err(Error::InvalidArgument(_))),
+            "{range:?} {have:?}: {resp:?}"
+        );
+        assert!(k0.locks.descriptors(fid).is_empty());
+    }
+    // As long as the window is fine, whatever the versions say.
+    let resp = k1.rpc(
+        SiteId(0),
+        holding(ByteRange::new(0, 2048), vec![1; 2]),
+        &mut a1,
+    );
+    assert!(matches!(&resp, Ok(Msg::Lock(LockMsg::Resp { pages, .. })) if pages.len() == 2));
+}
+
+// ----- A released lock keeps its pages -------------------------------------------
+
+/// Site 1 opens `/cached` (stored at site 0), locks its first four pages
+/// shared, reads them record by record and releases them: the four pages are
+/// retained.
+fn scanned_and_released(c: &MiniCluster, a1: &mut Account) -> (Pid, Channel, Fid) {
+    let k1 = &c.kernels[1];
+    let (p1, ch1, fid) = open_locked(k1, a1, 0, 4096, SHARED);
+    scan_released(k1, p1, ch1, a1);
+    (p1, ch1, fid)
+}
+
+/// Reads `[0, 4096)` as 64 records (the channel must hold it locked) and
+/// unlocks it.
+fn scan_released(k1: &Kernel, p1: Pid, ch1: Channel, a1: &mut Account) -> Vec<u8> {
+    k1.lseek(p1, ch1, 0, a1).unwrap();
+    let seen: Vec<u8> = (0..64)
+        .flat_map(|_| k1.read(p1, ch1, 64, a1).unwrap())
+        .collect();
+    k1.lseek(p1, ch1, 0, a1).unwrap();
+    k1.unlock(p1, ch1, 4096, a1).unwrap();
+    seen
+}
+
+/// Locks `[0, 4096)` shared again; returns the pages the grant shipped.
+fn relock(k1: &Kernel, p1: Pid, ch1: Channel, a1: &mut Account) -> u64 {
+    let before = k1.counters.snapshot();
+    k1.lseek(p1, ch1, 0, a1).unwrap();
+    k1.lock(p1, ch1, 4096, SHARED, LockOpts::default(), a1)
+        .unwrap();
+    k1.counters.snapshot().since(&before).prefetches
+}
+
+/// Site 0 overwrites `range` of `/cached` with `byte` and commits.
+fn commit_at_site0(c: &MiniCluster, range: ByteRange, byte: u8) {
+    let k0 = &c.kernels[0];
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    k0.lseek(p0, ch0, range.start, &mut a0).unwrap();
+    k0.write(p0, ch0, &vec![byte; range.len as usize], &mut a0)
+        .unwrap();
+    k0.close(p0, ch0, &mut a0).unwrap();
+}
+
+#[test]
+fn a_revalidated_relock_of_four_pages_is_one_message_with_no_pages_and_no_disk_reads() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 132 * 1024);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    // Cold buffers at the storage site.
+    k0.crash();
+    k0.reboot();
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = scanned_and_released(&c, &mut a1);
+    assert_eq!((k1.pages.len(), k1.pages.retained_len()), (0, 4));
+    // The storage site's buffers move on: a local reader goes through the
+    // next 128 pages, and the four are evicted there.
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", false, &mut a0).unwrap();
+    k0.lseek(p0, ch0, 4096, &mut a0).unwrap();
+    k0.read(p0, ch0, 128 * 1024, &mut a0).unwrap();
+
+    let tap = WireTap::install(&c);
+    let before = (a1.clone(), k1.counters.snapshot());
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    k1.lock(p1, ch1, 4096, SHARED, LockOpts::default(), &mut a1)
+        .unwrap();
+    let locked = a1.delta_since(&before.0);
+    // One round trip that carried no page and read nothing off the disk.
+    assert_eq!(tap.kinds(), ["LockReq+Fetch"]);
+    assert_eq!((locked.messages, locked.disk_reads), (1, 0));
+    assert!(locked.elapsed < c.model.net_rtt + c.model.net_page_transfer);
+    assert!((0..4).all(|n| has_page(k1, fid, Owner::Proc(p1), n)));
+    assert_eq!(k1.pages.retained_len(), 0);
+    for _ in 0..64 {
+        assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    }
+    let d = k1.counters.snapshot().since(&before.1);
+    assert_eq!((d.page_cache_hits, d.page_cache_misses), (64, 0));
+    assert_eq!((d.prefetches, d.disk_reads), (0, 0));
+    assert_eq!(a1.delta_since(&before.0).messages, 1);
+    assert!(tap.kinds().is_empty());
+}
+
+#[test]
+fn a_relock_ships_only_the_page_another_owner_committed() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = scanned_and_released(&c, &mut a1);
+    commit_at_site0(&c, ByteRange::new(1100, 8), 9);
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 1);
+    assert!((0..4).all(|n| has_page(k1, fid, Owner::Proc(p1), n)));
+    let mut want = vec![7u8; 4096];
+    want[1100..1108].fill(9);
+    assert_eq!(scan_released(k1, p1, ch1, &mut a1), want);
+    // Another owner's bytes, uncommitted, keep the page from being current
+    // at its version (and from being cached at all); once rolled back, the
+    // kept copy is the page again.
+    let k0 = &c.kernels[0];
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    k0.lseek(p0, ch0, 3000, &mut a0).unwrap();
+    k0.write(p0, ch0, b"dirty", &mut a0).unwrap();
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 1);
+    assert!(!has_page(k1, fid, Owner::Proc(p1), 2));
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    k1.unlock(p1, ch1, 4096, &mut a1).unwrap();
+    k0.abort_file(p0, ch0, &mut a0).unwrap();
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 0);
+    assert_eq!(scan_released(k1, p1, ch1, &mut a1), want);
+}
+
+#[test]
+fn a_page_shipped_with_the_owners_own_uncommitted_bytes_is_not_kept() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let p1 = k1.spawn();
+    let ch1 = k1.open(p1, "/cached", true, &mut a1).unwrap();
+    // The reader's own uncommitted record on page 2, then the scan: page 2
+    // is served under the lock, but it could revert at the same version, so
+    // it does not outlive it.
+    k1.lseek(p1, ch1, 2100, &mut a1).unwrap();
+    k1.write(p1, ch1, b"mine", &mut a1).unwrap();
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    k1.lock(p1, ch1, 4096, SHARED, LockOpts::default(), &mut a1)
+        .unwrap();
+    let mut want = vec![7u8; 4096];
+    want[2100..2104].copy_from_slice(b"mine");
+    assert_eq!(scan_released(k1, p1, ch1, &mut a1), want);
+    assert_eq!(k1.pages.retained_len(), 3);
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 1);
+    assert_eq!(scan_released(k1, p1, ch1, &mut a1), want);
+}
+
+#[test]
+fn a_storage_site_reboot_reships_every_page() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = scanned_and_released(&c, &mut a1);
+    k0.crash();
+    k0.reboot();
+    // The request still names the four; the storage site's new boot epoch
+    // says none is current, and the reply's drops what was kept.
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 4);
+    assert!((0..4).all(|n| has_page(k1, fid, Owner::Proc(p1), n)));
+    assert_eq!(scan_released(k1, p1, ch1, &mut a1), vec![7u8; 4096]);
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 0);
+}
+
+#[test]
+fn a_replication_epoch_bump_reships_every_page() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    mount_replica(&c);
+    k0.catalog.add_replica("/cached", SiteId(1)).unwrap();
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = scanned_and_released(&c, &mut a1);
+    assert_eq!(k1.pages.retained_len(), 4);
+    // Failover and back: the primary is where it was, two epochs on.
+    let epoch = k0.catalog.loc_of(fid).unwrap().epoch;
+    let epoch = k0.catalog.promote(fid, SiteId(1), epoch).unwrap();
+    k0.catalog.promote(fid, SiteId(0), epoch).unwrap();
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 4);
+    assert_eq!(scan_released(k1, p1, ch1, &mut a1), vec![7u8; 4096]);
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 0);
+}
+
+#[test]
+fn a_write_close_or_exit_drops_what_a_release_kept() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    // A write over a retained page drops it, and the next grant ships it.
+    let (p1, ch1, _) = scanned_and_released(&c, &mut a1);
+    k1.lseek(p1, ch1, 1030, &mut a1).unwrap();
+    k1.write(p1, ch1, b"w", &mut a1).unwrap();
+    assert_eq!(k1.pages.retained_len(), 3);
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 1);
+    scan_released(k1, p1, ch1, &mut a1);
+    // Close drops the file's pages; the same process opening it again
+    // starts from nothing.
+    k1.close(p1, ch1, &mut a1).unwrap();
+    assert_eq!(k1.pages.retained_len(), 0);
+    let ch1 = k1.open(p1, "/cached", true, &mut a1).unwrap();
+    assert_eq!(relock(k1, p1, ch1, &mut a1), 4);
+    scan_released(k1, p1, ch1, &mut a1);
+    // So does exit.
+    assert_eq!(k1.pages.retained_len(), 4);
+    k1.exit(p1, &mut a1).unwrap();
+    assert_eq!(k1.pages.retained_len(), 0);
+}
+
+// ----- A lost reply leaves nothing served ------------------------------------------
+
+#[test]
+fn a_lost_unlock_reply_leaves_nothing_served_from_the_released_lock() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = WireTap::install(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 4096, SHARED);
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    // The storage site releases the lock; the reply never arrives.
+    *tap.fault.lock() = Some(("LockReq", locus_net::FaultDecision::DropReply));
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    assert!(k1.unlock(p1, ch1, 4096, &mut a1).is_err());
+    // So nothing refuses site 0's write, and site 1 reads it.
+    commit_at_site0(&c, ByteRange::new(0, 64), 9);
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![9u8; 64]);
+}
+
+#[test]
+fn a_lost_close_reply_leaves_nothing_served_from_the_released_locks() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = WireTap::install(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 4096, SHARED);
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    // Commit and unlock-all are processed; the batch's reply is lost, and
+    // the channel stays open.
+    *tap.fault.lock() = Some(("Batch", locus_net::FaultDecision::DropReply));
+    assert!(k1.close(p1, ch1, &mut a1).is_err());
+    commit_at_site0(&c, ByteRange::new(0, 64), 9);
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![9u8; 64]);
+}
+
+#[test]
+fn a_lost_abort_reply_leaves_no_reverted_bytes_served() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 4096);
+    let tap = WireTap::install(&c);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let ex = LockRequestMode::Exclusive;
+    let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 1024, ex);
+    k1.write(p1, ch1, b"mine", &mut a1).unwrap();
+    // The read brings page 0, the process's own bytes on it, into the cache.
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    assert_eq!(
+        k1.read(p1, ch1, 8, &mut a1).unwrap(),
+        b"mine\x07\x07\x07\x07"
+    );
+    *tap.fault.lock() = Some(("AbortReq", locus_net::FaultDecision::DropReply));
+    assert!(k1.abort_file(p1, ch1, &mut a1).is_err());
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    assert_eq!(k1.read(p1, ch1, 8, &mut a1).unwrap(), vec![7u8; 8]);
 }
 
 // ----- The caller's range as it came ---------------------------------------------
@@ -1956,7 +2289,7 @@ fn a_range_from_another_site_that_overflows_is_refused_by_every_handler() {
             append: false,
             wait: true,
             reply_site: SiteId(1),
-            fetch: false,
+            fetch: None,
         }),
     ];
     for req in requests {
@@ -2020,7 +2353,7 @@ fn an_append_lock_request_from_another_site_that_overflows_is_refused() {
                 append: true,
                 wait: true,
                 reply_site: SiteId(1),
-                fetch: false,
+                fetch: None,
             });
             let resp = k1.rpc(SiteId(0), req, &mut a1);
             assert!(

@@ -17,6 +17,6 @@ pub mod msg;
 pub mod transport;
 pub mod wire;
 
-pub use msg::{FileMsg, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
+pub use msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 pub use transport::{FaultDecision, FaultInjector, SimTransport, SiteHandler, Transport};
 pub use wire::{decode as decode_msg, encode as encode_msg};

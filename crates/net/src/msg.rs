@@ -15,8 +15,8 @@
 //! [`crate::wire`].
 
 use locus_types::{
-    ByteRange, Error, Fid, FileListEntry, LockClass, LockRequestMode, Owner, PageData, PageNo, Pid,
-    Service, SiteId, TransId, TxnStatus,
+    ByteRange, Error, Fid, FileListEntry, GrantPage, LockClass, LockRequestMode, Owner, PageData,
+    PageNo, Pid, Service, SiteId, TransId, TxnStatus,
 };
 
 /// Filesystem data plane: remote open/read/write and the single-file
@@ -77,6 +77,19 @@ pub enum FileMsg {
     AbortReq { fid: Fid, owner: Owner },
 }
 
+/// What the requester of a shared grant already holds of the pages the grant
+/// would ship, in [`ReplicaMsg::PullReq`]'s form: the install version of each
+/// page of the ship window from its first (0: nothing held), and the
+/// incarnation of the storage site they were shipped by.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Held {
+    /// The storage site's boot epoch when it shipped the held pages.
+    pub boot_epoch: u64,
+    /// The file's replication epoch then.
+    pub repl_epoch: u64,
+    pub have: Vec<u64>,
+}
+
 /// Record locking: `Lock(file, length, mode)` forwarding (Section 5.1) and
 /// grant pushes.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +98,8 @@ pub enum LockMsg {
     /// atomic extend-and-lock of Section 3.2; `wait` selects queueing over a
     /// conflict error. `fetch` asks for the first pages of the granted range
     /// to come back with the grant (Section 5.2 "prefetches the locked
-    /// pages"): a shared, non-append lock outside any transaction only.
+    /// pages"), except those it holds a current copy of: a shared, non-append
+    /// lock outside any transaction only.
     Req {
         fid: Fid,
         pid: Pid,
@@ -96,16 +110,17 @@ pub enum LockMsg {
         append: bool,
         wait: bool,
         reply_site: SiteId,
-        fetch: bool,
+        fetch: Option<Held>,
     },
     /// Lock granted; the effective range is returned (append-mode locks are
-    /// placed relative to end-of-file by the storage site). The rest is
-    /// [`FileMsg::ReadResp`] for the bytes a `fetch` asked for, else empty.
+    /// placed relative to end-of-file by the storage site), with the storage
+    /// site's boot epoch, and — for a `fetch` — the file's committed length
+    /// and the window's pages, else none.
     Resp {
         granted: ByteRange,
-        data: Vec<u8>,
+        epoch: u64,
         committed_len: u64,
-        vers: Vec<u64>,
+        pages: Vec<GrantPage>,
     },
     /// One-way notification: a queued lock request has been granted.
     Granted {
@@ -301,7 +316,7 @@ impl Msg {
                 FileMsg::AbortReq { .. } => "AbortReq",
             },
             Msg::Lock(m) => match m {
-                LockMsg::Req { fetch: true, .. } => "LockReq+Fetch",
+                LockMsg::Req { fetch: Some(_), .. } => "LockReq+Fetch",
                 LockMsg::Req { .. } => "LockReq",
                 LockMsg::Resp { .. } => "LockResp",
                 LockMsg::Granted { .. } => "LockGranted",
@@ -340,8 +355,14 @@ impl Msg {
     pub fn pages_carried(&self, page_size: usize) -> u64 {
         let bytes = match self {
             Msg::File(FileMsg::ReadResp { data, .. })
-            | Msg::File(FileMsg::WriteReq { data, .. })
-            | Msg::Lock(LockMsg::Resp { data, .. }) => data.len(),
+            | Msg::File(FileMsg::WriteReq { data, .. }) => data.len(),
+            Msg::Lock(LockMsg::Resp { pages, .. }) => pages
+                .iter()
+                .map(|p| match p {
+                    GrantPage::Shipped { data, .. } => data.len(),
+                    GrantPage::Current => 0,
+                })
+                .sum(),
             Msg::Proc(ProcMsg::Migrate { blob, .. }) => blob.len(),
             Msg::Replica(ReplicaMsg::Sync { pages, .. })
             | Msg::Replica(ReplicaMsg::PullResp { pages, .. }) => {
@@ -394,16 +415,25 @@ mod tests {
         });
         assert_eq!(m.pages_carried(1024), 3);
         assert_eq!(Msg::Ok.pages_carried(1024), 0);
-        // A grant pays for the pages it carries, and a bare one for none.
-        let grant = |data: Vec<u8>| {
+        // A grant pays for the pages it carries — not for those it names
+        // current — and a bare one for none.
+        let shipped = |len| GrantPage::Shipped {
+            vers: 1,
+            clean: true,
+            data: PageData::new(vec![0; len]),
+        };
+        let grant = |pages: Vec<GrantPage>| {
             Msg::Lock(LockMsg::Resp {
                 granted: ByteRange::new(0, 4096),
-                committed_len: data.len() as u64,
-                vers: vec![1; data.len().div_ceil(1024)],
-                data,
+                epoch: 0,
+                committed_len: 4096,
+                pages,
             })
         };
-        assert_eq!(grant(vec![0; 4096]).pages_carried(1024), 4);
+        assert_eq!(grant(vec![shipped(1024); 4]).pages_carried(1024), 4);
+        let mixed = vec![shipped(24), GrantPage::Current, shipped(1024)];
+        assert_eq!(grant(mixed).pages_carried(1024), 2);
+        assert_eq!(grant(vec![GrantPage::Current; 4]).pages_carried(1024), 0);
         assert_eq!(grant(vec![]).pages_carried(1024), 0);
     }
 
@@ -470,9 +500,9 @@ mod tests {
                 fetch,
             })
         };
-        assert_eq!(lock(false).kind(), "LockReq");
-        assert_eq!(lock(true).kind(), "LockReq+Fetch");
-        assert_eq!(lock(true).service(), Service::Lock);
+        assert_eq!(lock(None).kind(), "LockReq");
+        assert_eq!(lock(Some(Held::default())).kind(), "LockReq+Fetch");
+        assert_eq!(lock(Some(Held::default())).service(), Service::Lock);
         assert_eq!(
             Msg::from(LockMsg::UnlockAll {
                 fid: Fid::new(VolumeId(0), 1),

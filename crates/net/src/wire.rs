@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 4): a version byte, then a service tag, then a variant
+//! Layout (version 5): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -19,13 +19,15 @@
 use locus_types::codec::{from_bytes, to_bytes, Dec, Enc, Wire};
 use locus_types::{wire, TxnStatus};
 
-use crate::msg::{FileMsg, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
+use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 
 /// Format version byte, bumped on incompatible layout changes. Version 2
 /// introduced the service-grouped tag space and `Batch`; version 3 gave
 /// `ReadReq` and `WriteReq` their `lock` flag; version 4 gave `LockReq` its
-/// `fetch` flag and `LockResp` the `ReadResp` triple it answers with.
-pub const WIRE_VERSION: u8 = 4;
+/// `fetch` flag and `LockResp` the `ReadResp` triple it answers with;
+/// version 5 made `fetch` the held stamps of the ship window and `LockResp`
+/// the storage site's boot epoch and one entry per window page.
+pub const WIRE_VERSION: u8 = 5;
 
 // 7 and 10 were PrefetchReq / PrefetchResp (retired) and stay unassigned.
 wire!(enum FileMsg {
@@ -41,9 +43,11 @@ wire!(enum FileMsg {
 });
 
 // 4, 5 and 6 carried lock-control migration (retired) and stay unassigned.
+wire!(struct Held { boot_epoch, repl_epoch, have });
+
 wire!(enum LockMsg {
     0 => Req { fid, pid, tid, mode, class, range, append, wait, reply_site, fetch },
-    1 => Resp { granted, data, committed_len, vers },
+    1 => Resp { granted, epoch, committed_len, pages },
     2 => Granted { fid, pid, range },
     3 => UnlockAll { fid, pid },
 });
@@ -146,8 +150,8 @@ mod tests {
     use super::*;
     use locus_types::codec::assert_pinned;
     use locus_types::{
-        ByteRange, Error, Fid, FileListEntry, LockClass, LockRequestMode, Owner, PageData, PageNo,
-        Pid, SiteId, TransId, VolumeId,
+        ByteRange, Error, Fid, FileListEntry, GrantPage, LockClass, LockRequestMode, Owner,
+        PageData, PageNo, Pid, SiteId, TransId, VolumeId,
     };
 
     fn fid() -> Fid {
@@ -245,13 +249,24 @@ mod tests {
                 append: true,
                 wait: true,
                 reply_site: SiteId(2),
-                fetch: true,
+                fetch: Some(Held {
+                    boot_epoch: 3,
+                    repl_epoch: 1,
+                    have: vec![9, 0],
+                }),
             }),
             Msg::Lock(LockMsg::Resp {
                 granted: ByteRange::new(100, 50),
-                data: vec![1, 2, 3],
+                epoch: 2,
                 committed_len: 30,
-                vers: vec![4],
+                pages: vec![
+                    GrantPage::Shipped {
+                        vers: 4,
+                        clean: true,
+                        data: PageData::new(vec![1, 2, 3]),
+                    },
+                    GrantPage::Current,
+                ],
             }),
             Msg::Lock(LockMsg::Granted {
                 fid: fid(),
@@ -332,7 +347,7 @@ mod tests {
                 append: false,
                 wait: false,
                 reply_site: SiteId(1),
-                fetch: false,
+                fetch: None,
             }),
             Msg::Batch(vec![
                 Msg::Txn(TxnMsg::Prepare {
@@ -393,7 +408,8 @@ mod tests {
     /// recorded under: 02 for all but `ReadReq` and `WriteReq`, re-recorded
     /// at 03 when they gained `lock`, and `LockReq` (both samples) and
     /// `LockResp`, re-recorded at 04 when they gained `fetch` and the pages
-    /// it asks for. What is pinned is the body after it.
+    /// it asks for, and at 05 when `fetch` became the held stamps and the
+    /// pages one entry each. What is pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
         const GOLDEN: [&str; 56] = [
@@ -416,10 +432,11 @@ mod tests {
             "02040304000000000000000010000000000000020000000000000002000000000000001000000001\
              01010101010101010101010101010102000000080000000000000010000000020202020202020202\
              02020202020202",
-            "0401000200000009000000070000000100000001030000002c000000000000000100640000000000\
-             0000320000000000000001010200000001",
-            "04010164000000000000003200000000000000030000000102031e00000000000000010000000400\
-             000000000000",
+            "0501000200000009000000070000000100000001030000002c000000000000000100640000000000\
+             00003200000000000000010102000000010300000000000000010000000000000002000000090000\
+             00000000000000000000000000",
+            "0501016400000000000000320000000000000002000000000000001e000000000000000200000001\
+             0400000000000000010300000001020300",
             "0201020200000009000000070000000100000000000000000000000800000000000000",
             "02010302000000090000000700000001000000",
             "020200070000000100000020000000ababababababababababababababababababababababababab\
@@ -439,7 +456,7 @@ mod tests {
             "02030600",
             "02030601",
             "02030603",
-            "04010002000000090000000700000001000000000201000000000000000001000000000000000000\
+            "05010002000000090000000700000001000000000201000000000000000001000000000000000000\
              0100000000",
             "0205030000000300030000002c000000000000000000000001000000020000000900000000000000\
              00000000010302000000090000000700000001000000000802000000090000000107000000010000\
@@ -471,7 +488,7 @@ mod tests {
         assert_eq!(samples.len(), GOLDEN.len());
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
-            assert!(["02", "03", "04"].contains(&version), "the version byte");
+            assert!(["02", "03", "05"].contains(&version), "the version byte");
             assert_pinned(msg, body);
             assert_eq!(encode(msg)[0], WIRE_VERSION);
         }

@@ -7,10 +7,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use locus_net::{decode_msg, encode_msg, FileMsg, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
+use locus_net::{decode_msg, encode_msg, FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 use locus_types::{
-    ByteRange, Error, Fid, FileListEntry, LockClass, LockRequestMode, Owner, PageData, PageNo, Pid,
-    SiteId, TransId, TxnStatus, VolumeId,
+    ByteRange, Error, Fid, FileListEntry, GrantPage, LockClass, LockRequestMode, Owner, PageData,
+    PageNo, Pid, SiteId, TransId, TxnStatus, VolumeId,
 };
 
 fn site() -> impl Strategy<Value = SiteId> {
@@ -92,6 +92,25 @@ fn file_msg() -> BoxedStrategy<FileMsg> {
     .boxed()
 }
 
+fn held() -> impl Strategy<Value = Option<Held>> {
+    let held = (any::<u64>(), any::<u64>(), vec(any::<u64>(), 0..5)).prop_map(
+        |(boot_epoch, repl_epoch, have)| Held {
+            boot_epoch,
+            repl_epoch,
+            have,
+        },
+    );
+    prop_oneof![Just(None), held.prop_map(Some)]
+}
+
+fn grant_page() -> impl Strategy<Value = GrantPage> {
+    prop_oneof![
+        Just(GrantPage::Current),
+        (any::<u64>(), any::<bool>(), page_data())
+            .prop_map(|(vers, clean, data)| GrantPage::Shipped { vers, clean, data }),
+    ]
+}
+
 fn lock_msg() -> BoxedStrategy<LockMsg> {
     let req = (
         fid(),
@@ -107,7 +126,7 @@ fn lock_msg() -> BoxedStrategy<LockMsg> {
             Just(LockClass::NonTransaction)
         ],
         range(),
-        (any::<bool>(), any::<bool>(), any::<bool>()),
+        (any::<bool>(), any::<bool>(), held()),
         site(),
     )
         .prop_map(
@@ -126,12 +145,12 @@ fn lock_msg() -> BoxedStrategy<LockMsg> {
         );
     prop_oneof![
         req,
-        (range(), payload(), any::<u64>(), vec(any::<u64>(), 0..4)).prop_map(
-            |(granted, data, committed_len, vers)| LockMsg::Resp {
+        (range(), any::<u64>(), any::<u64>(), vec(grant_page(), 0..5)).prop_map(
+            |(granted, epoch, committed_len, pages)| LockMsg::Resp {
                 granted,
-                data,
+                epoch,
                 committed_len,
-                vers,
+                pages,
             }
         ),
         (fid(), pid(), range()).prop_map(|(fid, pid, range)| LockMsg::Granted { fid, pid, range }),

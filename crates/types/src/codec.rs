@@ -20,7 +20,7 @@ use crate::id::{Channel, Fid, InodeNo, PageNo, PhysPage, Pid, SiteId, TransId, V
 use crate::lockmode::{LockClass, LockMode, LockRequestMode};
 use crate::pagedata::PageData;
 use crate::proto::{
-    FileListEntry, IntentionsEntry, IntentionsList, LockDescriptor, Owner, TxnStatus,
+    FileListEntry, GrantPage, IntentionsEntry, IntentionsList, LockDescriptor, Owner, TxnStatus,
 };
 use crate::range::ByteRange;
 
@@ -459,6 +459,7 @@ wire!(struct IntentionsEntry { page, new_phys, old_phys, old_vers, ranges });
 // Not declaration order: the new length travels before the entries.
 wire!(struct IntentionsList { fid, new_len, entries });
 wire!(struct LockDescriptor { pid, tid, mode, class, range, retained });
+wire!(enum GrantPage { 0 => Current, 1 => Shipped { vers, clean, data } });
 
 // Every error class has its own tag so a decoded error is the error that was
 // raised — callers match on variants for control flow, and a collapse to a

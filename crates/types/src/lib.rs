@@ -24,7 +24,9 @@ pub use id::{Channel, Fid, InodeNo, PageNo, PhysPage, Pid, SiteId, TransId, Volu
 pub use journal::{CoordLogRecord, JournalEntry, JournalKey, JournalOp, PrepareLogRecord};
 pub use lockmode::{AccessKind, LockClass, LockMode, LockRequestMode};
 pub use pagedata::PageData;
-pub use proto::{FileListEntry, IntentionsEntry, IntentionsList, LockDescriptor, Owner, TxnStatus};
+pub use proto::{
+    FileListEntry, GrantPage, IntentionsEntry, IntentionsList, LockDescriptor, Owner, TxnStatus,
+};
 pub use range::ByteRange;
 pub use service::Service;
 

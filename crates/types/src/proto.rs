@@ -9,6 +9,7 @@ use std::fmt;
 
 use crate::id::{Fid, PageNo, PhysPage, Pid, SiteId, TransId};
 use crate::lockmode::{LockClass, LockMode};
+use crate::pagedata::PageData;
 use crate::range::ByteRange;
 
 /// Who owns an uncommitted modification or a lock: a transaction (all of its
@@ -157,6 +158,24 @@ pub struct FileListEntry {
     /// buffers (possibly holding acked writes) were lost, so it must vote
     /// no even if post-reboot activity re-established dirty state.
     pub epoch: u64,
+}
+
+/// One page of the window a shared grant ships (Section 5.2: the storage
+/// site "prefetches the locked pages"), in window order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GrantPage {
+    /// The requester's held copy is this page as it stands: the storage site
+    /// neither read nor shipped it.
+    Current,
+    /// The page's bytes within the window, its install version (`u64::MAX`
+    /// when another owner's uncommitted bytes are on it: not cacheable), and
+    /// whether it is *clean* — nobody's uncommitted bytes are on it, so the
+    /// bytes are the committed image at that version.
+    Shipped {
+        vers: u64,
+        clean: bool,
+        data: PageData,
+    },
 }
 
 /// Status marker in the coordinator log (Section 4.2): initially `Unknown`,

@@ -156,12 +156,12 @@ type Decoder = fn(&[u8]) -> bool;
 /// thing that ever put a lock list on the wire.
 fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
     use locus::fs::inode::Inode;
-    use locus::net::{decode_msg, encode_msg, Msg, ProcMsg, TxnMsg};
+    use locus::net::{decode_msg, encode_msg, Held, LockMsg, Msg, ProcMsg, TxnMsg};
     use locus::proc::record::{OpenFile, ProcessRecord};
     use locus::types::{
-        CoordLogRecord, Fid, FileListEntry, IntentionsEntry, IntentionsList, JournalEntry,
-        JournalOp, LockClass, LockDescriptor, LockMode, PageNo, PhysPage, Pid, PrepareLogRecord,
-        SiteId, TransId, TxnStatus, VolumeId,
+        CoordLogRecord, Fid, FileListEntry, GrantPage, IntentionsEntry, IntentionsList,
+        JournalEntry, JournalOp, LockClass, LockDescriptor, LockMode, PageData, PageNo, PhysPage,
+        Pid, PrepareLogRecord, SiteId, TransId, TxnStatus, VolumeId,
     };
 
     let fid = Fid::new(VolumeId(1), 4);
@@ -185,6 +185,37 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
             top: pid,
             from: Pid::new(SiteId(0), 1),
             entries: vec![file],
+        }),
+        // A shared grant's request with its held stamps, and the answer:
+        // one page current, one shipped.
+        Msg::Lock(LockMsg::Req {
+            fid,
+            pid,
+            tid: None,
+            mode: LockRequestMode::Shared,
+            class: LockClass::NonTransaction,
+            range: ByteRange::new(0, 4096),
+            append: false,
+            wait: true,
+            reply_site: SiteId(1),
+            fetch: Some(Held {
+                boot_epoch: 2,
+                repl_epoch: 1,
+                have: vec![7, 0, 9],
+            }),
+        }),
+        Msg::Lock(LockMsg::Resp {
+            granted: ByteRange::new(0, 4096),
+            epoch: 2,
+            committed_len: 4096,
+            pages: vec![
+                GrantPage::Current,
+                GrantPage::Shipped {
+                    vers: 8,
+                    clean: true,
+                    data: PageData::new(vec![5; 24]),
+                },
+            ],
         }),
     ]);
     let coord = CoordLogRecord {

@@ -8,6 +8,7 @@
 # [dev-dependencies], whose identifier never appears as a path, macro or
 # import in that package's sources (src/, tests/, benches/, examples/).
 #
+# Comment lines do not count: a dependency named only in a doc link fails.
 # It sees names, not meaning: a dependency whose only use is a derive that
 # expands to nothing (the vendored serialization shim deleted in PR 17) passes
 # here and has to be found by reading the shim.
@@ -32,7 +33,12 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     done
     for dep in $deps; do
         ident=${dep//-/_}
-        if ! grep -rqE "\b${ident}(::|!)|\buse\s+${ident}\s*(;|as\b)" "${dirs[@]}"; then
+        # A mention on a comment line (a doc link, say) is not a use. The
+        # matches are collected whole: a `-q` reader that stops early would
+        # fail the pipeline with the writer's SIGPIPE.
+        uses=$(grep -rhE "\b${ident}(::|!)|\buse\s+${ident}\s*(;|as\b)" "${dirs[@]}" |
+            grep -vE '^\s*//' || true)
+        if [ -z "$uses" ]; then
             echo "UNUSED: $crate declares $dep but never references $ident" >&2
             fail=1
         fi

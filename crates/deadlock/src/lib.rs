@@ -7,7 +7,7 @@
 //! be implemented." (Section 3.1.)
 //!
 //! This crate is that system process: it gathers each site's
-//! [`locus_locks::LockTableSnapshot`], assembles the global wait-for graph,
+//! `locus_locks::LockTableSnapshot`, assembles the global wait-for graph,
 //! finds cycles by depth-first search, picks victims under a pluggable
 //! policy, and aborts them through the transaction facility.
 

@@ -23,7 +23,7 @@ mod tests {
 
     use locus_disk::SimDisk;
     use locus_sim::{Account, CostModel, Counters, EventLog};
-    use locus_types::{ByteRange, Owner, Pid, SiteId, TransId, TxnStatus, VolumeId};
+    use locus_types::{ByteRange, GrantPage, Owner, Pid, SiteId, TransId, TxnStatus, VolumeId};
 
     use super::*;
 
@@ -419,6 +419,78 @@ mod tests {
             .unwrap();
         let got = v.read(fid, ByteRange::new(2, 100), &mut a).unwrap();
         assert_eq!(got, b"cd");
+    }
+
+    /// `read_grant` for a reader that holds nothing: its bytes, per-page
+    /// versions and committed length, and what it charged.
+    fn shipped_to(
+        v: &Volume,
+        fid: locus_types::Fid,
+        owner: Owner,
+        range: ByteRange,
+        a: &mut Account,
+    ) -> (Vec<u8>, Vec<u64>, u64, Account) {
+        let before = a.clone();
+        let (committed_len, pages) = v.read_grant(fid, owner, range, &[], a).unwrap();
+        let (mut bytes, mut versions) = (Vec::new(), Vec::new());
+        for page in pages {
+            let GrantPage::Shipped { vers, data, .. } = page else {
+                panic!("a page named current to a reader that holds none");
+            };
+            bytes.extend_from_slice(&data);
+            versions.push(vers);
+        }
+        (bytes, versions, committed_len, a.delta_since(&before))
+    }
+
+    #[test]
+    fn a_reader_that_holds_nothing_is_shipped_what_read_returns() {
+        let (v, mut a) = vol();
+        let ps = CostModel::default().page_size as u64;
+        let fid = v.create_file(&mut a).unwrap();
+        let (me, other) = (proc_owner(1), proc_owner(2));
+        // Committed: four bytes on page 0 and four on page 2; page 1 is a
+        // hole no write materialized.
+        v.write(fid, me, ByteRange::new(0, 4), b"abcd", &mut a)
+            .unwrap();
+        v.write(fid, me, ByteRange::new(2 * ps, 4), b"efgh", &mut a)
+            .unwrap();
+        v.commit_file(fid, me, &mut a).unwrap();
+        let committed = v.replica_versions(fid, &mut a);
+        // Uncommitted: the reader's own bytes on page 0, another owner's on
+        // page 2, which they extend.
+        v.write(fid, me, ByteRange::new(8, 2), b"MM", &mut a)
+            .unwrap();
+        v.write(fid, other, ByteRange::new(2 * ps + 4, 4), b"OOOO", &mut a)
+            .unwrap();
+        // Clipped mid-page 2 at the visible length, 2 * ps + 8.
+        let range = ByteRange::new(2, 3 * ps);
+        let want = v.read(fid, range, &mut a).unwrap();
+        let before = a.clone();
+        v.read(fid, range, &mut a).unwrap();
+        let read_cost = a.delta_since(&before);
+        let (data, vers, committed_len, cost) = shipped_to(&v, fid, me, range, &mut a);
+        assert_eq!(data, want);
+        assert_eq!(data.len() as u64, 2 * ps + 6);
+        assert_eq!(&data[..8], b"cd\0\0\0\0MM");
+        assert!(data[8..2 * ps as usize - 2].iter().all(|b| *b == 0));
+        assert_eq!(&data[2 * ps as usize - 2..], b"efghOOOO");
+        // The reader's own bytes keep the page's version; another owner's
+        // make it uncacheable.
+        let page1 = committed.get(1).copied().unwrap_or(0);
+        assert_eq!(vers, [committed[0], page1, Volume::VERS_UNCACHEABLE]);
+        assert_eq!(committed_len, 2 * ps + 4);
+        // One buffer hit per page, as the read paid.
+        assert_eq!(
+            (cost.elapsed, cost.cpu_home, cost.disk_reads),
+            (read_cost.elapsed, read_cost.cpu_home, read_cost.disk_reads)
+        );
+        // An empty range, and one past the visible length, ship nothing.
+        for range in [ByteRange::new(5, 0), ByteRange::new(4 * ps, 10)] {
+            let (data, vers, committed_len, _) = shipped_to(&v, fid, me, range, &mut a);
+            assert!(data.is_empty() && vers.is_empty());
+            assert_eq!(committed_len, 2 * ps + 4);
+        }
     }
 
     #[test]

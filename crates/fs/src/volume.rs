@@ -227,24 +227,13 @@ impl Volume {
 
     /// Reads `range`, clipped to the visible length. Uncommitted data is
     /// visible (Section 5: uncommitted changes "are generally visible").
+    /// Copies whole page slices at a time; bytes past a buffer's
+    /// materialized length read as zero.
     pub fn read(&self, fid: Fid, range: ByteRange, acct: &mut Account) -> Result<Vec<u8>> {
         let ino = self.check_fid(fid)?;
         let mut st = self.state.lock();
-        self.read_clipped(&mut st, ino, range, acct)
-    }
-
-    /// The clipped-read core shared by [`Volume::read`] and
-    /// [`Volume::read_with_meta`]. Copies whole page slices at a time; bytes
-    /// past a buffer's materialized length read as zero.
-    fn read_clipped(
-        &self,
-        st: &mut VolState,
-        ino: InodeNo,
-        range: ByteRange,
-        acct: &mut Account,
-    ) -> Result<Vec<u8>> {
-        self.load_inode(st, ino, acct)?;
-        let clipped = Self::visible_part(st, ino, range);
+        self.load_inode(&mut st, ino, acct)?;
+        let clipped = Self::visible_part(&st, ino, range);
         let ps = self.page_size();
         let mut out = vec![0u8; clipped.len as usize];
         for page in clipped.pages(ps) {
@@ -253,7 +242,7 @@ impl Volume {
                 .expect("page yielded by range");
             let page_base = u64::from(page.0) * ps as u64;
             let dst_off = (page_base + slice.start - clipped.start) as usize;
-            self.ensure_buffer(st, ino, page, acct)?;
+            self.ensure_buffer(&mut st, ino, page, acct)?;
             let dst = &mut out[dst_off..dst_off + slice.len as usize];
             copy_out(&st.files[&ino].buffers[&page].current, slice, dst);
         }
@@ -309,45 +298,17 @@ impl Volume {
             })
     }
 
-    /// [`Volume::read`] plus the metadata a remote reader needs to cache the
-    /// result coherently: the file's *committed* length and, for each page of
-    /// the clipped range (in `range.pages` order), the page's install
-    /// version — or [`Volume::VERS_UNCACHEABLE`] when the page carries
-    /// uncommitted bytes from an owner other than `owner`, whose later abort
-    /// could revert bytes the reader legitimately saw.
-    pub fn read_with_meta(
-        &self,
-        fid: Fid,
-        owner: Owner,
-        range: ByteRange,
-        acct: &mut Account,
-    ) -> Result<(Vec<u8>, u64, Vec<u64>)> {
-        let ino = self.check_fid(fid)?;
-        let mut st = self.state.lock();
-        let data = self.read_clipped(&mut st, ino, range, acct)?;
-        let committed_len = st.incore[&ino].len;
-        let clipped = ByteRange::new(range.start, data.len() as u64);
-        let ps = self.page_size();
-        let mut vers = Vec::new();
-        for page in clipped.pages(ps) {
-            let (_, foreign) = Self::page_writers(&st, ino, page, owner);
-            vers.push(if foreign {
-                Self::VERS_UNCACHEABLE
-            } else {
-                st.incore[&ino].page_version(page)
-            });
-        }
-        Ok((data, committed_len, vers))
-    }
-
-    /// What a shared grant ships of `window` (the caller's ship window,
-    /// clipped here to the visible length), page by page, to a requester that
-    /// holds install version `have[i]` of the window's `i`-th page (0: holds
-    /// nothing). A page still at that version with nobody's uncommitted
-    /// bytes on it is [`GrantPage::Current`]: neither read nor shipped,
-    /// charged a buffer hit's instructions. Every other page is read as
-    /// [`Volume::read_with_meta`] reads it and shipped with its version and
-    /// whether it is clean. Also returns the committed length.
+    /// Every page reply a remote reader gets: `window` (a read's range or a
+    /// shared grant's ship window), clipped to the visible length, page by
+    /// page, to a requester that holds install version `have[i]` of the
+    /// window's `i`-th page (0: holds nothing). A page still at that version
+    /// with nobody's uncommitted bytes on it is [`GrantPage::Current`]:
+    /// neither read nor shipped, charged a buffer hit's instructions. Every
+    /// other page is read as [`Volume::read`] reads it and shipped with its
+    /// install version — or [`Volume::VERS_UNCACHEABLE`] when an owner other
+    /// than `owner` has uncommitted bytes on it, whose later abort could
+    /// revert bytes the reader legitimately saw — and whether it is clean.
+    /// Also returns the file's *committed* length.
     pub fn read_grant(
         &self,
         fid: Fid,
@@ -389,7 +350,7 @@ impl Volume {
         Ok((st.incore[&ino].len, out))
     }
 
-    /// Install-version sentinel in [`Volume::read_with_meta`] output: "do not
+    /// Install-version sentinel in [`Volume::read_grant`] output: "do not
     /// cache this page".
     pub const VERS_UNCACHEABLE: u64 = u64::MAX;
 

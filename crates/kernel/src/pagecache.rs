@@ -27,9 +27,11 @@
 //!   shipped *clean* (nobody's uncommitted bytes on it: the committed image
 //!   at its install version) is kept, stamped with the storage site's
 //!   incarnation (site, boot epoch, the file's replication epoch) and its
-//!   install version; every other page is dropped. At most
+//!   install version; every other page is dropped. The stamp's incarnation
+//!   is the owner's one per file, so a page carries one flag: a grant
+//!   under another incarnation clears it on every live page. At most
 //!   [`FILE_BUFFER_CAP`] pages are kept per `(fid, owner)`, the least
-//!   recently validated going first.
+//!   recently validated going first, by one index keyed by validation tick.
 //! * **Revalidate at grant.** A shared grant's request names the kept pages
 //!   of its ship window by install version, and the storage site answers
 //!   each with "current" — still that version, under the same incarnation,
@@ -53,20 +55,16 @@
 //! and kept apart — so the reads of a scan search the few pages it has
 //! live, not the file's kept ones.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use locus_fs::volume::FILE_BUFFER_CAP;
+use locus_fs::volume::{Volume, FILE_BUFFER_CAP};
 use locus_net::Held;
 use locus_types::{ByteRange, Fid, Owner, PageData, PageNo, SiteId};
 
 /// Stripe count; matches the lock cache so related state shards together.
 const SHARDS: usize = 16;
-
-/// Install-version sentinel: "this page must not be cached" (the storage
-/// site saw uncommitted bytes from another owner on it).
-pub const VERS_UNCACHEABLE: u64 = u64::MAX;
 
 /// The storage-site incarnation a grant shipped a clean page under. With the
 /// page's install version it is the page's stamp: a kept copy is current
@@ -88,12 +86,11 @@ struct PageEntry {
     /// The span's bytes (`span.len` of them), shared with whoever produced
     /// them.
     data: PageData,
-    /// The owner's `stamped` count when a grant shipped the page clean (0:
-    /// it did not): only such a page outlives its lock, and only while no
-    /// grant under another incarnation has answered since.
-    clean: u32,
+    /// Whether a grant shipped the page clean under the owner's current
+    /// `stamp`: only such a page outlives its lock.
+    clean: bool,
     /// The shard's clock when the page was last validated — shipped, or
-    /// named current.
+    /// named current. Unique in the shard: each tick is one validation.
     validated: u64,
 }
 
@@ -103,56 +100,39 @@ struct OwnerPages {
     /// Write generation; see the module docs.
     gen: u64,
     /// The incarnation of the last grant that shipped to this owner; every
-    /// kept page was shipped clean under it.
+    /// kept page, and every live page marked clean, was shipped clean under
+    /// it.
     stamp: Option<Incarnation>,
-    /// How many times `stamp` has changed.
-    stamped: u32,
     /// The pages reads are served from.
     live: BTreeMap<PageNo, PageEntry>,
     /// Released pages: kept for a grant to name current, never served. A
     /// page is live or kept, never both.
     kept: BTreeMap<PageNo, PageEntry>,
-    /// `(validation tick, page)` of every kept page, least recently
-    /// validated first — and of pages since named current or dropped, which
-    /// are skipped when met.
-    by_age: VecDeque<(u64, PageNo)>,
+    /// Every kept page by its validation tick: the first is the least
+    /// recently validated.
+    by_age: BTreeMap<u64, PageNo>,
 }
 
 impl OwnerPages {
     fn keep(&mut self, page: PageNo, e: PageEntry) {
-        let tick = e.validated;
-        // Usually the latest: the page was validated by the grant whose
-        // lock is being released.
-        if self.by_age.back().is_none_or(|(t, _)| *t < tick) {
-            self.by_age.push_back((tick, page));
-        } else {
-            let at = self.by_age.partition_point(|(t, _)| *t < tick);
-            self.by_age.insert(at, (tick, page));
-        }
+        self.by_age.insert(e.validated, page);
         self.kept.insert(page, e);
     }
 
-    fn is_kept_at(&self, page: PageNo, tick: u64) -> bool {
-        self.kept.get(&page).is_some_and(|e| e.validated == tick)
+    /// Takes `page` out of the kept pages, if it is one.
+    fn unkeep(&mut self, page: PageNo) -> Option<PageEntry> {
+        let e = self.kept.remove(&page)?;
+        self.by_age.remove(&e.validated);
+        Some(e)
     }
 
-    /// Drops the least recently validated kept pages past the cap, and the
-    /// queue's skipped entries once they outnumber a cap's worth.
+    /// Drops the least recently validated kept pages past the cap.
     fn evict(&mut self) {
         while self.kept.len() > FILE_BUFFER_CAP {
-            let Some((tick, page)) = self.by_age.pop_front() else {
+            let Some((_, page)) = self.by_age.pop_first() else {
                 break;
             };
-            if self.is_kept_at(page, tick) {
-                self.kept.remove(&page);
-            }
-        }
-        if self.by_age.len() > self.kept.len() + FILE_BUFFER_CAP {
-            let by_age = std::mem::take(&mut self.by_age);
-            self.by_age = by_age
-                .into_iter()
-                .filter(|(tick, page)| self.is_kept_at(*page, *tick))
-                .collect();
+            self.kept.remove(&page);
         }
     }
 }
@@ -232,7 +212,7 @@ impl PageCache {
             o.live.remove(&page);
         }
         for page in overlapping(&o.kept, range, page_size) {
-            o.kept.remove(&page);
+            o.unkeep(page);
         }
     }
 
@@ -255,7 +235,8 @@ impl PageCache {
 
     /// [`PageCache::insert`] for a page a grant shipped: `clean` is the
     /// incarnation it was shipped under when nobody's uncommitted bytes were
-    /// on it, which is what lets it outlive the lock.
+    /// on it, which is what lets it outlive the lock. A same-version merge
+    /// is clean only if both halves are.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_shipped(
         &self,
@@ -268,7 +249,7 @@ impl PageCache {
         gen_at_read: u64,
         clean: Option<Incarnation>,
     ) -> bool {
-        if vers == VERS_UNCACHEABLE || span.is_empty() || span.len as usize != data.len() {
+        if vers == Volume::VERS_UNCACHEABLE || span.is_empty() || span.len as usize != data.len() {
             return false;
         }
         let mut guard = self.shard(fid).lock();
@@ -278,13 +259,9 @@ impl PageCache {
             return false;
         }
         // A kept copy never merges with live bytes: it is replaced.
-        o.kept.remove(&page);
+        o.unkeep(page);
         sh.clock += 1;
-        let clean = if clean.is_some() && clean == o.stamp {
-            o.stamped
-        } else {
-            0
-        };
+        let clean = clean.is_some() && clean == o.stamp;
         let fresh = PageEntry {
             vers,
             span,
@@ -310,7 +287,7 @@ impl PageCache {
                 *e = PageEntry {
                     span: merged,
                     data: PageData::new(buf),
-                    clean: if e.clean == clean { clean } else { 0 },
+                    clean: e.clean && clean,
                     ..fresh
                 };
             }
@@ -360,7 +337,7 @@ impl PageCache {
         };
         for page in overlapping(&o.live, range, page_size) {
             let e = o.live.remove(&page).expect("listed above");
-            if e.clean != 0 && e.clean == o.stamped {
+            if e.clean {
                 o.keep(page, e);
             }
         }
@@ -393,17 +370,11 @@ impl PageCache {
                 ..Held::default()
             };
         };
-        let mut pages = window.pages(page_size).peekable();
-        let on_window = match (pages.peek().copied(), window.last_page(page_size)) {
-            (Some(first), Some(last)) => o.kept.range(first..=last),
-            _ => o.kept.range(PageNo(1)..PageNo(1)),
-        };
-        let mut on_window = on_window.peekable();
-        let mut have: Vec<u64> = pages
+        let mut have: Vec<u64> = window
+            .pages(page_size)
             .map(|page| {
-                let e = on_window.next_if(|(p, _)| **p == page).map(|(_, e)| e);
                 let slice = window.slice_on_page(page, page_size);
-                match e {
+                match o.kept.get(&page) {
                     Some(e) if slice.is_some_and(|s| s.contains_range(&e.span)) => e.vers,
                     _ => 0,
                 }
@@ -420,15 +391,18 @@ impl PageCache {
     }
 
     /// A grant answered under incarnation `inc`: kept pages shipped under
-    /// any other can never be named current again, and go.
+    /// any other can never be named current again, and go; live pages
+    /// shipped under it stop being clean.
     pub(crate) fn note_incarnation(&self, fid: Fid, owner: Owner, inc: Incarnation) {
         let mut sh = self.shard(fid).lock();
         let o = sh.owners.entry((fid, owner)).or_default();
         if o.stamp != Some(inc) {
             o.stamp = Some(inc);
-            o.stamped += 1;
             o.kept.clear();
             o.by_age.clear();
+            for e in o.live.values_mut() {
+                e.clean = false;
+            }
         }
     }
 
@@ -452,7 +426,7 @@ impl PageCache {
         if o.gen != gen_at_read || vers == 0 || at != Some(vers) {
             return false;
         }
-        let mut e = o.kept.remove(&page).expect("looked up above");
+        let mut e = o.unkeep(page).expect("looked up above");
         sh.clock += 1;
         e.validated = sh.clock;
         o.live.insert(page, e);
@@ -650,7 +624,7 @@ mod tests {
     #[test]
     fn uncacheable_sentinel_is_rejected() {
         let c = PageCache::new();
-        assert!(!put(&c, 0, VERS_UNCACHEABLE, 0, &[1, 2]));
+        assert!(!put(&c, 0, Volume::VERS_UNCACHEABLE, 0, &[1, 2]));
         assert!(c.is_empty());
     }
 
@@ -859,5 +833,21 @@ mod tests {
         assert_eq!(c.retained_len(), FILE_BUFFER_CAP);
         assert_eq!(held(&c, pages(1)), [1]);
         assert_eq!(held(&c, window), [1]);
+        // Below the cap, the oldest kept page leaves by a write and the next
+        // oldest by fresh bytes (shipped again, so validated last of all).
+        let at = |page: u32| u64::from(page) * PS as u64;
+        c.note_write(fid(), owner(), ByteRange::new(at(cap - 2), 1), PS);
+        ship(&c, cap - 3, 1);
+        assert_eq!(c.retained_len(), FILE_BUFFER_CAP - 2);
+        for page in cap + 6..cap + 9 {
+            ship(&c, page, 1);
+        }
+        c.demote(fid(), owner(), ByteRange::new(at(cap - 3), 1), PS);
+        c.demote(fid(), owner(), ByteRange::new(at(cap + 6), at(3)), PS);
+        // Two past the cap: the two oldest still kept go, no page that left.
+        assert_eq!(c.retained_len(), FILE_BUFFER_CAP);
+        assert_eq!(held(&c, ByteRange::new(at(cap - 5), at(4))), [0, 0, 1]);
+        assert_eq!(held(&c, ByteRange::new(at(cap + 5), at(4))), [1, 1, 1, 1]);
+        assert_eq!(held(&c, ByteRange::new(at(cap - 7), at(2))), [1, 1]);
     }
 }

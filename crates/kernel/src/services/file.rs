@@ -6,13 +6,17 @@
 //! Server side: the storage-site handler for [`FileMsg`] requests.
 //!
 //! A transaction's `read` and `write` take their implicit lock on the way
-//! (Section 3.1). When the lock list and the data are at the same remote
-//! site the lock does not get a message of its own: the `ReadReq` /
-//! `WriteReq` goes out with `lock: true` and the storage site locks, then
-//! serves, in one round trip — or answers the lock's error with the file
-//! untouched. `Kernel::ensure_locked` decides whether the lock rides and
-//! `Kernel::lock_rode` applies what the answer means here; both are in
-//! [`crate::services::lock`], next to the explicit path they stand in for.
+//! (Section 3.1), and the lock never gets a message of its own: a
+//! transaction's data and the file's lock list are at the same site. To a
+//! remote site the `ReadReq` / `WriteReq` goes out with `lock: true` and the
+//! storage site locks, then serves, in one round trip — or answers the
+//! lock's error with the file untouched; for a file stored here the lock is
+//! this site's lock step. `Kernel::ensure_locked` decides whether the lock
+//! rides and `Kernel::lock_rode` applies what the answer means here; both
+//! are in [`crate::services::lock`], next to the explicit path.
+//!
+//! Every page reply — a `ReadResp` here, a shared grant's pages in the lock
+//! service — comes from one page walk, `Volume::read_grant`.
 
 use locus_net::{FileMsg, LockMsg, Msg};
 use locus_proc::OpenFile;
@@ -68,11 +72,19 @@ impl ServiceHandler for FileService {
                 }
                 k.locks.validate_access(fid, owner, pid, range, false)?;
                 let vol = k.volume(fid.volume)?;
-                let (data, committed_len, vers) = vol.read_with_meta(fid, owner, range, acct)?;
+                // A reader that holds nothing is shipped every page.
+                let (committed_len, pages) = vol.read_grant(fid, owner, range, &[], acct)?;
+                let (mut bytes, mut versions) = (Vec::new(), Vec::with_capacity(pages.len()));
+                for page in pages {
+                    if let GrantPage::Shipped { vers, data, .. } = page {
+                        bytes.extend_from_slice(&data);
+                        versions.push(vers);
+                    }
+                }
                 Ok(Msg::File(FileMsg::ReadResp {
-                    data,
+                    data: bytes,
                     committed_len,
-                    vers,
+                    vers: versions,
                 }))
             }
             FileMsg::WriteReq {
@@ -373,7 +385,7 @@ impl Kernel {
         let range = ByteRange::new(of.pos, len);
         check_range(range)?;
         let serve = self.read_site(&of, tid.is_some());
-        let lock = tid.is_some() && self.ensure_locked(pid, ch, &of, serve, range, false, acct)?;
+        let lock = tid.is_some() && self.ensure_locked(pid, &of, serve, range, false, acct)?;
         let owner = self.owner_of(pid);
         if serve == self.site {
             // Local fast path: exactly what the ReadReq handler would do,
@@ -613,7 +625,7 @@ impl Kernel {
         let range = ByteRange::new(of.pos, data.len() as u64);
         check_range(range)?;
         let serve = self.update_site(&of);
-        let lock = tid.is_some() && self.ensure_locked(pid, ch, &of, serve, range, true, acct)?;
+        let lock = tid.is_some() && self.ensure_locked(pid, &of, serve, range, true, acct)?;
         let owner = self.owner_of(pid);
         let write_epoch = if serve == self.site {
             // Local fast path: the WriteReq handler's work, sans message.

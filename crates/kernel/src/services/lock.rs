@@ -6,15 +6,15 @@
 //!
 //! A lock request reaches a lock list in one of two ways, and both end in
 //! `Kernel::storage_site_lock`: as a [`LockMsg::Req`] of its own (the
-//! `lock()` system call; an implicit lock whose list is here or at a site
-//! the access is not going to), or inside the `ReadReq` / `WriteReq` it
-//! guards (`lock: true`: a transaction's implicit lock when list and data are
-//! at the same remote site — `Kernel::ensure_locked` decides,
-//! `Kernel::serve_implicit_lock` serves, `Kernel::lock_rode` books the
-//! answer). Not a [`Msg::Batch`] of the two: a batch keeps going after a
-//! failing member, and the data handler's access check only refuses a
-//! *conflicting holder*, so a write batched behind a lock request that was
-//! merely queued would land with no lock.
+//! `lock()` system call), or as a transaction's implicit lock, which is
+//! always the lock step of the site that stores the data —
+//! `Kernel::ensure_locked` decides, `Kernel::serve_implicit_lock` serves and
+//! `Kernel::lock_rode` books the answer. When that site is remote the lock
+//! rides inside the `ReadReq` / `WriteReq` it guards (`lock: true`); when it
+//! is this site no message is built at all. Not a [`Msg::Batch`] of the two:
+//! a batch keeps going after a failing member, and the data handler's access
+//! check only refuses a *conflicting holder*, so a write batched behind a
+//! lock request that was merely queued would land with no lock.
 
 use std::sync::atomic::Ordering;
 
@@ -190,19 +190,17 @@ impl Kernel {
     /// Implicit two-phase locking on data access for transaction processes:
     /// the lock step of a read or write of `range` that `serve` will serve.
     ///
-    /// Returns `true` when the lock *rides the access* — the caller sends
-    /// its `ReadReq` / `WriteReq` with `lock: true` and hands the outcome to
-    /// [`Kernel::lock_rode`] — and `false` when the lock is already in hand.
-    /// It rides exactly when taking it here would cost a round trip to the
-    /// site the access is about to visit anyway: the lock cache does not
-    /// cover the range, the lock list is at the data site (`serve` is the
-    /// file's update site), and that site is remote. In every other case the
-    /// lock is taken now, as an explicit `lock(wait)` would take it.
-    #[allow(clippy::too_many_arguments)]
+    /// A transaction's reads and writes both go to the file's update site,
+    /// which keeps its lock list, so the lock is always that site's lock
+    /// step. Returns `true` when it *rides the access* — the lock cache does
+    /// not cover the range and `serve` is remote: the caller sends its
+    /// `ReadReq` / `WriteReq` with `lock: true` and hands the outcome to
+    /// [`Kernel::lock_rode`]. Returns `false` when the lock is in hand: a
+    /// lock cache hit, or a miss on a file stored here, taken now by the
+    /// same two calls with no message.
     pub(crate) fn ensure_locked(
         &self,
         pid: Pid,
-        ch: Channel,
         of: &OpenFile,
         serve: SiteId,
         range: ByteRange,
@@ -215,25 +213,11 @@ impl Kernel {
             acct.cpu_instrs(&self.model, self.model.buffer_hit_instrs);
             return Ok(false);
         }
-        if serve != self.site && serve == self.update_site(of) {
+        if serve != self.site {
             return Ok(true);
         }
-        let mut temp_of = *of;
-        temp_of.pos = range.start;
-        temp_of.append = false;
-        let opts = LockOpts {
-            wait: true,
-            ..LockOpts::default()
-        };
-        self.lock_channel(
-            pid,
-            ch,
-            &temp_of,
-            range.len,
-            implicit_mode(write),
-            opts,
-            acct,
-        )?;
+        self.serve_implicit_lock(self.site, of.fid, pid, owner, range, write, acct)?;
+        self.lock_rode(pid, of, serve, range, write, Ok(()))?;
         Ok(false)
     }
 
@@ -395,10 +379,11 @@ impl Kernel {
         }
     }
 
-    /// The lock half of a `ReadReq` / `WriteReq` sent with `lock: true`: the
-    /// request `ensure_locked` would have sent from `from` on its own. Any
-    /// error — queued or refused — is the data request's answer, and the
-    /// handler returns it before touching the file.
+    /// A transaction's implicit lock, taken at the storage site for a
+    /// requester at `from`: the lock half of a `ReadReq` / `WriteReq` sent
+    /// with `lock: true`, or of an access to a file stored here
+    /// (`ensure_locked`). Any error — queued or refused — is the access's
+    /// answer, returned before the file is touched.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn serve_implicit_lock(
         &self,
@@ -437,8 +422,8 @@ impl Kernel {
 
     /// Storage-site lock processing: grant/deny/queue, then apply the
     /// Section 3.3 rule-2 adoption of modified-uncommitted records. The one
-    /// body behind [`LockMsg::Req`] and behind a data request that carries
-    /// its lock ([`Kernel::serve_implicit_lock`]).
+    /// body behind [`LockMsg::Req`] and behind every implicit lock
+    /// ([`Kernel::serve_implicit_lock`]).
     /// With `fetch`, a grant carries the bytes it guards over its ship window
     /// (`ship_window`: never more than the reads this replaces), except the
     /// pages the requester holds current copies of: a held copy is current

@@ -91,10 +91,10 @@ impl Kernel {
             Ok(_) => {
                 self.procs.finish_migrate_out(pid);
                 self.registry.set(pid, dest);
-                // The process now runs elsewhere; its cached pages at this
-                // site will never be consulted again (pids are not
-                // recycled) — free them.
-                self.pages.drop_owner(Owner::Proc(pid));
+                // The process now runs elsewhere, and may release its locks
+                // there: neither its cached locks nor its cached pages here
+                // vouch for anything once it is back.
+                self.drop_owner_caches(Owner::Proc(pid));
                 self.counters.migrations();
                 self.events.push(Event::MigrateEnd { pid, at: dest });
                 Ok(())

@@ -802,6 +802,34 @@ fn unlock_drops_cache_and_later_reads_see_new_commits() {
     assert_eq!(got, b"fresh!");
 }
 
+#[test]
+fn a_process_that_migrates_back_trusts_no_lock_it_released_elsewhere() {
+    let c = mini_cluster(3);
+    seed_remote_file(&c, 64);
+    let (k0, k1, k2) = (&c.kernels[0], &c.kernels[1], &c.kernels[2]);
+    let mut a1 = acct(1);
+    let (p, ch, fid) = open_locked(k1, &mut a1, 0, 64, SHARED);
+    assert_eq!(k1.read(p, ch, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    // Released at site 2, then back at site 1.
+    k1.migrate(p, SiteId(2), &mut a1).unwrap();
+    let mut a2 = acct(2);
+    k2.lseek(p, ch, 0, &mut a2).unwrap();
+    k2.unlock(p, ch, 64, &mut a2).unwrap();
+    k2.migrate(p, SiteId(1), &mut a2).unwrap();
+    // An unlocked read caches nothing, so it cannot outlive a commit.
+    k1.lseek(p, ch, 0, &mut a1).unwrap();
+    assert_eq!(k1.read(p, ch, 6, &mut a1).unwrap(), vec![7u8; 6]);
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    k0.write(p0, ch0, b"fresh!", &mut a0).unwrap();
+    k0.close(p0, ch0, &mut a0).unwrap();
+    k1.lseek(p, ch, 0, &mut a1).unwrap();
+    assert_eq!(k1.read(p, ch, 6, &mut a1).unwrap(), b"fresh!");
+    let all = ByteRange::new(0, 64);
+    assert!(!k1.cache.covers(fid, Owner::Proc(p), all, false));
+}
+
 /// Records the range of every `ReadReq` that crosses the wire, delivering
 /// everything untouched: what the storage site was actually asked for.
 #[derive(Default)]
@@ -1758,8 +1786,8 @@ fn a_granted_page_with_another_owners_uncommitted_bytes_is_not_cached() {
         panic!("{pages:?}");
     };
     assert_eq!([&d0[..], &d1[..]].concat(), vec![7u8; 2024]);
-    assert!(*v0 != crate::pagecache::VERS_UNCACHEABLE);
-    assert_eq!(*v1, crate::pagecache::VERS_UNCACHEABLE);
+    assert!(*v0 != Volume::VERS_UNCACHEABLE);
+    assert_eq!(*v1, Volume::VERS_UNCACHEABLE);
 
     k1.lock(p1, ch1, 2024, SHARED, LockOpts::default(), &mut a1)
         .unwrap();

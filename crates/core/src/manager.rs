@@ -159,17 +159,6 @@ impl TxnManager {
         }
     }
 
-    /// Sends a transaction control-plane message. Remote messages go through
-    /// the kernel's transport to the destination's service dispatcher; local
-    /// ones short-circuit to this manager (which also keeps a standalone
-    /// manager — not registered on any kernel — functional).
-    fn txn_rpc(&self, to: SiteId, msg: TxnMsg, acct: &mut Account) -> Result<Msg> {
-        if to == self.site() {
-            return self.handle_txn(to, msg, acct).into_result();
-        }
-        self.kernel.rpc(to, Msg::Txn(msg), acct)
-    }
-
     // ----- BeginTrans / EndTrans / AbortTrans -------------------------------
 
     /// `BeginTrans` (Section 2): entering a transaction, or deepening the
@@ -270,7 +259,8 @@ impl TxnManager {
         self.kernel
             .events
             .push(Event::AbortSent { tid, to: top_site });
-        self.txn_rpc(top_site, TxnMsg::AbortProc { tid, pid: top }, acct)?;
+        let abort = TxnMsg::AbortProc { tid, pid: top };
+        self.kernel.rpc(top_site, Msg::Txn(abort), acct)?;
         self.kernel.counters.txns_aborted();
         self.kernel.events.push(Event::Aborted { tid });
         Ok(())
@@ -437,13 +427,6 @@ impl TxnManager {
     /// message's acknowledgement.
     fn send_phase2_batch(&self, site: SiteId, msgs: Vec<TxnMsg>, acct: &mut Account) -> Vec<bool> {
         let n = msgs.len();
-        if site == self.site() {
-            // Local shortcut (keeps a standalone manager functional).
-            return msgs
-                .into_iter()
-                .map(|m| !matches!(self.handle_txn(site, m, acct), Msg::Err(_)))
-                .collect();
-        }
         if n == 1 {
             return msgs
                 .into_iter()
@@ -668,12 +651,14 @@ impl TxnManager {
         let by_site = group_by_site(&rec.file_list.iter().copied().collect::<Vec<_>>());
         for (site, fids) in by_site {
             self.kernel.events.push(Event::AbortSent { tid, to: site });
-            let _ = self.txn_rpc(site, TxnMsg::AbortFiles { tid, files: fids }, acct);
+            let abort = TxnMsg::AbortFiles { tid, files: fids };
+            let _ = self.kernel.rpc(site, Msg::Txn(abort), acct);
         }
         // Signal the children, cascading down the tree.
         for child in rec.children.iter() {
             if let Some(csite) = self.kernel.registry.lookup(*child) {
-                let _ = self.txn_rpc(csite, TxnMsg::AbortProc { tid, pid: *child }, acct);
+                let abort = TxnMsg::AbortProc { tid, pid: *child };
+                let _ = self.kernel.rpc(csite, Msg::Txn(abort), acct);
             }
         }
         if is_top {
@@ -702,7 +687,8 @@ impl TxnManager {
 
     /// Called when the network topology changes: aborts every ongoing
     /// transaction that involves sites outside this site's current
-    /// partition.
+    /// partition. The machines decide which; a participant that voted yes
+    /// stays in doubt.
     pub fn on_topology_change(&self, acct: &mut Account) {
         let reachable = self.kernel.partition_view();
         if self.kernel.is_crashed() || reachable.is_empty() {
@@ -734,40 +720,22 @@ impl TxnManager {
                 self.kernel.counters.txns_aborted();
             }
         }
-        // Participant side: locks and uncommitted modifications held here by
-        // transactions homed in a lost partition are rolled back. A file
-        // that already has a prepare log stays in doubt — once prepared, the
-        // outcome belongs to the coordinator and recovery will resolve it.
-        let snapshot = self.kernel.locks.snapshot();
-        // BTreeMap, not HashMap: the rollback order below emits events and
-        // must be identical across runs of the same seed.
-        let mut lost: BTreeMap<TransId, Vec<Fid>> = BTreeMap::new();
-        for (fid, descs) in &snapshot.held {
-            for d in descs {
-                if let (Some(tid), locus_types::LockClass::Transaction) = (d.tid, d.class) {
-                    if !reachable.contains(&tid.site) {
-                        lost.entry(tid).or_default().push(*fid);
-                    }
+        // Participant side: each transaction holding locks here whose home
+        // site is lost is stranded, and the machine decides whether that
+        // rolls it back. In tid order, BTreeMap not HashMap: the rollbacks
+        // emit events and must be identical across runs of the same seed.
+        let mut stranded: BTreeMap<TransId, Vec<Fid>> = BTreeMap::new();
+        for (fid, lock) in self.kernel.held_locks() {
+            if let Owner::Trans(tid) = lock.owner() {
+                if !reachable.contains(&tid.site) {
+                    stranded.entry(tid).or_default().push(fid);
                 }
             }
         }
-        for (tid, mut fids) in lost {
-            fids.sort();
-            fids.dedup();
-            let any_prepared = fids.iter().any(|fid| {
-                self.kernel
-                    .volume(fid.volume)
-                    .ok()
-                    .and_then(|v| v.prepare_log_get(tid, *fid, acct))
-                    .is_some()
-            });
-            if any_prepared {
-                // In doubt: the prepare log guarantees commitability; the
-                // coordinator (or recovery's status inquiry) decides.
-                continue;
-            }
-            self.participate(Input::AbortReq { tid, files: fids }, acct);
-            self.kernel.events.push(Event::Aborted { tid });
+        for (tid, mut files) in stranded {
+            // The locks come in fid order, several to a file.
+            files.dedup();
+            self.participate(Input::Stranded { tid, files }, acct);
         }
     }
 
@@ -974,7 +942,7 @@ impl Substrate for KernelSubstrate<'_> {
                     files,
                     epoch,
                 };
-                let resp = mgr.txn_rpc(site, prepare, acct);
+                let resp = kernel.rpc(site, Msg::Txn(prepare), acct);
                 let ok = matches!(resp, Ok(Msg::Txn(TxnMsg::PrepareDone { ok: true, .. })));
                 kernel.events.push(Event::PrepareAck {
                     tid,
@@ -1155,10 +1123,10 @@ impl Substrate for KernelSubstrate<'_> {
             } => {
                 // The coordinator's log is on *its* home volume, whichever
                 // volume this prepare record was found on; when the
-                // coordinator is this site the inquiry short-circuits to
-                // our own home journal.
+                // coordinator is this site the inquiry reaches our own home
+                // journal without a message.
                 let inquiry = TxnMsg::StatusInquiry { tid };
-                let outcome = match mgr.txn_rpc(coordinator, inquiry, acct) {
+                let outcome = match kernel.rpc(coordinator, Msg::Txn(inquiry), acct) {
                     Ok(Msg::Txn(TxnMsg::StatusAnswer { status })) => status.into(),
                     Ok(_) | Err(_) => PrepareOutcome::Unreachable,
                 };

@@ -123,9 +123,13 @@ pub enum Input {
     CommitReq { tid: TransId, files: Vec<Fid> },
     /// Result of [`Effect::Install`].
     Installed { tid: TransId, ok: bool },
-    /// A phase-two `AbortFiles` arrived (or a topology change rolled the
-    /// transaction back unilaterally).
+    /// A phase-two `AbortFiles` arrived.
     AbortReq { tid: TransId, files: Vec<Fid> },
+    /// A topology change left `tid` holding locks on `files` here while its
+    /// home site is unreachable (Section 4.3). Unlike a coordinator's
+    /// [`Input::AbortReq`] this may not roll back a prepared transaction:
+    /// once this site voted yes, only the coordinator decides.
+    Stranded { tid: TransId, files: Vec<Fid> },
     /// Result of [`Effect::Rollback`].
     RolledBack { tid: TransId, ok: bool },
     /// Recovery: a prepare-log record surfaced in the journal scan.
@@ -228,8 +232,9 @@ pub enum Effect {
     /// outcome; on `commit: false` also announce the abort and fail the
     /// caller's `EndTrans`.
     FinishLocal { tid: TransId, commit: bool },
-    /// Count and announce a topology-change abort (no local process state:
-    /// the top-level process may be remote or gone).
+    /// Count and announce a topology-change abort — the coordinator's, or a
+    /// stranded participant's rollback (no local process state: the
+    /// top-level process may be remote or gone).
     NoteAborted { tid: TransId },
     /// Purge the coordinator log record (phase two complete everywhere).
     PurgeCoordLog { tid: TransId },

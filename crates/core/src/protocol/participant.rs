@@ -60,8 +60,12 @@ pub struct ParticipantSm {
     refused: BTreeSet<TransId>,
     /// In-flight prepare rounds, keyed by tid. Volatile.
     rounds: BTreeMap<TransId, PrepareRound>,
-    /// Transactions this site has voted yes on and not yet resolved.
-    prepared: BTreeSet<TransId>,
+    /// The files of each transaction this site has voted yes on and not yet
+    /// resolved: the ones a partition may not roll back. Per file, because
+    /// recovery resolves one prepare record at a time, and a volume carried
+    /// in from a dead site may hold records of a transaction this site also
+    /// prepared itself. Rebuilt from the journal scan after a reboot.
+    prepared: BTreeMap<TransId, BTreeSet<Fid>>,
     faults: ParticipantFaults,
 }
 
@@ -76,7 +80,7 @@ impl ParticipantSm {
             boot_epoch,
             refused: BTreeSet::new(),
             rounds: BTreeMap::new(),
-            prepared: BTreeSet::new(),
+            prepared: BTreeMap::new(),
             faults,
         }
     }
@@ -96,7 +100,17 @@ impl ParticipantSm {
 
     /// Whether this site has voted yes on `tid` without a resolution yet.
     pub fn is_prepared(&self, tid: TransId) -> bool {
-        self.prepared.contains(&tid)
+        self.prepared.contains_key(&tid)
+    }
+
+    /// Drops the promise for one recovered prepare record of `tid`.
+    fn resolve(&mut self, tid: TransId, fid: Fid) {
+        if let Some(files) = self.prepared.get_mut(&tid) {
+            files.remove(&fid);
+            if files.is_empty() {
+                self.prepared.remove(&tid);
+            }
+        }
     }
 }
 
@@ -200,9 +214,9 @@ impl ProtocolSm for ParticipantSm {
                 if round.stage != PrepareStage::AwaitStage {
                     return effects;
                 }
-                self.rounds.remove(tid);
+                let round = self.rounds.remove(tid).expect("round checked above");
                 if *ok {
-                    self.prepared.insert(*tid);
+                    self.prepared.entry(*tid).or_default().extend(round.files);
                 }
                 effects.push(Effect::Vote { tid: *tid, ok: *ok });
             }
@@ -216,6 +230,9 @@ impl ProtocolSm for ParticipantSm {
 
             Input::Installed { tid, ok } => {
                 if *ok {
+                    // Every lock of `tid` goes too, so no partition can strand
+                    // it here again; a carried record still in doubt is
+                    // promised afresh by the next recovery pass.
                     self.prepared.remove(tid);
                     effects.push(Effect::ReleaseLocks { tid: *tid });
                     effects.push(Effect::Ack {
@@ -244,6 +261,25 @@ impl ProtocolSm for ParticipantSm {
                 });
             }
 
+            Input::Stranded { tid, files } => {
+                if self.prepared.contains_key(tid) {
+                    // In doubt: this site voted yes, and only the coordinator
+                    // may release that promise. The prepare logs and the
+                    // locks stay until phase two or recovery's status
+                    // inquiry resolves every promised file.
+                    return effects;
+                }
+                // Never promised, so presumed abort lets this site roll back
+                // alone; nobody else will announce it. Refused before any
+                // rollback work, as for a coordinator's abort.
+                self.refused.insert(*tid);
+                effects.push(Effect::NoteAborted { tid: *tid });
+                effects.push(Effect::Rollback {
+                    tid: *tid,
+                    files: files.clone(),
+                });
+            }
+
             Input::RolledBack { tid, ok } => {
                 if *ok {
                     self.prepared.remove(tid);
@@ -265,6 +301,9 @@ impl ProtocolSm for ParticipantSm {
                 fid,
                 coordinator,
             } => {
+                // A logged yes vote is a promise whichever incarnation cast
+                // it, until the coordinator's answer resolves it.
+                self.prepared.entry(*tid).or_default().insert(*fid);
                 effects.push(Effect::QueryStatus {
                     tid: *tid,
                     fid: *fid,
@@ -274,7 +313,7 @@ impl ProtocolSm for ParticipantSm {
 
             Input::StatusResolved { tid, fid, outcome } => match outcome {
                 PrepareOutcome::Committed => {
-                    self.prepared.remove(tid);
+                    self.resolve(*tid, *fid);
                     effects.push(Effect::InstallRecovered {
                         tid: *tid,
                         fid: *fid,
@@ -285,7 +324,7 @@ impl ProtocolSm for ParticipantSm {
                     // No refusal-set insert: the prepare log *was* the
                     // site's knowledge of the transaction, and purging it
                     // means a later prepare fails the known-check instead.
-                    self.prepared.remove(tid);
+                    self.resolve(*tid, *fid);
                     effects.push(Effect::PurgePrepareLog {
                         tid: *tid,
                         fid: *fid,
@@ -301,7 +340,7 @@ impl ProtocolSm for ParticipantSm {
                 // Volatile state died with the old incarnation. The refusal
                 // set survives in this machine because the machine itself
                 // survives (the driver outlives the simulated kernel); the
-                // prepared set is rebuilt from the journal scan.
+                // promises in `prepared` are rebuilt from the journal scan.
                 self.boot_epoch = *epoch;
                 self.rounds.clear();
                 self.prepared.clear();
@@ -364,9 +403,8 @@ mod tests {
     #[test]
     fn refusal_set_is_permanent_and_votes_no() {
         let mut sm = ParticipantSm::new(SiteId(1), 0);
-        // A unilateral rollback (partition-stranded abort) refuses the tid
-        // *before* any rollback work, so an interrupted rollback still
-        // leaves the refusal behind.
+        // A rollback refuses the tid *before* any rollback work, so an
+        // interrupted rollback still leaves the refusal behind.
         let effects = sm.step(&Input::AbortReq {
             tid: tid(),
             files: fids(),
@@ -378,6 +416,111 @@ mod tests {
         assert!(!drive_prepare(&mut sm, 0));
         assert!(!drive_prepare(&mut sm, 0));
         assert!(!sm.is_prepared(tid()));
+    }
+
+    fn stranded() -> Input {
+        Input::Stranded {
+            tid: tid(),
+            files: fids(),
+        }
+    }
+
+    #[test]
+    fn stranded_unprepared_transaction_is_refused_and_rolled_back() {
+        let mut sm = ParticipantSm::new(SiteId(1), 0);
+        assert_eq!(
+            sm.step(&stranded()),
+            vec![
+                Effect::NoteAborted { tid: tid() },
+                Effect::Rollback {
+                    tid: tid(),
+                    files: fids()
+                }
+            ]
+        );
+        assert!(sm.refuses(tid()));
+        // The partition heals and the coordinator's prepare arrives: the
+        // rolled-back writes are gone, so the vote is no.
+        assert!(!drive_prepare(&mut sm, 0));
+    }
+
+    #[test]
+    fn stranded_prepared_transaction_stays_in_doubt() {
+        let mut sm = ParticipantSm::new(SiteId(1), 0);
+        assert!(drive_prepare(&mut sm, 0));
+        assert!(sm.step(&stranded()).is_empty());
+        assert!(sm.is_prepared(tid()));
+        assert!(!sm.refuses(tid()));
+    }
+
+    #[test]
+    fn stranded_transaction_recovered_in_doubt_stays_in_doubt() {
+        let mut sm = ParticipantSm::new(SiteId(1), 0);
+        assert!(drive_prepare(&mut sm, 0));
+        sm.step(&Input::Rebooted { epoch: 1 });
+        let effects = sm.step(&Input::RecoveredPrepare {
+            tid: tid(),
+            fid: fids()[0],
+            coordinator: SiteId(0),
+        });
+        assert!(matches!(effects[..], [Effect::QueryStatus { .. }]));
+        let effects = sm.step(&Input::StatusResolved {
+            tid: tid(),
+            fid: fids()[0],
+            outcome: PrepareOutcome::Unreachable,
+        });
+        assert!(effects.is_empty());
+        // The journal scan, not the dead incarnation's memory, says the
+        // promise stands.
+        assert!(sm.step(&stranded()).is_empty());
+        assert!(!sm.refuses(tid()));
+    }
+
+    /// Recovers one prepare record of `tid()` on file `ino` and resolves it.
+    fn recover_record(sm: &mut ParticipantSm, ino: u32, outcome: PrepareOutcome) {
+        let fid = Fid::new(locus_types::VolumeId(2), ino);
+        sm.step(&Input::RecoveredPrepare {
+            tid: tid(),
+            fid,
+            coordinator: SiteId(0),
+        });
+        sm.step(&Input::StatusResolved {
+            tid: tid(),
+            fid,
+            outcome,
+        });
+    }
+
+    #[test]
+    fn resolving_a_carried_record_keeps_the_sites_own_promise() {
+        // This site voted yes on its own file; a volume carried in from a
+        // dead site holds a record of the same transaction, which resolves.
+        let mut sm = ParticipantSm::new(SiteId(1), 0);
+        assert!(drive_prepare(&mut sm, 0));
+        recover_record(&mut sm, 9, PrepareOutcome::Committed);
+        assert!(sm.step(&stranded()).is_empty());
+        assert!(!sm.refuses(tid()));
+    }
+
+    #[test]
+    fn a_later_resolved_record_keeps_an_earlier_one_in_doubt() {
+        let mut sm = ParticipantSm::new(SiteId(1), 0);
+        sm.step(&Input::Rebooted { epoch: 1 });
+        let in_doubt = fids()[0];
+        sm.step(&Input::RecoveredPrepare {
+            tid: tid(),
+            fid: in_doubt,
+            coordinator: SiteId(0),
+        });
+        sm.step(&Input::StatusResolved {
+            tid: tid(),
+            fid: in_doubt,
+            outcome: PrepareOutcome::Unreachable,
+        });
+        recover_record(&mut sm, 9, PrepareOutcome::Committed);
+        recover_record(&mut sm, 10, PrepareOutcome::AbortedOrForgotten);
+        assert!(sm.step(&stranded()).is_empty());
+        assert!(sm.is_prepared(tid()));
     }
 
     #[test]

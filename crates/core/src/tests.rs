@@ -9,7 +9,7 @@ use locus_kernel::{Catalog, Kernel, LockOpts};
 use locus_net::SimTransport;
 use locus_proc::ProcessRegistry;
 use locus_sim::{Account, CostModel, Counters, Event, EventLog, SimDuration, SpanPhase};
-use locus_types::{ByteRange, Error, LockRequestMode, SiteId, TxnStatus, VolumeId};
+use locus_types::{ByteRange, Error, LockRequestMode, Owner, SiteId, TxnStatus, VolumeId};
 
 use crate::manager::EndOutcome;
 use crate::site::Site;
@@ -774,6 +774,50 @@ fn partition_aborts_cross_partition_transaction() {
 }
 
 #[test]
+fn partition_after_a_yes_vote_leaves_the_participant_in_doubt() {
+    let c = TestCluster::new(2);
+    let (s0, s1) = (c.site(0), c.site(1));
+    let mut a1 = acct(1);
+    let p1 = s1.kernel.spawn();
+    let ch = s1.kernel.creat(p1, "/f", &mut a1).unwrap();
+    s1.kernel.write(p1, ch, &[0u8; 8], &mut a1).unwrap();
+    s1.kernel.close(p1, ch, &mut a1).unwrap();
+    let fid = s1.kernel.catalog.resolve("/f").unwrap().fid;
+
+    let mut a0 = acct(0);
+    let pid = s0.kernel.spawn();
+    let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
+    s0.kernel.write(pid, ch, b"promised", &mut a0).unwrap();
+    // Site 1 votes yes and the commit mark is written; phase two is queued.
+    assert_eq!(
+        s0.txn.end_trans(pid, &mut a0).unwrap(),
+        EndOutcome::Committed(tid)
+    );
+
+    // The coordinator's site vanishes before phase two reaches site 1.
+    c.transport.partition(&[SiteId(1)]);
+    let vol = s1.kernel.volume(fid.volume).unwrap();
+    let holds_locks = || s1.kernel.locks.owner_has_locks(Owner::Trans(tid));
+    assert!(
+        vol.prepare_log_get(tid, fid, &mut a1).is_some(),
+        "a prepared participant keeps its prepare log"
+    );
+    assert!(holds_locks(), "and its locks");
+    c.drain_async();
+    assert_eq!(s0.txn.pending_async(), 1, "phase two waits for the heal");
+
+    c.transport.heal();
+    c.drain_async();
+    assert_eq!(s0.txn.pending_async(), 0);
+    assert!(vol.prepare_log_get(tid, fid, &mut a1).is_none());
+    assert!(!holds_locks());
+    let p = s1.kernel.spawn();
+    let ch = s1.kernel.open(p, "/f", false, &mut a1).unwrap();
+    assert_eq!(s1.kernel.read(p, ch, 8, &mut a1).unwrap(), b"promised");
+}
+
+#[test]
 fn trivial_transaction_costs_no_io() {
     let c = TestCluster::new(1);
     let s = c.site(0);
@@ -1245,7 +1289,6 @@ fn an_acked_commit_on_a_second_volume_survives_recovery() {
 fn a_stalled_install_is_nacked_and_keeps_its_promise() {
     use locus_disk::CrashPointMode;
     use locus_net::{Msg, TxnMsg};
-    use locus_types::Owner;
 
     use crate::protocol::Effect;
 

@@ -20,8 +20,9 @@
 //! prepare message (with synchronous RPC a lost request and a lost reply
 //! both surface at the coordinator as a no vote — a lost *reply* after the
 //! participant really prepared is reachable as duplicate-then-drop),
-//! duplicate a prepare delivery, unilaterally roll back an undecided
-//! transaction (the partition-healed scenario), and re-dirty a file after
+//! duplicate a prepare delivery, strand an undecided transaction at a
+//! participant (the partition scenario: the production `Input::Stranded`,
+//! which rolls back unless the site prepared), and re-dirty a file after
 //! its acked writes were lost (the transaction's processes re-established
 //! state — the historical trigger for both the refusal-set and boot-epoch
 //! defenses). Each fault class has its own budget so the scope stays
@@ -472,20 +473,24 @@ impl World {
             .map(|_| ())
     }
 
-    /// Unilateral rollback of an undecided transaction at site `s` — what
-    /// the topology-change handler does when a partition strands a
-    /// participant. The acked writes are discarded while the outcome is
-    /// still open, which is exactly why the refusal set must be permanent.
-    fn unilateral_rollback(
+    /// A partition strands site `s` holding `tid`'s writes: the input the
+    /// topology-change handler drives. Returns whether the machine rolled
+    /// the transaction back (it acks its rollback, and says nothing when it
+    /// keeps a prepared transaction in doubt). A rollback discards acked
+    /// writes while the outcome is still open, which is exactly why the
+    /// refusal set must be permanent.
+    fn strand(
         &mut self,
         s: usize,
         tid: TransId,
         seen: &mut BTreeSet<&'static str>,
-    ) -> Result<(), String> {
-        self.lost.insert((s as u32, tid));
+    ) -> Result<bool, String> {
         let files = vec![fid_at(s as u32)];
-        self.drive(Machine::Part(s), Input::AbortReq { tid, files }, seen)
-            .map(|_| ())
+        let rolled_back = self.drive(Machine::Part(s), Input::Stranded { tid, files }, seen)?;
+        if rolled_back {
+            self.lost.insert((s as u32, tid));
+        }
+        Ok(rolled_back)
     }
 }
 
@@ -778,8 +783,8 @@ fn successors(
         }
     }
 
-    // Unilateral rollback of an undecided transaction (partition scenario),
-    // and re-dirtying after a loss (the transaction's processes
+    // A partition stranding an undecided transaction at a participant, and
+    // re-dirtying after a loss (the transaction's processes
     // re-established their state once the fault healed).
     for k in 0..w.txns_started {
         let tid = tid_for(k);
@@ -793,13 +798,19 @@ fn successors(
             }
             if w.rollbacks_left > 0
                 && w.parts[s].dirty.contains(&tid)
-                && !w.parts[s].prepare_log.contains(&tid)
                 && !w.parts[s].installed.contains(&tid)
             {
+                // The machine decides; a prepared transaction stays in
+                // doubt, which changes nothing and so is no transition.
                 let mut n = w.clone();
                 n.rollbacks_left -= 1;
-                let r = n.unilateral_rollback(s, tid, seen).map(|_| n);
-                out.push((format!("unilateral rollback {tid} at site{s}"), r));
+                match n.strand(s, tid, seen) {
+                    Ok(false) => {}
+                    r => out.push((
+                        format!("unilateral rollback {tid} at site{s}"),
+                        r.map(|_| n),
+                    )),
+                }
             }
             if w.lost.contains(&(s as u32, tid))
                 && !w.parts[s].dirty.contains(&tid)

@@ -38,6 +38,7 @@ fn two_site_one_txn_scope_is_exhausted_without_violations() {
         "PurgeCoordLog",
         "Install",
         "Rollback",
+        "NoteAborted",
         "StageAndLog",
         "PurgePrepareLog",
         "QueryStatus",

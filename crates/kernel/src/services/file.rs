@@ -70,7 +70,7 @@ impl ServiceHandler for FileService {
                 if lock {
                     k.serve_implicit_lock(from, fid, pid, owner, range, false, acct)?;
                 }
-                k.locks.validate_access(fid, owner, pid, range, false)?;
+                k.locks.validate_access(fid, owner, range, false)?;
                 let vol = k.volume(fid.volume)?;
                 // A reader that holds nothing is shipped every page.
                 let (committed_len, pages) = vol.read_grant(fid, owner, range, &[], acct)?;
@@ -100,7 +100,7 @@ impl ServiceHandler for FileService {
                 if lock {
                     k.serve_implicit_lock(from, fid, pid, owner, range, true, acct)?;
                 }
-                k.locks.validate_access(fid, owner, pid, range, true)?;
+                k.locks.validate_access(fid, owner, range, true)?;
                 let vol = k.volume(fid.volume)?;
                 let new_len = vol.write(fid, owner, range, &data, acct)?;
                 k.locks.set_eof(fid, new_len);
@@ -391,8 +391,7 @@ impl Kernel {
             // Local fast path: exactly what the ReadReq handler would do,
             // minus the message.
             self.counters.local_fast_paths();
-            self.locks
-                .validate_access(of.fid, owner, pid, range, false)?;
+            self.locks.validate_access(of.fid, owner, range, false)?;
             let vol = self.volume(of.fid.volume)?;
             let data = vol.read(of.fid, range, acct)?;
             self.procs.with_mut(pid, |rec| {
@@ -630,8 +629,7 @@ impl Kernel {
         let write_epoch = if serve == self.site {
             // Local fast path: the WriteReq handler's work, sans message.
             self.counters.local_fast_paths();
-            self.locks
-                .validate_access(of.fid, owner, pid, range, true)?;
+            self.locks.validate_access(of.fid, owner, range, true)?;
             let vol = self.volume(of.fid.volume)?;
             let new_len = vol.write(of.fid, owner, range, data, acct)?;
             self.locks.set_eof(of.fid, new_len);

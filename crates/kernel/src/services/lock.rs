@@ -507,10 +507,10 @@ impl Kernel {
         for g in granted {
             let msg = Msg::Lock(LockMsg::Granted {
                 fid: g.fid,
-                pid: g.waiter.request.pid,
+                pid: g.request.pid,
                 range: g.range,
             });
-            let _ = self.notify(g.waiter.request.reply_site, msg, acct);
+            let _ = self.notify(g.request.reply_site, msg, acct);
         }
     }
 }

@@ -17,5 +17,5 @@ pub mod lock_list;
 pub mod manager;
 
 pub use cache::LockCache;
-pub use lock_list::{EntryList, FileLocks, LockEntry, LockOutcome, LockRequest, Waiter};
+pub use lock_list::{EntryList, FileLocks, LockEntry, LockOutcome, LockRequest};
 pub use manager::{GrantedWaiter, LockManager, LockTableSnapshot, WaitEdge};

@@ -5,8 +5,8 @@
 use std::collections::VecDeque;
 
 use locus_types::{
-    range, AccessKind, ByteRange, Error, LockClass, LockDescriptor, LockMode, LockRequestMode,
-    Owner, Pid, Result, SiteId, TransId,
+    range, AccessKind, ByteRange, LockClass, LockDescriptor, LockMode, LockRequestMode, Owner, Pid,
+    SiteId, TransId,
 };
 
 /// One granted lock on a range of bytes.
@@ -33,6 +33,14 @@ impl LockEntry {
         match self.tid {
             Some(t) if self.class == LockClass::Transaction => Owner::Trans(t),
             _ => Owner::Proc(self.pid),
+        }
+    }
+
+    fn claim(&self) -> Claim {
+        Claim {
+            owner: self.owner(),
+            mode: self.mode,
+            range: self.range,
         }
     }
 
@@ -77,6 +85,25 @@ impl LockRequest {
     }
 }
 
+/// What a granted lock or a queued request claims: an owner, a mode and a
+/// range placed in the file.
+#[derive(Debug, Clone, Copy)]
+struct Claim {
+    owner: Owner,
+    mode: LockMode,
+    range: ByteRange,
+}
+
+impl Claim {
+    /// The one rule for which request blocks which: a different owner,
+    /// incompatible modes, overlapping placed ranges.
+    fn conflicts_with(&self, other: &Claim) -> bool {
+        self.owner != other.owner
+            && !self.mode.compatible(other.mode)
+            && self.range.overlaps(&other.range)
+    }
+}
+
 /// Outcome of processing a lock request at the storage site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LockOutcome {
@@ -89,14 +116,6 @@ pub enum LockOutcome {
     /// An append-mode request whose range, placed at the current
     /// end-of-file, runs past the end of the file address space.
     OutOfRange,
-}
-
-/// A queued request awaiting grant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Waiter {
-    pub request: LockRequest,
-    /// Sequence number for FIFO ordering diagnostics.
-    pub seq: u64,
 }
 
 /// The granted entries of one file, kept sorted by `range.start` so lookups
@@ -207,14 +226,11 @@ impl Eq for EntryList {}
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct FileLocks {
     pub entries: EntryList,
-    pub waiters: VecDeque<Waiter>,
+    /// Queued requests awaiting grant, in arrival order.
+    pub waiters: VecDeque<LockRequest>,
     /// Current end-of-file, maintained by the kernel, used to place
     /// append-mode locks.
     pub eof: u64,
-    /// Sequence number the next queued waiter takes. Not part of a
-    /// transfer image: the importing site restarts it past every
-    /// transferred waiter's.
-    pub(crate) next_seq: u64,
 }
 
 impl FileLocks {
@@ -223,19 +239,6 @@ impl FileLocks {
             eof,
             ..FileLocks::default()
         }
-    }
-
-    /// The first granted entry by a *different* owner whose range overlaps
-    /// `range` and whose mode is incompatible with `mode`.
-    pub fn first_conflict(
-        &self,
-        owner: Owner,
-        mode: LockMode,
-        range: ByteRange,
-    ) -> Option<&LockEntry> {
-        self.entries
-            .overlapping(range)
-            .find(|e| e.owner() != owner && !e.mode.compatible(mode))
     }
 
     /// Resolves an append-relative range against the current end-of-file
@@ -264,24 +267,39 @@ impl FileLocks {
         }
     }
 
-    /// The first *queued* request from a different owner whose range overlaps
-    /// and whose mode is incompatible. New arrivals may not barge past such
-    /// waiters, or queued writers would starve behind a stream of readers.
-    fn first_queued_conflict(
-        &self,
-        owner: Owner,
-        mode: LockMode,
-        range: ByteRange,
-    ) -> Option<ByteRange> {
-        self.waiters.iter().find_map(|w| {
-            let wmode = w.request.mode.as_mode()?;
-            let wrange = self.effective_range(&w.request)?;
-            if w.request.owner() != owner && wrange.overlaps(&range) && !wmode.compatible(mode) {
-                Some(wrange)
-            } else {
-                None
-            }
+    /// A queued request's claim, its range placed at the current
+    /// end-of-file. `None` for an append request that no longer fits below
+    /// the top of the address space: it stays queued, blocking nobody and
+    /// blocked by nobody, until its owner goes.
+    fn queued_claim(&self, w: &LockRequest) -> Option<Claim> {
+        Some(Claim {
+            owner: w.owner(),
+            mode: w.mode.as_mode()?,
+            range: self.effective_range(w)?,
         })
+    }
+
+    /// What blocks `claim`: the granted locks in start order, then the first
+    /// `queued` waiters in queue order. Counting waiters is what keeps the
+    /// queue fair: a request may not barge past an earlier incompatible one,
+    /// or queued writers would starve behind a stream of readers.
+    fn blockers(&self, claim: Claim, queued: usize) -> impl Iterator<Item = Claim> + '_ {
+        let waiting = self.waiters.iter().take(queued);
+        self.entries
+            .overlapping(claim.range)
+            .map(LockEntry::claim)
+            .chain(waiting.filter_map(|w| self.queued_claim(w)))
+            .filter(move |c| c.conflicts_with(&claim))
+    }
+
+    /// Every wait-for edge among this file's requests, as `(waiter,
+    /// blocker)` owner pairs: each queued request against what
+    /// [`FileLocks::blockers`] finds ahead of it.
+    pub(crate) fn wait_for(&self) -> impl Iterator<Item = (Owner, Owner)> + '_ {
+        let queued = self.waiters.iter().enumerate();
+        queued
+            .filter_map(|(i, w)| Some((i, self.queued_claim(w)?)))
+            .flat_map(move |(i, c)| self.blockers(c, i).map(move |b| (c.owner, b.owner)))
     }
 
     /// Whether `owner` already holds locks covering all of `range` in a mode
@@ -321,29 +339,26 @@ impl FileLocks {
             self.install(owner, mode, &req, range);
             return LockOutcome::Granted { range };
         }
-        let conflict = self
-            .first_conflict(owner, mode, range)
-            .map(|e| e.range)
-            .or_else(|| self.first_queued_conflict(owner, mode, range));
-        if let Some(conflicting) = conflict {
+        let claim = Claim { owner, mode, range };
+        let blocker = self.blockers(claim, self.waiters.len()).next();
+        if let Some(blocker) = blocker {
             if req.wait {
                 // A spurious retry of an already-queued request must not
                 // enqueue a duplicate.
-                let already_queued = self.waiters.iter().any(|w| {
-                    w.request.pid == req.pid
-                        && w.request.range == req.range
-                        && w.request.mode == req.mode
-                });
+                let already_queued = self
+                    .waiters
+                    .iter()
+                    .any(|w| w.pid == req.pid && w.range == req.range && w.mode == req.mode);
                 if !already_queued {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
                     // The original (append-relative) range is stored; it is
                     // re-resolved against end-of-file at grant time.
-                    self.waiters.push_back(Waiter { request: req, seq });
+                    self.waiters.push_back(req);
                 }
                 return LockOutcome::Queued;
             }
-            return LockOutcome::Denied { conflicting };
+            return LockOutcome::Denied {
+                conflicting: blocker.range,
+            };
         }
         self.install(owner, mode, &req, range);
         if req.append {
@@ -411,13 +426,13 @@ impl FileLocks {
     pub fn release_owner(&mut self, owner: Owner) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| e.owner() != owner);
-        self.waiters.retain(|w| w.request.owner() != owner);
+        self.waiters.retain(|w| w.owner() != owner);
         before - self.entries.len()
     }
 
     /// Drops queued requests from a specific process (process exit).
     pub fn drop_waiters_of(&mut self, pid: Pid) {
-        self.waiters.retain(|w| w.request.pid != pid);
+        self.waiters.retain(|w| w.pid != pid);
     }
 
     /// Grants every queued waiter whose request conflicts with neither the
@@ -427,45 +442,24 @@ impl FileLocks {
     /// deadlocks: a grantable waiter stuck behind a blocked head forms a
     /// stall that is not a wait-for cycle, so no detector can break it.)
     /// Returns the newly granted waiters.
-    pub fn pump(&mut self) -> Vec<(Waiter, ByteRange)> {
+    pub fn pump(&mut self) -> Vec<(LockRequest, ByteRange)> {
         let mut granted = Vec::new();
         loop {
             let mut made_progress = false;
             let mut i = 0;
             while i < self.waiters.len() {
-                let req = self.waiters[i].request.clone();
-                let Some(mode) = req.mode.as_mode() else {
-                    // Unlock requests are never queued; drop defensively.
-                    self.waiters.remove(i);
-                    continue;
-                };
-                // End-of-file can grow while an append request waits; one
-                // that no longer fits below the top of the address space
-                // stays queued (blocking nobody) until its owner goes.
-                let Some(range) = self.effective_range(&req) else {
+                // End-of-file can grow while an append request waits, so
+                // its claim is placed afresh on every pass.
+                let claim = self.queued_claim(&self.waiters[i]);
+                let Some(Claim { owner, mode, range }) =
+                    claim.filter(|c| self.blockers(*c, i).next().is_none())
+                else {
                     i += 1;
                     continue;
                 };
-                let owner = req.owner();
-                let held_conflict = self.first_conflict(owner, mode, range).is_some();
-                let earlier_conflict = self.waiters.iter().take(i).any(|w| {
-                    w.request.owner() != owner
-                        && w.request
-                            .mode
-                            .as_mode()
-                            .map(|m| !m.compatible(mode))
-                            .unwrap_or(false)
-                        && self
-                            .effective_range(&w.request)
-                            .is_some_and(|w| w.overlaps(&range))
-                });
-                if held_conflict || earlier_conflict {
-                    i += 1;
-                    continue;
-                }
                 let waiter = self.waiters.remove(i).expect("index in bounds");
-                self.install(owner, mode, &req, range);
-                if req.append {
+                self.install(owner, mode, &waiter, range);
+                if waiter.append {
                     self.eof = self.eof.max(range.end());
                 }
                 granted.push((waiter, range));
@@ -479,7 +473,8 @@ impl FileLocks {
     }
 
     /// Validates a data access by `accessor` over `range` against the lock
-    /// list (Figure 1's enforced-lock semantics).
+    /// list (Figure 1's enforced-lock semantics). A refusal names the range
+    /// of the lock that denies the access.
     ///
     /// The accessor's effective mode on each byte is the strongest of its own
     /// granted locks there, or Unix if it holds none; every other owner's
@@ -487,16 +482,9 @@ impl FileLocks {
     pub fn validate_access(
         &self,
         accessor: Owner,
-        pid: Pid,
         range: ByteRange,
         write: bool,
-    ) -> Result<()> {
-        let fid_err = |r: ByteRange| Error::AccessDenied {
-            // The caller substitutes the real fid; FileLocks does not know it.
-            fid: locus_types::Fid::new(locus_types::VolumeId(u32::MAX), u32::MAX),
-            range: r,
-        };
-        let _ = pid;
+    ) -> std::result::Result<(), ByteRange> {
         for e in self.entries.overlapping(range) {
             if e.owner() == accessor {
                 continue;
@@ -511,7 +499,7 @@ impl FileLocks {
                 (_, AccessKind::None) => false,
             };
             if !ok {
-                return Err(fid_err(e.range));
+                return Err(e.range);
             }
         }
         // A shared lock does not entitle its own holder to write.
@@ -521,7 +509,7 @@ impl FileLocks {
                     && e.mode == LockMode::Shared
                     && !self.holds_exclusive_over(accessor, e.range.intersection(&range).unwrap())
                 {
-                    return Err(fid_err(e.range));
+                    return Err(e.range);
                 }
             }
         }
@@ -734,12 +722,12 @@ mod tests {
         fl.release_owner(Owner::Proc(pid(1)));
         let granted = fl.pump();
         assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].0.request.pid, pid(2));
+        assert_eq!(granted[0].0.pid, pid(2));
         // Release again; the shared waiter gets in.
         fl.release_owner(Owner::Proc(pid(2)));
         let granted = fl.pump();
         assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].0.request.pid, pid(3));
+        assert_eq!(granted[0].0.pid, pid(3));
     }
 
     #[test]
@@ -826,24 +814,24 @@ mod tests {
         let unix = Owner::Proc(pid(9));
         // Unix vs Shared: read allowed, write denied.
         assert!(fl
-            .validate_access(unix, pid(9), ByteRange::new(0, 5), false)
+            .validate_access(unix, ByteRange::new(0, 5), false)
             .is_ok());
         assert!(fl
-            .validate_access(unix, pid(9), ByteRange::new(0, 5), true)
+            .validate_access(unix, ByteRange::new(0, 5), true)
             .is_err());
         // Upgrade to exclusive: everything denied to others.
         fl.request(req(1, None, LockRequestMode::Exclusive, 0, 10));
         assert!(fl
-            .validate_access(unix, pid(9), ByteRange::new(0, 5), false)
+            .validate_access(unix, ByteRange::new(0, 5), false)
             .is_err());
         // The exclusive holder itself may read and write.
         let holder = Owner::Proc(pid(1));
         assert!(fl
-            .validate_access(holder, pid(1), ByteRange::new(0, 10), true)
+            .validate_access(holder, ByteRange::new(0, 10), true)
             .is_ok());
         // Outside the locked range, Unix access is unrestricted.
         assert!(fl
-            .validate_access(unix, pid(9), ByteRange::new(50, 5), true)
+            .validate_access(unix, ByteRange::new(50, 5), true)
             .is_ok());
     }
 
@@ -853,10 +841,10 @@ mod tests {
         fl.request(req(1, None, LockRequestMode::Shared, 0, 10));
         let holder = Owner::Proc(pid(1));
         assert!(fl
-            .validate_access(holder, pid(1), ByteRange::new(0, 10), true)
+            .validate_access(holder, ByteRange::new(0, 10), true)
             .is_err());
         assert!(fl
-            .validate_access(holder, pid(1), ByteRange::new(0, 10), false)
+            .validate_access(holder, ByteRange::new(0, 10), false)
             .is_ok());
     }
 

@@ -13,14 +13,14 @@ use parking_lot::Mutex;
 use locus_sim::{Account, CostModel, Counters, Event, EventLog, SpanPhase, VirtSpan};
 use locus_types::{ByteRange, Error, Fid, LockDescriptor, Owner, Pid, Result};
 
-use crate::lock_list::{FileLocks, LockOutcome, LockRequest, Waiter};
+use crate::lock_list::{FileLocks, LockOutcome, LockRequest};
 
-/// A waiter that has just been granted its lock by a queue pump and must be
-/// notified at its requesting site.
+/// A queued request that has just been granted its lock by a queue pump and
+/// must be notified at its requesting site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrantedWaiter {
     pub fid: Fid,
-    pub waiter: Waiter,
+    pub request: LockRequest,
     pub range: ByteRange,
 }
 
@@ -123,7 +123,6 @@ impl LockManager {
         &self,
         fid: Fid,
         accessor: Owner,
-        pid: Pid,
         range: ByteRange,
         write: bool,
     ) -> Result<()> {
@@ -131,11 +130,8 @@ impl LockManager {
         let Some(fl) = files.get(&fid) else {
             return Ok(()); // No locks on the file: plain Unix semantics.
         };
-        fl.validate_access(accessor, pid, range, write)
-            .map_err(|e| match e {
-                Error::AccessDenied { range, .. } => Error::AccessDenied { fid, range },
-                other => other,
-            })
+        fl.validate_access(accessor, range, write)
+            .map_err(|range| Error::AccessDenied { fid, range })
     }
 
     /// Pins locks covering modified-uncommitted data (Section 3.3 rule 2).
@@ -148,9 +144,13 @@ impl LockManager {
     /// Pumps one file's wait queue, counting each grant and collecting it
     /// for notification at the waiter's requesting site.
     fn pump_into(&self, fid: Fid, fl: &mut FileLocks, granted: &mut Vec<GrantedWaiter>) {
-        for (waiter, range) in fl.pump() {
+        for (request, range) in fl.pump() {
             self.counters.locks_granted();
-            granted.push(GrantedWaiter { fid, waiter, range });
+            granted.push(GrantedWaiter {
+                fid,
+                request,
+                range,
+            });
         }
     }
 
@@ -262,44 +262,12 @@ impl LockManager {
             if !fl.entries.is_empty() {
                 snap.held.push((fid, fl.descriptors()));
             }
-            for w in &fl.waiters {
-                let Some(mode) = w.request.mode.as_mode() else {
-                    continue;
-                };
-                let wowner = w.request.owner();
-                // Blocked behind every incompatible holder...
-                for e in fl.entries.overlapping(w.request.range) {
-                    if e.owner() != wowner && !e.mode.compatible(mode) {
-                        snap.edges.push(WaitEdge {
-                            fid,
-                            waiter: wowner,
-                            holder: e.owner(),
-                        });
-                    }
-                }
-                // ...and behind earlier incompatible waiters (FIFO queue).
-                for earlier in &fl.waiters {
-                    if earlier.seq >= w.seq {
-                        break;
-                    }
-                    let eowner = earlier.request.owner();
-                    if eowner != wowner
-                        && earlier.request.range.overlaps(&w.request.range)
-                        && earlier
-                            .request
-                            .mode
-                            .as_mode()
-                            .map(|m| !m.compatible(mode))
-                            .unwrap_or(false)
-                    {
-                        snap.edges.push(WaitEdge {
-                            fid,
-                            waiter: wowner,
-                            holder: eowner,
-                        });
-                    }
-                }
-            }
+            snap.edges
+                .extend(fl.wait_for().map(|(waiter, holder)| WaitEdge {
+                    fid,
+                    waiter,
+                    holder,
+                }));
         }
         snap
     }
@@ -486,6 +454,34 @@ mod tests {
     }
 
     #[test]
+    fn append_waiter_edges_use_its_placed_range() {
+        let (m, mut a) = mgr();
+        m.ensure_file(fid(1), 100);
+        let past_eof = txreq(1, 1, LockRequestMode::Exclusive, 100, 100, false);
+        let head = txreq(3, 3, LockRequestMode::Exclusive, 0, 8, false);
+        for req in [past_eof, head] {
+            assert!(matches!(
+                m.request(fid(1), req, &mut a),
+                LockOutcome::Granted { .. }
+            ));
+        }
+        // Appended at end-of-file the waiter wants [100, 110): blocked by
+        // the holder there, not by the one at [0, 8) its relative range
+        // names.
+        let mut append = txreq(2, 2, LockRequestMode::Exclusive, 0, 10, true);
+        append.append = true;
+        assert_eq!(m.request(fid(1), append, &mut a), LockOutcome::Queued);
+        assert_eq!(
+            m.snapshot().edges,
+            vec![WaitEdge {
+                fid: fid(1),
+                waiter: Owner::Trans(TransId::new(SiteId(0), 2)),
+                holder: Owner::Trans(TransId::new(SiteId(0), 1)),
+            }]
+        );
+    }
+
+    #[test]
     fn crash_clears_volatile_lock_state() {
         let (m, mut a) = mgr();
         m.request(
@@ -510,15 +506,17 @@ mod tests {
             .validate_access(
                 fid(7),
                 Owner::Proc(Pid::new(SiteId(0), 9)),
-                Pid::new(SiteId(0), 9),
                 ByteRange::new(0, 4),
                 false,
             )
             .unwrap_err();
-        match err {
-            Error::AccessDenied { fid: f, .. } => assert_eq!(f, fid(7)),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            err,
+            Error::AccessDenied {
+                fid: fid(7),
+                range: ByteRange::new(0, 8)
+            }
+        );
     }
 
     #[test]
@@ -528,7 +526,6 @@ mod tests {
             .validate_access(
                 fid(99),
                 Owner::Proc(Pid::new(SiteId(0), 1)),
-                Pid::new(SiteId(0), 1),
                 ByteRange::new(0, 10),
                 true
             )

@@ -131,8 +131,12 @@ impl SortedFidModel {
         for fid in self.sorted_fids() {
             let fl = self.files.get_mut(&fid).expect("listed");
             fl.release_owner(owner);
-            for (waiter, range) in fl.pump() {
-                granted.push(GrantedWaiter { fid, waiter, range });
+            for (request, range) in fl.pump() {
+                granted.push(GrantedWaiter {
+                    fid,
+                    request,
+                    range,
+                });
             }
         }
         granted
@@ -145,8 +149,12 @@ impl SortedFidModel {
             let before = fl.waiters.len();
             fl.drop_waiters_of(pid);
             if fl.waiters.len() != before {
-                for (waiter, range) in fl.pump() {
-                    granted.push(GrantedWaiter { fid, waiter, range });
+                for (request, range) in fl.pump() {
+                    granted.push(GrantedWaiter {
+                        fid,
+                        request,
+                        range,
+                    });
                 }
             }
         }
@@ -173,10 +181,7 @@ fn drop_waiters_of_grants_in_fid_order_across_volumes() {
         }
     }
     let granted = m.drop_waiters_of(pid(1));
-    let order: Vec<(Fid, Pid)> = granted
-        .iter()
-        .map(|g| (g.fid, g.waiter.request.pid))
-        .collect();
+    let order: Vec<(Fid, Pid)> = granted.iter().map(|g| (g.fid, g.request.pid)).collect();
     assert_eq!(order, [(fid(0), pid(2)), (fid(1), pid(2))]);
 }
 
@@ -215,8 +220,8 @@ proptest! {
                     let got = m.pump_file(fid(file), &mut acct);
                     let mut want = Vec::new();
                     if let Some(fl) = model.files.get_mut(&fid(file)) {
-                        for (waiter, range) in fl.pump() {
-                            want.push(GrantedWaiter { fid: fid(file), waiter, range });
+                        for (request, range) in fl.pump() {
+                            want.push(GrantedWaiter { fid: fid(file), request, range });
                         }
                     }
                     prop_assert_eq!(got, want, "pump grants diverged");

@@ -57,6 +57,53 @@ fn volume_carried_to_another_site_recovers_prepared_transaction() {
 }
 
 #[test]
+fn resolving_a_carried_record_keeps_the_hosts_own_promise() {
+    let c = Cluster::new(3);
+    // One transaction from site 0 writes a file at site 1 and one at site 2.
+    for (site, path) in [(1, "/carried"), (2, "/own")] {
+        let mut a = c.account(site);
+        let p = c.site(site).kernel.spawn();
+        let ch = c.site(site).kernel.creat(p, path, &mut a).unwrap();
+        c.site(site).kernel.close(p, ch, &mut a).unwrap();
+    }
+    let mut a0 = c.account(0);
+    let pid = c.site(0).kernel.spawn();
+    c.site(0).txn.begin_trans(pid, &mut a0).unwrap();
+    for path in ["/carried", "/own"] {
+        let ch = c.site(0).kernel.open(pid, path, true, &mut a0).unwrap();
+        c.site(0).kernel.write(pid, ch, b"both", &mut a0).unwrap();
+    }
+    c.site(0).txn.end_trans(pid, &mut a0).unwrap();
+
+    // Both sites voted yes; before phase two, site 1 dies and its disk is
+    // carried to site 2, where its record of the transaction resolves.
+    let carried = c.site(1).kernel.home().unwrap();
+    c.transport.site_down(SiteId(1));
+    carried.crash();
+    carried.reboot();
+    c.site(2).kernel.mount(carried.clone());
+    let mut a2 = c.account(2);
+    let mut report = Default::default();
+    c.site(2).txn.recover_volume(&carried, &mut a2, &mut report);
+    assert_eq!(report.participant_committed, 1, "{report:?}");
+
+    // Site 2 still holds its own promise: a partition from the coordinator
+    // leaves it in doubt rather than rolling back a committed write.
+    let own = c.site(2).kernel.home().unwrap();
+    c.transport.partition(&[SiteId(2)]);
+    assert_eq!(own.prepare_log_scan(&mut a2).len(), 1);
+
+    c.transport.heal();
+    c.drain_async();
+    assert!(own.prepare_log_scan(&mut a2).is_empty());
+    let fid = c.catalog.resolve("/own").unwrap().fid;
+    let data = own
+        .read(fid, locus::types::ByteRange::new(0, 4), &mut a2)
+        .unwrap();
+    assert_eq!(data, b"both");
+}
+
+#[test]
 fn carried_volume_with_undecided_coordinator_stays_in_doubt() {
     let c = Cluster::new(3);
     let mut a1 = c.account(1);

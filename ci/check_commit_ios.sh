@@ -41,20 +41,26 @@
 #       A shared lock's grant covers the first four pages of the range it
 #       guards (DESIGN.md §3), which is all of a 4-page scan, so every one
 #       of its 64 reads is served from the page cache —
-#       kernel.pagecache_hit_rate 1 — and no `ReadReq` is sent:
-#       net.msgs_file_per_op is the update share alone, 0.10075 of the
-#       traced pass's ops at seed 1 (one `WriteReq` each, its lock riding
-#       it), and net.msgs_per_op 2.10075 = 2 + that share. An unlock keeps
-#       the pages a grant shipped clean (at most 128 per file and owner),
-#       and the next grant names them by install version: the storage site
-#       neither reads nor ships one that is current, so
+#       kernel.pagecache_hit_rate 1 — and no `ReadReq` is sent. An unlock
+#       keeps the pages a grant shipped clean (at most 128 per file and
+#       owner), and the next grant names them by install version: the
+#       storage site neither reads nor ships one that is current, so
 #       kernel.prefetches_per_op is 1.848375 pages shipped per op (3.597
-#       when every grant shipped four), disk.reads_per_op 1.0805625
-#       (1.886625), disk_ios_per_op 1.4835625 (2.289625) and
-#       virt_ms_per_op 136.670982 (175.759707). A release that drops its
-#       pages again moves the last four; a grant that goes back to
-#       travelling bare moves all seven. Exact for the seed this script
-#       passes, not seed-independent.
+#       when every grant shipped four) and disk.reads_per_op 1.0805625
+#       (1.886625). The update share, 0.10075 of the traced pass's ops at
+#       seed 1, writes one record of a file at the other site: one
+#       `WriteReq` with its lock riding it (net.msgs_file_per_op 0.10075),
+#       then one `Delegate` (net.msgs_txn_per_op 0.10075) — the storage
+#       site is the only participant, so it decides: its prepare record
+#       and its `Committed` record share one force (wal.flushes_per_op
+#       0.10075) and it installs before it answers. So net.msgs_per_op is
+#       2.0 (2.10075 when the update paid a second round trip for phase
+#       two), disk_ios_per_op 1.3828125 (1.4835625 with a second force for
+#       the requester's mark) and virt_ms_per_op 133.63840075
+#       (136.670982). A grant that goes back to travelling bare moves the
+#       page counts; an update that goes back to two-phase commit moves
+#       the last five. Exact for the seed this script passes, not
+#       seed-independent.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,9 +95,10 @@ check commit_dist disk_ios_per_op==7 virt_ms_per_op==173.75 wal.flushes_per_op==
     sim.virt_commit_ms_per_op==71.4 sim.virt_phase_two_ms_per_op==43.95 \
     net.msgs_per_op==6 net.msgs_lock_per_op==0 sim.virt_other_ms_per_op==57.9
 check hot_records disk_ios_per_op==3 virt_ms_per_op==80.95 wal.flushes_per_op==1
-check read_shared net.msgs_per_op==2.10075 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \
-    disk_ios_per_op==1.4835625 virt_ms_per_op==136.67098199999998 \
-    disk.reads_per_op==1.0805625 kernel.prefetches_per_op==1.848375
+check read_shared net.msgs_per_op==2.0 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \
+    disk_ios_per_op==1.3828125 virt_ms_per_op==133.63840075 \
+    disk.reads_per_op==1.0805625 kernel.prefetches_per_op==1.848375 \
+    wal.flushes_per_op==0.10075 net.msgs_txn_per_op==0.10075
 
 # A wave of prepares or phase-two messages runs on its caller's thread
 # (DESIGN.md §3): the only threads are the simulated processes', started by

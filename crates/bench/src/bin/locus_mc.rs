@@ -4,6 +4,7 @@
 //! ```text
 //! locus-mc --sites 2 --txns 1                  # small scope, full report
 //! locus-mc --sites 2 --txns 2 --rollbacks 0    # bigger scope, one fault budget zeroed
+//! locus-mc --sites 2 --txns 1 --remote-only   # files everywhere but site 0
 //! locus-mc --sites 2 --txns 1 --fault skip-refused-check
 //!     # bug reintroduction: expects a counterexample, exits 3 if none found
 //! ```
@@ -31,10 +32,11 @@ struct Args {
 fn usage(err: &str) -> ! {
     eprintln!("locus-mc: {err}");
     eprintln!(
-        "usage: locus-mc [--sites N] [--txns N] [--crashes N] \
+        "usage: locus-mc [--sites N] [--txns N] [--remote-only] [--crashes N] \
          [--drops N] [--dups N] [--rollbacks N] [--max-states N] \
          [--allow-truncation] \
-         [--fault skip-refused-check|skip-epoch-check] [--artifacts DIR]"
+         [--fault skip-refused-check|skip-epoch-check|skip-delegate-record] \
+         [--artifacts DIR]"
     );
     std::process::exit(2);
 }
@@ -93,10 +95,14 @@ fn parse_args() -> Args {
                 match v.as_str() {
                     "skip-refused-check" => args.cfg.faults.skip_refused_check = true,
                     "skip-epoch-check" => args.cfg.faults.skip_epoch_check = true,
-                    _ => usage("bad --fault (skip-refused-check|skip-epoch-check)"),
+                    "skip-delegate-record" => args.cfg.faults.skip_delegate_record = true,
+                    _ => usage(
+                        "bad --fault (skip-refused-check|skip-epoch-check|skip-delegate-record)",
+                    ),
                 }
                 args.fault = Some(v);
             }
+            "--remote-only" => args.cfg.remote_only = true,
             "--allow-truncation" => args.allow_truncation = true,
             "--artifacts" => args.artifacts = Some(PathBuf::from(value("--artifacts"))),
             other => usage(&format!("unknown flag {other}")),
@@ -105,6 +111,9 @@ fn parse_args() -> Args {
     if args.cfg.sites < 1 {
         usage("--sites must be at least 1");
     }
+    if args.cfg.remote_only && args.cfg.sites < 2 {
+        usage("--remote-only needs --sites 2 or more");
+    }
     args
 }
 
@@ -112,9 +121,10 @@ fn main() -> ExitCode {
     let args = parse_args();
     let cfg = args.cfg;
     println!(
-        "locus-mc: sites={} txns={} crashes={} drops={} dups={} rollbacks={}{}",
+        "locus-mc: sites={} txns={}{} crashes={} drops={} dups={} rollbacks={}{}",
         cfg.sites,
         cfg.txns,
+        if cfg.remote_only { " remote-only" } else { "" },
         cfg.crashes,
         cfg.drops,
         cfg.dups,

@@ -106,6 +106,12 @@ pub struct TxnManager {
     /// crashes underneath it).
     part: Mutex<Recorded<ParticipantSm>>,
     async_work: Mutex<VecDeque<Phase2Work>>,
+    /// Delegated transactions whose delegate could not be reached: the
+    /// phase-two dæmon asks again.
+    inquiries: Mutex<Vec<TransId>>,
+    /// Per delegate, the delegated transactions whose outcome this site
+    /// has learned: they ride the next delegation or phase-two batch there.
+    forgets: Mutex<BTreeMap<SiteId, Vec<TransId>>>,
     /// Inert: nothing reads it. It once chose between sending prepares one
     /// after another and from one scoped thread per site; there is now one
     /// schedule (see `TxnManager::wave`). The field stays only because
@@ -125,6 +131,8 @@ impl TxnManager {
             coord: Mutex::new(Recorded::new(CoordinatorSm::new(site))),
             part: Mutex::new(Recorded::new(ParticipantSm::new(site, epoch))),
             async_work: Mutex::new(VecDeque::new()),
+            inquiries: Mutex::new(Vec::new()),
+            forgets: Mutex::new(BTreeMap::new()),
             parallel_fanout: AtomicBool::new(false),
         }
     }
@@ -294,9 +302,21 @@ impl TxnManager {
         self.kernel.drop_owner_caches(Owner::Trans(tid));
     }
 
-    /// Number of queued phase-two work items.
+    /// Number of queued phase-two work items, inquiries included.
     pub fn pending_async(&self) -> usize {
-        self.async_work.lock().len()
+        self.async_work.lock().len() + self.inquiries.lock().len()
+    }
+
+    /// Asks `site` what became of `tid`: the answer to a recovered prepare,
+    /// or to a delegation whose answer was lost.
+    fn inquire(&self, tid: TransId, site: SiteId, acct: &mut Account) -> Result<PrepareOutcome> {
+        let inquiry = TxnMsg::StatusInquiry { tid };
+        match self.kernel.rpc(site, Msg::Txn(inquiry), acct)? {
+            Msg::Txn(TxnMsg::StatusAnswer { status }) => Ok(status.into()),
+            other => Err(Error::ProtocolViolation(format!(
+                "status inquiry answered with {other:?}"
+            ))),
+        }
     }
 
     /// Runs the asynchronous phase-two dæmon once: sends commit/abort
@@ -311,9 +331,10 @@ impl TxnManager {
     /// redoes an already idempotent phase two — once, because
     /// `Site::reboot_and_recover` ends with a force.
     pub fn run_async_work(&self, acct: &mut Account) -> usize {
+        let resolved = self.retry_inquiries(acct);
         let work: Vec<Phase2Work> = self.async_work.lock().drain(..).collect();
         if work.is_empty() {
-            return 0;
+            return resolved;
         }
         let span = VirtSpan::begin(SpanPhase::PhaseTwo, acct);
         // Coalesce the phase-two traffic per participant site — across
@@ -350,8 +371,18 @@ impl TxnManager {
         // The sites' messages are one wave: each site installs while the
         // others do.
         self.wave(acct, by_site, |(site, entries), branch| {
-            let (idxs, msgs): (Vec<usize>, Vec<TxnMsg>) = entries.into_iter().unzip();
-            let acks = self.send_phase2_batch(site, msgs, branch);
+            let (idxs, mut msgs): (Vec<usize>, Vec<TxnMsg>) = entries.into_iter().unzip();
+            // Forgets bound for this site ride the batch as its last member.
+            let forget = self.forgets.lock().remove(&site);
+            if let Some(tids) = &forget {
+                msgs.push(TxnMsg::Forget { tids: tids.clone() });
+            }
+            let mut acks = self.send_phase2_batch(site, msgs, branch);
+            if let Some(tids) = forget {
+                if acks.pop() != Some(true) {
+                    self.forgets.lock().entry(site).or_default().extend(tids);
+                }
+            }
             let mut sub = self.substrate(Machine::Coordinator, branch);
             for (i, ok) in idxs.into_iter().zip(acks) {
                 sub.drive(Input::Phase2Ack {
@@ -390,7 +421,20 @@ impl TxnManager {
             }
         }
         span.finish(&self.kernel.counters.spans, &self.kernel.model, acct);
-        completed
+        resolved + completed
+    }
+
+    /// Retries each queued inquiry through the coordinator machine, which
+    /// asks the delegate only if the answer is still awaited; one still
+    /// unanswered queues itself anew. Returns how many outcomes were learned.
+    fn retry_inquiries(&self, acct: &mut Account) -> usize {
+        let inquiries = std::mem::take(&mut *self.inquiries.lock());
+        let before = inquiries.len();
+        for tid in inquiries {
+            self.substrate(Machine::Coordinator, acct)
+                .drive(Input::RetryInquiry { tid });
+        }
+        before.saturating_sub(self.inquiries.lock().len())
     }
 
     /// One wave of work bound for distinct sites, on the caller's thread.
@@ -454,7 +498,7 @@ impl TxnManager {
         }
     }
 
-    fn dispatch(&self, _from: SiteId, req: TxnMsg, acct: &mut Account) -> Result<Msg> {
+    fn dispatch(&self, from: SiteId, req: TxnMsg, acct: &mut Account) -> Result<Msg> {
         match req {
             TxnMsg::Prepare {
                 tid,
@@ -482,12 +526,40 @@ impl TxnManager {
                 Ok(Msg::Ok)
             }
             TxnMsg::StatusInquiry { tid } => {
-                let status = self
-                    .kernel
-                    .home()?
-                    .coord_log_get(tid, acct)
-                    .map(|r| r.status);
+                let home = self.kernel.home()?;
+                let status = home.coord_log_get(tid, acct).map(|r| r.status);
+                if home.disk().tripped() {
+                    // The log cannot be read, so "no record" would be a guess.
+                    return Err(Error::DiskOffline);
+                }
+                if status.is_none() {
+                    // No decision here, so none will ever be: abort what
+                    // this site holds of the transaction before saying so,
+                    // and a delegation that arrives late meets the refusal.
+                    self.abort_here(tid, acct);
+                }
                 Ok(Msg::Txn(TxnMsg::StatusAnswer { status }))
+            }
+            TxnMsg::Delegate {
+                tid,
+                files,
+                epoch,
+                forget,
+            } => {
+                let mut sub = self.substrate(Machine::Coordinator, acct);
+                sub.drive(Input::Forget { from, tids: forget });
+                sub.drive(Input::DelegateReq { tid, files, epoch });
+                match sub.answer {
+                    Some(ok) => Ok(Msg::Txn(TxnMsg::PrepareDone { tid, ok })),
+                    None => sub.result.and(Err(Error::ProtocolViolation(
+                        "delegation ended undecided".into(),
+                    ))),
+                }
+            }
+            TxnMsg::Forget { tids } => {
+                self.substrate(Machine::Coordinator, acct)
+                    .drive(Input::Forget { from, tids });
+                Ok(Msg::Ok)
             }
             other @ (TxnMsg::PrepareDone { .. } | TxnMsg::StatusAnswer { .. }) => Err(
                 Error::ProtocolViolation(format!("transaction manager cannot handle {other:?}")),
@@ -635,6 +707,22 @@ impl TxnManager {
             }
         }
         Ok(())
+    }
+
+    /// Aborts `tid` at this site as a coordinator's `AbortFiles` would —
+    /// refused first, then rolled back and released — over the files it
+    /// holds locks on here (every write takes one).
+    fn abort_here(&self, tid: TransId, acct: &mut Account) {
+        let mut files: Vec<Fid> = self
+            .kernel
+            .held_locks()
+            .into_iter()
+            .filter(|(_, lock)| lock.owner() == Owner::Trans(tid))
+            .map(|(fid, _)| fid)
+            .collect();
+        // The locks come in fid order, several to a file.
+        files.dedup();
+        self.participate(Input::AbortReq { tid, files }, acct);
     }
 
     /// Cascading abort down the process tree (Section 4.3): roll back this
@@ -837,6 +925,8 @@ struct KernelSubstrate<'a> {
     /// What the machine told the remote caller — its vote, or its phase-two
     /// ack. No until it says yes.
     reply: bool,
+    /// A delegate's answer to the requester, once it has one.
+    answer: Option<bool>,
 }
 
 impl TxnManager {
@@ -852,6 +942,7 @@ impl TxnManager {
             report: RecoveryReport::default(),
             result: Ok(()),
             reply: false,
+            answer: None,
         }
     }
 
@@ -1050,6 +1141,83 @@ impl Substrate for KernelSubstrate<'_> {
                 self.report.aborted += 1;
                 None
             }
+            Effect::SendDelegate {
+                tid,
+                site,
+                files,
+                epoch,
+            } => {
+                // One message and its answer: the storage site prepares,
+                // marks, installs and replies inside this call.
+                kernel.events.push(Event::DelegateSent { tid, to: site });
+                let forget = mgr.forgets.lock().remove(&site).unwrap_or_default();
+                let delegate = TxnMsg::Delegate {
+                    tid,
+                    files,
+                    epoch,
+                    forget: forget.clone(),
+                };
+                let outcome = match kernel.rpc(site, Msg::Txn(delegate), acct) {
+                    Ok(Msg::Txn(TxnMsg::PrepareDone { ok: true, .. })) => PrepareOutcome::Committed,
+                    Ok(Msg::Txn(TxnMsg::PrepareDone { ok: false, .. })) => {
+                        PrepareOutcome::AbortedOrForgotten
+                    }
+                    Ok(_) | Err(_) => {
+                        // The forgets may not have arrived: they ride the
+                        // next message there instead.
+                        if !forget.is_empty() {
+                            mgr.forgets.lock().entry(site).or_default().extend(forget);
+                        }
+                        PrepareOutcome::Unreachable
+                    }
+                };
+                Some(Input::DelegateAnswer { tid, outcome })
+            }
+            Effect::Inquire { tid, site } => {
+                let res = mgr.inquire(tid, site, acct);
+                let outcome = res.clone().unwrap_or(PrepareOutcome::Unreachable);
+                // An unanswered inquiry is what the caller's `EndTrans`
+                // fails with.
+                self.succeeded(res.map(|_| ()));
+                Some(Input::DelegateAnswer { tid, outcome })
+            }
+            Effect::QueueInquiry { tid } => {
+                if let Some(top) = self.top {
+                    mgr.finish_process_state(tid, top);
+                }
+                mgr.inquiries.lock().push(tid);
+                None
+            }
+            Effect::Forget { tid, site } => {
+                mgr.forgets.lock().entry(site).or_default().push(tid);
+                None
+            }
+            Effect::LogCommit { tid, files } => {
+                let rec = CoordLogRecord {
+                    tid,
+                    files,
+                    status: TxnStatus::Committed,
+                };
+                let res = kernel.home().and_then(|vol| vol.coord_log_put(&rec, acct));
+                let ok = self.succeeded(res);
+                Some(Input::StatusLogged { tid, ok })
+            }
+            Effect::FinishHere { tid, commit, files } => {
+                let input = if commit {
+                    Input::CommitReq { tid, files }
+                } else {
+                    Input::AbortReq { tid, files }
+                };
+                let part = mgr.participate(input, acct);
+                let ok = part.reply;
+                let res = part.result;
+                self.succeeded(res);
+                Some(Input::FinishedHere { tid, ok })
+            }
+            Effect::Answer { commit, .. } => {
+                self.answer = Some(commit);
+                None
+            }
             Effect::CheckPrimary { tid, files } => {
                 // A deposed primary must vote no: the transaction's
                 // writes were buffered against a copy that stopped being
@@ -1075,7 +1243,7 @@ impl Substrate for KernelSubstrate<'_> {
                 // re-stage a prepare log for an already-installed
                 // transaction, leaving an orphan behind the fence drop.
                 let owner = Owner::Trans(tid);
-                let known = mgr.coord.lock().sm.status_of(tid) == Some(TxnStatus::Unknown)
+                let known = mgr.coord.lock().sm.coordinates_undecided(tid)
                     || kernel.locks.owner_has_locks(owner)
                     || files.iter().any(|fid| {
                         kernel.volume(fid.volume).ok().is_some_and(|vol| {
@@ -1125,11 +1293,9 @@ impl Substrate for KernelSubstrate<'_> {
                 // volume this prepare record was found on; when the
                 // coordinator is this site the inquiry reaches our own home
                 // journal without a message.
-                let inquiry = TxnMsg::StatusInquiry { tid };
-                let outcome = match kernel.rpc(coordinator, Msg::Txn(inquiry), acct) {
-                    Ok(Msg::Txn(TxnMsg::StatusAnswer { status })) => status.into(),
-                    Ok(_) | Err(_) => PrepareOutcome::Unreachable,
-                };
+                let outcome = mgr
+                    .inquire(tid, coordinator, acct)
+                    .unwrap_or(PrepareOutcome::Unreachable);
                 if matches!(
                     outcome,
                     PrepareOutcome::Undecided | PrepareOutcome::Unreachable

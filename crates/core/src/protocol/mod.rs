@@ -42,7 +42,7 @@ pub use coordinator::CoordinatorSm;
 pub use drive::{drive, Substrate};
 pub use participant::{ParticipantFaults, ParticipantSm};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use locus_types::{Fid, FileListEntry, SiteId, TransId, TxnStatus};
@@ -97,6 +97,28 @@ pub enum Input {
         files: Vec<FileListEntry>,
         status: TxnStatus,
     },
+    /// Requester: what the delegate said about `tid` — its answer to
+    /// [`Effect::SendDelegate`], or to an [`Effect::Inquire`]. A lost answer
+    /// is `Unreachable`, never a no.
+    DelegateAnswer {
+        tid: TransId,
+        outcome: PrepareOutcome,
+    },
+    /// Requester: the phase-two dæmon's turn to retry a queued inquiry.
+    RetryInquiry { tid: TransId },
+    /// Delegate: the requester `tid.site` handed this site, the one storage
+    /// site of every file of `tid`, the decision over `files`.
+    DelegateReq {
+        tid: TransId,
+        files: Vec<Fid>,
+        epoch: u64,
+    },
+    /// Delegate: `from` has learned the outcome of these delegated
+    /// transactions. Only `from`'s own transactions (`tid.site == from`)
+    /// count.
+    Forget { from: SiteId, tids: Vec<TransId> },
+    /// Delegate: result of [`Effect::FinishHere`].
+    FinishedHere { tid: TransId, ok: bool },
 
     // ----- participant ---------------------------------------------------
     /// A `Prepare` arrived. `epoch` is the earliest boot epoch at which the
@@ -248,6 +270,45 @@ pub enum Effect {
     NoteRecoveryRedo { tid: TransId },
     /// Announce that recovery is aborting an undecided transaction.
     NoteRecoveryAbort { tid: TransId },
+    /// Requester: hand the decision over `files` to `site`, their one
+    /// storage site, with [`Effect::SendPrepare`]'s `epoch`; answer with
+    /// [`Input::DelegateAnswer`].
+    SendDelegate {
+        tid: TransId,
+        site: SiteId,
+        files: Vec<Fid>,
+        epoch: u64,
+    },
+    /// Requester: ask the delegate what became of `tid`; answer with
+    /// [`Input::DelegateAnswer`]. A delegate with no decision aborts the
+    /// transaction before it answers, so no late delegation can commit it.
+    Inquire { tid: TransId, site: SiteId },
+    /// Requester: the delegate could not be reached, so the outcome is
+    /// unknown here. Leave the process as `FinishLocal` would, count
+    /// nothing, fail the caller with the transport error, and queue
+    /// [`Input::RetryInquiry`] for the phase-two dæmon.
+    QueueInquiry { tid: TransId },
+    /// Requester: the outcome of `tid` is known here, so `site` may drop its
+    /// record; tell it on the next message that goes there anyway.
+    Forget { tid: TransId, site: SiteId },
+    /// Delegate: the decision mark. Append the whole coordinator record,
+    /// born `Committed` — nothing was logged before it — and force it; the
+    /// prepare record ahead of it in the same journal rides that force.
+    /// Answer with [`Input::StatusLogged`].
+    LogCommit {
+        tid: TransId,
+        files: Vec<FileListEntry>,
+    },
+    /// Delegate: phase two at the only participant, this site — its
+    /// participant machine takes the commit or abort now, inside the
+    /// delegation, not from the queue. Answer with [`Input::FinishedHere`].
+    FinishHere {
+        tid: TransId,
+        commit: bool,
+        files: Vec<Fid>,
+    },
+    /// Delegate: reply to the requester with the outcome.
+    Answer { tid: TransId, commit: bool },
 
     // ----- participant ---------------------------------------------------
     /// Ask whether this site is still the primary copy of every file;
@@ -311,6 +372,13 @@ impl Effect {
             Effect::NoteCompleted { .. } => "NoteCompleted",
             Effect::NoteRecoveryRedo { .. } => "NoteRecoveryRedo",
             Effect::NoteRecoveryAbort { .. } => "NoteRecoveryAbort",
+            Effect::SendDelegate { .. } => "SendDelegate",
+            Effect::Inquire { .. } => "Inquire",
+            Effect::QueueInquiry { .. } => "QueueInquiry",
+            Effect::Forget { .. } => "Forget",
+            Effect::LogCommit { .. } => "LogCommit",
+            Effect::FinishHere { .. } => "FinishHere",
+            Effect::Answer { .. } => "Answer",
             Effect::CheckPrimary { .. } => "CheckPrimary",
             Effect::CheckKnown { .. } => "CheckKnown",
             Effect::StageAndLog { .. } => "StageAndLog",
@@ -396,20 +464,16 @@ pub struct ProtocolTranscripts {
     pub participant: MachineTranscript<ParticipantSm>,
 }
 
-/// Groups a file list by storage site. Entries differing only in boot epoch
-/// collapse to one fid per site.
+/// Groups a file list by storage site, sites and fids in ascending order.
+/// Entries differing only in boot epoch collapse to one fid per site.
 pub fn group_by_site(files: &[FileListEntry]) -> Vec<(SiteId, Vec<Fid>)> {
-    let mut map: HashMap<SiteId, Vec<Fid>> = HashMap::new();
+    let mut map: BTreeMap<SiteId, BTreeSet<Fid>> = BTreeMap::new();
     for f in files {
-        map.entry(f.storage_site).or_default().push(f.fid);
+        map.entry(f.storage_site).or_default().insert(f.fid);
     }
-    let mut v: Vec<(SiteId, Vec<Fid>)> = map.into_iter().collect();
-    v.sort_by_key(|(s, _)| *s);
-    for (_, fids) in v.iter_mut() {
-        fids.sort();
-        fids.dedup();
-    }
-    v
+    map.into_iter()
+        .map(|(site, fids)| (site, fids.into_iter().collect()))
+        .collect()
 }
 
 /// The earliest boot epoch at which the transaction used each storage site.

@@ -26,6 +26,13 @@ pub struct ParticipantFaults {
     /// Skip the boot-epoch taint check on prepare: a site that rebooted
     /// (losing unprepared dirty data) may still vote yes.
     pub skip_epoch_check: bool,
+    /// A delegate (the one participant site, deciding for the requester)
+    /// drops its commit record as soon as it installs instead of when the
+    /// requester forgets it: a requester that lost the answer then hears
+    /// "aborted" for a committed transaction. Read by [`CoordinatorSm`].
+    ///
+    /// [`CoordinatorSm`]: super::CoordinatorSm
+    pub skip_delegate_record: bool,
 }
 
 /// Progress of one in-flight prepare round.
@@ -615,7 +622,7 @@ mod tests {
     fn fault_flags_disable_exactly_one_defense() {
         let faults = ParticipantFaults {
             skip_refused_check: true,
-            skip_epoch_check: false,
+            ..ParticipantFaults::default()
         };
         let mut sm = ParticipantSm::with_faults(SiteId(1), 0, faults);
         sm.step(&Input::AbortReq {

@@ -9,7 +9,9 @@ use locus_kernel::{Catalog, Kernel, LockOpts};
 use locus_net::SimTransport;
 use locus_proc::ProcessRegistry;
 use locus_sim::{Account, CostModel, Counters, Event, EventLog, SimDuration, SpanPhase};
-use locus_types::{ByteRange, Error, LockRequestMode, Owner, SiteId, TxnStatus, VolumeId};
+use locus_types::{
+    ByteRange, Error, LockRequestMode, Owner, Pid, SiteId, TransId, TxnStatus, VolumeId,
+};
 
 use crate::manager::EndOutcome;
 use crate::site::Site;
@@ -96,6 +98,21 @@ impl TestCluster {
 
 fn acct(i: u32) -> Account {
     Account::new(SiteId(i))
+}
+
+/// Creates `/here` at site 0. A transaction that also writes it has a file
+/// at the requester, which keeps its commit on two-phase commit instead of
+/// handing the decision to its one other storage site.
+fn create_here(c: &TestCluster) {
+    let (s0, mut a) = (c.site(0), acct(0));
+    let p = s0.kernel.spawn();
+    let ch = s0.kernel.creat(p, "/here", &mut a).unwrap();
+    s0.kernel.close(p, ch, &mut a).unwrap();
+}
+
+fn write_here(s0: &Site, pid: Pid, a: &mut Account) {
+    let ch = s0.kernel.open(pid, "/here", true, a).unwrap();
+    s0.kernel.write(pid, ch, b"here", a).unwrap();
 }
 
 #[test]
@@ -300,9 +317,11 @@ fn commit_protocol_event_ordering() {
     let ch = s1.kernel.creat(p1, "/f", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
 
+    create_here(&c);
     let mut a0 = acct(0);
     let pid = s0.kernel.spawn();
     s0.txn.begin_trans(pid, &mut a0).unwrap();
+    write_here(s0, pid, &mut a0);
     let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
     s0.kernel.write(pid, ch, b"z", &mut a0).unwrap();
     s0.txn.end_trans(pid, &mut a0).unwrap();
@@ -352,9 +371,11 @@ fn coordinator_crash_after_commit_mark_recovers_by_redo() {
     let ch = s1.kernel.creat(p1, "/f", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
 
+    create_here(&c);
     let mut a0 = acct(0);
     let pid = s0.kernel.spawn();
     s0.txn.begin_trans(pid, &mut a0).unwrap();
+    write_here(s0, pid, &mut a0);
     let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
     s0.kernel.write(pid, ch, b"committed", &mut a0).unwrap();
     s0.txn.end_trans(pid, &mut a0).unwrap();
@@ -467,9 +488,11 @@ fn participant_crash_after_prepare_resolves_via_status_inquiry() {
     let ch = s1.kernel.creat(p1, "/f", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
 
+    create_here(&c);
     let mut a0 = acct(0);
     let pid = s0.kernel.spawn();
     s0.txn.begin_trans(pid, &mut a0).unwrap();
+    write_here(s0, pid, &mut a0);
     let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
     s0.kernel.write(pid, ch, b"persist", &mut a0).unwrap();
     s0.txn.end_trans(pid, &mut a0).unwrap();
@@ -784,9 +807,11 @@ fn partition_after_a_yes_vote_leaves_the_participant_in_doubt() {
     s1.kernel.close(p1, ch, &mut a1).unwrap();
     let fid = s1.kernel.catalog.resolve("/f").unwrap().fid;
 
+    create_here(&c);
     let mut a0 = acct(0);
     let pid = s0.kernel.spawn();
     let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    write_here(s0, pid, &mut a0);
     let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
     s0.kernel.write(pid, ch, b"promised", &mut a0).unwrap();
     // Site 1 votes yes and the commit mark is written; phase two is queued.
@@ -990,9 +1015,11 @@ fn recovery_is_idempotent() {
     let ch = s_kernel(&c, 1).creat(p1, "/f", &mut a1).unwrap();
     s_kernel(&c, 1).close(p1, ch, &mut a1).unwrap();
 
+    create_here(&c);
     let mut a0 = acct(0);
     let pid = s_kernel(&c, 0).spawn();
     c.site(0).txn.begin_trans(pid, &mut a0).unwrap();
+    write_here(c.site(0), pid, &mut a0);
     let ch = s_kernel(&c, 0).open(pid, "/f", true, &mut a0).unwrap();
     s_kernel(&c, 0).write(pid, ch, b"twice", &mut a0).unwrap();
     c.site(0).txn.end_trans(pid, &mut a0).unwrap();
@@ -1488,8 +1515,8 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
 
 // ----- One prepare wave and one phase-two wave per commit ---------------------
 
-/// A three-site cluster in which site 0 coordinates one transaction that
-/// writes a record into a file stored at each of `storage`. Returns what
+/// A three-site cluster in which site 0 commits one transaction that writes
+/// a record into a file stored at each of `storage`. Returns what
 /// `end_trans` and the phase-two pump after it were charged.
 fn commit_across(storage: &[usize]) -> (TestCluster, Account, Account) {
     let c = TestCluster::new(3);
@@ -1514,31 +1541,59 @@ fn commit_across(storage: &[usize]) -> (TestCluster, Account, Account) {
     s0.txn.end_trans(pid, &mut a).unwrap();
     let sync = a.delta_since(&before);
     let mut bg = acct(0);
-    assert_eq!(s0.txn.run_async_work(&mut bg), 1);
+    s0.txn.run_async_work(&mut bg);
     (c, sync, bg)
+}
+
+/// How many times each site forced its home journal.
+fn forces(c: &TestCluster) -> Vec<u64> {
+    let forces = |s: &Arc<Site>| s.kernel.home().unwrap().journal().flush_stats().0;
+    c.sites.iter().map(forces).collect()
 }
 
 #[test]
 fn two_remote_participants_cost_the_delay_of_one() {
-    let (_, one, one_bg) = commit_across(&[1]);
     let (c, two, two_bg) = commit_across(&[1, 2]);
-    // Twice the work: a prepare message, a data page and a forced vote per
-    // participant, then the mark (the Figure 5 rule); an install each after.
-    assert_eq!((one.messages, two.messages), (1, 2));
-    assert_eq!((one.total_ios(), two.total_ios()), (2 + 1, 2 * 2 + 1));
-    assert_eq!((one_bg.messages, two_bg.messages), (1, 2));
-    assert_eq!((one_bg.total_ios(), two_bg.total_ios()), (1, 2));
-    // In the time of one: both sites prepare at once and install at once, so
-    // the caller waits for one prepare branch and the mark, and the pump for
-    // one install. The second branch is all there in `overlapped`.
-    assert_eq!(two.elapsed, one.elapsed);
-    assert_eq!(two_bg.elapsed, one_bg.elapsed);
+    // Per participant a prepare message, a data page and a forced vote,
+    // then the mark (the Figure 5 rule); an install each after.
+    assert_eq!(two.messages, 2);
+    assert_eq!(two.total_ios(), 2 * 2 + 1);
+    assert_eq!((two_bg.messages, two_bg.total_ios()), (2, 2));
+    assert_eq!(forces(&c), [1, 1, 1]);
+    // In the time of one: both sites prepare at once and install at once,
+    // so the caller waits for one prepare branch and the mark, and the pump
+    // for one install. The second branch is all there in `overlapped`.
     let spans = c.counters.spans.snapshot();
     let prepare = spans.virt_phase(SpanPhase::Prepare);
     assert_eq!(prepare.count, 2);
     assert_eq!(two.overlapped.as_nanos(), prepare.total_ns / 2);
     assert!(two_bg.overlapped > SimDuration::ZERO);
+}
+
+#[test]
+fn one_remote_participant_decides_in_one_message_and_one_force() {
+    let (c, one, one_bg) = commit_across(&[1]);
+    // The storage site is the only participant, so it decides: one
+    // message, and inside it the data page, one force for its vote and its
+    // mark together, and the install. The requester's journal gets nothing
+    // and its phase-two queue nothing.
+    assert_eq!((one.messages, one.total_ios()), (1, 2 + 1));
+    assert_eq!((one_bg.messages, one_bg.total_ios()), (0, 0));
+    assert_eq!(forces(&c), [0, 1, 0]);
+    let home = c.site(0).kernel.home().unwrap();
+    assert_eq!(home.disk().journal_frame_counts(), (0, 0));
+    assert_eq!(c.site(0).txn.pending_async(), 0);
     assert_eq!(one.overlapped + one_bg.overlapped, SimDuration::ZERO);
+    // The delegate keeps its record for the requester, and installed.
+    let delegate = c.site(1).kernel.home().unwrap();
+    let records = delegate.coord_log_scan(&mut acct(1));
+    assert_eq!(records.len(), 1);
+    assert_eq!(records[0].status, TxnStatus::Committed);
+    assert_eq!(read_record(c.site(1), "/f1", 3, &mut acct(1)), b"rec");
+    // A commit across two sites pays a second round trip and a second
+    // force; this one does not.
+    let (_, two, two_bg) = commit_across(&[1, 2]);
+    assert!(one.elapsed < two.elapsed + two_bg.elapsed);
 }
 
 #[test]
@@ -1555,9 +1610,241 @@ fn a_local_and_a_remote_participant_still_force_one_journal_each() {
     // local vote nothing — it rides the mark's force of the home journal.
     // (Set-up and phase two force no journal, so these are the run's totals.)
     let (c, sync, _) = commit_across(&[0, 1]);
-    let forces = |s: &Arc<Site>| s.kernel.home().unwrap().journal().flush_stats().0;
-    assert_eq!(c.sites.iter().map(forces).collect::<Vec<_>>(), [1, 1, 0]);
+    assert_eq!(forces(&c), [1, 1, 0]);
     assert_eq!((sync.seq_ios, sync.messages), (2, 1));
+}
+
+// ----- Commit where the data is ------------------------------------------------
+
+/// Applies `decision` to the first wire message of `kind`.
+struct Tap(parking_lot::Mutex<Option<(&'static str, locus_net::FaultDecision)>>);
+
+impl Tap {
+    fn install(c: &TestCluster, kind: &'static str, decision: locus_net::FaultDecision) {
+        let tap = Tap(parking_lot::Mutex::new(Some((kind, decision))));
+        c.transport.set_fault_injector(Some(Arc::new(tap)));
+    }
+}
+
+impl locus_net::FaultInjector for Tap {
+    fn decide(
+        &self,
+        _: SiteId,
+        _: SiteId,
+        msg: &locus_net::Msg,
+        _: bool,
+    ) -> locus_net::FaultDecision {
+        let mut fault = self.0.lock();
+        match *fault {
+            Some((kind, decision)) if kind == msg.kind() => {
+                *fault = None;
+                decision
+            }
+            _ => locus_net::FaultDecision::Deliver,
+        }
+    }
+}
+
+/// A two-site cluster with `/f` (eight zero bytes) stored at site 1.
+fn remote_file_cluster() -> (TestCluster, locus_types::Fid) {
+    let c = TestCluster::new(2);
+    let (s1, mut a1) = (c.site(1), acct(1));
+    let p = s1.kernel.spawn();
+    let ch = s1.kernel.creat(p, "/f", &mut a1).unwrap();
+    s1.kernel.write(p, ch, &[0u8; 8], &mut a1).unwrap();
+    s1.kernel.close(p, ch, &mut a1).unwrap();
+    let fid = s1.kernel.catalog.resolve("/f").unwrap().fid;
+    (c, fid)
+}
+
+/// Site 0 writes `data` at offset 0 of `/f` in a transaction of its own and
+/// ends it.
+fn delegated_write(c: &TestCluster, data: &[u8]) -> (TransId, Result<EndOutcome, Error>) {
+    let (s0, mut a0) = (c.site(0), acct(0));
+    let pid = s0.kernel.spawn();
+    let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
+    s0.kernel.write(pid, ch, data, &mut a0).unwrap();
+    (tid, s0.txn.end_trans(pid, &mut a0))
+}
+
+/// The transactions whose coordinator record site 1's journal holds.
+fn delegate_records(c: &TestCluster) -> Vec<(TransId, TxnStatus)> {
+    let home = c.site(1).kernel.home().unwrap();
+    let records = home.coord_log_scan(&mut acct(1));
+    records.into_iter().map(|r| (r.tid, r.status)).collect()
+}
+
+fn durable(c: &TestCluster, fid: locus_types::Fid) -> Vec<u8> {
+    let home = c.site(1).kernel.home().unwrap();
+    home.durable_peek(fid, ByteRange::new(0, 8)).unwrap()
+}
+
+#[test]
+fn a_lost_delegation_answer_is_asked_for_and_the_record_waits_for_the_forget() {
+    let (c, fid) = remote_file_cluster();
+    Tap::install(&c, "Delegate", locus_net::FaultDecision::DropReply);
+    let (first, out) = delegated_write(&c, b"first-1!");
+    assert_eq!(out, Ok(EndOutcome::Committed(first)));
+    assert_eq!(durable(&c, fid), b"first-1!");
+    assert_eq!(c.counters.snapshot().txns_committed, 1);
+    assert_eq!(c.site(0).txn.pending_async(), 0);
+    // The requester knows, but has not said so yet.
+    c.drain_async();
+    assert_eq!(delegate_records(&c), [(first, TxnStatus::Committed)]);
+    // The next delegation there carries the forget.
+    let (second, out) = delegated_write(&c, b"second-2");
+    assert_eq!(out, Ok(EndOutcome::Committed(second)));
+    assert_eq!(delegate_records(&c), [(second, TxnStatus::Committed)]);
+}
+
+#[test]
+fn a_lost_delegation_is_aborted_by_the_inquiry_and_a_replay_installs_nothing() {
+    use locus_net::{Msg, TxnMsg};
+    let (c, fid) = remote_file_cluster();
+    Tap::install(&c, "Delegate", locus_net::FaultDecision::Drop);
+    let (tid, out) = delegated_write(&c, b"lost-req");
+    assert_eq!(out, Err(Error::TxnAborted(tid)));
+    let s1 = c.site(1);
+    let owner = Owner::Trans(tid);
+    let vol = s1.kernel.volume(fid.volume).unwrap();
+    assert!(!s1.kernel.locks.owner_has_locks(owner), "locks released");
+    assert!(!vol.owner_dirty(fid, owner), "dirty bytes gone");
+    assert_eq!(read_record(s1, "/f", 8, &mut acct(1)), [0u8; 8]);
+    // The delegation turns up after all: the refusal stands.
+    let late = TxnMsg::Delegate {
+        tid,
+        files: vec![fid],
+        epoch: 0,
+        forget: vec![],
+    };
+    let resp = c
+        .site(0)
+        .kernel
+        .rpc(SiteId(1), Msg::Txn(late), &mut acct(0));
+    assert_eq!(resp, Ok(Msg::Txn(TxnMsg::PrepareDone { tid, ok: false })));
+    assert_eq!(read_record(s1, "/f", 8, &mut acct(1)), [0u8; 8]);
+    assert_eq!(durable(&c, fid), [0u8; 8]);
+    assert!(delegate_records(&c).is_empty());
+    assert_eq!(
+        c.events
+            .count(|e| matches!(e, Event::FileCommit { tid: Some(t), .. } if *t == tid)),
+        0
+    );
+}
+
+#[test]
+fn a_delegate_that_dies_after_its_force_redoes_the_install_and_keeps_the_record() {
+    use locus_disk::{CrashPointMode, MutationKind};
+    // Where the inode install falls in site 1's mutations, from a clean run:
+    // the first stable-store write after the force.
+    let install = {
+        let (c, _) = remote_file_cluster();
+        let disk = c.site(1).kernel.home().unwrap().disk().clone();
+        disk.set_recording(true);
+        delegated_write(&c, b"survives").1.unwrap();
+        let stream = disk.take_mutation_log();
+        let force = stream
+            .iter()
+            .position(|m| matches!(m, MutationKind::JournalFlush { .. }))
+            .unwrap();
+        let after = stream[force..]
+            .iter()
+            .position(|m| matches!(m, MutationKind::StablePut(_)));
+        (force + after.unwrap()) as u64
+    };
+    let (c, fid) = remote_file_cluster();
+    let (s0, s1) = (c.site(0), c.site(1));
+    // Site 1's disk dies at the inode install, after the force that made
+    // the prepare record and the mark durable; the answer is lost too.
+    let disk = s1.kernel.home().unwrap().disk().clone();
+    disk.arm_crash_point(disk.mutation_count() + install, CrashPointMode::Clean);
+    Tap::install(&c, "Delegate", locus_net::FaultDecision::DropReply);
+    let (tid, out) = delegated_write(&c, b"survives");
+    assert!(disk.tripped());
+    // No answer is not an abort: the caller gets the error, and the
+    // process is out of the transaction.
+    assert!(
+        matches!(out, Err(ref e) if *e != Error::TxnAborted(tid)),
+        "{out:?}"
+    );
+    assert_eq!(s0.txn.pending_async(), 1);
+    let snap = c.counters.snapshot();
+    assert_eq!((snap.txns_committed, snap.txns_aborted), (0, 0));
+
+    s1.crash();
+    c.transport.site_down(SiteId(1));
+    c.drain_async();
+    assert_eq!(s0.txn.pending_async(), 1, "still unreachable");
+    c.transport.site_up(SiteId(1));
+    let report = s1.reboot_and_recover(&mut acct(1));
+    assert_eq!(report.redone, 1, "{report:?}");
+    assert_eq!(durable(&c, fid), b"survives");
+    assert_eq!(delegate_records(&c), [(tid, TxnStatus::Committed)]);
+    // The requester's inquiry now hears the outcome, and counts it.
+    c.drain_async();
+    assert_eq!(s0.txn.pending_async(), 0);
+    assert_eq!(c.counters.snapshot().txns_committed, 1);
+    assert_eq!(delegate_records(&c), [(tid, TxnStatus::Committed)]);
+}
+
+#[test]
+fn an_unreachable_delegate_fails_end_trans_with_the_transport_error() {
+    let (c, fid) = remote_file_cluster();
+    let (s0, s1) = (c.site(0), c.site(1));
+    let mut a0 = acct(0);
+    let pid = s0.kernel.spawn();
+    let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
+    s0.kernel.write(pid, ch, b"cut-off!", &mut a0).unwrap();
+    c.transport.partition(&[SiteId(1)]);
+    assert_eq!(
+        s0.txn.end_trans(pid, &mut a0),
+        Err(Error::Partitioned {
+            from: SiteId(0),
+            to: SiteId(1)
+        })
+    );
+    assert_eq!(s0.kernel.procs.get(pid).unwrap().tid, None);
+    assert_eq!(s0.txn.pending_async(), 1);
+    // The stranded delegate rolled its writes back on its own.
+    assert!(!s1.kernel.locks.owner_has_locks(Owner::Trans(tid)));
+    c.transport.heal();
+    let aborted = c.counters.snapshot().txns_aborted;
+    c.drain_async();
+    assert_eq!(s0.txn.pending_async(), 0);
+    assert_eq!(c.counters.snapshot().txns_aborted, aborted + 1);
+    assert_eq!(durable(&c, fid), [0u8; 8]);
+}
+
+#[test]
+fn a_forget_rides_the_next_phase_two_batch_to_the_delegate() {
+    let (c, _) = remote_file_cluster();
+    create_here(&c);
+    let (first, out) = delegated_write(&c, b"one-site");
+    assert_eq!(out, Ok(EndOutcome::Committed(first)));
+    assert_eq!(delegate_records(&c), [(first, TxnStatus::Committed)]);
+    // A commit across both sites: its phase two to site 1 carries it.
+    let (s0, mut a0) = (c.site(0), acct(0));
+    let pid = s0.kernel.spawn();
+    s0.txn.begin_trans(pid, &mut a0).unwrap();
+    write_here(s0, pid, &mut a0);
+    let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
+    s0.kernel.write(pid, ch, b"two-site", &mut a0).unwrap();
+    s0.txn.end_trans(pid, &mut a0).unwrap();
+    c.drain_async();
+    assert!(delegate_records(&c).is_empty());
+    assert_eq!(
+        c.events.count(|e| matches!(
+            e,
+            Event::Rpc {
+                kind: "Forget",
+                batched: true,
+                ..
+            }
+        )),
+        1
+    );
 }
 
 // ----- `drive` over a scripted substrate --------------------------------------

@@ -968,7 +968,10 @@ impl Volume {
 
     /// Appends a coordinator log record to the commit journal. Buffered —
     /// no I/O is charged here; the record becomes durable (and the cost is
-    /// paid) at the next log barrier.
+    /// paid) at the next log barrier. A record born `Committed` (a
+    /// delegate's, which logs nothing before its decision) is the commit
+    /// point itself, forced and announced as [`Volume::coord_log_set_status`]
+    /// forces and announces a status delta.
     pub fn coord_log_put(&self, rec: &CoordLogRecord, acct: &mut Account) -> Result<()> {
         self.journal.coord_put(rec, acct)?;
         self.events.push(Event::CoordLog {
@@ -976,6 +979,14 @@ impl Volume {
             tid: rec.tid,
             status: rec.status,
         });
+        self.mark_if_committed(rec.tid, rec.status, acct)
+    }
+
+    fn mark_if_committed(&self, tid: TransId, status: TxnStatus, acct: &mut Account) -> Result<()> {
+        if status == TxnStatus::Committed {
+            self.log_barrier(acct)?;
+            self.events.push(Event::CommitMark { tid });
+        }
         Ok(())
     }
 
@@ -999,11 +1010,7 @@ impl Volume {
             tid,
             status,
         });
-        if status == TxnStatus::Committed {
-            self.log_barrier(acct)?;
-            self.events.push(Event::CommitMark { tid });
-        }
-        Ok(())
+        self.mark_if_committed(tid, status, acct)
     }
 
     /// Reads a coordinator log record (recovery inquiry). One read charged,

@@ -12,8 +12,10 @@
 //! 3. **2PC safety** (Section 4.2): the commit mark is the commit point. No
 //!    participant installs a transaction's changes, and no commit message is
 //!    sent, before the coordinator's commit mark; a commit mark requires a
-//!    positive prepare acknowledgement from every participant; no
-//!    transaction is both committed and aborted.
+//!    positive prepare acknowledgement from every participant (for a
+//!    delegated transaction the mark is the delegate's, and so is the one
+//!    acknowledgement it needs: its own staged vote); no transaction is
+//!    both committed and aborted.
 //! 4. **Atomicity + serializability** (checked in [`super::run_schedule`]):
 //!    the recovered durable state must be explainable by replaying the
 //!    committed transactions in commit-mark order.
@@ -316,8 +318,9 @@ pub fn check_two_phase_with_marks(
         }
     }
     // A commit mark requires a positive prepare ack from every participant
-    // that was later told to commit, and a committed transaction must never
-    // also abort.
+    // that was later told to commit — or, for a delegated transaction, from
+    // the delegate, whose own staged vote precedes its own mark — and a
+    // committed transaction must never also abort.
     for (tid, cm) in &fates.commit_mark {
         if fates.aborted.contains(tid) {
             push(*tid, "both committed and aborted".into());
@@ -325,7 +328,11 @@ pub fn check_two_phase_with_marks(
         let participants: BTreeSet<_> = events
             .iter()
             .filter_map(|e| match e {
-                Event::CommitSent { tid: t, to } if t == tid => Some(*to),
+                Event::CommitSent { tid: t, to } | Event::DelegateSent { tid: t, to }
+                    if t == tid =>
+                {
+                    Some(*to)
+                }
                 _ => None,
             })
             .collect();
@@ -666,6 +673,37 @@ mod tests {
         assert!(
             v.iter()
                 .any(|x| matches!(x, Violation::TwoPhase { rule, .. } if rule.contains("both"))),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn a_delegated_mark_needs_the_delegates_own_yes() {
+        let delegated = |ok| {
+            vec![
+                Event::DelegateSent {
+                    tid: tid(4),
+                    to: SiteId(1),
+                },
+                Event::PrepareSent {
+                    tid: tid(4),
+                    to: SiteId(1),
+                },
+                Event::PrepareAck {
+                    tid: tid(4),
+                    from: SiteId(1),
+                    ok,
+                },
+                Event::CommitMark { tid: tid(4) },
+                Event::Committed { tid: tid(4) },
+            ]
+        };
+        let mut v = Vec::new();
+        check_two_phase(&delegated(true), &mut v);
+        assert!(v.is_empty(), "{v:?}");
+        check_two_phase(&delegated(false), &mut v);
+        assert!(
+            matches!(&v[..], [Violation::TwoPhase { rule, .. }] if rule.contains("from site1")),
             "{v:?}"
         );
     }

@@ -5,13 +5,20 @@
 //! [`drive`] — the same code the live `TxnManager` runs — over every
 //! interleaving a bounded scope allows, and asserts the 2PC safety
 //! invariants on every edge. One global state is the machines plus an
-//! abstract substrate: the durable coordinator log, per-site prepare logs,
+//! abstract substrate: the durable coordinator logs, per-site prepare logs,
 //! the global commit-fence set, dirty/installed bookkeeping, in-flight
 //! messages, and the asynchronous phase-two queue. What each [`Effect`]
 //! means against that substrate is one exhaustive `match`, so a new effect
 //! kind does not compile until the model says what it does. Exploration is
 //! breadth-first with full-state deduplication, so a reported
 //! counterexample trace is shortest-possible.
+//!
+//! **Scope.** Site 0 starts every transaction. By default each transaction
+//! writes one file at every site; with [`McConfig::remote_only`] it writes
+//! one at every site *but* site 0. Over two sites that is the delegated
+//! shape — one participant, not the requester, which decides — and over
+//! three it is `commit_dist`'s: a coordinator with no file of its own and
+//! two remote participants.
 //!
 //! **Fault model.** Between any two protocol transitions the scope may
 //! crash a site (volatile dirty pages die; journals, machines, and the
@@ -25,13 +32,14 @@
 //! which rolls back unless the site prepared), and re-dirty a file after
 //! its acked writes were lost (the transaction's processes re-established
 //! state — the historical trigger for both the refusal-set and boot-epoch
-//! defenses). Each fault class has its own budget so the scope stays
-//! finite.
+//! defenses). A delegation may be dropped or duplicated like a prepare, and
+//! its answer dropped on the way back. Each fault class has its own budget
+//! so the scope stays finite.
 //!
 //! **Invariants** (checked on every transition):
 //!
 //! * `commit-abort-exclusion` — no transaction is ever both committed and
-//!   aborted.
+//!   aborted, and no caller is told the opposite of the decision.
 //! * `no-lost-committed-writes` — a committed transaction never lost acked
 //!   writes at any site (the write-ahead promise of the yes vote).
 //! * `install-without-commit` / `install-of-aborted` — no site installs
@@ -63,21 +71,24 @@ use locus_types::{Fid, FileListEntry, SiteId, TransId, TxnStatus, VolumeId};
 /// Scope bounds for one exhaustive exploration.
 #[derive(Debug, Clone, Copy)]
 pub struct McConfig {
-    /// Number of sites. Site 0 hosts the coordinator; every transaction
-    /// writes one file at every site, which maximises cross-site coupling
-    /// for the scope size.
+    /// Number of sites. Site 0 starts every transaction and coordinates it
+    /// unless it delegates.
     pub sites: u32,
     /// Number of transactions (started sequentially, run concurrently).
     pub txns: u64,
+    /// Whether each transaction writes a file at every site but site 0
+    /// rather than at every site.
+    pub remote_only: bool,
     /// How many site crashes the scope may inject.
     pub crashes: u8,
-    /// How many prepare messages may be dropped.
+    /// How many prepare messages (or delegations, or their answers) may be
+    /// dropped.
     pub drops: u8,
-    /// How many prepare deliveries may be duplicated.
+    /// How many prepare deliveries (or delegations) may be duplicated.
     pub dups: u8,
     /// How many unilateral (partition-style) rollbacks may occur.
     pub rollbacks: u8,
-    /// Deliberately disabled participant defenses (bug-reintroduction).
+    /// Deliberately disabled defenses (bug-reintroduction).
     pub faults: ParticipantFaults,
     /// Exploration cap; exceeding it reports `complete: false`.
     pub max_states: usize,
@@ -89,6 +100,7 @@ impl McConfig {
         McConfig {
             sites,
             txns,
+            remote_only: false,
             crashes: 1,
             drops: 1,
             dups: 1,
@@ -128,15 +140,39 @@ pub struct McReport {
 /// An in-flight network message. Synchronous RPC in the live driver means
 /// a vote is the prepare's reply; modelling both directions as messages
 /// lets the scope interleave deliveries, drops, and duplicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Msg {
-    Prepare { tid: TransId, to: u32, epoch: u64 },
-    Vote { tid: TransId, from: u32, ok: bool },
+    Prepare {
+        tid: TransId,
+        to: u32,
+        epoch: u64,
+    },
+    Vote {
+        tid: TransId,
+        from: u32,
+        ok: bool,
+    },
+    /// Site 0 hands `to` the decision, with the forgets it had for `to`.
+    Delegate {
+        tid: TransId,
+        to: u32,
+        epoch: u64,
+        forget: Vec<TransId>,
+    },
+    /// The delegate's answer: committed or not, or `None` when the
+    /// delegation or its answer was lost.
+    Answer {
+        tid: TransId,
+        from: u32,
+        commit: Option<bool>,
+    },
 }
 
-/// One queued phase-two work item (mirrors the driver's `Phase2Work`).
+/// One queued phase-two work item (mirrors the driver's `Phase2Work`), in
+/// the queue of the coordinator at site `coord`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct P2Item {
+    coord: u32,
     tid: TransId,
     commit: bool,
     pending: BTreeSet<u32>,
@@ -147,8 +183,9 @@ struct P2Item {
 struct PartSite {
     sm: ParticipantSm,
     up: bool,
-    /// Durable prepare log (journal-backed: survives crashes).
-    prepare_log: BTreeSet<TransId>,
+    /// Durable prepare log (journal-backed: survives crashes), with the
+    /// coordinator each record names.
+    prepare_log: BTreeMap<TransId, u32>,
     /// Transactions whose intentions were installed here.
     installed: BTreeSet<TransId>,
     /// Transactions with acked-but-volatile dirty data here.
@@ -158,17 +195,23 @@ struct PartSite {
 /// One global state of the bounded scope.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct World {
-    coord: CoordinatorSm,
+    /// Every site's coordinator machine: site 0's coordinates or delegates,
+    /// another's decides what site 0 delegated to it.
+    coords: Vec<CoordinatorSm>,
     parts: Vec<PartSite>,
     /// In-flight messages with multiplicity (duplicates raise the count).
     net: BTreeMap<Msg, u8>,
-    /// Durable coordinator log at site 0 (survives crashes).
-    coord_log: BTreeMap<TransId, TxnStatus>,
+    /// Durable coordinator log per site (survives crashes).
+    coord_logs: Vec<BTreeMap<TransId, TxnStatus>>,
     /// Commit fences (the catalog is global and uncrashed, as in the sim).
     fences: BTreeSet<TransId>,
-    /// The asynchronous phase-two queue at site 0 (in-memory in the driver,
-    /// and the driver survives kernel crashes — so it survives here too).
+    /// The asynchronous phase-two queues (in-memory in the driver, and the
+    /// driver survives kernel crashes — so they survive here too).
     queue: Vec<P2Item>,
+    /// Site 0's inquiries to retry.
+    inquiries: BTreeSet<TransId>,
+    /// Site 0's forgets not yet sent, by delegate.
+    forgets: BTreeMap<u32, BTreeSet<TransId>>,
     /// Per-transaction boot epochs captured at start, indexed by site.
     epochs: BTreeMap<TransId, Vec<u64>>,
     committed: BTreeSet<TransId>,
@@ -177,6 +220,7 @@ struct World {
     /// transaction was undecided (crash of unprepared dirty data, or a
     /// unilateral rollback).
     lost: BTreeSet<(u32, TransId)>,
+    remote_only: bool,
     txns_started: u64,
     crashes_left: u8,
     drops_left: u8,
@@ -192,27 +236,41 @@ fn tid_for(k: u64) -> TransId {
     TransId::new(SiteId(0), k + 1)
 }
 
+/// What a machine told its remote caller.
+#[derive(Default)]
+struct Reply {
+    /// A yes vote or a phase-two ack; no if it said nothing.
+    yes: bool,
+    /// A delegate's answer, if it gave one.
+    answer: Option<bool>,
+}
+
 impl World {
     fn init(cfg: &McConfig) -> World {
         World {
-            coord: CoordinatorSm::new(SiteId(0)),
+            coords: (0..cfg.sites)
+                .map(|s| CoordinatorSm::with_faults(SiteId(s), cfg.faults))
+                .collect(),
             parts: (0..cfg.sites)
                 .map(|s| PartSite {
                     sm: ParticipantSm::with_faults(SiteId(s), 0, cfg.faults),
                     up: true,
-                    prepare_log: BTreeSet::new(),
+                    prepare_log: BTreeMap::new(),
                     installed: BTreeSet::new(),
                     dirty: BTreeSet::new(),
                 })
                 .collect(),
             net: BTreeMap::new(),
-            coord_log: BTreeMap::new(),
+            coord_logs: vec![BTreeMap::new(); cfg.sites as usize],
             fences: BTreeSet::new(),
             queue: Vec::new(),
+            inquiries: BTreeSet::new(),
+            forgets: BTreeMap::new(),
             epochs: BTreeMap::new(),
             committed: BTreeSet::new(),
             aborted: BTreeSet::new(),
             lost: BTreeSet::new(),
+            remote_only: cfg.remote_only,
             txns_started: 0,
             crashes_left: cfg.crashes,
             drops_left: cfg.drops,
@@ -221,11 +279,16 @@ impl World {
         }
     }
 
+    /// The sites every transaction writes a file at.
+    fn storage_sites(&self) -> std::ops::Range<u32> {
+        u32::from(self.remote_only)..self.parts.len() as u32
+    }
+
     /// The file list for `tid`, reconstructed from the epochs captured when
-    /// the transaction started (one file per site, as in `init`'s scope).
+    /// the transaction started (one file per storage site).
     fn files_for(&self, tid: TransId) -> Vec<FileListEntry> {
         let epochs = &self.epochs[&tid];
-        (0..self.parts.len() as u32)
+        self.storage_sites()
             .map(|s| FileListEntry {
                 fid: fid_at(s),
                 storage_site: SiteId(s),
@@ -247,9 +310,9 @@ impl World {
         }
     }
 
-    /// Record a commit/abort decision in the durable coordinator log,
-    /// checking decision-level invariants.
-    fn log_status(&mut self, tid: TransId, status: TxnStatus) -> Result<(), String> {
+    /// Record a commit/abort decision in site `s`'s durable coordinator
+    /// log, checking decision-level invariants.
+    fn log_status(&mut self, s: usize, tid: TransId, status: TxnStatus) -> Result<(), String> {
         match status {
             TxnStatus::Committed => {
                 if self.aborted.contains(&tid) {
@@ -265,51 +328,68 @@ impl World {
                     ));
                 }
             }
-            TxnStatus::Aborted => {
-                if self.committed.contains(&tid) {
-                    return Err(format!(
-                        "commit-abort-exclusion: {tid} marked aborted after a commit decision"
-                    ));
-                }
-                self.aborted.insert(tid);
-            }
+            TxnStatus::Aborted => self.abort_decided(tid, "marked aborted")?,
             TxnStatus::Unknown => {}
         }
-        self.coord_log.insert(tid, status);
+        self.coord_logs[s].insert(tid, status);
+        Ok(())
+    }
+
+    /// Records that `tid` was decided aborted — by a mark, an answer to the
+    /// caller, or an inquiry — which must not contradict a commit.
+    fn abort_decided(&mut self, tid: TransId, how: &str) -> Result<(), String> {
+        if self.committed.contains(&tid) {
+            return Err(format!(
+                "commit-abort-exclusion: {tid} {how} after a commit decision"
+            ));
+        }
+        self.aborted.insert(tid);
         Ok(())
     }
 
     /// Feed `input` to one machine and interpret its effects against the
-    /// abstract substrate until quiescent. Returns what the machine told its
-    /// remote caller — a yes vote or a phase-two ack; no if it said nothing.
+    /// abstract substrate until quiescent, returning what it told its
+    /// remote caller.
+    fn run(
+        &mut self,
+        at: Machine,
+        input: Input,
+        seen: &mut BTreeSet<&'static str>,
+    ) -> Result<Reply, String> {
+        let mut sub = Model {
+            w: self,
+            at,
+            seen,
+            reply: Reply::default(),
+        };
+        drive(&mut sub, input)?;
+        Ok(sub.reply)
+    }
+
+    /// [`World::run`] for a yes-or-no reply: a vote or a phase-two ack.
     fn drive(
         &mut self,
         at: Machine,
         input: Input,
         seen: &mut BTreeSet<&'static str>,
     ) -> Result<bool, String> {
-        let mut sub = Model {
-            w: self,
-            at,
-            seen,
-            reply: false,
-        };
-        drive(&mut sub, input)?;
-        Ok(sub.reply)
+        self.run(at, input, seen).map(|r| r.yes)
     }
 
-    /// Run one full prepare round at site `s` (the participant side of the
-    /// synchronous prepare RPC), returning the vote.
+    /// Run one full prepare round at site `s` for the coordinator at
+    /// `coordinator` (the participant side of the synchronous prepare RPC),
+    /// returning the vote.
     fn prepare_round(
         &mut self,
         s: usize,
+        coordinator: u32,
         tid: TransId,
         epoch: u64,
         seen: &mut BTreeSet<&'static str>,
     ) -> Result<bool, String> {
         let input = Input::PrepareReq {
             tid,
-            coordinator: SiteId(0),
+            coordinator: SiteId(coordinator),
             files: vec![fid_at(s as u32)],
             epoch,
         };
@@ -329,11 +409,58 @@ impl World {
         Ok(vote)
     }
 
+    /// Deliver a delegation of `tid` to site `d`: its coordinator takes the
+    /// forgets, then decides, and its answer — or its silence — heads back.
+    fn delegate_round(
+        &mut self,
+        d: usize,
+        tid: TransId,
+        epoch: u64,
+        forget: Vec<TransId>,
+        seen: &mut BTreeSet<&'static str>,
+    ) -> Result<(), String> {
+        let forget = Input::Forget {
+            from: SiteId(0),
+            tids: forget,
+        };
+        self.run(Machine::Coord(d), forget, seen)?;
+        let files = vec![fid_at(d as u32)];
+        let req = Input::DelegateReq { tid, files, epoch };
+        let commit = self.run(Machine::Coord(d), req, seen)?.answer;
+        self.add_msg(Msg::Answer {
+            tid,
+            from: d as u32,
+            commit,
+        });
+        Ok(())
+    }
+
+    /// Site 0 asks delegate `d` about `tid`, as `StatusInquiry` does: the
+    /// logged outcome if any; otherwise `d` aborts the transaction before
+    /// it says so.
+    fn inquire(
+        &mut self,
+        d: usize,
+        tid: TransId,
+        seen: &mut BTreeSet<&'static str>,
+    ) -> Result<PrepareOutcome, String> {
+        if !self.parts[d].up {
+            return Ok(PrepareOutcome::Unreachable);
+        }
+        if let Some(status) = self.coord_logs[d].get(&tid) {
+            return Ok(Some(*status).into());
+        }
+        let files = vec![fid_at(d as u32)];
+        self.drive(Machine::Part(d), Input::AbortReq { tid, files }, seen)?;
+        self.abort_decided(tid, "aborted by an inquiry")?;
+        Ok(PrepareOutcome::AbortedOrForgotten)
+    }
+
     /// Perform a (possibly idempotent) install of `tid`'s intentions at
     /// site `s`, checking the install-side invariants.
     fn install_at(&mut self, s: usize, tid: TransId) -> Result<(), String> {
         let fresh =
-            self.parts[s].prepare_log.contains(&tid) && !self.parts[s].installed.contains(&tid);
+            self.parts[s].prepare_log.contains_key(&tid) && !self.parts[s].installed.contains(&tid);
         if !fresh {
             // Duplicate phase-two delivery: nothing prepared and pending
             // here, the driver's install path finds no work and acks.
@@ -362,7 +489,7 @@ impl World {
     }
 
     /// Deliver one phase-two message for queue item `i` to site `s` and,
-    /// when the item completes, feed `Phase2Done` back to the coordinator.
+    /// when the item completes, feed `Phase2Done` back to its coordinator.
     fn deliver_phase2(
         &mut self,
         i: usize,
@@ -370,6 +497,7 @@ impl World {
         seen: &mut BTreeSet<&'static str>,
     ) -> Result<(), String> {
         let item = self.queue[i].clone();
+        let coord = Machine::Coord(item.coord as usize);
         let files = vec![fid_at(s as u32)];
         let first = if item.commit {
             Input::CommitReq {
@@ -388,7 +516,7 @@ impl World {
                 site: SiteId(s as u32),
                 ok: true,
             };
-            self.drive(Machine::Coord, ack, seen)?;
+            self.drive(coord, ack, seen)?;
             self.queue[i].pending.remove(&(s as u32));
             if self.queue[i].pending.is_empty() {
                 let done = self.queue.remove(i);
@@ -396,7 +524,7 @@ impl World {
                     tid: done.tid,
                     commit: done.commit,
                 };
-                self.drive(Machine::Coord, done, seen)?;
+                self.drive(coord, done, seen)?;
             }
         }
         Ok(())
@@ -408,7 +536,8 @@ impl World {
         self.parts[s].up = false;
         let dirty: Vec<TransId> = self.parts[s].dirty.iter().copied().collect();
         for tid in dirty {
-            if !self.parts[s].prepare_log.contains(&tid) && !self.parts[s].installed.contains(&tid)
+            if !self.parts[s].prepare_log.contains_key(&tid)
+                && !self.parts[s].installed.contains(&tid)
             {
                 self.lost.insert((s as u32, tid));
                 if self.committed.contains(&tid) {
@@ -429,28 +558,36 @@ impl World {
         self.parts[s].up = true;
         let epoch = self.parts[s].sm.boot_epoch() + 1;
         self.drive(Machine::Part(s), Input::Rebooted { epoch }, seen)?;
-        if s == 0 {
-            // Coordinator-log scan: re-drive committed transactions, abort
-            // undecided ones (presumed abort).
-            let scans: Vec<(TransId, TxnStatus)> =
-                self.coord_log.iter().map(|(t, st)| (*t, *st)).collect();
-            for (tid, status) in scans {
-                let files = self.files_for(tid);
-                self.drive(
-                    Machine::Coord,
-                    Input::CoordScan { tid, files, status },
-                    seen,
-                )?;
-            }
+        // Coordinator-log scan: re-drive committed transactions, abort
+        // undecided ones (presumed abort). A record here names the files
+        // this site wrote it for: all of them at site 0, its own at a
+        // delegate.
+        let scans: Vec<(TransId, TxnStatus)> =
+            self.coord_logs[s].iter().map(|(t, st)| (*t, *st)).collect();
+        for (tid, status) in scans {
+            let files = self
+                .files_for(tid)
+                .into_iter()
+                .filter(|f| s == 0 || f.storage_site == SiteId(s as u32))
+                .collect();
+            self.drive(
+                Machine::Coord(s),
+                Input::CoordScan { tid, files, status },
+                seen,
+            )?;
         }
         // Prepare-log scan: resolve each in-doubt prepare against the
-        // coordinator (reachable only if site 0 is up).
-        let recovered: Vec<TransId> = self.parts[s].prepare_log.iter().copied().collect();
-        for tid in recovered {
+        // coordinator it names.
+        let recovered: Vec<(TransId, u32)> = self.parts[s]
+            .prepare_log
+            .iter()
+            .map(|(t, c)| (*t, *c))
+            .collect();
+        for (tid, coordinator) in recovered {
             let input = Input::RecoveredPrepare {
                 tid,
                 fid: fid_at(s as u32),
-                coordinator: SiteId(0),
+                coordinator: SiteId(coordinator),
             };
             self.drive(Machine::Part(s), input, seen)?;
         }
@@ -458,18 +595,18 @@ impl World {
     }
 
     /// Start transaction number `txns_started`: acked dirty writes land at
-    /// every site (epochs captured per site, as the file list does at open
-    /// time), then the top-level `EndTrans` requests commit.
+    /// every storage site (epochs captured per site, as the file list does
+    /// at open time), then the top-level `EndTrans` requests commit.
     fn start_txn(&mut self, seen: &mut BTreeSet<&'static str>) -> Result<(), String> {
         let tid = tid_for(self.txns_started);
         self.txns_started += 1;
         let epochs: Vec<u64> = self.parts.iter().map(|p| p.sm.boot_epoch()).collect();
         self.epochs.insert(tid, epochs);
-        for p in self.parts.iter_mut() {
-            p.dirty.insert(tid);
+        for s in self.storage_sites() {
+            self.parts[s as usize].dirty.insert(tid);
         }
         let files = self.files_for(tid);
-        self.drive(Machine::Coord, Input::commit_requested(tid, files), seen)
+        self.drive(Machine::Coord(0), Input::commit_requested(tid, files), seen)
             .map(|_| ())
     }
 
@@ -494,11 +631,11 @@ impl World {
     }
 }
 
-/// Which machine a [`Model`] steps: the coordinator (at site 0) or the
-/// participant at one site.
+/// Which machine a [`Model`] steps: the coordinator or the participant at
+/// one site.
 #[derive(Clone, Copy)]
 enum Machine {
-    Coord,
+    Coord(usize),
     Part(usize),
 }
 
@@ -510,8 +647,8 @@ struct Model<'a> {
     at: Machine,
     /// Every effect kind interpreted, for the coverage report.
     seen: &'a mut BTreeSet<&'static str>,
-    /// The machine's vote or phase-two ack; no until it says yes.
-    reply: bool,
+    /// What the machine told its remote caller.
+    reply: Reply,
 }
 
 impl Substrate for Model<'_> {
@@ -519,7 +656,7 @@ impl Substrate for Model<'_> {
 
     fn step(&mut self, input: Input) -> Vec<Effect> {
         match self.at {
-            Machine::Coord => self.w.coord.step(&input),
+            Machine::Coord(s) => self.w.coords[s].step(&input),
             Machine::Part(s) => self.w.parts[s].sm.step(&input),
         }
     }
@@ -533,15 +670,24 @@ impl Substrate for Model<'_> {
     fn interpret(&mut self, effect: Effect) -> Result<Option<Input>, String> {
         self.seen.insert(effect.name());
         let w = &mut *self.w;
-        // The site a participant effect acts at; the coordinator is site 0.
+        // The site the effect acts at.
         let s = match self.at {
-            Machine::Coord => 0,
-            Machine::Part(s) => s,
+            Machine::Coord(s) | Machine::Part(s) => s,
         };
         Ok(match effect {
             Effect::LogStart { tid, .. } => {
-                w.coord_log.insert(tid, TxnStatus::Unknown);
+                w.coord_logs[s].insert(tid, TxnStatus::Unknown);
                 Some(Input::StartLogged { tid, ok: true })
+            }
+            Effect::SendPrepare {
+                tid, site, epoch, ..
+            } if s != 0 => {
+                // A delegate preparing itself: a local call inside the
+                // delegation, which no fault can split. (Site 0's prepares
+                // to itself go over the network, as they always have here:
+                // its start record covers what that adds.)
+                let ok = w.prepare_round(site.0 as usize, s as u32, tid, epoch, self.seen)?;
+                Some(Input::Vote { tid, site, ok })
             }
             Effect::SendPrepare {
                 tid, site, epoch, ..
@@ -564,8 +710,12 @@ impl Substrate for Model<'_> {
                 status,
                 critical,
             } => {
-                w.log_status(tid, status)?;
+                w.log_status(s, tid, status)?;
                 critical.then_some(Input::StatusLogged { tid, ok: true })
+            }
+            Effect::LogCommit { tid, .. } => {
+                w.log_status(s, tid, TxnStatus::Committed)?;
+                Some(Input::StatusLogged { tid, ok: true })
             }
             Effect::QueuePhase2 {
                 tid,
@@ -573,6 +723,7 @@ impl Substrate for Model<'_> {
                 participants,
             } => {
                 w.queue.push(P2Item {
+                    coord: s as u32,
                     tid,
                     commit,
                     pending: participants.iter().map(|(s, _)| s.0).collect(),
@@ -580,13 +731,13 @@ impl Substrate for Model<'_> {
                 None
             }
             Effect::PurgeCoordLog { tid } => {
-                w.coord_log.remove(&tid);
+                w.coord_logs[s].remove(&tid);
                 None
             }
             Effect::DropFence { tid } => {
                 if w.committed.contains(&tid) {
                     for (i, p) in w.parts.iter().enumerate() {
-                        if p.prepare_log.contains(&tid) {
+                        if p.prepare_log.contains_key(&tid) {
                             return Err(format!(
                                 "fence-holds-through-phase-two: fence for \
                                  committed {tid} dropped while site{i} still \
@@ -598,32 +749,81 @@ impl Substrate for Model<'_> {
                 w.fences.remove(&tid);
                 None
             }
-            // Announcements, local process bookkeeping and locks:
-            // no substrate in the model.
-            Effect::FinishLocal { .. }
-            | Effect::NoteAborted { .. }
+            Effect::FinishLocal { tid, commit } => {
+                // What the caller is told must be the decision.
+                if commit && w.aborted.contains(&tid) {
+                    return Err(format!(
+                        "commit-abort-exclusion: {tid} reported committed after an abort decision"
+                    ));
+                }
+                if !commit {
+                    w.abort_decided(tid, "reported aborted to its caller")?;
+                }
+                None
+            }
+            // Announcements and locks: no substrate in the model.
+            Effect::NoteAborted { .. }
             | Effect::NoteCompleted { .. }
             | Effect::NoteRecoveryRedo { .. }
             | Effect::NoteRecoveryAbort { .. }
             | Effect::ReleaseLocks { .. } => None,
+            Effect::SendDelegate {
+                tid, site, epoch, ..
+            } => {
+                let forget = w.forgets.remove(&site.0).unwrap_or_default();
+                w.add_msg(Msg::Delegate {
+                    tid,
+                    to: site.0,
+                    epoch,
+                    forget: forget.into_iter().collect(),
+                });
+                None
+            }
+            Effect::Inquire { tid, site } => {
+                let outcome = w.inquire(site.0 as usize, tid, self.seen)?;
+                Some(Input::DelegateAnswer { tid, outcome })
+            }
+            Effect::QueueInquiry { tid } => {
+                w.inquiries.insert(tid);
+                None
+            }
+            Effect::Forget { tid, site } => {
+                w.forgets.entry(site.0).or_default().insert(tid);
+                None
+            }
+            Effect::FinishHere { tid, commit, files } => {
+                let input = if commit {
+                    Input::CommitReq { tid, files }
+                } else {
+                    Input::AbortReq { tid, files }
+                };
+                let ok = w.drive(Machine::Part(s), input, self.seen)?;
+                Some(Input::FinishedHere { tid, ok })
+            }
+            Effect::Answer { commit, .. } => {
+                self.reply.answer = Some(commit);
+                None
+            }
             Effect::CheckPrimary { tid, .. } => {
                 // No failover in this scope: always still primary.
                 Some(Input::PrimaryChecked { tid, ok: true })
             }
             Effect::CheckKnown { tid, .. } => {
                 let known = w.parts[s].dirty.contains(&tid)
-                    || w.parts[s].prepare_log.contains(&tid)
-                    || (s == 0 && w.coord.status_of(tid) == Some(TxnStatus::Unknown));
+                    || w.parts[s].prepare_log.contains_key(&tid)
+                    || w.coords[s].coordinates_undecided(tid);
                 Some(Input::KnownChecked { tid, known })
             }
-            Effect::StageAndLog { tid, .. } => {
+            Effect::StageAndLog {
+                tid, coordinator, ..
+            } => {
                 // Staging is reliable in-scope; crashes are the injected
                 // fault, not disk errors.
-                w.parts[s].prepare_log.insert(tid);
+                w.parts[s].prepare_log.insert(tid, coordinator.0);
                 Some(Input::Staged { tid, ok: true })
             }
             Effect::Vote { ok, .. } | Effect::Ack { ok, .. } => {
-                self.reply = ok;
+                self.reply.yes = ok;
                 None
             }
             Effect::Install { tid, .. } => {
@@ -639,9 +839,14 @@ impl Substrate for Model<'_> {
                 w.parts[s].dirty.remove(&tid);
                 Some(Input::RolledBack { tid, ok: true })
             }
-            Effect::QueryStatus { tid, fid, .. } => {
-                let outcome = if s == 0 || w.parts[0].up {
-                    w.coord_log.get(&tid).copied().into()
+            Effect::QueryStatus {
+                tid,
+                fid,
+                coordinator,
+            } => {
+                let c = coordinator.0 as usize;
+                let outcome = if s == c || w.parts[c].up {
+                    w.coord_logs[c].get(&tid).copied().into()
                 } else {
                     PrepareOutcome::Unreachable
                 };
@@ -681,13 +886,13 @@ fn successors(
 
     // Network: deliver / drop / duplicate each distinct in-flight message.
     for m in w.net.keys() {
-        match *m {
+        match m.clone() {
             Msg::Prepare { tid, to, epoch } => {
                 let s = to as usize;
                 if w.parts[s].up {
                     let mut n = w.clone();
                     n.take_msg(m);
-                    let r = n.prepare_round(s, tid, epoch, seen).map(|ok| {
+                    let r = n.prepare_round(s, 0, tid, epoch, seen).map(|ok| {
                         n.add_msg(Msg::Vote { tid, from: to, ok });
                         n
                     });
@@ -718,7 +923,7 @@ fn successors(
                 if w.dups_left > 0 && w.parts[s].up {
                     let mut n = w.clone();
                     n.dups_left -= 1;
-                    let r = n.prepare_round(s, tid, epoch, seen).map(|ok| {
+                    let r = n.prepare_round(s, 0, tid, epoch, seen).map(|ok| {
                         n.add_msg(Msg::Vote { tid, from: to, ok });
                         n
                     });
@@ -734,7 +939,7 @@ fn successors(
                         site: SiteId(from),
                         ok,
                     };
-                    let r = n.drive(Machine::Coord, vote, seen).map(|_| n);
+                    let r = n.drive(Machine::Coord(0), vote, seen).map(|_| n);
                     out.push((
                         format!(
                             "deliver vote {tid} site{from}={}",
@@ -744,27 +949,112 @@ fn successors(
                     ));
                 }
             }
+            Msg::Delegate {
+                tid,
+                to,
+                epoch,
+                forget,
+            } => {
+                let d = to as usize;
+                let lost = Msg::Answer {
+                    tid,
+                    from: to,
+                    commit: None,
+                };
+                if w.parts[d].up {
+                    let mut n = w.clone();
+                    n.take_msg(m);
+                    let r = n
+                        .delegate_round(d, tid, epoch, forget.clone(), seen)
+                        .map(|_| n);
+                    out.push((format!("deliver delegate {tid} -> site{d}"), r));
+                } else {
+                    let mut n = w.clone();
+                    n.take_msg(m);
+                    n.add_msg(lost.clone());
+                    out.push((
+                        format!("delegate {tid} -> site{d} fails (site down)"),
+                        Ok(n),
+                    ));
+                }
+                if w.drops_left > 0 && w.parts[d].up {
+                    let mut n = w.clone();
+                    n.drops_left -= 1;
+                    n.take_msg(m);
+                    n.add_msg(lost);
+                    out.push((format!("drop delegate {tid} -> site{d}"), Ok(n)));
+                }
+                if w.dups_left > 0 && w.parts[d].up {
+                    let mut n = w.clone();
+                    n.dups_left -= 1;
+                    let r = n.delegate_round(d, tid, epoch, forget, seen).map(|_| n);
+                    out.push((format!("duplicate delegate {tid} -> site{d}"), r));
+                }
+            }
+            Msg::Answer { tid, from, commit } => {
+                if w.parts[0].up {
+                    let mut n = w.clone();
+                    n.take_msg(m);
+                    let outcome = match commit {
+                        Some(true) => PrepareOutcome::Committed,
+                        Some(false) => PrepareOutcome::AbortedOrForgotten,
+                        None => PrepareOutcome::Unreachable,
+                    };
+                    let answer = Input::DelegateAnswer { tid, outcome };
+                    let r = n.drive(Machine::Coord(0), answer, seen).map(|_| n);
+                    let said = match commit {
+                        Some(true) => "committed",
+                        Some(false) => "aborted",
+                        None => "lost",
+                    };
+                    out.push((format!("deliver answer {tid} site{from}={said}"), r));
+                }
+                if w.drops_left > 0 && commit.is_some() {
+                    let mut n = w.clone();
+                    n.drops_left -= 1;
+                    n.take_msg(m);
+                    n.add_msg(Msg::Answer {
+                        tid,
+                        from,
+                        commit: None,
+                    });
+                    out.push((format!("drop answer {tid} site{from}"), Ok(n)));
+                }
+            }
         }
     }
 
-    // Phase two: the daemon at site 0 messages one pending participant.
+    // The phase-two dæmon at site 0 retries a queued inquiry.
     if w.parts[0].up {
-        for (i, item) in w.queue.iter().enumerate() {
-            for s in item.pending.iter().map(|s| *s as usize) {
-                if !w.parts[s].up {
-                    continue; // stays pending until the site reboots
-                }
-                let mut n = w.clone();
-                let r = n.deliver_phase2(i, s, seen).map(|_| n);
-                out.push((
-                    format!(
-                        "phase2 {} {} -> site{s}",
-                        if item.commit { "commit" } else { "abort" },
-                        item.tid
-                    ),
-                    r,
-                ));
+        for &tid in &w.inquiries {
+            let mut n = w.clone();
+            n.inquiries.remove(&tid);
+            let r = n
+                .drive(Machine::Coord(0), Input::RetryInquiry { tid }, seen)
+                .map(|_| n);
+            out.push((format!("retry inquiry {tid}"), r));
+        }
+    }
+
+    // Phase two: a coordinator's dæmon messages one pending participant.
+    for (i, item) in w.queue.iter().enumerate() {
+        if !w.parts[item.coord as usize].up {
+            continue;
+        }
+        for s in item.pending.iter().map(|s| *s as usize) {
+            if !w.parts[s].up {
+                continue; // stays pending until the site reboots
             }
+            let mut n = w.clone();
+            let r = n.deliver_phase2(i, s, seen).map(|_| n);
+            out.push((
+                format!(
+                    "phase2 {} {} -> site{s}",
+                    if item.commit { "commit" } else { "abort" },
+                    item.tid
+                ),
+                r,
+            ));
         }
     }
 
@@ -814,7 +1104,7 @@ fn successors(
             }
             if w.lost.contains(&(s as u32, tid))
                 && !w.parts[s].dirty.contains(&tid)
-                && !w.parts[s].prepare_log.contains(&tid)
+                && !w.parts[s].prepare_log.contains_key(&tid)
                 && !w.parts[s].installed.contains(&tid)
             {
                 let mut n = w.clone();

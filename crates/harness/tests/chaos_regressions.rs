@@ -204,9 +204,15 @@ fn seed_1206_migrate_then_partition_loses_an_acked_write() {
 /// OPEN (same backlog entry): seed 1900, minimized to a partition of sites 0
 /// and 2, its heal, and a migration. SERIALIZABILITY on file 2 record 4: a
 /// stale write of committed slot 2 survives out of order. Present on PR 19's
-/// parent with the same minimized schedule.
+/// parent with the same minimized schedule. Since a transaction whose files
+/// all live at one other site hands that site the decision, this schedule
+/// no longer reaches the fault: three of the seed's transactions, the one
+/// at trace line 50 first, are delegated to site 2 and never prepare there
+/// from afar. Nothing fixed the partition-and-migration bug itself (seed
+/// 1206 still loses an acked write), so the test stays ignored until the
+/// fix that closes the backlog entry.
 #[test]
-#[ignore = "known serializability violation, predates PR 19; acceptance test for the backlog entry"]
+#[ignore = "the schedule no longer reaches the open partition-and-migration bug; kept with the backlog entry"]
 fn seed_1900_partition_then_migrate_keeps_a_stale_write() {
     let report = run_text(
         1900,
@@ -414,14 +420,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// deterministic driver's trace. If this fails and the trace change is
 /// intentional, re-pin the hash and re-minimize the repro scenarios above.
 ///
-/// Last re-pin (the access carries its lock): exactly one transaction of
-/// seed 1 moved. The process at site 2 whose explicit `LockReq` reply the
-/// wire fault drops (trace line 7, `ChaosDropReply { from: 2, to: 0, kind:
-/// "LockReq" }`) writes with an empty lock cache, and the implicit request
-/// that was its own `Rpc … LockReq` line (16) now rides line 18's write,
-/// which the trace names `WriteReq+Lock`: one `Rpc` line gone, its
-/// `LockGranted` line after the write's line instead of before, 133 -> 132
-/// events, verdict clean. Nothing else in the trace differs.
+/// Last re-pin (commit where the data is): the first differing event is
+/// trace line 25, where transaction `txn2.1` — slot 2, at site 2, whose
+/// every write lands in site 0's file — no longer logs a coordinator record
+/// at home (`CoordLog { site: 2, …, Unknown }`) but hands site 0 the
+/// decision (`DelegateSent { to: 0 }`, then the `Delegate` RPC in place of
+/// the `Prepare`). Site 0's journal carries the `Committed` record, the
+/// install and the `Committed` event move into that call, and the lock
+/// grants they free move with them; so does every event of the transactions
+/// that queue behind those locks. 132 -> 131 events, verdict clean.
+///
+/// The re-pin before it (the access carries its lock) moved one lock
+/// request of the same seed onto the write that needed it.
 #[test]
 fn seeded_trace_hash_is_pinned() {
     let report = run_seed(&ChaosConfig::with_seed(1));
@@ -432,7 +442,7 @@ fn seeded_trace_hash_is_pinned() {
     );
     let hash = fnv1a(report.trace.as_bytes());
     assert_eq!(
-        hash, 0xc19a_9941_c187_d09a,
+        hash, 0x84d0_ad96_26cb_198c,
         "seed 1 trace changed (hash {hash:#x}); deterministic replay of \
          archived schedules is broken unless this is an intentional trace \
          format change"

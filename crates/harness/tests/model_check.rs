@@ -95,3 +95,40 @@ fn disabling_the_boot_epoch_taint_yields_a_counterexample() {
         v.trace
     );
 }
+
+#[test]
+fn both_remote_only_scopes_are_exhausted_without_violations() {
+    // Over two sites the one participant is not the requester, so it
+    // decides; over three the requester coordinates two remote sites with
+    // no file of its own (`commit_dist`'s shape).
+    for (sites, pinned, own) in [(2, 446, "SendDelegate"), (3, 9258, "LogStart")] {
+        let mut cfg = McConfig::new(sites, 1);
+        cfg.remote_only = true;
+        let report = check(&cfg);
+        assert!(report.complete && report.violation.is_none(), "{report:?}");
+        assert_eq!(
+            report.distinct_states, pinned,
+            "{sites} sites: state count drifted"
+        );
+        assert!(report.effects_seen.contains(own), "{sites} sites");
+    }
+}
+
+#[test]
+fn skipping_the_delegate_record_yields_a_counterexample() {
+    let mut cfg = McConfig::new(2, 1);
+    cfg.remote_only = true;
+    cfg.faults.skip_delegate_record = true;
+    let report = check(&cfg);
+    let v = report
+        .violation
+        .expect("checker must catch a delegate that forgets a commit its requester never heard");
+    assert!(
+        v.invariant.starts_with("commit-abort-exclusion"),
+        "wrong invariant: {}",
+        v.invariant
+    );
+    // Start, the delegation, its answer lost, the inquiry that finds no
+    // record and aborts.
+    assert_eq!(v.trace.len(), 4, "{:?}", v.trace);
+}

@@ -188,6 +188,20 @@ pub enum TxnMsg {
     /// Outcome answer; `None` when the coordinator log has been purged
     /// (which can only happen after all participants finished).
     StatusAnswer { status: Option<TxnStatus> },
+    /// Requester → the one storage site of every file of `tid`: prepare
+    /// these files and decide the transaction here. Answered by a
+    /// `PrepareDone` whose `ok` means committed. `epoch` is
+    /// [`TxnMsg::Prepare`]'s; `forget` names earlier delegated transactions
+    /// of the sender whose outcome it has learned, so their records may go.
+    Delegate {
+        tid: TransId,
+        files: Vec<Fid>,
+        epoch: u64,
+        forget: Vec<TransId>,
+    },
+    /// Requester → delegate, as a member of a phase-two batch that goes
+    /// there anyway: [`TxnMsg::Delegate`]'s `forget`, with no delegation.
+    Forget { tids: Vec<TransId> },
 }
 
 /// Primary update site ↔ replica site protocol (Section 5.2 replication; the
@@ -337,6 +351,8 @@ impl Msg {
                 TxnMsg::AbortProc { .. } => "AbortProc",
                 TxnMsg::StatusInquiry { .. } => "StatusInquiry",
                 TxnMsg::StatusAnswer { .. } => "StatusAnswer",
+                TxnMsg::Delegate { .. } => "Delegate",
+                TxnMsg::Forget { .. } => "Forget",
             },
             Msg::Replica(m) => match m {
                 ReplicaMsg::Sync { .. } => "ReplicaSync",

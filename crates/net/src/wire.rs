@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 5): a version byte, then a service tag, then a variant
+//! Layout (version 6): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -26,8 +26,9 @@ use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 /// `ReadReq` and `WriteReq` their `lock` flag; version 4 gave `LockReq` its
 /// `fetch` flag and `LockResp` the `ReadResp` triple it answers with;
 /// version 5 made `fetch` the held stamps of the ship window and `LockResp`
-/// the storage site's boot epoch and one entry per window page.
-pub const WIRE_VERSION: u8 = 5;
+/// the storage site's boot epoch and one entry per window page; version 6
+/// added `Delegate` and `Forget`.
+pub const WIRE_VERSION: u8 = 6;
 
 // 7 and 10 were PrefetchReq / PrefetchResp (retired) and stay unassigned.
 wire!(enum FileMsg {
@@ -68,6 +69,8 @@ wire!(enum TxnMsg {
     4 => AbortProc { tid, pid },
     5 => StatusInquiry { tid },
     6 => StatusAnswer { status with packed_status },
+    7 => Delegate { tid, files, epoch, forget },
+    8 => Forget { tids },
 });
 
 /// `StatusAnswer`'s optional status is one byte, not the usual presence flag
@@ -337,6 +340,13 @@ mod tests {
             Msg::Txn(TxnMsg::StatusAnswer {
                 status: Some(TxnStatus::Aborted),
             }),
+            Msg::Txn(TxnMsg::Delegate {
+                tid: tid(),
+                files: vec![fid()],
+                epoch: 5,
+                forget: vec![TransId::new(SiteId(3), 40)],
+            }),
+            Msg::Txn(TxnMsg::Forget { tids: vec![tid()] }),
             Msg::Lock(LockMsg::Req {
                 fid: fid(),
                 pid: pid(),
@@ -409,10 +419,11 @@ mod tests {
     /// at 03 when they gained `lock`, and `LockReq` (both samples) and
     /// `LockResp`, re-recorded at 04 when they gained `fetch` and the pages
     /// it asks for, and at 05 when `fetch` became the held stamps and the
-    /// pages one entry each. What is pinned is the body after it.
+    /// pages one entry each; `Delegate` and `Forget` were first recorded at
+    /// 06. What is pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
-        const GOLDEN: [&str; 56] = [
+        const GOLDEN: [&str; 58] = [
             "0200000200000009000000070000000100000001",
             "02000100100000000000000200000000000000",
             "02000202000000090000000700000001000000",
@@ -456,6 +467,9 @@ mod tests {
             "02030600",
             "02030601",
             "02030603",
+            "060307030000002c0000000000000001000000020000000900000005000000000000000100000003\
+             0000002800000000000000",
+            "06030801000000030000002c00000000000000",
             "05010002000000090000000700000001000000000201000000000000000001000000000000000000\
              0100000000",
             "0205030000000300030000002c000000000000000000000001000000020000000900000000000000\
@@ -488,7 +502,10 @@ mod tests {
         assert_eq!(samples.len(), GOLDEN.len());
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
-            assert!(["02", "03", "05"].contains(&version), "the version byte");
+            assert!(
+                ["02", "03", "05", "06"].contains(&version),
+                "the version byte"
+            );
             assert_pinned(msg, body);
             assert_eq!(encode(msg)[0], WIRE_VERSION);
         }

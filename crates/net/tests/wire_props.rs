@@ -211,6 +211,15 @@ fn txn_msg() -> BoxedStrategy<TxnMsg> {
         (tid(), pid()).prop_map(|(tid, pid)| TxnMsg::AbortProc { tid, pid }),
         tid().prop_map(|tid| TxnMsg::StatusInquiry { tid }),
         status.prop_map(|status| TxnMsg::StatusAnswer { status }),
+        (tid(), fids(), any::<u64>(), vec(tid(), 0..4)).prop_map(|(tid, files, epoch, forget)| {
+            TxnMsg::Delegate {
+                tid,
+                files,
+                epoch,
+                forget,
+            }
+        }),
+        vec(tid(), 0..4).prop_map(|tids| TxnMsg::Forget { tids }),
     ]
     .boxed()
 }

@@ -35,6 +35,9 @@ pub enum Event {
     },
     /// Prepare message sent from coordinator to a participant.
     PrepareSent { tid: TransId, to: SiteId },
+    /// The requester handed the decision to `to`, the one storage site of
+    /// every file of the transaction: the commit mark, if any, is `to`'s.
+    DelegateSent { tid: TransId, to: SiteId },
     /// Participant flushed a dirty data page during prepare.
     DataFlush {
         tid: TransId,

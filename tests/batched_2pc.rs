@@ -112,18 +112,22 @@ fn commit_sends_one_message_per_site_per_phase() {
 
 /// Phase-two work queued for the same storage site — here from two separate
 /// transactions — rides one `Msg::Batch`: one network message, counted as a
-/// batch, with each member still traced under the Txn service.
+/// batch, with each member still traced under the Txn service. (Each
+/// transaction also writes a file at the coordinator's own site, so it runs
+/// two-phase commit rather than handing its one remote site the decision.)
 #[test]
 fn phase_two_commits_to_one_site_coalesce_into_a_batch() {
     let c = Cluster::new(2);
-    seed_files(&c, &[(1, "/f1"), (1, "/f2")]);
+    seed_files(&c, &[(1, "/f1"), (1, "/f2"), (0, "/h1"), (0, "/h2")]);
 
     let mut acct = c.account(0);
-    for name in ["/f1", "/f2"] {
+    for names in [["/f1", "/h1"], ["/f2", "/h2"]] {
         let pid = c.site(0).kernel.spawn();
         c.site(0).txn.begin_trans(pid, &mut acct).unwrap();
-        let ch = c.site(0).kernel.open(pid, name, true, &mut acct).unwrap();
-        c.site(0).kernel.write(pid, ch, b"new!", &mut acct).unwrap();
+        for name in names {
+            let ch = c.site(0).kernel.open(pid, name, true, &mut acct).unwrap();
+            c.site(0).kernel.write(pid, ch, b"new!", &mut acct).unwrap();
+        }
         c.site(0).txn.end_trans(pid, &mut acct).unwrap();
     }
 

@@ -180,6 +180,13 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
             files: vec![fid, Fid::new(VolumeId(0), 1)],
             epoch: 5,
         }),
+        // A delegation whose forget list names two earlier transactions.
+        Msg::Txn(TxnMsg::Delegate {
+            tid,
+            files: vec![fid],
+            epoch: 3,
+            forget: vec![TransId::new(SiteId(2), 15), TransId::new(SiteId(2), 16)],
+        }),
         Msg::Proc(ProcMsg::FileListMerge {
             tid,
             top: pid,

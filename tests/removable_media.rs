@@ -11,15 +11,21 @@ use locus::types::{SiteId, TxnStatus};
 #[test]
 fn volume_carried_to_another_site_recovers_prepared_transaction() {
     let c = Cluster::new(3);
-    // File at site 1; transaction coordinated from site 0.
-    let mut a1 = c.account(1);
-    let p1 = c.site(1).kernel.spawn();
-    let ch = c.site(1).kernel.creat(p1, "/media", &mut a1).unwrap();
-    c.site(1).kernel.close(p1, ch, &mut a1).unwrap();
+    // Files at sites 1 and 0; transaction coordinated from site 0. (A file
+    // at the coordinator keeps the commit two-phase: with site 1 its only
+    // participant, site 1 would decide and install at once.)
+    for (site, path) in [(1, "/media"), (0, "/local")] {
+        let mut a = c.account(site);
+        let p = c.site(site).kernel.spawn();
+        let ch = c.site(site).kernel.creat(p, path, &mut a).unwrap();
+        c.site(site).kernel.close(p, ch, &mut a).unwrap();
+    }
 
     let mut a0 = c.account(0);
     let pid = c.site(0).kernel.spawn();
     c.site(0).txn.begin_trans(pid, &mut a0).unwrap();
+    let ch = c.site(0).kernel.open(pid, "/local", true, &mut a0).unwrap();
+    c.site(0).kernel.write(pid, ch, b"local", &mut a0).unwrap();
     let ch = c.site(0).kernel.open(pid, "/media", true, &mut a0).unwrap();
     c.site(0)
         .kernel

@@ -8,6 +8,10 @@
 # [dev-dependencies], whose identifier never appears as a path, macro or
 # import in that package's sources (src/, tests/, benches/, examples/).
 #
+# It also fails on the two halves of a removal left behind: an entry of the
+# root manifest's [workspace.dependencies] that no member declares, and a
+# vendor/<name> shim that no workspace dependency points at.
+#
 # Comment lines do not count: a dependency named only in a doc link fails.
 # It sees names, not meaning: a dependency whose only use is a derive that
 # expands to nothing (the vendored serialization shim deleted in PR 17) passes
@@ -43,6 +47,26 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
             fail=1
         fi
     done
+done
+
+# `name.workspace = true` or `name = { workspace = true, ... }` in a member.
+members=(Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml)
+workspace_deps=$(awk '
+    /^\[/ { on = ($0 == "[workspace.dependencies]") }
+    on && match($0, /^[A-Za-z0-9_-]+/) { print substr($0, 1, RLENGTH) }
+' Cargo.toml)
+for dep in $workspace_deps; do
+    if ! grep -qE "^${dep}(\.workspace *= *true| *= *\{.*workspace *= *true)" "${members[@]}"; then
+        echo "UNUSED: [workspace.dependencies] names $dep but no member declares it" >&2
+        fail=1
+    fi
+done
+for shim in vendor/*/; do
+    shim=${shim%/}
+    if ! grep -qE "path *= *\"${shim}/?\"" Cargo.toml; then
+        echo "UNUSED: $shim is vendored but no workspace dependency names it" >&2
+        fail=1
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -377,7 +377,13 @@ impl TxnManager {
             if let Some(tids) = &forget {
                 msgs.push(TxnMsg::Forget { tids: tids.clone() });
             }
-            let mut acks = self.send_phase2_batch(site, msgs, branch);
+            // One network message per site; a lost one acknowledges none.
+            let n = msgs.len();
+            let msgs = msgs.into_iter().map(Msg::Txn).collect();
+            let mut acks = match self.kernel.rpc_batch(site, msgs, branch) {
+                Ok(resps) => resps.iter().map(Result::is_ok).collect(),
+                Err(_) => vec![false; n],
+            };
             if let Some(tids) = forget {
                 if acks.pop() != Some(true) {
                     self.forgets.lock().entry(site).or_default().extend(tids);
@@ -464,27 +470,6 @@ impl TxnManager {
             })
             .collect();
         acct.absorb_parallel(&branches);
-    }
-
-    /// Sends one participant site's phase-two messages — one network message
-    /// total, `Msg::Batch`-wrapped when more than one — and reports each
-    /// message's acknowledgement.
-    fn send_phase2_batch(&self, site: SiteId, msgs: Vec<TxnMsg>, acct: &mut Account) -> Vec<bool> {
-        let n = msgs.len();
-        if n == 1 {
-            return msgs
-                .into_iter()
-                .map(|m| self.kernel.rpc(site, Msg::Txn(m), acct).is_ok())
-                .collect();
-        }
-        let batch = Msg::Batch(msgs.into_iter().map(Msg::Txn).collect());
-        match self.kernel.rpc(site, batch, acct) {
-            Ok(Msg::Batch(resps)) if resps.len() == n => resps
-                .into_iter()
-                .map(|r| !matches!(r, Msg::Err(_)))
-                .collect(),
-            _ => vec![false; n],
-        }
     }
 
     // ----- Participant-side message handling ---------------------------------

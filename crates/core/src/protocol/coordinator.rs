@@ -407,12 +407,18 @@ impl ProtocolSm for CoordinatorSm {
                 match status {
                     TxnStatus::Committed => {
                         // The durable mark is the commit point: re-drive
-                        // phase two until every participant installs. A
-                        // record of another site's transaction with this
-                        // site its only participant is a delegate's: it
-                        // waits for that site's forget.
-                        let delegated =
-                            tid.site != self.site && pending == BTreeSet::from([self.site]);
+                        // phase two until every participant installs. An
+                        // entry the machine still holds, having outlived
+                        // the crash, keeps its own classification: a
+                        // migrated top-level process's record has a
+                        // delegate's shape too. A record of another site's
+                        // transaction never seen here, with this site its
+                        // only participant, is a delegate's: it waits for
+                        // that site's forget.
+                        let delegated = self.txns.get(tid).map_or(
+                            tid.site != self.site && pending == BTreeSet::from([self.site]),
+                            |t| t.delegated,
+                        );
                         self.txns.insert(
                             *tid,
                             CoordTxn {
@@ -871,5 +877,52 @@ mod tests {
         let mut sm = CoordinatorSm::new(SiteId(0));
         let migrated = TransId::new(SiteId(2), 5);
         assert_eq!(names(&requested(&mut sm, migrated)), ["LogStart"]);
+    }
+
+    /// A top-level process that migrated to D and wrote only files at D
+    /// coordinates there, and its record has a delegate's shape. A crash
+    /// between the mark and phase two must not make recovery wait for a
+    /// forget nobody sends: the machine, which outlives the crash, knows
+    /// the record is its own.
+    #[test]
+    fn a_migrated_coordinators_record_is_purged_after_a_crash() {
+        let mut sm = CoordinatorSm::new(D);
+        assert_eq!(names(&requested(&mut sm, tid())), ["LogStart"]);
+        let logged = Input::StartLogged {
+            tid: tid(),
+            ok: true,
+        };
+        let yes = Input::Vote {
+            tid: tid(),
+            site: D,
+            ok: true,
+        };
+        let marked = Input::StatusLogged {
+            tid: tid(),
+            ok: true,
+        };
+        assert_eq!(names(&sm.step(&logged)), ["SendPrepare"]);
+        assert_eq!(names(&sm.step(&yes)), ["RaiseFences", "LogStatus"]);
+        assert_eq!(names(&sm.step(&marked)), ["QueuePhase2", "FinishLocal"]);
+        // The crash; recovery scans the journal.
+        let scan = Input::CoordScan {
+            tid: tid(),
+            files: vec![FileListEntry {
+                fid: fids()[0],
+                storage_site: D,
+                epoch: 4,
+            }],
+            status: TxnStatus::Committed,
+        };
+        assert_eq!(names(&sm.step(&scan)), ["NoteRecoveryRedo", "QueuePhase2"]);
+        let done = Input::Phase2Done {
+            tid: tid(),
+            commit: true,
+        };
+        assert_eq!(
+            names(&sm.step(&done)),
+            ["PurgeCoordLog", "DropFence", "NoteCompleted"]
+        );
+        assert_eq!(sm.status_of(tid()), None);
     }
 }

@@ -29,9 +29,11 @@ impl Site {
         self.kernel.site
     }
 
-    /// Crashes the site: volatile kernel state is lost; the transaction
-    /// manager's in-memory coordination state dies with it (the durable
-    /// coordinator/prepare logs survive on disk).
+    /// Crashes the site: volatile kernel state is lost. The transaction
+    /// manager is not: its protocol machines and phase-two queue outlive
+    /// the simulated crash (as the participant machine's refusal set must),
+    /// and recovery re-reads the durable coordinator and prepare logs over
+    /// them.
     pub fn crash(&self) {
         self.kernel.crash();
     }

@@ -8,19 +8,6 @@ use locus_types::{Owner, Pid, TransId};
 
 use crate::graph::WaitForGraph;
 
-/// How a victim is chosen from a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimPolicy {
-    /// Abort the youngest transaction (highest id) — cheap restarts, the
-    /// oldest work survives.
-    #[default]
-    Youngest,
-    /// Abort the oldest transaction (lowest id).
-    Oldest,
-    /// Abort the first transaction found on the cycle.
-    First,
-}
-
 /// One resolved deadlock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedDeadlock {
@@ -31,12 +18,11 @@ pub struct ResolvedDeadlock {
 /// A user-level deadlock detector over a set of sites.
 pub struct DeadlockDetector {
     sites: Vec<Arc<Site>>,
-    pub policy: VictimPolicy,
 }
 
 impl DeadlockDetector {
-    pub fn new(sites: Vec<Arc<Site>>, policy: VictimPolicy) -> Self {
-        DeadlockDetector { sites, policy }
+    pub fn new(sites: Vec<Arc<Site>>) -> Self {
+        DeadlockDetector { sites }
     }
 
     /// Builds the current global wait-for graph from every reachable site's
@@ -64,7 +50,7 @@ impl DeadlockDetector {
             let Some(cycle) = cycles.first() else {
                 break;
             };
-            let victim = self.pick_victim(cycle);
+            let victim = Self::pick_victim(cycle);
             self.abort_owner(victim, acct);
             graph.remove(victim);
             resolved.push(ResolvedDeadlock {
@@ -75,32 +61,20 @@ impl DeadlockDetector {
         resolved
     }
 
-    fn pick_victim(&self, cycle: &[Owner]) -> Owner {
-        let txns: Vec<&Owner> = cycle.iter().filter(|o| o.is_transaction()).collect();
-        let pool: Vec<&Owner> = if txns.is_empty() {
-            cycle.iter().collect()
-        } else {
-            txns
-        };
-        match self.policy {
-            VictimPolicy::Youngest => **pool
-                .iter()
-                .max_by_key(|o| victim_key(o))
-                .expect("cycle is nonempty"),
-            VictimPolicy::Oldest => **pool
-                .iter()
-                .min_by_key(|o| victim_key(o))
-                .expect("cycle is nonempty"),
-            VictimPolicy::First => *pool[0],
-        }
+    /// The youngest transaction on the cycle (highest id): restarts are
+    /// cheap and the oldest work survives. A cycle of plain processes loses
+    /// its youngest process.
+    fn pick_victim(cycle: &[Owner]) -> Owner {
+        *cycle
+            .iter()
+            .max_by_key(|o| (o.is_transaction(), victim_key(o)))
+            .expect("cycle is nonempty")
     }
 
     /// Aborts a deadlock victim: a transaction via `AbortTrans` from one of
     /// its member processes, a plain process by releasing its locks and
-    /// rolling back its uncommitted changes. Public so alternative detection
-    /// strategies (e.g. [`crate::ProbeDetector`]) can share the resolution
-    /// machinery.
-    pub fn abort_owner(&self, victim: Owner, acct: &mut Account) {
+    /// rolling back its uncommitted changes.
+    fn abort_owner(&self, victim: Owner, acct: &mut Account) {
         match victim {
             Owner::Trans(tid) => self.abort_transaction(tid, acct),
             Owner::Proc(pid) => self.abort_process(pid, acct),
@@ -163,20 +137,14 @@ mod tests {
 
     #[test]
     fn victim_policies_pick_as_documented() {
-        let d = DeadlockDetector::new(Vec::new(), VictimPolicy::Youngest);
         let cycle = vec![t(3), t(1), t(2)];
-        assert_eq!(d.pick_victim(&cycle), t(3));
-        let d = DeadlockDetector::new(Vec::new(), VictimPolicy::Oldest);
-        assert_eq!(d.pick_victim(&cycle), t(1));
-        let d = DeadlockDetector::new(Vec::new(), VictimPolicy::First);
-        assert_eq!(d.pick_victim(&cycle), t(3));
+        assert_eq!(DeadlockDetector::pick_victim(&cycle), t(3));
     }
 
     #[test]
     fn transactions_preferred_over_processes_as_victims() {
-        let d = DeadlockDetector::new(Vec::new(), VictimPolicy::Youngest);
         let p = Owner::Proc(locus_types::Pid::new(SiteId(0), 999));
         let cycle = vec![p, t(1)];
-        assert_eq!(d.pick_victim(&cycle), t(1));
+        assert_eq!(DeadlockDetector::pick_victim(&cycle), t(1));
     }
 }

@@ -8,13 +8,11 @@
 //!
 //! This crate is that system process: it gathers each site's
 //! `locus_locks::LockTableSnapshot`, assembles the global wait-for graph,
-//! finds cycles by depth-first search, picks victims under a pluggable
-//! policy, and aborts them through the transaction facility.
+//! finds cycles by depth-first search, picks the youngest transaction on
+//! each as its victim, and aborts it through the transaction facility.
 
 pub mod detector;
 pub mod graph;
-pub mod probe;
 
-pub use detector::{DeadlockDetector, ResolvedDeadlock, VictimPolicy};
+pub use detector::{DeadlockDetector, ResolvedDeadlock};
 pub use graph::WaitForGraph;
-pub use probe::{Probe, ProbeDetector};

@@ -590,11 +590,7 @@ fn run_inner(
                 // deadlock detector's wait-for graph so the note says
                 // whether this is a true cycle (a real deadlock the sorted
                 // lock order should have ruled out) or starvation.
-                let graph = locus_deadlock::DeadlockDetector::new(
-                    c.sites.clone(),
-                    locus_deadlock::VictimPolicy::Youngest,
-                )
-                .build_graph();
+                let graph = locus_deadlock::DeadlockDetector::new(c.sites.clone()).build_graph();
                 notes.push(format!(
                     "{} process(es) still blocked after recovery epilogue \
                      (wait-for graph: {} waiters, {} cycles)",

@@ -183,12 +183,16 @@ impl Kernel {
 
     /// Request/response to another site's kernel (or a local shortcut).
     pub fn rpc(&self, to: SiteId, msg: Msg, acct: &mut Account) -> Result<Msg> {
+        self.exchange(to, msg, acct)?.into_result()
+    }
+
+    /// [`Kernel::rpc`] with the reply left as it came: a `Msg::Err` answer
+    /// is not the exchange's failure.
+    fn exchange(&self, to: SiteId, msg: Msg, acct: &mut Account) -> Result<Msg> {
         if to == self.site {
-            return self.handle_kernel_msg(self.site, msg, acct).into_result();
+            return Ok(self.handle_kernel_msg(self.site, msg, acct));
         }
-        self.transport_ref()?
-            .rpc(self.site, to, msg, acct)?
-            .into_result()
+        self.transport_ref()?.rpc(self.site, to, msg, acct)
     }
 
     /// One-way notification to another site.
@@ -201,32 +205,30 @@ impl Kernel {
     }
 
     /// Sends several messages to one site as a single network message
-    /// ([`Msg::Batch`]: one round trip) and returns the per-message
-    /// responses positionally. A single message is sent unbatched; the first
-    /// member-level error, if any, is surfaced as the call's error after the
-    /// whole batch was processed at the destination.
-    pub fn rpc_batch(&self, to: SiteId, msgs: Vec<Msg>, acct: &mut Account) -> Result<Vec<Msg>> {
-        match msgs.len() {
-            0 => Ok(Vec::new()),
-            1 => {
-                let msg = msgs.into_iter().next().ok_or(Error::ProtocolViolation(
-                    "batch length changed underfoot".into(),
-                ))?;
-                Ok(vec![self.rpc(to, msg, acct)?])
-            }
+    /// ([`Msg::Batch`]: one round trip; a single message goes unbatched) and
+    /// returns each member's own answer, positionally. The outer error is
+    /// the exchange's: the batch was lost, refused whole, or not answered
+    /// once per member.
+    pub fn rpc_batch(
+        &self,
+        to: SiteId,
+        mut msgs: Vec<Msg>,
+        acct: &mut Account,
+    ) -> Result<Vec<Result<Msg>>> {
+        let n = msgs.len();
+        let resps = match n {
+            0 => Vec::new(),
+            1 => vec![self.exchange(to, msgs.remove(0), acct)?],
             _ => match self.rpc(to, Msg::Batch(msgs), acct)? {
-                Msg::Batch(resps) => {
-                    let mut out = Vec::with_capacity(resps.len());
-                    for r in resps {
-                        out.push(r.into_result()?);
-                    }
-                    Ok(out)
+                Msg::Batch(resps) if resps.len() == n => resps,
+                other => {
+                    return Err(Error::ProtocolViolation(format!(
+                        "batch of {n} answered by {other:?}"
+                    )))
                 }
-                other => Err(Error::ProtocolViolation(format!(
-                    "unexpected batch response {other:?}"
-                ))),
             },
-        }
+        };
+        Ok(resps.into_iter().map(Msg::into_result).collect())
     }
 
     // ----- Process/channel bookkeeping shared by the services ---------------

@@ -46,11 +46,7 @@ impl ServiceHandler for FileService {
 
     fn handle(k: &Kernel, from: SiteId, req: FileMsg, acct: &mut Account) -> Result<Msg> {
         match req {
-            FileMsg::OpenReq {
-                fid,
-                pid: _,
-                write: _,
-            } => {
+            FileMsg::OpenReq { fid } => {
                 let vol = k.volume(fid.volume)?;
                 let len = vol.len(fid, acct)?;
                 k.locks.ensure_file(fid, len);
@@ -123,7 +119,7 @@ impl ServiceHandler for FileService {
                 vol.abort_owner(fid, owner, acct)?;
                 Ok(Msg::Ok)
             }
-            // Response variants and the (unused) CloseReq are not requests.
+            // Response variants are not requests.
             other => Err(Error::ProtocolViolation(format!(
                 "file service cannot handle {other:?}"
             ))),
@@ -196,11 +192,7 @@ impl Kernel {
         append: bool,
         acct: &mut Account,
     ) -> Result<Channel> {
-        let resp = self.rpc(
-            serving,
-            Msg::File(FileMsg::OpenReq { fid, pid, write }),
-            acct,
-        )?;
+        let resp = self.rpc(serving, Msg::File(FileMsg::OpenReq { fid }), acct)?;
         let Msg::File(FileMsg::OpenResp { len, epoch }) = resp else {
             return Err(Error::ProtocolViolation(format!(
                 "unexpected open response {resp:?}"
@@ -305,7 +297,9 @@ impl Kernel {
             self.cache
                 .remove(of.fid, Owner::Proc(pid), ByteRange::new(0, u64::MAX));
             self.pages.drop_fid_owner(of.fid, Owner::Proc(pid));
-            self.rpc_batch(self.update_site(&of), vec![commit, unlock], acct)?;
+            for resp in self.rpc_batch(self.update_site(&of), vec![commit, unlock], acct)? {
+                resp?;
+            }
         }
         self.procs.with_mut(pid, |rec| {
             rec.open_files.remove(&ch);

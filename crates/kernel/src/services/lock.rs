@@ -123,10 +123,9 @@ impl ServiceHandler for LockService {
                 };
                 k.storage_site_lock(fid, req, fetch.as_ref(), acct)
             }
-            LockMsg::Granted { fid, pid, range } => {
+            LockMsg::Granted { pid } => {
                 // A queued request of a local process was granted at the
                 // storage site; wake the process so it retries its call.
-                let _ = (fid, range);
                 k.wake(pid);
                 Ok(Msg::Ok)
             }
@@ -505,11 +504,7 @@ impl Kernel {
     /// waiters.
     pub fn push_grants(&self, granted: Vec<GrantedWaiter>, acct: &mut Account) {
         for g in granted {
-            let msg = Msg::Lock(LockMsg::Granted {
-                fid: g.fid,
-                pid: g.request.pid,
-                range: g.range,
-            });
+            let msg = Msg::Lock(LockMsg::Granted { pid: g.request.pid });
             let _ = self.notify(g.request.reply_site, msg, acct);
         }
     }

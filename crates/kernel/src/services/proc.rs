@@ -21,34 +21,28 @@ impl ServiceHandler for ProcService {
 
     fn handle(k: &Kernel, _from: SiteId, req: ProcMsg, _acct: &mut Account) -> Result<Msg> {
         match req {
-            ProcMsg::Migrate { pid: _, blob } => {
+            ProcMsg::Migrate { blob } => {
                 let pid = k.procs.finish_migrate_in(&blob)?;
                 k.registry.set(pid, k.site);
                 Ok(Msg::Ok)
             }
-            ProcMsg::FileListMerge {
-                tid: _,
-                top,
-                from: _,
-                entries,
-            } => {
+            ProcMsg::FileListMerge { top, entries } => {
                 k.procs.merge_file_list(top, &entries)?;
                 Ok(Msg::Ok)
             }
-            ProcMsg::MemberAdded { tid: _, top } => {
+            ProcMsg::MemberAdded { top } => {
                 k.procs.adjust_members(top, 1)?;
                 Ok(Msg::Ok)
             }
-            ProcMsg::MemberExited { tid: _, top } => {
+            ProcMsg::MemberExited { top } => {
                 k.procs.adjust_members(top, -1)?;
                 // The top-level process may be blocked in EndTrans waiting
                 // for its children to complete (Section 4.2).
                 k.wake(top);
                 Ok(Msg::Ok)
             }
-            ProcMsg::ChildExited { top, child, .. } => {
-                // `top` carries the parent pid for tree unlinking.
-                let _ = k.procs.with_mut(top, |rec| {
+            ProcMsg::ChildExited { parent, child } => {
+                let _ = k.procs.with_mut(parent, |rec| {
                     rec.children.remove(&child);
                 });
                 Ok(Msg::Ok)
@@ -87,7 +81,7 @@ impl Kernel {
             from: self.site,
             to: dest,
         });
-        match self.rpc(dest, Msg::Proc(ProcMsg::Migrate { pid, blob }), acct) {
+        match self.rpc(dest, Msg::Proc(ProcMsg::Migrate { blob }), acct) {
             Ok(_) => {
                 self.procs.finish_migrate_out(pid);
                 self.registry.set(pid, dest);
@@ -154,11 +148,7 @@ impl Kernel {
             if let Some(psite) = self.registry.lookup(parent) {
                 let _ = self.notify(
                     psite,
-                    Msg::Proc(ProcMsg::ChildExited {
-                        tid: rec.tid.unwrap_or(TransId::new(self.site, 0)),
-                        top: parent,
-                        child: pid,
-                    }),
+                    Msg::Proc(ProcMsg::ChildExited { parent, child: pid }),
                     acct,
                 );
             }
@@ -190,9 +180,7 @@ impl Kernel {
             match self.rpc(
                 site,
                 Msg::Proc(ProcMsg::FileListMerge {
-                    tid,
                     top,
-                    from,
                     entries: entries.clone(),
                 }),
                 acct,
@@ -227,9 +215,9 @@ impl Kernel {
         for _ in 0..MERGE_RETRY_LIMIT {
             let site = self.registry.lookup(top).ok_or(Error::NoSuchProcess(top))?;
             let msg = if delta >= 0 {
-                Msg::Proc(ProcMsg::MemberAdded { tid, top })
+                Msg::Proc(ProcMsg::MemberAdded { top })
             } else {
-                Msg::Proc(ProcMsg::MemberExited { tid, top })
+                Msg::Proc(ProcMsg::MemberExited { top })
             };
             match self.rpc(site, msg, acct) {
                 Ok(_) => return Ok(()),

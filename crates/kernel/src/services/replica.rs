@@ -183,7 +183,10 @@ impl Kernel {
         for (site, items) in staged {
             let fids: Vec<Fid> = items.iter().map(|(f, _)| *f).collect();
             let msgs: Vec<Msg> = items.into_iter().map(|(_, m)| m).collect();
-            if self.rpc_batch(site, msgs, acct).is_err() {
+            let pushed = self
+                .rpc_batch(site, msgs, acct)
+                .is_ok_and(|resps| resps.iter().all(Result::is_ok));
+            if !pushed {
                 for fid in fids {
                     self.catalog.mark_unsynced(fid, site);
                 }
@@ -332,6 +335,7 @@ impl Kernel {
         let mut new_len = 0u64;
         let mut pages = Vec::new();
         for r in resps {
+            let r = r?;
             let Msg::Replica(ReplicaMsg::PullResp {
                 epoch,
                 new_len: l,

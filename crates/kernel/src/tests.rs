@@ -2469,3 +2469,39 @@ fn a_sync_naming_a_page_outside_the_file_is_refused_and_the_replica_untouched() 
         assert_eq!(state(&mut a), before, "{new_len} {page:?}");
     }
 }
+
+/// A batch is answered member by member, and a reply that is not one answer
+/// per member is the exchange's failure.
+#[test]
+fn a_batch_answers_each_member_and_refuses_a_short_reply() {
+    let c = mini_cluster(2);
+    let pid = Pid::new(SiteId(0), 1);
+    let msgs = vec![
+        Msg::File(FileMsg::AbortReq {
+            fid: Fid::new(VolumeId(9), 1),
+            owner: Owner::Proc(pid),
+        }),
+        Msg::Lock(LockMsg::UnlockAll {
+            fid: Fid::new(VolumeId(1), 1),
+            pid,
+        }),
+    ];
+    let resps = c.kernels[0]
+        .rpc_batch(SiteId(1), msgs.clone(), &mut acct(0))
+        .unwrap();
+    assert!(resps[0].is_err(), "no volume 9 at site 1");
+    assert_eq!(resps[1], Ok(Msg::Ok));
+
+    struct OneAnswer;
+    impl locus_net::SiteHandler for OneAnswer {
+        fn handle(&self, _: SiteId, _: Msg, _: &mut Account) -> Msg {
+            Msg::Batch(vec![Msg::Ok])
+        }
+    }
+    c.transport.register(SiteId(1), Arc::new(OneAnswer));
+    let short = c.kernels[0].rpc_batch(SiteId(1), msgs, &mut acct(0));
+    assert!(
+        matches!(short, Err(Error::ProtocolViolation(_))),
+        "{short:?}"
+    );
+}

@@ -142,16 +142,6 @@ impl LockCache {
         }
     }
 
-    /// Drops all cached locks for a file.
-    pub fn drop_file(&self, fid: Fid) {
-        let idx = shard_of(fid);
-        let mut inner = self.shards[idx].lock();
-        inner.shared.retain(|(f, _), _| *f != fid);
-        inner.exclusive.retain(|(f, _), _| *f != fid);
-        let count = inner.shared.len() + inner.exclusive.len();
-        self.occupancy[idx].store(count, Ordering::Relaxed);
-    }
-
     /// Whether `owner` is known to hold a lock sufficient for the access:
     /// exclusive coverage for writes, shared-or-exclusive for reads. An empty
     /// range is never covered.

@@ -24,14 +24,13 @@ use locus_types::{
 /// files atomically as its default operating mode, Section 4).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FileMsg {
-    /// Register an open of `fid` by `pid` at the storage site.
-    OpenReq { fid: Fid, pid: Pid, write: bool },
+    /// Open `fid` at its storage site, which answers with what the opener
+    /// needs to know of it.
+    OpenReq { fid: Fid },
     /// Open succeeded; current file length and the storage site's boot
     /// epoch returned (the epoch feeds the transaction file-list so commit
     /// can detect a mid-transaction storage-site reboot).
     OpenResp { len: u64, epoch: u64 },
-    /// Deregister an open.
-    CloseReq { fid: Fid, pid: Pid },
     /// Read `range` of `fid` on behalf of `owner`. `range` is what the
     /// requesting kernel wants shipped — the caller's bytes, widened to the
     /// covered pages around them when it will cache the reply — and all of
@@ -122,12 +121,9 @@ pub enum LockMsg {
         committed_len: u64,
         pages: Vec<GrantPage>,
     },
-    /// One-way notification: a queued lock request has been granted.
-    Granted {
-        fid: Fid,
-        pid: Pid,
-        range: ByteRange,
-    },
+    /// One-way notification: a queued lock request of `pid` has been
+    /// granted, so it may retry its call.
+    Granted { pid: Pid },
     /// Release all locks held by a process on a file (close / exit path).
     UnlockAll { fid: Fid, pid: Pid },
 }
@@ -138,25 +134,23 @@ pub enum LockMsg {
 pub enum ProcMsg {
     /// Carry a migrating process to its new site (opaque to the transport;
     /// the kernel serializes its process record).
-    Migrate { pid: Pid, blob: Vec<u8> },
+    Migrate { blob: Vec<u8> },
     /// A completed child's file-list, merged toward the transaction's
     /// top-level process. Bounces with [`Error::InTransit`] when the
     /// top-level process is mid-migration.
     FileListMerge {
-        tid: TransId,
         top: Pid,
-        from: Pid,
         entries: Vec<FileListEntry>,
     },
-    /// One-way: a member process of `tid` exited. `top` is the process whose
-    /// children set should drop `child`.
-    ChildExited { tid: TransId, top: Pid, child: Pid },
+    /// One-way: process `child` exited, so `parent` drops it from its
+    /// children set.
+    ChildExited { parent: Pid, child: Pid },
     /// A new member process joined the transaction (fork inside a
     /// transaction); increments the top-level process's live-member count.
-    MemberAdded { tid: TransId, top: Pid },
+    MemberAdded { top: Pid },
     /// A member process completed; decrements the live-member count the
     /// top-level process's `EndTrans` waits on.
-    MemberExited { tid: TransId, top: Pid },
+    MemberExited { top: Pid },
 }
 
 /// Two-phase commit control plane (Section 4.2) plus the cascading-abort and
@@ -317,7 +311,6 @@ impl Msg {
             Msg::File(m) => match m {
                 FileMsg::OpenReq { .. } => "OpenReq",
                 FileMsg::OpenResp { .. } => "OpenResp",
-                FileMsg::CloseReq { .. } => "CloseReq",
                 // A data request that carries its lock says so, so a trace
                 // shows where the lock request went.
                 FileMsg::ReadReq { lock: true, .. } => "ReadReq+Lock",

@@ -34,9 +34,9 @@ pub trait Transport: Send + Sync {
     /// `Result` for transport-level failures.
     fn rpc(&self, from: SiteId, to: SiteId, msg: Msg, acct: &mut Account) -> Result<Msg>;
 
-    /// One-way notification (lock grant pushes, phase-two messages). Charged
-    /// at half a round trip. Delivery failures are reported but carry no
-    /// payload back.
+    /// One-way notification (lock grant pushes, child exits, replica
+    /// promotions). Charged at half a round trip. A path failure is
+    /// reported; a message lost on the wire is not, and nothing comes back.
     fn notify(&self, from: SiteId, to: SiteId, msg: Msg, acct: &mut Account) -> Result<()>;
 
     /// Whether `to` is currently reachable from `from`.
@@ -271,27 +271,12 @@ impl SimTransport {
 
 impl Transport for SimTransport {
     fn rpc(&self, from: SiteId, to: SiteId, msg: Msg, acct: &mut Account) -> Result<Msg> {
-        if from == to {
-            // Local "RPC" is a direct function call: no message, no charge.
-            let handler = self.check_path(from, to)?;
-            return Ok(handler.handle(from, msg, acct));
-        }
-        let span = VirtSpan::begin(SpanPhase::RpcSend, acct);
-        let res = self.rpc_remote(from, to, msg, acct);
-        span.finish(&self.counters.spans, &self.model, acct);
-        res
+        self.exchange(from, to, msg, false, acct)?
+            .ok_or(Error::SiteDown(to))
     }
 
     fn notify(&self, from: SiteId, to: SiteId, msg: Msg, acct: &mut Account) -> Result<()> {
-        if from == to {
-            let handler = self.check_path(from, to)?;
-            handler.handle(from, msg, acct);
-            return Ok(());
-        }
-        let span = VirtSpan::begin(SpanPhase::RpcSend, acct);
-        let res = self.notify_remote(from, to, msg, acct);
-        span.finish(&self.counters.spans, &self.model, acct);
-        res
+        self.exchange(from, to, msg, true, acct).map(drop)
     }
 
     fn reachable(&self, from: SiteId, to: SiteId) -> bool {
@@ -313,147 +298,104 @@ impl Transport for SimTransport {
 }
 
 impl SimTransport {
-    /// Remote request/response exchange ([`Transport::rpc`] after the
-    /// local-call fast path), wrapped in an `RpcSend` span by the caller.
-    fn rpc_remote(&self, from: SiteId, to: SiteId, msg: Msg, acct: &mut Account) -> Result<Msg> {
-        let handler = self.check_path(from, to)?;
-        let fault = self.decide_fault(from, to, &msg, false);
-        self.charge_send(from, to, &msg, acct, true);
-        match fault {
-            FaultDecision::Drop => {
-                // The request vanished on the wire: nothing ran at the
-                // destination, the sender's timeout fires.
-                self.events.push(Event::ChaosDrop {
-                    from,
-                    to,
-                    service: msg.service(),
-                    kind: msg.kind(),
-                });
-                return Err(Error::SiteDown(to));
-            }
-            FaultDecision::Delay(ms) => {
-                self.events.push(Event::ChaosDelay {
-                    from,
-                    to,
-                    millis: ms,
-                });
-                acct.wait(locus_sim::SimDuration::from_millis(ms));
-            }
-            _ => {}
+    /// The one delivery path, under both [`Transport::rpc`] and
+    /// [`Transport::notify`]. A notification (`oneway`) is a request nobody
+    /// waits for, which changes three things: its flight is half a round
+    /// trip, a dropped one is silent (`Ok(None)`), and it has no reply to
+    /// lose or to pay transfer time for.
+    fn exchange(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        msg: Msg,
+        oneway: bool,
+        acct: &mut Account,
+    ) -> Result<Option<Msg>> {
+        if from == to {
+            // A local exchange is a direct function call: no message, no
+            // charge.
+            return Ok(Some(self.check_path(from, to)?.handle(from, msg, acct)));
         }
-        self.counters.messages_handled();
-        let deliveries = if fault == FaultDecision::Duplicate {
-            self.events.push(Event::ChaosDup {
-                from,
-                to,
-                service: msg.service(),
-                kind: msg.kind(),
-            });
-            2
-        } else {
-            1
-        };
-        // The message is moved into the last delivery; cloning (and with it
-        // copying any data payload) only happens for injected duplicates.
-        let (service, kind) = (msg.service(), msg.kind());
-        let mut resp = None;
-        let mut msg = Some(msg);
-        for i in 0..deliveries {
-            let m = if i + 1 == deliveries {
-                msg.take().expect("taken once, on the last delivery")
-            } else {
-                msg.as_ref()
-                    .expect("present until the last delivery")
-                    .clone()
+        let span = VirtSpan::begin(SpanPhase::RpcSend, acct);
+        let res = (|| {
+            let handler = self.check_path(from, to)?;
+            let fault = self.decide_fault(from, to, &msg, oneway);
+            self.charge_send(from, to, &msg, acct, !oneway);
+            let (service, kind) = (msg.service(), msg.kind());
+            match fault {
+                FaultDecision::Drop => {
+                    // The message vanished on the wire: nothing ran at the
+                    // destination. A requester's timeout fires; a notifier
+                    // proceeds.
+                    self.events.push(Event::ChaosDrop {
+                        from,
+                        to,
+                        service,
+                        kind,
+                    });
+                    return if oneway {
+                        Ok(None)
+                    } else {
+                        Err(Error::SiteDown(to))
+                    };
+                }
+                FaultDecision::Delay(ms) => {
+                    self.events.push(Event::ChaosDelay {
+                        from,
+                        to,
+                        millis: ms,
+                    });
+                    acct.wait(locus_sim::SimDuration::from_millis(ms));
+                }
+                FaultDecision::Duplicate => self.events.push(Event::ChaosDup {
+                    from,
+                    to,
+                    service,
+                    kind,
+                }),
+                FaultDecision::Deliver | FaultDecision::DropReply => {}
+            }
+            self.counters.messages_handled();
+            // Only an injected duplicate copies the message (and with it
+            // any data payload).
+            let dup = (fault == FaultDecision::Duplicate).then(|| msg.clone());
+            let deliver = |m: Msg, acct: &mut Account| {
+                acct.at_site(to, |acct| {
+                    let recv = VirtSpan::begin(SpanPhase::RpcRecv, acct);
+                    acct.cpu_instrs(&self.model, self.model.msg_handler_instrs);
+                    let r = handler.handle(from, m, acct);
+                    recv.finish(&self.counters.spans, &self.model, acct);
+                    r
+                })
             };
-            let r = acct.at_site(to, |acct| {
-                let recv = VirtSpan::begin(SpanPhase::RpcRecv, acct);
-                acct.cpu_instrs(&self.model, self.model.msg_handler_instrs);
-                let r = handler.handle(from, m, acct);
-                recv.finish(&self.counters.spans, &self.model, acct);
-                r
-            });
             // The sender acts on the first reply; a duplicate's reply is
             // discarded (it would arrive after the exchange completed).
-            if resp.is_none() {
-                resp = Some(r);
+            let resp = deliver(msg, acct);
+            if let Some(m) = dup {
+                deliver(m, acct);
             }
-        }
-        let resp = resp.expect("at least one delivery");
-        if fault == FaultDecision::DropReply {
-            // The side effect happened but the reply was lost.
-            self.events.push(Event::ChaosDropReply {
-                from,
-                to,
-                service,
-                kind,
-            });
-            return Err(Error::SiteDown(to));
-        }
-        // Response payload (e.g. remote read data) pays transfer time too.
-        let pages = resp.pages_carried(self.model.page_size);
-        if pages > 0 {
-            acct.wait(self.model.net_page_transfer * pages);
-        }
-        Ok(resp)
-    }
-
-    /// Remote one-way notification ([`Transport::notify`] after the
-    /// local-call fast path), wrapped in an `RpcSend` span by the caller.
-    fn notify_remote(&self, from: SiteId, to: SiteId, msg: Msg, acct: &mut Account) -> Result<()> {
-        let handler = self.check_path(from, to)?;
-        let fault = self.decide_fault(from, to, &msg, true);
-        self.charge_send(from, to, &msg, acct, false);
-        match fault {
-            FaultDecision::Drop => {
-                // A lost notification is silent: the sender proceeds.
-                self.events.push(Event::ChaosDrop {
-                    from,
-                    to,
-                    service: msg.service(),
-                    kind: msg.kind(),
-                });
-                return Ok(());
+            if !oneway {
+                if fault == FaultDecision::DropReply {
+                    // The side effect happened but the reply was lost.
+                    self.events.push(Event::ChaosDropReply {
+                        from,
+                        to,
+                        service,
+                        kind,
+                    });
+                    return Err(Error::SiteDown(to));
+                }
+                // Response payload (e.g. remote read data) pays transfer
+                // time too.
+                let pages = resp.pages_carried(self.model.page_size);
+                if pages > 0 {
+                    acct.wait(self.model.net_page_transfer * pages);
+                }
             }
-            FaultDecision::Delay(ms) => {
-                self.events.push(Event::ChaosDelay {
-                    from,
-                    to,
-                    millis: ms,
-                });
-                acct.wait(locus_sim::SimDuration::from_millis(ms));
-            }
-            _ => {}
-        }
-        self.counters.messages_handled();
-        let deliveries = if fault == FaultDecision::Duplicate {
-            self.events.push(Event::ChaosDup {
-                from,
-                to,
-                service: msg.service(),
-                kind: msg.kind(),
-            });
-            2
-        } else {
-            1
-        };
-        let mut msg = Some(msg);
-        for i in 0..deliveries {
-            let m = if i + 1 == deliveries {
-                msg.take().expect("taken once, on the last delivery")
-            } else {
-                msg.as_ref()
-                    .expect("present until the last delivery")
-                    .clone()
-            };
-            acct.at_site(to, |acct| {
-                let recv = VirtSpan::begin(SpanPhase::RpcRecv, acct);
-                acct.cpu_instrs(&self.model, self.model.msg_handler_instrs);
-                handler.handle(from, m, acct);
-                recv.finish(&self.counters.spans, &self.model, acct);
-            });
-        }
-        Ok(())
+            Ok(Some(resp))
+        })();
+        span.finish(&self.counters.spans, &self.model, acct);
+        res
     }
 }
 
@@ -664,6 +606,56 @@ mod tests {
         assert!(evs
             .iter()
             .all(|e| matches!(e, Event::Rpc { batched: true, .. })));
+    }
+
+    struct Always(FaultDecision);
+
+    impl FaultInjector for Always {
+        fn decide(&self, _from: SiteId, _to: SiteId, _msg: &Msg, _oneway: bool) -> FaultDecision {
+            self.0
+        }
+    }
+
+    /// A notification has no reply to lose: a dropped one is silent and
+    /// never runs the handler, a lost reply is a plain delivery, and a
+    /// duplicate runs the handler twice.
+    #[test]
+    fn notification_faults_have_no_reply_to_lose() {
+        let chaos_kinds = |events: &EventLog| -> Vec<&'static str> {
+            events
+                .all()
+                .iter()
+                .filter_map(|e| match e {
+                    Event::ChaosDrop { .. } => Some("drop"),
+                    Event::ChaosDropReply { .. } => Some("drop-reply"),
+                    Event::ChaosDup { .. } => Some("dup"),
+                    _ => None,
+                })
+                .collect()
+        };
+        let cases = [
+            (FaultDecision::Drop, 0, vec!["drop"]),
+            (FaultDecision::DropReply, 1, vec![]),
+            (FaultDecision::Duplicate, 2, vec!["dup"]),
+        ];
+        for (fault, runs, traced) in cases {
+            let events = Arc::new(EventLog::new());
+            let t = SimTransport::new(
+                2,
+                Arc::new(CostModel::default()),
+                Arc::new(Counters::default()),
+                events.clone(),
+            );
+            let b = Arc::new(Echo {
+                hits: AtomicU64::new(0),
+            });
+            t.register(SiteId(1), b.clone());
+            t.set_fault_injector(Some(Arc::new(Always(fault))));
+            let mut acct = Account::new(SiteId(0));
+            assert_eq!(t.notify(SiteId(0), SiteId(1), Msg::Ok, &mut acct), Ok(()));
+            assert_eq!(b.hits.load(Ordering::Relaxed), runs, "{fault:?}");
+            assert_eq!(chaos_kinds(&events), traced, "{fault:?}");
+        }
     }
 
     #[test]

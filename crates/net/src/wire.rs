@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 6): a version byte, then a service tag, then a variant
+//! Layout (version 7): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -27,14 +27,16 @@ use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 /// `fetch` flag and `LockResp` the `ReadResp` triple it answers with;
 /// version 5 made `fetch` the held stamps of the ship window and `LockResp`
 /// the storage site's boot epoch and one entry per window page; version 6
-/// added `Delegate` and `Forget`.
-pub const WIRE_VERSION: u8 = 6;
+/// added `Delegate` and `Forget`; version 7 retired `CloseReq` and dropped
+/// the fields no receiver read from `OpenReq`, `LockGranted`, `Migrate`,
+/// `FileListMerge`, `ChildExited`, `MemberAdded` and `MemberExited`.
+pub const WIRE_VERSION: u8 = 7;
 
-// 7 and 10 were PrefetchReq / PrefetchResp (retired) and stay unassigned.
+// 2 was CloseReq, 7 and 10 were PrefetchReq / PrefetchResp (all retired) and
+// stay unassigned.
 wire!(enum FileMsg {
-    0 => OpenReq { fid, pid, write },
+    0 => OpenReq { fid },
     1 => OpenResp { len, epoch },
-    2 => CloseReq { fid, pid },
     3 => ReadReq { fid, pid, owner, range, lock },
     4 => ReadResp { data, committed_len, vers },
     5 => WriteReq { fid, pid, owner, range, data, lock },
@@ -49,16 +51,16 @@ wire!(struct Held { boot_epoch, repl_epoch, have });
 wire!(enum LockMsg {
     0 => Req { fid, pid, tid, mode, class, range, append, wait, reply_site, fetch },
     1 => Resp { granted, epoch, committed_len, pages },
-    2 => Granted { fid, pid, range },
+    2 => Granted { pid },
     3 => UnlockAll { fid, pid },
 });
 
 wire!(enum ProcMsg {
-    0 => Migrate { pid, blob },
-    1 => FileListMerge { tid, top, from, entries },
-    2 => ChildExited { tid, top, child },
-    3 => MemberAdded { tid, top },
-    4 => MemberExited { tid, top },
+    0 => Migrate { blob },
+    1 => FileListMerge { top, entries },
+    2 => ChildExited { parent, child },
+    3 => MemberAdded { top },
+    4 => MemberExited { top },
 });
 
 wire!(enum TxnMsg {
@@ -171,18 +173,10 @@ mod tests {
 
     pub(crate) fn sample_messages() -> Vec<Msg> {
         vec![
-            Msg::File(FileMsg::OpenReq {
-                fid: fid(),
-                pid: pid(),
-                write: true,
-            }),
+            Msg::File(FileMsg::OpenReq { fid: fid() }),
             Msg::File(FileMsg::OpenResp {
                 len: 4096,
                 epoch: 2,
-            }),
-            Msg::File(FileMsg::CloseReq {
-                fid: fid(),
-                pid: pid(),
             }),
             Msg::File(FileMsg::ReadReq {
                 fid: fid(),
@@ -271,23 +265,16 @@ mod tests {
                     GrantPage::Current,
                 ],
             }),
-            Msg::Lock(LockMsg::Granted {
-                fid: fid(),
-                pid: pid(),
-                range: ByteRange::new(0, 8),
-            }),
+            Msg::Lock(LockMsg::Granted { pid: pid() }),
             Msg::Lock(LockMsg::UnlockAll {
                 fid: fid(),
                 pid: pid(),
             }),
             Msg::Proc(ProcMsg::Migrate {
-                pid: pid(),
                 blob: vec![0xAB; 32],
             }),
             Msg::Proc(ProcMsg::FileListMerge {
-                tid: tid(),
                 top: pid(),
-                from: Pid::new(SiteId(0), 1),
                 entries: vec![FileListEntry {
                     fid: fid(),
                     storage_site: SiteId(4),
@@ -295,18 +282,11 @@ mod tests {
                 }],
             }),
             Msg::Proc(ProcMsg::ChildExited {
-                tid: tid(),
-                top: pid(),
+                parent: pid(),
                 child: Pid::new(SiteId(0), 2),
             }),
-            Msg::Proc(ProcMsg::MemberAdded {
-                tid: tid(),
-                top: pid(),
-            }),
-            Msg::Proc(ProcMsg::MemberExited {
-                tid: tid(),
-                top: pid(),
-            }),
+            Msg::Proc(ProcMsg::MemberAdded { top: pid() }),
+            Msg::Proc(ProcMsg::MemberExited { top: pid() }),
             Msg::Txn(TxnMsg::Prepare {
                 tid: tid(),
                 coordinator: SiteId(0),
@@ -420,13 +400,14 @@ mod tests {
     /// `LockResp`, re-recorded at 04 when they gained `fetch` and the pages
     /// it asks for, and at 05 when `fetch` became the held stamps and the
     /// pages one entry each; `Delegate` and `Forget` were first recorded at
-    /// 06. What is pinned is the body after it.
+    /// 06; `OpenReq`, `LockGranted` and the five process messages were
+    /// re-recorded at 07 when they lost the fields no receiver read. What is
+    /// pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
-        const GOLDEN: [&str; 58] = [
-            "0200000200000009000000070000000100000001",
+        const GOLDEN: [&str; 57] = [
+            "0700000200000009000000",
             "02000100100000000000000200000000000000",
-            "02000202000000090000000700000001000000",
             "0300030200000009000000070000000100000000030000002c000000000000000a00000000000000\
              140000000000000001",
             "020004030000000102031e00000000000000010000000400000000000000",
@@ -448,15 +429,13 @@ mod tests {
              00000000000000000000000000",
             "0501016400000000000000320000000000000002000000000000001e000000000000000200000001\
              0400000000000000010300000001020300",
-            "0201020200000009000000070000000100000000000000000000000800000000000000",
+            "0701020700000001000000",
             "02010302000000090000000700000001000000",
-            "020200070000000100000020000000ababababababababababababababababababababababababab\
-             ababababababab",
-            "020201030000002c0000000000000007000000010000000100000000000000010000000200000009\
-             000000040000000100000000000000",
-            "020202030000002c0000000000000007000000010000000200000000000000",
-            "020203030000002c000000000000000700000001000000",
-            "020204030000002c000000000000000700000001000000",
+            "07020020000000abababababababababababababababababababababababababababababababab",
+            "0702010700000001000000010000000200000009000000040000000100000000000000",
+            "07020207000000010000000200000000000000",
+            "0702030700000001000000",
+            "0702040700000001000000",
             "020300030000002c00000000000000000000000100000002000000090000000500000000000000",
             "020301030000002c0000000000000000",
             "020302030000002c000000000000000200000002000000090000000100000001000000",
@@ -503,7 +482,7 @@ mod tests {
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
             assert!(
-                ["02", "03", "05", "06"].contains(&version),
+                ["02", "03", "05", "06", "07"].contains(&version),
                 "the version byte"
             );
             assert_pinned(msg, body);
@@ -511,13 +490,14 @@ mod tests {
         }
         // Error tag 6, a bare string from before the typed tags: still read,
         // as a protocol violation, and written back under that class's own
-        // tag. File tags 7 and 10, the retired prefetch pair: refused, here
-        // in front of what is otherwise a valid `OpenResp` body.
+        // tag. File tag 2, the retired `CloseReq`, and 7 and 10, the retired
+        // prefetch pair: refused, here in front of what is otherwise a valid
+        // `OpenResp` body.
         let legacy = [WIRE_VERSION, 7, 6, 3, 0, 0, 0, b'o', b'l', b'd'];
         let read = Msg::Err(Error::ProtocolViolation("old".into()));
         assert_eq!(decode(&legacy), Some(read.clone()));
         assert_eq!(encode(&read)[2], 17);
-        for retired in [7, 10] {
+        for retired in [2, 7, 10] {
             let mut frame = encode(&samples[1]);
             assert_eq!(decode(&frame), Some(samples[1].clone()));
             frame[2] = retired;

@@ -51,13 +51,8 @@ fn page_data() -> impl Strategy<Value = PageData> {
 
 fn file_msg() -> BoxedStrategy<FileMsg> {
     prop_oneof![
-        (fid(), pid(), any::<bool>()).prop_map(|(fid, pid, write)| FileMsg::OpenReq {
-            fid,
-            pid,
-            write
-        }),
+        fid().prop_map(|fid| FileMsg::OpenReq { fid }),
         (any::<u64>(), any::<u64>()).prop_map(|(len, epoch)| FileMsg::OpenResp { len, epoch }),
-        (fid(), pid()).prop_map(|(fid, pid)| FileMsg::CloseReq { fid, pid }),
         (fid(), pid(), owner(), range(), any::<bool>()).prop_map(
             |(fid, pid, owner, range, lock)| FileMsg::ReadReq {
                 fid,
@@ -153,7 +148,7 @@ fn lock_msg() -> BoxedStrategy<LockMsg> {
                 pages,
             }
         ),
-        (fid(), pid(), range()).prop_map(|(fid, pid, range)| LockMsg::Granted { fid, pid, range }),
+        pid().prop_map(|pid| LockMsg::Granted { pid }),
         (fid(), pid()).prop_map(|(fid, pid)| LockMsg::UnlockAll { fid, pid }),
     ]
     .boxed()
@@ -169,22 +164,11 @@ fn proc_msg() -> BoxedStrategy<ProcMsg> {
         0..5,
     );
     prop_oneof![
-        (pid(), payload()).prop_map(|(pid, blob)| ProcMsg::Migrate { pid, blob }),
-        (tid(), pid(), pid(), entries).prop_map(|(tid, top, from, entries)| {
-            ProcMsg::FileListMerge {
-                tid,
-                top,
-                from,
-                entries,
-            }
-        }),
-        (tid(), pid(), pid()).prop_map(|(tid, top, child)| ProcMsg::ChildExited {
-            tid,
-            top,
-            child
-        }),
-        (tid(), pid()).prop_map(|(tid, top)| ProcMsg::MemberAdded { tid, top }),
-        (tid(), pid()).prop_map(|(tid, top)| ProcMsg::MemberExited { tid, top }),
+        payload().prop_map(|blob| ProcMsg::Migrate { blob }),
+        (pid(), entries).prop_map(|(top, entries)| ProcMsg::FileListMerge { top, entries }),
+        (pid(), pid()).prop_map(|(parent, child)| ProcMsg::ChildExited { parent, child }),
+        pid().prop_map(|top| ProcMsg::MemberAdded { top }),
+        pid().prop_map(|top| ProcMsg::MemberExited { top }),
     ]
     .boxed()
 }
@@ -365,12 +349,12 @@ proptest! {
     }
 
     /// The file-service variant bytes that carried the retired
-    /// `PrefetchReq` / `PrefetchResp` pair (7 and 10) are refused whatever
-    /// follows them — alone or as a batch member — and never panic or alias
-    /// a live message.
+    /// `PrefetchReq` / `PrefetchResp` pair (7 and 10), and `CloseReq` (2),
+    /// are refused whatever follows them — alone or as a batch member — and
+    /// never panic or alias a live message.
     #[test]
     fn retired_prefetch_tags_never_decode(
-        tag in prop_oneof![Just(7u8), Just(10u8)],
+        tag in prop_oneof![Just(2u8), Just(7u8), Just(10u8)],
         tail in vec(any::<u8>(), 0..96),
     ) {
         const TAG_FILE: u8 = 0;

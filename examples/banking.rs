@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use locus::deadlock::{DeadlockDetector, VictimPolicy};
+use locus::deadlock::DeadlockDetector;
 use locus::harness::{Cluster, ThreadCtx};
 use locus::types::{Error, LockRequestMode};
 
@@ -49,7 +49,7 @@ fn main() {
     let detector_sites = cluster.sites.clone();
     let det_stop = stop.clone();
     let detector = std::thread::spawn(move || {
-        let det = DeadlockDetector::new(detector_sites, VictimPolicy::Youngest);
+        let det = DeadlockDetector::new(detector_sites);
         let mut resolved = 0;
         while !det_stop.load(Ordering::Relaxed) {
             let mut acct = locus::sim::Account::new(locus::types::SiteId(0));

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use locus::deadlock::{DeadlockDetector, VictimPolicy};
+use locus::deadlock::DeadlockDetector;
 use locus::harness::{Cluster, Driver, Op, RunOutcome};
 use locus::types::{LockRequestMode, SiteId};
 use locus_kernel::LockOpts;
@@ -170,7 +170,7 @@ fn deadlocked_schedule_resolved_by_detector() {
             RunOutcome::Stuck { blocked } => {
                 assert_eq!(blocked.len(), 2, "seed {seed}");
                 // The Section 3.1 system process takes over.
-                let det = DeadlockDetector::new(c.sites.clone(), VictimPolicy::Youngest);
+                let det = DeadlockDetector::new(c.sites.clone());
                 let mut acct = c.account(0);
                 let resolutions = det.run_once(&mut acct);
                 assert_eq!(resolutions.len(), 1, "one cycle, one victim");

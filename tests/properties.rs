@@ -188,9 +188,7 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
             forget: vec![TransId::new(SiteId(2), 15), TransId::new(SiteId(2), 16)],
         }),
         Msg::Proc(ProcMsg::FileListMerge {
-            tid,
             top: pid,
-            from: Pid::new(SiteId(0), 1),
             entries: vec![file],
         }),
         // A shared grant's request with its held stamps, and the answer:

@@ -12,7 +12,9 @@
 # It sees names, not meaning: a mention in a comment, or a call to another
 # type's method of the same name, counts as a use, and a function reached
 # only from its own unit tests passes. `LockCache::drop_file` had no caller
-# for several PRs and passed, because `PageCache::drop_file` has callers.
+# for several PRs and passed, because `PageCache::drop_file` has callers;
+# `ProcessTable::install` likewise, because `FileLocks` has a private
+# `install`.
 # What it reports is certainly dead; what it passes still has to be read.
 set -euo pipefail
 

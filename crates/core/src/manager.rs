@@ -201,7 +201,7 @@ impl TxnManager {
             rec.tid = Some(tid);
             rec.top = Some(pid);
             rec.nest = 1;
-            rec.live_members = 0;
+            rec.members.clear();
         })?;
         self.kernel.counters.txns_started();
         Ok(tid)
@@ -213,10 +213,10 @@ impl TxnManager {
     /// and then drives two-phase commit.
     pub fn end_trans(&self, pid: Pid, acct: &mut Account) -> Result<EndOutcome> {
         acct.cpu_instrs(&self.kernel.model, self.kernel.model.syscall_instrs);
-        let (tid, nest, top, live_members) = self
+        let (tid, nest, top, members) = self
             .kernel
             .procs
-            .with_mut(pid, |r| (r.tid, r.nest, r.top, r.live_members))?;
+            .with_mut(pid, |r| (r.tid, r.nest, r.top, r.members.len()))?;
         let tid = tid.ok_or(Error::NotInTransaction)?;
         if nest > 1 || top != Some(pid) {
             // Inner pair, or a member process closing its own bracket: the
@@ -226,10 +226,8 @@ impl TxnManager {
             })?;
             return Ok(EndOutcome::Nested);
         }
-        if live_members > 0 {
-            return Err(Error::ChildrenActive {
-                remaining: live_members as usize,
-            });
+        if members > 0 {
+            return Err(Error::ChildrenActive { remaining: members });
         }
         // Nesting returned to zero at the top level: commit.
         self.kernel.procs.with_mut(pid, |r| r.nest = 0)?;
@@ -291,14 +289,7 @@ impl TxnManager {
     /// Clears the (now completed) transaction's process state: the process
     /// continues as a non-transaction process.
     fn finish_process_state(&self, tid: TransId, top: Pid) {
-        let _ = self.kernel.procs.with_mut(top, |rec| {
-            if rec.tid == Some(tid) {
-                rec.tid = None;
-                rec.top = None;
-                rec.nest = 0;
-                rec.file_list.clear();
-            }
-        });
+        let _ = self.kernel.procs.with_mut(top, |rec| rec.leave(tid));
         self.kernel.drop_owner_caches(Owner::Trans(tid));
     }
 
@@ -737,20 +728,12 @@ impl TxnManager {
         if is_top {
             // The top-level process survives the abort and continues as a
             // non-transaction process.
-            let _ = self.kernel.procs.with_mut(pid, |r| {
-                r.tid = None;
-                r.top = None;
-                r.nest = 0;
-                r.live_members = 0;
-                r.file_list.clear();
-            });
+            let _ = self.kernel.procs.with_mut(pid, |r| r.leave(tid));
             self.kernel.wake(pid);
         } else {
-            // Member processes are terminated by the abort.
-            self.kernel.procs.remove(pid);
-            self.kernel.registry.remove(pid);
-            let granted = self.kernel.locks.drop_waiters_of(pid);
-            self.kernel.push_grants(granted, acct);
+            // Member processes are terminated by the abort, as an exit
+            // would end them.
+            self.kernel.terminate(&rec, acct);
         }
         self.kernel.drop_owner_caches(Owner::Trans(tid));
         Ok(())

@@ -735,7 +735,8 @@ fn in_transit_merge_bounces_and_retries() {
         storage_site: SiteId(0),
         epoch: 0,
     }];
-    let direct = s0.kernel.procs.merge_file_list(top, &entries);
+    let child = locus_types::Pid::new(SiteId(0), 99);
+    let direct = s0.kernel.procs.member_report(top, child, Some(&entries));
     assert_eq!(direct, Err(Error::InTransit(top)));
 
     // Migration completes at site 1.
@@ -744,11 +745,100 @@ fn in_transit_merge_bounces_and_retries() {
     s0.kernel.registry.set(top, SiteId(1));
 
     // The kernel-level retry loop now lands the merge at the new site.
-    let child = locus_types::Pid::new(SiteId(0), 99);
     s0.kernel
-        .merge_file_list_with_retry(tid, top, child, entries, &mut a0)
+        .report_to_top(tid, top, child, Some(entries), &mut a0)
         .unwrap();
     assert_eq!(s1.kernel.procs.get(top).unwrap().file_list.len(), 1);
+}
+
+#[test]
+fn a_bounced_member_report_changes_nothing() {
+    // A member's exit report that reaches its top-level process mid-migration
+    // bounces; the migration then falls through and the top stays. The
+    // refused report must not have dropped the member, or the sender's retry
+    // would drop a second one.
+    let c = TestCluster::new(1);
+    let s0 = c.site(0);
+    let mut a = acct(0);
+    let top = s0.kernel.spawn();
+    s0.txn.begin_trans(top, &mut a).unwrap();
+    let member = s0.kernel.fork(top, &mut a).unwrap();
+
+    s0.kernel.procs.begin_migrate(top).unwrap();
+    let report = locus_net::ProcMsg::MemberExited {
+        top,
+        member,
+        entries: vec![],
+    };
+    let answer = s0
+        .kernel
+        .handle_kernel_msg(SiteId(0), locus_net::Msg::Proc(report), &mut a);
+    assert_eq!(answer, locus_net::Msg::Err(Error::InTransit(top)));
+    s0.kernel.procs.cancel_migrate(top);
+
+    assert_eq!(
+        s0.txn.end_trans(top, &mut a),
+        Err(Error::ChildrenActive { remaining: 1 })
+    );
+}
+
+#[test]
+fn a_duplicated_member_report_counts_once() {
+    // The wire delivers one member's exit report twice. The other member
+    // still runs, so EndTrans must keep waiting for it.
+    let c = TestCluster::new(2);
+    let (s0, s1) = (c.site(0), c.site(1));
+    let mut a0 = acct(0);
+    let top = s0.kernel.spawn();
+    s0.txn.begin_trans(top, &mut a0).unwrap();
+    let _stays = s0.kernel.fork(top, &mut a0).unwrap();
+    let moves = s0.kernel.fork(top, &mut a0).unwrap();
+    s0.kernel.migrate(moves, SiteId(1), &mut a0).unwrap();
+
+    Tap::install(&c, "MemberExited", locus_net::FaultDecision::Duplicate);
+    let mut a1 = acct(1);
+    s1.kernel.exit(moves, &mut a1).unwrap();
+    c.transport.set_fault_injector(None);
+    assert_eq!(
+        c.events.count(|e| matches!(e, Event::ChaosDup { .. })),
+        1,
+        "the report was delivered twice"
+    );
+
+    assert_eq!(
+        s0.txn.end_trans(top, &mut a0),
+        Err(Error::ChildrenActive { remaining: 1 })
+    );
+}
+
+#[test]
+fn an_abort_killed_member_releases_its_process_locks() {
+    // Section 4.3: the abort terminates the members. A member's
+    // non-transaction lock is the process's own, so ending the process must
+    // release it, as an exit would.
+    let c = TestCluster::new(1);
+    let s0 = c.site(0);
+    let k = &s0.kernel;
+    let mut a = acct(0);
+    let setup = k.spawn();
+    let ch0 = k.creat(setup, "/f", &mut a).unwrap();
+    k.write(setup, ch0, &[0u8; 8], &mut a).unwrap();
+    k.close(setup, ch0, &mut a).unwrap();
+
+    let top = k.spawn();
+    s0.txn.begin_trans(top, &mut a).unwrap();
+    let member = k.fork(top, &mut a).unwrap();
+    let ch = k.open(member, "/f", true, &mut a).unwrap();
+    let opts = LockOpts {
+        non_transaction: true,
+        ..LockOpts::default()
+    };
+    k.lock(member, ch, 8, LockRequestMode::Exclusive, opts, &mut a)
+        .unwrap();
+
+    s0.txn.abort_trans(top, &mut a).unwrap();
+    assert!(k.procs.get(member).is_none(), "the abort ended the member");
+    assert_eq!(k.orphan_proc_locks(), vec![]);
 }
 
 #[test]

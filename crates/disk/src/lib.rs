@@ -2,7 +2,8 @@
 //!
 //! A [`SimDisk`] models one physical disk: a fixed array of page-sized
 //! blocks, an allocation bitmap, and a small *stable store* region used by
-//! the filesystem for inode tables and transaction logs.
+//! the filesystem for its inode table (the transaction logs are journal
+//! records).
 //!
 //! Every operation is charged against the [`CostModel`] on the caller's
 //! [`Account`] and counted in the site's [`Counters`]; this is what makes the
@@ -99,8 +100,9 @@ struct DiskInner {
     blocks: Vec<Option<Block>>,
     /// Allocation bitmap for data blocks.
     allocated: Vec<bool>,
-    /// Non-volatile key-value stable store for inode tables and logs. Keys
-    /// are opaque to the disk; the filesystem namespaces them.
+    /// Non-volatile key-value stable store for the inode table and the
+    /// site's boot epoch (the logs live in the journal). Keys are opaque to
+    /// the disk; their owners namespace them.
     stable: BTreeMap<String, Vec<u8>>,
     /// Number of crashes this device has survived (diagnostic).
     crashes: u64,

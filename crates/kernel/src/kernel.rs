@@ -353,9 +353,7 @@ impl Kernel {
         for v in self.volumes.read().values() {
             v.crash();
         }
-        for pid in self.registry.drop_site(self.site) {
-            let _ = pid;
-        }
+        self.registry.drop_site(self.site);
         self.wake_slots.lock().clear();
     }
 

@@ -1,17 +1,18 @@
 //! The process service: fork/exit/migrate on the client side; migration
-//! intake, file-list merging toward the top-level process (Section 4.1), and
-//! transaction-member counting (Section 4.2) on the server side.
+//! intake and the members' reports to the top-level process — its member
+//! set (Section 4.2) and its file-list (Section 4.1) — on the server side.
 
 use locus_net::{FileMsg, LockMsg, Msg, ProcMsg};
+use locus_proc::ProcessRecord;
 use locus_sim::{Account, Event};
-use locus_types::{Error, Owner, Pid, Result, SiteId, TransId};
+use locus_types::{Error, FileListEntry, Owner, Pid, Result, SiteId, TransId};
 
 use crate::kernel::Kernel;
 use crate::services::ServiceHandler;
 
-/// How many times a file-list merge or member-count update is retried around
-/// in-transit processes before giving up.
-const MERGE_RETRY_LIMIT: usize = 16;
+/// How many times a member's report is retried around an in-transit
+/// top-level process before giving up.
+const REPORT_RETRY_LIMIT: usize = 16;
 
 /// Handler for process-machinery requests.
 pub(crate) struct ProcService;
@@ -26,16 +27,16 @@ impl ServiceHandler for ProcService {
                 k.registry.set(pid, k.site);
                 Ok(Msg::Ok)
             }
-            ProcMsg::FileListMerge { top, entries } => {
-                k.procs.merge_file_list(top, &entries)?;
+            ProcMsg::MemberAdded { top, member } => {
+                k.procs.member_report(top, member, None)?;
                 Ok(Msg::Ok)
             }
-            ProcMsg::MemberAdded { top } => {
-                k.procs.adjust_members(top, 1)?;
-                Ok(Msg::Ok)
-            }
-            ProcMsg::MemberExited { top } => {
-                k.procs.adjust_members(top, -1)?;
+            ProcMsg::MemberExited {
+                top,
+                member,
+                entries,
+            } => {
+                k.procs.member_report(top, member, Some(&entries))?;
                 // The top-level process may be blocked in EndTrans waiting
                 // for its children to complete (Section 4.2).
                 k.wake(top);
@@ -61,7 +62,7 @@ impl Kernel {
         self.registry.set(child, self.site);
         let rec = self.procs.get(child).ok_or(Error::NoSuchProcess(child))?;
         if let (Some(tid), Some(top)) = (rec.tid, rec.top) {
-            self.send_member_delta(tid, top, 1, acct)?;
+            self.report_to_top(tid, top, child, None, acct)?;
         }
         Ok(child)
     }
@@ -101,15 +102,29 @@ impl Kernel {
         }
     }
 
-    /// Terminates a process: closes its files (committing non-transaction
-    /// changes, Unix-style), releases its process-owned locks, merges its
-    /// file-list toward the transaction's top-level process, and unlinks it
-    /// from the process tree. The per-file commit and unlock-all messages
-    /// for one storage site travel as a single batched network message.
+    /// Ends a process: a transaction member first reports its completion
+    /// and its file-list to the top-level process (Section 4.1), and only
+    /// then is the process torn down ([`Kernel::terminate`]). An exit the
+    /// top-level process never heard of tears nothing down.
     pub fn exit(&self, pid: Pid, acct: &mut Account) -> Result<()> {
         self.check_up()?;
         acct.cpu_instrs(&self.model, self.model.syscall_instrs);
         let rec = self.procs.get(pid).ok_or(Error::NoSuchProcess(pid))?;
+        if let (Some(tid), Some(top)) = (rec.tid, rec.top.filter(|&top| top != pid)) {
+            let entries = rec.file_list.iter().copied().collect();
+            self.report_to_top(tid, top, pid, Some(entries), acct)?;
+        }
+        self.terminate(&rec, acct);
+        Ok(())
+    }
+
+    /// Tears a process down, whether it exited or an abort killed it: closes
+    /// its files (committing non-transaction changes, Unix-style), releases
+    /// its process-owned locks, and unlinks it from the process tree. The
+    /// per-file commit and unlock-all messages for one storage site travel
+    /// as a single batched network message.
+    pub fn terminate(&self, rec: &ProcessRecord, acct: &mut Account) {
+        let pid = rec.pid;
         let in_txn = rec.tid.is_some();
         // Coalesce the teardown traffic per storage site: commit (outside a
         // transaction — base Locus commits files atomically as its default
@@ -134,15 +149,6 @@ impl Kernel {
             let _ = self.rpc_batch(site, msgs, acct);
         }
         self.drop_owner_caches(Owner::Proc(pid));
-        // A transaction member reports its completion and its file-list to
-        // the top-level process (Section 4.1).
-        if let (Some(tid), Some(top)) = (rec.tid, rec.top) {
-            if top != pid {
-                let entries: Vec<_> = rec.file_list.iter().copied().collect();
-                self.merge_file_list_with_retry(tid, top, pid, entries, acct)?;
-                self.send_member_delta(tid, top, -1, acct)?;
-            }
-        }
         // Unlink from the parent's children set.
         if let Some(parent) = rec.parent {
             if let Some(psite) = self.registry.lookup(parent) {
@@ -158,75 +164,54 @@ impl Kernel {
         self.drop_wake_slot(pid);
         let granted = self.locks.drop_waiters_of(pid);
         self.push_grants(granted, acct);
-        Ok(())
     }
 
-    /// Sends a completed child's file-list to the top-level process, with
-    /// the bounce-and-retry protocol around in-transit targets
-    /// (Section 4.1).
-    pub fn merge_file_list_with_retry(
+    /// Reports member `from` of `tid` to the top-level process `top`: it
+    /// joined (`exited` is `None`), or it completed with the file-list
+    /// `exited` carries. The report chases `top` with the bounce-and-retry
+    /// protocol around an in-transit target (Section 4.1).
+    pub fn report_to_top(
         &self,
         tid: TransId,
         top: Pid,
         from: Pid,
-        entries: Vec<locus_types::FileListEntry>,
+        exited: Option<Vec<FileListEntry>>,
         acct: &mut Account,
     ) -> Result<()> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        for _ in 0..MERGE_RETRY_LIMIT {
+        // Only a report that carries a file-list counts as a merge.
+        let merge = exited.as_ref().is_some_and(|e| !e.is_empty());
+        let report = Msg::Proc(match exited {
+            None => ProcMsg::MemberAdded { top, member: from },
+            Some(entries) => ProcMsg::MemberExited {
+                top,
+                member: from,
+                entries,
+            },
+        });
+        for _ in 0..REPORT_RETRY_LIMIT {
             let site = self.registry.lookup(top).ok_or(Error::NoSuchProcess(top))?;
-            match self.rpc(
-                site,
-                Msg::Proc(ProcMsg::FileListMerge {
-                    top,
-                    entries: entries.clone(),
-                }),
-                acct,
-            ) {
+            match self.rpc(site, report.clone(), acct) {
                 Ok(_) => {
-                    self.counters.file_list_merges();
-                    self.events.push(Event::FileListMerged { tid, from });
+                    if merge {
+                        self.counters.file_list_merges();
+                        self.events.push(Event::FileListMerged { tid, from });
+                    }
                     return Ok(());
                 }
                 Err(Error::InTransit(_)) | Err(Error::NoSuchProcess(_)) => {
                     // The top-level process is migrating (or already moved):
                     // re-resolve and retry (Section 4.1's failure message).
-                    self.counters.file_list_retries();
-                    self.events.push(Event::FileListRetry { tid, from });
+                    if merge {
+                        self.counters.file_list_retries();
+                        self.events.push(Event::FileListRetry { tid, from });
+                    }
                     continue;
                 }
                 Err(e) => return Err(e),
             }
         }
         Err(Error::ProtocolViolation(format!(
-            "file-list merge for {tid} could not reach {top}"
-        )))
-    }
-
-    fn send_member_delta(
-        &self,
-        tid: TransId,
-        top: Pid,
-        delta: i64,
-        acct: &mut Account,
-    ) -> Result<()> {
-        for _ in 0..MERGE_RETRY_LIMIT {
-            let site = self.registry.lookup(top).ok_or(Error::NoSuchProcess(top))?;
-            let msg = if delta >= 0 {
-                Msg::Proc(ProcMsg::MemberAdded { top })
-            } else {
-                Msg::Proc(ProcMsg::MemberExited { top })
-            };
-            match self.rpc(site, msg, acct) {
-                Ok(_) => return Ok(()),
-                Err(Error::InTransit(_)) | Err(Error::NoSuchProcess(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(Error::ProtocolViolation(format!(
-            "member update for {tid} could not reach {top}"
+            "member report for {tid} could not reach {top}"
         )))
     }
 }

@@ -135,22 +135,21 @@ pub enum ProcMsg {
     /// Carry a migrating process to its new site (opaque to the transport;
     /// the kernel serializes its process record).
     Migrate { blob: Vec<u8> },
-    /// A completed child's file-list, merged toward the transaction's
-    /// top-level process. Bounces with [`Error::InTransit`] when the
-    /// top-level process is mid-migration.
-    FileListMerge {
-        top: Pid,
-        entries: Vec<FileListEntry>,
-    },
     /// One-way: process `child` exited, so `parent` drops it from its
     /// children set.
     ChildExited { parent: Pid, child: Pid },
-    /// A new member process joined the transaction (fork inside a
-    /// transaction); increments the top-level process's live-member count.
-    MemberAdded { top: Pid },
-    /// A member process completed; decrements the live-member count the
-    /// top-level process's `EndTrans` waits on.
-    MemberExited { top: Pid },
+    /// Process `member` joined the transaction (fork inside a transaction):
+    /// the top-level process adds it to its member set.
+    MemberAdded { top: Pid, member: Pid },
+    /// Process `member` completed: the top-level process merges its
+    /// file-list and drops it from the member set its `EndTrans` waits on.
+    /// Both member reports bounce with [`Error::InTransit`] when the
+    /// top-level process is mid-migration.
+    MemberExited {
+        top: Pid,
+        member: Pid,
+        entries: Vec<FileListEntry>,
+    },
 }
 
 /// Two-phase commit control plane (Section 4.2) plus the cascading-abort and
@@ -331,7 +330,6 @@ impl Msg {
             },
             Msg::Proc(m) => match m {
                 ProcMsg::Migrate { .. } => "Migrate",
-                ProcMsg::FileListMerge { .. } => "FileListMerge",
                 ProcMsg::ChildExited { .. } => "ChildExited",
                 ProcMsg::MemberAdded { .. } => "MemberAdded",
                 ProcMsg::MemberExited { .. } => "MemberExited",

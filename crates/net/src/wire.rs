@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 7): a version byte, then a service tag, then a variant
+//! Layout (version 8): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -29,8 +29,10 @@ use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 /// the storage site's boot epoch and one entry per window page; version 6
 /// added `Delegate` and `Forget`; version 7 retired `CloseReq` and dropped
 /// the fields no receiver read from `OpenReq`, `LockGranted`, `Migrate`,
-/// `FileListMerge`, `ChildExited`, `MemberAdded` and `MemberExited`.
-pub const WIRE_VERSION: u8 = 7;
+/// `FileListMerge`, `ChildExited`, `MemberAdded` and `MemberExited`; version
+/// 8 retired `FileListMerge`: `MemberExited` carries the member's file-list,
+/// and both member reports name the member.
+pub const WIRE_VERSION: u8 = 8;
 
 // 2 was CloseReq, 7 and 10 were PrefetchReq / PrefetchResp (all retired) and
 // stay unassigned.
@@ -55,12 +57,12 @@ wire!(enum LockMsg {
     3 => UnlockAll { fid, pid },
 });
 
+// 1 was FileListMerge (retired) and stays unassigned.
 wire!(enum ProcMsg {
     0 => Migrate { blob },
-    1 => FileListMerge { top, entries },
     2 => ChildExited { parent, child },
-    3 => MemberAdded { top },
-    4 => MemberExited { top },
+    3 => MemberAdded { top, member },
+    4 => MemberExited { top, member, entries },
 });
 
 wire!(enum TxnMsg {
@@ -273,20 +275,23 @@ mod tests {
             Msg::Proc(ProcMsg::Migrate {
                 blob: vec![0xAB; 32],
             }),
-            Msg::Proc(ProcMsg::FileListMerge {
+            Msg::Proc(ProcMsg::ChildExited {
+                parent: pid(),
+                child: Pid::new(SiteId(0), 2),
+            }),
+            Msg::Proc(ProcMsg::MemberAdded {
                 top: pid(),
+                member: Pid::new(SiteId(0), 2),
+            }),
+            Msg::Proc(ProcMsg::MemberExited {
+                top: pid(),
+                member: Pid::new(SiteId(0), 2),
                 entries: vec![FileListEntry {
                     fid: fid(),
                     storage_site: SiteId(4),
                     epoch: 1,
                 }],
             }),
-            Msg::Proc(ProcMsg::ChildExited {
-                parent: pid(),
-                child: Pid::new(SiteId(0), 2),
-            }),
-            Msg::Proc(ProcMsg::MemberAdded { top: pid() }),
-            Msg::Proc(ProcMsg::MemberExited { top: pid() }),
             Msg::Txn(TxnMsg::Prepare {
                 tid: tid(),
                 coordinator: SiteId(0),
@@ -401,11 +406,12 @@ mod tests {
     /// it asks for, and at 05 when `fetch` became the held stamps and the
     /// pages one entry each; `Delegate` and `Forget` were first recorded at
     /// 06; `OpenReq`, `LockGranted` and the five process messages were
-    /// re-recorded at 07 when they lost the fields no receiver read. What is
-    /// pinned is the body after it.
+    /// re-recorded at 07 when they lost the fields no receiver read, and
+    /// `MemberAdded` and `MemberExited` at 08 when they gained the member and
+    /// its file-list. What is pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
-        const GOLDEN: [&str; 57] = [
+        const GOLDEN: [&str; 56] = [
             "0700000200000009000000",
             "02000100100000000000000200000000000000",
             "0300030200000009000000070000000100000000030000002c000000000000000a00000000000000\
@@ -432,10 +438,10 @@ mod tests {
             "0701020700000001000000",
             "02010302000000090000000700000001000000",
             "07020020000000abababababababababababababababababababababababababababababababab",
-            "0702010700000001000000010000000200000009000000040000000100000000000000",
             "07020207000000010000000200000000000000",
-            "0702030700000001000000",
-            "0702040700000001000000",
+            "08020307000000010000000200000000000000",
+            "08020407000000010000000200000000000000010000000200000009000000040000000100000000\
+             000000",
             "020300030000002c00000000000000000000000100000002000000090000000500000000000000",
             "020301030000002c0000000000000000",
             "020302030000002c000000000000000200000002000000090000000100000001000000",
@@ -482,7 +488,7 @@ mod tests {
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
             assert!(
-                ["02", "03", "05", "06", "07"].contains(&version),
+                ["02", "03", "05", "06", "07", "08"].contains(&version),
                 "the version byte"
             );
             assert_pinned(msg, body);
@@ -503,6 +509,15 @@ mod tests {
             frame[2] = retired;
             assert_eq!(decode(&frame), None);
         }
+        // Proc tag 1, the retired `FileListMerge`, refused in front of a
+        // valid `MemberExited` body.
+        let exited = samples
+            .iter()
+            .find(|m| matches!(m, Msg::Proc(ProcMsg::MemberExited { .. })))
+            .unwrap();
+        let mut frame = encode(exited);
+        frame[2] = 1;
+        assert_eq!(decode(&frame), None);
     }
 
     /// Lock tags 4, 5 and 6 carried the lock-control migration messages.

@@ -13,6 +13,10 @@ use locus_types::{
     PageNo, Pid, SiteId, TransId, TxnStatus, VolumeId,
 };
 
+/// The file and process services' tags on the wire.
+const TAG_FILE: u8 = 0;
+const TAG_PROC: u8 = 2;
+
 fn site() -> impl Strategy<Value = SiteId> {
     (0u32..8).prop_map(SiteId)
 }
@@ -165,10 +169,13 @@ fn proc_msg() -> BoxedStrategy<ProcMsg> {
     );
     prop_oneof![
         payload().prop_map(|blob| ProcMsg::Migrate { blob }),
-        (pid(), entries).prop_map(|(top, entries)| ProcMsg::FileListMerge { top, entries }),
         (pid(), pid()).prop_map(|(parent, child)| ProcMsg::ChildExited { parent, child }),
-        pid().prop_map(|top| ProcMsg::MemberAdded { top }),
-        pid().prop_map(|top| ProcMsg::MemberExited { top }),
+        (pid(), pid()).prop_map(|(top, member)| ProcMsg::MemberAdded { top, member }),
+        (pid(), pid(), entries).prop_map(|(top, member, entries)| ProcMsg::MemberExited {
+            top,
+            member,
+            entries
+        }),
     ]
     .boxed()
 }
@@ -349,16 +356,22 @@ proptest! {
     }
 
     /// The file-service variant bytes that carried the retired
-    /// `PrefetchReq` / `PrefetchResp` pair (7 and 10), and `CloseReq` (2),
-    /// are refused whatever follows them — alone or as a batch member — and
+    /// `PrefetchReq` / `PrefetchResp` pair (7 and 10) and `CloseReq` (2),
+    /// and the process-service byte that carried `FileListMerge` (1), are
+    /// refused whatever follows them — alone or as a batch member — and
     /// never panic or alias a live message.
     #[test]
-    fn retired_prefetch_tags_never_decode(
-        tag in prop_oneof![Just(2u8), Just(7u8), Just(10u8)],
+    fn retired_tags_never_decode(
+        retired in prop_oneof![
+            Just((TAG_FILE, 2u8)),
+            Just((TAG_FILE, 7u8)),
+            Just((TAG_FILE, 10u8)),
+            Just((TAG_PROC, 1u8)),
+        ],
         tail in vec(any::<u8>(), 0..96),
     ) {
-        const TAG_FILE: u8 = 0;
-        let mut frame = vec![locus_net::wire::WIRE_VERSION, TAG_FILE, tag];
+        let (service, tag) = retired;
+        let mut frame = vec![locus_net::wire::WIRE_VERSION, service, tag];
         frame.extend_from_slice(&tail);
         prop_assert_eq!(decode_msg(&frame), None);
         // The same bytes as the sole member of a batch.

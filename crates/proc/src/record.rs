@@ -10,11 +10,9 @@ use locus_types::{wire, Channel, Fid, FileListEntry, Pid, SiteId, TransId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcState {
     Running,
-    /// Mid-migration: file-list merges addressed here must bounce and retry
+    /// Mid-migration: member reports addressed here must bounce and retry
     /// (Section 4.1's race-avoidance marking).
     InTransit,
-    /// Exited; kept briefly for diagnostics.
-    Exited,
 }
 
 /// One open file of a process.
@@ -52,8 +50,8 @@ pub struct ProcessRecord {
     /// The transaction's top-level process (self, for the top level).
     pub top: Option<Pid>,
     /// Live member processes of the transaction *below* this process —
-    /// meaningful only on the top-level record; `EndTrans` waits for zero.
-    pub live_members: u32,
+    /// meaningful only on the top-level record; `EndTrans` waits for none.
+    pub members: BTreeSet<Pid>,
     /// Files used under the transaction, with their storage sites; merged to
     /// the top-level process as children complete (Section 4.1).
     pub file_list: BTreeSet<FileListEntry>,
@@ -65,7 +63,7 @@ pub struct ProcessRecord {
 // `state` does not travel: a record is encoded only to migrate, and the
 // process it describes is running once it arrives.
 wire!(struct ProcessRecord {
-    pid, parent, children, tid, nest, top, live_members, file_list, open_files, next_channel
+    pid, parent, children, tid, nest, top, members, file_list, open_files, next_channel
 } + { state: ProcState::Running });
 
 impl ProcessRecord {
@@ -77,7 +75,7 @@ impl ProcessRecord {
             tid: None,
             nest: 0,
             top: None,
-            live_members: 0,
+            members: BTreeSet::new(),
             file_list: BTreeSet::new(),
             open_files: BTreeMap::new(),
             next_channel: 0,
@@ -88,6 +86,19 @@ impl ProcessRecord {
     /// Whether this process is the top-level process of its transaction.
     pub fn is_top_level(&self) -> bool {
         self.tid.is_some() && self.top == Some(self.pid)
+    }
+
+    /// Leaves transaction `tid`, if this process is still in it: the process
+    /// continues as a non-transaction process (after a commit, or a
+    /// top-level process after an abort).
+    pub fn leave(&mut self, tid: TransId) {
+        if self.tid == Some(tid) {
+            self.tid = None;
+            self.top = None;
+            self.nest = 0;
+            self.members.clear();
+            self.file_list.clear();
+        }
     }
 
     /// Records a file use in the process's file-list, keyed by the storage
@@ -135,7 +146,7 @@ mod tests {
         r.tid = Some(TransId::new(SiteId(1), 99));
         r.nest = 2;
         r.top = Some(r.pid);
-        r.live_members = 1;
+        r.members.insert(Pid::new(SiteId(2), 1));
         r.note_file(Fid::new(VolumeId(0), 5), SiteId(2), 3);
         r.add_open(OpenFile {
             fid: Fid::new(VolumeId(0), 5),
@@ -156,17 +167,18 @@ mod tests {
         assert_eq!(got, r);
     }
 
-    /// Golden vector from the hand-written encoder this layout replaced
-    /// (PR 18's parent). The sample is inside a transaction, with a child, a
-    /// file-list entry and an open file.
+    /// Golden vector from the hand-written encoder this layout replaced,
+    /// re-recorded when the member count became the member set (an empty set still encodes as the count 0 did). The sample is
+    /// inside a transaction, with a child, a member, a file-list entry and
+    /// an open file.
     #[test]
     fn layouts_are_pinned() {
         assert_pinned(
             &sample(),
             "07000000010000000103000000010000000100000001000000020000000101000000630000000000\
-             00000200000001070000000100000001000000010000000000000005000000020000000300000000\
-             00000001000000000000000000000005000000020000000300000000000000800000000000000001\
-             0101000000",
+             00000200000001070000000100000001000000010000000200000001000000000000000500000002\
+             00000003000000000000000100000000000000000000000500000002000000030000000000000080\
+             00000000000000010101000000",
         );
     }
 

@@ -86,13 +86,6 @@ impl ProcessTable {
         Ok(child_pid)
     }
 
-    /// Installs a remotely created child record (fork of a local parent at a
-    /// *remote* site goes through the kernel, which builds the record from
-    /// the parent's encoded state and installs it at the destination).
-    pub fn install(&self, rec: ProcessRecord) {
-        self.shard(rec.pid).lock().insert(rec.pid, rec);
-    }
-
     /// Whether the pid is hosted here and running.
     pub fn is_running(&self, pid: Pid) -> bool {
         self.shard(pid)
@@ -115,38 +108,34 @@ impl ProcessTable {
         Ok(f(rec))
     }
 
-    /// Merges a completed child's file-list into a (top-level) process
-    /// hosted here. Fails with [`Error::InTransit`] if the target is
-    /// mid-migration — the sender must retry (Section 4.1); fails with
-    /// [`Error::NoSuchProcess`] if it has moved on, so the sender re-resolves
-    /// the location.
-    pub fn merge_file_list(&self, top: Pid, entries: &[FileListEntry]) -> Result<()> {
+    /// Applies a member's report to the (top-level) process `top` hosted
+    /// here: `member` joined (`exited` is `None`), or completed with the
+    /// file-list `exited` carries, which merges into the top's. Fails with
+    /// [`Error::InTransit`] if the target is mid-migration — the sender must
+    /// retry (Section 4.1); fails with [`Error::NoSuchProcess`] if it has
+    /// moved on, so the sender re-resolves the location. Either refusal
+    /// changes nothing, and a report applied twice counts once.
+    pub fn member_report(
+        &self,
+        top: Pid,
+        member: Pid,
+        exited: Option<&[FileListEntry]>,
+    ) -> Result<()> {
         let mut procs = self.shard(top).lock();
         let rec = procs.get_mut(&top).ok_or(Error::NoSuchProcess(top))?;
-        match rec.state {
-            ProcState::Running => {
-                // The paper "locks the process from migrating, for a short
-                // duration, until the operation has been completed" — holding
-                // the record's stripe mutex across the merge is exactly that.
-                rec.file_list.extend(entries.iter().copied());
-                Ok(())
-            }
-            ProcState::InTransit => Err(Error::InTransit(top)),
-            ProcState::Exited => Err(Error::NoSuchProcess(top)),
+        if rec.state == ProcState::InTransit {
+            return Err(Error::InTransit(top));
         }
-    }
-
-    /// Adjusts the live-member count on a top-level record.
-    pub fn adjust_members(&self, top: Pid, delta: i64) -> Result<u32> {
-        self.with_mut(top, |rec| {
-            let v = rec.live_members as i64 + delta;
-            rec.live_members = v.max(0) as u32;
-            rec.live_members
-        })
-        .and_then(|v| match self.get(top).map(|r| r.state) {
-            Some(ProcState::InTransit) => Err(Error::InTransit(top)),
-            _ => Ok(v),
-        })
+        // The paper "locks the process from migrating, for a short duration,
+        // until the operation has been completed" — holding the record's
+        // stripe mutex across the update is exactly that.
+        if let Some(entries) = exited {
+            rec.members.remove(&member);
+            rec.file_list.extend(entries.iter().copied());
+        } else {
+            rec.members.insert(member);
+        }
+        Ok(())
     }
 
     /// Begins migrating `pid` away: marks it in-transit and returns the
@@ -196,12 +185,7 @@ impl ProcessTable {
         let mut pids = Vec::new();
         for s in &self.shards {
             let procs = s.lock();
-            pids.extend(
-                procs
-                    .values()
-                    .filter(|r| r.tid == Some(tid) && r.state != ProcState::Exited)
-                    .map(|r| r.pid),
-            );
+            pids.extend(procs.values().filter(|r| r.tid == Some(tid)).map(|r| r.pid));
         }
         pids.sort_unstable();
         pids
@@ -281,17 +265,22 @@ mod tests {
     fn merge_bounces_off_in_transit_process() {
         let t = table();
         let top = t.spawn();
+        let member = Pid::new(SiteId(1), 99);
         let entry = FileListEntry {
             fid: Fid::new(VolumeId(0), 1),
             storage_site: SiteId(1),
             epoch: 0,
         };
-        assert!(t.merge_file_list(top, &[entry]).is_ok());
+        let exited = Some(&[entry][..]);
+        assert!(t.member_report(top, member, exited).is_ok());
         t.begin_migrate(top).unwrap();
-        assert_eq!(t.merge_file_list(top, &[entry]), Err(Error::InTransit(top)));
+        assert_eq!(
+            t.member_report(top, member, exited),
+            Err(Error::InTransit(top))
+        );
         t.finish_migrate_out(top);
         assert_eq!(
-            t.merge_file_list(top, &[entry]),
+            t.member_report(top, member, exited),
             Err(Error::NoSuchProcess(top))
         );
     }

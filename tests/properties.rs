@@ -187,8 +187,9 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
             epoch: 3,
             forget: vec![TransId::new(SiteId(2), 15), TransId::new(SiteId(2), 16)],
         }),
-        Msg::Proc(ProcMsg::FileListMerge {
+        Msg::Proc(ProcMsg::MemberExited {
             top: pid,
+            member: Pid::new(SiteId(1), 8),
             entries: vec![file],
         }),
         // A shared grant's request with its held stamps, and the answer:

@@ -8,22 +8,26 @@
 # and an equality check is not flaky. The counts follow from one rule
 # (DESIGN.md §10): data pages and inode installs are random writes; a journal
 # is forced for a prepare vote only when the commit mark lives in another
-# journal, and for the mark itself; truncations are lazy.
+# journal, and for the mark itself — and a requester that holds none of the
+# files forces no mark: its storage sites' durable yes votes are the commit
+# point; truncations are lazy.
 #
 #   commit_local  3 = data page + commit-mark force + inode install
 #   hot_records   3 = the same, through lock queueing and page differencing
-#   commit_dist   7 = 2 x (data page + prepare force + inode install) + mark
+#   commit_dist   6 = 2 x (data page + vote force + inode install)
 #
 # A change that adds a force to the commit path, or a compaction pass to the
 # journal, moves one of these and fails here with the number it moved to.
 #
 # `virt_ms_per_op` comes from the same pass and is as exact (model_ms, the
-# paper's 1985 clock): 73.05 / 173.75 / 80.95. On commit_dist the two
-# participants are one wave — prepared together, installed together — so the
-# caller's commit window (`sim.virt_commit_ms_per_op`) is 71.4 = one 57.2
-# prepare branch + the mark, not two branches, and the phase-two pump 43.95 =
-# one install branch + the purge. A participant contacted after another
-# instead of with it moves all three. Outside that window the transaction
+# paper's 1985 clock): 73.05 / 159.74999583333332 / 80.95. On commit_dist the
+# two participants are one wave — delegated together, installed together — so
+# the caller's commit window (`sim.virt_commit_ms_per_op`) is one delegation
+# branch, 57.4 (the first transaction's 0.1 less: no forget rides its
+# delegations), not two branches and no mark (71.4 with the requester's
+# forced mark), and the phase-two pump 43.95 = one install branch. A
+# participant contacted after another instead of with it moves all three.
+# Outside that window the transaction
 # pays for two client-issued round trips, not four: each write's implicit
 # lock rides the write (DESIGN.md §3), so `net.msgs_per_op` is 6 = 2 file +
 # 4 txn, `net.msgs_lock_per_op` 0 and `sim.virt_other_ms_per_op` 57.9. A lock
@@ -32,8 +36,8 @@
 # The per-layer counts of the traced pass repeat the same way and pin what
 # two deleted wall-clock gates stood for:
 #
-#   wal.flushes_per_op  1 / 3 / 1: one log force per single-site commit, one
-#       per participant vote plus the mark across sites.
+#   wal.flushes_per_op  1 / 2 / 1: one log force per single-site commit, one
+#       per participant vote across sites (3 with the requester's mark).
 #   wal.frames_per_op >= 4.99 on commit_local: that one force carries all
 #       five of the commit's frames (the old 4.5 frames-per-flush floor).
 #   read_shared: a locked scan is still two messages, the grant and the
@@ -91,8 +95,8 @@ for pin in pins:
 }
 
 check commit_local disk_ios_per_op==3 virt_ms_per_op==73.05 wal.flushes_per_op==1 'wal.frames_per_op>=4.99'
-check commit_dist disk_ios_per_op==7 virt_ms_per_op==173.75 wal.flushes_per_op==3 \
-    sim.virt_commit_ms_per_op==71.4 sim.virt_phase_two_ms_per_op==43.95 \
+check commit_dist disk_ios_per_op==6 virt_ms_per_op==159.74999583333332 wal.flushes_per_op==2 \
+    sim.virt_commit_ms_per_op==57.39999583333333 sim.virt_phase_two_ms_per_op==43.95 \
     net.msgs_per_op==6 net.msgs_lock_per_op==0 sim.virt_other_ms_per_op==57.9
 check hot_records disk_ios_per_op==3 virt_ms_per_op==80.95 wal.flushes_per_op==1
 check read_shared net.msgs_per_op==2.0 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \

@@ -35,7 +35,8 @@ fn usage(err: &str) -> ! {
         "usage: locus-mc [--sites N] [--txns N] [--remote-only] [--crashes N] \
          [--drops N] [--dups N] [--rollbacks N] [--max-states N] \
          [--allow-truncation] \
-         [--fault skip-refused-check|skip-epoch-check|skip-delegate-record] \
+         [--fault skip-refused-check|skip-epoch-check|skip-delegate-record|\
+         forget-before-all-installed|skip-peer-inquiry] \
          [--artifacts DIR]"
     );
     std::process::exit(2);
@@ -96,8 +97,13 @@ fn parse_args() -> Args {
                     "skip-refused-check" => args.cfg.faults.skip_refused_check = true,
                     "skip-epoch-check" => args.cfg.faults.skip_epoch_check = true,
                     "skip-delegate-record" => args.cfg.faults.skip_delegate_record = true,
+                    "forget-before-all-installed" => {
+                        args.cfg.faults.forget_before_all_installed = true
+                    }
+                    "skip-peer-inquiry" => args.cfg.faults.skip_peer_inquiry = true,
                     _ => usage(
-                        "bad --fault (skip-refused-check|skip-epoch-check|skip-delegate-record)",
+                        "bad --fault (skip-refused-check|skip-epoch-check|skip-delegate-record|\
+                         forget-before-all-installed|skip-peer-inquiry)",
                     ),
                 }
                 args.fault = Some(v);

@@ -26,9 +26,10 @@ pub trait Substrate {
     /// lives.
     fn interpret(&mut self, effect: Effect) -> Result<Option<Input>, Self::Error>;
 
-    /// Performs one prepare wave — two or more `SendPrepare`s the machine
-    /// emitted together — and returns the votes in wave order. What a wave
-    /// costs is the substrate's business; by default, each prepare in turn.
+    /// Performs one prepare wave — two or more `SendPrepare`s (or
+    /// `SendDelegate`s) the machine emitted together — and returns the
+    /// answers in wave order. What a wave costs is the substrate's business;
+    /// by default, each prepare in turn.
     fn prepare_wave(&mut self, wave: Vec<Effect>) -> Result<Vec<Input>, Self::Error> {
         let mut votes = Vec::with_capacity(wave.len());
         for prepare in wave {
@@ -43,10 +44,13 @@ pub trait Substrate {
 ///
 /// Answers are fed back in the order their effects were emitted, each after
 /// the rest of its step's effects have been performed. No step emits an
-/// answered effect ahead of another effect except as a prepare wave, so this
-/// is also the order in which stepping each answer at once would visit them.
+/// answered effect ahead of another effect except as a wave (of prepares or
+/// delegations) or as a delegate's inquiries to its peers, whose answers the
+/// machine takes in any order; otherwise this is also the order in which
+/// stepping each answer at once would visit them.
 pub fn drive<S: Substrate>(substrate: &mut S, input: Input) -> Result<(), S::Error> {
-    let is_prepare = |e: &Effect| matches!(e, Effect::SendPrepare { .. });
+    let is_prepare =
+        |e: &Effect| matches!(e, Effect::SendPrepare { .. } | Effect::SendDelegate { .. });
     let mut inputs = VecDeque::from([input]);
     while let Some(input) = inputs.pop_front() {
         let mut effects = substrate.step(input).into_iter().peekable();

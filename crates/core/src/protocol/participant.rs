@@ -33,6 +33,19 @@ pub struct ParticipantFaults {
     ///
     /// [`CoordinatorSm`]: super::CoordinatorSm
     pub skip_delegate_record: bool,
+    /// A delegate deciding among peers drops its record as soon as it
+    /// installs instead of when the requester forgets it: a peer still in
+    /// doubt then finds no record there and aborts a committed transaction.
+    /// Read by [`CoordinatorSm`].
+    ///
+    /// [`CoordinatorSm`]: super::CoordinatorSm
+    pub forget_before_all_installed: bool,
+    /// A delegate deciding among peers that is in doubt presumes abort on
+    /// its own instead of asking its peers, though the commit point may
+    /// have passed without it. Read by [`CoordinatorSm`].
+    ///
+    /// [`CoordinatorSm`]: super::CoordinatorSm
+    pub skip_peer_inquiry: bool,
 }
 
 /// Progress of one in-flight prepare round.

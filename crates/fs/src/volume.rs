@@ -641,13 +641,7 @@ impl Volume {
         // in the journal tail at crash time, presents intentions that are
         // already installed. Re-applying would free the replaced blocks a
         // second time — blocks that may since have been reallocated.
-        if !il.entries.is_empty()
-            && il.new_len == inode.len
-            && il
-                .entries
-                .iter()
-                .all(|e| inode.page(e.page) == Some(e.new_phys))
-        {
+        if installed(inode, il) {
             if let (Some(o), Some(f)) = (owner, st.files.get_mut(&ino)) {
                 f.writer_ends.remove(&o);
             }
@@ -724,6 +718,18 @@ impl Volume {
             fstate.uncommitted_len = writers_max.max(committed_len);
         }
         Ok(())
+    }
+
+    /// Whether `il` is installed already: the file's inode maps every page
+    /// it names to the new block. A prepare record whose truncation was lost
+    /// with the journal's volatile tail outlives its install, and the blocks
+    /// it names are then live.
+    pub fn intentions_installed(&self, il: &IntentionsList, acct: &mut Account) -> bool {
+        let Ok(ino) = self.check_fid(il.fid) else {
+            return false;
+        };
+        let mut st = self.state.lock();
+        self.load_inode(&mut st, ino, acct).is_ok() && installed(&st.incore[&ino], il)
     }
 
     /// Rolls back every uncommitted change by `owner` on `fid`: frees any
@@ -1004,13 +1010,27 @@ impl Volume {
         status: TxnStatus,
         acct: &mut Account,
     ) -> Result<()> {
+        self.coord_log_note_status(tid, status, acct)?;
+        self.mark_if_committed(tid, status, acct)
+    }
+
+    /// Appends a status delta for a coordinator log record, never forced: a
+    /// note of an outcome decided elsewhere — a recovery or topology
+    /// rewrite, or a delegate among peers learning the commit their votes
+    /// made — that recovery can learn again if it is lost.
+    pub fn coord_log_note_status(
+        &self,
+        tid: TransId,
+        status: TxnStatus,
+        acct: &mut Account,
+    ) -> Result<()> {
         self.journal.coord_set_status(tid, status, acct)?;
         self.events.push(Event::CoordLog {
             site: self.site,
             tid,
             status,
         });
-        self.mark_if_committed(tid, status, acct)
+        Ok(())
     }
 
     /// Reads a coordinator log record (recovery inquiry). One read charged,
@@ -1213,4 +1233,16 @@ impl Volume {
         }
         reclaimed
     }
+}
+
+/// Whether `inode` already maps every page of `il` to its new block — the
+/// idempotent re-install a duplicate phase two or a resurfaced prepare
+/// record presents.
+fn installed(inode: &Inode, il: &IntentionsList) -> bool {
+    !il.entries.is_empty()
+        && il.new_len == inode.len
+        && il
+            .entries
+            .iter()
+            .all(|e| inode.page(e.page) == Some(e.new_phys))
 }

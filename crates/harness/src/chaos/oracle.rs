@@ -709,6 +709,62 @@ mod tests {
     }
 
     #[test]
+    fn a_vote_decided_mark_needs_every_delegates_yes_first() {
+        // The requester holds no file: each storage site's own staged yes is
+        // its vote, and the first site to learn of the last one announces
+        // the mark no journal holds.
+        let decided = |late: bool| {
+            let yes = |s| {
+                [
+                    Event::PrepareSent {
+                        tid: tid(5),
+                        to: SiteId(s),
+                    },
+                    Event::PrepareAck {
+                        tid: tid(5),
+                        from: SiteId(s),
+                        ok: true,
+                    },
+                ]
+            };
+            let mut events = vec![
+                Event::DelegateSent {
+                    tid: tid(5),
+                    to: SiteId(1),
+                },
+                Event::DelegateSent {
+                    tid: tid(5),
+                    to: SiteId(2),
+                },
+            ];
+            events.extend(yes(1));
+            if !late {
+                events.extend(yes(2));
+            }
+            events.push(Event::CommitMark { tid: tid(5) });
+            if late {
+                events.extend(yes(2));
+            }
+            for s in [1, 2] {
+                events.push(Event::CommitSent {
+                    tid: tid(5),
+                    to: SiteId(s),
+                });
+            }
+            events.push(Event::Committed { tid: tid(5) });
+            events
+        };
+        let mut v = Vec::new();
+        check_two_phase(&decided(false), &mut v);
+        assert!(v.is_empty(), "{v:?}");
+        check_two_phase(&decided(true), &mut v);
+        assert!(
+            matches!(&v[..], [Violation::TwoPhase { rule, .. }] if rule.contains("from site2")),
+            "{v:?}"
+        );
+    }
+
+    #[test]
     fn trivial_commit_needs_no_mark() {
         let events = vec![Event::Committed { tid: tid(3) }];
         let mut v = Vec::new();

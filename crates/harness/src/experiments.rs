@@ -783,8 +783,9 @@ pub fn service_breakdown(model: CostModel) -> ServiceBreakdownReport {
         out.unwrap()
     });
 
-    // Multi-site transactions: coordinator at 3, storage at 1 and 2 — the
-    // batched 2PC fan-out path.
+    // Multi-site transactions: requester at 3, storage at 1 and 2 — one
+    // wave of delegations, whose durable yes votes decide, then the batched
+    // phase-two fan-out.
     measure(&c, "2PC transactions", &mut |c| {
         for (site, name) in [(1usize, "/t-a"), (2usize, "/t-b")] {
             let mut a = c.account(site);

@@ -99,9 +99,10 @@ fn disabling_the_boot_epoch_taint_yields_a_counterexample() {
 #[test]
 fn both_remote_only_scopes_are_exhausted_without_violations() {
     // Over two sites the one participant is not the requester, so it
-    // decides; over three the requester coordinates two remote sites with
-    // no file of its own (`commit_dist`'s shape).
-    for (sites, pinned, own) in [(2, 446, "SendDelegate"), (3, 9258, "LogStart")] {
+    // decides; over three the requester holds no file and its two remote
+    // storage sites decide by their votes (`commit_dist`'s shape), asking
+    // each other when in doubt. Both scopes deliver the requester's forgets.
+    for (sites, pinned, own) in [(2, 572, "Forget"), (3, 22355, "NoteCommitPoint")] {
         let mut cfg = McConfig::new(sites, 1);
         cfg.remote_only = true;
         let report = check(&cfg);
@@ -131,4 +132,41 @@ fn skipping_the_delegate_record_yields_a_counterexample() {
     // Start, the delegation, its answer lost, the inquiry that finds no
     // record and aborts.
     assert_eq!(v.trace.len(), 4, "{:?}", v.trace);
+}
+
+/// Runs the 3-site remote-only scope with one defence of the delegates
+/// among peers broken, and returns the violated invariant and its trace.
+fn peers_scope_with(faults: impl FnOnce(&mut McConfig)) -> (String, Vec<String>) {
+    let mut cfg = McConfig::new(3, 1);
+    cfg.remote_only = true;
+    faults(&mut cfg);
+    let v = check(&cfg)
+        .violation
+        .expect("checker must catch the broken defence");
+    (v.invariant, v.trace)
+}
+
+#[test]
+fn forgetting_before_every_install_yields_a_counterexample() {
+    let (invariant, trace) = peers_scope_with(|c| c.faults.forget_before_all_installed = true);
+    // Site 2 recovers its yes, hears site 1's, commits and forgets at once;
+    // the duplicated delegation then finds no record, votes no, and drops
+    // the fence while site 1 still holds its prepare log.
+    assert!(
+        invariant.starts_with("fence-holds-through-phase-two"),
+        "{invariant}: {trace:?}"
+    );
+    assert_eq!(trace.len(), 6, "{trace:?}");
+}
+
+#[test]
+fn presuming_abort_in_doubt_yields_a_counterexample() {
+    let (invariant, trace) = peers_scope_with(|c| c.faults.skip_peer_inquiry = true);
+    // Both yes votes are durable — the commit point — and a delegate that
+    // reboots presumes abort instead of asking its peer.
+    assert!(
+        invariant.starts_with("commit-abort-exclusion"),
+        "{invariant}: {trace:?}"
+    );
+    assert_eq!(trace.len(), 5, "{trace:?}");
 }

@@ -181,15 +181,17 @@ pub enum TxnMsg {
     /// Outcome answer; `None` when the coordinator log has been purged
     /// (which can only happen after all participants finished).
     StatusAnswer { status: Option<TxnStatus> },
-    /// Requester → the one storage site of every file of `tid`: prepare
-    /// these files and decide the transaction here. Answered by a
-    /// `PrepareDone` whose `ok` means committed. `epoch` is
-    /// [`TxnMsg::Prepare`]'s; `forget` names earlier delegated transactions
-    /// of the sender whose outcome it has learned, so their records may go.
+    /// Requester → each storage site of `tid`'s files, when it holds none
+    /// of them: prepare yours and decide the transaction, here alone or
+    /// with the other sites `files` names. Answered by a `PrepareDone`
+    /// whose `ok` is the outcome from a site that decides alone and the
+    /// site's durable vote from one of several. `files` is the whole file
+    /// list, with the epochs [`TxnMsg::Prepare`] carries per site; `forget`
+    /// names earlier delegated transactions of the sender whose outcome it
+    /// has learned, so their records may go.
     Delegate {
         tid: TransId,
-        files: Vec<Fid>,
-        epoch: u64,
+        files: Vec<FileListEntry>,
         forget: Vec<TransId>,
     },
     /// Requester → delegate, as a member of a phase-two batch that goes

@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 8): a version byte, then a service tag, then a variant
+//! Layout (version 9): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -31,8 +31,9 @@ use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 /// the fields no receiver read from `OpenReq`, `LockGranted`, `Migrate`,
 /// `FileListMerge`, `ChildExited`, `MemberAdded` and `MemberExited`; version
 /// 8 retired `FileListMerge`: `MemberExited` carries the member's file-list,
-/// and both member reports name the member.
-pub const WIRE_VERSION: u8 = 8;
+/// and both member reports name the member; version 9 gave `Delegate` the
+/// whole file list, with its epochs, in place of one site's fids and epoch.
+pub const WIRE_VERSION: u8 = 9;
 
 // 2 was CloseReq, 7 and 10 were PrefetchReq / PrefetchResp (all retired) and
 // stay unassigned.
@@ -73,7 +74,7 @@ wire!(enum TxnMsg {
     4 => AbortProc { tid, pid },
     5 => StatusInquiry { tid },
     6 => StatusAnswer { status with packed_status },
-    7 => Delegate { tid, files, epoch, forget },
+    7 => Delegate { tid, files, forget },
     8 => Forget { tids },
 });
 
@@ -327,8 +328,11 @@ mod tests {
             }),
             Msg::Txn(TxnMsg::Delegate {
                 tid: tid(),
-                files: vec![fid()],
-                epoch: 5,
+                files: vec![FileListEntry {
+                    fid: fid(),
+                    storage_site: SiteId(2),
+                    epoch: 5,
+                }],
                 forget: vec![TransId::new(SiteId(3), 40)],
             }),
             Msg::Txn(TxnMsg::Forget { tids: vec![tid()] }),
@@ -408,7 +412,8 @@ mod tests {
     /// 06; `OpenReq`, `LockGranted` and the five process messages were
     /// re-recorded at 07 when they lost the fields no receiver read, and
     /// `MemberAdded` and `MemberExited` at 08 when they gained the member and
-    /// its file-list. What is pinned is the body after it.
+    /// its file-list, and `Delegate` at 09 when it gained the whole file
+    /// list. What is pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
         const GOLDEN: [&str; 56] = [
@@ -452,8 +457,8 @@ mod tests {
             "02030600",
             "02030601",
             "02030603",
-            "060307030000002c0000000000000001000000020000000900000005000000000000000100000003\
-             0000002800000000000000",
+            "090307030000002c0000000000000001000000020000000900000002000000050000000000000001\
+             000000030000002800000000000000",
             "06030801000000030000002c00000000000000",
             "05010002000000090000000700000001000000000201000000000000000001000000000000000000\
              0100000000",
@@ -488,7 +493,7 @@ mod tests {
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
             assert!(
-                ["02", "03", "05", "06", "07", "08"].contains(&version),
+                ["02", "03", "05", "06", "07", "08", "09"].contains(&version),
                 "the version byte"
             );
             assert_pinned(msg, body);

@@ -180,11 +180,18 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
             files: vec![fid, Fid::new(VolumeId(0), 1)],
             epoch: 5,
         }),
-        // A delegation whose forget list names two earlier transactions.
+        // A delegation naming a peer's file too, whose forget list names
+        // two earlier transactions.
         Msg::Txn(TxnMsg::Delegate {
             tid,
-            files: vec![fid],
-            epoch: 3,
+            files: vec![
+                file,
+                FileListEntry {
+                    fid: Fid::new(VolumeId(3), 2),
+                    storage_site: SiteId(3),
+                    epoch: 0,
+                },
+            ],
             forget: vec![TransId::new(SiteId(2), 15), TransId::new(SiteId(2), 16)],
         }),
         Msg::Proc(ProcMsg::MemberExited {

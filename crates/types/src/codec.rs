@@ -453,7 +453,7 @@ wire!(enum LockClass { 0 => Transaction, 1 => NonTransaction });
 wire!(enum LockRequestMode { 0 => Shared, 1 => Exclusive, 2 => Unlock });
 // The journal's numbering. `TxnMsg::StatusAnswer` carries an optional status
 // packed into one byte under a different one; see `locus-net`'s `wire`.
-wire!(enum TxnStatus { 0 => Unknown, 1 => Committed, 2 => Aborted });
+wire!(enum TxnStatus { 0 => Unknown, 1 => Committed, 2 => Aborted, 3 => Voted });
 wire!(struct FileListEntry { fid, storage_site, epoch });
 wire!(struct IntentionsEntry { page, new_phys, old_phys, old_vers, ranges });
 // Not declaration order: the new length travels before the entries.

@@ -231,18 +231,23 @@ mod tests {
     /// campaigns.
     #[test]
     fn layouts_are_pinned() {
-        const COORD: [&str; 3] = [
+        const COORD: [&str; 4] = [
             "02000000110000000000000002000000000000000100000000000000000000000000000003000000\
              0900000003000000040000000000000000",
             "02000000110000000000000002000000000000000100000000000000000000000000000003000000\
              0900000003000000040000000000000001",
             "02000000110000000000000002000000000000000100000000000000000000000000000003000000\
              0900000003000000040000000000000002",
+            "02000000110000000000000002000000000000000100000000000000000000000000000003000000\
+             0900000003000000040000000000000003",
         ];
-        for (status, golden) in [TxnStatus::Unknown, TxnStatus::Committed, TxnStatus::Aborted]
-            .into_iter()
-            .zip(COORD)
-        {
+        let statuses = [
+            TxnStatus::Unknown,
+            TxnStatus::Committed,
+            TxnStatus::Aborted,
+            TxnStatus::Voted,
+        ];
+        for (status, golden) in statuses.into_iter().zip(COORD) {
             assert_pinned(&CoordLogRecord { status, ..coord() }, golden);
         }
         assert_pinned(
@@ -271,7 +276,13 @@ mod tests {
 
     #[test]
     fn coord_log_roundtrip_all_statuses() {
-        for status in [TxnStatus::Unknown, TxnStatus::Committed, TxnStatus::Aborted] {
+        let statuses = [
+            TxnStatus::Unknown,
+            TxnStatus::Committed,
+            TxnStatus::Aborted,
+            TxnStatus::Voted,
+        ];
+        for status in statuses {
             let rec = CoordLogRecord { status, ..coord() };
             let got = CoordLogRecord::decode(&rec.encode()).unwrap();
             assert_eq!(got, rec);

@@ -185,6 +185,11 @@ pub enum TxnStatus {
     Unknown,
     Committed,
     Aborted,
+    /// A storage site's durable yes among the peers its record lists: the
+    /// requester holds no file, and every peer's yes together is the commit
+    /// point. Never a coordinator's start record, so a recovery scan need
+    /// not guess whose record it found.
+    Voted,
 }
 
 impl fmt::Display for TxnStatus {
@@ -193,6 +198,7 @@ impl fmt::Display for TxnStatus {
             TxnStatus::Unknown => "unknown",
             TxnStatus::Committed => "committed",
             TxnStatus::Aborted => "aborted",
+            TxnStatus::Voted => "voted",
         };
         f.write_str(s)
     }

@@ -6,27 +6,41 @@
 # `disk_ios_per_op` comes from the benchmark's count pass — one client, a
 # fixed number of ops, nothing concurrent — so it repeats exactly for a seed
 # and an equality check is not flaky. The counts follow from one rule
-# (DESIGN.md §10): data pages and inode installs are random writes; a journal
-# is forced for a prepare vote only when the commit mark lives in another
-# journal, and for the mark itself — and a requester that holds none of the
-# files forces no mark: its storage sites' durable yes votes are the commit
-# point; truncations are lazy.
+# (DESIGN.md §10): a record is forced before something irrevocable happens
+# on its strength in another log's domain, and otherwise rides the next
+# force of its own log. Data pages are random writes; a journal is forced
+# for a prepare vote only when the commit mark lives in another journal, and
+# for the mark itself — and a requester that holds none of the files forces
+# no mark: its storage sites' durable yes votes are the commit point. A
+# transaction's install is a record too, the file's whole inode: it rides
+# the next force of a journal that holds the commit's durable mark, and is
+# forced before its ack everywhere else. Truncations are lazy.
 #
-#   commit_local  3 = data page + commit-mark force + inode install
-#   hot_records   3 = the same, through lock queueing and page differencing
-#   commit_dist   6 = 2 x (data page + vote force + inode install)
+#   commit_local  2 = data page + commit-mark force; the install is a frame
+#                     on the next force
+#   hot_records   2 = the same, through lock queueing and page differencing
+#   commit_dist   6 = 2 x (data page + vote force + install force)
+#
+# `disk.writes_per_op` is 1 on commit_local — the data page alone — so a
+# random inode write coming back to the transaction's commit path fails here.
 #
 # A change that adds a force to the commit path, or a compaction pass to the
 # journal, moves one of these and fails here with the number it moved to.
 #
 # `virt_ms_per_op` comes from the same pass and is as exact (model_ms, the
-# paper's 1985 clock): 73.05 / 159.74999583333332 / 80.95. On commit_dist the
-# two participants are one wave — delegated together, installed together — so
+# paper's 1985 clock): 46.4193325 / 147.11689583333333 / 54.05 (73.05 /
+# 159.75 / 80.95 with a random inode write per install: a 26 ms transfer
+# and its 500 setup instructions, against about 50 instructions per inode
+# frame and per frame a flush copies forward). On commit_dist the two
+# participants are one wave — delegated together, installed together — so
 # the caller's commit window (`sim.virt_commit_ms_per_op`) is one delegation
-# branch, 57.4 (the first transaction's 0.1 less: no forget rides its
-# delegations), not two branches and no mark (71.4 with the requester's
-# forced mark), and the phase-two pump 43.95 = one install branch. A
-# participant contacted after another instead of with it moves all three.
+# branch, 57.4316 (the first transaction's 0.1 less: no forget rides its
+# delegations; the rest over 57.4 is the records its vote forces copy
+# forward), not two branches and no mark (71.4 with the requester's forced
+# mark), and the phase-two pump 31.285295833333333 = one install branch,
+# whose force is a 13 ms sequential transfer where the inode write was a
+# 26 ms random one. A participant contacted after another instead of with
+# it moves all three.
 # Outside that window the transaction
 # pays for two client-issued round trips, not four: each write's implicit
 # lock rides the write (DESIGN.md §3), so `net.msgs_per_op` is 6 = 2 file +
@@ -36,10 +50,12 @@
 # The per-layer counts of the traced pass repeat the same way and pin what
 # two deleted wall-clock gates stood for:
 #
-#   wal.flushes_per_op  1 / 2 / 1: one log force per single-site commit, one
-#       per participant vote across sites (3 with the requester's mark).
-#   wal.frames_per_op >= 4.99 on commit_local: that one force carries all
-#       five of the commit's frames (the old 4.5 frames-per-flush floor).
+#   wal.flushes_per_op  1 / 4 / 1: one log force per single-site commit, one
+#       per participant vote across sites and one per participant install
+#       (5 with the requester's mark).
+#   wal.frames_per_op >= 5.99 on commit_local: that one force carries all
+#       six of the commit's frames, the install before it among them (the
+#       old 4.5 frames-per-flush floor).
 #   read_shared: a locked scan is still two messages, the grant and the
 #       unlock, but the grant now ships only the pages whose stamp moved.
 #       A shared lock's grant covers the first four pages of the range it
@@ -57,14 +73,15 @@
 #       then one `Delegate` (net.msgs_txn_per_op 0.10075) — the storage
 #       site is the only participant, so it decides: its prepare record
 #       and its `Committed` record share one force (wal.flushes_per_op
-#       0.10075) and it installs before it answers. So net.msgs_per_op is
-#       2.0 (2.10075 when the update paid a second round trip for phase
-#       two), disk_ios_per_op 1.3828125 (1.4835625 with a second force for
-#       the requester's mark) and virt_ms_per_op 133.63840075
-#       (136.670982). A grant that goes back to travelling bare moves the
-#       page counts; an update that goes back to two-phase commit moves
-#       the last five. Exact for the seed this script passes, not
-#       seed-independent.
+#       0.10075) and it installs before it answers, a record that rides
+#       that journal's next force. So net.msgs_per_op is 2.0 (2.10075 when
+#       the update paid a second round trip for phase two),
+#       disk_ios_per_op 1.2820625 (1.3828125 with a random inode write
+#       per update, 1.4835625 with a second force for the requester's mark
+#       too) and virt_ms_per_op 130.94913825 (133.63840075, 136.670982). A
+#       grant that goes back to travelling bare moves the page counts; an
+#       update that goes back to two-phase commit moves the last five.
+#       Exact for the seed this script passes, not seed-independent.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -94,13 +111,14 @@ for pin in pins:
 ' "$workload" "$@"
 }
 
-check commit_local disk_ios_per_op==3 virt_ms_per_op==73.05 wal.flushes_per_op==1 'wal.frames_per_op>=4.99'
-check commit_dist disk_ios_per_op==6 virt_ms_per_op==159.74999583333332 wal.flushes_per_op==2 \
-    sim.virt_commit_ms_per_op==57.39999583333333 sim.virt_phase_two_ms_per_op==43.95 \
+check commit_local disk_ios_per_op==2 virt_ms_per_op==46.4193325 wal.flushes_per_op==1 \
+    'wal.frames_per_op>=5.99' disk.writes_per_op==1
+check commit_dist disk_ios_per_op==6 virt_ms_per_op==147.11689583333333 wal.flushes_per_op==4 \
+    sim.virt_commit_ms_per_op==57.431599999999996 sim.virt_phase_two_ms_per_op==31.285295833333333 \
     net.msgs_per_op==6 net.msgs_lock_per_op==0 sim.virt_other_ms_per_op==57.9
-check hot_records disk_ios_per_op==3 virt_ms_per_op==80.95 wal.flushes_per_op==1
+check hot_records disk_ios_per_op==2 virt_ms_per_op==54.05 wal.flushes_per_op==1
 check read_shared net.msgs_per_op==2.0 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \
-    disk_ios_per_op==1.3828125 virt_ms_per_op==133.63840075 \
+    disk_ios_per_op==1.2820625 virt_ms_per_op==130.94913825 \
     disk.reads_per_op==1.0805625 kernel.prefetches_per_op==1.848375 \
     wal.flushes_per_op==0.10075 net.msgs_txn_per_op==0.10075
 

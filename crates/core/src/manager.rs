@@ -623,52 +623,37 @@ impl TxnManager {
 
     /// Installs the prepared intentions for every file of one phase-two
     /// commit, staging replica pushes and flushing them as one batched round
-    /// trip per replica site.
+    /// trip per replica site. Each install settles its file's prepare record
+    /// in the same journal append, and is durable before this returns
+    /// unless the volume's journal holds the commit's durable mark
+    /// ([`Volume::install_intentions`]).
     fn install_files(&self, tid: TransId, files: &[Fid], acct: &mut Account) -> Result<()> {
         let owner = Owner::Trans(tid);
         let mut staged: BTreeMap<SiteId, Vec<(Fid, Msg)>> = BTreeMap::new();
         for fid in files {
             let vol = self.kernel.volume(fid.volume)?;
-            let mut il = match vol.commit_prepared(*fid, owner, acct) {
-                Ok(il) => il,
+            let il = match vol.commit_prepared(*fid, owner, acct) {
+                Ok(il) if !il.is_empty() => il,
                 // The disk died mid-install. The commit did NOT complete
                 // here, and the (currently unreadable) prepare log must
                 // survive for recovery — acking now would let the
                 // coordinator purge its log, and a later status inquiry
                 // would presume abort, rolling back acknowledged writes.
                 Err(Error::DiskOffline) => return Err(Error::DiskOffline),
-                Err(_) => {
-                    // After a crash the in-memory prepared list is gone; the
-                    // prepare log carries the intentions (Section 4.4).
-                    match vol.prepare_log_get(tid, *fid, acct) {
-                        Some(rec) => {
-                            vol.install_intentions(&rec.intentions, None, acct)?;
-                            rec.intentions
-                        }
-                        None => continue,
+                // After a crash the in-memory prepared list is gone, or the
+                // volume survived and only its volatile copy did not: the
+                // prepare log carries the intentions (Section 4.4) — which
+                // are also what the replicas must receive (pushing the
+                // empty list would silently skip them).
+                _ => match vol.prepare_log_get(tid, *fid, acct) {
+                    Some(rec) => {
+                        vol.install_intentions(tid, &rec.intentions, acct)?;
+                        rec.intentions
                     }
-                }
+                    None => continue,
+                },
             };
-            if il.is_empty() {
-                // The volatile prepared list may have been lost to a crash
-                // even though the volume object survived; fall back to the
-                // logged intentions — which are also what the replicas must
-                // receive (pushing the empty list would silently skip them).
-                if let Some(rec) = vol.prepare_log_get(tid, *fid, acct) {
-                    if !rec.intentions.is_empty() {
-                        vol.install_intentions(&rec.intentions, None, acct)?;
-                        il = rec.intentions;
-                    }
-                }
-            }
             let _ = self.kernel.stage_replica_sync(*fid, &il, &mut staged, acct);
-            // The purge is a lazy truncation: it need not hit stable storage
-            // before the ack. If it is lost, recovery resurfaces a stale
-            // prepare record, finds the intentions already installed
-            // (install_intentions is idempotent) or presumes abort and
-            // truncates again — either way no acked write is lost. Only a
-            // dead disk (journal unreachable) blocks the ack.
-            vol.prepare_log_delete(tid, *fid, acct)?;
         }
         self.kernel.flush_replica_sync(staged, acct);
         Ok(())
@@ -888,11 +873,10 @@ impl TxnManager {
         *report = sub.report;
 
         // Orphaned shadow pages from crashes between allocation and logging.
+        // The scavenge's own flush persists the replayed installs,
+        // truncations and status rewrites in one transfer, so a second crash
+        // does not redo the whole pass.
         report.scavenged += vol.scavenge(acct);
-
-        // Persist the replayed truncations and status rewrites in one flush
-        // so a second crash does not redo the whole pass.
-        let _ = vol.log_barrier(acct);
     }
 }
 
@@ -1340,14 +1324,15 @@ impl Substrate for KernelSubstrate<'_> {
             }
             Effect::InstallRecovered { tid, fid } => {
                 if let (Some(vol), Some(rec)) = (self.scanned, &self.recovered) {
-                    vol.install_intentions(&rec.intentions, None, acct)
+                    // The install settles the prepare record in the same
+                    // append; a failed one leaves it for the next pass.
+                    vol.install_intentions(tid, &rec.intentions, acct)
                         .unwrap_or(());
                     // The replicas missed the phase-two push while this
                     // site was down; forward the recovered install (best
                     // effort — an unreachable replica drops to unsynced
                     // and pulls).
                     let _ = kernel.sync_replicas(fid, &rec.intentions, acct);
-                    let _ = vol.prepare_log_delete(tid, fid, acct);
                     self.report.participant_committed += 1;
                 }
                 None

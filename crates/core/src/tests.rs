@@ -144,7 +144,9 @@ fn simple_transaction_commits_durably() {
 fn figure5_io_counts_for_simple_transaction() {
     // Figure 5 prices a simple one-page, one-file transaction at 4 I/Os
     // before completing (coordinator log, data flush, prepare log, commit
-    // mark) and 1 more asynchronously for the inode install.
+    // mark) and 1 more asynchronously for the inode install. Here the
+    // install is a record in the journal that holds the durable mark, and
+    // rides its next force.
     let c = TestCluster::new(1);
     let s = c.site(0);
     let k = &s.kernel;
@@ -165,9 +167,13 @@ fn figure5_io_counts_for_simple_transaction() {
 
     let mut bg = acct(0);
     s.txn.run_async_work(&mut bg);
-    // Inode install only: the purge of the coordinator and prepare records
-    // is a lazy truncation that rides the next commit's flush.
-    assert_eq!(bg.total_ios(), 1, "async inode install");
+    // The inode record, the prepare record's truncation and the purge of
+    // the coordinator record are all appends that ride the next commit's
+    // flush: the journal holds the durable mark, and recovery would redo
+    // the install from it.
+    assert_eq!(bg.total_ios(), 0, "the install rides the next force");
+    let home = s.kernel.home().unwrap();
+    assert_eq!(home.disk().journal_frame_counts().1, 3);
 }
 
 #[test]
@@ -1262,9 +1268,9 @@ fn read_record(s: &Site, name: &str, len: u64, a: &mut Account) -> Vec<u8> {
 
 #[test]
 fn single_site_commit_is_one_log_force() {
-    // Coordinator record, prepare record, commit mark and the two purges of
-    // the transaction before: five frames, all in the home journal, all on
-    // the mark's flush.
+    // Coordinator record, prepare record, commit mark, and the install and
+    // two purges of the transaction before: six frames, all in the home
+    // journal, all on the mark's flush.
     let c = TestCluster::new(1);
     let s = c.site(0);
     let mut a = acct(0);
@@ -1278,7 +1284,7 @@ fn single_site_commit_is_one_log_force() {
         let (fl0, fr0, _) = home.journal().flush_stats();
         commit_record(s, "/f", b"again", &mut a).unwrap();
         let (fl1, fr1, _) = home.journal().flush_stats();
-        assert_eq!((fl1 - fl0, fr1 - fr0), (1, 5), "round {round}");
+        assert_eq!((fl1 - fl0, fr1 - fr0), (1, 6), "round {round}");
     }
 }
 
@@ -1568,7 +1574,10 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
             _ => None,
         })
         .collect();
-    assert_eq!(flushes, [5], "one force, five frames: {stream:?}");
+    assert_eq!(flushes, [6], "one force, six frames: {stream:?}");
+    // The block NEW's install replaced is freed by the flush that lands
+    // the install.
+    home.log_barrier(&mut a).unwrap();
     let healthy_blocks = home.disk().allocated_count();
 
     // The byte length of each frame that flush carries: tear it after the
@@ -1584,7 +1593,7 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
     let home = c.site(0).kernel.home().unwrap();
     commit_record(c.site(0), "/f", NEW, &mut acct(0)).unwrap_err();
     let durable = home.disk().journal_peek();
-    let frame_lens: Vec<usize> = durable[durable.len() - 5..].iter().map(Vec::len).collect();
+    let frame_lens: Vec<usize> = durable[durable.len() - 6..].iter().map(Vec::len).collect();
 
     let mut points = Vec::new();
     for (at, m) in stream.iter().enumerate() {
@@ -1651,6 +1660,314 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }
 
+// ----- The install is a journal record ----------------------------------------
+
+/// Writes `data` at `at` of `name` in a transaction of its own and ends it,
+/// leaving its phase two queued.
+fn acked_record(s: &Site, name: &str, at: u64, data: &[u8], a: &mut Account) -> Result<(), Error> {
+    let pid = s.kernel.spawn();
+    s.txn.begin_trans(pid, a)?;
+    let ch = s.kernel.open(pid, name, true, a)?;
+    s.kernel.lseek(pid, ch, at, a)?;
+    s.kernel.write(pid, ch, data, a)?;
+    s.txn.end_trans(pid, a).map(|_| ())
+}
+
+/// Every way to die at each mutation of `stream`, a clean run's mutations
+/// on a volume whose journal tail was empty when it began: clean, losing
+/// buffered block writes, a torn block, and a flush torn after each whole
+/// frame it carries (the last one included: the batch lands although the
+/// call that wrote it fails).
+fn every_cut(stream: &[locus_disk::MutationKind]) -> Vec<(u64, locus_disk::CrashPointMode)> {
+    use locus_disk::{CrashPointMode, MutationKind};
+    let mut points = Vec::new();
+    let mut buffered = Vec::new();
+    for (at, m) in stream.iter().enumerate() {
+        let at = at as u64;
+        points.push((at, CrashPointMode::Clean));
+        points.push((at, CrashPointMode::LostBuffer { max_rollback: 8 }));
+        match m {
+            MutationKind::Write(_) => points.push((at, CrashPointMode::Torn { keep_bytes: 512 })),
+            MutationKind::JournalAppend { frame, .. } => buffered.push(frame.len()),
+            MutationKind::JournalFlush { .. } => {
+                let mut landed = 0;
+                for len in buffered.drain(..) {
+                    landed += len;
+                    points.push((at, CrashPointMode::Torn { keep_bytes: landed }));
+                }
+            }
+            MutationKind::StablePut(_) => {}
+        }
+    }
+    points
+}
+
+/// Replays a one-site crash window at every cut of its clean run.
+/// `prologue` builds the site up to the window, whose journal tail must then
+/// be empty; `window` runs it and says which of its commits were acked;
+/// `check` judges what a crash at a cut, and recovery, left of `/f` (its
+/// first `len` bytes). After each, one more commit and a flush must leave
+/// the volume with no log record of anyone's and exactly the blocks a
+/// crash-free run keeps: a block freed twice, or never, shows there.
+fn crash_window(
+    prologue: impl Fn(&Site, &mut Account),
+    window: impl Fn(&Site, &mut Account) -> Vec<bool>,
+    len: u64,
+    check: impl Fn(&[u8], &[bool]) -> bool,
+) -> [usize; 2] {
+    let armed = |point: Option<(u64, locus_disk::CrashPointMode)>| -> TestCluster {
+        let c = TestCluster::new(1);
+        let s = c.site(0);
+        let mut a = acct(0);
+        let pid = s.kernel.spawn();
+        let ch = s.kernel.creat(pid, "/f", &mut a).unwrap();
+        s.kernel.close(pid, ch, &mut a).unwrap();
+        prologue(s, &mut a);
+        let disk = s.kernel.home().unwrap().disk().clone();
+        assert_eq!(
+            disk.journal_frame_counts().1,
+            0,
+            "the window starts flushed"
+        );
+        match point {
+            Some((at, mode)) => disk.arm_crash_point(disk.mutation_count() + at, mode),
+            None => disk.set_recording(true),
+        }
+        c
+    };
+    let settle = |s: &Site, a: &mut Account| {
+        commit_record(s, "/f", b"after-it", a).unwrap();
+        s.kernel.home().unwrap().log_barrier(a).unwrap();
+    };
+    let c = armed(None);
+    let (s, mut a) = (c.site(0), acct(0));
+    let acked = window(s, &mut a);
+    let home = s.kernel.home().unwrap();
+    let stream = home.disk().take_mutation_log();
+    assert!(acked.iter().all(|ok| *ok));
+    assert!(check(&read_record(s, "/f", len, &mut a), &acked));
+    settle(s, &mut a);
+    let healthy_blocks = home.disk().allocated_count();
+
+    let mut outcomes = [0usize; 2];
+    for (at, mode) in every_cut(&stream) {
+        let c = armed(Some((at, mode)));
+        let (s, mut a) = (c.site(0), acct(0));
+        let home = s.kernel.home().unwrap();
+        let acked = window(s, &mut a);
+        assert!(home.disk().tripped(), "point {at} {mode:?} never fired");
+        s.crash();
+        let mut ra = acct(0);
+        s.reboot_and_recover(&mut ra);
+        let got = read_record(s, "/f", len, &mut ra);
+        assert!(
+            check(&got, &acked),
+            "point {at} {mode:?}: {got:?} {acked:?}"
+        );
+        outcomes[usize::from(acked.iter().all(|ok| *ok))] += 1;
+        settle(s, &mut ra);
+        assert_eq!(read_record(s, "/f", 8, &mut ra), b"after-it");
+        assert!(
+            home.durable_coord_records().is_empty(),
+            "point {at} {mode:?}"
+        );
+        assert!(
+            home.durable_prepare_records().is_empty(),
+            "point {at} {mode:?}"
+        );
+        assert_eq!(
+            home.disk().allocated_count(),
+            healthy_blocks,
+            "point {at} {mode:?}"
+        );
+    }
+    outcomes
+}
+
+#[test]
+fn every_crash_point_from_an_install_to_the_next_force_is_all_or_nothing() {
+    // NEW is acked with its install still queued; the window is that
+    // install — an append riding the home journal, which holds NEW's mark —
+    // and the whole of the next commit, whose mark's force lands it.
+    let outcomes = crash_window(
+        |s, a| {
+            commit_record(s, "/f", b"old-old-", a).unwrap();
+            acked_record(s, "/f", 0, b"new-new-", a).unwrap();
+        },
+        |s, a| {
+            s.txn.run_async_work(a);
+            vec![commit_record(s, "/f", b"next-one", a).is_ok()]
+        },
+        8,
+        |got, acked| got == b"next-one" || (got == b"new-new-" && !acked[0]),
+    );
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+}
+
+#[test]
+fn two_differenced_installs_on_one_page_survive_every_crash_until_the_next_force() {
+    // `hot_records`' shape: two transactions hold records on one page when
+    // each prepares, so each shadow image is differenced, and the second
+    // install finds the page moved and merges onto the first. Both are
+    // acked before either installs; a crash anywhere from those installs
+    // through the next commit's force keeps both records.
+    let both = |s: &Site, a: &mut Account| {
+        let (p1, p2) = (s.kernel.spawn(), s.kernel.spawn());
+        for (p, at, data) in [(p1, 0, b"first-1!"), (p2, 8, b"second-2")] {
+            s.txn.begin_trans(p, a).unwrap();
+            let ch = s.kernel.open(p, "/f", true, a).unwrap();
+            s.kernel.lseek(p, ch, at, a).unwrap();
+            s.kernel.write(p, ch, data, a).unwrap();
+        }
+        s.txn.end_trans(p1, a).unwrap();
+        s.txn.end_trans(p2, a).unwrap();
+    };
+    let diffed = |s: &Site| s.kernel.counters.snapshot().pages_committed_diff;
+    let outcomes = crash_window(
+        |s, a| {
+            commit_record(s, "/f", &[b'.'; 24], a).unwrap();
+            let before = diffed(s);
+            both(s, a);
+            assert_eq!(diffed(s) - before, 2, "both images differenced");
+        },
+        |s, a| {
+            s.txn.run_async_work(a);
+            let mut acked = vec![true];
+            let pid = s.kernel.spawn();
+            let next = s.txn.begin_trans(pid, a).and_then(|_| {
+                let ch = s.kernel.open(pid, "/f", true, a)?;
+                s.kernel.lseek(pid, ch, 16, a)?;
+                s.kernel.write(pid, ch, b"third-3!", a)?;
+                s.txn.end_trans(pid, a)
+            });
+            acked[0] = next.is_ok();
+            s.txn.run_async_work(a);
+            acked
+        },
+        24,
+        |got, acked| {
+            &got[..16] == b"first-1!second-2"
+                && (&got[16..] == b"third-3!" || (!acked[0] && &got[16..] == b"........"))
+        },
+    );
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+}
+
+#[test]
+fn an_install_whose_mark_is_in_another_journal_is_durable_before_it_is_acked() {
+    use locus_net::{Msg, TxnMsg};
+    let commit = |tid, files| Msg::Txn(TxnMsg::Commit { tid, files });
+    let acked = |resp: Msg| matches!(resp, Msg::Ok);
+
+    // Site 0 coordinates files on its home volume, on a second volume it
+    // mounts, and at site 1.
+    let c = TestCluster::new(2);
+    let (s0, s1) = (c.site(0), c.site(1));
+    let (mut a0, mut a1) = (acct(0), acct(1));
+    let p = s0.kernel.spawn();
+    let ch = s0.kernel.creat(p, "/home", &mut a0).unwrap();
+    s0.kernel.close(p, ch, &mut a0).unwrap();
+    let (second, fid2) = mount_second_volume(&c, &mut a0);
+    let p1 = s1.kernel.spawn();
+    let ch = s1.kernel.creat(p1, "/remote", &mut a1).unwrap();
+    s1.kernel.close(p1, ch, &mut a1).unwrap();
+    let pid = s0.kernel.spawn();
+    let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    for name in ["/home", "/second", "/remote"] {
+        let ch = s0.kernel.open(pid, name, true, &mut a0).unwrap();
+        s0.kernel.write(pid, ch, b"inst", &mut a0).unwrap();
+    }
+    let fids: Vec<_> = s0
+        .kernel
+        .procs
+        .get(pid)
+        .unwrap()
+        .file_list
+        .iter()
+        .map(|f| f.fid)
+        .collect();
+    s0.txn.end_trans(pid, &mut a0).unwrap();
+    let (remote, local): (Vec<_>, Vec<_>) = fids
+        .into_iter()
+        .partition(|fid| fid.volume == s1.kernel.home_volume);
+    let fid_home = *local.iter().find(|f| **f != fid2).unwrap();
+    let home = s0.kernel.home().unwrap();
+    let peek = |v: &Volume, fid| v.durable_peek(fid, ByteRange::new(0, 4)).unwrap();
+
+    // A remote participant: its install is on the platters when it acks.
+    let resp = s0
+        .kernel
+        .rpc(SiteId(1), commit(tid, remote.clone()), &mut a0)
+        .unwrap();
+    assert!(acked(resp));
+    assert_eq!(peek(&s1.kernel.home().unwrap(), remote[0]), b"inst");
+
+    // The coordinator's own site: the second volume's journal holds no mark,
+    // so its install is forced; the home volume's rides the mark's journal.
+    let resp = s0
+        .txn
+        .handle_txn(SiteId(0), TxnMsg::Commit { tid, files: local }, &mut a0);
+    assert!(acked(resp));
+    assert_eq!(peek(&second, fid2), b"inst");
+    assert_eq!(peek(&home, fid_home), b"");
+    home.log_barrier(&mut a0).unwrap();
+    assert_eq!(peek(&home, fid_home), b"inst");
+
+    // A delegate among peers: its note of the commit is not durable, so its
+    // install is forced before it acks the requester, who then forgets.
+    let c = two_delegate_cluster();
+    let (tid, pid) = voted_write_open(&c, b"peer-ack");
+    let files = c.site(0).kernel.procs.get(pid).unwrap().file_list;
+    c.site(0).txn.end_trans(pid, &mut acct(0)).unwrap();
+    for i in [1, 2] {
+        let fids: Vec<_> = files
+            .iter()
+            .filter(|f| f.storage_site == SiteId(i))
+            .map(|f| f.fid)
+            .collect();
+        let resp = c
+            .site(0)
+            .kernel
+            .rpc(SiteId(i), commit(tid, fids), &mut acct(0))
+            .unwrap();
+        assert!(acked(resp), "site {i}");
+        assert_eq!(durable_at(&c, i as usize), b"peer-ack", "site {i}");
+    }
+}
+
+#[test]
+fn a_single_file_commit_over_a_journaled_install_wins_after_a_crash() {
+    // A transaction's install leaves the file's inode in the journal; a
+    // single-file commit then writes the stable inode a generation later
+    // and truncates the record lazily. The crash loses the truncation: the
+    // record resurfaces, older than the stable copy, and is not the file.
+    let c = TestCluster::new(1);
+    let s = c.site(0);
+    let mut a = acct(0);
+    let pid = s.kernel.spawn();
+    let ch = s.kernel.creat(pid, "/f", &mut a).unwrap();
+    s.kernel.close(pid, ch, &mut a).unwrap();
+    commit_record(s, "/f", b"txn-rec!", &mut a).unwrap();
+    let home = s.kernel.home().unwrap();
+    home.log_barrier(&mut a).unwrap();
+    assert_eq!(home.journal().inode_scan().len(), 1);
+    let ch = s.kernel.open(pid, "/f", true, &mut a).unwrap();
+    s.kernel.lseek(pid, ch, 8, &mut a).unwrap();
+    s.kernel.write(pid, ch, b"file-rec", &mut a).unwrap();
+    s.kernel.close(pid, ch, &mut a).unwrap();
+    assert!(home.journal().inode_scan().is_empty());
+    s.crash();
+    assert_eq!(home.journal().durable_inode_records().len(), 1);
+    s.reboot_and_recover(&mut acct(0));
+    let mut ra = acct(0);
+    assert_eq!(read_record(s, "/f", 16, &mut ra), b"txn-rec!file-rec");
+    let fid = s.kernel.catalog.resolve("/f").unwrap().fid;
+    assert_eq!(
+        home.durable_peek(fid, ByteRange::new(0, 16)).unwrap(),
+        b"txn-rec!file-rec"
+    );
+}
+
 // ----- One prepare wave and one phase-two wave per commit ---------------------
 
 /// A three-site cluster in which site 0 commits one transaction that writes
@@ -1694,11 +2011,13 @@ fn two_remote_participants_cost_the_delay_of_one() {
     let (c, two, two_bg) = commit_across(&[1, 2]);
     // Per participant a delegation, a data page and a forced vote; the
     // requester holds no file, so the votes are the decision and it forces
-    // no mark. An install each after.
+    // no mark. An install each after, forced: the requester forgets on its
+    // ack, and neither journal holds a durable mark.
     assert_eq!(two.messages, 2);
     assert_eq!(two.total_ios(), 2 * 2);
     assert_eq!((two_bg.messages, two_bg.total_ios()), (2, 2));
-    assert_eq!(forces(&c), [0, 1, 1]);
+    assert_eq!((two_bg.seq_ios, two_bg.disk_writes), (2, 0));
+    assert_eq!(forces(&c), [0, 2, 2]);
     // In the time of one: both sites prepare at once and install at once,
     // so the caller's commit window is one delegation branch, and the pump
     // waits for one install. The second branch, as long as the first, is
@@ -1715,10 +2034,11 @@ fn two_remote_participants_cost_the_delay_of_one() {
 fn one_remote_participant_decides_in_one_message_and_one_force() {
     let (c, one, one_bg) = commit_across(&[1]);
     // The storage site is the only participant, so it decides: one
-    // message, and inside it the data page, one force for its vote and its
-    // mark together, and the install. The requester's journal gets nothing
-    // and its phase-two queue nothing.
-    assert_eq!((one.messages, one.total_ios()), (1, 2 + 1));
+    // message, and inside it the data page and one force for its vote and
+    // its mark together. The install is a record in the journal that holds
+    // that mark, and rides its next force. The requester's journal gets
+    // nothing and its phase-two queue nothing.
+    assert_eq!((one.messages, one.total_ios()), (1, 2));
     assert_eq!((one_bg.messages, one_bg.total_ios()), (0, 0));
     assert_eq!(forces(&c), [0, 1, 0]);
     let home = c.site(0).kernel.home().unwrap();
@@ -1749,9 +2069,12 @@ fn a_local_and_a_remote_participant_still_force_one_journal_each() {
     // The chaos workload's shape. The wave changes when the two sites are
     // charged, not what they force: the remote vote its own journal, the
     // local vote nothing — it rides the mark's force of the home journal.
-    // (Set-up and phase two force no journal, so these are the run's totals.)
-    let (c, sync, _) = commit_across(&[0, 1]);
-    assert_eq!(forces(&c), [1, 1, 0]);
+    // In phase two the remote install is forced too (its journal holds no
+    // mark), the local one rides. (Set-up forces no journal, so these are
+    // the run's totals.)
+    let (c, sync, bg) = commit_across(&[0, 1]);
+    assert_eq!(forces(&c), [1, 2, 0]);
+    assert_eq!((bg.seq_ios, bg.disk_writes), (1, 0));
     assert_eq!((sync.seq_ios, sync.messages), (2, 1));
 }
 
@@ -1827,6 +2150,10 @@ fn a_lost_delegation_answer_is_asked_for_and_the_record_waits_for_the_forget() {
     Tap::install(&c, "Delegate", locus_net::FaultDecision::DropReply);
     let (first, out) = delegated_write(&c, b"first-1!");
     assert_eq!(out, Ok(EndOutcome::Committed(first)));
+    // The install rides the delegate's next force.
+    assert_eq!(durable(&c, fid), [0u8; 8]);
+    let home = c.site(1).kernel.home().unwrap();
+    home.log_barrier(&mut acct(1)).unwrap();
     assert_eq!(durable(&c, fid), b"first-1!");
     assert_eq!(c.counters.snapshot().txns_committed, 1);
     assert_eq!(c.site(0).txn.pending_async(), 0);
@@ -1880,8 +2207,8 @@ fn a_lost_delegation_is_aborted_by_the_inquiry_and_a_replay_installs_nothing() {
 #[test]
 fn a_delegate_that_dies_after_its_force_redoes_the_install_and_keeps_the_record() {
     use locus_disk::{CrashPointMode, MutationKind};
-    // Where the inode install falls in site 1's mutations, from a clean run:
-    // the first stable-store write after the force.
+    // Where the install falls in site 1's mutations, from a clean run: the
+    // first append after the force, the inode record.
     let install = {
         let (c, _) = remote_file_cluster();
         let disk = c.site(1).kernel.home().unwrap().disk().clone();
@@ -1894,13 +2221,13 @@ fn a_delegate_that_dies_after_its_force_redoes_the_install_and_keeps_the_record(
             .unwrap();
         let after = stream[force..]
             .iter()
-            .position(|m| matches!(m, MutationKind::StablePut(_)));
+            .position(|m| matches!(m, MutationKind::JournalAppend { .. }));
         (force + after.unwrap()) as u64
     };
     let (c, fid) = remote_file_cluster();
     let (s0, s1) = (c.site(0), c.site(1));
-    // Site 1's disk dies at the inode install, after the force that made
-    // the prepare record and the mark durable; the answer is lost too.
+    // Site 1's disk dies at the install's append, after the force that
+    // made the prepare record and the mark durable; the answer is lost too.
     let disk = s1.kernel.home().unwrap().disk().clone();
     disk.arm_crash_point(disk.mutation_count() + install, CrashPointMode::Clean);
     Tap::install(&c, "Delegate", locus_net::FaultDecision::DropReply);

@@ -83,10 +83,12 @@ pub enum MutationKind {
     Write(PhysPage),
     /// An atomic stable-store overwrite (inode table, commit-point write).
     StablePut(String),
-    /// A frame appended to the journal region's volatile tail (the frame
-    /// index in the combined durable+tail stream). Not a barrier: the frame
-    /// reaches the platters only at the next [`MutationKind::JournalFlush`].
-    JournalAppend(u64),
+    /// A frame appended to the journal region's volatile tail: its index in
+    /// the combined durable+tail stream, and its bytes (opaque here; the
+    /// torture driver tells an install's record from the rest by them). Not
+    /// a barrier: the frame reaches the platters only at the next
+    /// [`MutationKind::JournalFlush`].
+    JournalAppend { index: u64, frame: Vec<u8> },
     /// A group-commit flush of the journal tail — `frames` buffered frames
     /// reach the platters in one sequential transfer, and once they have all
     /// landed the `released` oldest frames of the log are free space (the
@@ -398,8 +400,12 @@ impl SimDisk {
     pub fn journal_append(&self, frame: Vec<u8>, acct: &mut Account) -> Result<()> {
         acct.cpu_instrs(&self.model, 50);
         let mut inner = self.inner.lock();
-        let idx = (inner.log_frames.len() + inner.log_tail.len()) as u64;
-        match inner.gate(|| MutationKind::JournalAppend(idx))? {
+        let index = (inner.log_frames.len() + inner.log_tail.len()) as u64;
+        let recorded = || MutationKind::JournalAppend {
+            index,
+            frame: frame.clone(),
+        };
+        match inner.gate(recorded)? {
             None => {}
             Some(CrashPointMode::LostBuffer { max_rollback }) => {
                 inner.rollback_journal(max_rollback);
@@ -452,8 +458,12 @@ impl SimDisk {
         match inner.gate(|| MutationKind::JournalFlush { frames, released })? {
             None => {
                 inner.journal.clear();
-                let mut tail = std::mem::take(&mut inner.log_tail);
-                inner.log_frames.append(&mut tail);
+                let DiskInner {
+                    log_frames,
+                    log_tail,
+                    ..
+                } = &mut *inner;
+                log_frames.append(log_tail);
                 inner.log_frames.drain(..released as usize);
                 Ok(frames)
             }
@@ -661,7 +671,10 @@ mod tests {
             vec![
                 MutationKind::Write(p),
                 MutationKind::StablePut("inode/1".into()),
-                MutationKind::JournalAppend(0),
+                MutationKind::JournalAppend {
+                    index: 0,
+                    frame: b"frame".to_vec()
+                },
                 MutationKind::JournalFlush {
                     frames: 1,
                     released: 0

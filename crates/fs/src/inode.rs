@@ -3,7 +3,7 @@
 //! committed by ... atomically overwriting the inode on disk with new data,
 //! freeing up the old data pages").
 
-use locus_types::codec::{from_bytes, to_bytes};
+use locus_types::codec::{from_bytes, Enc, Wire};
 use locus_types::{wire, Fid, IntentionsList, PageNo, PhysPage};
 
 /// In-core/on-disk inode.
@@ -19,9 +19,13 @@ pub struct Inode {
     /// block number, which the allocator recycles — to decide whether a
     /// prepared shadow image went stale (see `IntentionsEntry::old_vers`).
     pub vers: Vec<u64>,
+    /// Generation, bumped by every install. A file's inode may be both on
+    /// the volume's stable store and in its commit journal; the copy with
+    /// the higher generation is the file.
+    pub gen: u64,
 }
 
-wire!(struct Inode { fid, len, pages, vers });
+wire!(struct Inode { fid, len, pages, vers, gen });
 
 impl Inode {
     pub fn new(fid: Fid) -> Self {
@@ -30,6 +34,15 @@ impl Inode {
             len: 0,
             pages: Vec::new(),
             vers: Vec::new(),
+            gen: 0,
+        }
+    }
+
+    /// The newer of two copies of one inode (either may be missing).
+    pub fn newest(a: Option<Inode>, b: Option<Inode>) -> Option<Inode> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(if b.gen > a.gen { b } else { a }),
+            (a, b) => a.or(b),
         }
     }
 
@@ -48,10 +61,12 @@ impl Inode {
         self.len.div_ceil(page_size as u64) as u32
     }
 
-    /// Applies an intentions list: re-points pages at their shadow blocks
-    /// and adopts the new length. Returns the *old* physical blocks that
-    /// were replaced (to be freed once the new inode is durable).
+    /// Applies an intentions list: re-points pages at their shadow blocks,
+    /// adopts the new length and bumps the generation. Returns the *old*
+    /// physical blocks that were replaced (to be freed once the new inode
+    /// is durable).
     pub fn apply(&mut self, il: &IntentionsList) -> Vec<PhysPage> {
+        self.gen += 1;
         let mut freed = Vec::new();
         for ent in &il.entries {
             let idx = ent.page.0 as usize;
@@ -91,9 +106,12 @@ impl Inode {
         freed
     }
 
-    /// Serializes for the volume's stable store.
+    /// Serializes for the volume's stable store or its journal, sized up
+    /// front: a page takes at most five bytes and its counter eight.
     pub fn encode(&self) -> Vec<u8> {
-        to_bytes(self)
+        let mut e = Enc::with_capacity(32 + 13 * self.pages.len().max(self.vers.len()));
+        self.put(&mut e);
+        e.finish()
     }
 
     pub fn decode(bytes: &[u8]) -> Option<Self> {
@@ -139,12 +157,13 @@ mod tests {
         assert_eq!(ino.pages.len(), 1);
     }
 
-    /// Three pages, the middle one a hole.
+    /// Three pages, the middle one a hole, at generation 3.
     fn holey() -> Inode {
         let mut ino = Inode::new(fid());
         ino.len = 5000;
         ino.pages = vec![Some(PhysPage(4)), None, Some(PhysPage(6))];
         ino.vers = vec![2, 0, 1];
+        ino.gen = 3;
         ino
     }
 
@@ -155,15 +174,30 @@ mod tests {
         assert_eq!(got, ino);
     }
 
-    /// Golden vector from the hand-written encoder this layout replaced
-    /// (PR 18's parent): inodes already on a volume must keep decoding.
+    /// Golden vector: the layout of the hand-written encoder that `wire!`
+    /// replaced, then the generation as a trailing `u64`: inodes already on
+    /// a volume keep their layout up to the generation.
     #[test]
     fn layouts_are_pinned() {
         assert_pinned(
             &holey(),
             "00000000010000008813000000000000030000000104000000000106000000030000000200000000\
-             00000000000000000000000100000000000000",
+             000000000000000000000001000000000000000300000000000000",
         );
+    }
+
+    #[test]
+    fn the_newest_generation_wins() {
+        let old = holey();
+        let mut new = holey();
+        new.apply(&IntentionsList::new(fid(), 6000));
+        assert_eq!(new.gen, old.gen + 1);
+        let pick = |a: &Inode, b: &Inode| Inode::newest(Some(a.clone()), Some(b.clone()));
+        assert_eq!(pick(&old, &new), Some(new.clone()));
+        assert_eq!(pick(&new, &old), Some(new.clone()));
+        assert_eq!(Inode::newest(None, Some(old.clone())), Some(old.clone()));
+        assert_eq!(Inode::newest(Some(old.clone()), None), Some(old));
+        assert_eq!(Inode::newest(None, None), None);
     }
 
     #[test]
@@ -175,9 +209,10 @@ mod tests {
 
     #[test]
     fn decode_refuses_counts_the_block_cannot_hold() {
-        // fid (8) + len (8), then the page count and the version count.
+        // fid (8) + len (8), then the page count and the version count,
+        // then the generation (8).
         let empty = Inode::new(fid()).encode();
-        assert_eq!(empty.len(), 24);
+        assert_eq!(empty.len(), 32);
         for count_at in [16, 20] {
             let mut bad = empty.clone();
             bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());

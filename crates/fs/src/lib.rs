@@ -23,7 +23,9 @@ mod tests {
 
     use locus_disk::SimDisk;
     use locus_sim::{Account, CostModel, Counters, EventLog};
-    use locus_types::{ByteRange, GrantPage, Owner, Pid, SiteId, TransId, TxnStatus, VolumeId};
+    use locus_types::{
+        ByteRange, Fid, GrantPage, Owner, Pid, SiteId, TransId, TxnStatus, VolumeId,
+    };
 
     use super::*;
 
@@ -294,7 +296,8 @@ mod tests {
         let got = v
             .prepare_log_get(TransId::new(SiteId(0), 1), fid, &mut a)
             .unwrap();
-        v.install_intentions(&got.intentions, None, &mut a).unwrap();
+        v.install_intentions(got.tid, &got.intentions, &mut a)
+            .unwrap();
         assert_eq!(v.read(fid, ByteRange::new(0, 4), &mut a).unwrap(), b"data");
     }
 
@@ -508,6 +511,146 @@ mod tests {
         assert_eq!(v.disk().allocated_count(), before_crash);
         let reclaimed = v.scavenge(&mut a);
         assert_eq!(reclaimed, 1);
+    }
+
+    /// `fid` committed by a single-file commit to hold `base`, and `tid`'s
+    /// write of `data` over it prepared and logged durably: the state a
+    /// participant's phase two starts from.
+    fn logged(v: &Volume, base: &[u8], tid: u64, data: &[u8], a: &mut Account) -> Fid {
+        let fid = v.create_file(a).unwrap();
+        let p = proc_owner(9);
+        let len = base.len() as u64;
+        v.write(fid, p, ByteRange::new(0, len), base, a).unwrap();
+        v.commit_file(fid, p, a).unwrap();
+        let o = txn_owner(tid);
+        v.write(fid, o, ByteRange::new(0, data.len() as u64), data, a)
+            .unwrap();
+        let intentions = v.prepare(fid, o, a).unwrap();
+        let rec = locus_types::PrepareLogRecord {
+            tid: TransId::new(SiteId(0), tid),
+            coordinator: SiteId(0),
+            intentions,
+            locks: vec![],
+        };
+        v.prepare_log_put(&rec, a).unwrap();
+        v.log_barrier(a).unwrap();
+        fid
+    }
+
+    /// Logs `tid`'s durable commit mark on `v`.
+    fn mark(v: &Volume, tid: u64, a: &mut Account) {
+        let rec = locus_types::CoordLogRecord {
+            tid: TransId::new(SiteId(0), tid),
+            files: vec![],
+            status: TxnStatus::Committed,
+        };
+        v.coord_log_put(&rec, a).unwrap();
+    }
+
+    #[test]
+    fn an_install_rides_the_next_force_only_where_its_mark_is_durable() {
+        let (v, mut a) = vol();
+        // No mark here: the install is forced before it returns.
+        let fid = logged(&v, b"base", 1, b"one!", &mut a);
+        let before = a.clone();
+        v.commit_prepared(fid, txn_owner(1), &mut a).unwrap();
+        let d = a.delta_since(&before);
+        assert_eq!(
+            (d.seq_ios, d.disk_writes),
+            (1, 0),
+            "one force, no inode write"
+        );
+        assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"one!");
+        // A durable mark here: the install is an append, and the next force
+        // lands it.
+        let fid = logged(&v, b"base", 2, b"two!", &mut a);
+        mark(&v, 2, &mut a);
+        let before = a.clone();
+        v.commit_prepared(fid, txn_owner(2), &mut a).unwrap();
+        assert_eq!(a.delta_since(&before).total_ios(), 0);
+        assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"base");
+        v.log_barrier(&mut a).unwrap();
+        assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"two!");
+    }
+
+    #[test]
+    fn after_a_crash_a_journaled_inode_reads_its_committed_bytes() {
+        let (v, mut a) = vol();
+        let fid = logged(&v, b"base", 1, b"new!", &mut a);
+        v.commit_prepared(fid, txn_owner(1), &mut a).unwrap();
+        v.crash();
+        v.reboot();
+        // The stable copy is the single-file commit's; the journal record,
+        // a generation newer, is the file.
+        let stable = Inode::decode(&v.disk().stable_peek("inode/1").unwrap()).unwrap();
+        assert_eq!(stable.gen, 1);
+        assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"new!");
+        assert_eq!(v.read(fid, ByteRange::new(0, 4), &mut a).unwrap(), b"new!");
+        assert_eq!(v.scavenge(&mut a), 0);
+        assert_eq!(v.read(fid, ByteRange::new(0, 4), &mut a).unwrap(), b"new!");
+    }
+
+    #[test]
+    fn scavenge_after_a_lost_inode_record_keeps_what_recovery_needs() {
+        let (v, mut a) = vol();
+        let fid = logged(&v, b"base", 1, b"redo", &mut a);
+        mark(&v, 1, &mut a);
+        // Phase two rides the next force; the crash comes first, and takes
+        // the inode record, the prepare record's truncation and the frees.
+        let il = v.commit_prepared(fid, txn_owner(1), &mut a).unwrap();
+        let shadow = il.entries[0].new_phys;
+        let base = il.entries[0].old_phys.unwrap();
+        // And a shadow block nothing logged names.
+        let orphan = txn_owner(2);
+        v.write(fid, orphan, ByteRange::new(8, 4), b"lost", &mut a)
+            .unwrap();
+        v.prepare(fid, orphan, &mut a).unwrap();
+        let allocated = v.disk().allocated_count();
+        v.crash();
+        v.reboot();
+        assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"base");
+        assert_eq!(v.scavenge(&mut a), 1, "the orphan only");
+        assert_eq!(v.disk().allocated_count(), allocated - 1);
+        assert!(v.disk().is_allocated(base), "the durable inode names it");
+        assert!(v.disk().is_allocated(shadow), "the prepare record names it");
+        // Recovery's redo from the surviving record, against the durable
+        // inode's block, and the block it replaces is freed once it lands.
+        let rec = v
+            .prepare_log_get(TransId::new(SiteId(0), 1), fid, &mut a)
+            .unwrap();
+        v.install_intentions(rec.tid, &rec.intentions, &mut a)
+            .unwrap();
+        assert!(v.prepare_log_scan(&mut a).is_empty());
+        assert_eq!(v.read(fid, ByteRange::new(0, 4), &mut a).unwrap(), b"redo");
+        v.log_barrier(&mut a).unwrap();
+        assert!(!v.disk().is_allocated(base));
+        assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"redo");
+        assert_eq!(v.scavenge(&mut a), 0);
+    }
+
+    #[test]
+    fn a_single_file_commit_supersedes_a_journaled_inode() {
+        let (v, mut a) = vol();
+        let fid = logged(&v, b"base", 1, b"txn!", &mut a);
+        v.commit_prepared(fid, txn_owner(1), &mut a).unwrap();
+        let p = proc_owner(3);
+        v.write(fid, p, ByteRange::new(4, 4), b"file", &mut a)
+            .unwrap();
+        v.commit_file(fid, p, &mut a).unwrap();
+        // The stable copy is a generation newer than the journal record,
+        // whose truncation is still in the tail.
+        assert_eq!(v.journal().inode_scan().len(), 0);
+        v.crash();
+        v.reboot();
+        assert_eq!(v.journal().inode_scan().len(), 1, "the truncation was lazy");
+        assert_eq!(
+            v.durable_peek(fid, ByteRange::new(0, 8)).unwrap(),
+            b"txn!file"
+        );
+        assert_eq!(
+            v.read(fid, ByteRange::new(0, 8), &mut a).unwrap(),
+            b"txn!file"
+        );
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! page to a freshly allocated shadow block — directly when one owner wrote
 //! the page (Figure 4a), by differencing against the previous version when
 //! several owners share the page (Figure 4b) — and commit atomically
-//! overwrites the inode with the new page pointers, freeing the old blocks.
+//! replaces the inode with the new page pointers, freeing the old blocks
+//! once the new inode is durable. A single-file commit overwrites the stable
+//! inode; a transaction's install appends the whole inode to the volume's
+//! commit journal, which carries it to the platters with its next force.
 //!
 //! Transaction logs are kept *on the same volume as the files they cover*
 //! (Section 4.4: "it is important to assure that logs are stored on the same
@@ -146,19 +149,27 @@ impl Volume {
         Ok(fid)
     }
 
+    /// Brings a file's inode into core: the newer generation of its stable
+    /// copy and its commit-journal record, when it has one (the record a
+    /// transaction's install left until a later flush or a single-file
+    /// commit supersedes it). The one place the journal is read for an
+    /// inode; every read, write and grant works from the in-core copy.
     fn load_inode(&self, st: &mut VolState, ino: InodeNo, acct: &mut Account) -> Result<()> {
         if st.incore.contains_key(&ino) {
             return Ok(());
         }
+        let fid = Fid {
+            volume: self.id,
+            inode: ino,
+        };
         let bytes = self
             .disk
             .stable_get(&Self::inode_key(ino), acct)
-            .ok_or(Error::StaleFid(Fid {
-                volume: self.id,
-                inode: ino,
-            }))?;
-        let inode = Inode::decode(&bytes)
+            .ok_or(Error::StaleFid(fid))?;
+        let stable = Inode::decode(&bytes)
             .ok_or_else(|| Error::InvalidArgument(format!("corrupt inode {}", ino.0)))?;
+        let logged = self.journal.inode_get(fid).and_then(|b| Inode::decode(&b));
+        let inode = Inode::newest(Some(stable), logged).expect("the stable copy is there");
         st.incore.insert(ino, inode);
         Ok(())
     }
@@ -548,14 +559,26 @@ impl Volume {
     }
 
     /// Phase-two commit of a previously prepared owner: installs the
-    /// intentions list (one atomic inode write), frees replaced blocks, and
-    /// folds the owner's changes into the committed base. Returns the
-    /// installed list (empty for a read-only participant) so the kernel can
-    /// push the committed pages to replicas.
+    /// intentions list (see [`Volume::install_intentions`]; an owner outside
+    /// any transaction gets the single-file commit's inode write), frees
+    /// replaced blocks once the new inode is durable, and folds the owner's
+    /// changes into the committed base. Returns the installed list (empty
+    /// for a read-only participant) so the kernel can push the committed
+    /// pages to replicas.
     pub fn commit_prepared(
         &self,
         fid: Fid,
         owner: Owner,
+        acct: &mut Account,
+    ) -> Result<IntentionsList> {
+        self.commit_owner(fid, owner, owner.trans_id(), acct)
+    }
+
+    fn commit_owner(
+        &self,
+        fid: Fid,
+        owner: Owner,
+        settles: Option<TransId>,
         acct: &mut Account,
     ) -> Result<IntentionsList> {
         let ino = self.check_fid(fid)?;
@@ -568,7 +591,7 @@ impl Volume {
                 None => return Ok(IntentionsList::new(fid, 0)),
             }
         };
-        if let Err(e) = self.install_intentions(&il, Some(owner), acct) {
+        if let Err(e) = self.install(&il, Some(owner), settles, acct) {
             // Put the intentions back: a failed install (the disk died
             // mid-commit) must stay retryable. Losing the volatile copy
             // here would make the coordinator's retry look like a
@@ -588,6 +611,8 @@ impl Volume {
 
     /// Combined prepare + commit: the *single-file commit* used for normal
     /// (non-transaction) file updates — the default Locus operating mode.
+    /// Its inode write is its commit point, so it goes straight to the
+    /// stable store.
     pub fn commit_file(
         &self,
         fid: Fid,
@@ -599,51 +624,78 @@ impl Volume {
         // when the tail is empty) so a crash cannot resurface a record that
         // this commit supersedes — replaying one would clobber these writes.
         self.log_barrier(acct)?;
-        let il = self.prepare(fid, owner, acct)?;
-        self.commit_prepared(fid, owner, acct)?;
-        Ok(il)
+        self.prepare(fid, owner, acct)?;
+        self.commit_owner(fid, owner, None, acct)
     }
 
-    /// Installs an intentions list: atomically overwrites the inode and
-    /// frees the old blocks. `owner` is `None` during crash recovery, when
-    /// the volatile buffer state is gone and only the logged list remains.
+    /// Installs the intentions list of `tid`'s prepare record for one file
+    /// — phase two, or its redo by recovery, when the volatile prepared list
+    /// is gone and only the logged list remains.
+    ///
+    /// The install is a journal record: the file's whole inode, in one
+    /// append with the truncation of the prepare record it settles, made
+    /// while the transaction still holds its locks. It rides the journal's
+    /// next force when this journal holds `tid`'s durable `Committed`
+    /// record — recovery redoes the install from that record and the
+    /// prepare record until both are purged, and the purges are appended
+    /// after it — and is forced here otherwise, before the caller acks: a
+    /// coordinator or a peer may forget the transaction on that ack.
     pub fn install_intentions(
+        &self,
+        tid: TransId,
+        il: &IntentionsList,
+        acct: &mut Account,
+    ) -> Result<()> {
+        self.install(il, None, Some(tid), acct)
+    }
+
+    /// The one install: `owner` is `None` when the volatile buffer state is
+    /// gone; `settles` names the transaction whose prepare record the
+    /// install settles, and is `None` for the single-file commit, which
+    /// overwrites the stable inode instead.
+    fn install(
         &self,
         il: &IntentionsList,
         owner: Option<Owner>,
+        settles: Option<TransId>,
         acct: &mut Account,
     ) -> Result<()> {
         let span = VirtSpan::begin(SpanPhase::Install, acct);
-        let res = self.install_intentions_inner(il, owner, acct);
+        let res = self.install_inner(il, owner, settles, acct);
         span.finish(&self.counters.spans, &self.model, acct);
         res
     }
 
-    fn install_intentions_inner(
+    fn install_inner(
         &self,
         il: &IntentionsList,
         owner: Option<Owner>,
+        settles: Option<TransId>,
         acct: &mut Account,
     ) -> Result<()> {
         let ino = self.check_fid(il.fid)?;
         let mut st = self.state.lock();
         self.load_inode(&mut st, ino, acct)?;
         let inode = st.incore.get_mut(&ino).expect("loaded above");
-        if il.entries.is_empty() && il.new_len == inode.len {
-            // Nothing to install; avoid a pointless inode write.
-            if let (Some(o), Some(f)) = (owner, st.files.get_mut(&ino)) {
-                f.writer_ends.remove(&o);
-            }
-            return Ok(());
-        }
-        // Idempotent re-install: a duplicate Commit during recovery, or a
+        // Nothing to install (a read-only participant), or an idempotent
+        // re-install: a duplicate Commit, a retry after a failed force, or a
         // replay from a prepare record whose truncation was still buffered
         // in the journal tail at crash time, presents intentions that are
         // already installed. Re-applying would free the replaced blocks a
-        // second time — blocks that may since have been reallocated.
-        if installed(inode, il) {
+        // second time — blocks that may since have been reallocated. The
+        // prepare record is settled all the same, and a re-install is made
+        // as durable as the install: the in-core inode may be ahead of the
+        // platters.
+        let nothing = il.entries.is_empty() && il.new_len == inode.len;
+        if nothing || installed(inode, il) {
             if let (Some(o), Some(f)) = (owner, st.files.get_mut(&ino)) {
                 f.writer_ends.remove(&o);
+            }
+            drop(st);
+            let Some(tid) = settles else { return Ok(()) };
+            self.journal.prepare_delete(tid, il.fid, acct)?;
+            if !nothing && !self.journal.holds_durable_commit(tid) {
+                self.log_barrier(acct)?;
             }
             return Ok(());
         }
@@ -688,13 +740,17 @@ impl Volume {
         }
         let mut freed = inode.apply(il);
         freed.extend(inode.trim_to(self.page_size()));
-        // The atomic overwrite of the descriptor block — one I/O, the heart
-        // of the intentions-list mechanism.
-        self.disk
-            .stable_put(&Self::inode_key(ino), inode.encode(), acct)?;
-        for p in freed {
-            self.disk.free(p);
-        }
+        let bytes = inode.encode();
+        let forced = match settles {
+            Some(tid) => {
+                self.journal.inode_put(il.fid, bytes, tid, freed, acct)?;
+                !self.journal.holds_durable_commit(tid)
+            }
+            None => {
+                self.stable_commit(il.fid, bytes, freed, acct)?;
+                false
+            }
+        };
         self.events.push(Event::FileCommit {
             fid: il.fid,
             tid: owner.and_then(|o| o.trans_id()),
@@ -717,7 +773,30 @@ impl Volume {
             let writers_max = fstate.writer_ends.values().copied().max().unwrap_or(0);
             fstate.uncommitted_len = writers_max.max(committed_len);
         }
+        drop(st);
+        if forced {
+            self.log_barrier(acct)?;
+        }
         Ok(())
+    }
+
+    /// The atomic overwrite of the stable inode — one random I/O, and the
+    /// commit point of a single-file commit or a replica install — then the
+    /// frees it makes safe, and a lazy truncation of the file's journal
+    /// record, which the new generation supersedes.
+    fn stable_commit(
+        &self,
+        fid: Fid,
+        inode: Vec<u8>,
+        freed: Vec<PhysPage>,
+        acct: &mut Account,
+    ) -> Result<()> {
+        self.disk
+            .stable_put(&Self::inode_key(fid.inode), inode, acct)?;
+        for p in freed {
+            self.disk.free(p);
+        }
+        self.journal.inode_delete(fid, acct)
     }
 
     /// Whether `il` is installed already: the file's inode maps every page
@@ -775,8 +854,8 @@ impl Volume {
     /// comparisons stay meaningful across sites, and it skips any page whose
     /// local counter is already at or past the incoming one (a duplicated or
     /// reordered push must not reinstall older bytes). Writes each fresh
-    /// page to a newly allocated block and atomically overwrites the inode,
-    /// exactly like a local commit.
+    /// page to a newly allocated block and atomically overwrites the stable
+    /// inode, exactly like a single-file commit.
     pub fn replica_install(
         &self,
         fid: Fid,
@@ -843,12 +922,10 @@ impl Volume {
             inode.vers[idx] = *vers;
         }
         inode.len = inode.len.max(new_len);
+        inode.gen += 1;
         freed.extend(inode.trim_to(self.page_size()));
-        self.disk
-            .stable_put(&Self::inode_key(ino), inode.encode(), acct)?;
-        for p in freed {
-            self.disk.free(p);
-        }
+        let bytes = inode.encode();
+        self.stable_commit(fid, bytes, freed, acct)?;
         self.events.push(Event::FileCommit { fid, tid: None });
         let committed_len = st.incore[&ino].len;
         if let Some(fstate) = st.files.get_mut(&ino) {
@@ -1141,17 +1218,27 @@ impl Volume {
     }
 
     /// Reads `range` of the *durably committed* file image straight off the
-    /// platters: decodes the stable inode and peeks each referenced block,
-    /// bypassing every volatile layer (buffer cache, in-core inodes) and
-    /// charging no I/O. This is the durability oracle's view of the file —
-    /// exactly what a fresh reboot could reconstruct without any log replay.
-    /// Returns `None` when the inode is absent or undecodable.
+    /// platters: the durable inode (the newer of the stable copy and the
+    /// durable journal record) and each block it names, bypassing every
+    /// volatile layer (buffer cache, in-core inodes, the journal's buffered
+    /// tail) and charging no I/O. This is the durability oracle's view of
+    /// the file — exactly what a fresh reboot could reconstruct without
+    /// redoing any install. Returns `None` when the inode is absent or
+    /// undecodable.
     pub fn durable_peek(&self, fid: Fid, range: ByteRange) -> Option<Vec<u8>> {
         if fid.volume != self.id {
             return None;
         }
-        let bytes = self.disk.stable_peek(&Self::inode_key(fid.inode))?;
-        let inode = Inode::decode(&bytes)?;
+        let stable = self.disk.stable_peek(&Self::inode_key(fid.inode));
+        let logged = self
+            .journal
+            .durable_inode_records()
+            .into_iter()
+            .find(|(f, _)| *f == fid);
+        let inode = Inode::newest(
+            stable.and_then(|b| Inode::decode(&b)),
+            logged.and_then(|(_, b)| Inode::decode(&b)),
+        )?;
         let end = range.end().min(inode.len);
         if range.start >= end {
             return Some(Vec::new());
@@ -1191,34 +1278,54 @@ impl Volume {
 
     /// Reboot housekeeping: brings a tripped disk back online, rebuilds the
     /// journal's in-core view by one last-writer-wins scan of the durable
-    /// frames, and re-derives the inode allocation cursor from the stable
-    /// store.
+    /// frames, and re-derives the inode allocation cursor from every inode
+    /// the volume holds, stable or journaled.
     pub fn reboot(&self) {
         self.disk.reboot();
         self.journal.recover();
-        let max = self
+        let stable = self
             .disk
             .stable_keys("inode/")
             .into_iter()
-            .filter_map(|k| k.strip_prefix("inode/").and_then(|s| s.parse::<u32>().ok()))
-            .max()
-            .unwrap_or(0);
+            .filter_map(|k| k.strip_prefix("inode/").and_then(|s| s.parse::<u32>().ok()));
+        let logged = self
+            .journal
+            .inode_scan()
+            .into_iter()
+            .map(|(f, _)| f.inode.0);
+        let max = stable.chain(logged).max().unwrap_or(0);
         self.next_inode.store(max + 1, Ordering::Relaxed);
     }
 
-    /// Frees allocated blocks referenced by neither an inode nor a prepare
-    /// log — shadow pages orphaned by a crash between allocation and
-    /// logging. Returns the number reclaimed.
+    /// Frees allocated blocks that no inode and no prepare log names —
+    /// shadow pages orphaned by a crash between allocation and logging, and
+    /// blocks an install replaced whose record landed but whose free died
+    /// with the crash. Flushes the journal first, so that every install
+    /// recovery has made is durable and no free still waits on a flush:
+    /// each inode is then the newer generation of its stable copy and its
+    /// durable journal record. Returns the number reclaimed; none when the
+    /// disk cannot be read or the journal flushed.
     pub fn scavenge(&self, acct: &mut Account) -> usize {
-        let mut live = std::collections::HashSet::new();
+        if self.log_barrier(acct).is_err() || self.disk.tripped() {
+            return 0;
+        }
+        let mut inodes: BTreeMap<Fid, Inode> = BTreeMap::new();
         for key in self.disk.stable_keys("inode/") {
             if let Some(ino) = self
                 .disk
                 .stable_get(&key, acct)
                 .and_then(|b| Inode::decode(&b))
             {
-                live.extend(ino.pages.iter().flatten().copied());
+                inodes.insert(ino.fid, ino);
             }
+        }
+        for (fid, bytes) in self.journal.inode_scan() {
+            let newest = Inode::newest(inodes.remove(&fid), Inode::decode(&bytes));
+            inodes.extend(newest.map(|ino| (fid, ino)));
+        }
+        let mut live = std::collections::HashSet::new();
+        for ino in inodes.values() {
+            live.extend(ino.pages.iter().flatten().copied());
         }
         for rec in self.prepare_log_scan(acct) {
             live.extend(rec.intentions.new_pages());

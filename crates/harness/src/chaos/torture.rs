@@ -8,8 +8,9 @@
 //! shadow/intentions block, buffering a journal record, flushing the
 //! journal tail (the group-commit barrier that makes prepare records and
 //! the commit mark durable; a flush that also releases a dead prefix of the
-//! log is a class of its own), or the atomic inode overwrite that installs
-//! an intentions list — and the same seed is then replayed once per selected
+//! log is a class of its own), appending the inode record that installs a
+//! transaction's intentions list, or the atomic stable inode overwrite of a
+//! single-file commit — and the same seed is then replayed once per selected
 //! point with the disk armed to die *at* that mutation (cleanly, torn, or
 //! losing unbarriered buffered writes). The harness crashes the site when
 //! the point fires, recovers it in the epilogue, and the durability
@@ -24,6 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use locus_disk::{CrashPointMode, MutationKind};
+use locus_types::{JournalEntry, JournalOp};
 
 use super::{run_torture, ChaosConfig, DiskCrashPoint, Schedule, TortureRun};
 
@@ -36,6 +38,11 @@ pub enum CrashClass {
     /// record, coordinator record, status delta, or lazy truncation that
     /// is not yet durable).
     JournalAppend,
+    /// A commit-journal append carrying a file's whole inode: a
+    /// transaction's install, which the next force of that journal lands
+    /// (phase two's own force, unless the journal holds the commit's
+    /// durable mark).
+    InstallAppend,
     /// The group-commit flush of the journal tail — the one barrier that
     /// makes a prepare vote or the commit mark durable. Dying here is the
     /// paper's commit-point window: the whole batch must land or vanish.
@@ -44,8 +51,8 @@ pub enum CrashClass {
     /// frames: the same commit-point window, plus the reclamation boundary —
     /// dying here must land (a prefix of) the batch and release nothing.
     JournalReclaim,
-    /// The atomic inode overwrite installing an intentions list (the
-    /// per-file commit point of Figure 4b differencing).
+    /// The atomic stable inode overwrite installing an intentions list —
+    /// the commit point of a single-file commit (and of a replica install).
     InodeFlush,
 }
 
@@ -54,6 +61,7 @@ impl fmt::Display for CrashClass {
         let s = match self {
             CrashClass::BlockWrite => "block-write",
             CrashClass::JournalAppend => "journal-append",
+            CrashClass::InstallAppend => "install-append",
             CrashClass::JournalFlush => "journal-flush",
             CrashClass::JournalReclaim => "journal-reclaim",
             CrashClass::InodeFlush => "inode-flush",
@@ -76,7 +84,12 @@ pub fn classify(m: &MutationKind) -> Option<CrashClass> {
                 None
             }
         }
-        MutationKind::JournalAppend(_) => Some(CrashClass::JournalAppend),
+        MutationKind::JournalAppend { frame, .. } => {
+            Some(match JournalEntry::decode(frame).map(|e| e.op) {
+                Some(JournalOp::InodePut { .. }) => CrashClass::InstallAppend,
+                _ => CrashClass::JournalAppend,
+            })
+        }
         MutationKind::JournalFlush { released: 0, .. } => Some(CrashClass::JournalFlush),
         MutationKind::JournalFlush { .. } => Some(CrashClass::JournalReclaim),
     }
@@ -283,9 +296,23 @@ mod tests {
             classify(&MutationKind::StablePut("inode/3".into())),
             Some(CrashClass::InodeFlush)
         );
+        let append = |op| MutationKind::JournalAppend {
+            index: 7,
+            frame: JournalEntry { seq: 9, op }.encode(),
+        };
+        let fid = locus_types::Fid::new(locus_types::VolumeId(0), 1);
         assert_eq!(
-            classify(&MutationKind::JournalAppend(7)),
+            classify(&append(JournalOp::Truncate(
+                locus_types::JournalKey::Inode(fid)
+            ))),
             Some(CrashClass::JournalAppend)
+        );
+        assert_eq!(
+            classify(&append(JournalOp::InodePut {
+                fid,
+                inode: vec![1, 2]
+            })),
+            Some(CrashClass::InstallAppend)
         );
         assert_eq!(
             classify(&MutationKind::JournalFlush {
@@ -321,21 +348,29 @@ mod tests {
         for class in [
             CrashClass::BlockWrite,
             CrashClass::JournalAppend,
+            CrashClass::InstallAppend,
             CrashClass::JournalFlush,
             CrashClass::JournalReclaim,
-            CrashClass::InodeFlush,
         ] {
             assert!(
                 points.iter().any(|p| p.class == class),
                 "no {class} crash point found in clean run"
             );
         }
+        // Every write of the workload is a transaction's, and a
+        // transaction's install is an `install-append`: the stable inode is
+        // overwritten only by single-file commits — the setup's fills, which
+        // lie before the campaign's boundary — and by replica installs,
+        // which campaigns (unreplicated) do not make.
+        assert!(!points.iter().any(|p| p.class == CrashClass::InodeFlush));
     }
 
     /// Seed 1's workload has a transaction whose home, site 2, holds none of
     /// its files: sites 0 and 1 decide it by their votes. The campaign's
-    /// points at site 1 include the force of that vote and the install that
-    /// follows the commit, and a replay dying at either loses nothing.
+    /// points at site 1 include the force of that vote and the force of the
+    /// install that follows the commit — its own, since the delegate's note
+    /// of the commit is not durable — and a replay dying at either loses
+    /// nothing.
     #[test]
     fn the_campaign_crashes_a_vote_decided_commit_at_a_vote_force_and_an_install() {
         use locus_sim::Event;
@@ -359,16 +394,31 @@ mod tests {
             let note_at = trace.lines().position(|l| l == note);
             matches!((note_at, crash_at), (Some(n), Some(c)) if n < c)
         };
-        // The first point of `class` at site 1 whose replay dies just after
-        // the note — the force of the yes behind it, or the install the
-        // commit note precedes — must fire and lose nothing.
-        for (class, status) in [
-            (CrashClass::JournalFlush, TxnStatus::Voted),
-            (CrashClass::InodeFlush, TxnStatus::Committed),
+        // A force at site 1: a flush, reclaiming or not. An install's force
+        // follows its inode record and the truncation appended with it.
+        let forces = || {
+            points.iter().filter(|p| {
+                p.site == d
+                    && matches!(
+                        p.class,
+                        CrashClass::JournalFlush | CrashClass::JournalReclaim
+                    )
+            })
+        };
+        let after_install = |at: u64| {
+            points.iter().any(|q| {
+                q.site == d && q.class == CrashClass::InstallAppend && q.at < at && at - q.at <= 2
+            })
+        };
+        // The first force at site 1 whose replay dies just after the note —
+        // the yes behind it, or the install the commit note precedes — must
+        // fire and lose nothing.
+        for (what, status, install) in [
+            ("vote force", TxnStatus::Voted, false),
+            ("install force", TxnStatus::Committed, true),
         ] {
-            let hit = points
-                .iter()
-                .filter(|p| p.site == d && p.class == class)
+            let hit = forces()
+                .filter(|p| !install || after_install(p.at))
                 .map(|p| {
                     let crash = DiskCrashPoint {
                         site: d,
@@ -378,9 +428,9 @@ mod tests {
                     run_torture(&cfg, &Schedule::default(), false, Some(crash))
                 })
                 .find(|run| noted_before_crash(&run.report.trace, status))
-                .unwrap_or_else(|| panic!("no {class} point of {tid} at site 1"));
-            assert!(hit.fired, "{class}");
-            assert!(hit.report.ok(), "{class}: {}", hit.report);
+                .unwrap_or_else(|| panic!("no {what} of {tid} at site 1"));
+            assert!(hit.fired, "{what}");
+            assert!(hit.report.ok(), "{what}: {}", hit.report);
         }
     }
 

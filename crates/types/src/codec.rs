@@ -73,6 +73,14 @@ impl Enc {
         Enc::default()
     }
 
+    /// A writer whose buffer holds `capacity` bytes before it grows: one
+    /// allocation for a value whose size the caller knows roughly.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }

@@ -24,7 +24,7 @@
 //! how many bytes each frame takes. The layouts below are pinned by
 //! `layouts_are_pinned`.
 
-use crate::codec::{framed, from_bytes, to_bytes};
+use crate::codec::{framed, from_bytes, to_bytes, Enc, Wire};
 use crate::id::{Fid, SiteId, TransId};
 use crate::proto::{FileListEntry, IntentionsList, LockDescriptor, TxnStatus};
 use crate::wire;
@@ -84,9 +84,12 @@ pub enum JournalKey {
     /// Participant prepare log record for one file of a transaction
     /// (footnote 10: "one prepare log per file per transaction").
     Prepare(TransId, Fid),
+    /// A file's whole inode as a transaction's install left it: the redo of
+    /// that install, newer than the volume's stable copy while it lives.
+    Inode(Fid),
 }
 
-wire!(enum JournalKey { 1 => Coord(tid), 2 => Prepare(tid, fid) });
+wire!(enum JournalKey { 1 => Coord(tid), 2 => Prepare(tid, fid), 3 => Inode(fid) });
 
 /// One typed journal mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +103,9 @@ pub enum JournalOp {
     PreparePut(PrepareLogRecord),
     /// Log truncation: the record named by the key is purged.
     Truncate(JournalKey),
+    /// A file's whole inode, encoded by the filesystem that owns the layout
+    /// (the journal keeps it as bytes): last writer wins per file.
+    InodePut { fid: Fid, inode: Vec<u8> },
 }
 
 // A whole log record travels behind a `u32` byte length; those four bytes
@@ -109,6 +115,7 @@ wire!(enum JournalOp {
     2 => CoordStatus { tid, status },
     3 => PreparePut(rec with framed),
     4 => Truncate(key),
+    5 => InodePut { fid, inode },
 });
 
 impl JournalOp {
@@ -119,6 +126,7 @@ impl JournalOp {
             JournalOp::CoordStatus { tid, .. } => JournalKey::Coord(*tid),
             JournalOp::PreparePut(rec) => JournalKey::Prepare(rec.tid, rec.intentions.fid),
             JournalOp::Truncate(key) => *key,
+            JournalOp::InodePut { fid, .. } => JournalKey::Inode(*fid),
         }
     }
 }
@@ -135,13 +143,31 @@ wire!(struct JournalEntry { seq, op });
 
 impl JournalEntry {
     pub fn encode(&self) -> Vec<u8> {
-        to_bytes(self)
+        // Sized up front: a frame is appended on every commit, and an inode
+        // record is a whole inode.
+        let body = match &self.op {
+            JournalOp::InodePut { inode, .. } => inode.len(),
+            _ => 0,
+        };
+        let mut e = Enc::with_capacity(body + 256);
+        self.put(&mut e);
+        e.finish()
     }
 
     /// Decodes one frame; `None` on truncation, trailing garbage, or an
     /// unknown tag.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         from_bytes(bytes)
+    }
+
+    /// An encoded frame under sequence number `seq`: the op's bytes are
+    /// kept as they are, so copying a record forward neither decodes nor
+    /// re-encodes it. The sequence number is the frame's leading field.
+    pub fn restamp(frame: &[u8], seq: u64) -> Vec<u8> {
+        let head = to_bytes(&seq);
+        let mut out = frame.to_vec();
+        out[..head.len()].copy_from_slice(&head);
+        out
     }
 }
 
@@ -217,6 +243,11 @@ mod tests {
             JournalOp::PreparePut(prepare()),
             JournalOp::Truncate(JournalKey::Coord(tid())),
             JournalOp::Truncate(JournalKey::Prepare(tid(), Fid::new(VolumeId(1), 4))),
+            JournalOp::InodePut {
+                fid: Fid::new(VolumeId(1), 4),
+                inode: vec![0xab, 0xcd],
+            },
+            JournalOp::Truncate(JournalKey::Inode(Fid::new(VolumeId(1), 4))),
         ];
         let entry = |(i, op)| JournalEntry {
             seq: 100 + i as u64,
@@ -257,7 +288,7 @@ mod tests {
              00000000001000000000000000010000003800000000000000000000000000000000010000000200\
              0000010000000102000000110000000000000002006400000000000000320000000000000001",
         );
-        const FRAMES: [&str; 5] = [
+        const FRAMES: [&str; 7] = [
             "64000000000000000139000000020000001100000000000000020000000000000001000000000000\
              000000000000000000030000000900000003000000040000000000000000",
             "65000000000000000202000000110000000000000001",
@@ -268,9 +299,20 @@ mod tests {
              0000320000000000000001",
             "67000000000000000401020000001100000000000000",
             "680000000000000004020200000011000000000000000100000004000000",
+            "690000000000000005010000000400000002000000abcd",
+            "6a0000000000000004030100000004000000",
         ];
         for (entry, golden) in frames().into_iter().zip(FRAMES) {
             assert_pinned(&entry, golden);
+        }
+    }
+
+    #[test]
+    fn a_restamped_frame_is_the_same_op_under_the_new_number() {
+        for ent in frames() {
+            let moved = JournalEntry::restamp(&ent.encode(), 7);
+            let want = JournalEntry { seq: 7, ..ent };
+            assert_eq!(moved, want.encode());
         }
     }
 

@@ -30,6 +30,13 @@
 //! enough to pin a mostly-dead prefix are re-put into the same batch, so the
 //! log never holds more than `2·live + RECLAIM_SLACK` frames after a flush
 //! and reclamation never costs an I/O of its own.
+//!
+//! A transaction's install is a record here too: the file's whole inode,
+//! keyed per file, appended together with the truncation of the prepare
+//! record it settles ([`Journal::inode_put`]). The journal keeps the frame
+//! as appended, so a copy forward re-stamps its sequence number and moves
+//! the bytes. The blocks that install replaced are freed by the flush that
+//! lands it, not before: until then the durable inode still names them.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -40,8 +47,8 @@ use parking_lot::{Condvar, Mutex};
 use locus_disk::SimDisk;
 use locus_sim::{Account, SpanPhase, VirtSpan};
 use locus_types::{
-    CoordLogRecord, Error, Fid, JournalEntry, JournalKey, JournalOp, PrepareLogRecord, Result,
-    TransId, TxnStatus,
+    CoordLogRecord, Error, Fid, JournalEntry, JournalKey, JournalOp, PhysPage, PrepareLogRecord,
+    Result, TransId, TxnStatus,
 };
 
 /// A flush copies the oldest live records forward once the log would
@@ -54,9 +61,15 @@ const RECLAIM_SLACK: u64 = 6;
 /// base `Put` frame, and the `Put`s in log order.
 #[derive(Debug, Default)]
 struct View {
-    coord: BTreeMap<TransId, (u64, CoordLogRecord)>,
+    /// Each record with the sequence number of the frame that last set its
+    /// status, beside its base: the status is durable once that frame is.
+    coord: BTreeMap<TransId, (u64, CoordLogRecord, u64)>,
     /// Keyed per file per transaction.
     prepare: BTreeMap<(TransId, Fid), (u64, PrepareLogRecord)>,
+    /// Keyed per file: the `InodePut` frame as first appended. Its own
+    /// sequence number goes stale when the record is copied forward; every
+    /// copy re-stamps it.
+    inode: BTreeMap<Fid, (u64, Vec<u8>)>,
     /// `(seq, key)` of every `Put` from the low-water mark on, oldest first.
     /// An entry whose record has since been truncated or re-put is stale;
     /// stale entries are dropped as they reach the front, so the mark is
@@ -64,20 +77,36 @@ struct View {
     puts: VecDeque<(u64, JournalKey)>,
 }
 
+/// The frame an op's record keeps in the view, if it keeps one: an inode
+/// record's.
+fn kept(op: &JournalOp, frame: &[u8]) -> Option<Vec<u8>> {
+    matches!(op, JournalOp::InodePut { .. }).then(|| frame.to_vec())
+}
+
+/// The inode bytes an `InodePut` frame carries.
+fn inode_body(frame: &[u8]) -> Option<Vec<u8>> {
+    match JournalEntry::decode(frame)?.op {
+        JournalOp::InodePut { inode, .. } => Some(inode),
+        _ => None,
+    }
+}
+
 impl View {
-    /// Last-writer-wins application of the entry numbered `seq`.
-    fn apply(&mut self, seq: u64, op: JournalOp) {
+    /// Last-writer-wins application of the entry numbered `seq`; `frame` is
+    /// the encoded entry when the record keeps it (see [`kept`]).
+    fn apply(&mut self, seq: u64, op: JournalOp, frame: Option<Vec<u8>>) {
         match op {
             JournalOp::CoordPut(rec) => {
                 self.puts.push_back((seq, JournalKey::Coord(rec.tid)));
-                self.coord.insert(rec.tid, (seq, rec));
+                self.coord.insert(rec.tid, (seq, rec, seq));
             }
             JournalOp::CoordStatus { tid, status } => {
                 // A status delta whose base record did not survive is
                 // ignored: the base was lost with the volatile tail, and
                 // presumed abort covers the transaction.
-                if let Some((_, rec)) = self.coord.get_mut(&tid) {
+                if let Some((_, rec, set_at)) = self.coord.get_mut(&tid) {
                     rec.status = status;
+                    *set_at = seq;
                 }
             }
             JournalOp::PreparePut(rec) => {
@@ -91,22 +120,35 @@ impl View {
             JournalOp::Truncate(JournalKey::Prepare(tid, fid)) => {
                 self.prepare.remove(&(tid, fid));
             }
+            JournalOp::InodePut { fid, .. } => {
+                self.puts.push_back((seq, JournalKey::Inode(fid)));
+                let frame = frame.expect("an inode record keeps its frame");
+                self.inode.insert(fid, (seq, frame));
+            }
+            JournalOp::Truncate(JournalKey::Inode(fid)) => {
+                self.inode.remove(&fid);
+            }
         }
     }
 
     fn live(&self) -> usize {
-        self.coord.len() + self.prepare.len()
+        self.coord.len() + self.prepare.len() + self.inode.len()
+    }
+
+    /// The base of the live record `key` names; `None` when it is dead.
+    fn base(&self, key: JournalKey) -> Option<u64> {
+        match key {
+            JournalKey::Coord(tid) => self.coord.get(&tid).map(|(b, ..)| *b),
+            JournalKey::Prepare(tid, fid) => self.prepare.get(&(tid, fid)).map(|(b, _)| *b),
+            JournalKey::Inode(fid) => self.inode.get(&fid).map(|(b, _)| *b),
+        }
     }
 
     /// The oldest live record's base and key: the log's low-water mark.
     /// `None` when nothing is live (every frame in the log is dead).
     fn low_water(&mut self) -> Option<(u64, JournalKey)> {
         while let Some(&(seq, key)) = self.puts.front() {
-            let base = match key {
-                JournalKey::Coord(tid) => self.coord.get(&tid).map(|(b, _)| *b),
-                JournalKey::Prepare(tid, fid) => self.prepare.get(&(tid, fid)).map(|(b, _)| *b),
-            };
-            if base == Some(seq) {
+            if self.base(key) == Some(seq) {
                 return Some((seq, key));
             }
             self.puts.pop_front();
@@ -142,6 +184,10 @@ struct JournalState {
     frames_flushed: u64,
     /// Records re-put by a flush to free the prefix they pinned.
     copied_forward: u64,
+    /// Blocks replaced by an appended install, freed by the next flush
+    /// that lands: the durable inode names them until then. Volatile: a
+    /// crash forgets them, and the reboot's scavenge finds them unnamed.
+    frees: Vec<PhysPage>,
 }
 
 /// Append-only commit journal for one volume.
@@ -189,11 +235,33 @@ impl Journal {
             seq: st.next_seq,
             op,
         };
-        self.disk.journal_append(entry.encode(), acct)?;
-        st.next_seq += 1;
-        st.appended_seq = entry.seq;
-        st.view.apply(entry.seq, entry.op);
+        let frame = entry.encode();
+        let kept = kept(&entry.op, &frame);
+        self.push(st, frame, acct)?;
+        st.view.apply(entry.seq, entry.op, kept);
         Ok(())
+    }
+
+    /// Hands one encoded frame, numbered `next_seq`, to the disk's tail.
+    fn push(&self, st: &mut JournalState, frame: Vec<u8>, acct: &mut Account) -> Result<()> {
+        self.disk.journal_append(frame, acct)?;
+        st.appended_seq = st.next_seq;
+        st.next_seq += 1;
+        Ok(())
+    }
+
+    /// Appends the truncation of `key`'s record, if it is live (lazy: rides
+    /// the next flush, like every truncation).
+    fn truncate_locked(
+        &self,
+        st: &mut JournalState,
+        key: JournalKey,
+        acct: &mut Account,
+    ) -> Result<()> {
+        if st.view.base(key).is_none() {
+            return Ok(());
+        }
+        self.append_locked(st, JournalOp::Truncate(key), acct)
     }
 
     // ----- Coordinator log -------------------------------------------------
@@ -223,7 +291,19 @@ impl Journal {
 
     pub fn coord_get(&self, tid: TransId) -> Option<CoordLogRecord> {
         let st = self.state.lock();
-        st.view.coord.get(&tid).map(|(_, rec)| rec.clone())
+        st.view.coord.get(&tid).map(|(_, rec, _)| rec.clone())
+    }
+
+    /// Whether this journal holds `tid`'s `Committed` status on the
+    /// platters — a mark, or a record born committed — and not merely in
+    /// its buffered tail: an install here then needs no force of its own,
+    /// because recovery redoes it from this record until its purge lands,
+    /// and the purge is appended after the install.
+    pub fn holds_durable_commit(&self, tid: TransId) -> bool {
+        let st = self.state.lock();
+        st.view.coord.get(&tid).is_some_and(|(_, rec, set_at)| {
+            rec.status == TxnStatus::Committed && *set_at <= st.flushed_seq
+        })
     }
 
     /// Appends a coordinator-log truncation (lazy: rides the next flush; a
@@ -231,15 +311,16 @@ impl Journal {
     /// again).
     pub fn coord_delete(&self, tid: TransId, acct: &mut Account) -> Result<()> {
         let mut st = self.state.lock();
-        if !st.view.coord.contains_key(&tid) {
-            return Ok(());
-        }
-        self.append_locked(&mut st, JournalOp::Truncate(JournalKey::Coord(tid)), acct)
+        self.truncate_locked(&mut st, JournalKey::Coord(tid), acct)
     }
 
     pub fn coord_scan(&self) -> Vec<CoordLogRecord> {
         let st = self.state.lock();
-        st.view.coord.values().map(|(_, rec)| rec.clone()).collect()
+        st.view
+            .coord
+            .values()
+            .map(|(_, rec, _)| rec.clone())
+            .collect()
     }
 
     // ----- Prepare log -----------------------------------------------------
@@ -256,14 +337,7 @@ impl Journal {
 
     pub fn prepare_delete(&self, tid: TransId, fid: Fid, acct: &mut Account) -> Result<()> {
         let mut st = self.state.lock();
-        if !st.view.prepare.contains_key(&(tid, fid)) {
-            return Ok(());
-        }
-        self.append_locked(
-            &mut st,
-            JournalOp::Truncate(JournalKey::Prepare(tid, fid)),
-            acct,
-        )
+        self.truncate_locked(&mut st, JournalKey::Prepare(tid, fid), acct)
     }
 
     pub fn prepare_scan(&self) -> Vec<PrepareLogRecord> {
@@ -275,7 +349,54 @@ impl Journal {
             .collect()
     }
 
-    /// Number of live records (coordinator + prepare) in the in-core view.
+    // ----- Inode records ---------------------------------------------------
+
+    /// Appends `fid`'s whole inode and, in the same append, the truncation
+    /// of `settles`'s prepare record for it (when this journal holds one), so a
+    /// surviving prepare record is never older than a durable install of
+    /// the same file. `freed` — the blocks the install replaced — are freed
+    /// by the flush that lands these frames. Buffered, like every append:
+    /// the caller forces when the install must be durable before it acks.
+    pub fn inode_put(
+        &self,
+        fid: Fid,
+        inode: Vec<u8>,
+        settles: TransId,
+        freed: Vec<PhysPage>,
+        acct: &mut Account,
+    ) -> Result<()> {
+        let mut st = self.state.lock();
+        self.append_locked(&mut st, JournalOp::InodePut { fid, inode }, acct)?;
+        st.frees.extend(freed);
+        self.truncate_locked(&mut st, JournalKey::Prepare(settles, fid), acct)
+    }
+
+    /// The inode bytes of `fid`'s live record, if any.
+    pub fn inode_get(&self, fid: Fid) -> Option<Vec<u8>> {
+        let st = self.state.lock();
+        st.view
+            .inode
+            .get(&fid)
+            .and_then(|(_, frame)| inode_body(frame))
+    }
+
+    /// Appends the truncation of `fid`'s inode record (lazy, like every
+    /// truncation): an install that wrote the stable inode itself has
+    /// superseded it.
+    pub fn inode_delete(&self, fid: Fid, acct: &mut Account) -> Result<()> {
+        let mut st = self.state.lock();
+        self.truncate_locked(&mut st, JournalKey::Inode(fid), acct)
+    }
+
+    /// Every live inode record, buffered ones included.
+    pub fn inode_scan(&self) -> Vec<(Fid, Vec<u8>)> {
+        let st = self.state.lock();
+        let body = |(fid, (_, frame)): (&Fid, &(u64, Vec<u8>))| Some((*fid, inode_body(frame)?));
+        st.view.inode.iter().filter_map(body).collect()
+    }
+
+    /// Number of live records (coordinator + prepare + inode) in the
+    /// in-core view.
     pub fn live_records(&self) -> usize {
         self.state.lock().view.live()
     }
@@ -355,6 +476,9 @@ impl Journal {
         st.flushed_seq = st.appended_seq;
         st.flushes += 1;
         st.frames_flushed += frames;
+        for p in st.frees.drain(..) {
+            self.disk.free(p);
+        }
         Ok(())
     }
 
@@ -365,19 +489,30 @@ impl Journal {
     /// it to the head frees them on this flush. Each copy carries the
     /// record's current status, and lands after every entry it reflects.
     /// Ends after at most `live` copies, when the log from the mark on is
-    /// the copies alone.
+    /// the copies alone. An inode record's copy is its kept frame under the
+    /// next sequence number.
     fn copy_forward(&self, st: &mut JournalState, acct: &mut Account) -> Result<u64> {
         while let Some((low_water, key)) = st.view.low_water() {
             if st.next_seq - low_water <= 2 * st.view.live() as u64 + RECLAIM_SLACK {
                 return Ok(low_water);
             }
-            let op = match key {
-                JournalKey::Coord(tid) => JournalOp::CoordPut(st.view.coord[&tid].1.clone()),
-                JournalKey::Prepare(tid, fid) => {
-                    JournalOp::PreparePut(st.view.prepare[&(tid, fid)].1.clone())
+            match key {
+                JournalKey::Coord(tid) => {
+                    let op = JournalOp::CoordPut(st.view.coord[&tid].1.clone());
+                    self.append_locked(st, op, acct)?;
                 }
-            };
-            self.append_locked(st, op, acct)?;
+                JournalKey::Prepare(tid, fid) => {
+                    let op = JournalOp::PreparePut(st.view.prepare[&(tid, fid)].1.clone());
+                    self.append_locked(st, op, acct)?;
+                }
+                JournalKey::Inode(fid) => {
+                    let seq = st.next_seq;
+                    let frame = JournalEntry::restamp(&st.view.inode[&fid].1, seq);
+                    self.push(st, frame, acct)?;
+                    st.view.inode.get_mut(&fid).expect("live").0 = seq;
+                    st.view.puts.push_back((seq, key));
+                }
+            }
             st.copied_forward += 1;
         }
         Ok(st.next_seq)
@@ -390,6 +525,7 @@ impl Journal {
     pub fn crash(&self) {
         let mut st = self.state.lock();
         st.view = View::default();
+        st.frees.clear();
         st.flush_in_progress = false;
     }
 
@@ -424,7 +560,16 @@ impl Journal {
     pub fn durable_coord_records(&self) -> Vec<CoordLogRecord> {
         let frames = self.disk.journal_peek();
         let coord = replay(&frames).0.coord;
-        coord.into_values().map(|(_, rec)| rec).collect()
+        coord.into_values().map(|(_, rec, _)| rec).collect()
+    }
+
+    /// The inode records reconstructible from the *durable* frames alone:
+    /// with the stable inodes, what a reboot finds of each file.
+    pub fn durable_inode_records(&self) -> Vec<(Fid, Vec<u8>)> {
+        let frames = self.disk.journal_peek();
+        let inode = replay(&frames).0.inode;
+        let body = |(fid, (_, frame)): (Fid, (u64, Vec<u8>))| Some((fid, inode_body(&frame)?));
+        inode.into_iter().filter_map(body).collect()
     }
 }
 
@@ -433,16 +578,20 @@ impl Journal {
 /// partial frames at the disk layer already; this guards the decoder
 /// itself). Entries are applied in sequence order.
 fn replay(frames: &[Vec<u8>]) -> (View, u64) {
-    let mut entries: Vec<JournalEntry> = frames
+    let mut entries: Vec<(JournalEntry, Option<Vec<u8>>)> = frames
         .iter()
-        .filter_map(|f| JournalEntry::decode(f))
+        .filter_map(|f| {
+            let ent = JournalEntry::decode(f)?;
+            let kept = kept(&ent.op, f);
+            Some((ent, kept))
+        })
         .collect();
-    entries.sort_by_key(|e| e.seq);
+    entries.sort_by_key(|(e, _)| e.seq);
     let mut view = View::default();
     let mut max_seq = 0;
-    for ent in entries {
+    for (ent, kept) in entries {
         max_seq = max_seq.max(ent.seq);
-        view.apply(ent.seq, ent.op);
+        view.apply(ent.seq, ent.op, kept);
     }
     (view, max_seq)
 }
@@ -594,5 +743,118 @@ mod tests {
         // The truncation was buffered only: the record resurfaces, and
         // recovery re-resolves it (presumed abort keeps this safe).
         assert_eq!(j.prepare_scan(), vec![rec]);
+    }
+
+    fn fid(ino: u32) -> Fid {
+        Fid::new(VolumeId(0), ino)
+    }
+
+    #[test]
+    fn an_install_settles_its_prepare_record_and_frees_only_once_it_lands() {
+        let (j, disk, mut a) = setup();
+        let rec = prep_rec(4, 3);
+        j.prepare_put(&rec, &mut a).unwrap();
+        j.barrier(&mut a).unwrap();
+        let old = disk.alloc(&mut a).unwrap();
+        j.inode_put(fid(3), vec![7, 7], rec.tid, vec![old], &mut a)
+            .unwrap();
+        // One append: the inode record, then the truncation it makes.
+        assert_eq!(disk.journal_frame_counts(), (1, 2));
+        assert!(j.prepare_scan().is_empty());
+        assert_eq!(j.inode_get(fid(3)), Some(vec![7, 7]));
+        assert!(disk.is_allocated(old), "the durable inode still names it");
+        j.barrier(&mut a).unwrap();
+        assert!(!disk.is_allocated(old));
+        j.crash();
+        j.recover();
+        assert_eq!(j.inode_scan(), vec![(fid(3), vec![7, 7])]);
+        assert!(j.prepare_scan().is_empty());
+    }
+
+    #[test]
+    fn a_crash_forgets_the_frees_its_lost_records_made() {
+        let (j, disk, mut a) = setup();
+        let old = disk.alloc(&mut a).unwrap();
+        j.inode_put(fid(1), vec![1], prep_rec(1, 1).tid, vec![old], &mut a)
+            .unwrap();
+        j.crash();
+        disk.crash();
+        j.recover();
+        j.coord_put(&coord_rec(1, TxnStatus::Unknown), &mut a)
+            .unwrap();
+        j.barrier(&mut a).unwrap();
+        assert!(disk.is_allocated(old), "freed by no flush");
+        assert!(j.inode_scan().is_empty());
+    }
+
+    #[test]
+    fn only_a_landed_commit_status_is_a_durable_commit() {
+        let (j, _disk, mut a) = setup();
+        // A mark: forced with its delta.
+        let marked = TransId::new(SiteId(0), 1);
+        j.coord_put(&coord_rec(1, TxnStatus::Unknown), &mut a)
+            .unwrap();
+        assert!(!j.holds_durable_commit(marked));
+        j.coord_set_status(marked, TxnStatus::Committed, &mut a)
+            .unwrap();
+        assert!(!j.holds_durable_commit(marked), "buffered");
+        j.barrier(&mut a).unwrap();
+        assert!(j.holds_durable_commit(marked));
+        // A yes whose commit is noted lazily: durable only once a flush
+        // lands the note.
+        let voted = TransId::new(SiteId(0), 2);
+        j.coord_put(&coord_rec(2, TxnStatus::Voted), &mut a)
+            .unwrap();
+        j.barrier(&mut a).unwrap();
+        j.coord_set_status(voted, TxnStatus::Committed, &mut a)
+            .unwrap();
+        assert!(!j.holds_durable_commit(voted));
+        j.crash();
+        j.recover();
+        assert!(j.holds_durable_commit(marked));
+        assert!(!j.holds_durable_commit(voted), "the note died in the tail");
+        // A record born committed is durable with its frame.
+        let born = TransId::new(SiteId(0), 3);
+        j.coord_put(&coord_rec(3, TxnStatus::Committed), &mut a)
+            .unwrap();
+        assert!(!j.holds_durable_commit(born));
+        j.barrier(&mut a).unwrap();
+        assert!(j.holds_durable_commit(born));
+    }
+
+    #[test]
+    fn an_inode_record_is_copied_forward_by_its_bytes() {
+        let (j, disk, mut a) = setup();
+        j.inode_put(fid(2), vec![9; 40], prep_rec(1, 2).tid, vec![], &mut a)
+            .unwrap();
+        j.barrier(&mut a).unwrap();
+        for i in 0..8 {
+            j.coord_put(&coord_rec(i, TxnStatus::Unknown), &mut a)
+                .unwrap();
+            j.coord_delete(TransId::new(SiteId(0), i), &mut a).unwrap();
+        }
+        j.barrier(&mut a).unwrap();
+        // The record moved past the dead frames, which the flush released.
+        assert_eq!(j.flush_stats().2, 1);
+        assert_eq!(disk.journal_frame_counts(), (1, 0));
+        let frame = disk.journal_peek().remove(0);
+        let copy = JournalEntry::decode(&frame).unwrap();
+        assert_eq!(copy.seq, 18);
+        assert_eq!(
+            copy.op,
+            JournalOp::InodePut {
+                fid: fid(2),
+                inode: vec![9; 40]
+            }
+        );
+        j.crash();
+        j.recover();
+        assert_eq!(j.inode_get(fid(2)), Some(vec![9; 40]));
+        // A later truncation retires it for good.
+        j.inode_delete(fid(2), &mut a).unwrap();
+        j.barrier(&mut a).unwrap();
+        j.crash();
+        j.recover();
+        assert_eq!(j.inode_get(fid(2)), None);
     }
 }

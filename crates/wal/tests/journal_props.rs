@@ -2,8 +2,9 @@
 //!
 //! 1. `journal_entry_roundtrips`: every representable [`JournalEntry`] —
 //!    arbitrary coordinator records, status deltas, prepare records with
-//!    full intentions lists and lock lists, and truncations of both key
-//!    kinds — survives encode → decode byte-exactly.
+//!    full intentions lists and lock lists, whole-inode records, and
+//!    truncations of all three key kinds — survives encode → decode
+//!    byte-exactly.
 //!
 //! 2. `journal_recovery_matches_kv_oracle`: journal-based recovery (scan +
 //!    last-writer-wins replay) reconstructs state byte-identical to the old
@@ -11,7 +12,8 @@
 //!    stores each record as an individually rewritten blob — put stores the
 //!    encoded record, a status change is a read-modify-rewrite, truncation
 //!    removes the blob — which is exactly what the pre-journal layout did
-//!    with one barrier per record. Checkpoints (barrier + crash + recover,
+//!    with one barrier per record, and an inode record is the blob the
+//!    stable store would hold. Checkpoints (barrier + crash + recover,
 //!    every flush releasing whatever prefix is dead) are interleaved at
 //!    random positions; after a final checkpoint the journal's materialized
 //!    records must encode to the very bytes the KV oracle holds.
@@ -161,6 +163,11 @@ fn prepare_rec() -> impl Strategy<Value = PrepareLogRecord> {
         })
 }
 
+/// A whole-inode record: the journal keeps the filesystem's bytes as given.
+fn inode_put() -> impl Strategy<Value = JournalOp> {
+    (fid(), vec(any::<u8>(), 0..48)).prop_map(|(fid, inode)| JournalOp::InodePut { fid, inode })
+}
+
 fn journal_op() -> impl Strategy<Value = JournalOp> {
     prop_oneof![
         coord_rec().prop_map(JournalOp::CoordPut),
@@ -168,6 +175,8 @@ fn journal_op() -> impl Strategy<Value = JournalOp> {
         prepare_rec().prop_map(JournalOp::PreparePut),
         tid().prop_map(|t| JournalOp::Truncate(JournalKey::Coord(t))),
         (tid(), fid()).prop_map(|(t, f)| JournalOp::Truncate(JournalKey::Prepare(t, f))),
+        inode_put(),
+        fid().prop_map(|f| JournalOp::Truncate(JournalKey::Inode(f))),
     ]
 }
 
@@ -179,6 +188,7 @@ fn journal_op() -> impl Strategy<Value = JournalOp> {
 struct KvOracle {
     coord: BTreeMap<TransId, Vec<u8>>,
     prepare: BTreeMap<(TransId, Fid), Vec<u8>>,
+    inode: BTreeMap<Fid, Vec<u8>>,
 }
 
 impl KvOracle {
@@ -206,6 +216,12 @@ impl KvOracle {
             }
             JournalOp::Truncate(JournalKey::Prepare(tid, fid)) => {
                 self.prepare.remove(&(*tid, *fid));
+            }
+            JournalOp::InodePut { fid, inode } => {
+                self.inode.insert(*fid, inode.clone());
+            }
+            JournalOp::Truncate(JournalKey::Inode(fid)) => {
+                self.inode.remove(fid);
             }
         }
     }
@@ -235,6 +251,11 @@ impl KvOracle {
             .map(|r| ((r.tid, r.intentions.fid), r.encode()))
             .collect();
         prop_assert_eq!(&prepare, &self.prepare, "prepare log mismatch");
+        let inode: BTreeMap<Fid, Vec<u8>> = j.inode_scan().into_iter().collect();
+        prop_assert_eq!(&inode, &self.inode, "inode records mismatch");
+        for (fid, bytes) in &self.inode {
+            prop_assert_eq!(j.inode_get(*fid), Some(bytes.clone()));
+        }
         Ok(())
     }
 }
@@ -256,6 +277,13 @@ fn issue(j: &Journal, op: &JournalOp, a: &mut Account) -> bool {
         JournalOp::Truncate(JournalKey::Prepare(tid, fid)) => {
             j.prepare_delete(*tid, *fid, a).is_ok()
         }
+        // Settling a transaction no strategy draws: one frame, like every
+        // other op issued here.
+        JournalOp::InodePut { fid, inode } => {
+            let none = TransId::new(SiteId(99), 0);
+            j.inode_put(*fid, inode.clone(), none, vec![], a).is_ok()
+        }
+        JournalOp::Truncate(JournalKey::Inode(fid)) => j.inode_delete(*fid, a).is_ok(),
     }
 }
 
@@ -267,7 +295,8 @@ enum Step {
     Barrier,
 }
 
-/// Operations over four transactions and two files: records are re-put,
+/// Operations over four transactions and two files: records (inode records
+/// among them) are re-put,
 /// marked and truncated over and over, so dead frames pile up behind the
 /// few records that stay.
 fn hot_op() -> impl Strategy<Value = JournalOp> {
@@ -286,6 +315,9 @@ fn hot_op() -> impl Strategy<Value = JournalOp> {
         }),
         3 => tid().prop_map(|t| JournalOp::Truncate(JournalKey::Coord(t))),
         3 => (tid(), fid()).prop_map(|(t, f)| JournalOp::Truncate(JournalKey::Prepare(t, f))),
+        2 => (fid(), vec(any::<u8>(), 0..48))
+            .prop_map(|(fid, inode)| JournalOp::InodePut { fid, inode }),
+        3 => fid().prop_map(|f| JournalOp::Truncate(JournalKey::Inode(f))),
     ]
 }
 

@@ -12,14 +12,16 @@
 # for a prepare vote only when the commit mark lives in another journal, and
 # for the mark itself — and a requester that holds none of the files forces
 # no mark: its storage sites' durable yes votes are the commit point. A
-# transaction's install is a record too, the file's whole inode: it rides
-# the next force of a journal that holds the commit's durable mark, and is
-# forced before its ack everywhere else. Truncations are lazy.
+# transaction's install is a record too, the file's whole inode, and is
+# never forced on its own: it rides its journal's next force, and a
+# phase-two ack is sent only once it has landed (or rides a journal that
+# holds the commit's durable mark). Truncations are lazy.
 #
 #   commit_local  2 = data page + commit-mark force; the install is a frame
 #                     on the next force
 #   hot_records   2 = the same, through lock queueing and page differencing
-#   commit_dist   6 = 2 x (data page + vote force + install force)
+#   commit_dist   4 = 2 x (data page + vote force; the install rides the
+#                     next vote force)
 #
 # `disk.writes_per_op` is 1 on commit_local — the data page alone — so a
 # random inode write coming back to the transaction's commit path fails here.
@@ -28,31 +30,35 @@
 # journal, moves one of these and fails here with the number it moved to.
 #
 # `virt_ms_per_op` comes from the same pass and is as exact (model_ms, the
-# paper's 1985 clock): 46.4193325 / 147.11689583333333 / 54.05 (73.05 /
+# paper's 1985 clock): 46.4193325 / 133.07890833333332 / 54.05 (73.05 /
 # 159.75 / 80.95 with a random inode write per install: a 26 ms transfer
 # and its 500 setup instructions, against about 50 instructions per inode
-# frame and per frame a flush copies forward). On commit_dist the two
-# participants are one wave — delegated together, installed together — so
-# the caller's commit window (`sim.virt_commit_ms_per_op`) is one delegation
-# branch, 57.4316 (the first transaction's 0.1 less: no forget rides its
-# delegations; the rest over 57.4 is the records its vote forces copy
-# forward), not two branches and no mark (71.4 with the requester's forced
-# mark), and the phase-two pump 31.285295833333333 = one install branch,
-# whose force is a 13 ms sequential transfer where the inode write was a
-# 26 ms random one. A participant contacted after another instead of with
-# it moves all three.
+# frame and per frame a flush copies forward; 147.11689583333333 on
+# commit_dist with each install forced before its ack). On commit_dist the
+# two participants are one wave — delegated together, installed together —
+# so the caller's commit window (`sim.virt_commit_ms_per_op`) is one
+# delegation branch, 57.628908333333335 (the first transaction's 0.1 less:
+# no forget rides its delegations; the rest over 57.4 is the records its
+# vote forces copy forward), not two branches and no mark (71.4 with the
+# requester's forced mark), and the phase-two pump 17.05 = one branch of
+# one message per site, carrying this transaction's commit and the resend
+# of the one before — acked without I/O, its install landed by this
+# transaction's vote — and no force (31.285295833333333 when each install
+# was forced before its ack, a 13 ms sequential transfer). A participant
+# contacted after another instead of with it moves all three.
 # Outside that window the transaction
 # pays for two client-issued round trips, not four: each write's implicit
 # lock rides the write (DESIGN.md §3), so `net.msgs_per_op` is 6 = 2 file +
 # 4 txn, `net.msgs_lock_per_op` 0 and `sim.virt_other_ms_per_op` 57.9. A lock
-# that goes back to travelling on its own moves those three and the 173.75.
+# that goes back to travelling on its own moves those three and virt_ms_per_op.
 #
 # The per-layer counts of the traced pass repeat the same way and pin what
 # two deleted wall-clock gates stood for:
 #
-#   wal.flushes_per_op  1 / 4 / 1: one log force per single-site commit, one
-#       per participant vote across sites and one per participant install
-#       (5 with the requester's mark).
+#   wal.flushes_per_op  1 / 2 / 1: one log force per single-site commit,
+#       one per participant vote across sites, which lands that site's
+#       install of the transaction before (4 when each install was forced
+#       before its ack, 5 with the requester's mark too).
 #   wal.frames_per_op >= 5.99 on commit_local: that one force carries all
 #       six of the commit's frames, the install before it among them (the
 #       old 4.5 frames-per-flush floor).
@@ -113,8 +119,8 @@ for pin in pins:
 
 check commit_local disk_ios_per_op==2 virt_ms_per_op==46.4193325 wal.flushes_per_op==1 \
     'wal.frames_per_op>=5.99' disk.writes_per_op==1
-check commit_dist disk_ios_per_op==6 virt_ms_per_op==147.11689583333333 wal.flushes_per_op==4 \
-    sim.virt_commit_ms_per_op==57.431599999999996 sim.virt_phase_two_ms_per_op==31.285295833333333 \
+check commit_dist disk_ios_per_op==4 virt_ms_per_op==133.07890833333332 wal.flushes_per_op==2 \
+    sim.virt_commit_ms_per_op==57.628908333333335 sim.virt_phase_two_ms_per_op==17.05 \
     net.msgs_per_op==6 net.msgs_lock_per_op==0 sim.virt_other_ms_per_op==57.9
 check hot_records disk_ios_per_op==2 virt_ms_per_op==54.05 wal.flushes_per_op==1
 check read_shared net.msgs_per_op==2.0 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \

@@ -113,6 +113,9 @@ pub struct TxnManager {
     /// Per delegate, the delegated transactions whose outcome this site
     /// has learned: they ride the next delegation or phase-two batch there.
     forgets: Mutex<BTreeMap<SiteId, Vec<TransId>>>,
+    /// Commits installed here and answered [`Error::NotLanded`]: their
+    /// resend is answered from the journals. Volatile: a reboot clears it.
+    landing: Mutex<BTreeSet<TransId>>,
     /// Inert: nothing reads it. It once chose between sending prepares one
     /// after another and from one scoped thread per site; there is now one
     /// schedule (see `TxnManager::wave`). The field stays only because
@@ -134,6 +137,7 @@ impl TxnManager {
             async_work: Mutex::new(VecDeque::new()),
             inquiries: Mutex::new(Vec::new()),
             forgets: Mutex::new(BTreeMap::new()),
+            landing: Mutex::new(BTreeSet::new()),
             parallel_fanout: AtomicBool::new(false),
         }
     }
@@ -543,7 +547,22 @@ impl TxnManager {
     /// One phase-two message: to the participant machine, unless this site
     /// is a delegate of the transaction among peers, whose coordinator
     /// machine notes the outcome in its record and then hands it on.
+    ///
+    /// A commit is acked only once every frame it appended here has landed
+    /// — the installs, the prepare truncations they settle, a delegate's
+    /// note — because the sender may forget the transaction on that ack.
+    /// Until then the answer is [`Error::NotLanded`], and the sender's
+    /// phase-two queue sends the commit again. The resend is answered from
+    /// the journals: the frames usually rode this site's next force, a
+    /// later transaction's vote, and the ack costs nothing; frames still
+    /// volatile are forced then. (What counts as landed: [`Volume::landed`].)
     fn phase_two(&self, tid: TransId, input: Input, acct: &mut Account) -> Result<Msg> {
+        let commit = matches!(input, Input::CommitReq { .. });
+        if commit && self.landing.lock().contains(&tid) {
+            self.land(tid, acct)?;
+            self.landing.lock().remove(&tid);
+            return Ok(Msg::Ok);
+        }
         let machine = if self.coord.lock().sm.holds_vote(tid) {
             Machine::Coordinator
         } else {
@@ -551,7 +570,23 @@ impl TxnManager {
         };
         let mut sub = self.substrate(machine, acct);
         sub.drive(input);
-        sub.ack()
+        let ack = sub.ack()?;
+        if commit && !self.kernel.mounted_volumes().iter().all(|v| v.landed(tid)) {
+            self.landing.lock().insert(tid);
+            return Err(Error::NotLanded(tid));
+        }
+        Ok(ack)
+    }
+
+    /// Forces every journal of this site that holds a frame of `tid` not
+    /// yet landed.
+    fn land(&self, tid: TransId, acct: &mut Account) -> Result<()> {
+        for vol in self.kernel.mounted_volumes() {
+            if !vol.landed(tid) {
+                vol.log_barrier(acct)?;
+            }
+        }
+        Ok(())
     }
 
     /// Flushes modified records and writes the prepare logs for one prepare
@@ -624,9 +659,11 @@ impl TxnManager {
     /// Installs the prepared intentions for every file of one phase-two
     /// commit, staging replica pushes and flushing them as one batched round
     /// trip per replica site. Each install settles its file's prepare record
-    /// in the same journal append, and is durable before this returns
-    /// unless the volume's journal holds the commit's durable mark
-    /// ([`Volume::install_intentions`]).
+    /// in the same journal append and rides that journal's next force
+    /// ([`Volume::install_intentions`]). Where this site's home journal holds
+    /// the durable commit — the coordinator's own site, or a delegate alone
+    /// — no message will ask for these installs again, so a journal that
+    /// does not hold it is forced here.
     fn install_files(&self, tid: TransId, files: &[Fid], acct: &mut Account) -> Result<()> {
         let owner = Owner::Trans(tid);
         let mut staged: BTreeMap<SiteId, Vec<(Fid, Msg)>> = BTreeMap::new();
@@ -656,6 +693,10 @@ impl TxnManager {
             let _ = self.kernel.stage_replica_sync(*fid, &il, &mut staged, acct);
         }
         self.kernel.flush_replica_sync(staged, acct);
+        let home = self.kernel.home();
+        if home.is_ok_and(|home| home.journal().holds_durable_commit(tid)) {
+            self.land(tid, acct)?;
+        }
         Ok(())
     }
 
@@ -822,6 +863,9 @@ impl TxnManager {
         // (The refusal set survives — the manager outlives the crash.)
         let epoch = self.kernel.boot_epoch();
         self.participate(Input::Rebooted { epoch }, acct);
+        // What an install answered "not yet landed" appended died with the
+        // journals' tails, or this pass redoes it.
+        self.landing.lock().clear();
         self.kernel
             .events
             .push(Event::RecoveryStart { site: self.site() });

@@ -21,7 +21,9 @@
 //! no record has not voted and never will. So a delegate in doubt asks its
 //! peers rather than presume abort. Its record outlives phase two until the
 //! requester, which may have lost an answer and have to ask again, says it
-//! may forget — which it says only once every delegate has installed.
+//! may forget — which it says only once every delegate has acked its
+//! install, and a delegate acks only once the install and its note of the
+//! commit have landed.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -87,11 +87,18 @@ impl TestCluster {
         &self.sites[i]
     }
 
-    /// Drains every site's asynchronous phase-two queue.
+    /// Drains every site's asynchronous phase-two queue: one pass over the
+    /// sites, and one more if work is left — a commit answered "not yet
+    /// landed" completes on its resend, which forces the frames.
     pub fn drain_async(&self) {
-        for s in &self.sites {
-            let mut acct = Account::new(s.id());
-            s.txn.run_async_work(&mut acct);
+        for _ in 0..2 {
+            for s in &self.sites {
+                let mut acct = Account::new(s.id());
+                s.txn.run_async_work(&mut acct);
+            }
+            if self.sites.iter().all(|s| s.txn.pending_async() == 0) {
+                return;
+            }
         }
     }
 }
@@ -1288,26 +1295,31 @@ fn single_site_commit_is_one_log_force() {
     }
 }
 
-/// Mounts a second volume at site 0 and creates "/second" on it.
-fn mount_second_volume(c: &TestCluster, a: &mut Account) -> (Arc<Volume>, locus_types::Fid) {
-    let s0 = c.site(0);
-    let model = s0.kernel.model.clone();
+/// Mounts a second volume at site `i` and creates `name` on it.
+fn mount_second_volume(
+    c: &TestCluster,
+    i: usize,
+    name: &str,
+    a: &mut Account,
+) -> (Arc<Volume>, locus_types::Fid) {
+    let s = c.site(i);
+    let model = s.kernel.model.clone();
     let disk = Arc::new(SimDisk::new(8192, model.clone(), c.counters.clone()));
     let second = Arc::new(Volume::new(
-        VolumeId(9),
-        SiteId(0),
+        VolumeId(9 + i as u32),
+        s.id(),
         disk,
         model,
         c.counters.clone(),
         c.events.clone(),
     ));
-    s0.kernel.mount(second.clone());
+    s.kernel.mount(second.clone());
     let fid = second.create_file(a).unwrap();
-    s0.kernel
+    s.kernel
         .catalog
-        .register("/second", locus_kernel::FileLoc::single(fid, SiteId(0)))
+        .register(name, locus_kernel::FileLoc::single(fid, s.id()))
         .unwrap();
-    s0.kernel.locks.ensure_file(fid, 0);
+    s.kernel.locks.ensure_file(fid, 0);
     (second, fid)
 }
 
@@ -1324,7 +1336,7 @@ fn a_vote_whose_mark_is_in_another_journal_is_durable_before_it_is_cast() {
     let p = s0.kernel.spawn();
     let ch = s0.kernel.creat(p, "/home", &mut a0).unwrap();
     s0.kernel.close(p, ch, &mut a0).unwrap();
-    let (second, fid2) = mount_second_volume(&c, &mut a0);
+    let (second, fid2) = mount_second_volume(&c, 0, "/second", &mut a0);
     let p1 = s1.kernel.spawn();
     let ch = s1.kernel.creat(p1, "/remote", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
@@ -1382,7 +1394,7 @@ fn an_acked_commit_on_a_second_volume_survives_recovery() {
     let c = TestCluster::new(1);
     let s = c.site(0);
     let mut a = acct(0);
-    mount_second_volume(&c, &mut a);
+    mount_second_volume(&c, 0, "/second", &mut a);
     let pid = s.kernel.spawn();
     s.txn.begin_trans(pid, &mut a).unwrap();
     let ch = s.kernel.open(pid, "/second", true, &mut a).unwrap();
@@ -1419,7 +1431,7 @@ fn a_carried_second_volume_asks_its_coordinator_and_keeps_an_acked_write() {
     let (s0, s1, s2) = (c.site(0), c.site(1), c.site(2));
     let mut a0 = acct(0);
     let mut a1 = acct(1);
-    let (second, fid2) = mount_second_volume(&c, &mut a0);
+    let (second, fid2) = mount_second_volume(&c, 0, "/second", &mut a0);
     let p1 = s1.kernel.spawn();
     let ch = s1.kernel.creat(p1, "/remote", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
@@ -1854,10 +1866,10 @@ fn two_differenced_installs_on_one_page_survive_every_crash_until_the_next_force
 }
 
 #[test]
-fn an_install_whose_mark_is_in_another_journal_is_durable_before_it_is_acked() {
+fn an_install_whose_mark_is_in_another_journal_is_not_acked_before_it_lands() {
     use locus_net::{Msg, TxnMsg};
     let commit = |tid, files| Msg::Txn(TxnMsg::Commit { tid, files });
-    let acked = |resp: Msg| matches!(resp, Msg::Ok);
+    let flushes = |v: &Volume| v.journal().flush_stats().0;
 
     // Site 0 coordinates files on its home volume, on a second volume it
     // mounts, and at site 1.
@@ -1867,7 +1879,7 @@ fn an_install_whose_mark_is_in_another_journal_is_durable_before_it_is_acked() {
     let p = s0.kernel.spawn();
     let ch = s0.kernel.creat(p, "/home", &mut a0).unwrap();
     s0.kernel.close(p, ch, &mut a0).unwrap();
-    let (second, fid2) = mount_second_volume(&c, &mut a0);
+    let (second, fid2) = mount_second_volume(&c, 0, "/second", &mut a0);
     let p1 = s1.kernel.spawn();
     let ch = s1.kernel.creat(p1, "/remote", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
@@ -1894,27 +1906,39 @@ fn an_install_whose_mark_is_in_another_journal_is_durable_before_it_is_acked() {
     let home = s0.kernel.home().unwrap();
     let peek = |v: &Volume, fid| v.durable_peek(fid, ByteRange::new(0, 4)).unwrap();
 
-    // A remote participant: its install is on the platters when it acks.
+    // A remote participant installs, and says its install has not landed:
+    // the coordinator, which purges its record on the ack, must ask again.
+    // Its next force lands the install, and the resend is acked without one.
+    let remote_home = s1.kernel.home().unwrap();
     let resp = s0
         .kernel
-        .rpc(SiteId(1), commit(tid, remote.clone()), &mut a0)
-        .unwrap();
-    assert!(acked(resp));
-    assert_eq!(peek(&s1.kernel.home().unwrap(), remote[0]), b"inst");
+        .rpc(SiteId(1), commit(tid, remote.clone()), &mut a0);
+    assert_eq!(resp, Err(Error::NotLanded(tid)));
+    assert_eq!(read_record(s1, "/remote", 4, &mut a1), b"inst");
+    assert_eq!(peek(&remote_home, remote[0]), b"");
+    remote_home.log_barrier(&mut a1).unwrap();
+    let forced = flushes(&remote_home);
+    let resp = s0
+        .kernel
+        .rpc(SiteId(1), commit(tid, remote.clone()), &mut a0);
+    assert_eq!(resp, Ok(Msg::Ok));
+    assert_eq!(flushes(&remote_home), forced, "answered from the journal");
+    assert_eq!(peek(&remote_home, remote[0]), b"inst");
 
     // The coordinator's own site: the second volume's journal holds no mark,
     // so its install is forced; the home volume's rides the mark's journal.
     let resp = s0
         .txn
         .handle_txn(SiteId(0), TxnMsg::Commit { tid, files: local }, &mut a0);
-    assert!(acked(resp));
+    assert_eq!(resp, Msg::Ok);
     assert_eq!(peek(&second, fid2), b"inst");
     assert_eq!(peek(&home, fid_home), b"");
     home.log_barrier(&mut a0).unwrap();
     assert_eq!(peek(&home, fid_home), b"inst");
 
-    // A delegate among peers: its note of the commit is not durable, so its
-    // install is forced before it acks the requester, who then forgets.
+    // A delegate among peers: neither its install nor its note of the
+    // commit is durable, so it does not ack the requester, who would then
+    // forget. With no force since, the resend forces both.
     let c = two_delegate_cluster();
     let (tid, pid) = voted_write_open(&c, b"peer-ack");
     let files = c.site(0).kernel.procs.get(pid).unwrap().file_list;
@@ -1925,13 +1949,23 @@ fn an_install_whose_mark_is_in_another_journal_is_durable_before_it_is_acked() {
             .filter(|f| f.storage_site == SiteId(i))
             .map(|f| f.fid)
             .collect();
+        let site = c.site(i as usize).kernel.home().unwrap();
         let resp = c
             .site(0)
             .kernel
-            .rpc(SiteId(i), commit(tid, fids), &mut acct(0))
-            .unwrap();
-        assert!(acked(resp), "site {i}");
+            .rpc(SiteId(i), commit(tid, fids.clone()), &mut acct(0));
+        assert_eq!(resp, Err(Error::NotLanded(tid)), "site {i}");
+        assert_eq!(durable_at(&c, i as usize), [0u8; 8], "site {i}");
+        assert!(!site.journal().holds_durable_commit(tid), "site {i}");
+        let forced = flushes(&site);
+        let resp = c
+            .site(0)
+            .kernel
+            .rpc(SiteId(i), commit(tid, fids), &mut acct(0));
+        assert_eq!(resp, Ok(Msg::Ok), "site {i}");
+        assert_eq!(flushes(&site), forced + 1, "site {i}");
         assert_eq!(durable_at(&c, i as usize), b"peer-ack", "site {i}");
+        assert!(site.journal().holds_durable_commit(tid), "site {i}");
     }
 }
 
@@ -2011,13 +2045,14 @@ fn two_remote_participants_cost_the_delay_of_one() {
     let (c, two, two_bg) = commit_across(&[1, 2]);
     // Per participant a delegation, a data page and a forced vote; the
     // requester holds no file, so the votes are the decision and it forces
-    // no mark. An install each after, forced: the requester forgets on its
-    // ack, and neither journal holds a durable mark.
+    // no mark. An install each after, not forced: each rides its journal's
+    // next force, and is not acked until it lands — the requester forgets
+    // on the ack.
     assert_eq!(two.messages, 2);
     assert_eq!(two.total_ios(), 2 * 2);
-    assert_eq!((two_bg.messages, two_bg.total_ios()), (2, 2));
-    assert_eq!((two_bg.seq_ios, two_bg.disk_writes), (2, 0));
-    assert_eq!(forces(&c), [0, 2, 2]);
+    assert_eq!((two_bg.messages, two_bg.total_ios()), (2, 0));
+    assert_eq!(forces(&c), [0, 1, 1]);
+    assert_eq!(c.site(0).txn.pending_async(), 1);
     // In the time of one: both sites prepare at once and install at once,
     // so the caller's commit window is one delegation branch, and the pump
     // waits for one install. The second branch, as long as the first, is
@@ -2028,6 +2063,13 @@ fn two_remote_participants_cost_the_delay_of_one() {
     assert_eq!(commit.count, 1);
     assert_eq!(two.overlapped.as_nanos(), commit.total_ns);
     assert!(two_bg.overlapped > SimDuration::ZERO);
+    // With no transaction behind it, the next pump resends the commits, and
+    // each site forces its install then.
+    let mut bg = acct(0);
+    c.site(0).txn.run_async_work(&mut bg);
+    assert_eq!((bg.messages, bg.seq_ios, bg.disk_writes), (2, 2, 0));
+    assert_eq!(forces(&c), [0, 2, 2]);
+    assert_eq!(c.site(0).txn.pending_async(), 0);
 }
 
 #[test]
@@ -2069,13 +2111,17 @@ fn a_local_and_a_remote_participant_still_force_one_journal_each() {
     // The chaos workload's shape. The wave changes when the two sites are
     // charged, not what they force: the remote vote its own journal, the
     // local vote nothing — it rides the mark's force of the home journal.
-    // In phase two the remote install is forced too (its journal holds no
-    // mark), the local one rides. (Set-up forces no journal, so these are
-    // the run's totals.)
+    // In phase two neither install is forced: the local one rides the
+    // mark's journal, and the remote one waits for its site's next force
+    // before it is acked — here the resend's. (Set-up forces no journal, so
+    // these are the run's totals.)
     let (c, sync, bg) = commit_across(&[0, 1]);
-    assert_eq!(forces(&c), [1, 2, 0]);
-    assert_eq!((bg.seq_ios, bg.disk_writes), (1, 0));
+    assert_eq!(forces(&c), [1, 1, 0]);
+    assert_eq!((bg.seq_ios, bg.disk_writes), (0, 0));
     assert_eq!((sync.seq_ios, sync.messages), (2, 1));
+    c.site(0).txn.run_async_work(&mut acct(0));
+    assert_eq!(forces(&c), [1, 2, 0]);
+    assert_eq!(c.site(0).txn.pending_async(), 0);
 }
 
 // ----- Commit where the data is ------------------------------------------------
@@ -2398,16 +2444,21 @@ fn delegates_that_lose_their_requester_commit_by_asking_each_other() {
     c.site(0).crash();
     c.transport.site_down(SiteId(0));
     for i in [1, 2] {
-        assert_eq!(durable_at(&c, i), b"decided!", "site {i}");
+        let read = read_record(c.site(i), &format!("/f{i}"), 8, &mut acct(i as u32));
+        assert_eq!(read, b"decided!", "site {i}");
         assert_eq!(prepare_records_at(&c, i), 0, "site {i}");
         assert_eq!(records_at(&c, i), [(tid, TxnStatus::Committed)]);
     }
-    // The requester's phase two, once it is back, finds the work done; and
-    // its forgets, which ride the next delegations there, purge the records.
+    // The requester's phase two, once it is back, finds the work done but
+    // not landed, and its resend lands it; its forgets, which ride the next
+    // delegations there, purge the records.
     c.transport.site_up(SiteId(0));
     c.site(0).reboot_and_recover(&mut acct(0));
     c.drain_async();
     assert_eq!(c.site(0).txn.pending_async(), 0);
+    for i in [1, 2] {
+        assert_eq!(durable_at(&c, i), b"decided!", "site {i}");
+    }
     let (next, out) = voted_write(&c, b"next-one");
     assert_eq!(out, Ok(EndOutcome::Committed(next)));
     for i in [1, 2] {
@@ -2513,8 +2564,9 @@ fn a_delegate_rebooted_after_its_install_keeps_the_commit() {
             s0.txn.end_trans(pid, &mut a0).unwrap();
             assert!(!records_at(&c, 2).iter().any(|(t, _)| *t == tid));
         }
-        // Site 1 dies before its own forget: its lazy note of the commit
-        // and its prepare record's truncation die with the journal's tail.
+        // Site 1 dies before its own forget. It acked only once its note of
+        // the commit, its install and its prepare record's truncation had
+        // landed, so the reboot finds them all.
         let disk = c.site(1).kernel.home().unwrap().disk().clone();
         let allocated = || {
             (0..disk.capacity() as u32)
@@ -2526,9 +2578,9 @@ fn a_delegate_rebooted_after_its_install_keeps_the_commit() {
         c.site(1).reboot_and_recover(&mut acct(1));
         assert_eq!(durable_at(&c, 1), b"kept-it!", "peer forgot: {peer_forgot}");
         assert_eq!(prepare_records_at(&c, 1), 0);
-        // The resurfaced prepare record's live intentions prove the commit,
-        // so the peer is not asked: no abort is noted, no block its install
-        // made live is freed, and the record waits for the forget.
+        // The durable note is the commit, so the peer is not asked: no
+        // abort is noted, no block its install made live is freed, and the
+        // record waits for the forget.
         assert_eq!(records_at(&c, 1), [(tid, TxnStatus::Committed)]);
         assert_eq!(allocated(), live, "no live block freed");
         let p = c.site(1).kernel.spawn();
@@ -2548,6 +2600,163 @@ fn a_delegate_rebooted_after_its_install_keeps_the_commit() {
         s0.txn.end_trans(pid, &mut a0).unwrap();
         assert!(!records_at(&c, 1).iter().any(|(t, _)| *t == tid));
     }
+}
+
+#[test]
+fn a_delegate_whose_note_died_after_its_install_landed_hears_the_commit() {
+    // Site 1's yes record is on its home volume and its file on a second
+    // volume, so its install and its note of the commit ride different
+    // journals.
+    let c = TestCluster::new(3);
+    let (second, _) = mount_second_volume(&c, 1, "/f1", &mut acct(1));
+    let (s2, mut a2) = (c.site(2), acct(2));
+    let p = s2.kernel.spawn();
+    let ch = s2.kernel.creat(p, "/f2", &mut a2).unwrap();
+    s2.kernel.close(p, ch, &mut a2).unwrap();
+    let (tid, out) = voted_write(&c, b"landed!!");
+    assert_eq!(out, Ok(EndOutcome::Committed(tid)));
+    c.site(0).txn.run_async_work(&mut acct(0));
+    // The install lands with its journal's next force, made here by hand;
+    // the note, in the home journal, has not landed.
+    second.log_barrier(&mut acct(1)).unwrap();
+    let home = c.site(1).kernel.home().unwrap();
+    assert!(!home.journal().holds_durable_commit(tid));
+    // A delegation to site 2 alone carries any forget the requester holds
+    // for it. Site 1 has not acked, so there is none.
+    write_f2_alone(&c, b"2nd!").unwrap();
+    // Site 1 dies with its note in the journal's tail. Nothing local shows
+    // the install, so it asks its peer, which still knows the commit: no
+    // abort is noted for it.
+    c.site(1).crash();
+    c.site(1).reboot_and_recover(&mut acct(1));
+    let aborted = |e: &Event| matches!(e, Event::CoordLog { tid: t, status: TxnStatus::Aborted, .. } if *t == tid);
+    assert_eq!(c.events.count(aborted), 0);
+    assert_eq!(records_at(&c, 1), [(tid, TxnStatus::Committed)]);
+    assert_eq!(read_record(c.site(1), "/f1", 8, &mut acct(1)), b"landed!!");
+    c.drain_async();
+    assert_eq!(c.site(0).txn.pending_async(), 0);
+    assert_eq!(c.events.count(aborted), 0);
+}
+
+/// Site 0 writes `data` at offset 8 of `/f2` in a transaction of its own: a
+/// delegation to site 2 alone, which carries the forgets site 0 holds for it.
+fn write_f2_alone(c: &TestCluster, data: &[u8]) -> Result<EndOutcome, Error> {
+    let (s0, mut a0) = (c.site(0), acct(0));
+    let pid = s0.kernel.spawn();
+    s0.txn.begin_trans(pid, &mut a0)?;
+    let ch = s0.kernel.open(pid, "/f2", true, &mut a0)?;
+    s0.kernel.lseek(pid, ch, 8, &mut a0)?;
+    s0.kernel.write(pid, ch, data, &mut a0)?;
+    s0.txn.end_trans(pid, &mut a0)
+}
+
+#[test]
+fn an_idle_delegates_install_is_forced_by_the_resend() {
+    // `commit_dist`'s shape with no transaction behind it: no vote force
+    // carries the installs, so the resend forces them.
+    let c = two_delegate_cluster();
+    let (tid, out) = voted_write(&c, b"idle-one");
+    assert_eq!(out, Ok(EndOutcome::Committed(tid)));
+    let (s0, mut a0) = (c.site(0), acct(0));
+    let mut bg = acct(0);
+    assert_eq!(s0.txn.run_async_work(&mut bg), 0);
+    assert_eq!((bg.messages, bg.total_ios()), (2, 0));
+    assert_eq!(s0.txn.pending_async(), 1);
+    for i in [1, 2] {
+        assert_eq!(durable_at(&c, i), [0u8; 8], "site {i}");
+    }
+    let mut bg = acct(0);
+    assert_eq!(s0.txn.run_async_work(&mut bg), 1);
+    assert_eq!((bg.messages, bg.seq_ios, bg.disk_writes), (2, 2, 0));
+    assert_eq!(s0.txn.pending_async(), 0);
+    for i in [1, 2] {
+        assert_eq!(durable_at(&c, i), b"idle-one", "site {i}");
+        let home = c.site(i).kernel.home().unwrap();
+        assert!(home.journal().holds_durable_commit(tid), "site {i}");
+        assert_eq!(records_at(&c, i), [(tid, TxnStatus::Committed)]);
+    }
+    // The forgets ride the next message to each delegate.
+    let (next, out) = voted_write(&c, b"next-one");
+    assert_eq!(out, Ok(EndOutcome::Committed(next)));
+    for i in [1, 2] {
+        assert_eq!(records_at(&c, i), [(next, TxnStatus::Voted)]);
+    }
+    assert_eq!(s0.txn.run_async_work(&mut a0), 0);
+    assert_eq!(s0.txn.pending_async(), 1);
+}
+
+#[test]
+fn every_crash_point_from_a_delegates_install_to_its_next_vote_force_is_all_or_nothing() {
+    // `commit_dist`'s steady state. A's phase two reaches delegate 1, whose
+    // install and note ride its next force: B's vote. The window is A's
+    // phase two, B, the pump that acks A once it has landed, and a
+    // delegation to site 2 alone that then carries A's forget there. Site
+    // 1 dies at every cut of its disk's mutations in that window.
+    const A: &[u8] = b"AAAAAAAA";
+    const B: &[u8] = b"BBBBBBBB";
+    let armed = |point: Option<(u64, locus_disk::CrashPointMode)>| -> (TestCluster, TransId) {
+        let c = two_delegate_cluster();
+        let (tid, out) = voted_write(&c, A);
+        assert_eq!(out, Ok(EndOutcome::Committed(tid)));
+        let disk = c.site(1).kernel.home().unwrap().disk().clone();
+        assert_eq!(
+            disk.journal_frame_counts().1,
+            0,
+            "the window starts flushed"
+        );
+        match point {
+            Some((at, mode)) => disk.arm_crash_point(disk.mutation_count() + at, mode),
+            None => disk.set_recording(true),
+        }
+        (c, tid)
+    };
+    let window = |c: &TestCluster| -> bool {
+        let (s0, mut a0) = (c.site(0), acct(0));
+        s0.txn.run_async_work(&mut a0);
+        // B, which blocks where a failed install left A's locks.
+        let pid = s0.kernel.spawn();
+        let b = s0.txn.begin_trans(pid, &mut a0).and_then(|_| {
+            for f in ["/f1", "/f2"] {
+                let ch = s0.kernel.open(pid, f, true, &mut a0)?;
+                s0.kernel.write(pid, ch, B, &mut a0)?;
+            }
+            s0.txn.end_trans(pid, &mut a0)
+        });
+        if b.is_err() {
+            let _ = s0.txn.abort_trans(pid, &mut a0);
+        }
+        s0.txn.run_async_work(&mut a0);
+        let _ = write_f2_alone(c, b"2nd!");
+        b.is_ok()
+    };
+    let (c, a) = armed(None);
+    assert!(window(&c));
+    let stream = c.site(1).kernel.home().unwrap().disk().take_mutation_log();
+    assert!(
+        !records_at(&c, 2).iter().any(|(t, _)| *t == a),
+        "A's forget reached the other delegate"
+    );
+
+    let mut outcomes = [0usize; 2];
+    for (at, mode) in every_cut(&stream) {
+        let (c, _) = armed(Some((at, mode)));
+        let acked = window(&c);
+        let disk = c.site(1).kernel.home().unwrap().disk().clone();
+        assert!(disk.tripped(), "point {at} {mode:?} never fired");
+        c.site(1).crash();
+        c.site(1).reboot_and_recover(&mut acct(1));
+        for _ in 0..3 {
+            c.drain_async();
+        }
+        let f1 = read_record(c.site(1), "/f1", 8, &mut acct(1));
+        let f2 = read_record(c.site(2), "/f2", 8, &mut acct(2));
+        assert!(
+            f1 == f2 && (f1 == B || (f1 == A && !acked)),
+            "point {at} {mode:?}: {f1:?} {f2:?}, B acked: {acked}"
+        );
+        outcomes[usize::from(acked)] += 1;
+    }
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }
 
 // ----- `drive` over a scripted substrate --------------------------------------

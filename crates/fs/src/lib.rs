@@ -548,26 +548,32 @@ mod tests {
     }
 
     #[test]
-    fn an_install_rides_the_next_force_only_where_its_mark_is_durable() {
+    fn an_install_rides_the_next_force_and_has_landed_where_its_mark_is_durable() {
         let (v, mut a) = vol();
-        // No mark here: the install is forced before it returns.
+        // No mark here: the install is an append, not landed until the next
+        // force carries it.
         let fid = logged(&v, b"base", 1, b"one!", &mut a);
         let before = a.clone();
         v.commit_prepared(fid, txn_owner(1), &mut a).unwrap();
-        let d = a.delta_since(&before);
         assert_eq!(
-            (d.seq_ios, d.disk_writes),
-            (1, 0),
-            "one force, no inode write"
+            a.delta_since(&before).total_ios(),
+            0,
+            "no force, no inode write"
         );
+        assert!(!v.landed(TransId::new(SiteId(0), 1)));
+        assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"base");
+        v.log_barrier(&mut a).unwrap();
+        assert!(v.landed(TransId::new(SiteId(0), 1)));
         assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"one!");
-        // A durable mark here: the install is an append, and the next force
-        // lands it.
+        // A durable mark here: the install is an append too, and counts as
+        // landed at once — recovery redoes it from the mark until the next
+        // force lands it.
         let fid = logged(&v, b"base", 2, b"two!", &mut a);
         mark(&v, 2, &mut a);
         let before = a.clone();
         v.commit_prepared(fid, txn_owner(2), &mut a).unwrap();
         assert_eq!(a.delta_since(&before).total_ios(), 0);
+        assert!(v.landed(TransId::new(SiteId(0), 2)));
         assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"base");
         v.log_barrier(&mut a).unwrap();
         assert_eq!(v.durable_peek(fid, ByteRange::new(0, 4)).unwrap(), b"two!");
@@ -578,6 +584,7 @@ mod tests {
         let (v, mut a) = vol();
         let fid = logged(&v, b"base", 1, b"new!", &mut a);
         v.commit_prepared(fid, txn_owner(1), &mut a).unwrap();
+        v.log_barrier(&mut a).unwrap();
         v.crash();
         v.reboot();
         // The stable copy is the single-file commit's; the journal record,

@@ -634,12 +634,9 @@ impl Volume {
     ///
     /// The install is a journal record: the file's whole inode, in one
     /// append with the truncation of the prepare record it settles, made
-    /// while the transaction still holds its locks. It rides the journal's
-    /// next force when this journal holds `tid`'s durable `Committed`
-    /// record — recovery redoes the install from that record and the
-    /// prepare record until both are purged, and the purges are appended
-    /// after it — and is forced here otherwise, before the caller acks: a
-    /// coordinator or a peer may forget the transaction on that ack.
+    /// while the transaction still holds its locks. It is never forced
+    /// here: it rides the journal's next force, and [`Volume::landed`] says
+    /// when it is durable.
     pub fn install_intentions(
         &self,
         tid: TransId,
@@ -683,19 +680,17 @@ impl Volume {
         // in the journal tail at crash time, presents intentions that are
         // already installed. Re-applying would free the replaced blocks a
         // second time — blocks that may since have been reallocated. The
-        // prepare record is settled all the same, and a re-install is made
-        // as durable as the install: the in-core inode may be ahead of the
-        // platters.
+        // prepare record is settled all the same. The in-core inode may be
+        // ahead of the platters: whether the install has landed is the
+        // journal's to say (`Volume::landed`), not this path's.
         let nothing = il.entries.is_empty() && il.new_len == inode.len;
         if nothing || installed(inode, il) {
             if let (Some(o), Some(f)) = (owner, st.files.get_mut(&ino)) {
                 f.writer_ends.remove(&o);
             }
             drop(st);
-            let Some(tid) = settles else { return Ok(()) };
-            self.journal.prepare_delete(tid, il.fid, acct)?;
-            if !nothing && !self.journal.holds_durable_commit(tid) {
-                self.log_barrier(acct)?;
+            if let Some(tid) = settles {
+                self.journal.prepare_delete(tid, il.fid, acct)?;
             }
             return Ok(());
         }
@@ -741,16 +736,10 @@ impl Volume {
         let mut freed = inode.apply(il);
         freed.extend(inode.trim_to(self.page_size()));
         let bytes = inode.encode();
-        let forced = match settles {
-            Some(tid) => {
-                self.journal.inode_put(il.fid, bytes, tid, freed, acct)?;
-                !self.journal.holds_durable_commit(tid)
-            }
-            None => {
-                self.stable_commit(il.fid, bytes, freed, acct)?;
-                false
-            }
-        };
+        match settles {
+            Some(tid) => self.journal.inode_put(il.fid, bytes, tid, freed, acct)?,
+            None => self.stable_commit(il.fid, bytes, freed, acct)?,
+        }
         self.events.push(Event::FileCommit {
             fid: il.fid,
             tid: owner.and_then(|o| o.trans_id()),
@@ -772,10 +761,6 @@ impl Volume {
             }
             let writers_max = fstate.writer_ends.values().copied().max().unwrap_or(0);
             fstate.uncommitted_len = writers_max.max(committed_len);
-        }
-        drop(st);
-        if forced {
-            self.log_barrier(acct)?;
         }
         Ok(())
     }
@@ -1197,6 +1182,14 @@ impl Volume {
     /// barriers on this volume coalesce into a single flush.
     pub fn log_barrier(&self, acct: &mut Account) -> Result<()> {
         self.journal.barrier(acct)
+    }
+
+    /// Whether every frame this volume's journal took for `tid` is durable,
+    /// or rides a journal that holds `tid`'s durable `Committed` record:
+    /// recovery redoes an install from that record and the prepare record
+    /// until both are purged, and the purges are appended after it.
+    pub fn landed(&self, tid: TransId) -> bool {
+        self.journal.landed(tid) || self.journal.holds_durable_commit(tid)
     }
 
     /// The volume's commit journal (group-window tuning, flush statistics).

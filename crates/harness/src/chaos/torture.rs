@@ -40,8 +40,8 @@ pub enum CrashClass {
     JournalAppend,
     /// A commit-journal append carrying a file's whole inode: a
     /// transaction's install, which the next force of that journal lands
-    /// (phase two's own force, unless the journal holds the commit's
-    /// durable mark).
+    /// (a later vote's, or a phase-two resend's: phase two acks only once
+    /// it has landed).
     InstallAppend,
     /// The group-commit flush of the journal tail — the one barrier that
     /// makes a prepare vote or the commit mark durable. Dying here is the
@@ -367,10 +367,11 @@ mod tests {
 
     /// Seed 1's workload has a transaction whose home, site 2, holds none of
     /// its files: sites 0 and 1 decide it by their votes. The campaign's
-    /// points at site 1 include the force of that vote and the force of the
-    /// install that follows the commit — its own, since the delegate's note
-    /// of the commit is not durable — and a replay dying at either loses
-    /// nothing.
+    /// points at site 1 include the force of that vote and the force that
+    /// lands the install following the commit, with the delegate's note of
+    /// it — site 1 acks only then. No later transaction votes at site 1
+    /// before the run drains, so that force is the resend's. A replay dying
+    /// at either loses nothing.
     #[test]
     fn the_campaign_crashes_a_vote_decided_commit_at_a_vote_force_and_an_install() {
         use locus_sim::Event;
@@ -394,8 +395,9 @@ mod tests {
             let note_at = trace.lines().position(|l| l == note);
             matches!((note_at, crash_at), (Some(n), Some(c)) if n < c)
         };
-        // A force at site 1: a flush, reclaiming or not. An install's force
-        // follows its inode record and the truncation appended with it.
+        // A force at site 1: a flush, reclaiming or not. One that lands an
+        // install follows its inode record and the truncation appended with
+        // it.
         let forces = || {
             points.iter().filter(|p| {
                 p.site == d
@@ -406,16 +408,16 @@ mod tests {
             })
         };
         let after_install = |at: u64| {
-            points.iter().any(|q| {
-                q.site == d && q.class == CrashClass::InstallAppend && q.at < at && at - q.at <= 2
-            })
+            points
+                .iter()
+                .any(|q| q.site == d && q.class == CrashClass::InstallAppend && q.at < at)
         };
         // The first force at site 1 whose replay dies just after the note —
-        // the yes behind it, or the install the commit note precedes — must
-        // fire and lose nothing.
+        // the yes behind it, or the commit note, which with the install
+        // rides the next force there — must fire and lose nothing.
         for (what, status, install) in [
             ("vote force", TxnStatus::Voted, false),
-            ("install force", TxnStatus::Committed, true),
+            ("force carrying the install", TxnStatus::Committed, true),
         ] {
             let hit = forces()
                 .filter(|p| !install || after_install(p.at))

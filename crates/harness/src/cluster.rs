@@ -103,8 +103,13 @@ impl Cluster {
     /// Runs every site's asynchronous phase-two dæmon until all queues are
     /// empty or stop making progress. Returns the number of transactions
     /// that completed.
+    ///
+    /// A pass that completes nothing is run once more before the queues
+    /// count as stuck: a commit answered "not yet landed" completes on its
+    /// resend, which forces the frames.
     pub fn drain_async(&self) -> usize {
         let mut total = 0;
+        let mut idle = 0;
         loop {
             let mut progressed = 0;
             for s in &self.sites {
@@ -116,7 +121,8 @@ impl Cluster {
             }
             total += progressed;
             let pending: usize = self.sites.iter().map(|s| s.txn.pending_async()).sum();
-            if progressed == 0 || pending == 0 {
+            idle = if progressed == 0 { idle + 1 } else { 0 };
+            if idle == 2 || pending == 0 {
                 break;
             }
         }
@@ -248,6 +254,40 @@ mod tests {
             let chi = c.site(i).kernel.open(pi, "/probe", false, &mut ai).unwrap();
             assert_eq!(c.site(i).kernel.read(pi, chi, 2, &mut ai).unwrap(), b"ok");
         }
+    }
+
+    #[test]
+    fn a_dropped_cluster_drops_its_sites() {
+        let c = Cluster::new(2);
+        let mut a = c.account(0);
+        let p = c.site(0).kernel.spawn();
+        let ch = c.site(0).kernel.creat(p, "/probe", &mut a).unwrap();
+        c.site(0).kernel.close(p, ch, &mut a).unwrap();
+        let mut a = c.account(1);
+        let p = c.site(1).kernel.spawn();
+        let ch = c.site(1).kernel.open(p, "/probe", true, &mut a).unwrap();
+        c.site(1).kernel.write(p, ch, b"ok", &mut a).unwrap();
+        let sites: Vec<_> = c.sites.iter().map(Arc::downgrade).collect();
+        let kernels: Vec<_> = c.sites.iter().map(|s| Arc::downgrade(&s.kernel)).collect();
+        let managers: Vec<_> = c.sites.iter().map(|s| Arc::downgrade(&s.txn)).collect();
+        let transport = Arc::downgrade(&c.transport);
+        drop(c);
+        assert!(
+            sites.iter().all(|w| w.upgrade().is_none()),
+            "a site outlived its cluster"
+        );
+        assert!(
+            kernels.iter().all(|w| w.upgrade().is_none()),
+            "a kernel outlived its cluster"
+        );
+        assert!(
+            managers.iter().all(|w| w.upgrade().is_none()),
+            "a manager outlived its cluster"
+        );
+        assert!(
+            transport.upgrade().is_none(),
+            "the transport outlived its cluster"
+        );
     }
 
     #[test]

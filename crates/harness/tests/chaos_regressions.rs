@@ -420,8 +420,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// deterministic driver's trace. If this fails and the trace change is
 /// intentional, re-pin the hash and re-minimize the repro scenarios above.
 ///
-/// Last re-pin (commit where the data is): the first differing event is
-/// trace line 25, where transaction `txn2.1` — slot 2, at site 2, whose
+/// Last re-pin (a phase-two ack means the install has landed): the first
+/// differing event is trace line 93, where `txn1.2`'s `Committed` no longer
+/// follows its first phase two: its remote participant, site 0, installs
+/// and answers that the install has not landed, and the queue's resend is
+/// acked. Three commits take a resend — `txn1.2` and `txn2.2` at site 0,
+/// `txn0.1` at site 1 — each a `CommitSent` and a `Commit` RPC more, and
+/// each `Committed` moves behind its resend. 131 -> 137 events, verdict
+/// clean.
+///
+/// The re-pin before it (commit where the data is): the first differing
+/// event is trace line 25, where transaction `txn2.1` — slot 2, at site 2, whose
 /// every write lands in site 0's file — no longer logs a coordinator record
 /// at home (`CoordLog { site: 2, …, Unknown }`) but hands site 0 the
 /// decision (`DelegateSent { to: 0 }`, then the `Delegate` RPC in place of
@@ -430,7 +439,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// grants they free move with them; so does every event of the transactions
 /// that queue behind those locks. 132 -> 131 events, verdict clean.
 ///
-/// The re-pin before it (the access carries its lock) moved one lock
+/// The one before that (the access carries its lock) moved one lock
 /// request of the same seed onto the write that needed it.
 #[test]
 fn seeded_trace_hash_is_pinned() {
@@ -442,7 +451,7 @@ fn seeded_trace_hash_is_pinned() {
     );
     let hash = fnv1a(report.trace.as_bytes());
     assert_eq!(
-        hash, 0x84d0_ad96_26cb_198c,
+        hash, 0x6886_160d_5dad_d3d9,
         "seed 1 trace changed (hash {hash:#x}); deterministic replay of \
          archived schedules is broken unless this is an intentional trace \
          format change"

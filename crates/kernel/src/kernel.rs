@@ -13,7 +13,7 @@
 //! modeled costs accrue on the calling activity's [`Account`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -49,10 +49,13 @@ pub struct Kernel {
     /// Kill switch for the page cache's read fast path (the equivalence
     /// proptests compare a caching kernel against one with this off).
     pub page_cache_enabled: AtomicBool,
-    transport: RwLock<Option<Arc<dyn Transport>>>,
-    /// The transaction control plane serving `Msg::Txn` at this site
-    /// (registered by `locus-core` when the site assembly is built).
-    txn_service: RwLock<Option<Arc<dyn TxnService>>>,
+    /// The cluster transport, and below the transaction control plane
+    /// serving `Msg::Txn` at this site (registered by `locus-core` when the
+    /// site assembly is built). Both are held weakly: each holds this
+    /// kernel, and the cluster and the site own them, so a dropped cluster
+    /// frees its sites.
+    transport: RwLock<Option<Weak<dyn Transport>>>,
+    txn_service: RwLock<Option<Weak<dyn TxnService>>>,
     wake_slots: Mutex<std::collections::HashMap<Pid, Arc<WakeSlot>>>,
     crashed: AtomicBool,
     /// Boot epoch (incarnation number): incremented on every reboot and
@@ -119,19 +122,20 @@ impl Kernel {
     /// Wires the kernel to the cluster transport (done once at cluster
     /// construction).
     pub fn set_transport(&self, t: Arc<dyn Transport>) {
-        *self.transport.write() = Some(t);
+        *self.transport.write() = Some(Arc::downgrade(&t));
     }
 
     /// Registers the transaction control plane that serves `Msg::Txn`
     /// requests addressed to this site.
     pub fn set_txn_service(&self, s: Arc<dyn TxnService>) {
-        *self.txn_service.write() = Some(s);
+        *self.txn_service.write() = Some(Arc::downgrade(&s));
     }
 
     pub(crate) fn txn_service_ref(&self) -> Result<Arc<dyn TxnService>> {
         self.txn_service
             .read()
-            .clone()
+            .as_ref()
+            .and_then(Weak::upgrade)
             .ok_or_else(|| Error::ProtocolViolation("no transaction service registered".into()))
     }
 
@@ -169,7 +173,8 @@ impl Kernel {
     fn transport_ref(&self) -> Result<Arc<dyn Transport>> {
         self.transport
             .read()
-            .clone()
+            .as_ref()
+            .and_then(Weak::upgrade)
             .ok_or_else(|| Error::ProtocolViolation("transport not wired".into()))
     }
 

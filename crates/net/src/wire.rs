@@ -32,8 +32,10 @@ use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 /// `FileListMerge`, `ChildExited`, `MemberAdded` and `MemberExited`; version
 /// 8 retired `FileListMerge`: `MemberExited` carries the member's file-list,
 /// and both member reports name the member; version 9 gave `Delegate` the
-/// whole file list, with its epochs, in place of one site's fids and epoch.
-pub const WIRE_VERSION: u8 = 9;
+/// whole file list, with its epochs, in place of one site's fids and epoch;
+/// version 10 added the error `NotLanded`, a phase-two commit installed but
+/// not yet durable.
+pub const WIRE_VERSION: u8 = 10;
 
 // 2 was CloseReq, 7 and 10 were PrefetchReq / PrefetchResp (all retired) and
 // stay unassigned.
@@ -398,6 +400,7 @@ mod tests {
             Msg::Err(Error::AlreadyExists("a/b".into())),
             Msg::Err(Error::Crashed(SiteId(1))),
             Msg::Err(Error::DiskOffline),
+            Msg::Err(Error::NotLanded(tid())),
         ]
     }
 
@@ -413,10 +416,11 @@ mod tests {
     /// re-recorded at 07 when they lost the fields no receiver read, and
     /// `MemberAdded` and `MemberExited` at 08 when they gained the member and
     /// its file-list, and `Delegate` at 09 when it gained the whole file
-    /// list. What is pinned is the body after it.
+    /// list; `NotLanded` was first recorded at 0a. What is pinned is the
+    /// body after it.
     #[test]
     fn layouts_are_pinned() {
-        const GOLDEN: [&str; 56] = [
+        const GOLDEN: [&str; 57] = [
             "0700000200000009000000",
             "02000100100000000000000200000000000000",
             "0300030200000009000000070000000100000000030000002c000000000000000a00000000000000\
@@ -487,13 +491,14 @@ mod tests {
             "02071203000000612f62",
             "02071301000000",
             "020714",
+            "0a0715030000002c00000000000000",
         ];
         let samples = sample_messages();
         assert_eq!(samples.len(), GOLDEN.len());
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
             assert!(
-                ["02", "03", "05", "06", "07", "08", "09"].contains(&version),
+                ["02", "03", "05", "06", "07", "08", "09", "0a"].contains(&version),
                 "the version byte"
             );
             assert_pinned(msg, body);

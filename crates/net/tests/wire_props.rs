@@ -292,6 +292,7 @@ fn err() -> BoxedStrategy<Error> {
         short_string().prop_map(Error::AlreadyExists),
         site().prop_map(Error::Crashed),
         Just(Error::DiskOffline),
+        tid().prop_map(Error::NotLanded),
     ]
     .boxed()
 }

@@ -496,6 +496,7 @@ wire!(enum Error {
     18 => AlreadyExists(name),
     19 => Crashed(site),
     20 => DiskOffline,
+    21 => NotLanded(tid),
 } retired {
     6 => ProtocolViolation(what),
 });

@@ -67,6 +67,10 @@ pub enum Error {
     /// fired). Durable state is frozen exactly as the crash left it; the
     /// owning site must be crashed and rebooted to continue.
     DiskOffline,
+    /// A phase-two commit installed here, but its journal frames have not
+    /// landed yet: no ack until they have. The sender sends the commit
+    /// again.
+    NotLanded(TransId),
 }
 
 impl fmt::Display for Error {
@@ -94,6 +98,7 @@ impl fmt::Display for Error {
             Error::AlreadyExists(name) => write!(f, "already exists: {name}"),
             Error::Crashed(s) => write!(f, "{s} crashed"),
             Error::DiskOffline => write!(f, "disk offline (crash point fired)"),
+            Error::NotLanded(tid) => write!(f, "{tid} installed, not yet landed"),
         }
     }
 }

@@ -188,6 +188,19 @@ struct JournalState {
     /// that lands: the durable inode names them until then. Volatile: a
     /// crash forgets them, and the reboot's scavenge finds them unnamed.
     frees: Vec<PhysPage>,
+    /// The transactions with a frame in the unflushed tail, each once: each
+    /// flush lands every frame appended before it, and empties the list
+    /// (keeping its allocation — a handful of entries between flushes).
+    unlanded: Vec<TransId>,
+}
+
+impl JournalState {
+    /// Notes that `tid` has a frame in the unflushed tail.
+    fn unlands(&mut self, tid: TransId) {
+        if !self.unlanded.contains(&tid) {
+            self.unlanded.push(tid);
+        }
+    }
 }
 
 /// Append-only commit journal for one volume.
@@ -238,6 +251,9 @@ impl Journal {
         let frame = entry.encode();
         let kept = kept(&entry.op, &frame);
         self.push(st, frame, acct)?;
+        if let JournalKey::Coord(tid) | JournalKey::Prepare(tid, _) = entry.op.key() {
+            st.unlands(tid);
+        }
         st.view.apply(entry.seq, entry.op, kept);
         Ok(())
     }
@@ -306,6 +322,13 @@ impl Journal {
         })
     }
 
+    /// Whether every frame appended for `tid` — its records, their status
+    /// changes and truncations, and the inodes its installs put — has
+    /// landed on the platters.
+    pub fn landed(&self, tid: TransId) -> bool {
+        !self.state.lock().unlanded.contains(&tid)
+    }
+
     /// Appends a coordinator-log truncation (lazy: rides the next flush; a
     /// purge lost to a crash is harmless — recovery re-resolves and purges
     /// again).
@@ -356,7 +379,7 @@ impl Journal {
     /// surviving prepare record is never older than a durable install of
     /// the same file. `freed` — the blocks the install replaced — are freed
     /// by the flush that lands these frames. Buffered, like every append:
-    /// the caller forces when the install must be durable before it acks.
+    /// [`Journal::landed`] says when they are durable.
     pub fn inode_put(
         &self,
         fid: Fid,
@@ -367,6 +390,7 @@ impl Journal {
     ) -> Result<()> {
         let mut st = self.state.lock();
         self.append_locked(&mut st, JournalOp::InodePut { fid, inode }, acct)?;
+        st.unlands(settles);
         st.frees.extend(freed);
         self.truncate_locked(&mut st, JournalKey::Prepare(settles, fid), acct)
     }
@@ -474,6 +498,7 @@ impl Journal {
             .disk
             .journal_flush_keep(st.next_seq - low_water, acct)?;
         st.flushed_seq = st.appended_seq;
+        st.unlanded.clear();
         st.flushes += 1;
         st.frames_flushed += frames;
         for p in st.frees.drain(..) {
@@ -526,6 +551,7 @@ impl Journal {
         let mut st = self.state.lock();
         st.view = View::default();
         st.frees.clear();
+        st.unlanded.clear();
         st.flush_in_progress = false;
     }
 
@@ -820,6 +846,38 @@ mod tests {
         assert!(!j.holds_durable_commit(born));
         j.barrier(&mut a).unwrap();
         assert!(j.holds_durable_commit(born));
+    }
+
+    #[test]
+    fn a_transaction_has_landed_once_a_flush_carries_its_last_frame() {
+        let (j, _disk, mut a) = setup();
+        let (t1, t2) = (prep_rec(1, 1), prep_rec(2, 2));
+        assert!(j.landed(t1.tid), "nothing appended");
+        j.prepare_put(&t1, &mut a).unwrap();
+        j.coord_put(&coord_rec(1, TxnStatus::Voted), &mut a)
+            .unwrap();
+        assert!(!j.landed(t1.tid));
+        j.barrier(&mut a).unwrap();
+        assert!(j.landed(t1.tid));
+        // The install's inode counts for the transaction it settles, and so
+        // does a status note; another transaction's frames do not.
+        j.inode_put(fid(1), vec![1], t1.tid, vec![], &mut a)
+            .unwrap();
+        assert!(!j.landed(t1.tid));
+        j.barrier(&mut a).unwrap();
+        j.coord_set_status(t1.tid, TxnStatus::Committed, &mut a)
+            .unwrap();
+        j.prepare_put(&t2, &mut a).unwrap();
+        assert!(!j.landed(t1.tid) && !j.landed(t2.tid));
+        j.barrier(&mut a).unwrap();
+        assert!(j.landed(t1.tid) && j.landed(t2.tid));
+        // A frame lost with the tail never landed; the rebooted journal holds
+        // nothing unflushed.
+        j.coord_delete(t1.tid, &mut a).unwrap();
+        j.crash();
+        j.recover();
+        assert!(j.landed(t1.tid));
+        assert!(j.coord_get(t1.tid).is_some(), "the purge died in the tail");
     }
 
     #[test]

@@ -93,18 +93,24 @@ fn commit_sends_one_message_per_site_per_phase() {
         );
     }
 
-    // Phase two: one Commit message per participant site.
-    c.events.clear();
-    let before = c.counters();
-    assert_eq!(c.drain_async(), 1);
-    let after = c.counters();
-    assert_eq!(after.messages_sent - before.messages_sent, 2);
-    for site in [SiteId(1), SiteId(2)] {
-        let commits = c
-            .events
-            .count(|e| matches!(e, Event::Rpc { to, kind: "Commit", .. } if *to == site));
-        assert_eq!(commits, 1, "site {site} must receive exactly one commit");
+    // Phase two: one Commit message per participant site. Each site
+    // installs and answers that its install has not landed yet; with no
+    // transaction behind this one to carry it, the resend — again one
+    // message per site — forces it and is acked.
+    for (pass, done) in [(1, 0), (2, 1)] {
+        c.events.clear();
+        let before = c.counters();
+        assert_eq!(c.site(0).txn.run_async_work(&mut acct), done, "pass {pass}");
+        let after = c.counters();
+        assert_eq!(after.messages_sent - before.messages_sent, 2, "pass {pass}");
+        for site in [SiteId(1), SiteId(2)] {
+            let commits = c
+                .events
+                .count(|e| matches!(e, Event::Rpc { to, kind: "Commit", .. } if *to == site));
+            assert_eq!(commits, 1, "site {site} must receive exactly one commit");
+        }
     }
+    assert_eq!(c.site(0).txn.pending_async(), 0);
 
     for &(site, name) in &files {
         assert_eq!(read_value(&c, site, name), b"new!", "{name}");
@@ -133,31 +139,35 @@ fn phase_two_commits_to_one_site_coalesce_into_a_batch() {
     }
 
     // Both transactions are past their commit points with phase two queued.
-    c.events.clear();
-    let before = c.counters();
-    assert_eq!(c.drain_async(), 2);
-    let after = c.counters();
-    assert_eq!(
-        after.messages_sent - before.messages_sent,
-        1,
-        "two phase-two commits to one site must share one network message"
-    );
-    assert_eq!(after.batches_sent - before.batches_sent, 1);
-    assert_eq!(
-        after.msgs_for(Service::Txn) - before.msgs_for(Service::Txn),
-        2
-    );
-    let batched_commits = c.events.count(|e| {
-        matches!(
-            e,
-            Event::Rpc {
-                kind: "Commit",
-                batched: true,
-                ..
-            }
-        )
-    });
-    assert_eq!(batched_commits, 2);
+    // Site 1 installs both and acks neither until they land, which the
+    // resend forces: each pass sends the two commits in one message.
+    for (pass, done) in [(1, 0), (2, 2)] {
+        c.events.clear();
+        let before = c.counters();
+        assert_eq!(c.site(0).txn.run_async_work(&mut acct), done, "pass {pass}");
+        let after = c.counters();
+        assert_eq!(
+            after.messages_sent - before.messages_sent,
+            1,
+            "two phase-two commits to one site must share one network message"
+        );
+        assert_eq!(after.batches_sent - before.batches_sent, 1);
+        assert_eq!(
+            after.msgs_for(Service::Txn) - before.msgs_for(Service::Txn),
+            2
+        );
+        let batched_commits = c.events.count(|e| {
+            matches!(
+                e,
+                Event::Rpc {
+                    kind: "Commit",
+                    batched: true,
+                    ..
+                }
+            )
+        });
+        assert_eq!(batched_commits, 2);
+    }
 
     assert_eq!(read_value(&c, 1, "/f1"), b"new!");
     assert_eq!(read_value(&c, 1, "/f2"), b"new!");

@@ -20,8 +20,9 @@
 #   commit_local  2 = data page + commit-mark force; the install is a frame
 #                     on the next force
 #   hot_records   2 = the same, through lock queueing and page differencing
-#   commit_dist   4 = 2 x (data page + vote force; the install rides the
-#                     next vote force)
+#   commit_dist   4 = 2 x (data page + vote force; the install of the
+#                     transaction before, whose commit rides ahead of the
+#                     delegation, rides the vote force)
 #
 # `disk.writes_per_op` is 1 on commit_local — the data page alone — so a
 # random inode write coming back to the transaction's commit path fails here.
@@ -30,35 +31,42 @@
 # journal, moves one of these and fails here with the number it moved to.
 #
 # `virt_ms_per_op` comes from the same pass and is as exact (model_ms, the
-# paper's 1985 clock): 46.4193325 / 133.07890833333332 / 54.05 (73.05 /
-# 159.75 / 80.95 with a random inode write per install: a 26 ms transfer
-# and its 500 setup instructions, against about 50 instructions per inode
-# frame and per frame a flush copies forward; 147.11689583333333 on
-# commit_dist with each install forced before its ack). On commit_dist the
-# two participants are one wave — delegated together, installed together —
-# so the caller's commit window (`sim.virt_commit_ms_per_op`) is one
-# delegation branch, 57.628908333333335 (the first transaction's 0.1 less:
-# no forget rides its delegations; the rest over 57.4 is the records its
-# vote forces copy forward), not two branches and no mark (71.4 with the
-# requester's forced mark), and the phase-two pump 17.05 = one branch of
-# one message per site, carrying this transaction's commit and the resend
-# of the one before — acked without I/O, its install landed by this
-# transaction's vote — and no force (31.285295833333333 when each install
-# was forced before its ack, a 13 ms sequential transfer). A participant
-# contacted after another instead of with it moves all three.
-# Outside that window the transaction
-# pays for two client-issued round trips, not four: each write's implicit
-# lock rides the write (DESIGN.md §3), so `net.msgs_per_op` is 6 = 2 file +
-# 4 txn, `net.msgs_lock_per_op` 0 and `sim.virt_other_ms_per_op` 57.9. A lock
-# that goes back to travelling on its own moves those three and virt_ms_per_op.
+# paper's 1985 clock): 46.4193325 / 117.07690625 / 54.05 (73.05 / 159.75 /
+# 80.95 with a random inode write per install: a 26 ms transfer and its
+# 500 setup instructions, against about 50 instructions per inode frame
+# and per frame a flush copies forward; 133.07890833333332 on commit_dist
+# when phase two was a pump message of its own, 147.11689583333333 with
+# each install forced before its ack). On commit_dist the two
+# participants are one wave — delegated together — so the caller's commit
+# window (`sim.virt_commit_ms_per_op`) is one delegation branch,
+# 58.67463541666667 (57.628908333333335 before phase two rode it): ahead
+# of each delegation ride the commit of the transaction before, installed
+# there, and the resend of the one before that, acked without I/O — its
+# install landed by the last vote force — with their forgets; not two
+# branches and no mark (71.4 with the requester's forced mark). The
+# phase-two pump sends nothing: `sim.virt_phase_two_ms_per_op` is 0 (17.05
+# when it sent one message per site). A participant contacted after
+# another instead of with it moves the commit window and virt_ms_per_op.
+# Outside that window the transaction pays for two client-issued round
+# trips, not four: each write's implicit lock rides the write (DESIGN.md
+# §3). So `net.msgs_per_op` is 4 = 2 file + 2 txn (6 when the pump sent a
+# message per site), `net.msgs_lock_per_op` 0 and
+# `sim.virt_other_ms_per_op` 57.9 — but for one pair of transactions in a
+# row in this seed's count pass that write the same record: the second's
+# writes meet the first's locks at each delegate, which asks its peer (a
+# `StatusInquiry`) and pushes the released lock's grant (a `Granted`).
+# Four messages over 24,000 ops make 4.000166666666667, 8.333333333333333e-05
+# and 57.90227083333333. A lock that goes back to travelling on its own
+# moves those three and virt_ms_per_op.
 #
 # The per-layer counts of the traced pass repeat the same way and pin what
 # two deleted wall-clock gates stood for:
 #
 #   wal.flushes_per_op  1 / 2 / 1: one log force per single-site commit,
 #       one per participant vote across sites, which lands that site's
-#       install of the transaction before (4 when each install was forced
-#       before its ack, 5 with the requester's mark too).
+#       install of the transaction before, whose commit rode ahead of the
+#       delegation (4 when each install was forced before its ack, 5 with
+#       the requester's mark too).
 #   wal.frames_per_op >= 5.99 on commit_local: that one force carries all
 #       six of the commit's frames, the install before it among them (the
 #       old 4.5 frames-per-flush floor).
@@ -76,7 +84,10 @@
 #       (1.886625). The update share, 0.10075 of the traced pass's ops at
 #       seed 1, writes one record of a file at the other site: one
 #       `WriteReq` with its lock riding it (net.msgs_file_per_op 0.10075),
-#       then one `Delegate` (net.msgs_txn_per_op 0.10075) — the storage
+#       then one `Delegate`, with the forget of the update before riding
+#       ahead of it as a batch member of its own: net.msgs_txn_per_op
+#       0.2014375 members in 0.10075 messages (0.10075 when the forget
+#       was a field of the delegation) — the storage
 #       site is the only participant, so it decides: its prepare record
 #       and its `Committed` record share one force (wal.flushes_per_op
 #       0.10075) and it installs before it answers, a record that rides
@@ -119,14 +130,15 @@ for pin in pins:
 
 check commit_local disk_ios_per_op==2 virt_ms_per_op==46.4193325 wal.flushes_per_op==1 \
     'wal.frames_per_op>=5.99' disk.writes_per_op==1
-check commit_dist disk_ios_per_op==4 virt_ms_per_op==133.07890833333332 wal.flushes_per_op==2 \
-    sim.virt_commit_ms_per_op==57.628908333333335 sim.virt_phase_two_ms_per_op==17.05 \
-    net.msgs_per_op==6 net.msgs_lock_per_op==0 sim.virt_other_ms_per_op==57.9
+check commit_dist disk_ios_per_op==4 virt_ms_per_op==117.07690625 wal.flushes_per_op==2 \
+    sim.virt_commit_ms_per_op==58.67463541666667 sim.virt_phase_two_ms_per_op==0 \
+    net.msgs_per_op==4.000166666666667 net.msgs_lock_per_op==8.333333333333333e-05 \
+    sim.virt_other_ms_per_op==57.90227083333333
 check hot_records disk_ios_per_op==2 virt_ms_per_op==54.05 wal.flushes_per_op==1
 check read_shared net.msgs_per_op==2.0 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \
     disk_ios_per_op==1.2820625 virt_ms_per_op==130.94913825 \
     disk.reads_per_op==1.0805625 kernel.prefetches_per_op==1.848375 \
-    wal.flushes_per_op==0.10075 net.msgs_txn_per_op==0.10075
+    wal.flushes_per_op==0.10075 net.msgs_txn_per_op==0.2014375
 
 # A wave of prepares or phase-two messages runs on its caller's thread
 # (DESIGN.md §3): the only threads are the simulated processes', started by

@@ -36,7 +36,7 @@ fn usage(err: &str) -> ! {
          [--drops N] [--dups N] [--rollbacks N] [--max-states N] \
          [--allow-truncation] \
          [--fault skip-refused-check|skip-epoch-check|skip-delegate-record|\
-         forget-before-all-installed|skip-peer-inquiry] \
+         forget-before-all-installed|skip-peer-inquiry|wanted-presumes-commit] \
          [--artifacts DIR]"
     );
     std::process::exit(2);
@@ -101,9 +101,10 @@ fn parse_args() -> Args {
                         args.cfg.faults.forget_before_all_installed = true
                     }
                     "skip-peer-inquiry" => args.cfg.faults.skip_peer_inquiry = true,
+                    "wanted-presumes-commit" => args.cfg.faults.wanted_presumes_commit = true,
                     _ => usage(
                         "bad --fault (skip-refused-check|skip-epoch-check|skip-delegate-record|\
-                         forget-before-all-installed|skip-peer-inquiry)",
+                         forget-before-all-installed|skip-peer-inquiry|wanted-presumes-commit)",
                     ),
                 }
                 args.fault = Some(v);

@@ -8,8 +8,9 @@
 //! fences) is written once, in `KernelSubstrate::interpret`; every entry
 //! point below builds one around its per-call context and hands an [`Input`]
 //! to [`drive`]. The rest of this module is pure *scheduling*: the
-//! asynchronous phase-two queue, per-site message batching, and what a wave
-//! of messages to distinct sites costs (`TxnManager::wave`), none of which
+//! asynchronous phase-two queue, what rides the next message to a delegate
+//! (`TxnManager::rides`), per-site message batching, and what a wave of
+//! messages to distinct sites costs (`TxnManager::wave`), none of which
 //! change what the protocol decides — only when. Nothing here starts a
 //! thread: every wave runs on its caller's.
 //!
@@ -61,6 +62,39 @@ pub struct Phase2Work {
     pub participants: Vec<(SiteId, Vec<Fid>)>,
 }
 
+/// What rides the next message this site sends one delegate: to a
+/// delegation, or to a phase-two batch that goes there anyway.
+#[derive(Debug, Default)]
+struct Riders {
+    /// Delegated transactions whose outcome this site has learned: the
+    /// delegate may drop their records.
+    forget: Vec<TransId>,
+    /// Phase-two commits of transactions the delegates decided among
+    /// peers, in the order they were queued.
+    commits: Vec<Rider>,
+}
+
+/// One phase-two commit to a delegate among peers, waiting for a message
+/// to ride.
+#[derive(Debug)]
+struct Rider {
+    tid: TransId,
+    files: Vec<Fid>,
+    /// It has waited through a pump turn with no message carrying it since:
+    /// the next turn sends it on its own.
+    due: bool,
+}
+
+/// The riders of every delegate, and how many delegates of each riding
+/// transaction have yet to ack its commit.
+#[derive(Debug, Default)]
+struct Rides {
+    queues: BTreeMap<SiteId, Riders>,
+    /// Per riding transaction, its delegates yet to ack: the last ack
+    /// completes its phase two.
+    unacked: BTreeMap<TransId, usize>,
+}
+
 /// A protocol machine plus its recorded transcript. Stepping and recording
 /// happen under one lock hold, so the transcript is exactly the sequence of
 /// transitions the live machine took.
@@ -110,9 +144,9 @@ pub struct TxnManager {
     /// here the requester's, or a delegate's in doubt whose peer it is: the
     /// phase-two dæmon asks again.
     inquiries: Mutex<Vec<TransId>>,
-    /// Per delegate, the delegated transactions whose outcome this site
-    /// has learned: they ride the next delegation or phase-two batch there.
-    forgets: Mutex<BTreeMap<SiteId, Vec<TransId>>>,
+    /// Per delegate, what rides the next delegation or phase-two batch
+    /// there: forgets, and the commits of transactions decided among peers.
+    rides: Mutex<Rides>,
     /// Commits installed here and answered [`Error::NotLanded`]: their
     /// resend is answered from the journals. Volatile: a reboot clears it.
     landing: Mutex<BTreeSet<TransId>>,
@@ -136,7 +170,7 @@ impl TxnManager {
             part: Mutex::new(Recorded::new(ParticipantSm::new(site, epoch))),
             async_work: Mutex::new(VecDeque::new()),
             inquiries: Mutex::new(Vec::new()),
-            forgets: Mutex::new(BTreeMap::new()),
+            rides: Mutex::new(Rides::default()),
             landing: Mutex::new(BTreeSet::new()),
             parallel_fanout: AtomicBool::new(false),
         }
@@ -298,9 +332,10 @@ impl TxnManager {
         self.kernel.drop_owner_caches(Owner::Trans(tid));
     }
 
-    /// Number of queued phase-two work items, inquiries included.
+    /// Number of queued phase-two work items, inquiries and riding
+    /// commits included.
     pub fn pending_async(&self) -> usize {
-        self.async_work.lock().len() + self.inquiries.lock().len()
+        self.async_work.lock().len() + self.inquiries.lock().len() + self.rides.lock().unacked.len()
     }
 
     /// Asks `site` what became of `tid`: the answer to a recovered prepare,
@@ -319,8 +354,16 @@ impl TxnManager {
     /// Runs the asynchronous phase-two dæmon once: sends commit/abort
     /// messages to participants and purges coordinator logs when every
     /// participant has finished. Unreachable participants leave the work
-    /// queued (recovery will re-drive it). Returns how many transactions
-    /// fully completed.
+    /// queued (recovery will re-drive it). Returns how many items moved on:
+    /// transactions fully completed, and riding commits that began their
+    /// waiting turn (the next run sends them).
+    ///
+    /// A commit to a delegate among peers rides the next message to its
+    /// site instead (`TxnManager::rides`): the delegate's peers already
+    /// know the outcome, and the delegate learns it from them whenever a
+    /// request here needs its locks ([`TxnService::wanted`]). It goes on
+    /// its own only once it has waited through one run with no message
+    /// carrying it since.
     ///
     /// Nothing here forces the journal: the purges are lazy truncations that
     /// ride the next flush of the home journal (the next commit's mark). A
@@ -330,10 +373,6 @@ impl TxnManager {
     pub fn run_async_work(&self, acct: &mut Account) -> usize {
         let resolved = self.retry_inquiries(acct);
         let work: Vec<Phase2Work> = self.async_work.lock().drain(..).collect();
-        if work.is_empty() {
-            return resolved;
-        }
-        let span = VirtSpan::begin(SpanPhase::PhaseTwo, acct);
         // Coalesce the phase-two traffic per participant site — across
         // transactions: every Commit/AbortFiles bound for one site travels
         // in a single batched network message. (Batching is scheduling, not
@@ -363,31 +402,30 @@ impl TxnManager {
                 by_site.entry(*site).or_default().push((i, msg));
             }
         }
+        let (mut riding, waiting) = self.pump_riders(|site| by_site.contains_key(&site));
+        if by_site.is_empty() && riding.is_empty() {
+            return resolved + waiting;
+        }
+        let span = VirtSpan::begin(SpanPhase::PhaseTwo, acct);
+        let sites: BTreeSet<SiteId> = by_site.keys().chain(riding.keys()).copied().collect();
         // Which participant sites failed to acknowledge, per work item.
         let mut failed: Vec<Vec<SiteId>> = vec![Vec::new(); work.len()];
+        let mut completed = 0;
         // The sites' messages are one wave: each site installs while the
         // others do.
-        self.wave(acct, by_site, |(site, entries), branch| {
-            let (idxs, mut msgs): (Vec<usize>, Vec<TxnMsg>) = entries.into_iter().unzip();
-            // Forgets bound for this site ride the batch as its last member.
-            let forget = self.forgets.lock().remove(&site);
-            if let Some(tids) = &forget {
-                msgs.push(TxnMsg::Forget { tids: tids.clone() });
-            }
+        self.wave(acct, sites, |site, branch| {
+            let (idxs, msgs): (Vec<usize>, Vec<TxnMsg>) = by_site
+                .remove(&site)
+                .unwrap_or_default()
+                .into_iter()
+                .unzip();
+            let riders = riding.remove(&site).unwrap_or_default();
             // One network message per site; a lost one acknowledges none.
-            let n = msgs.len();
-            let msgs = msgs.into_iter().map(Msg::Txn).collect();
-            let mut acks = match self.kernel.rpc_batch(site, msgs, branch) {
-                Ok(resps) => resps.iter().map(Result::is_ok).collect(),
-                Err(_) => vec![false; n],
-            };
-            if let Some(tids) = forget {
-                if acks.pop() != Some(true) {
-                    self.forgets.lock().entry(site).or_default().extend(tids);
-                }
-            }
+            let (acks, rode) = self.ride(site, riders, msgs, branch);
+            completed += rode;
             let mut sub = self.substrate(Machine::Coordinator, branch);
-            for (i, ok) in idxs.into_iter().zip(acks) {
+            for (i, ack) in idxs.into_iter().zip(acks) {
+                let ok = ack.is_ok();
                 sub.drive(Input::Phase2Ack {
                     tid: work[i].tid,
                     site,
@@ -399,7 +437,6 @@ impl TxnManager {
             }
         });
         let mut sub = self.substrate(Machine::Coordinator, acct);
-        let mut completed = 0;
         for (i, w) in work.into_iter().enumerate() {
             if failed[i].is_empty() {
                 // All participants done. The machine's completion effects
@@ -424,7 +461,129 @@ impl TxnManager {
             }
         }
         span.finish(&self.kernel.counters.spans, &self.kernel.model, acct);
-        resolved + completed
+        resolved + completed + waiting
+    }
+
+    /// One pump turn over the riders: every site's, by site, where a
+    /// message goes anyway (`sending`) or a commit has waited a turn; every
+    /// other commit begins its waiting turn, and how many did is returned.
+    fn pump_riders(&self, sending: impl Fn(SiteId) -> bool) -> (BTreeMap<SiteId, Riders>, usize) {
+        let mut rides = self.rides.lock();
+        let mut out = BTreeMap::new();
+        let mut began = 0;
+        rides.queues.retain(|site, riders| {
+            if sending(*site) || riders.commits.iter().any(|r| r.due) {
+                out.insert(*site, std::mem::take(riders));
+                return false;
+            }
+            for r in riders.commits.iter_mut().filter(|r| !r.due) {
+                r.due = true;
+                began += 1;
+            }
+            true
+        });
+        (out, began)
+    }
+
+    /// Sends `msgs` to `site` as one network message with `riders` ahead
+    /// of them, settles the riders by their answers and returns the answers
+    /// to `msgs`, in order, with how many transactions the riders completed.
+    /// A lost message answers each member with its error.
+    fn ride(
+        &self,
+        site: SiteId,
+        riders: Riders,
+        msgs: Vec<TxnMsg>,
+        acct: &mut Account,
+    ) -> (Vec<Result<Msg>>, usize) {
+        let mut batch: Vec<Msg> = Vec::new();
+        for r in &riders.commits {
+            self.kernel.events.push(Event::CommitSent {
+                tid: r.tid,
+                to: site,
+            });
+            batch.push(Msg::Txn(TxnMsg::Commit {
+                tid: r.tid,
+                files: r.files.clone(),
+            }));
+        }
+        if !riders.forget.is_empty() {
+            let tids = riders.forget.clone();
+            batch.push(Msg::Txn(TxnMsg::Forget { tids }));
+        }
+        let rode = batch.len();
+        batch.extend(msgs.into_iter().map(Msg::Txn));
+        let n = batch.len();
+        let mut answers = self
+            .kernel
+            .rpc_batch(site, batch, acct)
+            .unwrap_or_else(|e| vec![Err(e); n]);
+        let acks = answers.split_off(rode);
+        let completed = self.settle_riders(site, riders, &answers, acct);
+        (acks, completed)
+    }
+
+    /// What the answers `rode` to the riders sent to `site` settle. An
+    /// acked commit is done there, and a transaction every delegate has
+    /// acked completes; one answered [`Error::NotLanded`] was carried and
+    /// waits for the next message again; a lost one stays as it was, and so
+    /// do forgets that did not arrive. Returns how many transactions
+    /// completed.
+    fn settle_riders(
+        &self,
+        site: SiteId,
+        riders: Riders,
+        rode: &[Result<Msg>],
+        acct: &mut Account,
+    ) -> usize {
+        let (commits, forget) = rode.split_at(riders.commits.len());
+        let forgot = matches!(forget, [] | [Ok(_)]);
+        if commits.is_empty() && forgot {
+            return 0;
+        }
+        let mut acked = Vec::new();
+        let mut done = Vec::new();
+        {
+            let mut rides = self.rides.lock();
+            let mut left = Vec::new();
+            for (mut rider, answer) in riders.commits.into_iter().zip(commits) {
+                match answer {
+                    Ok(_) => {
+                        acked.push(rider.tid);
+                        let unacked = rides.unacked.entry(rider.tid).or_insert(1);
+                        *unacked -= 1;
+                        if *unacked == 0 {
+                            rides.unacked.remove(&rider.tid);
+                            done.push(rider.tid);
+                        }
+                    }
+                    Err(Error::NotLanded(_)) => {
+                        rider.due = false;
+                        left.push(rider);
+                    }
+                    Err(_) => left.push(rider),
+                }
+            }
+            if !left.is_empty() || !forgot {
+                let queue = rides.queues.entry(site).or_default();
+                queue.commits.splice(0..0, left);
+                if !forgot {
+                    queue.forget.extend(riders.forget);
+                }
+            }
+        }
+        let mut sub = self.substrate(Machine::Coordinator, acct);
+        for tid in acked {
+            sub.drive(Input::Phase2Ack {
+                tid,
+                site,
+                ok: true,
+            });
+        }
+        for &tid in &done {
+            sub.drive(Input::Phase2Done { tid, commit: true });
+        }
+        done.len()
     }
 
     /// Retries each queued inquiry through the coordinator machine, which
@@ -522,9 +681,8 @@ impl TxnManager {
                 }
                 Ok(Msg::Txn(TxnMsg::StatusAnswer { status }))
             }
-            TxnMsg::Delegate { tid, files, forget } => {
+            TxnMsg::Delegate { tid, files } => {
                 let mut sub = self.substrate(Machine::Coordinator, acct);
-                sub.drive(Input::Forget { from, tids: forget });
                 sub.drive(Input::DelegateReq { tid, files });
                 match sub.answer {
                     Some(ok) => Ok(Msg::Txn(TxnMsg::PrepareDone { tid, ok })),
@@ -1115,6 +1273,25 @@ impl Substrate for KernelSubstrate<'_> {
                 tid,
                 commit,
                 participants,
+            } if commit && mgr.coord.lock().sm.requests(tid) => {
+                // A commit the delegates decided among peers: it rides the
+                // next message to each of them.
+                let mut rides = mgr.rides.lock();
+                rides.unacked.insert(tid, participants.len());
+                for (site, files) in participants {
+                    let rider = Rider {
+                        tid,
+                        files,
+                        due: false,
+                    };
+                    rides.queues.entry(site).or_default().commits.push(rider);
+                }
+                None
+            }
+            Effect::QueuePhase2 {
+                tid,
+                commit,
+                participants,
             } => {
                 // Step 5 happens asynchronously (Figure 5's deferred fifth
                 // write).
@@ -1179,27 +1356,20 @@ impl Substrate for KernelSubstrate<'_> {
             Effect::SendDelegate { tid, site, files } => {
                 // One message and its answer: the storage site prepares and
                 // forces its record inside this call — and, deciding alone,
-                // installs before it replies.
+                // installs before it replies. What rides there goes ahead
+                // of the delegation, so the install of an earlier commit
+                // rides this one's vote force.
                 kernel.events.push(Event::DelegateSent { tid, to: site });
-                let forget = mgr.forgets.lock().remove(&site).unwrap_or_default();
-                let delegate = TxnMsg::Delegate {
-                    tid,
-                    files,
-                    forget: forget.clone(),
-                };
-                let outcome = match kernel.rpc(site, Msg::Txn(delegate), acct) {
-                    Ok(Msg::Txn(TxnMsg::PrepareDone { ok: true, .. })) => PrepareOutcome::Committed,
-                    Ok(Msg::Txn(TxnMsg::PrepareDone { ok: false, .. })) => {
+                let riders = mgr.rides.lock().queues.remove(&site).unwrap_or_default();
+                let delegate = TxnMsg::Delegate { tid, files };
+                let outcome = match mgr.ride(site, riders, vec![delegate], acct).0.pop() {
+                    Some(Ok(Msg::Txn(TxnMsg::PrepareDone { ok: true, .. }))) => {
+                        PrepareOutcome::Committed
+                    }
+                    Some(Ok(Msg::Txn(TxnMsg::PrepareDone { ok: false, .. }))) => {
                         PrepareOutcome::AbortedOrForgotten
                     }
-                    Ok(_) | Err(_) => {
-                        // The forgets may not have arrived: they ride the
-                        // next message there instead.
-                        if !forget.is_empty() {
-                            mgr.forgets.lock().entry(site).or_default().extend(forget);
-                        }
-                        PrepareOutcome::Unreachable
-                    }
+                    _ => PrepareOutcome::Unreachable,
                 };
                 Some(Input::DelegateAnswer { tid, site, outcome })
             }
@@ -1222,7 +1392,8 @@ impl Substrate for KernelSubstrate<'_> {
                 None
             }
             Effect::Forget { tid, site } => {
-                mgr.forgets.lock().entry(site).or_default().push(tid);
+                let mut rides = mgr.rides.lock();
+                rides.queues.entry(site).or_default().forget.push(tid);
                 None
             }
             Effect::NoteCommitPoint { tid } => {
@@ -1418,6 +1589,18 @@ impl Substrate for KernelSubstrate<'_> {
 impl TxnService for TxnManager {
     fn handle_txn(&self, from: SiteId, req: TxnMsg, acct: &mut Account) -> Msg {
         TxnManager::handle_txn(self, from, req, acct)
+    }
+
+    /// Only a delegate's yes among peers that has heard no outcome is
+    /// settled here: its peers are asked, as by a delegate in doubt.
+    fn wanted(&self, tid: TransId, acct: &mut Account) -> bool {
+        let voted = || self.coord.lock().sm.status_of(tid) == Some(TxnStatus::Voted);
+        if !voted() {
+            return false;
+        }
+        self.substrate(Machine::Coordinator, acct)
+            .drive(Input::Wanted { tid });
+        !voted()
     }
 }
 

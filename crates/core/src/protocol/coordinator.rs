@@ -16,10 +16,12 @@
 //! record is born `Committed`: it installs and answers the outcome. With
 //! peers the record is born `Voted` — "yes, among these listed peers" —
 //! and the answer is that yes; the requester's phase two
-//! follows the last one. The yes votes are the decision, as in Paxos Commit
-//! with no coordinator log: all of them durable is commit, and a site with
-//! no record has not voted and never will. So a delegate in doubt asks its
-//! peers rather than presume abort. Its record outlives phase two until the
+//! follows the last one, riding its next message to each delegate. The
+//! yes votes are the decision, as in Paxos Commit with no coordinator log:
+//! all of them durable is commit, and a site with no record has not voted
+//! and never will. So a delegate in doubt asks its peers rather than
+//! presume abort — and so does one whose locks a request needs before that
+//! phase two arrives ([`Input::Wanted`]). Its record outlives phase two until the
 //! requester, which may have lost an answer and have to ask again, says it
 //! may forget — which it says only once every delegate has acked its
 //! install, and a delegate acks only once the install and its note of the
@@ -187,6 +189,14 @@ impl CoordinatorSm {
     /// record notes the outcome before the participant machine acts on it.
     pub fn holds_vote(&self, tid: TransId) -> bool {
         self.txns.get(&tid).is_some_and(CoordTxn::among_peers)
+    }
+
+    /// Whether this site requested `tid` and holds none of its files: its
+    /// storage sites decide it.
+    pub fn requests(&self, tid: TransId) -> bool {
+        self.txns
+            .get(&tid)
+            .is_some_and(|t| t.role == Role::Requester)
     }
 
     /// The journal-mirrored status for `tid`, if coordinated here.
@@ -840,6 +850,22 @@ impl ProtocolSm for CoordinatorSm {
                     }
                     Some((CoordPhase::Voted, ..)) => self.ask_peers(*tid, &mut effects),
                     _ => {}
+                }
+            }
+
+            Input::Wanted { tid } => {
+                // Only a yes still waiting for its outcome: one being asked
+                // about already has its answers coming.
+                let Some(t) = self.txns.get_mut(tid) else {
+                    return effects;
+                };
+                if t.phase != CoordPhase::Voted {
+                    return effects;
+                }
+                if self.faults.wanted_presumes_commit {
+                    Self::learned(t, site, *tid, true, &mut effects);
+                } else {
+                    self.ask_peers(*tid, &mut effects);
                 }
             }
 

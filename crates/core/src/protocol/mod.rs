@@ -131,6 +131,11 @@ pub enum Input {
     Forget { from: SiteId, tids: Vec<TransId> },
     /// Delegate: result of [`Effect::FinishHere`].
     FinishedHere { tid: TransId, ok: bool },
+    /// Delegate among peers: a request here would wait on, or be refused
+    /// by, a lock `tid` holds while this site's yes is durable and no
+    /// outcome has reached it — the requester's commit rides its next
+    /// message here. The peers are asked now, as by a delegate in doubt.
+    Wanted { tid: TransId },
 
     // ----- participant ---------------------------------------------------
     /// A `Prepare` arrived. `epoch` is the earliest boot epoch at which the

@@ -46,6 +46,13 @@ pub struct ParticipantFaults {
     ///
     /// [`CoordinatorSm`]: super::CoordinatorSm
     pub skip_peer_inquiry: bool,
+    /// A delegate deciding among peers that is asked for a lock its
+    /// transaction holds ([`Input::Wanted`]) commits on its own yes instead
+    /// of asking its peers, though one of them may never have voted. Read
+    /// by [`CoordinatorSm`].
+    ///
+    /// [`CoordinatorSm`]: super::CoordinatorSm
+    pub wanted_presumes_commit: bool,
 }
 
 /// Progress of one in-flight prepare round.

@@ -1095,10 +1095,11 @@ impl Volume {
         Ok(())
     }
 
-    /// Reads a coordinator log record (recovery inquiry). One read charged,
-    /// as for the old per-record stable fetch.
+    /// Looks a coordinator log record up (a status inquiry) in the
+    /// journal's in-core view: a buffer hit, as for
+    /// [`Volume::prepare_log_get`].
     pub fn coord_log_get(&self, tid: TransId, acct: &mut Account) -> Option<CoordLogRecord> {
-        self.disk.charge_io(acct, IoKind::Read);
+        acct.cpu_instrs(&self.model, self.model.buffer_hit_instrs);
         if self.disk.tripped() {
             return None;
         }
@@ -1142,13 +1143,15 @@ impl Volume {
         Ok(())
     }
 
+    /// Looks a prepare record up in the journal's in-core view: a buffer
+    /// hit, not a disk read (the scan at reboot is what reads the records).
     pub fn prepare_log_get(
         &self,
         tid: TransId,
         fid: Fid,
         acct: &mut Account,
     ) -> Option<PrepareLogRecord> {
-        self.disk.charge_io(acct, IoKind::Read);
+        acct.cpu_instrs(&self.model, self.model.buffer_hit_instrs);
         if self.disk.tripped() {
             return None;
         }

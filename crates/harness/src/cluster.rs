@@ -101,12 +101,16 @@ impl Cluster {
     }
 
     /// Runs every site's asynchronous phase-two dæmon until all queues are
-    /// empty or stop making progress. Returns the number of transactions
-    /// that completed.
+    /// empty or stop making progress. Returns how many items moved on: the
+    /// transactions that completed, and the riding commits that began their
+    /// waiting turn ([`locus_core::TxnManager::run_async_work`]).
     ///
-    /// A pass that completes nothing is run once more before the queues
-    /// count as stuck: a commit answered "not yet landed" completes on its
-    /// resend, which forces the frames.
+    /// A pass that moves nothing is run once more before the queues count
+    /// as stuck: a commit answered "not yet landed" completes on its
+    /// resend, which forces the frames. A pass in which riding commits
+    /// begin their waiting turn counts as progress, since the next one
+    /// sends them: with no transaction behind it, a commit to delegates
+    /// among peers takes four passes — wait, go alone, wait, resend.
     pub fn drain_async(&self) -> usize {
         let mut total = 0;
         let mut idle = 0;
@@ -288,6 +292,42 @@ mod tests {
             transport.upgrade().is_none(),
             "the transport outlived its cluster"
         );
+    }
+
+    #[test]
+    fn draining_after_an_idle_requester_empties_every_queue() {
+        // `commit_dist`'s shape: site 0 writes a file at each of sites 1
+        // and 2 and holds none, so the two decide by their votes and the
+        // requester's commits ride the next message to each. None comes.
+        let c = Cluster::new(3);
+        for i in [1, 2] {
+            let mut a = c.account(i);
+            let p = c.site(i).kernel.spawn();
+            let ch = c
+                .site(i)
+                .kernel
+                .creat(p, &format!("/f{i}"), &mut a)
+                .unwrap();
+            c.site(i).kernel.close(p, ch, &mut a).unwrap();
+        }
+        let (s0, mut a) = (c.site(0), c.account(0));
+        let pid = s0.kernel.spawn();
+        let tid = s0.txn.begin_trans(pid, &mut a).unwrap();
+        for i in [1, 2] {
+            let ch = s0
+                .kernel
+                .open(pid, &format!("/f{i}"), true, &mut a)
+                .unwrap();
+            s0.kernel.write(pid, ch, b"idle", &mut a).unwrap();
+        }
+        s0.txn.end_trans(pid, &mut a).unwrap();
+        assert_eq!(s0.txn.pending_async(), 1);
+        assert!(c.drain_async() > 0);
+        for s in &c.sites {
+            assert_eq!(s.txn.pending_async(), 0, "site {}", s.id());
+            let owner = locus_types::Owner::Trans(tid);
+            assert!(!s.kernel.locks.owner_has_locks(owner), "site {}", s.id());
+        }
     }
 
     #[test]

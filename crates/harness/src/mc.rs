@@ -35,8 +35,11 @@
 //! its acked writes were lost (the transaction's processes re-established
 //! state — the historical trigger for both the refusal-set and boot-epoch
 //! defenses). A delegation may be dropped or duplicated like a prepare, and
-//! its answer dropped on the way back. Each fault class has its own budget
-//! so the scope stays finite.
+//! its answer dropped on the way back. In a remote-only scope a delegate
+//! may also be asked for a lock its transaction holds while its yes waits
+//! for the outcome (`Input::Wanted`: the hook a storage site runs before a
+//! request waits on such a lock), whenever that yes is logged. Each fault
+//! class has its own budget so the scope stays finite.
 //!
 //! **Invariants** (checked on every transition):
 //!
@@ -231,6 +234,10 @@ struct World {
     drops_left: u8,
     dups_left: u8,
     rollbacks_left: u8,
+    /// Per site, whether it may still be asked for a lock a transaction
+    /// with a yes among peers holds there ([`Input::Wanted`]): once per
+    /// delegate of a remote-only scope.
+    wanted_left: Vec<bool>,
 }
 
 fn fid_at(site: u32) -> Fid {
@@ -283,6 +290,7 @@ impl World {
             drops_left: cfg.drops,
             dups_left: cfg.dups,
             rollbacks_left: cfg.rollbacks,
+            wanted_left: (0..cfg.sites).map(|s| cfg.remote_only && s > 0).collect(),
         }
     }
 
@@ -1138,6 +1146,28 @@ fn successors(
                 ),
                 r,
             ));
+        }
+    }
+
+    // A request at a delegate needs a lock a transaction holds there while
+    // its yes among peers waits for the outcome: the delegate asks its
+    // peers rather than wait for the requester's commit to ride in.
+    for s in 0..w.parts.len() {
+        if !w.wanted_left[s] || !w.parts[s].up {
+            continue;
+        }
+        for k in 0..w.txns_started {
+            let tid = tid_for(k);
+            if w.coords[s].status_of(tid) != Some(TxnStatus::Voted) {
+                continue;
+            }
+            let mut n = w.clone();
+            n.wanted_left[s] = false;
+            match n.run(Machine::Coord(s), Input::Wanted { tid }, seen) {
+                // Already asking: nothing changed, so no transition.
+                Ok(r) if !r.acted => {}
+                r => out.push((format!("wanted {tid} at site{s}"), r.map(|_| n))),
+            }
         }
     }
 

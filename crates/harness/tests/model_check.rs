@@ -101,8 +101,11 @@ fn both_remote_only_scopes_are_exhausted_without_violations() {
     // Over two sites the one participant is not the requester, so it
     // decides; over three the requester holds no file and its two remote
     // storage sites decide by their votes (`commit_dist`'s shape), asking
-    // each other when in doubt. Both scopes deliver the requester's forgets.
-    for (sites, pinned, own) in [(2, 572, "Forget"), (3, 22355, "NoteCommitPoint")] {
+    // each other when in doubt — or when a request needs a lock their
+    // transaction holds (`wanted`, which only a yes among peers answers, so
+    // it adds states to the second scope alone). Both scopes deliver the
+    // requester's forgets.
+    for (sites, pinned, own) in [(2, 572, "Forget"), (3, 48381, "NoteCommitPoint")] {
         let mut cfg = McConfig::new(sites, 1);
         cfg.remote_only = true;
         let report = check(&cfg);
@@ -149,24 +152,37 @@ fn peers_scope_with(faults: impl FnOnce(&mut McConfig)) -> (String, Vec<String>)
 #[test]
 fn forgetting_before_every_install_yields_a_counterexample() {
     let (invariant, trace) = peers_scope_with(|c| c.faults.forget_before_all_installed = true);
-    // Site 2 recovers its yes, hears site 1's, commits and forgets at once;
-    // the duplicated delegation then finds no record, votes no, and drops
-    // the fence while site 1 still holds its prepare log.
+    // Both yes votes are durable. Site 1, wanted, hears site 2's, commits
+    // and forgets at once; site 2, wanted, then finds no record at site 1,
+    // and a site with no record aborts.
     assert!(
-        invariant.starts_with("fence-holds-through-phase-two"),
+        invariant.starts_with("commit-abort-exclusion"),
         "{invariant}: {trace:?}"
     );
-    assert_eq!(trace.len(), 6, "{trace:?}");
+    assert_eq!(trace.len(), 5, "{trace:?}");
 }
 
 #[test]
 fn presuming_abort_in_doubt_yields_a_counterexample() {
     let (invariant, trace) = peers_scope_with(|c| c.faults.skip_peer_inquiry = true);
     // Both yes votes are durable — the commit point — and a delegate that
-    // reboots presumes abort instead of asking its peer.
+    // is wanted presumes abort instead of asking its peer.
     assert!(
         invariant.starts_with("commit-abort-exclusion"),
         "{invariant}: {trace:?}"
     );
-    assert_eq!(trace.len(), 5, "{trace:?}");
+    assert_eq!(trace.len(), 4, "{trace:?}");
+}
+
+#[test]
+fn a_wanted_delegate_that_presumes_commit_yields_a_counterexample() {
+    let (invariant, trace) = peers_scope_with(|c| c.faults.wanted_presumes_commit = true);
+    // Site 1's yes is the only one; wanted, it commits on it alone, and
+    // site 2 loses the writes it never voted on.
+    assert!(
+        invariant.starts_with("no-lost-committed-writes"),
+        "{invariant}: {trace:?}"
+    );
+    assert_eq!(trace.len(), 4, "{trace:?}");
+    assert!(trace[2].starts_with("wanted"), "{trace:?}");
 }

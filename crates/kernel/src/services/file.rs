@@ -66,7 +66,7 @@ impl ServiceHandler for FileService {
                 if lock {
                     k.serve_implicit_lock(from, fid, pid, owner, range, false, acct)?;
                 }
-                k.locks.validate_access(fid, owner, range, false)?;
+                k.check_access(fid, owner, range, false, acct)?;
                 let vol = k.volume(fid.volume)?;
                 // A reader that holds nothing is shipped every page.
                 let (committed_len, pages) = vol.read_grant(fid, owner, range, &[], acct)?;
@@ -96,7 +96,7 @@ impl ServiceHandler for FileService {
                 if lock {
                     k.serve_implicit_lock(from, fid, pid, owner, range, true, acct)?;
                 }
-                k.locks.validate_access(fid, owner, range, true)?;
+                k.check_access(fid, owner, range, true, acct)?;
                 let vol = k.volume(fid.volume)?;
                 let new_len = vol.write(fid, owner, range, &data, acct)?;
                 k.locks.set_eof(fid, new_len);
@@ -385,7 +385,7 @@ impl Kernel {
             // Local fast path: exactly what the ReadReq handler would do,
             // minus the message.
             self.counters.local_fast_paths();
-            self.locks.validate_access(of.fid, owner, range, false)?;
+            self.check_access(of.fid, owner, range, false, acct)?;
             let vol = self.volume(of.fid.volume)?;
             let data = vol.read(of.fid, range, acct)?;
             self.procs.with_mut(pid, |rec| {
@@ -623,7 +623,7 @@ impl Kernel {
         let write_epoch = if serve == self.site {
             // Local fast path: the WriteReq handler's work, sans message.
             self.counters.local_fast_paths();
-            self.locks.validate_access(of.fid, owner, range, true)?;
+            self.check_access(of.fid, owner, range, true, acct)?;
             let vol = self.volume(of.fid.volume)?;
             let new_len = vol.write(of.fid, owner, range, data, acct)?;
             self.locks.set_eof(of.fid, new_len);

@@ -447,7 +447,15 @@ impl Kernel {
         let is_txn_lock = owner.is_transaction();
         let is_unlock = req.mode == LockRequestMode::Unlock;
         let asked = req.range;
-        match self.locks.request(fid, req, acct) {
+        let mut outcome = self.locks.request(fid, req.clone(), acct);
+        if matches!(outcome, LockOutcome::Queued | LockOutcome::Denied { .. })
+            && self.settle_holders(fid, acct)
+        {
+            // A queued request was granted by the release: this is its
+            // reacquisition.
+            outcome = self.locks.request(fid, req, acct);
+        }
+        match outcome {
             LockOutcome::Granted { range } => {
                 if is_txn_lock && !is_unlock {
                     // Rule 2: a transaction locking modified-but-uncommitted
@@ -497,6 +505,41 @@ impl Kernel {
                 "append-mode range {}+{} past end-of-file overflows the file address space",
                 asked.start, asked.len
             ))),
+        }
+    }
+
+    /// Before a request on `fid` waits or is refused: settles what this
+    /// site can of the transactions holding its locks
+    /// ([`TxnService::wanted`](crate::TxnService::wanted)) — a delegate's
+    /// yes among peers whose commit has yet to ride here. Returns whether
+    /// any was settled, so the caller asks again.
+    pub(crate) fn settle_holders(&self, fid: Fid, acct: &mut Account) -> bool {
+        let Ok(txn) = self.txn_service_ref() else {
+            return false;
+        };
+        let mut settled = false;
+        for tid in self.locks.transactions_on(fid) {
+            settled |= txn.wanted(tid, acct);
+        }
+        settled
+    }
+
+    /// The storage site's enforced-lock check on an access (Figure 1),
+    /// asked again once the holders it refuses are settled
+    /// ([`Kernel::settle_holders`]).
+    pub(crate) fn check_access(
+        &self,
+        fid: Fid,
+        owner: Owner,
+        range: ByteRange,
+        write: bool,
+        acct: &mut Account,
+    ) -> Result<()> {
+        match self.locks.validate_access(fid, owner, range, write) {
+            Err(Error::AccessDenied { .. }) if self.settle_holders(fid, acct) => {
+                self.locks.validate_access(fid, owner, range, write)
+            }
+            res => res,
         }
     }
 

@@ -5,13 +5,13 @@
 //! request is charged the paper's ~750 instructions (Section 6.2) through the
 //! cost model.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use locus_sim::{Account, CostModel, Counters, Event, EventLog, SpanPhase, VirtSpan};
-use locus_types::{ByteRange, Error, Fid, LockDescriptor, Owner, Pid, Result};
+use locus_types::{ByteRange, Error, Fid, LockDescriptor, Owner, Pid, Result, TransId};
 
 use crate::lock_list::{FileLocks, LockOutcome, LockRequest};
 
@@ -243,6 +243,24 @@ impl LockManager {
             .get(&fid)
             .map(|fl| fl.descriptors())
             .unwrap_or_default()
+    }
+
+    /// The transactions holding granted locks on `fid`, each once, in
+    /// order.
+    pub fn transactions_on(&self, fid: Fid) -> Vec<TransId> {
+        let files = self.files.lock();
+        let Some(fl) = files.get(&fid) else {
+            return Vec::new();
+        };
+        let tids: BTreeSet<TransId> = fl
+            .entries
+            .iter()
+            .filter_map(|e| match e.owner() {
+                Owner::Trans(tid) => Some(tid),
+                Owner::Proc(_) => None,
+            })
+            .collect();
+        tids.into_iter().collect()
     }
 
     /// Whether any lock list mentions `owner`.

@@ -186,16 +186,15 @@ pub enum TxnMsg {
     /// with the other sites `files` names. Answered by a `PrepareDone`
     /// whose `ok` is the outcome from a site that decides alone and the
     /// site's durable vote from one of several. `files` is the whole file
-    /// list, with the epochs [`TxnMsg::Prepare`] carries per site; `forget`
-    /// names earlier delegated transactions of the sender whose outcome it
-    /// has learned, so their records may go.
+    /// list, with the epochs [`TxnMsg::Prepare`] carries per site.
     Delegate {
         tid: TransId,
         files: Vec<FileListEntry>,
-        forget: Vec<TransId>,
     },
-    /// Requester → delegate, as a member of a phase-two batch that goes
-    /// there anyway: [`TxnMsg::Delegate`]'s `forget`, with no delegation.
+    /// Requester → delegate: earlier delegated transactions of the sender
+    /// whose outcome it has learned, so their records may go. A member of
+    /// a batch that goes there anyway, as the phase-two `Commit` to a
+    /// delegate among peers is.
     Forget { tids: Vec<TransId> },
 }
 

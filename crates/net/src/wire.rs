@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 9): a version byte, then a service tag, then a variant
+//! Layout (version 11): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -34,8 +34,9 @@ use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 /// and both member reports name the member; version 9 gave `Delegate` the
 /// whole file list, with its epochs, in place of one site's fids and epoch;
 /// version 10 added the error `NotLanded`, a phase-two commit installed but
-/// not yet durable.
-pub const WIRE_VERSION: u8 = 10;
+/// not yet durable; version 11 dropped `Delegate`'s `forget`: a `Forget`
+/// rides as a batch member of its own.
+pub const WIRE_VERSION: u8 = 11;
 
 // 2 was CloseReq, 7 and 10 were PrefetchReq / PrefetchResp (all retired) and
 // stay unassigned.
@@ -76,7 +77,7 @@ wire!(enum TxnMsg {
     4 => AbortProc { tid, pid },
     5 => StatusInquiry { tid },
     6 => StatusAnswer { status with packed_status },
-    7 => Delegate { tid, files, forget },
+    7 => Delegate { tid, files },
     8 => Forget { tids },
 });
 
@@ -335,7 +336,6 @@ mod tests {
                     storage_site: SiteId(2),
                     epoch: 5,
                 }],
-                forget: vec![TransId::new(SiteId(3), 40)],
             }),
             Msg::Txn(TxnMsg::Forget { tids: vec![tid()] }),
             Msg::Lock(LockMsg::Req {
@@ -416,8 +416,8 @@ mod tests {
     /// re-recorded at 07 when they lost the fields no receiver read, and
     /// `MemberAdded` and `MemberExited` at 08 when they gained the member and
     /// its file-list, and `Delegate` at 09 when it gained the whole file
-    /// list; `NotLanded` was first recorded at 0a. What is pinned is the
-    /// body after it.
+    /// list, and at 0b when it lost `forget`; `NotLanded` was first
+    /// recorded at 0a. What is pinned is the body after it.
     #[test]
     fn layouts_are_pinned() {
         const GOLDEN: [&str; 57] = [
@@ -461,8 +461,7 @@ mod tests {
             "02030600",
             "02030601",
             "02030603",
-            "090307030000002c0000000000000001000000020000000900000002000000050000000000000001\
-             000000030000002800000000000000",
+            "0b0307030000002c00000000000000010000000200000009000000020000000500000000000000",
             "06030801000000030000002c00000000000000",
             "05010002000000090000000700000001000000000201000000000000000001000000000000000000\
              0100000000",
@@ -498,7 +497,7 @@ mod tests {
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
             assert!(
-                ["02", "03", "05", "06", "07", "08", "09", "0a"].contains(&version),
+                ["02", "03", "05", "06", "07", "08", "09", "0a", "0b"].contains(&version),
                 "the version byte"
             );
             assert_pinned(msg, body);

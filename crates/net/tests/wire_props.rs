@@ -206,11 +206,7 @@ fn txn_msg() -> BoxedStrategy<TxnMsg> {
         (tid(), pid()).prop_map(|(tid, pid)| TxnMsg::AbortProc { tid, pid }),
         tid().prop_map(|tid| TxnMsg::StatusInquiry { tid }),
         status.prop_map(|status| TxnMsg::StatusAnswer { status }),
-        (tid(), entries(), vec(tid(), 0..4)).prop_map(|(tid, files, forget)| TxnMsg::Delegate {
-            tid,
-            files,
-            forget
-        }),
+        (tid(), entries()).prop_map(|(tid, files)| TxnMsg::Delegate { tid, files }),
         vec(tid(), 0..4).prop_map(|tids| TxnMsg::Forget { tids }),
     ]
     .boxed()

@@ -93,21 +93,28 @@ fn commit_sends_one_message_per_site_per_phase() {
         );
     }
 
-    // Phase two: one Commit message per participant site. Each site
-    // installs and answers that its install has not landed yet; with no
-    // transaction behind this one to carry it, the resend — again one
-    // message per site — forces it and is acked.
-    for (pass, done) in [(1, 0), (2, 1)] {
+    // Phase two: one Commit per participant site, riding the next message
+    // there. With no transaction behind this one, each goes on its own once
+    // it has waited a pass (the two riders beginning their wait are that
+    // pass's progress). Each site installs and answers that its install has
+    // not landed yet; the resend, again after a waiting pass and again one
+    // message per site, forces it and is acked.
+    for (pass, moved, sent) in [(1, 2, 0), (2, 0, 1), (3, 2, 0), (4, 1, 1usize)] {
         c.events.clear();
         let before = c.counters();
-        assert_eq!(c.site(0).txn.run_async_work(&mut acct), done, "pass {pass}");
+        assert_eq!(
+            c.site(0).txn.run_async_work(&mut acct),
+            moved,
+            "pass {pass}"
+        );
         let after = c.counters();
-        assert_eq!(after.messages_sent - before.messages_sent, 2, "pass {pass}");
+        let messages = after.messages_sent - before.messages_sent;
+        assert_eq!(messages, 2 * sent as u64, "pass {pass}");
         for site in [SiteId(1), SiteId(2)] {
             let commits = c
                 .events
                 .count(|e| matches!(e, Event::Rpc { to, kind: "Commit", .. } if *to == site));
-            assert_eq!(commits, 1, "site {site} must receive exactly one commit");
+            assert_eq!(commits, sent, "site {site}, pass {pass}");
         }
     }
     assert_eq!(c.site(0).txn.pending_async(), 0);

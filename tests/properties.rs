@@ -180,8 +180,11 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
             files: vec![fid, Fid::new(VolumeId(0), 1)],
             epoch: 5,
         }),
-        // A delegation naming a peer's file too, whose forget list names
-        // two earlier transactions.
+        // Two earlier transactions' forgets, riding ahead of a delegation
+        // that names a peer's file too.
+        Msg::Txn(TxnMsg::Forget {
+            tids: vec![TransId::new(SiteId(2), 15), TransId::new(SiteId(2), 16)],
+        }),
         Msg::Txn(TxnMsg::Delegate {
             tid,
             files: vec![
@@ -192,7 +195,6 @@ fn decoders() -> Vec<(&'static str, Vec<u8>, Decoder)> {
                     epoch: 0,
                 },
             ],
-            forget: vec![TransId::new(SiteId(2), 15), TransId::new(SiteId(2), 16)],
         }),
         Msg::Proc(ProcMsg::MemberExited {
             top: pid,

@@ -38,7 +38,7 @@ use locus_disk::{CrashPointMode, MutationKind};
 use locus_kernel::LockOpts;
 use locus_net::{FaultDecision, FaultInjector, Msg};
 use locus_sim::{DetRng, SpanRegistrySnapshot};
-use locus_types::{LockRequestMode, SiteId, TransId, TxnStatus};
+use locus_types::{ByteRange, LockRequestMode, SiteId, TransId, TxnStatus};
 
 use crate::cluster::Cluster;
 use crate::script::{Driver, Op, OpResult, RunOutcome};
@@ -1031,21 +1031,25 @@ fn check_durable_state(
         }
     }
 
+    let window = ByteRange::new(0, cfg.records_per_file * 8);
     for f in 0..cfg.sites {
-        let k = &c.site(f).kernel;
-        let mut a = c.account(f);
-        let probe = k.spawn();
-        let data = k
-            .open(probe, &format!("/chaos{f}"), false, &mut a)
-            .and_then(|ch| k.read(probe, ch, cfg.records_per_file * 8, &mut a));
-        let _ = k.exit(probe, &mut a);
-        let data = match data {
-            Ok(d) => d,
-            Err(e) => {
-                notes.push(format!("state probe of /chaos{f} failed: {e}"));
-                continue;
-            }
+        // The durable image at the file's current primary, read off the
+        // platters as `check_replica_convergence` reads it: no lock to be
+        // refused, no event, no charge.
+        let name = format!("/chaos{f}");
+        let peeked = c.catalog.resolve(&name).ok().and_then(|loc| {
+            c.site(loc.primary.0 as usize)
+                .kernel
+                .volume(loc.fid.volume)
+                .ok()
+                .and_then(|v| v.durable_peek(loc.fid, window))
+        });
+        let Some(mut data) = peeked else {
+            notes.push(format!("state probe of {name} found no durable inode"));
+            continue;
         };
+        // Records past the durable length were never written.
+        data.resize(window.len as usize, 0);
         for r in 0..cfg.records_per_file {
             let bytes = &data[(r * 8) as usize..((r + 1) * 8) as usize];
             let v = u64::from_le_bytes(bytes.try_into().expect("8-byte record"));

@@ -80,6 +80,15 @@ impl PageBuf {
             self.current.resize(end, 0);
         }
         self.current[start..end].copy_from_slice(data);
+        // The bytes are this owner's now: another owner that wrote them
+        // before — outside any lock it still holds — neither commits nor
+        // rolls back what it no longer wrote.
+        self.writers.retain(|o, ranges| {
+            if *o != owner && ranges.iter().any(|r| r.intersection(&at).is_some()) {
+                *ranges = ranges.iter().flat_map(|r| r.subtract(&at)).collect();
+            }
+            !ranges.is_empty()
+        });
         let ranges = self.writers.entry(owner).or_default();
         ranges.push(at);
         *ranges = range::coalesce(std::mem::take(ranges));
@@ -219,6 +228,17 @@ mod tests {
 
     fn page() -> PageBuf {
         PageBuf::clean(vec![0u8; 64])
+    }
+
+    #[test]
+    fn an_overwritten_writers_abort_keeps_the_later_write() {
+        let mut p = page();
+        p.write(txn_owner(1), ByteRange::new(0, 8), b"AAAAAAAA");
+        p.write(txn_owner(2), ByteRange::new(4, 4), b"BBBB");
+        assert_eq!(p.abort(txn_owner(1)), (true, 4));
+        assert_eq!(&p.current[0..8], b"\0\0\0\0BBBB");
+        let (img, _, _) = p.commit_image(txn_owner(2)).unwrap();
+        assert_eq!(&img[4..8], b"BBBB");
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Chaos-harness regression scenarios and determinism guarantees.
 //!
-//! The three named scenarios are minimized schedules of real violations the
-//! chaos sweep found (and the protocol fixes they drove); each replays the
-//! exact failing schedule under the seed that produced it and asserts the
-//! oracles stay quiet. The four `#[ignore]`d scenarios (`replicated_seed_*`,
-//! `seed_1206_*`, `seed_1900_*`) are minimized schedules of violations that
-//! are still open.
+//! The named scenarios are minimized schedules of real violations the chaos
+//! sweep found (and the fixes they drove); each replays the exact failing
+//! schedule under the seed that produced it and asserts the oracles stay
+//! quiet.
 
 use proptest::prelude::*;
 
@@ -156,42 +154,37 @@ fn run_text_replicated(seed: u64, schedule: &str) -> locus_harness::chaos::Chaos
     run_text_with(cfg, schedule)
 }
 
-/// OPEN (ROADMAP correctness backlog, "Replicated chaos seeds 28 and 97"):
 /// `locus-chaos --seeds 1..300 --replicas 2` seed 28, minimized to one
-/// fault. A replica site crashes and is never rebooted by the schedule; after
-/// the quiesce epilogue `/chaos2`'s copy at site 1 still lacks bytes the
-/// primary (site 0) committed — REPLICA-DIVERGENCE at offset 8. Present
-/// before the single-force commit (PR 15 found it while sizing, on the
-/// parent commit too); CI's replicated shard covers seeds 1..8 only.
+/// fault. A replica site crashes and is never rebooted by the schedule;
+/// after the quiesce epilogue `/chaos2`'s copy at site 1 lacked bytes the
+/// primary (site 0) committed — REPLICA-DIVERGENCE at offset 8. Closed with
+/// seeds 97 and 1206 by making the bytes a page buffer holds for an owner
+/// the ones it wrote last: a rollback reverted bytes a later writer owned.
 #[test]
-#[ignore = "known replica divergence, predates PR 15; acceptance test for the backlog entry"]
 fn replicated_seed_28_replica_crash_leaves_a_copy_behind() {
     let report = run_text_replicated(28, "step 17 crash site=2\n");
     assert!(report.ok(), "replicated seed 28: {:?}", report.violations);
 }
 
-/// OPEN (same backlog entry): seed 97 under `--replicas 2`, minimized to a
-/// migration followed by a crash of site 1. Two oracles fire:
-/// REPLICA-DIVERGENCE (`/chaos0` at site 2 vs primary site 0, offset 24) and
-/// DURABILITY (file 0 record 3: the acked value `0x10001` is gone). Present
-/// on the parent commit as well.
+/// Seed 97 under `--replicas 2`, minimized to a migration followed by a
+/// crash of site 1. Two oracles fired: REPLICA-DIVERGENCE (`/chaos0` at
+/// site 2 vs primary site 0, offset 24) and DURABILITY (file 0 record 3: the
+/// acked value `0x10001` was gone). The migrated process's transaction,
+/// rolled back at site 0 when site 1 died, wrote record 3 again; a second
+/// transaction then wrote it, and the first one's second rollback reverted
+/// the page buffer's record 3 under it, before it prepared.
 #[test]
-#[ignore = "known acked-write loss under replication, predates PR 15; acceptance test for the backlog entry"]
 fn replicated_seed_97_migrate_then_crash_loses_an_acked_write() {
     let report = run_text_replicated(97, "step 13 migrate slot=4 to=0\nstep 43 crash site=1\n");
     assert!(report.ok(), "replicated seed 97: {:?}", report.violations);
 }
 
-/// OPEN (ROADMAP correctness backlog, "A migration and a healed partition:
-/// chaos seeds 1206 and 1900"): `locus-chaos --seeds 1..2000` seed 1206,
-/// outside CI's 1..16 and the 1..300 sweeps. A process migrates, site 0 is
-/// partitioned away and healed, and one reply is dropped; after the
-/// recovery epilogue file 0 record 2 reads 0 — DURABILITY, the acked
-/// committed write `0x30001` is gone. Present on PR 19's parent with the same
-/// minimized schedule (found while sizing the one-wave commit, untouched by
-/// it).
+/// `locus-chaos --seeds 1..2000` seed 1206, outside CI's 1..16 and the
+/// 1..300 sweeps. A process migrates, site 0 is partitioned away and
+/// healed, and one reply is dropped; after the recovery epilogue file 0
+/// record 2 read 0 — DURABILITY, the acked committed write `0x30001` was
+/// gone. Closed by the page-buffer ownership fix of seed 97.
 #[test]
-#[ignore = "known acked-write loss, predates PR 19; acceptance test for the backlog entry"]
 fn seed_1206_migrate_then_partition_loses_an_acked_write() {
     let report = run_text(
         1206,
@@ -201,18 +194,14 @@ fn seed_1206_migrate_then_partition_loses_an_acked_write() {
     assert!(report.ok(), "seed 1206: {:?}", report.violations);
 }
 
-/// OPEN (same backlog entry): seed 1900, minimized to a partition of sites 0
-/// and 2, its heal, and a migration. SERIALIZABILITY on file 2 record 4: a
-/// stale write of committed slot 2 survives out of order. Present on PR 19's
-/// parent with the same minimized schedule. Since a transaction whose files
+/// Seed 1900, minimized to a partition of sites 0 and 2, its heal, and a
+/// migration. SERIALIZABILITY on file 2 record 4: a stale write of
+/// committed slot 2 survived out of order. Since a transaction whose files
 /// all live at one other site hands that site the decision, this schedule
-/// no longer reaches the fault: three of the seed's transactions, the one
-/// at trace line 50 first, are delegated to site 2 and never prepare there
-/// from afar. Nothing fixed the partition-and-migration bug itself (seed
-/// 1206 still loses an acked write), so the test stays ignored until the
-/// fix that closes the backlog entry.
+/// no longer reaches its old shape; the stale write is the kind a rollback
+/// reverting a later writer's bytes leaves, which the page-buffer fix of
+/// seed 97 closed. Kept as a guard.
 #[test]
-#[ignore = "the schedule no longer reaches the open partition-and-migration bug; kept with the backlog entry"]
 fn seed_1900_partition_then_migrate_keeps_a_stale_write() {
     let report = run_text(
         1900,

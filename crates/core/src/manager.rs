@@ -423,15 +423,8 @@ impl TxnManager {
             // One network message per site; a lost one acknowledges none.
             let (acks, rode) = self.ride(site, riders, msgs, branch);
             completed += rode;
-            let mut sub = self.substrate(Machine::Coordinator, branch);
             for (i, ack) in idxs.into_iter().zip(acks) {
-                let ok = ack.is_ok();
-                sub.drive(Input::Phase2Ack {
-                    tid: work[i].tid,
-                    site,
-                    ok,
-                });
-                if !ok {
+                if ack.is_err() {
                     failed[i].push(site);
                 }
             }
@@ -492,10 +485,27 @@ impl TxnManager {
     fn ride(
         &self,
         site: SiteId,
-        riders: Riders,
+        mut riders: Riders,
         msgs: Vec<TxnMsg>,
         acct: &mut Account,
     ) -> (Vec<Result<Msg>>, usize) {
+        // A forget leaves only once this site's own frames of the
+        // transaction have landed, on journals still taking frames: where it
+        // voted too, its note of the commit is what its recovery reads
+        // instead of asking the peers the forget releases, and a note a
+        // dead disk refused never lands.
+        let may_forget = |tid: &TransId| {
+            let vols = self.kernel.mounted_volumes();
+            vols.iter().all(|v| v.landed(*tid) && !v.disk().tripped())
+        };
+        let (landed, held): (Vec<TransId>, Vec<TransId>) = std::mem::take(&mut riders.forget)
+            .into_iter()
+            .partition(may_forget);
+        riders.forget = landed;
+        if !held.is_empty() {
+            let mut rides = self.rides.lock();
+            rides.queues.entry(site).or_default().forget.extend(held);
+        }
         let mut batch: Vec<Msg> = Vec::new();
         for r in &riders.commits {
             self.kernel.events.push(Event::CommitSent {
@@ -541,7 +551,6 @@ impl TxnManager {
         if commits.is_empty() && forgot {
             return 0;
         }
-        let mut acked = Vec::new();
         let mut done = Vec::new();
         {
             let mut rides = self.rides.lock();
@@ -549,7 +558,6 @@ impl TxnManager {
             for (mut rider, answer) in riders.commits.into_iter().zip(commits) {
                 match answer {
                     Ok(_) => {
-                        acked.push(rider.tid);
                         let unacked = rides.unacked.entry(rider.tid).or_insert(1);
                         *unacked -= 1;
                         if *unacked == 0 {
@@ -573,13 +581,6 @@ impl TxnManager {
             }
         }
         let mut sub = self.substrate(Machine::Coordinator, acct);
-        for tid in acked {
-            sub.drive(Input::Phase2Ack {
-                tid,
-                site,
-                ok: true,
-            });
-        }
         for &tid in &done {
             sub.drive(Input::Phase2Done { tid, commit: true });
         }
@@ -632,30 +633,15 @@ impl TxnManager {
 
     /// Handles one transaction control-plane request addressed to this site
     /// (the kernel's `Msg::Txn` dispatch target, via [`TxnService`]).
-    pub fn handle_txn(&self, from: SiteId, req: TxnMsg, acct: &mut Account) -> Msg {
-        match self.dispatch(from, req, acct) {
+    pub fn handle_txn(&self, req: TxnMsg, acct: &mut Account) -> Msg {
+        match self.dispatch(req, acct) {
             Ok(m) => m,
             Err(e) => Msg::Err(e),
         }
     }
 
-    fn dispatch(&self, from: SiteId, req: TxnMsg, acct: &mut Account) -> Result<Msg> {
+    fn dispatch(&self, req: TxnMsg, acct: &mut Account) -> Result<Msg> {
         match req {
-            TxnMsg::Prepare {
-                tid,
-                coordinator,
-                files,
-                epoch,
-            } => {
-                let input = Input::PrepareReq {
-                    tid,
-                    coordinator,
-                    files,
-                    epoch,
-                };
-                let ok = self.participate(input, acct).reply;
-                Ok(Msg::Txn(TxnMsg::PrepareDone { tid, ok }))
-            }
             TxnMsg::Commit { tid, files } => {
                 self.phase_two(tid, Input::CommitReq { tid, files }, acct)
             }
@@ -693,10 +679,13 @@ impl TxnManager {
             }
             TxnMsg::Forget { tids } => {
                 self.substrate(Machine::Coordinator, acct)
-                    .drive(Input::Forget { from, tids });
+                    .drive(Input::Forget { tids });
                 Ok(Msg::Ok)
             }
-            other @ (TxnMsg::PrepareDone { .. } | TxnMsg::StatusAnswer { .. }) => Err(
+            // A site prepares only itself: no prepare travels.
+            other @ (TxnMsg::Prepare { .. }
+            | TxnMsg::PrepareDone { .. }
+            | TxnMsg::StatusAnswer { .. }) => Err(
                 Error::ProtocolViolation(format!("transaction manager cannot handle {other:?}")),
             ),
         }
@@ -729,11 +718,16 @@ impl TxnManager {
         let mut sub = self.substrate(machine, acct);
         sub.drive(input);
         let ack = sub.ack()?;
-        if commit && !self.kernel.mounted_volumes().iter().all(|v| v.landed(tid)) {
+        if commit && !self.landed(tid) {
             self.landing.lock().insert(tid);
             return Err(Error::NotLanded(tid));
         }
         Ok(ack)
+    }
+
+    /// Whether every frame this site's journals took for `tid` has landed.
+    fn landed(&self, tid: TransId) -> bool {
+        self.kernel.mounted_volumes().iter().all(|v| v.landed(tid))
     }
 
     /// Forces every journal of this site that holds a frame of `tid` not
@@ -749,19 +743,17 @@ impl TxnManager {
 
     /// Flushes modified records and writes the prepare logs for one prepare
     /// round: intentions list + lock list per file, then one group-commit
-    /// flush per touched volume (N files, one barrier — a yes vote that
-    /// leaves this site must be durable before it is cast, but nothing
-    /// forces a barrier per file).
+    /// flush per touched volume (N files, one barrier — a yes vote must be
+    /// durable before it is cast, but nothing forces a barrier per file).
     ///
-    /// One volume is exempt: the home volume, when the coordinator is this
-    /// site. Its journal is the one that will carry the commit mark, the
-    /// vote is consumed only by the co-located coordinator, and nothing
-    /// irrevocable happens on its strength before the mark. The mark's own
-    /// flush then makes the prepare record durable (it sits ahead of the
-    /// mark in the same log, and a flush lands a whole-frame prefix) and,
-    /// being a write barrier, the shadow blocks the record names. Any other
-    /// volume — a remote coordinator, or a second volume mounted at the
-    /// coordinator's site — keeps its force: the mark is in another log.
+    /// The home volume is exempt: its journal carries this site's record of
+    /// the transaction, the yes itself, forced before the vote leaves this
+    /// site, and nothing irrevocable happens on the vote's strength before
+    /// that. The record's own flush then makes the prepare record durable
+    /// (it sits ahead of the record in the same log, and a flush lands a
+    /// whole-frame prefix) and, being a write barrier, the shadow blocks
+    /// the record names. Any other volume mounted here keeps its force: the
+    /// record is in another log.
     fn stage_prepare(
         &self,
         tid: TransId,
@@ -801,11 +793,10 @@ impl TxnManager {
                 return false;
             }
         }
-        let rides_mark = (coordinator == self.site()).then_some(self.kernel.home_volume);
         let forced: BTreeSet<VolumeId> = files
             .iter()
             .map(|fid| fid.volume)
-            .filter(|v| Some(*v) != rides_mark)
+            .filter(|v| *v != self.kernel.home_volume)
             .collect();
         forced.into_iter().all(|v| {
             self.kernel
@@ -819,9 +810,9 @@ impl TxnManager {
     /// trip per replica site. Each install settles its file's prepare record
     /// in the same journal append and rides that journal's next force
     /// ([`Volume::install_intentions`]). Where this site's home journal holds
-    /// the durable commit — the coordinator's own site, or a delegate alone
-    /// — no message will ask for these installs again, so a journal that
-    /// does not hold it is forced here.
+    /// the durable commit — a site deciding alone — no message will ask for
+    /// these installs again, so a journal that does not hold it is forced
+    /// here.
     fn install_files(&self, tid: TransId, files: &[Fid], acct: &mut Account) -> Result<()> {
         let owner = Owner::Trans(tid);
         let mut staged: BTreeMap<SiteId, Vec<(Fid, Msg)>> = BTreeMap::new();
@@ -1192,39 +1183,27 @@ impl Substrate for KernelSubstrate<'_> {
         let kernel = &mgr.kernel;
         let acct = &mut *self.acct;
         Ok(match effect {
-            Effect::LogStart { tid, files } => {
-                // Step 1: the coordinator log, status = unknown (Figure 5
-                // step 1).
-                let rec = CoordLogRecord {
-                    tid,
-                    files,
-                    status: TxnStatus::Unknown,
-                };
-                let res = kernel.home().and_then(|vol| vol.coord_log_put(&rec, acct));
-                let ok = self.succeeded(res);
-                Some(Input::StartLogged { tid, ok })
-            }
             Effect::SendPrepare {
                 tid,
                 site,
                 files,
                 epoch,
             } => {
-                // Steps 2–3: one prepare message and its vote. `epoch` is
-                // the earliest boot epoch the transaction observed at the
-                // site; the participant refuses if it has rebooted since
-                // (its volatile buffers, possibly holding acked writes of
-                // this transaction, were lost).
+                // Steps 2–3: this site's prepare and its vote, a step of its
+                // own participant machine. `epoch` is the earliest boot
+                // epoch the transaction observed here; the participant
+                // refuses if the site has rebooted since (its volatile
+                // buffers, possibly holding acked writes of this
+                // transaction, were lost).
                 let span = VirtSpan::begin(SpanPhase::Prepare, acct);
                 kernel.events.push(Event::PrepareSent { tid, to: site });
-                let prepare = TxnMsg::Prepare {
+                let prepare = Input::PrepareReq {
                     tid,
-                    coordinator: mgr.site(),
+                    coordinator: site,
                     files,
                     epoch,
                 };
-                let resp = kernel.rpc(site, Msg::Txn(prepare), acct);
-                let ok = matches!(resp, Ok(Msg::Txn(TxnMsg::PrepareDone { ok: true, .. })));
+                let ok = mgr.participate(prepare, acct).reply;
                 kernel.events.push(Event::PrepareAck {
                     tid,
                     from: site,
@@ -1245,37 +1224,20 @@ impl Substrate for KernelSubstrate<'_> {
                 }
                 None
             }
-            Effect::LogStatus {
-                tid,
-                status,
-                critical,
-            } => {
-                // The coordinator log lives on the home volume; a record
-                // recovery scanned off another volume is rewritten there.
-                // Step 4 (commit) is the critical one: the durable mark —
-                // THE commit point (Figure 5 step 4). When it fails the
-                // fence deliberately stays up: a torn flush may have landed
-                // the durable `Committed` frame even as the call errored,
-                // and a failover in that window would promote past the acked
-                // commit. Recovery resolves the mark either way. The other
-                // rewrites are lazy notes, best effort.
+            Effect::LogStatus { tid, status } => {
+                // The record lives on the home volume; one recovery scanned
+                // off another volume is rewritten there. A lazy note, best
+                // effort.
                 let vol = self.scanned.cloned().map_or_else(|| kernel.home(), Ok);
-                let res = vol.and_then(|vol| match critical {
-                    true => vol.coord_log_set_status(tid, status, acct),
-                    false => vol.coord_log_note_status(tid, status, acct),
-                });
-                critical.then(|| Input::StatusLogged {
-                    tid,
-                    ok: self.succeeded(res),
-                })
+                let _ = vol.and_then(|vol| vol.coord_log_note_status(tid, status, acct));
+                None
             }
             Effect::QueuePhase2 {
                 tid,
-                commit,
+                commit: true,
                 participants,
-            } if commit && mgr.coord.lock().sm.requests(tid) => {
-                // A commit the delegates decided among peers: it rides the
-                // next message to each of them.
+            } => {
+                // A commit rides the next message to each storage site.
                 let mut rides = mgr.rides.lock();
                 rides.unacked.insert(tid, participants.len());
                 for (site, files) in participants {
@@ -1293,8 +1255,7 @@ impl Substrate for KernelSubstrate<'_> {
                 commit,
                 participants,
             } => {
-                // Step 5 happens asynchronously (Figure 5's deferred fifth
-                // write).
+                // An abort goes at the phase-two dæmon's next turn.
                 mgr.async_work.lock().push_back(Phase2Work {
                     tid,
                     commit,
@@ -1307,6 +1268,9 @@ impl Substrate for KernelSubstrate<'_> {
                     mgr.finish_process_state(tid, top);
                 }
                 if commit {
+                    // The caller hears the decision: an install here that
+                    // stalled is retried, and fails no `EndTrans`.
+                    self.result = Ok(());
                     kernel.counters.txns_committed();
                 } else {
                     kernel.counters.txns_aborted();
@@ -1321,7 +1285,7 @@ impl Substrate for KernelSubstrate<'_> {
                 None
             }
             Effect::PurgeCoordLog { tid } => {
-                // The coordinator log may be purged (Section 4.4: retained
+                // The record may be purged (Section 4.4: logs are retained
                 // until processing completes).
                 if let Ok(home) = kernel.home() {
                     home.coord_log_delete(tid, acct);
@@ -1401,18 +1365,17 @@ impl Substrate for KernelSubstrate<'_> {
                 None
             }
             Effect::LogRecord { tid, files, status } => {
-                // Born `Committed` the record is the mark, and forced as
-                // one; born `Voted` it is a yes, forced before it is cast.
+                // Born `Committed` the record is the commit point, forced
+                // and announced as one; born `Voted` it is a yes, forced
+                // before it is cast.
                 let rec = CoordLogRecord { tid, files, status };
                 let res = kernel.home().and_then(|vol| {
                     vol.coord_log_put(&rec, acct)?;
-                    match status {
-                        // `coord_log_put` forced it as the mark.
-                        TxnStatus::Committed => Ok(()),
-                        TxnStatus::Voted | TxnStatus::Unknown | TxnStatus::Aborted => {
-                            vol.log_barrier(acct)
-                        }
+                    if status == TxnStatus::Committed {
+                        // `coord_log_put` forced it.
+                        return Ok(());
                     }
+                    vol.log_barrier(acct)
                 });
                 let ok = self.succeeded(res);
                 Some(Input::StatusLogged { tid, ok })
@@ -1447,21 +1410,13 @@ impl Substrate for KernelSubstrate<'_> {
             }
             Effect::CheckKnown { tid, files } => {
                 // Presumed abort: vote no on a transaction this site
-                // knows nothing about — no live coordinator entry, no
-                // locks, no uncommitted modifications, no prepare log.
-                // That is exactly the state after a crash or partition
-                // rolled the transaction back here unilaterally;
-                // answering yes would let the coordinator commit a write
-                // set this site already discarded. A coordinator entry
-                // counts as knowledge so the coordinator's own site can
-                // vote yes on a write-free participation — but only
-                // while the transaction is still undecided: the model
-                // checker found that a duplicated prepare arriving after
-                // the commit point would otherwise pass this check and
-                // re-stage a prepare log for an already-installed
-                // transaction, leaving an orphan behind the fence drop.
+                // knows nothing about — not requesting it, no locks, no
+                // uncommitted modifications, no prepare log. That is
+                // exactly the state after a crash or partition rolled the
+                // transaction back here unilaterally; answering yes would
+                // commit a write set this site already discarded.
                 let owner = Owner::Trans(tid);
-                let known = mgr.coord.lock().sm.coordinates_undecided(tid)
+                let known = mgr.coord.lock().sm.requests_undecided(tid)
                     || kernel.locks.owner_has_locks(owner)
                     || files.iter().any(|fid| {
                         kernel.volume(fid.volume).ok().is_some_and(|vol| {
@@ -1507,32 +1462,40 @@ impl Substrate for KernelSubstrate<'_> {
                 fid,
                 coordinator,
             } => {
-                // The coordinator's log is on *its* home volume, whichever
-                // volume this prepare record was found on; when the
-                // coordinator is this site the inquiry reaches our own home
-                // journal without a message. A volume carried here from the
-                // coordinator's site may hold that log itself — a
-                // delegate's record rides with its prepare records (Section
-                // 4.4) — but only a record it holds is an answer: the dead
-                // site's other volumes hold none, and it is asked instead.
+                // A prepare record names the site that voted on it, whose
+                // record is on *its* home volume, whichever volume this
+                // prepare record was found on; when that is this site the
+                // inquiry reaches our own home journal without a message.
+                // A volume carried here from a dead site may hold the record
+                // itself — it rides with its prepare records (Section 4.4)
+                // — and a yes among peers there is resolved by asking the
+                // peers it lists. Only a record it holds is an answer: the
+                // dead site's other volumes hold none, and it is asked
+                // instead.
+                let ask = |site, acct: &mut Account| {
+                    mgr.inquire(tid, site, acct)
+                        .unwrap_or(PrepareOutcome::Unreachable)
+                };
                 let carried = self
                     .scanned
                     .filter(|vol| vol.site() == coordinator && coordinator != mgr.site())
                     .and_then(|vol| vol.coord_log_get(tid, acct));
                 let outcome = match carried {
+                    Some(rec) if rec.status == TxnStatus::Voted => {
+                        let peers = group_by_site(&rec.files);
+                        let others = peers.into_iter().filter(|(s, _)| *s != coordinator);
+                        PrepareOutcome::of_peers(others.map(|(s, _)| ask(s, &mut *acct)))
+                    }
                     Some(rec) => Some(rec.status).into(),
-                    None => mgr
-                        .inquire(tid, coordinator, acct)
-                        .unwrap_or(PrepareOutcome::Unreachable),
+                    None => ask(coordinator, acct),
                 };
                 if matches!(
                     outcome,
                     PrepareOutcome::Undecided | PrepareOutcome::Unreachable
                 ) {
-                    // Stay in doubt, keep the log: either the coordinator
-                    // has not decided (it will drive phase two itself) or
-                    // it was unreachable (a later recovery pass resolves
-                    // it).
+                    // Stay in doubt, keep the log: the peers have not
+                    // decided (phase two will come) or were unreachable (a
+                    // later recovery pass resolves it).
                     self.report.in_doubt += 1;
                 }
                 Some(Input::StatusResolved { tid, fid, outcome })
@@ -1587,8 +1550,8 @@ impl Substrate for KernelSubstrate<'_> {
 }
 
 impl TxnService for TxnManager {
-    fn handle_txn(&self, from: SiteId, req: TxnMsg, acct: &mut Account) -> Msg {
-        TxnManager::handle_txn(self, from, req, acct)
+    fn handle_txn(&self, req: TxnMsg, acct: &mut Account) -> Msg {
+        TxnManager::handle_txn(self, req, acct)
     }
 
     /// Only a delegate's yes among peers that has heard no outcome is

@@ -1,31 +1,32 @@
-//! The coordinator's half of two-phase commit as a pure state machine.
+//! The commit rule as a pure state machine: a transaction's storage sites
+//! decide it by their durable yes votes.
 //!
-//! One [`CoordinatorSm`] lives at each site and tracks every transaction
-//! that site coordinates, keyed by transaction id. The lifecycle of an
-//! entry mirrors the journal: it is born `Unknown` when the start record is
-//! requested, flips to `Committed`/`Aborted` exactly when the decision mark
-//! is acknowledged durable, and dies when phase two completes everywhere
-//! and the record is purged.
+//! One [`CoordinatorSm`] lives at each site. It holds the transactions this
+//! site's top-level processes *requested* — the site where `EndTrans` ran —
+//! and this site's *vote* on each transaction that stores a file here.
 //!
-//! **Commit where the data is.** A transaction whose requester (`tid.site`)
-//! holds none of its files is decided by the sites that do, and the
-//! requester logs nothing: it sends each storage site one delegation
-//! naming every file. A storage site — a *delegate* — prepares itself
-//! through its own participant machine and writes one record behind its
-//! prepare record, one force for both. When it is the only participant the
-//! record is born `Committed`: it installs and answers the outcome. With
-//! peers the record is born `Voted` — "yes, among these listed peers" —
-//! and the answer is that yes; the requester's phase two
-//! follows the last one, riding its next message to each delegate. The
-//! yes votes are the decision, as in Paxos Commit with no coordinator log:
-//! all of them durable is commit, and a site with no record has not voted
-//! and never will. So a delegate in doubt asks its peers rather than
-//! presume abort — and so does one whose locks a request needs before that
-//! phase two arrives ([`Input::Wanted`]). Its record outlives phase two until the
-//! requester, which may have lost an answer and have to ask again, says it
-//! may forget — which it says only once every delegate has acked its
-//! install, and a delegate acks only once the install and its note of the
-//! commit have landed.
+//! **One rule.** The requester sends every other storage site one
+//! delegation naming every file, and takes its own part, when it holds a
+//! file, as a step of this machine with no message: one wave either way. A
+//! storage site prepares itself through its own participant machine and
+//! writes one record behind its prepare record, one force for both. When it
+//! is the only participant the record is born `Committed`: it installs and
+//! answers the outcome. With peers the record is born `Voted` — "yes, among
+//! these listed peers" — and the answer is that yes; the requester's phase
+//! two follows the last one, at its own site as a step of this machine and
+//! riding its next message to each other storage site. The yes votes are
+//! the decision,
+//! as in Paxos Commit with no coordinator log: all of them durable is
+//! commit, and a site with no record has not voted and never will. So a
+//! site in doubt asks its peers rather than presume abort — and so does one
+//! whose locks a request needs before that phase two arrives
+//! ([`Input::Wanted`]). Its record outlives phase two until the requester,
+//! which may have lost an answer and have to ask again, says it may forget
+//! — which it says only once every storage site has acked its install, and
+//! a site acks only once the install and its note of the commit have
+//! landed; the requester's own note travels with no message, so its forget
+//! leaves only once that note has landed. A record the requester's own site
+//! holds waits for no message: the machine purges it itself.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -35,78 +36,53 @@ use super::{
     group_by_site, site_epochs, Effect, Input, ParticipantFaults, PrepareOutcome, ProtocolSm,
 };
 
-/// Whose record a coordinated transaction's entry mirrors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    /// The paper's coordinator: its own start record and forced mark.
-    Logged,
-    /// The requester, holding none of the files: it logs nothing, and the
-    /// delegates' answers decide.
-    Requester,
-    /// A storage site the requester handed the decision; its record is the
-    /// only one, or its yes among the listed peers.
-    Delegate,
-}
-
-/// Where a coordinated transaction is in the protocol.
+/// Where this site's vote on a transaction is.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CoordPhase {
-    /// Waiting for the status-`Unknown` start record to reach the journal.
-    LoggingStart,
-    /// One prepare is out to every participant site (a delegate's to
-    /// itself, the requester's delegations to every storage site);
-    /// collecting votes.
-    Preparing {
-        /// Votes received so far, by site.
-        votes: BTreeMap<SiteId, bool>,
-        /// Requester: the sites whose answer was lost, asked instead.
-        inquired: BTreeSet<SiteId>,
-    },
-    /// Decision made; waiting for the durable decision mark (a delegate's
-    /// durable record).
-    Marking { commit: bool },
-    /// The decision mark failed to persist. The transaction stays here —
-    /// undecided, fence up if the decision was commit — until recovery
-    /// re-reads the journal and aborts it (the mark never made it, so the
-    /// scan sees `Unknown`).
+enum CoordPhase {
+    /// This site's prepare is out to its own participant machine.
+    Preparing,
+    /// Its yes is in; waiting for the record that holds it to be durable.
+    Marking,
+    /// The record failed to persist. The vote stays here — undecided, fence
+    /// up — until recovery re-reads the journal: a record that landed is
+    /// found there, one that did not is no vote.
     MarkFailed,
-    /// Decision durable; phase two queued, waiting on participant acks.
-    PhaseTwo {
-        commit: bool,
-        pending: BTreeSet<SiteId>,
-    },
-    /// Delegate among peers: its yes is durable; waiting for phase two.
+    /// Among peers: its yes is durable; waiting for phase two.
     Voted,
-    /// Delegate among peers, in doubt: asking them; `yes` holds those that
-    /// answered with a yes record.
+    /// Among peers, in doubt: asking them; `yes` holds those that answered
+    /// with a yes record.
     Asking { yes: BTreeSet<SiteId> },
-    /// Delegate: committed and installed here. The record stays until the
-    /// requester forgets it.
+    /// The outcome is being taken here: the install or the rollback.
+    PhaseTwo { commit: bool },
+    /// Committed and installed here. The record stays until it is
+    /// forgotten.
     Remembered,
 }
 
-/// Per-transaction coordinator state.
+/// This site's vote on one transaction, mirroring its journal record.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CoordTxn {
-    pub files: Vec<FileListEntry>,
-    /// File list grouped by storage site, fids sorted and deduplicated —
-    /// the unit of prepare and phase-two messaging; at a delegate, itself
-    /// and its peers.
-    pub participants: Vec<(SiteId, Vec<Fid>)>,
+struct CoordTxn {
+    /// The whole file list, each storage site's files at the earliest epoch
+    /// the transaction used it: what the record names.
+    files: Vec<FileListEntry>,
+    /// The file list grouped by storage site: this site and its peers.
+    participants: Vec<(SiteId, Vec<Fid>)>,
     /// Journal-mirrored status: what a `StatusInquiry` should answer.
-    pub status: TxnStatus,
-    pub phase: CoordPhase,
-    pub role: Role,
+    status: TxnStatus,
+    phase: CoordPhase,
+    /// No forget will come for the record: the requester is this site, or
+    /// recovery found the record after the machine had let it go.
+    no_forget: bool,
 }
 
 impl CoordTxn {
-    /// A delegate with peers: its yes is one of several.
+    /// Whether this site's yes is one of several.
     fn among_peers(&self) -> bool {
-        self.role == Role::Delegate && self.participants.len() > 1
+        self.participants.len() > 1
     }
 
-    /// What a delegate can say of the transaction now: its outcome, or its
-    /// durable yes among peers; nothing while its own vote is undecided.
+    /// What the record can say of the transaction now: its outcome, or its
+    /// durable yes among peers; nothing while the vote is undecided.
     fn answer(&self) -> Option<bool> {
         match self.status {
             TxnStatus::Committed | TxnStatus::Voted => Some(true),
@@ -114,42 +90,38 @@ impl CoordTxn {
             TxnStatus::Unknown => None,
         }
     }
-
-    /// Records `from`'s vote while preparing; once every vote this site
-    /// waits for is in, whether all were yes. A delegate waits for its own
-    /// vote alone, anyone else for each participant's; a vote from anywhere
-    /// else — a stray duplicate — does not count.
-    fn tally(&mut self, site: SiteId, from: SiteId, ok: bool) -> Option<bool> {
-        let (voter, voters) = if self.role == Role::Delegate {
-            (from == site, 1)
-        } else {
-            let voter = self.participants.iter().any(|(s, _)| *s == from);
-            (voter, self.participants.len())
-        };
-        let CoordPhase::Preparing { votes, .. } = &mut self.phase else {
-            return None;
-        };
-        if !voter {
-            return None;
-        }
-        votes.insert(from, ok);
-        (votes.len() == voters).then(|| votes.values().all(|v| *v))
-    }
 }
 
-/// A phase that is collecting votes, none in yet.
-fn preparing() -> CoordPhase {
-    CoordPhase::Preparing {
-        votes: BTreeMap::new(),
-        inquired: BTreeSet::new(),
-    }
+/// Where a requested transaction is.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum RequestPhase {
+    /// Collecting every storage site's answer.
+    Collecting {
+        /// Answers received so far, by site.
+        votes: BTreeMap<SiteId, bool>,
+        /// The sites whose answer was lost, asked instead.
+        inquired: BTreeSet<SiteId>,
+    },
+    /// Decided among peers; phase two is on its way to them.
+    PhaseTwo,
 }
 
-/// The coordinator protocol machine for one site.
+/// A transaction a top-level process at this site asked to commit.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Request {
+    /// The file list grouped by storage site: the voters.
+    participants: Vec<(SiteId, Vec<Fid>)>,
+    phase: RequestPhase,
+}
+
+/// The commit machine for one site.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CoordinatorSm {
     site: SiteId,
-    txns: BTreeMap<TransId, CoordTxn>,
+    /// The transactions this site requested.
+    requests: BTreeMap<TransId, Request>,
+    /// This site's vote on each transaction storing a file here.
+    votes: BTreeMap<TransId, CoordTxn>,
     faults: ParticipantFaults,
 }
 
@@ -159,11 +131,12 @@ impl CoordinatorSm {
     }
 
     /// A machine with a defence deliberately broken (see
-    /// [`ParticipantFaults::skip_delegate_record`] and the two after it).
+    /// [`ParticipantFaults::skip_delegate_record`] and the ones after it).
     pub fn with_faults(site: SiteId, faults: ParticipantFaults) -> Self {
         CoordinatorSm {
             site,
-            txns: BTreeMap::new(),
+            requests: BTreeMap::new(),
+            votes: BTreeMap::new(),
             faults,
         }
     }
@@ -172,89 +145,78 @@ impl CoordinatorSm {
         self.site
     }
 
-    /// Whether this site coordinates `tid` for itself and has not decided
-    /// it — the "coordinating here" leg of a participant's known-transaction
-    /// check when the coordinator and participant share a site. A
-    /// delegate's entry does not count: it exists only because the
-    /// delegation arrived, and counting it would wave every delegated
-    /// prepare through.
-    pub fn coordinates_undecided(&self, tid: TransId) -> bool {
-        self.txns
-            .get(&tid)
-            .is_some_and(|t| t.status == TxnStatus::Unknown && t.role != Role::Delegate)
-    }
-
-    /// Whether this site is a delegate of `tid` among peers: a phase-two
+    /// Whether this site holds a yes on `tid` among peers: a phase-two
     /// message for `tid` is this machine's to take first, so that the
     /// record notes the outcome before the participant machine acts on it.
     pub fn holds_vote(&self, tid: TransId) -> bool {
-        self.txns.get(&tid).is_some_and(CoordTxn::among_peers)
+        self.votes.get(&tid).is_some_and(CoordTxn::among_peers)
     }
 
-    /// Whether this site requested `tid` and holds none of its files: its
-    /// storage sites decide it.
-    pub fn requests(&self, tid: TransId) -> bool {
-        self.txns
+    /// Whether this site requested `tid` and is still collecting its votes:
+    /// the "requested here" leg of its own participant's known-transaction
+    /// check, for a file the transaction used here but left nothing to
+    /// commit in. Only while undecided: a duplicated prepare after the
+    /// decision must not re-stage a prepare record for an installed
+    /// transaction.
+    pub fn requests_undecided(&self, tid: TransId) -> bool {
+        self.requests
             .get(&tid)
-            .is_some_and(|t| t.role == Role::Requester)
+            .is_some_and(|r| matches!(r.phase, RequestPhase::Collecting { .. }))
     }
 
-    /// The journal-mirrored status for `tid`, if coordinated here.
+    /// The journal-mirrored status of this site's vote on `tid`, if any.
     pub fn status_of(&self, tid: TransId) -> Option<TxnStatus> {
-        self.txns.get(&tid).map(|t| t.status)
+        self.votes.get(&tid).map(|t| t.status)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.txns.is_empty()
+        self.requests.is_empty() && self.votes.is_empty()
     }
 
-    /// Make the commit/abort decision once all votes are in — at a
-    /// delegate, its own vote.
-    fn decide(
-        t: &mut CoordTxn,
-        site: SiteId,
+    /// This site takes its part in `tid`: its own participant machine runs
+    /// every defence a prepare meets, and its yes rides the record's force.
+    fn prepare_here(
+        &mut self,
         tid: TransId,
-        commit: bool,
+        files: &[FileListEntry],
+        no_forget: bool,
         effects: &mut Vec<Effect>,
     ) {
-        t.phase = CoordPhase::Marking { commit };
-        if commit {
-            // Fence first, then mark: if the mark lands, failover must
-            // already be blocked, because between the mark and phase two
-            // the committed bytes exist only in primaries' prepare logs. A
-            // delegate's durable yes may be the last one, and so the mark.
-            let fids: Vec<Fid> = t.files.iter().map(|f| f.fid).collect();
-            effects.push(Effect::RaiseFences { tid, files: fids });
-            effects.push(if t.role == Role::Delegate {
-                Effect::LogRecord {
-                    tid,
-                    files: t.files.clone(),
-                    status: if t.among_peers() {
-                        TxnStatus::Voted
-                    } else {
-                        TxnStatus::Committed
-                    },
-                }
-            } else {
-                Effect::LogStatus {
-                    tid,
-                    status: TxnStatus::Committed,
-                    critical: true,
-                }
-            });
-        } else if t.role == Role::Delegate {
-            // Presumed abort logs nothing, and the requester hears the no.
-            Self::finish_here(t, site, tid, false, effects);
-        } else {
-            effects.push(Effect::LogStatus {
-                tid,
-                status: TxnStatus::Aborted,
-                critical: true,
-            });
-        }
+        let site = self.site;
+        let epochs = site_epochs(files);
+        let participants = group_by_site(files);
+        let Some((_, own)) = participants.iter().find(|(s, _)| *s == site) else {
+            return;
+        };
+        effects.push(Effect::SendPrepare {
+            tid,
+            site,
+            files: own.clone(),
+            epoch: epochs[&site],
+        });
+        // The record names each storage site's files at the earliest epoch
+        // the transaction used it.
+        let files = participants
+            .iter()
+            .flat_map(|(s, fids)| {
+                fids.iter().map(|fid| FileListEntry {
+                    fid: *fid,
+                    storage_site: *s,
+                    epoch: epochs[s],
+                })
+            })
+            .collect();
+        let vote = CoordTxn {
+            files,
+            participants,
+            status: TxnStatus::Unknown,
+            phase: CoordPhase::Preparing,
+            no_forget,
+        };
+        self.votes.insert(tid, vote);
     }
 
-    /// A delegate's outcome taken: phase two at this site, now.
+    /// The outcome taken here: phase two at this site, now.
     fn finish_here(
         t: &mut CoordTxn,
         site: SiteId,
@@ -273,16 +235,13 @@ impl CoordinatorSm {
         } else {
             TxnStatus::Aborted
         };
-        t.phase = CoordPhase::PhaseTwo {
-            commit,
-            pending: BTreeSet::from([site]),
-        };
+        t.phase = CoordPhase::PhaseTwo { commit };
         effects.push(Effect::FinishHere { tid, commit, files });
     }
 
-    /// A delegate among peers learned the outcome — from the requester's
-    /// phase two, or from its peers: note it in the record, lazily (an
-    /// abort is purged once rolled back), and take it here.
+    /// This site learned the outcome — from phase two, its peers, or its
+    /// own record at recovery: note it in the record, lazily (an abort is
+    /// purged once rolled back), and take it here.
     fn learned(
         t: &mut CoordTxn,
         site: SiteId,
@@ -296,19 +255,15 @@ impl CoordinatorSm {
             TxnStatus::Aborted
         };
         if t.status != status {
-            effects.push(Effect::LogStatus {
-                tid,
-                status,
-                critical: false,
-            });
+            effects.push(Effect::LogStatus { tid, status });
         }
         Self::finish_here(t, site, tid, commit, effects);
     }
 
-    /// A delegate among peers in doubt asks every peer what it holds.
+    /// A site in doubt asks every peer what it holds.
     fn ask_peers(&mut self, tid: TransId, effects: &mut Vec<Effect>) {
         let site = self.site;
-        let Some(t) = self.txns.get_mut(&tid) else {
+        let Some(t) = self.votes.get_mut(&tid) else {
             return;
         };
         if self.faults.skip_peer_inquiry {
@@ -323,21 +278,33 @@ impl CoordinatorSm {
         }
     }
 
-    /// A delegate's commit installed here. Alone, it installed everywhere:
-    /// the fence drops and the commit is announced. Either way the record
-    /// waits for the requester.
+    /// Tells the requester this site's answer: a step of this machine when
+    /// it requested `tid`, a reply otherwise.
+    fn answer(&mut self, tid: TransId, ok: bool, effects: &mut Vec<Effect>) {
+        if self.requests.contains_key(&tid) {
+            self.take_answer(tid, self.site, Some(ok), effects);
+        } else {
+            effects.push(Effect::Answer { tid, ok });
+        }
+    }
+
+    /// A commit installed here. Alone, it installed everywhere: the fence
+    /// drops and the commit is announced. The record goes at once when no
+    /// forget will come and no peer can still need it; otherwise it waits.
     fn installed_here(&mut self, tid: TransId, effects: &mut Vec<Effect>) {
-        let Some(t) = self.txns.get_mut(&tid) else {
+        let Some(t) = self.votes.get_mut(&tid) else {
             return;
         };
         let alone = !t.among_peers();
-        let purge = if alone {
+        let purge = if t.no_forget {
+            alone || !self.requests.contains_key(&tid)
+        } else if alone {
             self.faults.skip_delegate_record
         } else {
             self.faults.forget_before_all_installed
         };
         if purge {
-            self.txns.remove(&tid);
+            self.votes.remove(&tid);
             effects.push(Effect::PurgeCoordLog { tid });
         } else {
             t.phase = CoordPhase::Remembered;
@@ -348,37 +315,85 @@ impl CoordinatorSm {
         }
     }
 
-    /// The requester heard every delegate. Alone, the delegate decided and
-    /// installed; among peers the yes votes are the commit point, and phase
-    /// two follows.
-    fn delegates_decided(&mut self, tid: TransId, commit: bool, effects: &mut Vec<Effect>) {
-        let Some(t) = self.txns.get_mut(&tid) else {
+    /// A remembered record of `tid` is no longer needed by anyone.
+    fn forget(&mut self, tid: TransId, effects: &mut Vec<Effect>) {
+        let remembered = self
+            .votes
+            .get(&tid)
+            .is_some_and(|t| t.phase == CoordPhase::Remembered);
+        if remembered {
+            self.votes.remove(&tid);
+            effects.push(Effect::PurgeCoordLog { tid });
+        }
+    }
+
+    /// The requester takes `from`'s answer: its vote, or `None` when the
+    /// answer was lost — never a no: only that site knows, so it is asked,
+    /// and asked again.
+    fn take_answer(
+        &mut self,
+        tid: TransId,
+        from: SiteId,
+        yes: Option<bool>,
+        effects: &mut Vec<Effect>,
+    ) {
+        let Some(r) = self.requests.get_mut(&tid) else {
             return;
         };
-        if let [(site, _)] = t.participants[..] {
-            self.txns.remove(&tid);
+        if !r.participants.iter().any(|(s, _)| *s == from) {
+            return;
+        }
+        let RequestPhase::Collecting { votes, inquired } = &mut r.phase else {
+            return;
+        };
+        match yes {
+            Some(ok) => {
+                votes.insert(from, ok);
+                if votes.len() == r.participants.len() {
+                    let commit = votes.values().all(|v| *v);
+                    self.decided(tid, commit, effects);
+                }
+            }
+            None if inquired.insert(from) => effects.push(Effect::Inquire { tid, site: from }),
+            None => effects.push(Effect::QueueInquiry { tid }),
+        }
+    }
+
+    /// The requester heard every storage site. Alone, the site decided and
+    /// installed; among peers the yes votes are the commit point, and phase
+    /// two follows.
+    fn decided(&mut self, tid: TransId, commit: bool, effects: &mut Vec<Effect>) {
+        let Some(r) = self.requests.get_mut(&tid) else {
+            return;
+        };
+        if let [(site, _)] = r.participants[..] {
+            self.requests.remove(&tid);
             effects.push(Effect::FinishLocal { tid, commit });
-            if commit {
+            if commit && site != self.site {
                 effects.push(Effect::Forget { tid, site });
             }
             return;
         }
-        t.status = if commit {
-            TxnStatus::Committed
-        } else {
-            TxnStatus::Aborted
-        };
         if commit {
             effects.push(Effect::NoteCommitPoint { tid });
         }
+        // This site's own yes learns the outcome as a step of its own: its
+        // phase two here needs no message.
+        let site = self.site;
+        let undecided = |t: &&mut CoordTxn| {
+            matches!(t.phase, CoordPhase::Voted | CoordPhase::Asking { .. })
+        };
+        if let Some(t) = self.votes.get_mut(&tid).filter(undecided) {
+            Self::learned(t, site, tid, commit, effects);
+        }
+        let others = r.participants.iter().filter(|(s, _)| *s != site);
         effects.push(Effect::QueuePhase2 {
             tid,
             commit,
-            participants: t.participants.clone(),
+            participants: others.cloned().collect(),
         });
         effects.push(Effect::FinishLocal { tid, commit });
-        let pending = t.participants.iter().map(|(s, _)| *s).collect();
-        t.phase = CoordPhase::PhaseTwo { commit, pending };
+        r.phase = RequestPhase::PhaseTwo;
     }
 }
 
@@ -399,234 +414,135 @@ impl ProtocolSm for CoordinatorSm {
                         tid: *tid,
                         commit: true,
                     });
-                } else {
-                    let participants = group_by_site(files);
-                    // Every file at other sites: they decide, by one
-                    // delegation each, sent as one wave. Only the
-                    // transaction's home delegates, since a delegate takes a
-                    // forget from `tid.site` alone; a migrated top-level
-                    // process keeps two-phase commit.
-                    let delegate = tid.site == site && participants.iter().all(|(s, _)| *s != site);
-                    let (phase, role) = if delegate {
-                        for (to, _) in &participants {
-                            effects.push(Effect::SendDelegate {
-                                tid: *tid,
-                                site: *to,
-                                files: files.clone(),
-                            });
-                        }
-                        (preparing(), Role::Requester)
+                    return effects;
+                }
+                // One wave: a delegation to every other storage site, and
+                // this site's own part as a step of this machine.
+                let participants = group_by_site(files);
+                let mut here = false;
+                for (to, _) in &participants {
+                    if *to == site {
+                        here = true;
                     } else {
-                        effects.push(Effect::LogStart {
+                        effects.push(Effect::SendDelegate {
                             tid: *tid,
+                            site: *to,
                             files: files.clone(),
                         });
-                        (CoordPhase::LoggingStart, Role::Logged)
-                    };
-                    self.txns.insert(
-                        *tid,
-                        CoordTxn {
-                            files: files.clone(),
-                            participants,
-                            status: TxnStatus::Unknown,
-                            phase,
-                            role,
-                        },
-                    );
+                    }
+                }
+                let phase = RequestPhase::Collecting {
+                    votes: BTreeMap::new(),
+                    inquired: BTreeSet::new(),
+                };
+                self.requests.insert(
+                    *tid,
+                    Request {
+                        participants,
+                        phase,
+                    },
+                );
+                if here {
+                    self.prepare_here(*tid, files, true, &mut effects);
                 }
             }
 
-            Input::StartLogged { tid, ok } => {
-                let Some(t) = self.txns.get_mut(tid) else {
-                    return effects;
-                };
-                if t.phase != CoordPhase::LoggingStart {
-                    return effects;
-                }
-                if !*ok {
-                    // The start record never became durable, so no prepare
-                    // was ever sent: the caller sees the journal error and
-                    // nothing needs undoing.
-                    self.txns.remove(tid);
-                    return effects;
-                }
-                // One prepare per participant site, all in this step: the
-                // round is one wave, and the decision waits for every vote
-                // instead of stopping at the first no.
-                let epochs = site_epochs(&t.files);
-                for (site, fids) in &t.participants {
-                    effects.push(Effect::SendPrepare {
-                        tid: *tid,
-                        site: *site,
-                        files: fids.clone(),
-                        epoch: epochs.get(site).copied().unwrap_or(0),
-                    });
-                }
-                t.phase = preparing();
-            }
+            // Inert: no coordinator log is started any more. The input stays
+            // only because `benchmark/src/probes.rs` still names it; the next
+            // `benchmark` PR deletes it there and here.
+            Input::StartLogged { .. } => {}
 
             Input::Vote {
                 tid,
                 site: from,
                 ok,
             } => {
-                // The requester's votes are its delegates' answers, never a
-                // prepare's.
-                let Some(t) = self.txns.get_mut(tid).filter(|t| t.role != Role::Requester) else {
-                    return effects;
-                };
-                // A duplicate from a participant lands on its own entry.
-                if let Some(all_ok) = t.tally(site, *from, *ok) {
-                    Self::decide(t, site, *tid, all_ok, &mut effects);
-                }
-            }
-
-            Input::StatusLogged { tid, ok } => {
-                let Some(t) = self.txns.get_mut(tid) else {
-                    return effects;
-                };
-                let CoordPhase::Marking { commit } = t.phase else {
+                // Only this site's own participant votes here.
+                let Some(t) = self
+                    .votes
+                    .get_mut(tid)
+                    .filter(|t| *from == site && t.phase == CoordPhase::Preparing)
+                else {
                     return effects;
                 };
                 if !*ok {
-                    // The decision never became durable. Stay undecided and
-                    // keep any fence up: recovery will find `Unknown` in the
-                    // journal and abort. Dropping the fence here would let a
-                    // failover promote a replica while the outcome is open.
-                    t.phase = CoordPhase::MarkFailed;
+                    // Presumed abort logs nothing, and the requester hears
+                    // the no.
+                    Self::finish_here(t, site, *tid, false, &mut effects);
                     return effects;
                 }
-                if t.among_peers() {
+                // Fence first, then the record: it may be the last yes, and
+                // so the commit point, and between it and phase two the
+                // committed bytes exist only in primaries' prepare logs.
+                t.phase = CoordPhase::Marking;
+                let fids: Vec<Fid> = t.files.iter().map(|f| f.fid).collect();
+                effects.push(Effect::RaiseFences { tid: *tid, files: fids });
+                effects.push(Effect::LogRecord {
+                    tid: *tid,
+                    files: t.files.clone(),
+                    status: if t.among_peers() {
+                        TxnStatus::Voted
+                    } else {
+                        TxnStatus::Committed
+                    },
+                });
+            }
+
+            Input::StatusLogged { tid, ok } => {
+                let Some(t) = self
+                    .votes
+                    .get_mut(tid)
+                    .filter(|t| t.phase == CoordPhase::Marking)
+                else {
+                    return effects;
+                };
+                if !*ok {
+                    t.phase = CoordPhase::MarkFailed;
+                } else if t.among_peers() {
                     // A durable yes among peers: say it, and wait.
                     t.status = TxnStatus::Voted;
                     t.phase = CoordPhase::Voted;
-                    effects.push(Effect::Answer {
-                        tid: *tid,
-                        ok: true,
-                    });
-                    return effects;
-                }
-                if t.role == Role::Delegate {
-                    // A delegate alone logs only commits.
-                    Self::finish_here(t, site, *tid, true, &mut effects);
-                    return effects;
-                }
-                t.status = if commit {
-                    TxnStatus::Committed
+                    self.answer(*tid, true, &mut effects);
                 } else {
-                    TxnStatus::Aborted
-                };
-                let pending: BTreeSet<SiteId> = t.participants.iter().map(|(s, _)| *s).collect();
-                effects.push(Effect::QueuePhase2 {
-                    tid: *tid,
-                    commit,
-                    participants: t.participants.clone(),
-                });
-                effects.push(Effect::FinishLocal { tid: *tid, commit });
-                t.phase = CoordPhase::PhaseTwo { commit, pending };
-            }
-
-            Input::Phase2Ack { tid, site, ok } => {
-                if let Some(t) = self.txns.get_mut(tid) {
-                    if let CoordPhase::PhaseTwo {
-                        ref mut pending, ..
-                    } = t.phase
-                    {
-                        if *ok {
-                            pending.remove(site);
-                        }
-                    }
+                    // Alone, the record was the commit.
+                    Self::finish_here(t, site, *tid, true, &mut effects);
                 }
             }
 
             Input::Phase2Done { tid, commit } => {
-                match self.txns.get(tid).map(|t| t.role) {
-                    Some(Role::Delegate) => {
-                        // A delegate's retried phase two: the record still
-                        // answers the requester's inquiry until it forgets.
-                        if *commit {
-                            self.installed_here(*tid, &mut effects);
-                        } else {
-                            self.txns.remove(tid);
-                        }
-                    }
-                    Some(Role::Requester) => {
-                        // Every delegate has installed (or rolled back), so
-                        // none needs its record for a peer any more.
-                        let t = self.txns.remove(tid).expect("entry checked above");
-                        if *commit {
-                            for (site, _) in t.participants {
-                                effects.push(Effect::Forget { tid: *tid, site });
+                if let Some(r) = self.requests.remove(tid) {
+                    // Every storage site has installed (or rolled back), so
+                    // none needs its record for a peer any more.
+                    if *commit {
+                        for (to, _) in r.participants {
+                            if to == site {
+                                self.forget(*tid, &mut effects);
+                            } else {
+                                effects.push(Effect::Forget { tid: *tid, site: to });
                             }
                         }
-                        effects.push(Effect::DropFence { tid: *tid });
-                        effects.push(Effect::NoteCompleted {
-                            tid: *tid,
-                            commit: *commit,
-                        });
                     }
-                    Some(Role::Logged) | None => {
-                        // Unconditional and idempotent: recovery can requeue
-                        // work that a surviving pre-crash queue item also
-                        // completes, so the second completion must still
-                        // purge cleanly.
-                        self.txns.remove(tid);
-                        effects.push(Effect::PurgeCoordLog { tid: *tid });
-                        effects.push(Effect::DropFence { tid: *tid });
-                        effects.push(Effect::NoteCompleted {
-                            tid: *tid,
-                            commit: *commit,
-                        });
-                    }
+                    effects.push(Effect::DropFence { tid: *tid });
+                    effects.push(Effect::NoteCompleted {
+                        tid: *tid,
+                        commit: *commit,
+                    });
+                } else if *commit {
+                    // A lone site's retried install: the record still
+                    // answers the requester's inquiry until it forgets.
+                    self.installed_here(*tid, &mut effects);
+                } else {
+                    self.votes.remove(tid);
                 }
             }
 
             Input::TopologyChanged { reachable } => {
-                // Abort every still-undecided transaction that stored data
-                // at a now-unreachable site: its vote can never arrive, and
-                // presumed abort lets the stranded participant roll back
-                // unilaterally, so the only consistent decision is abort.
-                // A delegated one is not this site's to decide.
-                let doomed: Vec<TransId> = self
-                    .txns
-                    .iter()
-                    .filter(|(_, t)| {
-                        t.status == TxnStatus::Unknown
-                            && t.role == Role::Logged
-                            && t.files.iter().any(|f| !reachable.contains(&f.storage_site))
-                    })
-                    .map(|(tid, _)| *tid)
-                    .collect();
-                for tid in doomed {
-                    let t = self.txns.get_mut(&tid).unwrap();
-                    t.status = TxnStatus::Aborted;
-                    let participants: Vec<(SiteId, Vec<Fid>)> = t
-                        .participants
-                        .iter()
-                        .filter(|(s, _)| reachable.contains(s))
-                        .cloned()
-                        .collect();
-                    let pending: BTreeSet<SiteId> = participants.iter().map(|(s, _)| *s).collect();
-                    t.phase = CoordPhase::PhaseTwo {
-                        commit: false,
-                        pending,
-                    };
-                    effects.push(Effect::LogStatus {
-                        tid,
-                        status: TxnStatus::Aborted,
-                        critical: false,
-                    });
-                    effects.push(Effect::QueuePhase2 {
-                        tid,
-                        commit: false,
-                        participants,
-                    });
-                    effects.push(Effect::NoteAborted { tid });
-                }
-                // A delegate among peers that lost its requester may wait
-                // for a phase two that never comes: it asks its peers.
+                // A yes among peers whose requester is out of reach may wait
+                // for a phase two that never comes: it asks its peers. The
+                // requester decides nothing here: its own yes may be the
+                // last one, so it keeps asking.
                 let stranded: Vec<TransId> = self
-                    .txns
+                    .votes
                     .iter()
                     .filter(|(tid, t)| {
                         t.phase == CoordPhase::Voted && !reachable.contains(&tid.site)
@@ -635,6 +551,21 @@ impl ProtocolSm for CoordinatorSm {
                     .collect();
                 for tid in stranded {
                     self.ask_peers(tid, &mut effects);
+                }
+                if self.faults.requester_presumes_abort {
+                    let doomed: Vec<TransId> = self
+                        .requests
+                        .iter()
+                        .filter(|(tid, r)| {
+                            matches!(r.phase, RequestPhase::Collecting { .. })
+                                && self.status_of(**tid) == Some(TxnStatus::Voted)
+                                && r.participants.iter().any(|(s, _)| !reachable.contains(s))
+                        })
+                        .map(|(tid, _)| *tid)
+                        .collect();
+                    for tid in doomed {
+                        self.decided(tid, false, &mut effects);
+                    }
                 }
             }
 
@@ -645,113 +576,67 @@ impl ProtocolSm for CoordinatorSm {
                 site: writer,
                 installed,
             } => {
-                let participants = group_by_site(files);
-                let host = self.txns.get(tid).filter(|t| t.role == Role::Delegate);
-                if *writer != site && (*status == TxnStatus::Voted || host.is_some()) {
-                    // A delegate's record, carried here on a dead site's
-                    // volume: never presumed aborted, and this site's own
-                    // entry of the transaction stays. Its yes decides only
-                    // where every vote is known — this site its one peer,
-                    // its own yes durable; otherwise it waits in doubt for
-                    // the requester's phase two.
+                let host = self.votes.get(tid);
+                if *writer != site {
+                    // Another site's record, carried here on its volume:
+                    // never presumed aborted, and this site's own vote stays.
+                    // Its yes decides only where every vote is known — this
+                    // site its one peer, its own yes durable; otherwise the
+                    // records' peers are asked when its prepare records are
+                    // resolved.
                     let decided = *status == TxnStatus::Voted
                         && host.is_some_and(|t| t.status == TxnStatus::Voted)
-                        && participants.iter().all(|(s, _)| s == writer || *s == site);
+                        && group_by_site(files)
+                            .iter()
+                            .all(|(s, _)| s == writer || *s == site);
                     if decided {
                         effects.push(Effect::NoteCommitPoint { tid: *tid });
                         effects.push(Effect::LogStatus {
                             tid: *tid,
                             status: TxnStatus::Committed,
-                            critical: false,
                         });
                     }
                     return effects;
                 }
-                if *status == TxnStatus::Voted && !self.faults.skip_peer_inquiry {
+                // A record the machine still holds keeps whether a forget
+                // will come; one it had let go of was forgotten already.
+                let no_forget = host.is_none_or(|t| t.no_forget);
+                let commit = match status {
+                    TxnStatus::Committed => true,
                     // This site's yes among peers: the outcome is theirs to
                     // tell — unless its own intentions are live already,
                     // which only a commit does.
-                    let t = self.txns.entry(*tid).insert_entry(CoordTxn {
-                        files: files.clone(),
-                        participants,
-                        status: TxnStatus::Voted,
-                        phase: CoordPhase::Voted,
-                        role: Role::Delegate,
-                    });
-                    if *installed {
-                        Self::learned(t.into_mut(), site, *tid, true, &mut effects);
-                    } else {
+                    TxnStatus::Voted if *installed => true,
+                    TxnStatus::Voted if !self.faults.skip_peer_inquiry => {
+                        self.votes.insert(
+                            *tid,
+                            CoordTxn {
+                                files: files.clone(),
+                                participants: group_by_site(files),
+                                status: TxnStatus::Voted,
+                                phase: CoordPhase::Voted,
+                                no_forget,
+                            },
+                        );
                         self.ask_peers(*tid, &mut effects);
+                        return effects;
                     }
-                    return effects;
-                }
-                // An entry the machine still holds, having outlived the
-                // crash, keeps its own classification: a migrated top-level
-                // process's record has a delegate's shape too. A record of
-                // another site's transaction never seen here, naming a file
-                // of this site, is a delegate's: it waits for that site's
-                // forget.
-                let role = self.txns.get(tid).map_or(
-                    if tid.site != site && participants.iter().any(|(s, _)| *s == site) {
-                        Role::Delegate
-                    } else {
-                        Role::Logged
-                    },
-                    |t| t.role,
-                );
-                let mut t = CoordTxn {
+                    // A noted abort whose rollback may not have landed.
+                    TxnStatus::Voted | TxnStatus::Aborted | TxnStatus::Unknown => false,
+                };
+                effects.push(if commit {
+                    Effect::NoteRecoveryRedo { tid: *tid }
+                } else {
+                    Effect::NoteRecoveryAbort { tid: *tid }
+                });
+                let t = self.votes.entry(*tid).insert_entry(CoordTxn {
                     files: files.clone(),
-                    participants,
+                    participants: group_by_site(files),
                     status: *status,
                     phase: CoordPhase::Voted,
-                    role,
-                };
-                // A delegate redoes its own part only.
-                let redo: Vec<(SiteId, Vec<Fid>)> = t
-                    .participants
-                    .iter()
-                    .filter(|(s, _)| role != Role::Delegate || *s == site)
-                    .cloned()
-                    .collect();
-                let pending: BTreeSet<SiteId> = redo.iter().map(|(s, _)| *s).collect();
-                if *status == TxnStatus::Committed {
-                    // The durable mark is the commit point: re-drive phase
-                    // two until every participant installs.
-                    t.phase = CoordPhase::PhaseTwo {
-                        commit: true,
-                        pending,
-                    };
-                    self.txns.insert(*tid, t);
-                    effects.push(Effect::NoteRecoveryRedo { tid: *tid });
-                    effects.push(Effect::QueuePhase2 {
-                        tid: *tid,
-                        commit: true,
-                        participants: redo,
-                    });
-                } else {
-                    // No durable commit mark ⇒ presumed (or explicit)
-                    // abort. Rewrite the record so a StatusInquiry that
-                    // races phase two answers consistently.
-                    t.status = TxnStatus::Aborted;
-                    t.role = Role::Logged;
-                    t.phase = CoordPhase::PhaseTwo {
-                        commit: false,
-                        pending: t.participants.iter().map(|(s, _)| *s).collect(),
-                    };
-                    let participants = t.participants.clone();
-                    self.txns.insert(*tid, t);
-                    effects.push(Effect::NoteRecoveryAbort { tid: *tid });
-                    effects.push(Effect::LogStatus {
-                        tid: *tid,
-                        status: TxnStatus::Aborted,
-                        critical: false,
-                    });
-                    effects.push(Effect::QueuePhase2 {
-                        tid: *tid,
-                        commit: false,
-                        participants,
-                    });
-                }
+                    no_forget,
+                });
+                Self::learned(t.into_mut(), site, *tid, commit, &mut effects);
             }
 
             Input::DelegateAnswer {
@@ -759,39 +644,20 @@ impl ProtocolSm for CoordinatorSm {
                 site: from,
                 outcome,
             } => {
-                let Some(t) = self.txns.get_mut(tid) else {
-                    return effects;
-                };
-                if !t.participants.iter().any(|(s, _)| s == from) {
-                    return effects;
-                }
-                // An undecided record is a `Voted` one, a yes among peers (a
-                // delegate alone logs only its commit).
+                // A yes record is a yes; no record is a no; a lost answer is
+                // neither. The answer serves the request here, if any, and
+                // this site's own vote in doubt, if any: what a peer holds
+                // is its vote either way.
                 let yes = match outcome {
                     PrepareOutcome::Committed | PrepareOutcome::Undecided => Some(true),
                     PrepareOutcome::AbortedOrForgotten => Some(false),
                     PrepareOutcome::Unreachable => None,
                 };
-                if t.role == Role::Requester {
-                    let CoordPhase::Preparing { inquired, .. } = &mut t.phase else {
-                        return effects;
-                    };
-                    match yes {
-                        Some(ok) => {
-                            if let Some(commit) = t.tally(site, *from, ok) {
-                                self.delegates_decided(*tid, commit, &mut effects);
-                            }
-                        }
-                        // A missing answer is never a no: only that delegate
-                        // knows, so ask it, and keep asking.
-                        None if inquired.insert(*from) => {
-                            effects.push(Effect::Inquire {
-                                tid: *tid,
-                                site: *from,
-                            });
-                        }
-                        None => effects.push(Effect::QueueInquiry { tid: *tid }),
-                    }
+                self.take_answer(*tid, *from, yes, &mut effects);
+                let Some(t) = self.votes.get_mut(tid) else {
+                    return effects;
+                };
+                if !t.participants.iter().any(|(s, _)| s == from) {
                     return effects;
                 }
                 let sites = t.participants.len();
@@ -828,35 +694,30 @@ impl ProtocolSm for CoordinatorSm {
             Input::RetryInquiry { tid } => {
                 // Only while an answer is still awaited: one that arrived
                 // since needs no question.
-                match self
-                    .txns
-                    .get_mut(tid)
-                    .map(|t| (&mut t.phase, &t.participants, t.role))
+                if let Some(Request {
+                    participants,
+                    phase: RequestPhase::Collecting { votes, inquired },
+                }) = self.requests.get_mut(tid)
                 {
-                    Some((
-                        CoordPhase::Preparing { votes, inquired },
-                        participants,
-                        Role::Requester,
-                    )) => {
-                        for (to, _) in participants {
-                            if !votes.contains_key(to) {
-                                inquired.insert(*to);
-                                effects.push(Effect::Inquire {
-                                    tid: *tid,
-                                    site: *to,
-                                });
-                            }
+                    for (to, _) in participants.iter() {
+                        if !votes.contains_key(to) {
+                            inquired.insert(*to);
+                            effects.push(Effect::Inquire {
+                                tid: *tid,
+                                site: *to,
+                            });
                         }
                     }
-                    Some((CoordPhase::Voted, ..)) => self.ask_peers(*tid, &mut effects),
-                    _ => {}
+                }
+                if self.votes.get(tid).is_some_and(|t| t.phase == CoordPhase::Voted) {
+                    self.ask_peers(*tid, &mut effects);
                 }
             }
 
             Input::Wanted { tid } => {
                 // Only a yes still waiting for its outcome: one being asked
                 // about already has its answers coming.
-                let Some(t) = self.txns.get_mut(tid) else {
+                let Some(t) = self.votes.get_mut(tid) else {
                     return effects;
                 };
                 if t.phase != CoordPhase::Voted {
@@ -870,55 +731,21 @@ impl ProtocolSm for CoordinatorSm {
             }
 
             Input::DelegateReq { tid, files } => {
-                if let Some(t) = self.txns.get(tid) {
-                    // A repeated delegation is answered from the record.
+                // A repeated delegation is answered from the record.
+                if let Some(t) = self.votes.get(tid) {
                     if let Some(ok) = t.answer() {
                         effects.push(Effect::Answer { tid: *tid, ok });
                     }
                     return effects;
                 }
-                // The record names each storage site's files at the earliest
-                // epoch the transaction used it.
-                let epochs = site_epochs(files);
-                let participants = group_by_site(files);
-                let Some((_, own)) = participants.iter().find(|(s, _)| *s == site) else {
-                    return effects;
-                };
-                let entries: Vec<FileListEntry> = participants
-                    .iter()
-                    .flat_map(|(s, fids)| {
-                        fids.iter().map(|fid| FileListEntry {
-                            fid: *fid,
-                            storage_site: *s,
-                            epoch: epochs[s],
-                        })
-                    })
-                    .collect();
-                // This site's own participant machine runs every defence a
-                // prepare meets, and its yes rides the record's force.
-                effects.push(Effect::SendPrepare {
-                    tid: *tid,
-                    site,
-                    files: own.clone(),
-                    epoch: epochs[&site],
-                });
-                self.txns.insert(
-                    *tid,
-                    CoordTxn {
-                        files: entries,
-                        participants,
-                        status: TxnStatus::Unknown,
-                        phase: preparing(),
-                        role: Role::Delegate,
-                    },
-                );
+                self.prepare_here(*tid, files, false, &mut effects);
             }
 
             Input::CommitReq { tid, .. } | Input::AbortReq { tid, .. } => {
-                // Phase two at a delegate among peers: the requester, or a
-                // peer that learned the outcome, tells it.
+                // Phase two to a yes among peers: the requester, or a peer
+                // that learned the outcome, tells it.
                 let commit = matches!(input, Input::CommitReq { .. });
-                let Some(t) = self.txns.get_mut(tid).filter(|t| t.among_peers()) else {
+                let Some(t) = self.votes.get_mut(tid).filter(|t| t.among_peers()) else {
                     return effects;
                 };
                 if commit || t.status != TxnStatus::Committed {
@@ -927,18 +754,18 @@ impl ProtocolSm for CoordinatorSm {
             }
 
             Input::FinishedHere { tid, ok } => {
-                let Some(t) = self.txns.get_mut(tid) else {
+                let Some(t) = self.votes.get_mut(tid) else {
                     return effects;
                 };
-                let CoordPhase::PhaseTwo { commit, .. } = t.phase else {
+                let CoordPhase::PhaseTwo { commit } = t.phase else {
                     return effects;
                 };
                 let among_peers = t.among_peers();
                 if !*ok {
                     // The install or rollback stalled here: the outcome
                     // stands. Among peers the phase-two message is nacked
-                    // and retried; alone, the queue retries phase two as it
-                    // would after a participant's nack.
+                    // and resent; alone, the queue retries phase two as it
+                    // would after a nack.
                     if !among_peers {
                         effects.push(Effect::QueuePhase2 {
                             tid: *tid,
@@ -949,31 +776,23 @@ impl ProtocolSm for CoordinatorSm {
                 } else if commit {
                     self.installed_here(*tid, &mut effects);
                 } else {
-                    self.txns.remove(tid);
+                    self.votes.remove(tid);
                     if among_peers {
                         effects.push(Effect::PurgeCoordLog { tid: *tid });
                         effects.push(Effect::DropFence { tid: *tid });
                     }
                 }
-                effects.push(Effect::Answer {
-                    tid: *tid,
-                    ok: commit,
-                });
+                self.answer(*tid, commit, &mut effects);
             }
 
-            Input::Forget { from, tids } => {
-                for tid in tids.iter().filter(|t| t.site == *from) {
-                    let remembered = self.txns.get(tid).is_some_and(|t| {
-                        t.role == Role::Delegate && t.phase == CoordPhase::Remembered
-                    });
-                    if remembered {
-                        self.txns.remove(tid);
-                        effects.push(Effect::PurgeCoordLog { tid: *tid });
-                    }
+            Input::Forget { tids } => {
+                for tid in tids {
+                    self.forget(*tid, &mut effects);
                 }
             }
 
-            // Participant-side inputs: not ours, no transition.
+            // Participant-side inputs, and the acks no machine needs: the
+            // last one is `Phase2Done`.
             _ => {}
         }
         effects
@@ -1070,8 +889,6 @@ mod tests {
             })
         );
         assert_eq!(sm.status_of(tid()), Some(TxnStatus::Committed));
-        // Its own entry is no knowledge of the transaction.
-        assert!(!sm.coordinates_undecided(tid()));
     }
 
     #[test]
@@ -1139,41 +956,36 @@ mod tests {
         };
         assert_eq!(names(&sm.step(&done)), ["DropFence", "NoteCompleted"]);
         assert_eq!(sm.status_of(tid()), Some(TxnStatus::Committed));
-        // So does recovery's: the scan knows it by its shape.
-        let mut rebooted = CoordinatorSm::new(D);
+        // So does recovery's redo: the machine, which outlives the crash,
+        // still waits for the requester's forget.
         let scan = Input::CoordScan {
             tid: tid(),
-            files: vec![FileListEntry {
-                fid: fids()[0],
-                storage_site: D,
-                epoch: 0,
-            }],
+            files: vec![entry(D, 0)],
             status: TxnStatus::Committed,
             site: D,
             installed: false,
         };
+        let redo = run(&mut sm, scan.clone());
         assert_eq!(
-            names(&rebooted.step(&scan)),
-            ["NoteRecoveryRedo", "QueuePhase2"]
+            names(&redo),
+            ["NoteRecoveryRedo", "FinishHere", "DropFence", "NoteCompleted", "Answer"]
         );
-        assert_eq!(names(&rebooted.step(&done)), ["DropFence", "NoteCompleted"]);
-        assert_eq!(rebooted.status_of(tid()), Some(TxnStatus::Committed));
+        assert_eq!(sm.status_of(tid()), Some(TxnStatus::Committed));
+        // A record the machine had let go of was forgotten already: its
+        // lost purge is redone with it.
+        let mut forgot = CoordinatorSm::new(D);
+        let redo = run(&mut forgot, scan);
+        assert!(redo.contains(&Effect::PurgeCoordLog { tid: tid() }));
+        assert!(forgot.is_empty());
     }
 
     #[test]
-    fn the_requesters_forget_purges_it_and_no_one_elses_does() {
+    fn a_forget_purges_a_remembered_record_once() {
         let mut sm = committed_delegate(ParticipantFaults::default());
-        let forget = |from| Input::Forget {
-            from,
-            tids: vec![tid()],
-        };
-        assert!(sm.step(&forget(SiteId(2))).is_empty());
-        assert_eq!(
-            sm.step(&forget(SiteId(0))),
-            [Effect::PurgeCoordLog { tid: tid() }]
-        );
+        let forget = Input::Forget { tids: vec![tid()] };
+        assert_eq!(sm.step(&forget), [Effect::PurgeCoordLog { tid: tid() }]);
         assert!(sm.is_empty());
-        assert!(sm.step(&forget(SiteId(0))).is_empty());
+        assert!(sm.step(&forget).is_empty());
     }
 
     #[test]
@@ -1240,59 +1052,87 @@ mod tests {
     }
 
     #[test]
-    fn a_migrated_requester_keeps_two_phase_commit() {
+    fn a_migrated_requester_delegates_too() {
         let mut sm = CoordinatorSm::new(SiteId(0));
         let migrated = TransId::new(SiteId(2), 5);
-        assert_eq!(names(&requested(&mut sm, migrated)), ["LogStart"]);
+        assert_eq!(names(&requested(&mut sm, migrated)), ["SendDelegate"]);
     }
 
     /// A top-level process that migrated to D and wrote only files at D
-    /// coordinates there, and its record has a delegate's shape. A crash
-    /// between the mark and phase two must not make recovery wait for a
-    /// forget nobody sends: the machine, which outlives the crash, knows
-    /// the record is its own.
+    /// requests there, and holds the one file: its part is a step of its
+    /// own machine, one record born committed, purged at its install
+    /// because the requester that might ask again is itself. A crash that
+    /// loses the purge redoes it with the install: the machine, which
+    /// outlives the crash, had let the record go.
     #[test]
     fn a_migrated_coordinators_record_is_purged_after_a_crash() {
+        let migrated = TransId::new(SiteId(2), 5);
         let mut sm = CoordinatorSm::new(D);
-        assert_eq!(names(&requested(&mut sm, tid())), ["LogStart"]);
-        let logged = Input::StartLogged {
-            tid: tid(),
-            ok: true,
-        };
-        let yes = Input::Vote {
-            tid: tid(),
-            site: D,
-            ok: true,
-        };
-        let marked = Input::StatusLogged {
-            tid: tid(),
-            ok: true,
-        };
-        assert_eq!(names(&sm.step(&logged)), ["SendPrepare"]);
-        assert_eq!(names(&sm.step(&yes)), ["RaiseFences", "LogStatus"]);
-        assert_eq!(names(&sm.step(&marked)), ["QueuePhase2", "FinishLocal"]);
-        // The crash; recovery scans the journal.
+        let files = vec![entry(D, 4)];
+        let effects = run(&mut sm, Input::commit_requested(migrated, files.clone()));
+        assert_eq!(
+            names(&effects),
+            [
+                "SendPrepare",
+                "RaiseFences",
+                "LogRecord",
+                "FinishHere",
+                "PurgeCoordLog",
+                "DropFence",
+                "NoteCompleted",
+                "FinishLocal"
+            ]
+        );
+        assert!(effects.contains(&Effect::LogRecord {
+            tid: migrated,
+            files: files.clone(),
+            status: TxnStatus::Committed
+        }));
+        assert!(sm.is_empty());
         let scan = Input::CoordScan {
-            tid: tid(),
-            files: vec![FileListEntry {
-                fid: fids()[0],
-                storage_site: D,
-                epoch: 4,
-            }],
+            tid: migrated,
+            files,
             status: TxnStatus::Committed,
             site: D,
             installed: false,
         };
-        assert_eq!(names(&sm.step(&scan)), ["NoteRecoveryRedo", "QueuePhase2"]);
-        let done = Input::Phase2Done {
+        let redo = run(&mut sm, scan);
+        assert_eq!(
+            names(&redo),
+            [
+                "NoteRecoveryRedo",
+                "FinishHere",
+                "PurgeCoordLog",
+                "DropFence",
+                "NoteCompleted",
+                "Answer"
+            ]
+        );
+        assert!(sm.is_empty());
+    }
+
+    #[test]
+    fn a_lone_requesters_no_aborts_with_nothing_logged() {
+        let mut sm = CoordinatorSm::new(D);
+        requested(&mut sm, tid());
+        let no = Input::Vote {
             tid: tid(),
-            commit: true,
+            site: D,
+            ok: false,
+        };
+        assert_eq!(names(&sm.step(&no)), ["FinishHere"]);
+        let done = Input::FinishedHere {
+            tid: tid(),
+            ok: true,
         };
         assert_eq!(
-            names(&sm.step(&done)),
-            ["PurgeCoordLog", "DropFence", "NoteCompleted"]
+            sm.step(&done),
+            [Effect::FinishLocal {
+                tid: tid(),
+                commit: false
+            }]
         );
-        assert_eq!(sm.status_of(tid()), None);
+        assert!(sm.is_empty());
     }
 
     // ----- Delegates among peers -----------------------------------------
@@ -1477,7 +1317,6 @@ mod tests {
                 Effect::LogStatus {
                     tid: tid(),
                     status: TxnStatus::Committed,
-                    critical: false
                 },
                 Effect::FinishHere {
                     tid: tid(),
@@ -1493,10 +1332,7 @@ mod tests {
         };
         assert_eq!(names(&sm.step(&installed)), ["Answer"]);
         assert_eq!(sm.status_of(tid()), Some(TxnStatus::Committed));
-        let forget = Input::Forget {
-            from: SiteId(0),
-            tids: vec![tid()],
-        };
+        let forget = Input::Forget { tids: vec![tid()] };
         assert_eq!(sm.step(&forget), [Effect::PurgeCoordLog { tid: tid() }]);
         assert!(sm.is_empty());
     }
@@ -1564,7 +1400,6 @@ mod tests {
                 Effect::LogStatus {
                     tid: tid(),
                     status: TxnStatus::Aborted,
-                    critical: false
                 },
                 Effect::FinishHere {
                     tid: tid(),
@@ -1604,7 +1439,7 @@ mod tests {
         let mut sm = CoordinatorSm::with_faults(D, faults);
         assert_eq!(
             names(&sm.step(&scanned(TxnStatus::Voted, D))),
-            ["NoteRecoveryAbort", "LogStatus", "QueuePhase2"]
+            ["NoteRecoveryAbort", "LogStatus", "FinishHere"]
         );
     }
 
@@ -1613,7 +1448,7 @@ mod tests {
         // D installed, then crashed before the lazy note of the commit hit
         // its journal; a peer may have forgotten the transaction since. Its
         // own live intentions are the proof: no question, no abort.
-        let mut sm = CoordinatorSm::new(D);
+        let mut sm = voted();
         let scan = Input::CoordScan {
             tid: tid(),
             files: both(),
@@ -1624,10 +1459,10 @@ mod tests {
         assert_eq!(
             sm.step(&scan),
             [
+                Effect::NoteRecoveryRedo { tid: tid() },
                 Effect::LogStatus {
                     tid: tid(),
                     status: TxnStatus::Committed,
-                    critical: false
                 },
                 Effect::FinishHere {
                     tid: tid(),
@@ -1658,7 +1493,6 @@ mod tests {
                 Effect::LogStatus {
                     tid: tid(),
                     status: TxnStatus::Committed,
-                    critical: false
                 }
             ]
         );
@@ -1669,14 +1503,11 @@ mod tests {
 
     #[test]
     fn a_carried_record_is_read_by_its_status_never_by_its_shape() {
-        // A top-level process that migrated to E wrote files at D and E;
-        // E's start record — a delegate's shape — is carried to D. No mark
-        // is on it: presumed abort, as for any coordinator's record.
-        let start = scanned(TxnStatus::Unknown, E);
-        assert_eq!(
-            names(&CoordinatorSm::new(D).step(&start)),
-            ["NoteRecoveryAbort", "LogStatus", "QueuePhase2"]
-        );
+        // E's record carried to D decides nothing at D by itself: the
+        // prepare records beside it are resolved by asking its peers.
+        for status in [TxnStatus::Committed, TxnStatus::Aborted] {
+            assert!(CoordinatorSm::new(D).step(&scanned(status, E)).is_empty());
+        }
         // Whatever a peer's carried record says, D's own yes stays as it is.
         let mut sm = voted();
         for status in [TxnStatus::Unknown, TxnStatus::Committed, TxnStatus::Aborted] {
@@ -1706,5 +1537,90 @@ mod tests {
         let effects = run(&mut sm, commit);
         assert!(effects.contains(&Effect::PurgeCoordLog { tid: tid() }));
         assert!(sm.is_empty());
+    }
+
+    // ----- The requester among peers ---------------------------------------
+
+    /// Site 0 requests `tid()` and holds a file of it, as does D.
+    fn mixed() -> Vec<FileListEntry> {
+        vec![entry(SiteId(0), 0), entry(D, 0)]
+    }
+
+    /// Site 0's machine once its own yes among peers is durable.
+    fn requester_voted(faults: ParticipantFaults) -> CoordinatorSm {
+        let mut sm = CoordinatorSm::with_faults(SiteId(0), faults);
+        let sent = run(&mut sm, Input::commit_requested(tid(), mixed()));
+        // One wave: the delegation to D and its own part, no message.
+        assert_eq!(
+            names(&sent),
+            ["SendDelegate", "SendPrepare", "RaiseFences", "LogRecord"]
+        );
+        assert_eq!(sm.status_of(tid()), Some(TxnStatus::Voted));
+        assert!(sm.holds_vote(tid()));
+        sm
+    }
+
+    #[test]
+    fn a_requester_holding_a_file_votes_as_a_step_of_its_own_machine() {
+        let mut sm = requester_voted(ParticipantFaults::default());
+        // D's yes is the last one: the commit point. Its own phase two is a
+        // step here; D's rides the next message there.
+        let effects = run(&mut sm, answer(D, PrepareOutcome::Committed));
+        assert_eq!(
+            names(&effects),
+            [
+                "NoteCommitPoint",
+                "LogStatus",
+                "FinishHere",
+                "QueuePhase2",
+                "FinishLocal"
+            ]
+        );
+        assert!(effects.contains(&Effect::QueuePhase2 {
+            tid: tid(),
+            commit: true,
+            participants: vec![(D, fids())],
+        }));
+        let done = Input::Phase2Done {
+            tid: tid(),
+            commit: true,
+        };
+        // Its own record goes with no message; D hears it may forget.
+        assert_eq!(
+            sm.step(&done),
+            [
+                Effect::PurgeCoordLog { tid: tid() },
+                Effect::Forget { tid: tid(), site: D },
+                Effect::DropFence { tid: tid() },
+                Effect::NoteCompleted {
+                    tid: tid(),
+                    commit: true
+                }
+            ]
+        );
+        assert!(sm.is_empty());
+    }
+
+    #[test]
+    fn a_cut_off_requester_keeps_asking_unless_the_fault_presumes_abort() {
+        let mut sm = requester_voted(ParticipantFaults::default());
+        let cut = Input::TopologyChanged {
+            reachable: vec![SiteId(0)],
+        };
+        assert!(sm.step(&cut).is_empty());
+        assert_eq!(
+            names(&sm.step(&answer(D, PrepareOutcome::Unreachable))),
+            ["Inquire"]
+        );
+        assert_eq!(sm.status_of(tid()), Some(TxnStatus::Voted));
+        let faults = ParticipantFaults {
+            requester_presumes_abort: true,
+            ..ParticipantFaults::default()
+        };
+        let mut sm = requester_voted(faults);
+        assert_eq!(
+            names(&sm.step(&cut)),
+            ["LogStatus", "FinishHere", "QueuePhase2", "FinishLocal"]
+        );
     }
 }

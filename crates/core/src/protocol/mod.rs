@@ -8,7 +8,7 @@
 //! production the [`crate::manager::TxnManager`]'s: the journal, the
 //! transport, the filesystem's shadow-page installer, the catalog's commit
 //! fences. Observation results flow back in as further inputs
-//! (`StartLogged`, `Vote`, `Staged`, …), so the machines never block and
+//! (`Vote`, `StatusLogged`, `Staged`, …), so the machines never block and
 //! never guess.
 //!
 //! The split buys three things:
@@ -27,12 +27,13 @@
 //!   unit tests.
 //!
 //! The driver boundary is strict: effects carry *what* must happen, never
-//! how. The machine fixes the schedule's shape — one prepare per participant
-//! site, emitted together, the decision when every vote is in — and the
-//! driver keeps the rest of the scheduling (the asynchronous phase-two
-//! queue, per-site message batching, what a wave of prepares costs on the
-//! model clock): that affects performance, not safety, while every state
-//! change that 2PC correctness depends on is a machine transition.
+//! how. The machine fixes the schedule's shape — one delegation per other
+//! storage site and the requester's own part, emitted together, the
+//! decision when every vote is in — and the driver keeps the rest of the
+//! scheduling (the phase-two queue, what rides each message, per-site
+//! batching, what a wave costs on the model clock): that affects
+//! performance, not safety, while every state change that commit
+//! correctness depends on is a machine transition.
 
 pub mod coordinator;
 mod drive;
@@ -65,35 +66,38 @@ pub enum Input {
         /// [`Input::commit_requested`] with it.
         parallel: bool,
     },
-    /// Result of [`Effect::LogStart`] (the status-`Unknown` coordinator
-    /// record reached the journal, or not).
+    /// Inert: no machine reads it. It answered the coordinator-logged
+    /// commit's start record, which no site writes any more; it stays only
+    /// because `benchmark/src/probes.rs` still names it, and the next
+    /// `benchmark` PR deletes it there and here.
     StartLogged { tid: TransId, ok: bool },
-    /// A participant's vote. A failed prepare RPC is a no vote — with
-    /// synchronous RPC the reply *is* the vote, so a dropped request or
-    /// reply both surface here as `ok: false`.
+    /// This site's own participant's vote: the answer to an
+    /// [`Effect::SendPrepare`].
     Vote {
         tid: TransId,
         site: SiteId,
         ok: bool,
     },
-    /// Result of a `critical` [`Effect::LogStatus`] (the decision mark).
+    /// Result of [`Effect::LogRecord`]: this site's record is durable, or
+    /// not.
     StatusLogged { tid: TransId, ok: bool },
-    /// One participant site acknowledged (or failed) its phase-two message.
+    /// Inert: no machine reads it. One site acknowledged (or failed) its
+    /// phase-two message; [`Input::Phase2Done`] says when all did. It stays
+    /// only because `benchmark/src/probes.rs` still names it.
     Phase2Ack {
         tid: TransId,
         site: SiteId,
         ok: bool,
     },
     /// The driver finished one queued phase-two work item with every
-    /// participant acknowledged. Duplicates are legal (recovery may requeue
-    /// work that a pre-crash queue item later also completes); the purge
-    /// effects are idempotent.
+    /// storage site acknowledged: the requester's, or a lone site's retry
+    /// of its own install.
     Phase2Done { tid: TransId, commit: bool },
     /// The network partitioned; only `reachable` remains in our partition.
     TopologyChanged { reachable: Vec<SiteId> },
-    /// Recovery: one coordinator-log record from the journal scan of a
-    /// volume of `site`: this one, or a dead site whose volume was carried
-    /// here (Section 4.4). `installed`: this site's own yes (`Voted`) found
+    /// Recovery: one commit record from the journal scan of a volume of
+    /// `site`: this one, or a dead site whose volume was carried here
+    /// (Section 4.4). `installed`: this site's own yes (`Voted`) found
     /// beside a prepare record of its own whose intentions are already live
     /// — only a commit installs, so the note of it was lost.
     CoordScan {
@@ -103,9 +107,9 @@ pub enum Input {
         site: SiteId,
         installed: bool,
     },
-    /// What `site` said about `tid`: a delegate's answer to
+    /// What `site` said about `tid`: a storage site's answer to
     /// [`Effect::SendDelegate`], or a site's answer to an [`Effect::Inquire`].
-    /// At the requester it is `site`'s vote; at a delegate in doubt, what a
+    /// At the requester it is `site`'s vote; at a site in doubt, what a
     /// peer holds. `Committed` and `Undecided` (a yes record) are yes,
     /// `AbortedOrForgotten` is no, and a lost answer is `Unreachable`, never
     /// a no.
@@ -116,30 +120,31 @@ pub enum Input {
     },
     /// The phase-two dæmon's turn to retry a queued inquiry.
     RetryInquiry { tid: TransId },
-    /// Delegate: the requester `tid.site`, which holds none of `tid`'s
-    /// files, handed this site, one of their storage sites, the decision
-    /// over `files` — the whole file list, so that every delegate knows its
-    /// peers. A site that stores every file decides alone; several decide
-    /// together, by their durable yes votes.
+    /// The requester handed this site, one of `tid`'s storage sites, its
+    /// part of the decision over `files` — the whole file list, so that
+    /// every storage site knows its peers. A site that stores every file
+    /// decides alone; several decide together, by their durable yes votes.
     DelegateReq {
         tid: TransId,
         files: Vec<FileListEntry>,
     },
-    /// Delegate: `from` has learned the outcome of these delegated
-    /// transactions. Only `from`'s own transactions (`tid.site == from`)
-    /// count.
-    Forget { from: SiteId, tids: Vec<TransId> },
-    /// Delegate: result of [`Effect::FinishHere`].
+    /// A requester has heard every storage site of these transactions
+    /// install their commits: no record of them is needed any more. Only a
+    /// requester sends it, and only then, so who sends it does not matter.
+    Forget { tids: Vec<TransId> },
+    /// Result of [`Effect::FinishHere`].
     FinishedHere { tid: TransId, ok: bool },
-    /// Delegate among peers: a request here would wait on, or be refused
-    /// by, a lock `tid` holds while this site's yes is durable and no
-    /// outcome has reached it — the requester's commit rides its next
-    /// message here. The peers are asked now, as by a delegate in doubt.
+    /// A request here would wait on, or be refused by, a lock `tid` holds
+    /// while this site's yes among peers is durable and no outcome has
+    /// reached it — the requester's commit rides its next message here.
+    /// The peers are asked now, as by a site in doubt.
     Wanted { tid: TransId },
 
     // ----- participant ---------------------------------------------------
-    /// A `Prepare` arrived. `epoch` is the earliest boot epoch at which the
-    /// transaction used this site, as claimed by the coordinator.
+    /// This site's part in a commit: [`Effect::SendPrepare`] handed to the
+    /// participant machine. `coordinator` is this site, which the prepare
+    /// record names; `epoch` is the earliest boot epoch at which the
+    /// transaction used this site, as the file list claims.
     PrepareReq {
         tid: TransId,
         coordinator: SiteId,
@@ -155,22 +160,21 @@ pub enum Input {
     KnownChecked { tid: TransId, known: bool },
     /// Result of [`Effect::StageAndLog`]: the intentions and lock lists are
     /// as durable as the decision that can rely on them — on the platters,
-    /// or (the coordinator's own home journal) ordered ahead of the commit
-    /// mark that will force them — or the disk died mid-write.
+    /// or (the home journal) ordered ahead of the record that will force
+    /// them — or the disk died mid-write.
     Staged { tid: TransId, ok: bool },
-    /// A phase-two `Commit` arrived. A delegate that voted among peers
-    /// takes it in its coordinator machine first (see
-    /// [`CoordinatorSm::holds_vote`]).
+    /// A phase-two `Commit` arrived. A site that voted among peers takes it
+    /// in its coordinator machine first (see [`CoordinatorSm::holds_vote`]).
     CommitReq { tid: TransId, files: Vec<Fid> },
     /// Result of [`Effect::Install`].
     Installed { tid: TransId, ok: bool },
-    /// A phase-two `AbortFiles` arrived (to a delegate that voted among
-    /// peers, as [`Input::CommitReq`]).
+    /// A phase-two `AbortFiles` arrived (to a site that voted among peers,
+    /// as [`Input::CommitReq`]).
     AbortReq { tid: TransId, files: Vec<Fid> },
     /// A topology change left `tid` holding locks on `files` here while its
-    /// home site is unreachable (Section 4.3). Unlike a coordinator's
+    /// home site is unreachable (Section 4.3). Unlike a phase-two
     /// [`Input::AbortReq`] this may not roll back a prepared transaction:
-    /// once this site voted yes, only the coordinator decides.
+    /// once this site voted yes, only the votes decide.
     Stranded { tid: TransId, files: Vec<Fid> },
     /// Result of [`Effect::Rollback`].
     RolledBack { tid: TransId, ok: bool },
@@ -180,7 +184,7 @@ pub enum Input {
         fid: Fid,
         coordinator: SiteId,
     },
-    /// The coordinator's answer (or unreachability) for a recovered prepare.
+    /// The record's answer (or unreachability) for a recovered prepare.
     StatusResolved {
         tid: TransId,
         fid: Fid,
@@ -206,20 +210,42 @@ impl Input {
 /// How a recovery status inquiry resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrepareOutcome {
-    /// The coordinator log says committed: install the intentions.
+    /// The record says committed: install the intentions.
     Committed,
-    /// The coordinator log says aborted — or has no record at all, which
+    /// The record says aborted — or there is no record at all, which
     /// under presumed abort means the same thing.
     AbortedOrForgotten,
-    /// The coordinator has a record but has not decided yet — from a
-    /// delegate deciding among peers, its durable yes.
+    /// The record is a durable yes among peers, the outcome not known to it.
     Undecided,
-    /// The coordinator site did not answer; stay in doubt, keep the log.
+    /// The site did not answer; stay in doubt, keep the log.
     Unreachable,
 }
 
-/// What a coordinator log's answer to a status inquiry means: the record's
-/// status, or `None` when the log holds no record for the transaction.
+impl PrepareOutcome {
+    /// What a yes among peers resolves to once they answer: committed when
+    /// one has learned the commit or every one holds a yes, aborted when
+    /// one has no record (it never voted, and now never will), and in doubt
+    /// while any is out of reach.
+    pub fn of_peers(answers: impl IntoIterator<Item = PrepareOutcome>) -> PrepareOutcome {
+        let mut all_yes = true;
+        for answer in answers {
+            match answer {
+                PrepareOutcome::Committed => return PrepareOutcome::Committed,
+                PrepareOutcome::AbortedOrForgotten => return answer,
+                PrepareOutcome::Undecided => {}
+                PrepareOutcome::Unreachable => all_yes = false,
+            }
+        }
+        if all_yes {
+            PrepareOutcome::Committed
+        } else {
+            PrepareOutcome::Unreachable
+        }
+    }
+}
+
+/// What a site's answer to a status inquiry means: its record's status, or
+/// `None` when it holds no record of the transaction.
 impl From<Option<TxnStatus>> for PrepareOutcome {
     fn from(status: Option<TxnStatus>) -> Self {
         match status {
@@ -236,37 +262,25 @@ impl From<Option<TxnStatus>> for PrepareOutcome {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Effect {
     // ----- coordinator ---------------------------------------------------
-    /// Append the status-`Unknown` coordinator record to the home journal;
-    /// answer with [`Input::StartLogged`].
-    LogStart {
-        tid: TransId,
-        files: Vec<FileListEntry>,
-    },
-    /// Send one `Prepare` covering `files` to a participant site; answer
-    /// with [`Input::Vote`].
+    /// This site's own part: hand its participant machine a prepare over
+    /// `files` (`site` is this site), with no message; answer with
+    /// [`Input::Vote`].
     SendPrepare {
         tid: TransId,
         site: SiteId,
         files: Vec<Fid>,
         epoch: u64,
     },
-    /// Raise the commit fence on every file, *before* the durable commit
-    /// mark: between the mark and the end of phase two the new bytes exist
-    /// only in prepare logs at the primaries, and a failover in that window
-    /// would promote a replica past an acked commit.
+    /// Raise the commit fence on every file, *before* the record that may be
+    /// the commit point: between it and the end of phase two the new bytes
+    /// exist only in prepare logs at the primaries, and a failover in that
+    /// window would promote a replica past an acked commit.
     RaiseFences { tid: TransId, files: Vec<Fid> },
-    /// Rewrite the coordinator record's status. `critical: true` (the
-    /// decision mark) is forced and demands an [`Input::StatusLogged`]
-    /// answer — on failure the fence deliberately stays up and the
-    /// transaction stays undecided. `critical: false` (recovery/topology
-    /// rewrites, and a delegate among peers noting the commit it learned)
-    /// is lazy, best-effort fire-and-forget.
-    LogStatus {
-        tid: TransId,
-        status: TxnStatus,
-        critical: bool,
-    },
-    /// Queue asynchronous phase two for these participants.
+    /// Note an outcome this site learned in its record: lazy, best effort —
+    /// recovery can learn it again if the note is lost.
+    LogStatus { tid: TransId, status: TxnStatus },
+    /// Queue phase two for these storage sites: a commit rides the next
+    /// message to each, an abort goes at the dæmon's next turn.
     QueuePhase2 {
         tid: TransId,
         commit: bool,
@@ -276,11 +290,10 @@ pub enum Effect {
     /// outcome; on `commit: false` also announce the abort and fail the
     /// caller's `EndTrans`.
     FinishLocal { tid: TransId, commit: bool },
-    /// Count and announce a topology-change abort — the coordinator's, or a
-    /// stranded participant's rollback (no local process state: the
-    /// top-level process may be remote or gone).
+    /// Count and announce a stranded participant's rollback (no local
+    /// process state: the top-level process may be remote or gone).
     NoteAborted { tid: TransId },
-    /// Purge the coordinator log record (phase two complete everywhere).
+    /// Purge this site's record (no one can need it any more).
     PurgeCoordLog { tid: TransId },
     /// Drop the commit fence: phase two has installed (and pushed)
     /// everywhere, so failover may proceed. Harmless for aborts.
@@ -290,12 +303,12 @@ pub enum Effect {
     NoteCompleted { tid: TransId, commit: bool },
     /// Announce that recovery is re-driving a committed transaction.
     NoteRecoveryRedo { tid: TransId },
-    /// Announce that recovery is aborting an undecided transaction.
+    /// Announce that recovery is rolling back an aborted one.
     NoteRecoveryAbort { tid: TransId },
-    /// Requester: hand the decision over `files`, the whole file list, to
-    /// `site`, one of their storage sites; answer with
-    /// [`Input::DelegateAnswer`]. One per storage site, emitted together: a
-    /// wave, as prepares are.
+    /// Requester: hand `site`, another of the storage sites, its part of
+    /// the decision over `files`, the whole file list; answer with
+    /// [`Input::DelegateAnswer`]. One per other storage site, emitted
+    /// together with this site's own [`Effect::SendPrepare`]: a wave.
     SendDelegate {
         tid: TransId,
         site: SiteId,
@@ -313,30 +326,29 @@ pub enum Effect {
     /// Requester: the outcome of `tid` is known everywhere, so `site` may
     /// drop its record; tell it on the next message that goes there anyway.
     Forget { tid: TransId, site: SiteId },
-    /// Announce that the participants' durable yes votes committed `tid`:
+    /// Announce that the storage sites' durable yes votes committed `tid`:
     /// the commit point of a transaction no site marks, announced as the
-    /// `CommitMark` a forced mark announces, by the first site to learn of
-    /// the last yes.
+    /// `CommitMark` a record born committed announces, by the first site to
+    /// learn of the last yes.
     NoteCommitPoint { tid: TransId },
-    /// Delegate: append the whole coordinator record and force it; the
-    /// prepare record ahead of it in the same journal rides that force.
-    /// Nothing was logged before it. Born `Committed` when this site is the
-    /// only participant — the decision mark — and `Voted` otherwise: a yes
-    /// among the listed peers. Answer with [`Input::StatusLogged`].
+    /// Append this site's whole record and force it; the prepare record
+    /// ahead of it in the same journal rides that force. Nothing was logged
+    /// before it. Born `Committed` when this site is the only participant —
+    /// the commit point — and `Voted` otherwise: a yes among the listed
+    /// peers. Answer with [`Input::StatusLogged`].
     LogRecord {
         tid: TransId,
         files: Vec<FileListEntry>,
         status: TxnStatus,
     },
-    /// Delegate: phase two at this site — its participant machine takes the
-    /// commit or abort now, not from the queue. Answer with
-    /// [`Input::FinishedHere`].
+    /// Phase two at this site — its participant machine takes the commit or
+    /// abort now, not from the queue. Answer with [`Input::FinishedHere`].
     FinishHere {
         tid: TransId,
         commit: bool,
         files: Vec<Fid>,
     },
-    /// Delegate: reply to the requester: the outcome when this site decides
+    /// Reply to a remote requester: the outcome when this site decides
     /// alone, this site's vote when it decides with peers.
     Answer { tid: TransId, ok: bool },
 
@@ -349,16 +361,16 @@ pub enum Effect {
     CheckKnown { tid: TransId, files: Vec<Fid> },
     /// Flush modified records and write the prepare logs (intentions + lock
     /// lists); answer with [`Input::Staged`]. The driver forces one
-    /// group-commit barrier per touched volume, except the volume whose
-    /// journal will carry this transaction's commit mark (the home volume
-    /// when `coordinator` is this site): there the record rides the mark's
-    /// own force. Scheduling, not protocol — the machine sees only `ok`.
+    /// group-commit barrier per touched volume but the home volume, whose
+    /// journal will carry this site's record: there the prepare record
+    /// rides the record's own force. Scheduling, not protocol — the machine
+    /// sees only `ok`.
     StageAndLog {
         tid: TransId,
         coordinator: SiteId,
         files: Vec<Fid>,
     },
-    /// Reply to the coordinator with this vote.
+    /// This vote, for the coordinator machine.
     Vote { tid: TransId, ok: bool },
     /// Install the prepared intentions (single-file commit per file) and
     /// stage replica pushes; answer with [`Input::Installed`].
@@ -369,10 +381,10 @@ pub enum Effect {
     /// Release the transaction's retained locks and push the grants.
     ReleaseLocks { tid: TransId },
     /// Acknowledge the phase-two message (negatively on `ok: false`, which
-    /// keeps the coordinator's work queued for a retry).
+    /// keeps the requester's work queued for a retry).
     Ack { tid: TransId, ok: bool },
-    /// Recovery: ask the coordinator what became of `tid`; answer with
-    /// [`Input::StatusResolved`].
+    /// Recovery: ask the record of the site that voted on this prepare what
+    /// became of `tid`; answer with [`Input::StatusResolved`].
     QueryStatus {
         tid: TransId,
         fid: Fid,
@@ -381,7 +393,7 @@ pub enum Effect {
     /// Recovery resolved to commit: install the logged intentions, forward
     /// them to replicas, purge the prepare log.
     InstallRecovered { tid: TransId, fid: Fid },
-    /// Recovery resolved to abort (or the coordinator forgot): truncate the
+    /// Recovery resolved to abort (or the record was forgotten): truncate the
     /// prepare log; the scavenge pass reclaims orphaned shadow blocks.
     PurgePrepareLog { tid: TransId, fid: Fid },
 }
@@ -390,7 +402,6 @@ impl Effect {
     /// The effect's kind, for coverage accounting.
     pub fn name(&self) -> &'static str {
         match self {
-            Effect::LogStart { .. } => "LogStart",
             Effect::SendPrepare { .. } => "SendPrepare",
             Effect::RaiseFences { .. } => "RaiseFences",
             Effect::LogStatus { .. } => "LogStatus",

@@ -26,8 +26,8 @@ pub struct ParticipantFaults {
     /// Skip the boot-epoch taint check on prepare: a site that rebooted
     /// (losing unprepared dirty data) may still vote yes.
     pub skip_epoch_check: bool,
-    /// A delegate (the one participant site, deciding for the requester)
-    /// drops its commit record as soon as it installs instead of when the
+    /// A lone storage site, deciding for a remote requester, drops its
+    /// commit record as soon as it installs instead of when the
     /// requester forgets it: a requester that lost the answer then hears
     /// "aborted" for a committed transaction. Read by [`CoordinatorSm`].
     ///
@@ -53,6 +53,13 @@ pub struct ParticipantFaults {
     ///
     /// [`CoordinatorSm`]: super::CoordinatorSm
     pub wanted_presumes_commit: bool,
+    /// A requester whose own yes among peers is durable aborts when a
+    /// partition cuts it off from another storage site, instead of asking
+    /// on, though every yes may be durable already. Read by
+    /// [`CoordinatorSm`].
+    ///
+    /// [`CoordinatorSm`]: super::CoordinatorSm
+    pub requester_presumes_abort: bool,
 }
 
 /// Progress of one in-flight prepare round.

@@ -1,6 +1,7 @@
 //! Transaction facility tests over a full multi-site cluster (kernel +
 //! transaction manager per site, wired through the simulated transport).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use locus_disk::SimDisk;
@@ -342,37 +343,50 @@ fn commit_protocol_event_ordering() {
     c.drain_async();
 
     let ev = &c.events;
-    // Coordinator log (unknown) → prepare sent → data flush → prepare log →
-    // commit mark → phase-two commit → file commit.
+    // Own prepare → data flush → prepare log → its yes record → commit
+    // point → file commits, the remote one after its phase-two message.
+    assert!(ev.happens_before(
+        |e| matches!(e, Event::PrepareSent { .. }),
+        |e| matches!(e, Event::DataFlush { .. }),
+    ));
+    assert!(ev.happens_before(
+        |e| matches!(e, Event::DataFlush { .. }),
+        |e| matches!(e, Event::PrepareLog { .. }),
+    ));
+    assert!(ev.happens_before(
+        |e| matches!(e, Event::PrepareLog { .. }),
+        |e| matches!(
+            e,
+            Event::CoordLog {
+                status: TxnStatus::Voted,
+                ..
+            }
+        ),
+    ));
     assert!(ev.happens_before(
         |e| matches!(
             e,
             Event::CoordLog {
-                status: TxnStatus::Unknown,
+                status: TxnStatus::Voted,
                 ..
             }
         ),
-        |e| matches!(e, Event::PrepareSent { .. }),
-    ));
-    assert!(ev.happens_before(
-        |e| matches!(e, Event::PrepareSent { .. }),
-        |e| matches!(e, Event::DataFlush { .. }),
-    ));
-    assert!(ev.happens_before(
-        |e| matches!(e, Event::DataFlush { .. }),
-        |e| matches!(e, Event::PrepareLog { .. }),
-    ));
-    assert!(ev.happens_before(
-        |e| matches!(e, Event::PrepareLog { .. }),
         |e| matches!(e, Event::CommitMark { .. }),
     ));
     assert!(ev.happens_before(
         |e| matches!(e, Event::CommitMark { .. }),
         |e| matches!(e, Event::CommitSent { .. }),
     ));
+    // The requester's own file commits at its commit point, with no
+    // message; the remote one only once the phase-two commit reaches it.
+    let remote = s1.kernel.catalog.resolve("/f").unwrap().fid;
     assert!(ev.happens_before(
-        |e| matches!(e, Event::CommitSent { .. }),
+        |e| matches!(e, Event::CommitMark { .. }),
         |e| matches!(e, Event::FileCommit { .. }),
+    ));
+    assert!(ev.happens_before(
+        |e| matches!(e, Event::CommitSent { .. }),
+        |e| matches!(e, Event::FileCommit { fid, .. } if *fid == remote),
     ));
 }
 
@@ -393,21 +407,21 @@ fn coordinator_crash_after_commit_mark_recovers_by_redo() {
     let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
     s0.kernel.write(pid, ch, b"committed", &mut a0).unwrap();
     s0.txn.end_trans(pid, &mut a0).unwrap();
-    // CRASH the coordinator before phase two runs.
+    // CRASH the requester after the commit point, before phase two runs.
     assert_eq!(s0.txn.pending_async(), 1);
     s0.crash();
     c.transport.site_down(SiteId(0));
 
-    // Reboot: recovery finds the committed coordinator log and re-drives
-    // phase two (Section 4.4).
+    // Reboot: recovery finds the requester's own yes among peers, and its
+    // peer's yes makes it a commit (Section 4.4, with the votes as the
+    // decision); phase two, queued at the requester, still reaches site 1.
     c.transport.site_up(SiteId(0));
     let mut ra = acct(0);
-    let report = s0.reboot_and_recover(&mut ra);
-    assert_eq!(report.redone, 1);
-    assert_eq!(
-        c.events.count(|e| matches!(e, Event::RecoveryRedo { .. })),
-        1
-    );
+    s0.reboot_and_recover(&mut ra);
+    assert_eq!(read_record(s0, "/here", 4, &mut ra), b"here");
+    c.drain_async();
+    c.drain_async();
+    assert_eq!(s0.txn.pending_async(), 0);
 
     // The participant's data is now durable.
     s1.crash();
@@ -420,18 +434,22 @@ fn coordinator_crash_after_commit_mark_recovers_by_redo() {
 
 #[test]
 fn coordinator_crash_before_commit_mark_aborts() {
+    use locus_kernel::TxnService;
     let c = TestCluster::new(2);
     let (s0, s1) = (c.site(0), c.site(1));
     let mut a1 = acct(1);
     let p1 = s1.kernel.spawn();
     let ch = s1.kernel.creat(p1, "/f", &mut a1).unwrap();
     s1.kernel.close(p1, ch, &mut a1).unwrap();
+    create_here(&c);
 
-    // Manufacture the dangerous window: coordinator log written, participant
-    // prepared, but NO commit mark — then the coordinator dies.
+    // Manufacture the dangerous window: site 1's yes among peers is
+    // durable, site 0's own yes never reached its journal — then site 0
+    // dies.
     let mut a0 = acct(0);
     let pid = s0.kernel.spawn();
     let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    write_here(s0, pid, &mut a0);
     let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
     s0.kernel.write(pid, ch, b"doomed", &mut a0).unwrap();
     let files: Vec<locus_types::FileListEntry> = s0
@@ -443,53 +461,32 @@ fn coordinator_crash_before_commit_mark_aborts() {
         .iter()
         .copied()
         .collect();
+    let fid = files.iter().find(|f| f.storage_site == SiteId(1)).unwrap().fid;
+    let delegate = locus_net::TxnMsg::Delegate { tid, files };
     s0.kernel
-        .home()
-        .unwrap()
-        .coord_log_put(
-            &locus_types::CoordLogRecord {
-                tid,
-                files: files.clone(),
-                status: TxnStatus::Unknown,
-            },
-            &mut a0,
-        )
+        .rpc(SiteId(1), locus_net::Msg::Txn(delegate), &mut a0)
         .unwrap();
-    // The hand-written Unknown record must be durable for the dangerous
-    // window to exist; end_trans would leave it to ride the commit-mark
-    // flush, but this test crashes before any such flush.
-    s0.kernel.home().unwrap().log_barrier(&mut a0).unwrap();
-    let fid = files[0].fid;
-    s0.kernel
-        .rpc(
-            SiteId(1),
-            locus_net::Msg::Txn(locus_net::TxnMsg::Prepare {
-                tid,
-                coordinator: SiteId(0),
-                files: vec![fid],
-                epoch: 0,
-            }),
-            &mut a0,
-        )
-        .unwrap();
+    let yes = s1.kernel.home().unwrap().coord_log_get(tid, &mut a1);
+    assert_eq!(yes.map(|r| r.status), Some(TxnStatus::Voted));
     s0.crash();
 
-    // Coordinator reboots: the unknown-status log is queued for abort.
+    // Site 0 reboots holding no record: nothing to redo or roll back.
     let mut ra = acct(0);
     let report = s0.reboot_and_recover(&mut ra);
-    assert_eq!(report.aborted, 1);
+    assert_eq!((report.redone, report.aborted), (0, 0));
 
-    // The participant rolled back; the file keeps its old (empty) contents.
+    // Site 1's yes is asked for its lock: site 0 holds no record, and now
+    // never will, so it aborts — and so does site 1.
+    assert!(s1.txn.wanted(tid, &mut a1));
     let p = s1.kernel.spawn();
-    let mut r1 = acct(1);
-    let ch = s1.kernel.open(p, "/f", false, &mut r1).unwrap();
-    assert!(s1.kernel.read(p, ch, 6, &mut r1).unwrap().is_empty());
-    // And the participant's prepare log is gone.
+    let ch = s1.kernel.open(p, "/f", false, &mut a1).unwrap();
+    assert!(s1.kernel.read(p, ch, 6, &mut a1).unwrap().is_empty());
+    // And its prepare log is gone.
     assert!(s1
         .kernel
         .home()
         .unwrap()
-        .prepare_log_get(tid, fid, &mut r1)
+        .prepare_log_get(tid, fid, &mut a1)
         .is_none());
 }
 
@@ -518,18 +515,19 @@ fn participant_crash_after_prepare_resolves_via_status_inquiry() {
     c.drain_async();
     assert_eq!(s0.txn.pending_async(), 1);
 
-    // Participant reboots and asks the coordinator: committed → install.
+    // Participant reboots and asks its peer, whose yes is durable too:
+    // committed → install.
     c.transport.site_up(SiteId(1));
     let mut r1 = acct(1);
-    let report = s1.reboot_and_recover(&mut r1);
-    assert_eq!(report.participant_committed, 1);
+    s1.reboot_and_recover(&mut r1);
     let p = s1.kernel.spawn();
     let ch = s1.kernel.open(p, "/f", false, &mut r1).unwrap();
     assert_eq!(s1.kernel.read(p, ch, 7, &mut r1).unwrap(), b"persist");
 
-    // The coordinator's retried phase two is now harmless (duplicate commit
-    // messages cannot produce unintentional failures — temporally unique
-    // ids, Section 4.4).
+    // The requester's phase two is now harmless (duplicate commit messages
+    // cannot produce unintentional failures — temporally unique ids,
+    // Section 4.4).
+    c.drain_async();
     c.drain_async();
     assert_eq!(s0.txn.pending_async(), 0);
 }
@@ -1129,13 +1127,16 @@ fn recovery_is_idempotent() {
     c.site(0).txn.end_trans(pid, &mut a0).unwrap();
     c.site(0).crash();
 
+    // The first pass learns the commit from site 1's yes; the second finds
+    // the commit noted and redoes an install already done.
     let mut ra = acct(0);
     let r1 = c.site(0).reboot_and_recover(&mut ra);
-    assert_eq!(r1.redone, 1);
-    // Second recovery pass: the log was purged after phase two completed.
     let r2 = c.site(0).reboot_and_recover(&mut ra);
-    assert_eq!(r2.redone, 0);
-    assert_eq!(r2.aborted, 0);
+    assert_eq!((r1.aborted, r2.aborted), (0, 0));
+    assert_eq!(read_record(c.site(0), "/here", 4, &mut ra), b"here");
+    c.drain_async();
+    c.drain_async();
+    assert_eq!(c.site(0).txn.pending_async(), 0);
 
     let p = s_kernel(&c, 1).spawn();
     let mut r = acct(1);
@@ -1276,9 +1277,9 @@ fn read_record(s: &Site, name: &str, len: u64, a: &mut Account) -> Vec<u8> {
 
 #[test]
 fn single_site_commit_is_one_log_force() {
-    // Coordinator record, prepare record, commit mark, and the install and
-    // two purges of the transaction before: six frames, all in the home
-    // journal, all on the mark's flush.
+    // The prepare record, the record born committed, and the install and
+    // two purges of the transaction before: five frames, all in the home
+    // journal, all on the record's flush.
     let c = TestCluster::new(1);
     let s = c.site(0);
     let mut a = acct(0);
@@ -1292,7 +1293,7 @@ fn single_site_commit_is_one_log_force() {
         let (fl0, fr0, _) = home.journal().flush_stats();
         commit_record(s, "/f", b"again", &mut a).unwrap();
         let (fl1, fr1, _) = home.journal().flush_stats();
-        assert_eq!((fl1 - fl0, fr1 - fr0), (1, 6), "round {round}");
+        assert_eq!((fl1 - fl0, fr1 - fr0), (1, 5), "round {round}");
     }
 }
 
@@ -1326,14 +1327,13 @@ fn mount_second_volume(
 
 #[test]
 fn a_vote_whose_mark_is_in_another_journal_is_durable_before_it_is_cast() {
-    use locus_net::{Msg, TxnMsg};
     let c = TestCluster::new(2);
     let (s0, s1) = (c.site(0), c.site(1));
     let mut a0 = acct(0);
     let mut a1 = acct(1);
 
-    // Three files: on the coordinator's home volume, on a second volume
-    // mounted at the coordinator's own site, and at a remote site.
+    // Three files: on the requester's home volume, on a second volume
+    // mounted at the requester's own site, and at a remote site.
     let p = s0.kernel.spawn();
     let ch = s0.kernel.creat(p, "/home", &mut a0).unwrap();
     s0.kernel.close(p, ch, &mut a0).unwrap();
@@ -1348,50 +1348,36 @@ fn a_vote_whose_mark_is_in_another_journal_is_durable_before_it_is_cast() {
         let ch = s0.kernel.open(pid, name, true, &mut a0).unwrap();
         s0.kernel.write(pid, ch, b"vote", &mut a0).unwrap();
     }
-    let (remote, local): (Vec<_>, Vec<_>) = s0
-        .kernel
-        .procs
-        .get(pid)
-        .unwrap()
-        .file_list
-        .iter()
-        .map(|f| f.fid)
-        .partition(|fid| fid.volume == s1.kernel.home_volume);
-    assert_eq!((remote.len(), local.len()), (1, 2));
-    let yes = |resp: Msg| matches!(resp, Msg::Txn(TxnMsg::PrepareDone { ok: true, .. }));
-    let prepare = |files| TxnMsg::Prepare {
-        tid,
-        coordinator: SiteId(0),
-        files,
-        epoch: 0,
-    };
+    let home = s0.kernel.home().unwrap();
+    let flushes = |v: &Volume| v.journal().flush_stats().0;
+    let before = (flushes(&home), flushes(&second));
+    s0.txn.end_trans(pid, &mut a0).unwrap();
 
-    // Remote participant: the record is on the platters when the yes arrives.
-    let resp = s0
-        .kernel
-        .rpc(SiteId(1), Msg::Txn(prepare(remote)), &mut a0)
-        .unwrap();
-    assert!(yes(resp));
+    // The remote yes: its prepare record was on the platters when it was
+    // cast.
     let durable = s1.kernel.home().unwrap().durable_prepare_records();
     assert_eq!(durable.len(), 1);
     assert_eq!(durable[0].tid, tid);
-
-    // Co-located participant: the second volume's journal will never carry
-    // the mark, so its record is forced; the home volume's rides the mark.
-    assert!(yes(s0.txn.handle_txn(SiteId(0), prepare(local), &mut a0)));
+    // The requester's own yes: the second volume's journal never carries
+    // its record, so its prepare record is forced on its own; the home
+    // volume's rides the force of the yes record. One force each.
+    assert_eq!(
+        (flushes(&home) - before.0, flushes(&second) - before.1),
+        (1, 1)
+    );
     let durable = second.durable_prepare_records();
     assert_eq!(durable.len(), 1);
     assert_eq!((durable[0].tid, durable[0].intentions.fid), (tid, fid2));
-    let home = s0.kernel.home().unwrap();
-    assert!(home.durable_prepare_records().is_empty());
-    assert!(home.prepare_log_scan(&mut a0).iter().any(|r| r.tid == tid));
+    assert!(home.durable_prepare_records().iter().any(|r| r.tid == tid));
 }
 
 #[test]
 fn an_acked_commit_on_a_second_volume_survives_recovery() {
-    // The prepare record is on the second volume, the coordinator record on
-    // the home volume: recovery must ask the home journal what became of
-    // the transaction, not the volume it found the prepare record on.
+    // The prepare record is on the second volume, the record born committed
+    // on the home volume. The install lands inside `EndTrans` — the second
+    // volume's journal holds no record, so it is forced — and the record's
+    // purge does not: recovery redoes the install from the home journal, a
+    // no-op, and purges it.
     let c = TestCluster::new(1);
     let s = c.site(0);
     let mut a = acct(0);
@@ -1401,7 +1387,6 @@ fn an_acked_commit_on_a_second_volume_survives_recovery() {
     let ch = s.kernel.open(pid, "/second", true, &mut a).unwrap();
     s.kernel.write(pid, ch, b"acked", &mut a).unwrap();
     s.txn.end_trans(pid, &mut a).unwrap();
-    // Crash with phase two still queued.
     s.crash();
 
     let mut ra = acct(0);
@@ -1412,7 +1397,7 @@ fn an_acked_commit_on_a_second_volume_survives_recovery() {
             report.participant_committed,
             report.participant_aborted
         ),
-        (1, 1, 0),
+        (1, 0, 0),
         "{report:?}"
     );
     assert_eq!(read_record(s, "/second", 5, &mut ra), b"acked");
@@ -1423,11 +1408,13 @@ fn an_acked_commit_on_a_second_volume_survives_recovery() {
 
 #[test]
 fn a_carried_second_volume_asks_its_coordinator_and_keeps_an_acked_write() {
-    // Site 0 coordinates a write to a file on its second volume and one at
-    // site 1. After the durable mark, before phase two, site 0 goes dark
-    // and the second volume is carried to site 2. That volume holds the
-    // prepare record but no coordinator record — those live on site 0's
-    // home volume — so "no record here" must not read as an abort.
+    // Site 0 requests a write to a file on its second volume and one at
+    // site 1. After both yes votes are durable, before phase two, site 0
+    // goes dark and the second volume is carried to site 2. That volume
+    // holds the prepare record but no record of site 0's yes — that lives
+    // on site 0's home volume — so "no record here" must not read as an
+    // abort. (Site 0 took its own phase two at once, but the install's
+    // frames had not landed on the second volume when it was pulled.)
     let c = TestCluster::new(3);
     let (s0, s1, s2) = (c.site(0), c.site(1), c.site(2));
     let mut a0 = acct(0);
@@ -1458,7 +1445,8 @@ fn a_carried_second_volume_asks_its_coordinator_and_keeps_an_acked_write() {
     );
     assert_eq!(second.prepare_log_scan(&mut a2).len(), 1);
 
-    // The coordinator answers again: the carried record installs.
+    // Site 0 answers again — its record notes the commit it took — and the
+    // carried record installs.
     c.transport.site_up(SiteId(0));
     let mut report = Default::default();
     s2.txn.recover_volume(&second, &mut a2, &mut report);
@@ -1487,24 +1475,28 @@ fn a_stalled_install_is_nacked_and_keeps_its_promise() {
     s.kernel.write(pid, ch, b"promised", &mut a).unwrap();
     let file_list = s.kernel.procs.get(pid).unwrap().file_list;
     let fids: Vec<_> = file_list.iter().map(|f| f.fid).collect();
+
+    // The disk dies at the install's first append, after the data page, the
+    // prepare record, the record born committed and their force.
+    let home = s.kernel.home().unwrap();
+    let disk = home.disk().clone();
+    disk.arm_crash_point(disk.mutation_count() + 4, CrashPointMode::Clean);
+    s.txn.set_transcript_recording(true);
+    // The caller hears the commit; the install is queued for a retry.
     let EndOutcome::Committed(tid) = s.txn.end_trans(pid, &mut a).unwrap() else {
         panic!("top-level EndTrans commits");
     };
-
-    // The disk dies on the next durable mutation: phase two's inode install.
-    let home = s.kernel.home().unwrap();
-    let disk = home.disk().clone();
-    disk.arm_crash_point(disk.mutation_count(), CrashPointMode::Clean);
-    s.txn.set_transcript_recording(true);
+    assert!(disk.tripped());
+    assert_eq!(s.txn.pending_async(), 1);
+    // The retry gets the same nack and stays queued.
+    s.txn.run_async_work(&mut a);
+    s.txn.run_async_work(&mut a);
     let commit = TxnMsg::Commit {
         tid,
         files: fids.clone(),
     };
-    let reply = s.txn.handle_txn(SiteId(0), commit, &mut a);
-    assert!(disk.tripped());
+    let reply = s.txn.handle_txn(commit, &mut a);
     assert!(matches!(reply, Msg::Err(Error::DiskOffline)), "{reply:?}");
-    // The queued phase two gets the same nack and stays queued.
-    assert_eq!(s.txn.run_async_work(&mut a), 0);
     assert_eq!(s.txn.pending_async(), 1);
 
     // The promise stands: prepare record durable, locks still held.
@@ -1587,7 +1579,7 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
             _ => None,
         })
         .collect();
-    assert_eq!(flushes, [6], "one force, six frames: {stream:?}");
+    assert_eq!(flushes, [5], "one force, five frames: {stream:?}");
     // The block NEW's install replaced is freed by the flush that lands
     // the install.
     home.log_barrier(&mut a).unwrap();
@@ -1606,7 +1598,7 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
     let home = c.site(0).kernel.home().unwrap();
     commit_record(c.site(0), "/f", NEW, &mut acct(0)).unwrap_err();
     let durable = home.disk().journal_peek();
-    let frame_lens: Vec<usize> = durable[durable.len() - 6..].iter().map(Vec::len).collect();
+    let frame_lens: Vec<usize> = durable[durable.len() - 5..].iter().map(Vec::len).collect();
 
     let mut points = Vec::new();
     for (at, m) in stream.iter().enumerate() {
@@ -1676,7 +1668,7 @@ fn every_crash_point_of_a_single_site_commit_is_all_or_nothing() {
 // ----- The install is a journal record ----------------------------------------
 
 /// Writes `data` at `at` of `name` in a transaction of its own and ends it,
-/// leaving its phase two queued.
+/// running no phase-two pump after.
 fn acked_record(s: &Site, name: &str, at: u64, data: &[u8], a: &mut Account) -> Result<(), Error> {
     let pid = s.kernel.spawn();
     s.txn.begin_trans(pid, a)?;
@@ -1799,20 +1791,24 @@ fn crash_window(
 
 #[test]
 fn every_crash_point_from_an_install_to_the_next_force_is_all_or_nothing() {
-    // NEW is acked with its install still queued; the window is that
-    // install — an append riding the home journal, which holds NEW's mark —
-    // and the whole of the next commit, whose mark's force lands it.
+    // NEW installs inside its own `EndTrans`, an append riding the home
+    // journal that holds its record born committed; the window is that
+    // commit and the whole of the next one, whose force lands the install.
     let outcomes = crash_window(
         |s, a| {
             commit_record(s, "/f", b"old-old-", a).unwrap();
-            acked_record(s, "/f", 0, b"new-new-", a).unwrap();
+            s.kernel.home().unwrap().log_barrier(a).unwrap();
         },
         |s, a| {
-            s.txn.run_async_work(a);
-            vec![commit_record(s, "/f", b"next-one", a).is_ok()]
+            let new = acked_record(s, "/f", 0, b"new-new-", a).is_ok();
+            vec![new, commit_record(s, "/f", b"next-one", a).is_ok()]
         },
         8,
-        |got, acked| got == b"next-one" || (got == b"new-new-" && !acked[0]),
+        |got, acked| match acked {
+            [_, true] => got == b"next-one",
+            [true, false] => got == b"new-new-" || got == b"next-one",
+            _ => [&b"old-old-"[..], b"new-new-", b"next-one"].contains(&got),
+        },
     );
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }
@@ -1820,11 +1816,11 @@ fn every_crash_point_from_an_install_to_the_next_force_is_all_or_nothing() {
 #[test]
 fn two_differenced_installs_on_one_page_survive_every_crash_until_the_next_force() {
     // `hot_records`' shape: two transactions hold records on one page when
-    // each prepares, so each shadow image is differenced, and the second
-    // install finds the page moved and merges onto the first. Both are
-    // acked before either installs; a crash anywhere from those installs
-    // through the next commit's force keeps both records.
-    let both = |s: &Site, a: &mut Account| {
+    // the first prepares, so its shadow image is differenced, and the
+    // second prepares over the first's install. Each installs inside its
+    // own `EndTrans`; a crash anywhere from the first commit through the
+    // next commit's force keeps every acked record.
+    let both = |s: &Site, a: &mut Account| -> Vec<bool> {
         let (p1, p2) = (s.kernel.spawn(), s.kernel.spawn());
         for (p, at, data) in [(p1, 0, b"first-1!"), (p2, 8, b"second-2")] {
             s.txn.begin_trans(p, a).unwrap();
@@ -1832,20 +1828,28 @@ fn two_differenced_installs_on_one_page_survive_every_crash_until_the_next_force
             s.kernel.lseek(p, ch, at, a).unwrap();
             s.kernel.write(p, ch, data, a).unwrap();
         }
-        s.txn.end_trans(p1, a).unwrap();
-        s.txn.end_trans(p2, a).unwrap();
+        [p1, p2].map(|p| s.txn.end_trans(p, a).is_ok()).to_vec()
     };
-    let diffed = |s: &Site| s.kernel.counters.snapshot().pages_committed_diff;
+    let dots = |s: &Site, a: &mut Account| {
+        commit_record(s, "/f", &[b'.'; 24], a).unwrap();
+        s.kernel.home().unwrap().log_barrier(a).unwrap();
+    };
+    {
+        let c = TestCluster::new(1);
+        let (s, mut a) = (c.site(0), acct(0));
+        let pid = s.kernel.spawn();
+        let ch = s.kernel.creat(pid, "/f", &mut a).unwrap();
+        s.kernel.close(pid, ch, &mut a).unwrap();
+        dots(s, &mut a);
+        let diffed = || s.kernel.counters.snapshot().pages_committed_diff;
+        let before = diffed();
+        both(s, &mut a);
+        assert_eq!(diffed() - before, 1, "the first image differenced");
+    }
     let outcomes = crash_window(
+        dots,
         |s, a| {
-            commit_record(s, "/f", &[b'.'; 24], a).unwrap();
-            let before = diffed(s);
-            both(s, a);
-            assert_eq!(diffed(s) - before, 2, "both images differenced");
-        },
-        |s, a| {
-            s.txn.run_async_work(a);
-            let mut acked = vec![true];
+            let mut acked = both(s, a);
             let pid = s.kernel.spawn();
             let next = s.txn.begin_trans(pid, a).and_then(|_| {
                 let ch = s.kernel.open(pid, "/f", true, a)?;
@@ -1853,14 +1857,16 @@ fn two_differenced_installs_on_one_page_survive_every_crash_until_the_next_force
                 s.kernel.write(pid, ch, b"third-3!", a)?;
                 s.txn.end_trans(pid, a)
             });
-            acked[0] = next.is_ok();
-            s.txn.run_async_work(a);
+            acked.push(next.is_ok());
             acked
         },
         24,
         |got, acked| {
-            &got[..16] == b"first-1!second-2"
-                && (&got[16..] == b"third-3!" || (!acked[0] && &got[16..] == b"........"))
+            let kept = |at: usize, data: &[u8]| {
+                let got = &got[at..at + 8];
+                got == data || (!acked[at / 8] && got == b"........")
+            };
+            kept(0, b"first-1!") && kept(8, b"second-2") && kept(16, b"third-3!")
         },
     );
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
@@ -1908,7 +1914,7 @@ fn an_install_whose_mark_is_in_another_journal_is_not_acked_before_it_lands() {
     let peek = |v: &Volume, fid| v.durable_peek(fid, ByteRange::new(0, 4)).unwrap();
 
     // A remote participant installs, and says its install has not landed:
-    // the coordinator, which purges its record on the ack, must ask again.
+    // the requester, which forgets on the ack, must ask again.
     // Its next force lands the install, and the resend is acked without one.
     let remote_home = s1.kernel.home().unwrap();
     let resp = s0
@@ -1926,15 +1932,18 @@ fn an_install_whose_mark_is_in_another_journal_is_not_acked_before_it_lands() {
     assert_eq!(flushes(&remote_home), forced, "answered from the journal");
     assert_eq!(peek(&remote_home, remote[0]), b"inst");
 
-    // The coordinator's own site: the second volume's journal holds no mark,
-    // so its install is forced; the home volume's rides the mark's journal.
-    let resp = s0
-        .txn
-        .handle_txn(SiteId(0), TxnMsg::Commit { tid, files: local }, &mut a0);
-    assert_eq!(resp, Msg::Ok);
-    assert_eq!(peek(&second, fid2), b"inst");
+    // The requester's own site holds a yes among peers like any other: its
+    // installs, on both its volumes, and its note of the commit are not
+    // acked before they land, and the resend forces them.
+    let commit_here = |a: &mut Account| {
+        let files = local.clone();
+        s0.txn.handle_txn(TxnMsg::Commit { tid, files }, a)
+    };
+    assert_eq!(commit_here(&mut a0), Msg::Err(Error::NotLanded(tid)));
+    assert_eq!(peek(&second, fid2), b"");
     assert_eq!(peek(&home, fid_home), b"");
-    home.log_barrier(&mut a0).unwrap();
+    assert_eq!(commit_here(&mut a0), Msg::Ok);
+    assert_eq!(peek(&second, fid2), b"inst");
     assert_eq!(peek(&home, fid_home), b"inst");
 
     // A delegate among peers: neither its install nor its note of the
@@ -2114,29 +2123,37 @@ fn a_wave_on_the_callers_thread_repeats_byte_for_byte() {
 #[test]
 fn a_local_and_a_remote_participant_still_force_one_journal_each() {
     // The chaos workload's shape. The wave changes when the two sites are
-    // charged, not what they force: the remote vote its own journal, the
-    // local vote nothing — it rides the mark's force of the home journal.
-    // In phase two neither install is forced: the local one rides the
-    // mark's journal, and the remote one waits for its site's next force
-    // before it is acked — here the resend's. (Set-up forces no journal, so
-    // these are the run's totals.)
+    // charged, not what they force: each vote its own journal, the
+    // requester's own in its own machine, with no message. In phase two
+    // neither install is forced: the local one is a step of the requester,
+    // and its forget of site 1 waits for it to land; the remote one waits
+    // for its site's next force before it is acked — here, with no commit
+    // after it, the resend's. (Set-up forces no journal, so these are the
+    // run's totals.)
     let (c, sync, bg) = commit_across(&[0, 1]);
     assert_eq!(forces(&c), [1, 1, 0]);
     assert_eq!((bg.seq_ios, bg.disk_writes), (0, 0));
     assert_eq!((sync.seq_ios, sync.messages), (2, 1));
-    c.site(0).txn.run_async_work(&mut acct(0));
+    for _ in 0..3 {
+        c.site(0).txn.run_async_work(&mut acct(0));
+    }
     assert_eq!(forces(&c), [1, 2, 0]);
     assert_eq!(c.site(0).txn.pending_async(), 0);
 }
 
 // ----- Commit where the data is ------------------------------------------------
 
-/// Applies `decision` to the first wire message of `kind`.
-struct Tap(parking_lot::Mutex<Option<(&'static str, locus_net::FaultDecision)>>);
+/// Applies each `(kind, decision)`, in order, to the next wire message of
+/// that kind.
+struct Tap(parking_lot::Mutex<VecDeque<(&'static str, locus_net::FaultDecision)>>);
 
 impl Tap {
     fn install(c: &TestCluster, kind: &'static str, decision: locus_net::FaultDecision) {
-        let tap = Tap(parking_lot::Mutex::new(Some((kind, decision))));
+        Tap::install_all(c, &[(kind, decision)]);
+    }
+
+    fn install_all(c: &TestCluster, faults: &[(&'static str, locus_net::FaultDecision)]) {
+        let tap = Tap(parking_lot::Mutex::new(faults.iter().copied().collect()));
         c.transport.set_fault_injector(Some(Arc::new(tap)));
     }
 }
@@ -2149,10 +2166,10 @@ impl locus_net::FaultInjector for Tap {
         msg: &locus_net::Msg,
         _: bool,
     ) -> locus_net::FaultDecision {
-        let mut fault = self.0.lock();
-        match *fault {
-            Some((kind, decision)) if kind == msg.kind() => {
-                *fault = None;
+        let mut faults = self.0.lock();
+        match faults.front() {
+            Some(&(kind, decision)) if kind == msg.kind() => {
+                faults.pop_front();
                 decision
             }
             _ => locus_net::FaultDecision::Deliver,
@@ -2345,16 +2362,18 @@ fn a_forget_rides_the_next_phase_two_batch_to_the_delegate() {
     let (first, out) = delegated_write(&c, b"one-site");
     assert_eq!(out, Ok(EndOutcome::Committed(first)));
     assert_eq!(delegate_records(&c), [(first, TxnStatus::Committed)]);
-    // A commit across both sites: its phase two to site 1 carries it.
+    // A commit across both sites: its delegation to site 1 carries it. Its
+    // own forget waits for the next message there.
     let (s0, mut a0) = (c.site(0), acct(0));
     let pid = s0.kernel.spawn();
-    s0.txn.begin_trans(pid, &mut a0).unwrap();
+    let second = s0.txn.begin_trans(pid, &mut a0).unwrap();
     write_here(s0, pid, &mut a0);
     let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
     s0.kernel.write(pid, ch, b"two-site", &mut a0).unwrap();
     s0.txn.end_trans(pid, &mut a0).unwrap();
     c.drain_async();
-    assert!(delegate_records(&c).is_empty());
+    c.drain_async();
+    assert_eq!(delegate_records(&c), [(second, TxnStatus::Committed)]);
     assert_eq!(
         c.events.count(|e| matches!(
             e,
@@ -2926,6 +2945,211 @@ fn every_crash_point_from_a_delegates_install_to_its_next_vote_force_is_all_or_n
     assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
 }
 
+// ----- The requester holds a file too ------------------------------------------
+
+/// Two sites with `/f0` at site 0, the requester, and `/f1` at site 1, eight
+/// zero bytes each, every journal flushed.
+fn mixed_cluster() -> TestCluster {
+    let c = TestCluster::new(2);
+    for i in [0, 1] {
+        let (s, mut a) = (c.site(i), acct(i as u32));
+        let p = s.kernel.spawn();
+        let ch = s.kernel.creat(p, &format!("/f{i}"), &mut a).unwrap();
+        s.kernel.write(p, ch, &[0u8; 8], &mut a).unwrap();
+        s.kernel.close(p, ch, &mut a).unwrap();
+        s.kernel.home().unwrap().log_barrier(&mut a).unwrap();
+    }
+    c
+}
+
+/// Site 0 writes `data` at offset 0 of `/f0` and `/f1` in one transaction
+/// of its own, and returns it unended.
+fn mixed_write_open(c: &TestCluster, data: &[u8]) -> (TransId, Pid) {
+    let (s0, mut a0) = (c.site(0), acct(0));
+    let pid = s0.kernel.spawn();
+    let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    for i in [0, 1] {
+        let name = format!("/f{i}");
+        let ch = s0.kernel.open(pid, &name, true, &mut a0).unwrap();
+        s0.kernel.write(pid, ch, data, &mut a0).unwrap();
+    }
+    (tid, pid)
+}
+
+/// [`mixed_write_open`], ended with site 1's answer lost and the requester's
+/// inquiry after it dropped: both yes votes are durable, and the requester
+/// does not know it.
+fn mixed_write_unanswered(c: &TestCluster, data: &[u8]) -> TransId {
+    use locus_net::FaultDecision::{Drop, DropReply};
+    let (tid, pid) = mixed_write_open(c, data);
+    Tap::install_all(c, &[("Delegate", DropReply), ("StatusInquiry", Drop)]);
+    let out = c.site(0).txn.end_trans(pid, &mut acct(0));
+    assert!(out.is_err() && out != Err(Error::TxnAborted(tid)), "{out:?}");
+    for i in [0, 1] {
+        assert_eq!(records_at(c, i), [(tid, TxnStatus::Voted)], "site {i}");
+        assert!(holds_locks(c, i, tid), "site {i}");
+    }
+    tid
+}
+
+#[test]
+fn every_crash_point_of_a_requester_holding_a_file_is_all_or_nothing() {
+    // Site 0 requests A and holds `/f0`; site 1 holds `/f1`. The window is
+    // A from site 0's first yes force to its last install: its own install,
+    // a step of its machine; phase two to site 1; a transaction writing
+    // `/f1` alone, whose delegation carries A's forget once site 0's note
+    // of A has landed; and a commit at site 0 whose force lands it. Site 0
+    // dies at every cut of its disk's mutations in that window.
+    const A: &[u8] = b"AAAAAAAA";
+    let armed = |point: Option<(u64, locus_disk::CrashPointMode)>| -> TestCluster {
+        let c = mixed_cluster();
+        let disk = c.site(0).kernel.home().unwrap().disk().clone();
+        match point {
+            Some((at, mode)) => disk.arm_crash_point(disk.mutation_count() + at, mode),
+            None => disk.set_recording(true),
+        }
+        c
+    };
+    let window = |c: &TestCluster| -> bool {
+        let (s0, mut a0) = (c.site(0), acct(0));
+        let (_, pid) = mixed_write_open(c, A);
+        let acked = s0.txn.end_trans(pid, &mut a0).is_ok();
+        for _ in 0..4 {
+            s0.txn.run_async_work(&mut a0);
+        }
+        let pid = s0.kernel.spawn();
+        let _ = s0.txn.begin_trans(pid, &mut a0).and_then(|_| {
+            let ch = s0.kernel.open(pid, "/f1", true, &mut a0)?;
+            s0.kernel.lseek(pid, ch, 8, &mut a0)?;
+            s0.kernel.write(pid, ch, b"1-alone!", &mut a0)?;
+            s0.txn.end_trans(pid, &mut a0)
+        });
+        let _ = acked_record(s0, "/f0", 8, b"0-alone!", &mut a0);
+        acked
+    };
+    let c = armed(None);
+    assert!(window(&c));
+    let stream = c.site(0).kernel.home().unwrap().disk().take_mutation_log();
+    // A's forget waits for site 0's note of A to land: it did not ride the
+    // delegation of `/f1` alone.
+    assert_eq!(records_at(&c, 1).len(), 2);
+
+    let mut outcomes = [0usize; 2];
+    for (at, mode) in every_cut(&stream) {
+        let c = armed(Some((at, mode)));
+        let acked = window(&c);
+        let disk = c.site(0).kernel.home().unwrap().disk().clone();
+        assert!(disk.tripped(), "point {at} {mode:?} never fired");
+        c.site(0).crash();
+        c.site(0).reboot_and_recover(&mut acct(0));
+        for _ in 0..3 {
+            c.drain_async();
+        }
+        let f0 = read_record(c.site(0), "/f0", 8, &mut acct(0));
+        let f1 = read_record(c.site(1), "/f1", 8, &mut acct(1));
+        assert!(
+            f0 == f1 && (f0 == A || (f0 == [0u8; 8] && !acked)),
+            "point {at} {mode:?}: {f0:?} {f1:?}, A acked: {acked}"
+        );
+        outcomes[usize::from(f0 == A)] += 1;
+    }
+    assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
+}
+
+#[test]
+fn a_cut_off_requester_keeps_its_yes_and_asks_and_wanted_settles_its_peer() {
+    let c = mixed_cluster();
+    let tid = mixed_write_unanswered(&c, b"decided!");
+    let aborted = c.counters.snapshot().txns_aborted;
+    // A partition after both yes votes are durable: the requester neither
+    // presumes abort nor drops its yes; it keeps asking, and so does site
+    // 1, cut off from its requester.
+    c.transport.partition(&[SiteId(1)]);
+    c.drain_async();
+    for i in [0, 1] {
+        assert_eq!(records_at(&c, i), [(tid, TxnStatus::Voted)], "site {i}");
+        assert!(holds_locks(&c, i, tid), "site {i}");
+    }
+    assert!(c.site(0).txn.pending_async() > 0);
+    assert_eq!(c.counters.snapshot().txns_aborted, aborted);
+    // After the heal, a read at site 1 needs the record: site 1 asks the
+    // requester, hears its yes, and commits.
+    c.transport.heal();
+    let asked = inquiries(&c);
+    let read = read_record(c.site(1), "/f1", 8, &mut acct(1));
+    assert_eq!(read, b"decided!");
+    assert_eq!(inquiries(&c), asked + 1);
+    assert!(!holds_locks(&c, 1, tid));
+    c.drain_async();
+    c.drain_async();
+    assert_eq!(c.site(0).txn.pending_async(), 0);
+    // The requester's own install rides its journal's next force.
+    let home = c.site(0).kernel.home().unwrap();
+    home.log_barrier(&mut acct(0)).unwrap();
+    for i in [0, 1] {
+        assert_eq!(durable_at(&c, i), b"decided!", "site {i}");
+    }
+}
+
+#[test]
+fn the_requesters_own_site_settles_a_decided_lock_before_queueing_behind_it() {
+    let c = mixed_cluster();
+    let tid = mixed_write_unanswered(&c, b"decided!");
+    // A waiting lock request at site 0 meets the transaction's lock there:
+    // site 0's own yes asks site 1, hears its yes, commits, and the request
+    // is granted in the same call.
+    let (s0, mut a0) = (c.site(0), acct(0));
+    let pid = s0.kernel.spawn();
+    let ch = s0.kernel.open(pid, "/f0", true, &mut a0).unwrap();
+    let opts = LockOpts {
+        wait: true,
+        ..LockOpts::default()
+    };
+    let asked = inquiries(&c);
+    let granted = s0
+        .kernel
+        .lock(pid, ch, 8, LockRequestMode::Exclusive, opts, &mut a0);
+    assert_eq!(granted, Ok(ByteRange::new(0, 8)));
+    assert_eq!(inquiries(&c), asked + 1);
+    assert!(!holds_locks(&c, 0, tid));
+    assert_eq!(s0.kernel.read(pid, ch, 8, &mut a0).unwrap(), b"decided!");
+}
+
+#[test]
+fn a_migrated_requesters_forget_purges_every_storage_sites_record() {
+    // The top-level process begins at site 0, writes a file at each of
+    // sites 1 and 2, and migrates to site 1 before `EndTrans`: site 1
+    // requests, votes as a step of its own machine, and delegates to site
+    // 2. The forget that leaves site 1 purges site 2's record.
+    let c = two_delegate_cluster();
+    let (tid, pid) = voted_write_open(&c, b"migrated");
+    c.site(0)
+        .kernel
+        .migrate(pid, SiteId(1), &mut acct(0))
+        .unwrap();
+    let out = c.site(1).txn.end_trans(pid, &mut acct(1));
+    assert_eq!(out, Ok(EndOutcome::Committed(tid)));
+    c.drain_async();
+    c.drain_async();
+    assert_eq!(c.site(1).txn.pending_async(), 0);
+    assert_eq!(records_at(&c, 1), []);
+    assert_eq!(records_at(&c, 2), [(tid, TxnStatus::Committed)]);
+    // The forget rides the next message from site 1 to site 2, once site
+    // 1's own note of the commit has landed: here a force of its own.
+    let (s1, mut a1) = (c.site(1), acct(1));
+    s1.kernel.home().unwrap().log_barrier(&mut a1).unwrap();
+    let next = s1.kernel.spawn();
+    s1.txn.begin_trans(next, &mut a1).unwrap();
+    let ch = s1.kernel.open(next, "/f2", true, &mut a1).unwrap();
+    s1.kernel.lseek(next, ch, 8, &mut a1).unwrap();
+    s1.kernel.write(next, ch, b"next-one", &mut a1).unwrap();
+    s1.txn.end_trans(next, &mut a1).unwrap();
+    assert!(!records_at(&c, 2).iter().any(|(t, _)| *t == tid));
+    for i in [1, 2] {
+        assert_eq!(durable_at(&c, i), b"migrated", "site {i}");
+    }
+}
+
 // ----- `drive` over a scripted substrate --------------------------------------
 
 mod scripted_drive {
@@ -2933,24 +3157,24 @@ mod scripted_drive {
 
     use locus_types::{Fid, FileListEntry, SiteId, TransId, TxnStatus, VolumeId};
 
-    use crate::protocol::{drive, Effect, Input, ProtocolSm, Substrate};
+    use crate::protocol::{drive, Effect, Input, PrepareOutcome, ProtocolSm, Substrate};
     use crate::CoordinatorSm;
 
-    /// A coordinator machine over a substrate that answers from a script
+    /// A requester's machine over a substrate that answers from a script
     /// and remembers what it was asked.
     struct Scripted {
         sm: CoordinatorSm,
         no_votes: Vec<SiteId>,
-        mark_ok: bool,
+        record_ok: bool,
         /// Every input the machine was stepped with, in order.
         stepped: Vec<Input>,
         /// Every effect kind interpreted, in order.
         seen: Vec<&'static str>,
-        /// The sites of each delivery of prepares: one entry per single
-        /// prepare, one per wave.
+        /// The sites of each delivery of delegations and the own prepare:
+        /// one entry per single one, one per wave.
         prepares: Vec<Vec<SiteId>>,
-        /// Every decision mark asked for.
-        marks: Vec<TxnStatus>,
+        /// Every record this site forced.
+        records: Vec<TxnStatus>,
         /// Every phase-two item queued: the outcome and the sites to tell.
         queued: Vec<(bool, Vec<SiteId>)>,
     }
@@ -2966,21 +3190,25 @@ mod scripted_drive {
         fn interpret(&mut self, effect: Effect) -> Result<Option<Input>, Infallible> {
             self.seen.push(effect.name());
             Ok(match effect {
-                Effect::LogStart { tid, .. } => Some(Input::StartLogged { tid, ok: true }),
                 Effect::SendPrepare { tid, site, .. } => {
                     self.prepares.push(vec![site]);
                     let ok = !self.no_votes.contains(&site);
                     Some(Input::Vote { tid, site, ok })
                 }
-                Effect::LogStatus {
-                    tid,
-                    status,
-                    critical: true,
-                } => {
-                    self.marks.push(status);
+                Effect::SendDelegate { tid, site, .. } => {
+                    self.prepares.push(vec![site]);
+                    let outcome = if self.no_votes.contains(&site) {
+                        PrepareOutcome::AbortedOrForgotten
+                    } else {
+                        PrepareOutcome::Undecided
+                    };
+                    Some(Input::DelegateAnswer { tid, site, outcome })
+                }
+                Effect::LogRecord { tid, status, .. } => {
+                    self.records.push(status);
                     Some(Input::StatusLogged {
                         tid,
-                        ok: self.mark_ok,
+                        ok: self.record_ok,
                     })
                 }
                 Effect::QueuePhase2 {
@@ -3012,16 +3240,17 @@ mod scripted_drive {
         TransId::new(SiteId(0), 1)
     }
 
-    /// Drives a commit request over one file at each of three sites.
-    fn commit(no_votes: &[SiteId], mark_ok: bool) -> Scripted {
+    /// Drives a commit request over one file at each of three sites, the
+    /// requester's own among them.
+    fn commit(no_votes: &[SiteId], record_ok: bool) -> Scripted {
         let mut sub = Scripted {
             sm: CoordinatorSm::new(SiteId(0)),
             no_votes: no_votes.to_vec(),
-            mark_ok,
+            record_ok,
             stepped: Vec::new(),
             seen: Vec::new(),
             prepares: Vec::new(),
-            marks: Vec::new(),
+            records: Vec::new(),
             queued: Vec::new(),
         };
         let files = (0..3)
@@ -3039,37 +3268,39 @@ mod scripted_drive {
     fn a_middle_no_still_prepares_all_three_and_aborts_once() {
         let sub = commit(&[SiteId(1)], true);
         let all = [SiteId(0), SiteId(1), SiteId(2)];
-        assert_eq!(sub.prepares.concat(), all);
-        // One decision, taken when the last vote is in, and every site —
-        // the two that prepared and the one that refused — is told.
-        assert_eq!(sub.marks, [TxnStatus::Aborted]);
-        assert_eq!(sub.queued, [(false, all.to_vec())]);
-        assert!(!sub.seen.contains(&"RaiseFences"));
-        assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Aborted));
+        // One decision, taken when the last vote is in: its own yes rolls
+        // back here, and the other sites — the one that voted yes and the
+        // one that refused — are told.
+        assert_eq!(sub.records, [TxnStatus::Voted]);
+        assert_eq!(sub.queued, [(false, all[1..].to_vec())]);
+        assert!(sub.seen.contains(&"FinishLocal"));
+        assert!(!sub.seen.contains(&"NoteCommitPoint"));
     }
 
     #[test]
     fn a_parallel_fan_out_is_one_wave_and_its_votes_are_stepped_in_wave_order() {
         let sub = commit(&[SiteId(1)], true);
-        assert_eq!(sub.prepares, [[SiteId(0), SiteId(1), SiteId(2)]]);
-        // Request, start record, the three votes in wave order, and only
-        // then the mark: the no in the middle did not cut the wave short.
-        let votes: Vec<(u32, bool)> = sub.stepped[2..5]
+        assert_eq!(sub.prepares, [[SiteId(1), SiteId(2), SiteId(0)]]);
+        // Request, then the three answers in wave order, and only then the
+        // own record: the no in the middle did not cut the wave short.
+        let answers: Vec<(u32, bool)> = sub.stepped[1..4]
             .iter()
             .map(|i| match i {
+                Input::DelegateAnswer { site, outcome, .. } => {
+                    (site.0, *outcome == PrepareOutcome::Undecided)
+                }
                 Input::Vote { site, ok, .. } => (site.0, *ok),
-                other => panic!("expected a vote, stepped {other:?}"),
+                other => panic!("expected an answer, stepped {other:?}"),
             })
             .collect();
-        assert_eq!(votes, [(0, true), (1, false), (2, true)]);
-        assert!(matches!(sub.stepped[5], Input::StatusLogged { .. }));
-        assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Aborted));
+        assert_eq!(answers, [(1, false), (2, true), (0, true)]);
+        assert!(matches!(sub.stepped[4], Input::StatusLogged { .. }));
     }
 
     #[test]
     fn a_failed_commit_mark_stays_fenced_and_undecided() {
         let sub = commit(&[], false);
-        assert_eq!(sub.seen[sub.seen.len() - 2..], ["RaiseFences", "LogStatus"]);
+        assert_eq!(sub.seen[sub.seen.len() - 2..], ["RaiseFences", "LogRecord"]);
         assert!(!sub.seen.contains(&"QueuePhase2") && !sub.seen.contains(&"DropFence"));
         assert_eq!(sub.sm.status_of(tid()), Some(TxnStatus::Unknown));
         assert!(format!("{:?}", sub.sm).contains("MarkFailed"));

@@ -308,21 +308,22 @@ mod tests {
         let rec = locus_types::CoordLogRecord {
             tid,
             files: vec![],
-            status: TxnStatus::Unknown,
+            status: TxnStatus::Voted,
         };
         let before = a.clone();
         v.coord_log_put(&rec, &mut a).unwrap();
+        v.coord_log_note_status(tid, TxnStatus::Committed, &mut a)
+            .unwrap();
         assert_eq!(
             a.delta_since(&before).total_ios(),
             0,
-            "puts are buffered appends"
+            "a yes and a note are buffered appends"
         );
+        // One group-commit flush makes the record *and* the status delta
+        // durable — one sequential I/O where the KV layout paid a barrier
+        // per record.
         let before = a.clone();
-        v.coord_log_set_status(tid, TxnStatus::Committed, &mut a)
-            .unwrap();
-        // The commit point: one group-commit flush makes the `Unknown`
-        // record *and* the status delta durable — one sequential I/O where
-        // the KV layout paid a barrier per record.
+        v.log_barrier(&mut a).unwrap();
         let d = a.delta_since(&before);
         assert_eq!((d.seq_ios, d.disk_writes), (1, 0));
         assert_eq!(
@@ -342,18 +343,20 @@ mod tests {
         let rec = locus_types::CoordLogRecord {
             tid,
             files: vec![],
-            status: TxnStatus::Unknown,
+            status: TxnStatus::Voted,
         };
         v.coord_log_put(&rec, &mut a).unwrap();
-        // Crash with the record still in the buffered tail: gone — which is
-        // safe, `Unknown` means presumed abort.
+        // Crash with the yes still in the buffered tail: gone — which is
+        // safe, it was never cast.
         v.crash();
         v.reboot();
         assert!(v.coord_log_get(tid, &mut a).is_none());
-        // Committed status flushes as part of the mark itself.
+        // A record born committed is forced as the mark itself.
+        let rec = locus_types::CoordLogRecord {
+            status: TxnStatus::Committed,
+            ..rec
+        };
         v.coord_log_put(&rec, &mut a).unwrap();
-        v.coord_log_set_status(tid, TxnStatus::Committed, &mut a)
-            .unwrap();
         v.crash();
         v.reboot();
         assert_eq!(
@@ -369,7 +372,7 @@ mod tests {
         let rec = locus_types::CoordLogRecord {
             tid,
             files: vec![],
-            status: TxnStatus::Unknown,
+            status: TxnStatus::Voted,
         };
         let before = a.clone();
         v.coord_log_put(&rec, &mut a).unwrap();

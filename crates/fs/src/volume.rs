@@ -1034,12 +1034,14 @@ impl Volume {
     // charged like the old per-record stable reads, so recovery I/O counts
     // keep their Figure 5 parity.
 
-    /// Appends a coordinator log record to the commit journal. Buffered —
-    /// no I/O is charged here; the record becomes durable (and the cost is
-    /// paid) at the next log barrier. A record born `Committed` (a
-    /// delegate's, which logs nothing before its decision) is the commit
-    /// point itself, forced and announced as [`Volume::coord_log_set_status`]
-    /// forces and announces a status delta.
+    /// Appends a site's commit record to the journal. Buffered — no I/O is
+    /// charged here; the record becomes durable (and the cost is paid) at
+    /// the next log barrier. A record born `Committed` (a lone storage
+    /// site's, which logs nothing before its decision) is the commit point
+    /// itself (Section 4.2): it — and, via group commit, every buffered
+    /// entry ahead of it, the prepare records of its files on this volume
+    /// and the lazy truncations of earlier transactions — is flushed
+    /// durably in one barrier before the commit mark is announced.
     pub fn coord_log_put(&self, rec: &CoordLogRecord, acct: &mut Account) -> Result<()> {
         self.journal.coord_put(rec, acct)?;
         self.events.push(Event::CoordLog {
@@ -1047,39 +1049,16 @@ impl Volume {
             tid: rec.tid,
             status: rec.status,
         });
-        self.mark_if_committed(rec.tid, rec.status, acct)
-    }
-
-    fn mark_if_committed(&self, tid: TransId, status: TxnStatus, acct: &mut Account) -> Result<()> {
-        if status == TxnStatus::Committed {
+        if rec.status == TxnStatus::Committed {
             self.log_barrier(acct)?;
-            self.events.push(Event::CommitMark { tid });
+            self.events.push(Event::CommitMark { tid: rec.tid });
         }
         Ok(())
     }
 
-    /// Appends a status delta for a coordinator log record. For
-    /// `Committed` this *is* the commit point (Section 4.2): the delta —
-    /// and, via group commit, every other buffered entry ahead of it — is
-    /// flushed durably in one barrier before the commit mark is announced.
-    /// On the coordinator's home volume "every other buffered entry" is
-    /// most of the transaction: its own `Unknown` record, the prepare
-    /// records of its files on this volume (a local vote is not forced
-    /// separately), and the lazy truncations of earlier transactions.
-    pub fn coord_log_set_status(
-        &self,
-        tid: TransId,
-        status: TxnStatus,
-        acct: &mut Account,
-    ) -> Result<()> {
-        self.coord_log_note_status(tid, status, acct)?;
-        self.mark_if_committed(tid, status, acct)
-    }
-
-    /// Appends a status delta for a coordinator log record, never forced: a
-    /// note of an outcome decided elsewhere — a recovery or topology
-    /// rewrite, or a delegate among peers learning the commit their votes
-    /// made — that recovery can learn again if it is lost.
+    /// Appends a status delta for a commit record, never forced: a note of
+    /// an outcome the site learned — from phase two, its peers, or its own
+    /// record at recovery — that recovery can learn again if it is lost.
     pub fn coord_log_note_status(
         &self,
         tid: TransId,

@@ -13,33 +13,33 @@
 //! breadth-first with full-state deduplication, so a reported
 //! counterexample trace is shortest-possible.
 //!
-//! **Scope.** Site 0 starts every transaction. By default each transaction
-//! writes one file at every site; with [`McConfig::remote_only`] it writes
+//! **Scope.** Site 0 requests every transaction. By default each
+//! transaction writes one file at every site, so the requester votes too,
+//! as a step of its own machine; with [`McConfig::remote_only`] it writes
 //! one at every site *but* site 0. Over two sites that is the delegated
 //! shape — one participant, not the requester, which decides — and over
 //! three it is `commit_dist`'s: a requester with no file of its own and two
-//! remote participants, whose durable yes votes decide. A delegate among
-//! peers in doubt asks them (after a reboot, or stranded by a partition),
-//! and the requester's forgets reach each delegate once phase two is done.
+//! remote participants. Either way the storage sites' durable yes votes
+//! decide. A site in doubt asks its peers (after a reboot, or stranded by a
+//! partition), and the requester's forgets reach each remote storage site
+//! once phase two is done.
 //!
 //! **Fault model.** Between any two protocol transitions the scope may
 //! crash a site (volatile dirty pages die; journals, machines, and the
 //! catalog's fences survive, as in the simulator), reboot it (boot epoch
 //! bumps; recovery replays the journal scan through the machines), drop a
-//! prepare message (with synchronous RPC a lost request and a lost reply
-//! both surface at the coordinator as a no vote — a lost *reply* after the
-//! participant really prepared is reachable as duplicate-then-drop),
-//! duplicate a prepare delivery, strand an undecided transaction at a
-//! participant (the partition scenario: the production `Input::Stranded`,
-//! which rolls back unless the site prepared), and re-dirty a file after
-//! its acked writes were lost (the transaction's processes re-established
-//! state — the historical trigger for both the refusal-set and boot-epoch
-//! defenses). A delegation may be dropped or duplicated like a prepare, and
-//! its answer dropped on the way back. In a remote-only scope a delegate
-//! may also be asked for a lock its transaction holds while its yes waits
-//! for the outcome (`Input::Wanted`: the hook a storage site runs before a
-//! request waits on such a lock), whenever that yes is logged. Each fault
-//! class has its own budget so the scope stays finite.
+//! delegation or its answer (a lost answer is never a no: the requester
+//! asks again), duplicate a delegation, strand an undecided transaction at
+//! a site (the partition scenario: the requester's machine sees the others
+//! go, another site's sees the requester go, and the production
+//! `Input::Stranded` rolls back unless the site prepared), and re-dirty a
+//! file after its acked writes were lost (the transaction's processes
+//! re-established state — the historical trigger for both the refusal-set
+//! and boot-epoch defenses). A storage site may also be asked for a lock
+//! its transaction holds while its yes among peers waits for the outcome
+//! (`Input::Wanted`: the hook a storage site runs before a request waits
+//! on such a lock), whenever that yes is logged. Each fault class has its
+//! own budget so the scope stays finite.
 //!
 //! **Invariants** (checked on every transition):
 //!
@@ -78,8 +78,7 @@ use locus_types::{Fid, FileListEntry, SiteId, TransId, TxnStatus, VolumeId};
 /// Scope bounds for one exhaustive exploration.
 #[derive(Debug, Clone, Copy)]
 pub struct McConfig {
-    /// Number of sites. Site 0 starts every transaction and coordinates it
-    /// unless it delegates.
+    /// Number of sites. Site 0 requests every transaction.
     pub sites: u32,
     /// Number of transactions (started sequentially, run concurrently).
     pub txns: u64,
@@ -88,10 +87,9 @@ pub struct McConfig {
     pub remote_only: bool,
     /// How many site crashes the scope may inject.
     pub crashes: u8,
-    /// How many prepare messages (or delegations, or their answers) may be
-    /// dropped.
+    /// How many delegations, or their answers, may be dropped.
     pub drops: u8,
-    /// How many prepare deliveries (or delegations) may be duplicated.
+    /// How many delegations may be duplicated.
     pub dups: u8,
     /// How many unilateral (partition-style) rollbacks may occur.
     pub rollbacks: u8,
@@ -145,20 +143,10 @@ pub struct McReport {
 }
 
 /// An in-flight network message. Synchronous RPC in the live driver means
-/// a vote is the prepare's reply; modelling both directions as messages
-/// lets the scope interleave deliveries, drops, and duplicates.
+/// an answer is the delegation's reply; modelling both directions as
+/// messages lets the scope interleave deliveries, drops, and duplicates.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Msg {
-    Prepare {
-        tid: TransId,
-        to: u32,
-        epoch: u64,
-    },
-    Vote {
-        tid: TransId,
-        from: u32,
-        ok: bool,
-    },
     /// Site 0 hands `to` the decision, alone or with the other storage
     /// sites, with the forgets it had for `to`.
     Delegate {
@@ -177,7 +165,7 @@ enum Msg {
 }
 
 /// One queued phase-two work item (mirrors the driver's `Phase2Work`), in
-/// the queue of the coordinator at site `coord`.
+/// the queue of the site `coord`: the requester's, or a lone site's retry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct P2Item {
     coord: u32,
@@ -192,7 +180,7 @@ struct PartSite {
     sm: ParticipantSm,
     up: bool,
     /// Durable prepare log (journal-backed: survives crashes), with the
-    /// coordinator each record names.
+    /// site each record names as its coordinator: this one.
     prepare_log: BTreeMap<TransId, u32>,
     /// Transactions whose intentions were installed here.
     installed: BTreeSet<TransId>,
@@ -203,13 +191,13 @@ struct PartSite {
 /// One global state of the bounded scope.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct World {
-    /// Every site's coordinator machine: site 0's coordinates or delegates,
-    /// another's decides what site 0 delegated to it.
+    /// Every site's commit machine: site 0's requests, and each storage
+    /// site's holds its vote.
     coords: Vec<CoordinatorSm>,
     parts: Vec<PartSite>,
     /// In-flight messages with multiplicity (duplicates raise the count).
     net: BTreeMap<Msg, u8>,
-    /// Durable coordinator log per site (survives crashes).
+    /// Durable commit records per site (survive crashes).
     coord_logs: Vec<BTreeMap<TransId, TxnStatus>>,
     /// Commit fences (the catalog is global and uncrashed, as in the sim).
     fences: BTreeSet<TransId>,
@@ -236,7 +224,7 @@ struct World {
     rollbacks_left: u8,
     /// Per site, whether it may still be asked for a lock a transaction
     /// with a yes among peers holds there ([`Input::Wanted`]): once per
-    /// delegate of a remote-only scope.
+    /// storage site.
     wanted_left: Vec<bool>,
 }
 
@@ -290,7 +278,7 @@ impl World {
             drops_left: cfg.drops,
             dups_left: cfg.dups,
             rollbacks_left: cfg.rollbacks,
-            wanted_left: (0..cfg.sites).map(|s| cfg.remote_only && s > 0).collect(),
+            wanted_left: (0..cfg.sites).map(|s| !cfg.remote_only || s > 0).collect(),
         }
     }
 
@@ -325,8 +313,8 @@ impl World {
         }
     }
 
-    /// Record a commit/abort decision in site `s`'s durable coordinator
-    /// log, checking decision-level invariants.
+    /// Record an outcome in site `s`'s durable commit record, checking
+    /// decision-level invariants.
     fn log_status(&mut self, s: usize, tid: TransId, status: TxnStatus) -> Result<(), String> {
         match status {
             TxnStatus::Committed => self.commit_decided(tid)?,
@@ -337,9 +325,9 @@ impl World {
         Ok(())
     }
 
-    /// Records that `tid` reached its commit point — a durable mark, or the
-    /// last durable yes among delegates — which must not contradict an
-    /// abort or follow a lost write.
+    /// Records that `tid` reached its commit point — a record born
+    /// committed, or the last durable yes among peers — which must not
+    /// contradict an abort or follow a lost write.
     fn commit_decided(&mut self, tid: TransId) -> Result<(), String> {
         if self.aborted.contains(&tid) {
             return Err(format!(
@@ -413,20 +401,18 @@ impl World {
         self.run(at, input, seen).map(|r| r.yes)
     }
 
-    /// Run one full prepare round at site `s` for the coordinator at
-    /// `coordinator` (the participant side of the synchronous prepare RPC),
-    /// returning the vote.
+    /// Run one full prepare round at site `s`, a step of its own commit
+    /// machine, returning the vote.
     fn prepare_round(
         &mut self,
         s: usize,
-        coordinator: u32,
         tid: TransId,
         epoch: u64,
         seen: &mut BTreeSet<&'static str>,
     ) -> Result<bool, String> {
         let input = Input::PrepareReq {
             tid,
-            coordinator: SiteId(coordinator),
+            coordinator: SiteId(s as u32),
             files: vec![fid_at(s as u32)],
             epoch,
         };
@@ -446,7 +432,7 @@ impl World {
         Ok(vote)
     }
 
-    /// Deliver a delegation of `tid` to site `d`: its coordinator takes the
+    /// Deliver a delegation of `tid` to site `d`: its machine takes the
     /// forgets, then decides or votes, and its answer — or its silence —
     /// heads back.
     fn delegate_round(
@@ -475,10 +461,7 @@ impl World {
         tids: Vec<TransId>,
         seen: &mut BTreeSet<&'static str>,
     ) -> Result<(), String> {
-        let forget = Input::Forget {
-            from: SiteId(0),
-            tids,
-        };
+        let forget = Input::Forget { tids };
         self.run(Machine::Coord(d), forget, seen).map(|_| ())
     }
 
@@ -536,7 +519,7 @@ impl World {
     }
 
     /// Deliver one phase-two message for queue item `i` to site `s` and,
-    /// when the item completes, feed `Phase2Done` back to its coordinator.
+    /// when the item completes, feed `Phase2Done` back to its sender.
     fn deliver_phase2(
         &mut self,
         i: usize,
@@ -546,7 +529,7 @@ impl World {
         let item = self.queue[i].clone();
         let coord = Machine::Coord(item.coord as usize);
         let files = vec![fid_at(s as u32)];
-        // A delegate among peers takes it in its coordinator machine first.
+        // A yes among peers takes it in its commit machine first.
         let to = if self.coords[s].holds_vote(item.tid) {
             Machine::Coord(s)
         } else {
@@ -564,12 +547,6 @@ impl World {
             }
         };
         if self.drive(to, first, seen)? {
-            let ack = Input::Phase2Ack {
-                tid: item.tid,
-                site: SiteId(s as u32),
-                ok: true,
-            };
-            self.drive(coord, ack, seen)?;
             self.queue[i].pending.remove(&(s as u32));
             if self.queue[i].pending.is_empty() {
                 let done = self.queue.remove(i);
@@ -611,9 +588,8 @@ impl World {
         self.parts[s].up = true;
         let epoch = self.parts[s].sm.boot_epoch() + 1;
         self.drive(Machine::Part(s), Input::Rebooted { epoch }, seen)?;
-        // Coordinator-log scan: re-drive committed transactions, abort
-        // undecided ones (presumed abort) — or, at a delegate among peers,
-        // ask them. Every record names the whole file list.
+        // Commit-record scan: redo a commit, roll back a noted abort, and
+        // ask the peers of a yes. Every record names the whole file list.
         let scans: Vec<(TransId, TxnStatus)> =
             self.coord_logs[s].iter().map(|(t, st)| (*t, *st)).collect();
         for (tid, status) in scans {
@@ -632,8 +608,8 @@ impl World {
                 seen,
             )?;
         }
-        // Prepare-log scan: resolve each in-doubt prepare against the
-        // coordinator it names.
+        // Prepare-log scan: resolve each in-doubt prepare against the record
+        // it names.
         let recovered: Vec<(TransId, u32)> = self.parts[s]
             .prepare_log
             .iter()
@@ -667,25 +643,27 @@ impl World {
     }
 
     /// A partition strands site `s` holding `tid`'s writes: the inputs the
-    /// topology-change handler drives — its coordinator machine's (site 0
-    /// out of reach: a delegate among peers asks them), then, if it still
-    /// holds them, its participant machine's. Returns whether anything
-    /// changed: a rollback (the machine acks it, and says nothing when it
-    /// keeps a prepared transaction in doubt) or an inquiry. A rollback
-    /// discards acked writes while the outcome is still open, which is
-    /// exactly why the refusal set must be permanent.
+    /// topology-change handler drives — its commit machine's (at site 0 the
+    /// others out of reach, at another site 0 out of reach: a yes among
+    /// peers asks them), then, if it still holds them, its participant
+    /// machine's. Returns whether anything changed: a rollback (the machine
+    /// acks it, and says nothing when it keeps a prepared transaction in
+    /// doubt), an inquiry, or a requester's decision. A rollback discards
+    /// acked writes while the outcome is still open, which is exactly why
+    /// the refusal set must be permanent.
     fn strand(
         &mut self,
         s: usize,
         tid: TransId,
         seen: &mut BTreeSet<&'static str>,
     ) -> Result<bool, String> {
-        let mut acted = false;
-        if s != 0 {
-            let reachable = (1..self.parts.len() as u32).map(SiteId).collect();
-            let cut = Input::TopologyChanged { reachable };
-            acted = self.run(Machine::Coord(s), cut, seen)?.acted;
-        }
+        let reachable = if s == 0 {
+            vec![SiteId(0)]
+        } else {
+            (1..self.parts.len() as u32).map(SiteId).collect()
+        };
+        let cut = Input::TopologyChanged { reachable };
+        let acted = self.run(Machine::Coord(s), cut, seen)?.acted;
         if !self.parts[s].dirty.contains(&tid) && !self.parts[s].prepare_log.contains_key(&tid) {
             return Ok(acted);
         }
@@ -743,43 +721,21 @@ impl Substrate for Model<'_> {
             Machine::Coord(s) | Machine::Part(s) => s,
         };
         Ok(match effect {
-            Effect::LogStart { tid, .. } => {
-                w.coord_logs[s].insert(tid, TxnStatus::Unknown);
-                Some(Input::StartLogged { tid, ok: true })
-            }
-            Effect::SendPrepare {
-                tid, site, epoch, ..
-            } if s != 0 => {
-                // A delegate preparing itself: a local call inside the
-                // delegation, which no fault can split. (Site 0's prepares
-                // to itself go over the network, as they always have here:
-                // its start record covers what that adds.)
-                let ok = w.prepare_round(site.0 as usize, s as u32, tid, epoch, self.seen)?;
-                Some(Input::Vote { tid, site, ok })
-            }
             Effect::SendPrepare {
                 tid, site, epoch, ..
             } => {
-                // The vote comes back as a message of its own, so deliveries,
-                // drops and duplicates interleave with everything else.
-                w.add_msg(Msg::Prepare {
-                    tid,
-                    to: site.0,
-                    epoch,
-                });
-                None
+                // A site preparing itself: a local call, which no fault can
+                // split.
+                let ok = w.prepare_round(s, tid, epoch, self.seen)?;
+                Some(Input::Vote { tid, site, ok })
             }
             Effect::RaiseFences { tid, .. } => {
                 w.fences.insert(tid);
                 None
             }
-            Effect::LogStatus {
-                tid,
-                status,
-                critical,
-            } => {
+            Effect::LogStatus { tid, status } => {
                 w.log_status(s, tid, status)?;
-                critical.then_some(Input::StatusLogged { tid, ok: true })
+                None
             }
             Effect::LogRecord { tid, status, .. } => {
                 if status == TxnStatus::Committed {
@@ -892,7 +848,7 @@ impl Substrate for Model<'_> {
             Effect::CheckKnown { tid, .. } => {
                 let known = w.parts[s].dirty.contains(&tid)
                     || w.parts[s].prepare_log.contains_key(&tid)
-                    || w.coords[s].coordinates_undecided(tid);
+                    || w.coords[s].requests_undecided(tid);
                 Some(Input::KnownChecked { tid, known })
             }
             Effect::StageAndLog {
@@ -968,68 +924,6 @@ fn successors(
     // Network: deliver / drop / duplicate each distinct in-flight message.
     for m in w.net.keys() {
         match m.clone() {
-            Msg::Prepare { tid, to, epoch } => {
-                let s = to as usize;
-                if w.parts[s].up {
-                    let mut n = w.clone();
-                    n.take_msg(m);
-                    let r = n.prepare_round(s, 0, tid, epoch, seen).map(|ok| {
-                        n.add_msg(Msg::Vote { tid, from: to, ok });
-                        n
-                    });
-                    out.push((format!("deliver prepare {tid} -> site{s}"), r));
-                } else {
-                    // The target is down: the synchronous RPC errors out,
-                    // which the coordinator counts as a no vote.
-                    let mut n = w.clone();
-                    n.take_msg(m);
-                    n.add_msg(Msg::Vote {
-                        tid,
-                        from: to,
-                        ok: false,
-                    });
-                    out.push((format!("prepare {tid} -> site{s} fails (site down)"), Ok(n)));
-                }
-                if w.drops_left > 0 && w.parts[s].up {
-                    let mut n = w.clone();
-                    n.drops_left -= 1;
-                    n.take_msg(m);
-                    n.add_msg(Msg::Vote {
-                        tid,
-                        from: to,
-                        ok: false,
-                    });
-                    out.push((format!("drop prepare {tid} -> site{s}"), Ok(n)));
-                }
-                if w.dups_left > 0 && w.parts[s].up {
-                    let mut n = w.clone();
-                    n.dups_left -= 1;
-                    let r = n.prepare_round(s, 0, tid, epoch, seen).map(|ok| {
-                        n.add_msg(Msg::Vote { tid, from: to, ok });
-                        n
-                    });
-                    out.push((format!("duplicate prepare {tid} -> site{s}"), r));
-                }
-            }
-            Msg::Vote { tid, from, ok } => {
-                if w.parts[0].up {
-                    let mut n = w.clone();
-                    n.take_msg(m);
-                    let vote = Input::Vote {
-                        tid,
-                        site: SiteId(from),
-                        ok,
-                    };
-                    let r = n.drive(Machine::Coord(0), vote, seen).map(|_| n);
-                    out.push((
-                        format!(
-                            "deliver vote {tid} site{from}={}",
-                            if ok { "yes" } else { "no" }
-                        ),
-                        r,
-                    ));
-                }
-            }
             Msg::Delegate { tid, to, forget } => {
                 let d = to as usize;
                 let lost = Msg::Answer {
@@ -1186,20 +1080,25 @@ fn successors(
         }
     }
 
-    // A partition stranding an undecided transaction at a participant, and
-    // re-dirtying after a loss (the transaction's processes
-    // re-established their state once the fault healed).
+    // A partition stranding an undecided transaction at a participant — or
+    // cutting off the requester while it still waits for answers, whatever
+    // the votes decided meanwhile — and re-dirtying after a loss (the
+    // transaction's processes re-established their state once the fault
+    // healed).
     for k in 0..w.txns_started {
         let tid = tid_for(k);
         let undecided = !w.committed.contains(&tid) && !w.aborted.contains(&tid);
-        if !undecided {
-            continue;
-        }
         for s in 0..w.parts.len() {
             if !w.parts[s].up {
                 continue;
             }
+            let strandable = if s == 0 {
+                w.coords[0].requests_undecided(tid)
+            } else {
+                undecided
+            };
             if w.rollbacks_left > 0
+                && strandable
                 && w.parts[s].dirty.contains(&tid)
                 && !w.parts[s].installed.contains(&tid)
             {
@@ -1215,7 +1114,8 @@ fn successors(
                     )),
                 }
             }
-            if w.lost.contains(&(s as u32, tid))
+            if undecided
+                && w.lost.contains(&(s as u32, tid))
                 && !w.parts[s].dirty.contains(&tid)
                 && !w.parts[s].prepare_log.contains_key(&tid)
                 && !w.parts[s].installed.contains(&tid)

@@ -62,7 +62,7 @@ pub(crate) fn dispatch(k: &Kernel, from: SiteId, msg: Msg, acct: &mut Account) -
         Msg::Lock(req) => lock::LockService::handle(k, from, req, acct),
         Msg::Proc(req) => proc::ProcService::handle(k, from, req, acct),
         Msg::Replica(req) => replica::ReplicaService::handle(k, from, req, acct),
-        Msg::Txn(req) => Ok(k.txn_service_ref()?.handle_txn(from, req, acct)),
+        Msg::Txn(req) => Ok(k.txn_service_ref()?.handle_txn(req, acct)),
         Msg::Batch(members) => {
             let mut resps = Vec::with_capacity(members.len());
             for m in members {

@@ -10,13 +10,13 @@
 
 use locus_net::{Msg, TxnMsg};
 use locus_sim::Account;
-use locus_types::{SiteId, TransId};
+use locus_types::TransId;
 
 /// The transaction control plane of a site, as seen by its kernel.
 pub trait TxnService: Send + Sync {
     /// Handles one transaction control-plane request, returning the response
     /// message (`Msg::Err` for failures — the kernel embeds it verbatim).
-    fn handle_txn(&self, from: SiteId, req: TxnMsg, acct: &mut Account) -> Msg;
+    fn handle_txn(&self, req: TxnMsg, acct: &mut Account) -> Msg;
 
     /// A request here is about to wait on, or be refused by, a lock `tid`
     /// holds: settle `tid`'s outcome at this site now if it can be learned

@@ -11,8 +11,8 @@ use locus::types::{SiteId, TxnStatus};
 #[test]
 fn volume_carried_to_another_site_recovers_prepared_transaction() {
     let c = Cluster::new(3);
-    // Files at sites 1 and 0; transaction coordinated from site 0. (A file
-    // at the coordinator keeps the commit two-phase: with site 1 its only
+    // Files at sites 1 and 0; transaction requested from site 0. (A file
+    // at the requester makes the two sites peers: with site 1 its only
     // participant, site 1 would decide and install at once.)
     for (site, path) in [(1, "/media"), (0, "/local")] {
         let mut a = c.account(site);
@@ -45,8 +45,8 @@ fn volume_carried_to_another_site_recovers_prepared_transaction() {
     volume.reboot();
     c.site(2).kernel.mount(volume.clone());
 
-    // Recovery at site 2 scans the foreign volume, asks the coordinator for
-    // the outcome, and installs the logged intentions.
+    // Recovery at site 2 scans the foreign volume, whose yes among peers
+    // asks site 0 for the outcome, and installs the logged intentions.
     let mut a2 = c.account(2);
     let mut report = Default::default();
     c.site(2).txn.recover_volume(&volume, &mut a2, &mut report);
@@ -112,18 +112,22 @@ fn resolving_a_carried_record_keeps_the_hosts_own_promise() {
 #[test]
 fn carried_volume_with_undecided_coordinator_stays_in_doubt() {
     let c = Cluster::new(3);
-    let mut a1 = c.account(1);
-    let p1 = c.site(1).kernel.spawn();
-    let ch = c.site(1).kernel.creat(p1, "/doubt", &mut a1).unwrap();
-    c.site(1).kernel.close(p1, ch, &mut a1).unwrap();
+    for (site, path) in [(1, "/doubt"), (0, "/here")] {
+        let mut a = c.account(site);
+        let p = c.site(site).kernel.spawn();
+        let ch = c.site(site).kernel.creat(p, path, &mut a).unwrap();
+        c.site(site).kernel.close(p, ch, &mut a).unwrap();
+    }
 
-    // Drive phase one by hand, then kill BOTH the coordinator and the
-    // participant before any commit mark is written.
+    // Drive phase one by hand: site 1 forces its yes among peers, site 0
+    // never votes — then BOTH die before the last yes is written.
     let mut a0 = c.account(0);
     let pid = c.site(0).kernel.spawn();
     let tid = c.site(0).txn.begin_trans(pid, &mut a0).unwrap();
-    let ch = c.site(0).kernel.open(pid, "/doubt", true, &mut a0).unwrap();
-    c.site(0).kernel.write(pid, ch, b"maybe", &mut a0).unwrap();
+    for (path, data) in [("/doubt", &b"maybe"[..]), ("/here", b"here")] {
+        let ch = c.site(0).kernel.open(pid, path, true, &mut a0).unwrap();
+        c.site(0).kernel.write(pid, ch, data, &mut a0).unwrap();
+    }
     let files: Vec<_> = c
         .site(0)
         .kernel
@@ -136,47 +140,31 @@ fn carried_volume_with_undecided_coordinator_stays_in_doubt() {
         .collect();
     c.site(0)
         .kernel
-        .home()
-        .unwrap()
-        .coord_log_put(
-            &locus::types::CoordLogRecord {
-                tid,
-                files: files.clone(),
-                status: TxnStatus::Unknown,
-            },
-            &mut a0,
-        )
-        .unwrap();
-    c.site(0)
-        .kernel
         .rpc(
             SiteId(1),
-            locus::net::Msg::Txn(locus::net::TxnMsg::Prepare {
-                tid,
-                coordinator: SiteId(0),
-                files: files.iter().map(|f| f.fid).collect(),
-                epoch: 0,
-            }),
+            locus::net::Msg::Txn(locus::net::TxnMsg::Delegate { tid, files }),
             &mut a0,
         )
         .unwrap();
     let volume = c.site(1).kernel.home().unwrap();
+    let yes = volume.coord_log_get(tid, &mut a0).map(|r| r.status);
+    assert_eq!(yes, Some(TxnStatus::Voted));
     c.crash_site(0);
     c.transport.site_down(SiteId(1));
     volume.crash();
     volume.reboot();
     c.site(2).kernel.mount(volume.clone());
 
-    // With the coordinator unreachable, recovery must keep the prepare log
-    // (in doubt) — it may yet commit.
+    // Its one peer unreachable, recovery must keep the prepare log (in
+    // doubt) — the missing vote may yet be cast.
     let mut a2 = c.account(2);
     let mut report = Default::default();
     c.site(2).txn.recover_volume(&volume, &mut a2, &mut report);
     assert_eq!(report.in_doubt, 1, "{report:?}");
     assert_eq!(volume.prepare_log_scan(&mut a2).len(), 1);
 
-    // The coordinator reboots (recovery aborts the unknown transaction);
-    // a second recovery pass on the carried volume now resolves to abort.
+    // Site 0 reboots holding no record: it never voted and now never will,
+    // so a second recovery pass on the carried volume resolves to abort.
     c.reboot_site(0);
     let mut report2 = Default::default();
     c.site(2).txn.recover_volume(&volume, &mut a2, &mut report2);

@@ -8,17 +8,18 @@
 # and an equality check is not flaky. The counts follow from one rule
 # (DESIGN.md §10): a record is forced before something irrevocable happens
 # on its strength in another log's domain, and otherwise rides the next
-# force of its own log. Data pages are random writes; a journal is forced
-# for a prepare vote only when the commit mark lives in another journal, and
-# for the mark itself — and a requester that holds none of the files forces
-# no mark: its storage sites' durable yes votes are the commit point. A
-# transaction's install is a record too, the file's whole inode, and is
-# never forced on its own: it rides its journal's next force, and a
-# phase-two ack is sent only once it has landed (or rides a journal that
-# holds the commit's durable mark). Truncations are lazy.
+# force of its own log. Data pages are random writes; every storage site
+# forces one record of its vote, with its prepare records ahead of it — one
+# born committed when it is the transaction's only storage site, the commit
+# point itself — and no site forces a commit mark: the storage sites'
+# durable yes votes decide every transaction. A transaction's install is a
+# record too, the file's whole inode, and is never forced on its own: it
+# rides its journal's next force, and a phase-two ack is sent only once it
+# has landed (or rides a journal that holds the durable commit).
+# Truncations are lazy.
 #
-#   commit_local  2 = data page + commit-mark force; the install is a frame
-#                     on the next force
+#   commit_local  2 = data page + the force of the record born committed;
+#                     the install is a frame on the next force
 #   hot_records   2 = the same, through lock queueing and page differencing
 #   commit_dist   4 = 2 x (data page + vote force; the install of the
 #                     transaction before, whose commit rides ahead of the
@@ -31,7 +32,11 @@
 # journal, moves one of these and fails here with the number it moved to.
 #
 # `virt_ms_per_op` comes from the same pass and is as exact (model_ms, the
-# paper's 1985 clock): 46.4193325 / 117.07690625 / 54.05 (73.05 / 159.75 /
+# paper's 1985 clock): 46.26040666666667 / 117.07607291666666 / 53.95
+# (46.4193325 / 117.07690625 / 54.05 when a single-site commit logged a
+# start record, sent its own site a prepare and queued its install for the
+# pump, and a request that waited behind a settled holder was granted
+# twice; 73.05 / 159.75 /
 # 80.95 with a random inode write per install: a 26 ms transfer and its
 # 500 setup instructions, against about 50 instructions per inode frame
 # and per frame a flush copies forward; 133.07890833333332 on commit_dist
@@ -54,10 +59,12 @@
 # `sim.virt_other_ms_per_op` 57.9 — but for one pair of transactions in a
 # row in this seed's count pass that write the same record: the second's
 # writes meet the first's locks at each delegate, which asks its peer (a
-# `StatusInquiry`) and pushes the released lock's grant (a `Granted`).
-# Four messages over 24,000 ops make 4.000166666666667, 8.333333333333333e-05
-# and 57.90227083333333. A lock that goes back to travelling on its own
-# moves those three and virt_ms_per_op.
+# `StatusInquiry`) before the write's lock can queue. Two messages over
+# 24,000 ops make 4.000083333333333, 0 and 57.9014375 (4.000166666666667,
+# 8.333333333333333e-05 and 57.90227083333333 while the request queued
+# first and the release's pump then pushed it a `Granted` no process waited
+# for). A lock that goes back to travelling on its own moves those three
+# and virt_ms_per_op.
 #
 # The per-layer counts of the traced pass repeat the same way and pin what
 # two deleted wall-clock gates stood for:
@@ -67,9 +74,12 @@
 #       install of the transaction before, whose commit rode ahead of the
 #       delegation (4 when each install was forced before its ack, 5 with
 #       the requester's mark too).
-#   wal.frames_per_op >= 5.99 on commit_local: that one force carries all
-#       six of the commit's frames, the install before it among them (the
-#       old 4.5 frames-per-flush floor).
+#   wal.frames_per_op 7.104041666666666 on commit_local: that one force
+#       carries the commit's five frames — its prepare record, its record
+#       born committed, and the install and two purges of the transaction
+#       before — and the frames it copies forward (8.6933 with the start
+#       record and the status mark, six frames a commit; the old 4.5
+#       frames-per-flush floor before that).
 #   read_shared: a locked scan is still two messages, the grant and the
 #       unlock, but the grant now ships only the pages whose stamp moved.
 #       A shared lock's grant covers the first four pages of the range it
@@ -128,13 +138,13 @@ for pin in pins:
 ' "$workload" "$@"
 }
 
-check commit_local disk_ios_per_op==2 virt_ms_per_op==46.4193325 wal.flushes_per_op==1 \
-    'wal.frames_per_op>=5.99' disk.writes_per_op==1
-check commit_dist disk_ios_per_op==4 virt_ms_per_op==117.07690625 wal.flushes_per_op==2 \
+check commit_local disk_ios_per_op==2 virt_ms_per_op==46.26040666666667 wal.flushes_per_op==1 \
+    wal.frames_per_op==7.104041666666666 disk.writes_per_op==1
+check commit_dist disk_ios_per_op==4 virt_ms_per_op==117.07607291666666 wal.flushes_per_op==2 \
     sim.virt_commit_ms_per_op==58.67463541666667 sim.virt_phase_two_ms_per_op==0 \
-    net.msgs_per_op==4.000166666666667 net.msgs_lock_per_op==8.333333333333333e-05 \
-    sim.virt_other_ms_per_op==57.90227083333333
-check hot_records disk_ios_per_op==2 virt_ms_per_op==54.05 wal.flushes_per_op==1
+    net.msgs_per_op==4.000083333333333 net.msgs_lock_per_op==0 \
+    sim.virt_other_ms_per_op==57.9014375
+check hot_records disk_ios_per_op==2 virt_ms_per_op==53.95 wal.flushes_per_op==1
 check read_shared net.msgs_per_op==2.0 net.msgs_file_per_op==0.10075 kernel.pagecache_hit_rate==1 \
     disk_ios_per_op==1.2820625 virt_ms_per_op==130.94913825 \
     disk.reads_per_op==1.0805625 kernel.prefetches_per_op==1.848375 \

@@ -447,15 +447,13 @@ impl Kernel {
         let is_txn_lock = owner.is_transaction();
         let is_unlock = req.mode == LockRequestMode::Unlock;
         let asked = req.range;
-        let mut outcome = self.locks.request(fid, req.clone(), acct);
-        if matches!(outcome, LockOutcome::Queued | LockOutcome::Denied { .. })
-            && self.settle_holders(fid, acct)
-        {
-            // A queued request was granted by the release: this is its
-            // reacquisition.
-            outcome = self.locks.request(fid, req, acct);
+        // Holders this site can settle are settled before the request can
+        // wait on them, or be refused by them: the request meets the lock
+        // list once, and a grant it no longer needs is never pushed.
+        if self.locks.blocked(fid, &req) {
+            self.settle_holders(fid, acct);
         }
-        match outcome {
+        match self.locks.request(fid, req, acct) {
             LockOutcome::Granted { range } => {
                 if is_txn_lock && !is_unlock {
                     // Rule 2: a transaction locking modified-but-uncommitted

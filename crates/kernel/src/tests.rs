@@ -2505,3 +2505,57 @@ fn a_batch_answers_each_member_and_refuses_a_short_reply() {
         "{short:?}"
     );
 }
+
+/// A transaction service that settles every holder it is asked about, as a
+/// site whose yes among peers learns the commit does: the holder's locks go.
+struct SettlesAll(std::sync::Weak<Kernel>);
+
+impl crate::TxnService for SettlesAll {
+    fn handle_txn(&self, _: locus_net::TxnMsg, _: &mut Account) -> Msg {
+        Msg::Ok
+    }
+
+    fn wanted(&self, tid: TransId, acct: &mut Account) -> bool {
+        let Some(k) = self.0.upgrade() else {
+            return false;
+        };
+        let granted = k.locks.release_owner(Owner::Trans(tid), acct);
+        k.push_grants(granted, acct);
+        true
+    }
+}
+
+#[test]
+fn a_request_settled_in_the_same_call_is_granted_once() {
+    let c = mini_cluster(1);
+    let k = &c.kernels[0];
+    let svc: Arc<dyn crate::TxnService> = Arc::new(SettlesAll(Arc::downgrade(k)));
+    k.set_txn_service(svc.clone());
+    let mut a = acct(0);
+    // A transaction holds the record.
+    let holder = k.spawn();
+    let ch = k.creat(holder, "/f", &mut a).unwrap();
+    let tid = TransId::new(SiteId(0), 1);
+    k.procs
+        .with_mut(holder, |r| {
+            r.tid = Some(tid);
+            r.top = Some(holder);
+            r.nest = 1;
+        })
+        .unwrap();
+    let wait = LockOpts {
+        wait: true,
+        ..LockOpts::default()
+    };
+    k.lock(holder, ch, 8, LockRequestMode::Exclusive, wait, &mut a)
+        .unwrap();
+    // A request that would wait on it settles it first: granted in the
+    // same call, with no grant pushed and no wakeup left pending.
+    let p = k.spawn();
+    let pch = k.open(p, "/f", true, &mut a).unwrap();
+    let got = k.lock(p, pch, 8, LockRequestMode::Exclusive, wait, &mut a);
+    assert_eq!(got, Ok(ByteRange::new(0, 8)));
+    assert!(!k.take_wakeup(p));
+    assert!(k.locks.snapshot().edges.is_empty());
+    drop(svc);
+}

@@ -321,6 +321,21 @@ impl FileLocks {
         remaining.is_empty()
     }
 
+    /// Whether `req` would wait, or be refused, were it made now: what
+    /// [`FileLocks::request`] would find, with nothing changed.
+    pub fn blocked(&self, req: &LockRequest) -> bool {
+        let (Some(mode), Some(range)) = (req.mode.as_mode(), self.effective_range(req)) else {
+            return false;
+        };
+        let claim = Claim {
+            owner: req.owner(),
+            mode,
+            range,
+        };
+        !self.holds_sufficient(claim.owner, mode, range)
+            && self.blockers(claim, self.waiters.len()).next().is_some()
+    }
+
     fn acquire(&mut self, req: LockRequest) -> LockOutcome {
         let mode = req
             .mode

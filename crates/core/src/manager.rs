@@ -7,9 +7,9 @@
 //! means against the real world (journal, locks, volumes, transport, catalog
 //! fences) is written once, in `KernelSubstrate::interpret`; every entry
 //! point below builds one around its per-call context and hands an [`Input`]
-//! to [`drive`]. The rest of this module is pure *scheduling*: the
-//! asynchronous phase-two queue, what rides the next message to a delegate
-//! (`TxnManager::rides`), per-site message batching, and what a wave of
+//! to [`drive`]. The rest of this module is pure *scheduling*: what rides
+//! the next message to a storage site — phase two and the forgets
+//! (`TxnManager::rides`) — per-site message batching, and what a wave of
 //! messages to distinct sites costs (`TxnManager::wave`), none of which
 //! change what the protocol decides — only when. Nothing here starts a
 //! thread: every wave runs on its caller's.
@@ -19,7 +19,7 @@
 //! them through fresh machines to prove the live run never mutated
 //! protocol state outside a machine transition.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,45 +52,36 @@ pub enum EndOutcome {
     Committed(TransId),
 }
 
-/// Queued phase-two work ("a kernel process at the coordinator site
-/// asynchronously sends transaction commit messages", Section 4.2).
-#[derive(Debug, Clone)]
-pub struct Phase2Work {
-    pub tid: TransId,
-    pub commit: bool,
-    /// Participant site → files to commit/abort there.
-    pub participants: Vec<(SiteId, Vec<Fid>)>,
-}
-
-/// What rides the next message this site sends one delegate: to a
-/// delegation, or to a phase-two batch that goes there anyway.
+/// What rides the next message this site sends one storage site: to a
+/// delegation, or to the phase-two messages that go there anyway.
 #[derive(Debug, Default)]
 struct Riders {
     /// Delegated transactions whose outcome this site has learned: the
-    /// delegate may drop their records.
+    /// storage site may drop their records.
     forget: Vec<TransId>,
-    /// Phase-two commits of transactions the delegates decided among
-    /// peers, in the order they were queued.
-    commits: Vec<Rider>,
+    /// Phase two of decided transactions, in the order it was queued.
+    phase_two: Vec<Rider>,
 }
 
-/// One phase-two commit to a delegate among peers, waiting for a message
-/// to ride.
+/// One phase-two message to a storage site ("a kernel process at the
+/// coordinator site asynchronously sends transaction commit messages",
+/// Section 4.2), waiting for a message to ride.
 #[derive(Debug)]
 struct Rider {
     tid: TransId,
+    commit: bool,
     files: Vec<Fid>,
     /// It has waited through a pump turn with no message carrying it since:
     /// the next turn sends it on its own.
     due: bool,
 }
 
-/// The riders of every delegate, and how many delegates of each riding
-/// transaction have yet to ack its commit.
+/// The riders of every storage site, and how many storage sites of each
+/// riding transaction have yet to ack its phase two.
 #[derive(Debug, Default)]
 struct Rides {
     queues: BTreeMap<SiteId, Riders>,
-    /// Per riding transaction, its delegates yet to ack: the last ack
+    /// Per riding transaction, its storage sites yet to ack: the last ack
     /// completes its phase two.
     unacked: BTreeMap<TransId, usize>,
 }
@@ -139,7 +130,6 @@ pub struct TxnManager {
     /// crashes because the manager itself does (the simulated kernel
     /// crashes underneath it).
     part: Mutex<Recorded<ParticipantSm>>,
-    async_work: Mutex<VecDeque<Phase2Work>>,
     /// Delegated transactions whose outcome an unreachable site holds —
     /// here the requester's, or a delegate's in doubt whose peer it is: the
     /// phase-two dæmon asks again.
@@ -168,7 +158,6 @@ impl TxnManager {
             next_seq: AtomicU64::new(1),
             coord: Mutex::new(Recorded::new(CoordinatorSm::new(site))),
             part: Mutex::new(Recorded::new(ParticipantSm::new(site, epoch))),
-            async_work: Mutex::new(VecDeque::new()),
             inquiries: Mutex::new(Vec::new()),
             rides: Mutex::new(Rides::default()),
             landing: Mutex::new(BTreeSet::new()),
@@ -332,10 +321,9 @@ impl TxnManager {
         self.kernel.drop_owner_caches(Owner::Trans(tid));
     }
 
-    /// Number of queued phase-two work items, inquiries and riding
-    /// commits included.
+    /// Number of transactions whose phase two or inquiry is still queued.
     pub fn pending_async(&self) -> usize {
-        self.async_work.lock().len() + self.inquiries.lock().len() + self.rides.lock().unacked.len()
+        self.inquiries.lock().len() + self.rides.lock().unacked.len()
     }
 
     /// Asks `site` what became of `tid`: the answer to a recovered prepare,
@@ -351,125 +339,54 @@ impl TxnManager {
         }
     }
 
-    /// Runs the asynchronous phase-two dæmon once: sends commit/abort
-    /// messages to participants and purges coordinator logs when every
-    /// participant has finished. Unreachable participants leave the work
-    /// queued (recovery will re-drive it). Returns how many items moved on:
-    /// transactions fully completed, and riding commits that began their
+    /// Runs the asynchronous phase-two dæmon once. Phase two rides the next
+    /// message to each storage site (`TxnManager::rides`): a site's peers
+    /// know the outcome already, and the site learns it from them whenever
+    /// a request there needs its locks ([`TxnService::wanted`]). A site's
+    /// queue goes on its own only once a message in it has waited through
+    /// one run with no message carrying it since; the sites whose queues go
+    /// are one wave. Returns how many items moved on: inquiries answered,
+    /// transactions whose phase two completed, and riders that began their
     /// waiting turn (the next run sends them).
     ///
-    /// A commit to a delegate among peers rides the next message to its
-    /// site instead (`TxnManager::rides`): the delegate's peers already
-    /// know the outcome, and the delegate learns it from them whenever a
-    /// request here needs its locks ([`TxnService::wanted`]). It goes on
-    /// its own only once it has waited through one run with no message
-    /// carrying it since.
-    ///
-    /// Nothing here forces the journal: the purges are lazy truncations that
-    /// ride the next flush of the home journal (the next commit's mark). A
-    /// crash before then resurfaces the `Committed` records and recovery
-    /// redoes an already idempotent phase two — once, because
-    /// `Site::reboot_and_recover` ends with a force.
+    /// Nothing here forces the journal: the purges are lazy truncations
+    /// that ride the next flush of their journal. A crash before then
+    /// resurfaces the records and recovery redoes an already idempotent
+    /// phase two — once, because `Site::reboot_and_recover` ends with a
+    /// force.
     pub fn run_async_work(&self, acct: &mut Account) -> usize {
         let resolved = self.retry_inquiries(acct);
-        let work: Vec<Phase2Work> = self.async_work.lock().drain(..).collect();
-        // Coalesce the phase-two traffic per participant site — across
-        // transactions: every Commit/AbortFiles bound for one site travels
-        // in a single batched network message. (Batching is scheduling, not
-        // protocol: the machine only sees the per-site acks.)
-        let mut by_site: BTreeMap<SiteId, Vec<(usize, TxnMsg)>> = BTreeMap::new();
-        for (i, w) in work.iter().enumerate() {
-            for (site, fids) in &w.participants {
-                let msg = if w.commit {
-                    self.kernel.events.push(Event::CommitSent {
-                        tid: w.tid,
-                        to: *site,
-                    });
-                    TxnMsg::Commit {
-                        tid: w.tid,
-                        files: fids.clone(),
-                    }
-                } else {
-                    self.kernel.events.push(Event::AbortSent {
-                        tid: w.tid,
-                        to: *site,
-                    });
-                    TxnMsg::AbortFiles {
-                        tid: w.tid,
-                        files: fids.clone(),
-                    }
-                };
-                by_site.entry(*site).or_default().push((i, msg));
-            }
-        }
-        let (mut riding, waiting) = self.pump_riders(|site| by_site.contains_key(&site));
-        if by_site.is_empty() && riding.is_empty() {
+        let (mut riding, waiting) = self.pump_riders();
+        if riding.is_empty() {
             return resolved + waiting;
         }
         let span = VirtSpan::begin(SpanPhase::PhaseTwo, acct);
-        let sites: BTreeSet<SiteId> = by_site.keys().chain(riding.keys()).copied().collect();
-        // Which participant sites failed to acknowledge, per work item.
-        let mut failed: Vec<Vec<SiteId>> = vec![Vec::new(); work.len()];
+        let sites: Vec<SiteId> = riding.keys().copied().collect();
         let mut completed = 0;
         // The sites' messages are one wave: each site installs while the
-        // others do.
+        // others do. One network message per site; a lost one
+        // acknowledges none.
         self.wave(acct, sites, |site, branch| {
-            let (idxs, msgs): (Vec<usize>, Vec<TxnMsg>) = by_site
-                .remove(&site)
-                .unwrap_or_default()
-                .into_iter()
-                .unzip();
             let riders = riding.remove(&site).unwrap_or_default();
-            // One network message per site; a lost one acknowledges none.
-            let (acks, rode) = self.ride(site, riders, msgs, branch);
-            completed += rode;
-            for (i, ack) in idxs.into_iter().zip(acks) {
-                if ack.is_err() {
-                    failed[i].push(site);
-                }
-            }
+            completed += self.ride(site, riders, Vec::new(), branch).1;
         });
-        let mut sub = self.substrate(Machine::Coordinator, acct);
-        for (i, w) in work.into_iter().enumerate() {
-            if failed[i].is_empty() {
-                // All participants done. The machine's completion effects
-                // are deliberately idempotent: recovery can requeue work a
-                // surviving pre-crash queue item also completes.
-                sub.drive(Input::Phase2Done {
-                    tid: w.tid,
-                    commit: w.commit,
-                });
-                completed += 1;
-            } else {
-                let participants: Vec<(SiteId, Vec<Fid>)> = w
-                    .participants
-                    .into_iter()
-                    .filter(|(s, _)| failed[i].contains(s))
-                    .collect();
-                self.async_work.lock().push_back(Phase2Work {
-                    tid: w.tid,
-                    commit: w.commit,
-                    participants,
-                });
-            }
-        }
         span.finish(&self.kernel.counters.spans, &self.kernel.model, acct);
         resolved + completed + waiting
     }
 
-    /// One pump turn over the riders: every site's, by site, where a
-    /// message goes anyway (`sending`) or a commit has waited a turn; every
-    /// other commit begins its waiting turn, and how many did is returned.
-    fn pump_riders(&self, sending: impl Fn(SiteId) -> bool) -> (BTreeMap<SiteId, Riders>, usize) {
+    /// One pump turn over the riders: every site's whose phase two has
+    /// waited a turn, by site; every other phase-two message begins its
+    /// waiting turn, and how many did is returned.
+    fn pump_riders(&self) -> (BTreeMap<SiteId, Riders>, usize) {
         let mut rides = self.rides.lock();
         let mut out = BTreeMap::new();
         let mut began = 0;
         rides.queues.retain(|site, riders| {
-            if sending(*site) || riders.commits.iter().any(|r| r.due) {
+            if riders.phase_two.iter().any(|r| r.due) {
                 out.insert(*site, std::mem::take(riders));
                 return false;
             }
-            for r in riders.commits.iter_mut().filter(|r| !r.due) {
+            for r in riders.phase_two.iter_mut().filter(|r| !r.due) {
                 r.due = true;
                 began += 1;
             }
@@ -507,14 +424,14 @@ impl TxnManager {
             rides.queues.entry(site).or_default().forget.extend(held);
         }
         let mut batch: Vec<Msg> = Vec::new();
-        for r in &riders.commits {
-            self.kernel.events.push(Event::CommitSent {
-                tid: r.tid,
-                to: site,
-            });
-            batch.push(Msg::Txn(TxnMsg::Commit {
-                tid: r.tid,
-                files: r.files.clone(),
+        for r in &riders.phase_two {
+            let (tid, files) = (r.tid, r.files.clone());
+            batch.push(Msg::Txn(if r.commit {
+                self.kernel.events.push(Event::CommitSent { tid, to: site });
+                TxnMsg::Commit { tid, files }
+            } else {
+                self.kernel.events.push(Event::AbortSent { tid, to: site });
+                TxnMsg::AbortFiles { tid, files }
             }));
         }
         if !riders.forget.is_empty() {
@@ -534,11 +451,11 @@ impl TxnManager {
     }
 
     /// What the answers `rode` to the riders sent to `site` settle. An
-    /// acked commit is done there, and a transaction every delegate has
-    /// acked completes; one answered [`Error::NotLanded`] was carried and
-    /// waits for the next message again; a lost one stays as it was, and so
-    /// do forgets that did not arrive. Returns how many transactions
-    /// completed.
+    /// acked phase two is done there, and a transaction every storage site
+    /// has acked completes; a commit answered [`Error::NotLanded`] was
+    /// carried and waits for the next message again; a lost one stays as
+    /// it was, and so do forgets that did not arrive. Returns how many
+    /// transactions completed.
     fn settle_riders(
         &self,
         site: SiteId,
@@ -546,23 +463,23 @@ impl TxnManager {
         rode: &[Result<Msg>],
         acct: &mut Account,
     ) -> usize {
-        let (commits, forget) = rode.split_at(riders.commits.len());
+        let (phase_two, forget) = rode.split_at(riders.phase_two.len());
         let forgot = matches!(forget, [] | [Ok(_)]);
-        if commits.is_empty() && forgot {
+        if phase_two.is_empty() && forgot {
             return 0;
         }
         let mut done = Vec::new();
         {
             let mut rides = self.rides.lock();
             let mut left = Vec::new();
-            for (mut rider, answer) in riders.commits.into_iter().zip(commits) {
+            for (mut rider, answer) in riders.phase_two.into_iter().zip(phase_two) {
                 match answer {
                     Ok(_) => {
                         let unacked = rides.unacked.entry(rider.tid).or_insert(1);
                         *unacked -= 1;
                         if *unacked == 0 {
                             rides.unacked.remove(&rider.tid);
-                            done.push(rider.tid);
+                            done.push((rider.tid, rider.commit));
                         }
                     }
                     Err(Error::NotLanded(_)) => {
@@ -574,15 +491,15 @@ impl TxnManager {
             }
             if !left.is_empty() || !forgot {
                 let queue = rides.queues.entry(site).or_default();
-                queue.commits.splice(0..0, left);
+                queue.phase_two.splice(0..0, left);
                 if !forgot {
                     queue.forget.extend(riders.forget);
                 }
             }
         }
         let mut sub = self.substrate(Machine::Coordinator, acct);
-        for &tid in &done {
-            sub.drive(Input::Phase2Done { tid, commit: true });
+        for &(tid, commit) in &done {
+            sub.drive(Input::Phase2Done { tid, commit });
         }
         done.len()
     }
@@ -1234,33 +1151,22 @@ impl Substrate for KernelSubstrate<'_> {
             }
             Effect::QueuePhase2 {
                 tid,
-                commit: true,
+                commit,
                 participants,
             } => {
-                // A commit rides the next message to each storage site.
+                // Step 5 (Figure 5's deferred fifth write): phase two rides
+                // the next message to each storage site.
                 let mut rides = mgr.rides.lock();
                 rides.unacked.insert(tid, participants.len());
                 for (site, files) in participants {
                     let rider = Rider {
                         tid,
+                        commit,
                         files,
                         due: false,
                     };
-                    rides.queues.entry(site).or_default().commits.push(rider);
+                    rides.queues.entry(site).or_default().phase_two.push(rider);
                 }
-                None
-            }
-            Effect::QueuePhase2 {
-                tid,
-                commit,
-                participants,
-            } => {
-                // An abort goes at the phase-two dæmon's next turn.
-                mgr.async_work.lock().push_back(Phase2Work {
-                    tid,
-                    commit,
-                    participants,
-                });
                 None
             }
             Effect::FinishLocal { tid, commit } => {

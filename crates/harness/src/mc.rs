@@ -164,7 +164,7 @@ enum Msg {
     },
 }
 
-/// One queued phase-two work item (mirrors the driver's `Phase2Work`), in
+/// One queued phase two (mirrors the driver's riders), in
 /// the queue of the site `coord`: the requester's, or a lone site's retry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct P2Item {

@@ -103,9 +103,7 @@ fn parse_args() -> Args {
                     }
                     "skip-peer-inquiry" => args.cfg.faults.skip_peer_inquiry = true,
                     "wanted-presumes-commit" => args.cfg.faults.wanted_presumes_commit = true,
-                    "requester-presumes-abort" => {
-                        args.cfg.faults.requester_presumes_abort = true
-                    }
+                    "requester-presumes-abort" => args.cfg.faults.requester_presumes_abort = true,
                     _ => usage(
                         "bad --fault (skip-refused-check|skip-epoch-check|skip-delegate-record|\
                          forget-before-all-installed|skip-peer-inquiry|wanted-presumes-commit|\

@@ -602,9 +602,9 @@ impl TxnManager {
             // A site prepares only itself: no prepare travels.
             other @ (TxnMsg::Prepare { .. }
             | TxnMsg::PrepareDone { .. }
-            | TxnMsg::StatusAnswer { .. }) => Err(
-                Error::ProtocolViolation(format!("transaction manager cannot handle {other:?}")),
-            ),
+            | TxnMsg::StatusAnswer { .. }) => Err(Error::ProtocolViolation(format!(
+                "transaction manager cannot handle {other:?}"
+            ))),
         }
     }
 

@@ -155,9 +155,8 @@ impl CoordinatorSm {
     /// Whether this site requested `tid` and is still collecting its votes:
     /// the "requested here" leg of its own participant's known-transaction
     /// check, for a file the transaction used here but left nothing to
-    /// commit in. Only while undecided: a duplicated prepare after the
-    /// decision must not re-stage a prepare record for an installed
-    /// transaction.
+    /// commit in. Only while undecided: after the decision nothing here
+    /// prepares it again.
     pub fn requests_undecided(&self, tid: TransId) -> bool {
         self.requests
             .get(&tid)
@@ -280,7 +279,7 @@ impl CoordinatorSm {
 
     /// Tells the requester this site's answer: a step of this machine when
     /// it requested `tid`, a reply otherwise.
-    fn answer(&mut self, tid: TransId, ok: bool, effects: &mut Vec<Effect>) {
+    fn tell_requester(&mut self, tid: TransId, ok: bool, effects: &mut Vec<Effect>) {
         if self.requests.contains_key(&tid) {
             self.take_answer(tid, self.site, Some(ok), effects);
         } else {
@@ -380,9 +379,8 @@ impl CoordinatorSm {
         // This site's own yes learns the outcome as a step of its own: its
         // phase two here needs no message.
         let site = self.site;
-        let undecided = |t: &&mut CoordTxn| {
-            matches!(t.phase, CoordPhase::Voted | CoordPhase::Asking { .. })
-        };
+        let undecided =
+            |t: &&mut CoordTxn| matches!(t.phase, CoordPhase::Voted | CoordPhase::Asking { .. });
         if let Some(t) = self.votes.get_mut(&tid).filter(undecided) {
             Self::learned(t, site, tid, commit, effects);
         }
@@ -476,7 +474,10 @@ impl ProtocolSm for CoordinatorSm {
                 // committed bytes exist only in primaries' prepare logs.
                 t.phase = CoordPhase::Marking;
                 let fids: Vec<Fid> = t.files.iter().map(|f| f.fid).collect();
-                effects.push(Effect::RaiseFences { tid: *tid, files: fids });
+                effects.push(Effect::RaiseFences {
+                    tid: *tid,
+                    files: fids,
+                });
                 effects.push(Effect::LogRecord {
                     tid: *tid,
                     files: t.files.clone(),
@@ -502,7 +503,7 @@ impl ProtocolSm for CoordinatorSm {
                     // A durable yes among peers: say it, and wait.
                     t.status = TxnStatus::Voted;
                     t.phase = CoordPhase::Voted;
-                    self.answer(*tid, true, &mut effects);
+                    self.tell_requester(*tid, true, &mut effects);
                 } else {
                     // Alone, the record was the commit.
                     Self::finish_here(t, site, *tid, true, &mut effects);
@@ -518,7 +519,10 @@ impl ProtocolSm for CoordinatorSm {
                             if to == site {
                                 self.forget(*tid, &mut effects);
                             } else {
-                                effects.push(Effect::Forget { tid: *tid, site: to });
+                                effects.push(Effect::Forget {
+                                    tid: *tid,
+                                    site: to,
+                                });
                             }
                         }
                     }
@@ -709,7 +713,11 @@ impl ProtocolSm for CoordinatorSm {
                         }
                     }
                 }
-                if self.votes.get(tid).is_some_and(|t| t.phase == CoordPhase::Voted) {
+                if self
+                    .votes
+                    .get(tid)
+                    .is_some_and(|t| t.phase == CoordPhase::Voted)
+                {
                     self.ask_peers(*tid, &mut effects);
                 }
             }
@@ -782,7 +790,7 @@ impl ProtocolSm for CoordinatorSm {
                         effects.push(Effect::DropFence { tid: *tid });
                     }
                 }
-                self.answer(*tid, commit, &mut effects);
+                self.tell_requester(*tid, commit, &mut effects);
             }
 
             Input::Forget { tids } => {
@@ -968,7 +976,13 @@ mod tests {
         let redo = run(&mut sm, scan.clone());
         assert_eq!(
             names(&redo),
-            ["NoteRecoveryRedo", "FinishHere", "DropFence", "NoteCompleted", "Answer"]
+            [
+                "NoteRecoveryRedo",
+                "FinishHere",
+                "DropFence",
+                "NoteCompleted",
+                "Answer"
+            ]
         );
         assert_eq!(sm.status_of(tid()), Some(TxnStatus::Committed));
         // A record the machine had let go of was forgotten already: its
@@ -1590,7 +1604,10 @@ mod tests {
             sm.step(&done),
             [
                 Effect::PurgeCoordLog { tid: tid() },
-                Effect::Forget { tid: tid(), site: D },
+                Effect::Forget {
+                    tid: tid(),
+                    site: D
+                },
                 Effect::DropFence { tid: tid() },
                 Effect::NoteCompleted {
                     tid: tid(),

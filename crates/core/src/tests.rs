@@ -461,7 +461,11 @@ fn coordinator_crash_before_commit_mark_aborts() {
         .iter()
         .copied()
         .collect();
-    let fid = files.iter().find(|f| f.storage_site == SiteId(1)).unwrap().fid;
+    let fid = files
+        .iter()
+        .find(|f| f.storage_site == SiteId(1))
+        .unwrap()
+        .fid;
     let delegate = locus_net::TxnMsg::Delegate { tid, files };
     s0.kernel
         .rpc(SiteId(1), locus_net::Msg::Txn(delegate), &mut a0)
@@ -2984,7 +2988,10 @@ fn mixed_write_unanswered(c: &TestCluster, data: &[u8]) -> TransId {
     let (tid, pid) = mixed_write_open(c, data);
     Tap::install_all(c, &[("Delegate", DropReply), ("StatusInquiry", Drop)]);
     let out = c.site(0).txn.end_trans(pid, &mut acct(0));
-    assert!(out.is_err() && out != Err(Error::TxnAborted(tid)), "{out:?}");
+    assert!(
+        out.is_err() && out != Err(Error::TxnAborted(tid)),
+        "{out:?}"
+    );
     for i in [0, 1] {
         assert_eq!(records_at(c, i), [(tid, TxnStatus::Voted)], "site {i}");
         assert!(holds_locks(c, i, tid), "site {i}");

@@ -297,20 +297,21 @@ pub fn fig5_txn_io(model: CostModel, files: usize, pages: u64) -> Fig5Report {
         }
     }
 
-    // The rule, not a count: data pages, then one force per journal that
-    // must be durable before something irrevocable happens on its strength
-    // in another journal's domain — every participant volume except the
-    // coordinator's home journal (file 0 lives there; its prepare record
-    // rides the mark), then the mark itself. Phase two's installs are
-    // records under the same rule: the home journal's rides the next
-    // force of the journal that holds the mark, every other volume's rides
-    // that volume's next force and is acked once it lands — the
-    // coordinator forgets on the ack, and here, with no later transaction,
+    // The rule, not a count: data pages, then one force per storage site of
+    // its yes record with its prepare records ahead of it — the storage
+    // sites' durable yes votes decide the transaction, so no site forces a
+    // commit mark, and the requester's own site (file 0 lives there) takes
+    // its part as a step of its own machine. Phase two's installs are
+    // records under the same rule: the requester's own rides its journal's
+    // next force — its forgets wait for it to land — and every other
+    // site's rides that site's next force and is acked once it lands — the
+    // requester forgets on the ack, and here, with no later transaction,
     // its resend forces it. Truncations are lazy everywhere.
-    let other_logs = files.saturating_sub(1) as u64;
+    let other_sites = files.saturating_sub(1) as u64;
     let steps = vec![
         (
-            "1. append transaction structure to coordinator journal (buffered)".to_string(),
+            "1. hand each other storage site its part of the decision (nothing logged)"
+                .to_string(),
             0,
         ),
         (
@@ -318,16 +319,17 @@ pub fn fig5_txn_io(model: CostModel, files: usize, pages: u64) -> Fig5Report {
             pages * files as u64,
         ),
         (
-            format!("3. force of prepare records (× {other_logs} volumes other than the coordinator's home)"),
-            log_ios * other_logs,
+            format!("3. force of the yes record and prepare records (× {other_sites} other storage sites)"),
+            log_ios * other_sites,
         ),
         (
-            "4. force of the commit mark (+ the home volume's prepare record)".to_string(),
+            "4. force of the requester's own record and prepare records (born committed when alone)"
+                .to_string(),
             log_ios,
         ),
         (
-            format!("5. (async) inode records (× {files}), landed before the ack on the {other_logs} other volume(s)"),
-            log_ios * other_logs,
+            format!("5. (async) inode records (× {files}), landed before the ack at the {other_sites} other site(s)"),
+            log_ios * other_sites,
         ),
     ];
     Fig5Report {
@@ -370,16 +372,16 @@ pub fn fig5_steady_state(model: CostModel, txns: usize) -> Vec<(u64, u64)> {
 /// synchronous window of one `end_trans` — under the old individually
 /// barriered KV layout each of those was its own synchronous stable write,
 /// so it *is* the "before" barrier count. `flushes` counts the actual
-/// forces issued in the same window ("after"): one per participant volume
-/// that is not the coordinator's home journal, plus the commit mark — the
-/// home journal's own prepare record rides the mark. The async pair covers
-/// phase two: an inode record and a truncation per file, and the
-/// coordinator record's purge. The installs on volumes other than the
-/// mark's land before their acks — here the resend forces them, no later
-/// transaction being there to carry them; the rest is lazy, and what is
-/// counted for it is [`Cluster::drain_async`]'s step-boundary flush of the
-/// home journal. Without that harness flush it rides the home journal's
-/// next commit-path force.
+/// forces issued in the same window ("after"): one per storage site, the
+/// force of its yes record with its prepare record ahead of it. The async
+/// pair covers phase two: an inode record and a truncation per file, among
+/// peers a note of the commit per site, and the requester's purge of its
+/// own record. The installs at sites other than the requester's land
+/// before their acks — here the resend forces them, no later transaction
+/// being there to carry them; the rest is lazy, and what is counted for it
+/// is [`Cluster::drain_async`]'s step-boundary flush of the home journal.
+/// Without that harness flush it rides the home journal's next
+/// commit-path force.
 pub struct GroupCommitReport {
     pub files: usize,
     pub sync_frames: u64,
@@ -389,8 +391,7 @@ pub struct GroupCommitReport {
 }
 
 /// Measures journal frames vs. flushes across one distributed commit
-/// touching `files` files, each on its own site/volume (site 0
-/// coordinates).
+/// touching `files` files, each on its own site/volume (site 0 requests).
 pub fn group_commit_barriers(files: usize) -> GroupCommitReport {
     let c = Cluster::new(files.max(1));
     let mut names = Vec::new();
@@ -1076,8 +1077,9 @@ mod tests {
 
     #[test]
     fn fig5_steady_state_costs_what_the_first_transaction_costs() {
-        // One journal force (the commit mark, carrying the prepare record,
-        // and the install and purges of the transaction before) and one
+        // One journal force (the record born committed, carrying the
+        // prepare record, and the install and purges of the transaction
+        // before) and one
         // random write (the data page), every time: the journal gives back
         // the space of earlier transactions inside that same flush.
         let per_txn = fig5_steady_state(CostModel::default(), 100);
@@ -1164,7 +1166,11 @@ mod tests {
             let r = group_commit_barriers(files);
             assert_eq!(r.sync_frames, 2 * n, "{files} files: sync frames");
             assert_eq!(r.sync_flushes, n, "{files} files: sync flushes");
-            assert_eq!(r.async_frames, 2 * n + notes + 1, "{files} files: async frames");
+            assert_eq!(
+                r.async_frames,
+                2 * n + notes + 1,
+                "{files} files: async frames"
+            );
             assert_eq!(r.async_flushes, n, "{files} files: async flushes");
         }
     }

@@ -121,7 +121,10 @@ impl LockManager {
     /// Whether `req` on `fid` would wait, or be refused, were it made now.
     /// Charges nothing and changes nothing.
     pub fn blocked(&self, fid: Fid, req: &LockRequest) -> bool {
-        self.files.lock().get(&fid).is_some_and(|fl| fl.blocked(req))
+        self.files
+            .lock()
+            .get(&fid)
+            .is_some_and(|fl| fl.blocked(req))
     }
 
     /// Validates an enforced-lock data access (Figure 1).

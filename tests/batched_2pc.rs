@@ -170,8 +170,16 @@ fn phase_two_commits_to_one_site_coalesce_into_a_batch() {
         let before = c.counters();
         assert_eq!(c.site(0).txn.run_async_work(&mut acct), done, "pass {pass}");
         let after = c.counters();
-        assert_eq!(after.messages_sent - before.messages_sent, sent, "pass {pass}");
-        assert_eq!(after.batches_sent - before.batches_sent, batches, "pass {pass}");
+        assert_eq!(
+            after.messages_sent - before.messages_sent,
+            sent,
+            "pass {pass}"
+        );
+        assert_eq!(
+            after.batches_sent - before.batches_sent,
+            batches,
+            "pass {pass}"
+        );
     }
     assert_eq!(c.site(0).txn.pending_async(), 0);
 

@@ -321,9 +321,12 @@ impl TxnManager {
         self.kernel.drop_owner_caches(Owner::Trans(tid));
     }
 
-    /// Number of transactions whose phase two or inquiry is still queued.
+    /// Number of transactions whose phase two or inquiry is still queued,
+    /// plus the kernel's releases waiting for a message to carry them.
     pub fn pending_async(&self) -> usize {
-        self.inquiries.lock().len() + self.rides.lock().unacked.len()
+        self.inquiries.lock().len()
+            + self.rides.lock().unacked.len()
+            + self.kernel.releases_pending()
     }
 
     /// Asks `site` what became of `tid`: the answer to a recovered prepare,
@@ -345,9 +348,11 @@ impl TxnManager {
     /// a request there needs its locks ([`TxnService::wanted`]). A site's
     /// queue goes on its own only once a message in it has waited through
     /// one run with no message carrying it since; the sites whose queues go
-    /// are one wave. Returns how many items moved on: inquiries answered,
-    /// transactions whose phase two completed, and riders that began their
-    /// waiting turn (the next run sends them).
+    /// are one wave. The kernel's queued lock releases are pumped by the
+    /// same rule first ([`Kernel::pump_releases`]). Returns how many items
+    /// moved on: inquiries answered, transactions whose phase two
+    /// completed, riders and releases that began their waiting turn (the
+    /// next run sends them), and releases that arrived.
     ///
     /// Nothing here forces the journal: the purges are lazy truncations
     /// that ride the next flush of their journal. A crash before then
@@ -355,7 +360,7 @@ impl TxnManager {
     /// phase two — once, because `Site::reboot_and_recover` ends with a
     /// force.
     pub fn run_async_work(&self, acct: &mut Account) -> usize {
-        let resolved = self.retry_inquiries(acct);
+        let resolved = self.kernel.pump_releases(acct) + self.retry_inquiries(acct);
         let (mut riding, waiting) = self.pump_riders();
         if riding.is_empty() {
             return resolved + waiting;
@@ -873,6 +878,7 @@ impl TxnManager {
         if self.kernel.is_crashed() || reachable.is_empty() {
             return; // We are the crashed site.
         }
+        self.kernel.forget_unreachable(&reachable);
         // Coordinator side: the machine aborts every still-undecided
         // transaction with a lost participant (in tid order — the event
         // trace must be byte-identical across runs of the same seed).
@@ -1470,6 +1476,10 @@ impl TxnService for TxnManager {
         self.substrate(Machine::Coordinator, acct)
             .drive(Input::Wanted { tid });
         !voted()
+    }
+
+    fn refused(&self, tid: TransId) -> bool {
+        self.part.lock().sm.refuses(tid)
     }
 }
 

@@ -903,6 +903,42 @@ fn partition_aborts_cross_partition_transaction() {
 }
 
 #[test]
+fn a_refused_transactions_next_write_there_is_refused_and_leaves_nothing() {
+    let c = TestCluster::new(2);
+    let (s0, s1) = (c.site(0), c.site(1));
+    let mut a1 = acct(1);
+    let p1 = s1.kernel.spawn();
+    let ch = s1.kernel.creat(p1, "/f", &mut a1).unwrap();
+    s1.kernel.write(p1, ch, &[0u8; 64], &mut a1).unwrap();
+    s1.kernel.close(p1, ch, &mut a1).unwrap();
+    // A transaction begun at site 0 moves to site 1 and writes there.
+    let mut a0 = acct(0);
+    let pid = s0.kernel.spawn();
+    let tid = s0.txn.begin_trans(pid, &mut a0).unwrap();
+    let ch = s0.kernel.open(pid, "/f", true, &mut a0).unwrap();
+    s0.kernel.migrate(pid, SiteId(1), &mut a0).unwrap();
+    s1.kernel.write(pid, ch, b"first", &mut a1).unwrap();
+    let fid = s1.kernel.procs.get(pid).unwrap().open_files[&ch].fid;
+    let owner = Owner::Trans(tid);
+    let vol = s1.kernel.home().unwrap();
+    assert!(vol.owner_dirty(fid, owner));
+    // Cut off from the transaction's home site, site 1 rolls it back and
+    // refuses it; its process, whose top level is itself, runs on.
+    c.transport.partition(&[SiteId(1)]);
+    assert!(!s1.kernel.locks.owner_has_locks(owner));
+    assert!(!vol.owner_dirty(fid, owner));
+    // Its next write there, over the bytes it locked and beyond them, takes
+    // no lock and leaves no byte.
+    for pos in [0, 32] {
+        s1.kernel.lseek(pid, ch, pos, &mut a1).unwrap();
+        let again = s1.kernel.write(pid, ch, b"again", &mut a1);
+        assert_eq!(again, Err(Error::TxnAborted(tid)));
+        assert!(!s1.kernel.locks.owner_has_locks(owner));
+        assert!(!vol.owner_dirty(fid, owner));
+    }
+}
+
+#[test]
 fn partition_after_a_yes_vote_leaves_the_participant_in_doubt() {
     let c = TestCluster::new(2);
     let (s0, s1) = (c.site(0), c.site(1));

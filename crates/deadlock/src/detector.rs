@@ -26,8 +26,15 @@ impl DeadlockDetector {
     }
 
     /// Builds the current global wait-for graph from every reachable site's
-    /// exported lock tables.
+    /// exported lock tables, once every site has sent its queued lock
+    /// releases (`Kernel::flush_releases`): no edge may run
+    /// through a lock its holder already released.
     pub fn build_graph(&self) -> WaitForGraph {
+        for site in &self.sites {
+            if !site.kernel.is_crashed() {
+                site.kernel.flush_releases(&mut Account::new(site.id()));
+            }
+        }
         let mut g = WaitForGraph::new();
         for site in &self.sites {
             if site.kernel.is_crashed() {

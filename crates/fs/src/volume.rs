@@ -34,9 +34,10 @@ use crate::inode::Inode;
 use crate::pagebuf::PageBuf;
 
 /// Maximum buffered pages per file before clean buffers are evicted (the
-/// paper's LRU buffer pool, Section 6.3, scaled to the simulation). A
-/// requesting site's page cache keeps no more released pages per file and
-/// owner than this either.
+/// paper's buffer pool, Section 6.3, scaled to the simulation). The victim
+/// is the lowest-numbered clean page, not the least recently used one
+/// (`Volume::ensure_buffer`). A requesting site's page cache keeps no more
+/// released pages per file and owner than this either.
 pub const FILE_BUFFER_CAP: usize = 128;
 
 #[derive(Debug, Default)]
@@ -197,7 +198,8 @@ impl Volume {
     }
 
     /// Ensures the page is buffered, reading it from disk when the committed
-    /// block exists. Returns whether it was a buffer hit.
+    /// block exists; a file at [`FILE_BUFFER_CAP`] first gives up its
+    /// lowest-numbered clean page. Returns whether it was a buffer hit.
     fn ensure_buffer(
         &self,
         st: &mut VolState,
@@ -219,9 +221,10 @@ impl Volume {
             None => vec![0u8; self.page_size()],
         };
         let fstate = st.files.entry(ino).or_default();
-        // Evict clean buffers beyond the cap (LRU approximated by BTreeMap
-        // order; dirty buffers are never evicted — they hold uncommitted
-        // record data that exists nowhere else).
+        // At the cap, evict the lowest-numbered clean buffer (the first in
+        // BTreeMap order — no recency is kept; dirty buffers are never
+        // evicted — they hold uncommitted record data that exists nowhere
+        // else).
         if fstate.buffers.len() >= FILE_BUFFER_CAP {
             let victim = fstate
                 .buffers

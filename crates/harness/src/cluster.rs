@@ -331,6 +331,40 @@ mod tests {
     }
 
     #[test]
+    fn draining_sends_a_release_a_queued_waiter_needs() {
+        // Site 1's process holds a lock on a file at site 0; site 2's
+        // process queues behind it; then the holder unlocks. Nothing else
+        // goes to site 0, so the release rides no message: one pump turn
+        // sends it, and the drain counts it.
+        let c = Cluster::new(3);
+        let (k0, k1, k2) = (&c.site(0).kernel, &c.site(1).kernel, &c.site(2).kernel);
+        let mut a0 = c.account(0);
+        let p0 = k0.spawn();
+        let ch = k0.creat(p0, "/f", &mut a0).unwrap();
+        k0.write(p0, ch, &[0; 64], &mut a0).unwrap();
+        k0.close(p0, ch, &mut a0).unwrap();
+        let x = locus_types::LockRequestMode::Exclusive;
+        let wait = locus_kernel::LockOpts {
+            wait: true,
+            ..Default::default()
+        };
+        let (mut a1, mut a2) = (c.account(1), c.account(2));
+        let (p1, p2) = (k1.spawn(), k2.spawn());
+        let ch1 = k1.open(p1, "/f", true, &mut a1).unwrap();
+        let ch2 = k2.open(p2, "/f", true, &mut a2).unwrap();
+        k1.lock(p1, ch1, 64, x, wait, &mut a1).unwrap();
+        assert!(k2.lock(p2, ch2, 64, x, wait, &mut a2).is_err());
+        k1.unlock(p1, ch1, 64, &mut a1).unwrap();
+        assert!(!k2.take_wakeup(p2));
+        assert_eq!(c.site(1).txn.pending_async(), 1);
+        assert!(c.drain_async() > 0);
+        assert!(k2.take_wakeup(p2));
+        let granted = k2.lock(p2, ch2, 64, x, wait, &mut a2);
+        assert_eq!(granted, Ok(locus_types::ByteRange::new(0, 64)));
+        assert_eq!(c.site(1).txn.pending_async(), 0);
+    }
+
+    #[test]
     fn crash_and_reboot_cycle() {
         let c = Cluster::new(2);
         c.crash_site(1);

@@ -107,15 +107,15 @@ fn gen_programs(seed: u64) -> Vec<(usize, Vec<Op>)> {
 
 /// Builds a cluster with `/eq0` on site 0 and `/eq1` on site 1, zero-filled.
 fn build_cluster(cached: bool) -> Cluster {
-    build_cluster_with(cached, vec![0; FILE_LEN as usize])
+    build_cluster_with(cached, vec![0; FILE_LEN as usize], SITES)
 }
 
-/// Builds a cluster with `/eq0` on site 0 and `/eq1` on site 1, both holding
-/// `contents`, committed.
-fn build_cluster_with(cached: bool, contents: Vec<u8>) -> Cluster {
-    let c = Cluster::new(SITES);
+/// Builds a cluster of `sites` sites with `/eq0` on site 0 and `/eq1` on
+/// site 1, both holding `contents`, committed.
+fn build_cluster_with(cached: bool, contents: Vec<u8>, sites: usize) -> Cluster {
+    let c = Cluster::new(sites);
     if !cached {
-        for i in 0..SITES {
+        for i in 0..sites {
             c.site(i)
                 .kernel
                 .page_cache_enabled
@@ -207,30 +207,28 @@ fn scan_contents() -> Vec<u8> {
 /// One scanner at site 1 — remote from `/eq0` — that locks a page-unaligned
 /// range and reads records through it in order, starting a little before the
 /// lock and running past its end; sibling owners that write to the same
-/// pages meanwhile; when the scanner is a transaction, sometimes a forked
-/// member of it that migrates to the storage site and writes there; and,
-/// half the time, a reboot of the storage site in mid-scan. Returns the
-/// programs and the reboot step.
+/// pages meanwhile, inside the locked bytes too; when the scanner is a
+/// transaction, sometimes a forked member of it that migrates to the storage
+/// site and writes there; and, half the time (`always_reboot`: every time),
+/// a reboot of the storage site in mid-scan. Returns the programs and the
+/// reboot step.
 ///
-/// The generator keeps clear of two known holes (both in ROADMAP's
-/// backlog), each pinned by an `#[ignore]`d test below:
+/// A reboot empties the storage site's lock list and buffers; the scanner's
+/// kernel drops the coverage the old incarnation granted as soon as it hears
+/// of the new one (the topology change, or any reply's boot epoch), so no
+/// byte it believes locked changes under a local copy.
 ///
-/// * A reboot empties the storage site's lock list and buffers while the
-///   scanner's kernel still trusts its lock cache, so bytes the scanner
-///   believes locked can then change under *any* local copy of them. Runs
-///   with a reboot therefore have siblings write only outside the locked
-///   bytes, and no transactional scanner (whose lock would adopt a sibling's
-///   uncommitted bytes as its own, cacheable, and lose them to the reboot).
-///   `reboot_hole` lifts both restrictions and always reboots.
-/// * A write invalidates cached pages at the writer's site only, so a
-///   transaction re-reading bytes it has cached misses a write a member made
-///   to them at another site since. With a migrated member the scanner
-///   therefore reads every byte once: no seeks back, no read after the
-///   unlock. (Bytes it has *not* read are never cached for a transaction —
-///   the fetch is not widened — which is what these runs check.)
-fn gen_scan(seed: u64, reboot_hole: bool) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
+/// The generator keeps clear of one known hole (in ROADMAP's backlog),
+/// pinned by an `#[ignore]`d test below: a write invalidates cached pages
+/// at the writer's site only, so a transaction re-reading bytes it has
+/// cached misses a write a member made to them at another site since. With
+/// a migrated member the scanner therefore reads every byte once: no seeks
+/// back, no read after the unlock. (Bytes it has *not* read are never cached
+/// for a transaction — the fetch is not widened — which is what these runs
+/// check.)
+fn gen_scan(seed: u64, always_reboot: bool) -> (Vec<(usize, Vec<Op>)>, Option<usize>) {
     let mut rng = DetRng::seeded(seed);
-    let reboot = (reboot_hole || rng.chance(0.5)).then(|| 8 + rng.below(40) as usize);
+    let reboot = (always_reboot || rng.chance(0.5)).then(|| 8 + rng.below(40) as usize);
     let lock_start = rng.below(1500);
     // Half the locks are long enough for readahead to find whole pages.
     let lock_len = if rng.chance(0.5) {
@@ -255,8 +253,8 @@ fn gen_scan(seed: u64, reboot_hole: bool) -> (Vec<(usize, Vec<Op>)>, Option<usiz
     } else {
         LockRequestMode::Exclusive
     };
-    let in_txn = (reboot_hole || reboot.is_none()) && rng.chance(0.4);
-    let member = in_txn && !reboot_hole && rng.chance(0.6);
+    let in_txn = rng.chance(0.4);
+    let member = in_txn && rng.chance(0.6);
 
     let mut scan = Vec::new();
     if in_txn {
@@ -337,11 +335,9 @@ fn gen_scan(seed: u64, reboot_hole: bool) -> (Vec<(usize, Vec<Op>)>, Option<usiz
         }];
         for _ in 0..3 + rng.below(6) {
             // Bytes just outside the lock: the pages the scanner's fetches
-            // are widened on. Without a reboot, bytes inside it too — the
-            // enforced lock refuses those, identically in both clusters.
-            // (After a reboot it no longer does: the hole described above.)
-            let in_lock = reboot.is_none() || reboot_hole;
-            let pos = match rng.below(if in_lock { 3 } else { 2 }) {
+            // are widened on; and bytes inside it, which the enforced lock
+            // refuses while it stands, identically in both clusters.
+            let pos = match rng.below(3) {
                 0 => lock_start.saturating_sub(1 + rng.below(200)),
                 1 => lock_end + rng.below(200),
                 _ => lock_start + rng.below(lock_len),
@@ -376,25 +372,82 @@ struct ScanRun {
     seen: String,
     read_members_write: bool,
     counts: locus_sim::CountersSnapshot,
+    /// Storage-site recalls of queued releases.
+    recalls: usize,
 }
 
-fn observe_scan(cached: bool, seed: u64, reboot_hole: bool) -> ScanRun {
-    let c = build_cluster_with(cached, scan_contents());
+fn observe_scan(cached: bool, seed: u64, always_reboot: bool) -> ScanRun {
+    // A third site, for a writer that is neither the scanner's site nor
+    // the storage site.
+    let c = build_cluster_with(cached, scan_contents(), SITES + 1);
     let before = c.counters();
-    let (programs, reboot) = gen_scan(seed, reboot_hole);
-    let mut hook = |step, _: &Driver<'_>| {
+    let (programs, reboot) = gen_scan(seed, always_reboot);
+    let scan = &programs[0].1;
+    let in_txn = matches!(scan.first(), Some(Op::BeginTrans));
+    // The scanner's unlock, and the range it releases.
+    let unlocked = scan.windows(2).enumerate().find_map(|(i, ops)| match ops {
+        [Op::Seek { pos, .. }, Op::Unlock { len, .. }] => Some((i + 1, ByteRange::new(*pos, *len))),
+        _ => None,
+    });
+    let (mut writers, mut wrote) = (String::new(), false);
+    let mut hook = |step, drv: &Driver<'_>| {
         if reboot == Some(step) {
             reboot_storage_site(&c);
         }
+        // Right after a plain scanner's unlock returns, a writer at the
+        // storage site and one at the third site write the bytes it
+        // scanned. The release is still on its way; neither may be refused.
+        if let Some((i, released)) = unlocked.filter(|_| !wrote && !in_txn) {
+            if drv.results(0).len() > i {
+                wrote = true;
+                writers = unlocked_writes(&c, released);
+            }
+        }
     };
     let (seen, scanner) = observe_programs(&c, seed, &programs, &mut hook, SCAN_FILE_LEN);
+    let seen = format!("{seen}writers after the unlock:\n{writers}");
     ScanRun {
         seen,
         read_members_write: scanner
             .iter()
             .any(|r| matches!(r, OpResult::Data(d) if d.contains(&0))),
         counts: c.counters().since(&before),
+        recalls: c.events.count(|e| {
+            matches!(
+                e,
+                locus_sim::Event::Rpc {
+                    kind: "LockRecall",
+                    ..
+                }
+            )
+        }),
     }
+}
+
+/// The writes `observe_scan` makes right after a plain scanner's unlock of
+/// `released`: one from site 0, the storage site, and one from site 2, each
+/// of a few of the released bytes, committed. Panics if either is refused;
+/// renders what each wrote.
+fn unlocked_writes(c: &Cluster, released: ByteRange) -> String {
+    let mut out = String::new();
+    for (site, fill) in [(0, 250u8), (2, 251)] {
+        let (k, mut a) = (&c.site(site).kernel, c.account(site));
+        let p = k.spawn();
+        let range = ByteRange::new(released.start + 8 * site as u64, 8);
+        let res = k.open(p, "/eq0", true, &mut a).and_then(|ch| {
+            k.lseek(p, ch, range.start, &mut a)?;
+            k.write(p, ch, &[fill; 8], &mut a)?;
+            k.close(p, ch, &mut a)
+        });
+        assert_eq!(
+            res,
+            Ok(()),
+            "site {site}'s write of {range} after the unlock"
+        );
+        let _ = k.exit(p, &mut a);
+        out.push_str(&format!("site {site}: {range}\n"));
+    }
+    out
 }
 
 proptest! {
@@ -413,13 +466,11 @@ proptest! {
     }
 }
 
-/// The combination the generator otherwise steers around: a reboot of the
-/// storage site in mid-scan *with* sibling writes inside the locked bytes and
-/// transactional scanners. About one seed in twenty diverges, until
-/// lock-cache coverage is revalidated after a storage-site reboot (ROADMAP
-/// backlog); this is that fix's acceptance test.
+/// A reboot of the storage site in mid-scan of every seed, with sibling
+/// writes inside the locked bytes and transactional scanners. About one
+/// seed in twenty diverged while the scanner's lock cache outlived the
+/// reboot; it no longer does.
 #[test]
-#[ignore = "known hole: a stale LockCache outlives a storage-site reboot (ROADMAP backlog)"]
 fn locked_scans_match_uncached_reference_across_reboot_with_in_lock_writes() {
     for seed in 0..128 {
         let cached = observe_scan(true, seed, true).seen;
@@ -432,12 +483,13 @@ fn locked_scans_match_uncached_reference_across_reboot_with_in_lock_writes() {
 /// fetches, readahead and cache hits on one side, none of them on the other.
 #[test]
 fn locked_scans_exercise_page_fetches_and_readahead() {
-    let (mut hits, mut ahead, mut saved, mut members) = (0, 0, 0, 0);
+    let (mut hits, mut ahead, mut saved, mut members, mut recalls) = (0, 0, 0, 0, 0);
     for seed in 0..24 {
         let on = observe_scan(true, seed, false);
         let off = observe_scan(false, seed, false);
         assert_eq!(on.read_members_write, off.read_members_write, "seed {seed}");
         members += u64::from(on.read_members_write);
+        recalls += on.recalls;
         let (on, off) = (on.counts, off.counts);
         assert_eq!((off.page_cache_hits, off.prefetches), (0, 0), "seed {seed}");
         hits += on.page_cache_hits;
@@ -448,6 +500,8 @@ fn locked_scans_exercise_page_fetches_and_readahead() {
     assert!(ahead > 5, "only {ahead} pages read ahead in 24 scans");
     assert!(saved > 100, "only {saved} file messages saved in 24 scans");
     assert!(members > 0, "no scan read a migrated member's write");
+    // The writers right after an unlock found its release still queued.
+    assert!(recalls > 5, "only {recalls} recalls in 24 scans");
 }
 
 // ----- Relocked scans: what a released lock keeps ---------------------------
@@ -654,7 +708,7 @@ struct RelockRun {
 }
 
 fn observe_relock(cached: bool, seed: u64) -> RelockRun {
-    let c = build_cluster_with(cached, scan_contents());
+    let c = build_cluster_with(cached, scan_contents(), SITES);
     let start = c.counters();
     let (scan, first_scan, between) = gen_relock(seed);
     let (mut log, mut first, mut mid, mut retained) = (None, start, start, 0);
@@ -727,7 +781,7 @@ fn read_after_migrated_members_write(
     member_writes: ByteRange,
     parent_reads: ByteRange,
 ) -> (Vec<u8>, u64) {
-    let c = build_cluster_with(cached, vec![1; FILE_LEN as usize]);
+    let c = build_cluster_with(cached, vec![1; FILE_LEN as usize], SITES);
     let (s0, s1) = (c.site(0), c.site(1));
     let (mut a0, mut a1) = (c.account(0), c.account(1));
     let top = s1.kernel.spawn();

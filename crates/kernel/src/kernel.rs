@@ -4,8 +4,9 @@
 //! The system-call surface and the storage-site request handlers live in
 //! [`crate::services`], one module per subsystem (file, lock, proc,
 //! replica, txn); this file owns the `Kernel` struct itself and the
-//! cross-cutting machinery: RPC/notify/batch send paths, wakeups for blocked
-//! lock requests, and failure injection.
+//! cross-cutting machinery: RPC/notify/batch send paths (and the release
+//! queue riding them, `releases.rs`), wakeups for blocked lock
+//! requests, and failure injection.
 //!
 //! Data-plane requests for a file are processed at the file's *storage site*
 //! (its primary update site when replicated, Section 5.2); the kernel routes
@@ -19,13 +20,14 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use locus_fs::Volume;
 use locus_locks::{LockCache, LockManager};
-use locus_net::{Msg, SiteHandler, Transport};
+use locus_net::{LockMsg, Msg, SiteHandler, Transport};
 use locus_proc::{OpenFile, ProcessRegistry, ProcessTable};
 use locus_sim::{Account, CostModel, Counters, Event, EventLog};
 use locus_types::{Channel, Error, Fid, Owner, Pid, Result, SiteId, TransId, VolumeId};
 
 use crate::catalog::Catalog;
 use crate::pagecache::PageCache;
+use crate::releases::{Carried, Recalling, Releases};
 use crate::services::{self, TxnService};
 
 /// One site's kernel.
@@ -64,6 +66,14 @@ pub struct Kernel {
     /// a mismatch at prepare time means this site rebooted mid-transaction
     /// and its volatile buffers (possibly holding acked writes) were lost.
     boot_epoch: AtomicU64,
+    /// Explicit unlocks of locks listed at other sites, waiting for the next
+    /// message there ([`crate::releases`]).
+    pub(crate) releases: Releases,
+    /// The sites this storage site is recalling releases from right now.
+    pub(crate) recalling: Recalling,
+    /// The last boot epoch each storage site answered with: a higher one is
+    /// a new incarnation, whose lock list holds nothing this site cached.
+    seen_epochs: Mutex<std::collections::HashMap<SiteId, u64>>,
 }
 
 /// Per-process wakeup slot: a flag plus a condvar private to the process, so
@@ -116,6 +126,9 @@ impl Kernel {
             wake_slots: Mutex::new(std::collections::HashMap::new()),
             crashed: AtomicBool::new(false),
             boot_epoch: AtomicU64::new(boot_epoch),
+            releases: Releases::default(),
+            recalling: Recalling::default(),
+            seen_epochs: Mutex::new(std::collections::HashMap::new()),
         }
     }
 
@@ -170,7 +183,7 @@ impl Kernel {
         v
     }
 
-    fn transport_ref(&self) -> Result<Arc<dyn Transport>> {
+    pub(crate) fn transport_ref(&self) -> Result<Arc<dyn Transport>> {
         self.transport
             .read()
             .as_ref()
@@ -192,15 +205,102 @@ impl Kernel {
     }
 
     /// [`Kernel::rpc`] with the reply left as it came: a `Msg::Err` answer
-    /// is not the exchange's failure.
+    /// is not the exchange's failure. The releases queued for `to` ride
+    /// ahead of `msg`.
     fn exchange(&self, to: SiteId, msg: Msg, acct: &mut Account) -> Result<Msg> {
         if to == self.site {
             return Ok(self.handle_kernel_msg(self.site, msg, acct));
         }
-        self.transport_ref()?.rpc(self.site, to, msg, acct)
+        match self.releases.take(to) {
+            None => self.transport_ref()?.rpc(self.site, to, msg, acct),
+            Some(carried) => self.carry(to, carried, Some(msg), acct),
+        }
     }
 
-    /// One-way notification to another site.
+    /// Sends `carried` releases to `to` as the first members of one batch,
+    /// `msg`'s members (or `msg` itself) after them, and returns the answer
+    /// to `msg` as `msg` alone would have had it. The releases are settled
+    /// by whether the batch arrived.
+    fn carry(
+        &self,
+        to: SiteId,
+        mut carried: Carried,
+        msg: Option<Msg>,
+        acct: &mut Account,
+    ) -> Result<Msg> {
+        let rode = carried.msgs.len();
+        let (own, alone) = match msg {
+            Some(Msg::Batch(members)) => (members, false),
+            Some(m) => (vec![m], true),
+            None => (Vec::new(), false),
+        };
+        let n = own.len();
+        let mut batch = std::mem::take(&mut carried.msgs);
+        batch.extend(own);
+        // A lone release goes unbatched.
+        let wire = match batch.len() {
+            1 if n == 0 => batch.pop().expect("one member"),
+            _ => Msg::Batch(batch),
+        };
+        let res = self
+            .transport_ref()
+            .and_then(|t| t.rpc(self.site, to, wire, acct));
+        self.releases.settle(to, carried, res.is_ok());
+        match res? {
+            Msg::Batch(mut answers) if answers.len() == rode + n => {
+                answers.drain(..rode);
+                Ok(if alone {
+                    answers.pop().expect("its one answer")
+                } else {
+                    Msg::Batch(answers)
+                })
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// Sends the releases queued for `site` on their own. Returns how many
+    /// arrived.
+    pub(crate) fn send_releases(&self, site: SiteId, acct: &mut Account) -> usize {
+        let Some(carried) = self.releases.take(site) else {
+            return 0;
+        };
+        let n = carried.msgs.len();
+        match self.carry(site, carried, None, acct) {
+            Ok(_) => n,
+            Err(_) => 0,
+        }
+    }
+
+    /// One turn of the release pump: every queue holding a release that
+    /// waited a turn with no message carrying it goes alone, and every
+    /// other release begins its waiting turn. Returns how many releases
+    /// moved on — arrived, or began waiting.
+    pub fn pump_releases(&self, acct: &mut Account) -> usize {
+        if self.releases.len() == 0 {
+            return 0;
+        }
+        let (due, began) = self.releases.pump();
+        let sent: usize = due.into_iter().map(|s| self.send_releases(s, acct)).sum();
+        began + sent
+    }
+
+    /// Sends every queued release now, each site's queue alone (the
+    /// deadlock detector's first step: no wait-for edge may run through a
+    /// lock already released).
+    pub fn flush_releases(&self, acct: &mut Account) {
+        for site in self.releases.sites(None) {
+            self.send_releases(site, acct);
+        }
+    }
+
+    /// Releases still waiting for a message to carry them.
+    pub fn releases_pending(&self) -> usize {
+        self.releases.len()
+    }
+
+    /// One-way notification to another site. It carries no releases: its
+    /// loss would go unseen.
     pub fn notify(&self, to: SiteId, msg: Msg, acct: &mut Account) -> Result<()> {
         if to == self.site {
             self.handle_kernel_msg(self.site, msg, acct);
@@ -285,6 +385,9 @@ impl Kernel {
         if self.check_up().is_err() {
             return Msg::Err(Error::SiteDown(self.site));
         }
+        if from != self.site && !matches!(msg, Msg::Lock(LockMsg::Recall)) {
+            self.recalling.wait(from);
+        }
         match services::dispatch(self, from, msg, acct) {
             Ok(m) => m,
             Err(e) => Msg::Err(e),
@@ -360,6 +463,52 @@ impl Kernel {
         }
         self.registry.drop_site(self.site);
         self.wake_slots.lock().clear();
+        self.releases.crash();
+        self.seen_epochs.lock().clear();
+    }
+
+    /// `site` answered with boot epoch `epoch`. One above the last it
+    /// answered with is a new incarnation: what this site cached of the old
+    /// one's locks goes ([`Kernel::forget_site`]), and so do the releases
+    /// queued for it, which would find nothing to release.
+    pub(crate) fn note_boot_epoch(&self, site: SiteId, epoch: u64) {
+        if site == self.site {
+            return;
+        }
+        let newer = {
+            let mut seen = self.seen_epochs.lock();
+            let last = seen.entry(site).or_insert(epoch);
+            let newer = epoch > *last;
+            *last = (*last).max(epoch);
+            newer
+        };
+        if newer {
+            self.forget_site(site);
+            self.releases.drop_site(site, None);
+        }
+    }
+
+    /// `reachable` is this site's partition now: each other site outside it
+    /// may come back as a new incarnation, so what this site cached of its
+    /// locks goes. Its queued releases stay: a partition that heals finds
+    /// the same lock list, and a release reaching a rebooted site is a
+    /// no-op.
+    pub fn forget_unreachable(&self, reachable: &[SiteId]) {
+        let sites: Vec<SiteId> = self.seen_epochs.lock().keys().copied().collect();
+        for site in sites {
+            if !reachable.contains(&site) {
+                self.forget_site(site);
+            }
+        }
+    }
+
+    /// Drops every lock-cache entry this site holds for a file whose lock
+    /// list lives at `site`, with the pages it justified.
+    fn forget_site(&self, site: SiteId) {
+        let listed_there = |fid: Fid| self.catalog.loc_of(fid).is_some_and(|l| l.primary == site);
+        for (fid, owner) in self.cache.drop_files(listed_there) {
+            self.pages.drop_fid_owner(fid, owner);
+        }
     }
 
     const EPOCH_KEY: &'static str = "site/boot_epoch";

@@ -12,6 +12,7 @@
 pub mod catalog;
 pub mod kernel;
 pub mod pagecache;
+mod releases;
 pub mod services;
 
 pub use catalog::{Catalog, FileLoc};

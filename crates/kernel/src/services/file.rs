@@ -66,7 +66,7 @@ impl ServiceHandler for FileService {
                 if lock {
                     k.serve_implicit_lock(from, fid, pid, owner, range, false, acct)?;
                 }
-                k.check_access(fid, owner, range, false, acct)?;
+                k.check_access(fid, owner, range, false, from, acct)?;
                 let vol = k.volume(fid.volume)?;
                 // A reader that holds nothing is shipped every page.
                 let (committed_len, pages) = vol.read_grant(fid, owner, range, &[], acct)?;
@@ -96,7 +96,7 @@ impl ServiceHandler for FileService {
                 if lock {
                     k.serve_implicit_lock(from, fid, pid, owner, range, true, acct)?;
                 }
-                k.check_access(fid, owner, range, true, acct)?;
+                k.check_access(fid, owner, range, true, from, acct)?;
                 let vol = k.volume(fid.volume)?;
                 let new_len = vol.write(fid, owner, range, &data, acct)?;
                 k.locks.set_eof(fid, new_len);
@@ -198,6 +198,7 @@ impl Kernel {
                 "unexpected open response {resp:?}"
             )));
         };
+        self.note_boot_epoch(serving, epoch);
         let pos = if append { len } else { 0 };
         self.procs.with_mut(pid, |rec| {
             let ch = rec.add_open(OpenFile {
@@ -385,7 +386,7 @@ impl Kernel {
             // Local fast path: exactly what the ReadReq handler would do,
             // minus the message.
             self.counters.local_fast_paths();
-            self.check_access(of.fid, owner, range, false, acct)?;
+            self.check_access(of.fid, owner, range, false, self.site, acct)?;
             let vol = self.volume(of.fid.volume)?;
             let data = vol.read(of.fid, range, acct)?;
             self.procs.with_mut(pid, |rec| {
@@ -623,7 +624,7 @@ impl Kernel {
         let write_epoch = if serve == self.site {
             // Local fast path: the WriteReq handler's work, sans message.
             self.counters.local_fast_paths();
-            self.check_access(of.fid, owner, range, true, acct)?;
+            self.check_access(of.fid, owner, range, true, self.site, acct)?;
             let vol = self.volume(of.fid.volume)?;
             let new_len = vol.write(of.fid, owner, range, data, acct)?;
             self.locks.set_eof(of.fid, new_len);
@@ -649,7 +650,10 @@ impl Kernel {
             // write; recorded in the file-list so prepare can detect a later
             // reboot that discarded the buffered (acked) bytes.
             match resp {
-                Msg::File(FileMsg::WriteResp { epoch, .. }) => epoch,
+                Msg::File(FileMsg::WriteResp { epoch, .. }) => {
+                    self.note_boot_epoch(serve, epoch);
+                    epoch
+                }
                 _ => of.epoch,
             }
         };

@@ -15,7 +15,14 @@
 //! a batch keeps going after a failing member, and the data handler's access
 //! check only refuses a *conflicting holder*, so a write batched behind a
 //! lock request that was merely queued would land with no lock.
+//!
+//! An unlock of a lock listed at another site sends nothing: its
+//! `LockMsg::Req` waits in the kernel's release queue and rides the next
+//! message there (`kernel/src/releases.rs`), and the storage site recalls it
+//! ([`LockMsg::Recall`]) when a request would otherwise wait on, or be
+//! refused by, the lock it releases.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 
 use locus_locks::{GrantedWaiter, LockOutcome, LockRequest};
@@ -88,7 +95,7 @@ pub(crate) struct LockService;
 impl ServiceHandler for LockService {
     type Request = LockMsg;
 
-    fn handle(k: &Kernel, _from: SiteId, req: LockMsg, acct: &mut Account) -> Result<Msg> {
+    fn handle(k: &Kernel, from: SiteId, req: LockMsg, acct: &mut Account) -> Result<Msg> {
         match req {
             LockMsg::Req {
                 fid,
@@ -134,6 +141,7 @@ impl ServiceHandler for LockService {
                 k.push_grants(granted, acct);
                 Ok(Msg::Ok)
             }
+            LockMsg::Recall => Ok(Msg::Batch(k.releases.recall(from))),
             other @ LockMsg::Resp { .. } => Err(Error::ProtocolViolation(format!(
                 "lock service cannot handle {other:?}"
             ))),
@@ -294,13 +302,40 @@ impl Kernel {
             _ => of.storage_site,
         };
         let ps = self.model.page_size;
+        let req = |fetch| LockMsg::Req {
+            fid: of.fid,
+            pid,
+            tid: rec_tid,
+            mode,
+            class,
+            range,
+            append,
+            wait: opts.wait,
+            reply_site: self.site,
+            fetch,
+        };
         if mode == LockRequestMode::Unlock {
-            // Coverage ends before the request leaves: if the reply is lost
-            // the lock may be gone at the storage site, and nothing here may
-            // go on serving what it guarded. A page a grant shipped clean is
-            // kept for the next grant to name current (`PageCache::demote`).
+            // Coverage ends before the release leaves: from here on the lock
+            // may be gone at the storage site, and nothing here may go on
+            // serving what it guarded. A page a grant shipped clean is kept
+            // for the next grant to name current (`PageCache::demote`).
             self.cache.remove(of.fid, owner, range);
             self.pages.demote(of.fid, owner, range, ps);
+            if participant != self.site {
+                // The release rides the next message there
+                // (`crate::releases`).
+                self.releases.push(participant, pid, Msg::Lock(req(None)));
+                self.procs.with_mut(pid, |rec| {
+                    if rec.tid.is_some() {
+                        rec.note_file(of.fid, participant, of.epoch);
+                    }
+                })?;
+                return Ok(range);
+            }
+        } else {
+            // A release of this process's still on a carrier is applied
+            // there before this request, or rides ahead of it.
+            self.releases.wait_settled(Some(participant), pid);
         }
         // A shared lock permits its holder to read the range and nothing
         // else, so the request says the reads are coming: ask for the pages
@@ -322,22 +357,8 @@ impl Kernel {
                 .held(of.fid, owner, participant, repl_epoch, window, ps);
             (held, self.pages.write_gen(of.fid, owner))
         });
-        let resp = self.rpc(
-            participant,
-            Msg::Lock(LockMsg::Req {
-                fid: of.fid,
-                pid,
-                tid: rec_tid,
-                mode,
-                class,
-                range,
-                append,
-                wait: opts.wait,
-                reply_site: self.site,
-                fetch: fetch.as_ref().map(|(held, _)| held.clone()),
-            }),
-            acct,
-        )?;
+        let held = fetch.as_ref().map(|(held, _)| held.clone());
+        let resp = self.rpc(participant, Msg::Lock(req(held)), acct)?;
         match resp {
             Msg::Lock(LockMsg::Resp {
                 granted,
@@ -345,6 +366,7 @@ impl Kernel {
                 committed_len,
                 pages,
             }) => {
+                self.note_boot_epoch(participant, epoch);
                 if let Some(m) = mode.as_mode() {
                     self.cache.insert(of.fid, owner, m, granted);
                 }
@@ -399,6 +421,7 @@ impl Kernel {
                 "{owner:?} is not a transaction: only a transaction locks implicitly"
             )));
         };
+        self.check_not_refused(owner)?;
         let req = LockRequest {
             pid,
             tid: Some(tid),
@@ -451,7 +474,7 @@ impl Kernel {
         // wait on them, or be refused by them: the request meets the lock
         // list once, and a grant it no longer needs is never pushed.
         if self.locks.blocked(fid, &req) {
-            self.settle_holders(fid, acct);
+            self.settle_holders(fid, req.reply_site, acct);
         }
         match self.locks.request(fid, req, acct) {
             LockOutcome::Granted { range } => {
@@ -506,24 +529,71 @@ impl Kernel {
         }
     }
 
-    /// Before a request on `fid` waits or is refused: settles what this
-    /// site can of the transactions holding its locks
+    /// Before a request from `requester` on `fid` waits or is refused:
+    /// settles what this site can of the owners holding its locks. A
+    /// transaction's outcome is learned if it can be
     /// ([`TxnService::wanted`](crate::TxnService::wanted)) — a delegate's
-    /// yes among peers whose commit has yet to ride here. Returns whether
-    /// any was settled, so the caller asks again.
-    pub(crate) fn settle_holders(&self, fid: Fid, acct: &mut Account) -> bool {
-        let Ok(txn) = self.txn_service_ref() else {
-            return false;
-        };
+    /// yes among peers whose commit has yet to ride here. A process living
+    /// at another site has that site's queued releases recalled
+    /// ([`Kernel::recall`]) — except the requester's, whose releases rode
+    /// ahead of the request. Returns whether anything was settled, so the
+    /// caller asks again.
+    pub(crate) fn settle_holders(&self, fid: Fid, requester: SiteId, acct: &mut Account) -> bool {
+        let txn = self.txn_service_ref().ok();
         let mut settled = false;
-        for tid in self.locks.transactions_on(fid) {
-            settled |= txn.wanted(tid, acct);
+        let mut recall = BTreeSet::new();
+        for owner in self.locks.owners_on(fid) {
+            match owner {
+                Owner::Trans(tid) => {
+                    settled |= txn.as_ref().is_some_and(|txn| txn.wanted(tid, acct));
+                }
+                Owner::Proc(pid) => {
+                    recall.extend(
+                        self.registry
+                            .lookup(pid)
+                            .filter(|&site| site != self.site && site != requester),
+                    );
+                }
+            }
+        }
+        for site in recall {
+            settled |= self.recall(site, acct);
         }
         settled
     }
 
-    /// The storage site's enforced-lock check on an access (Figure 1),
-    /// asked again once the holders it refuses are settled
+    /// Asks `site` for the releases it has queued for this site
+    /// ([`LockMsg::Recall`]) and applies them. Returns whether any came.
+    /// The recall carries nothing of its own, so that `site` answers it at
+    /// once; until the releases are applied, any other message from `site`
+    /// waits (`Kernel::handle_kernel_msg`).
+    fn recall(&self, site: SiteId, acct: &mut Account) -> bool {
+        self.recalling.begin(site);
+        let answer = self
+            .transport_ref()
+            .and_then(|t| t.rpc(self.site, site, Msg::Lock(LockMsg::Recall), acct));
+        let mut applied = false;
+        if let Ok(Msg::Batch(releases)) = answer {
+            for release in releases {
+                if let Msg::Lock(
+                    req @ LockMsg::Req {
+                        mode: LockRequestMode::Unlock,
+                        ..
+                    },
+                ) = release
+                {
+                    // A release the lock list refuses releases nothing.
+                    let _ = LockService::handle(self, site, req, acct);
+                    applied = true;
+                }
+            }
+        }
+        self.recalling.end(site);
+        applied
+    }
+
+    /// The storage site's enforced-lock check on an access (Figure 1) from
+    /// `requester`, asked again once the holders it refuses are settled
     /// ([`Kernel::settle_holders`]).
     pub(crate) fn check_access(
         &self,
@@ -531,13 +601,34 @@ impl Kernel {
         owner: Owner,
         range: ByteRange,
         write: bool,
+        requester: SiteId,
         acct: &mut Account,
     ) -> Result<()> {
+        self.check_not_refused(owner)?;
         match self.locks.validate_access(fid, owner, range, write) {
-            Err(Error::AccessDenied { .. }) if self.settle_holders(fid, acct) => {
+            Err(Error::AccessDenied { .. }) if self.settle_holders(fid, requester, acct) => {
                 self.locks.validate_access(fid, owner, range, write)
             }
             res => res,
+        }
+    }
+
+    /// Refuses any access of a transaction begun elsewhere that this site
+    /// rolled back and refuses ([`TxnService::refused`](crate::TxnService::refused)),
+    /// stranded here by a partition or its home site's crash: it can only
+    /// abort, so it takes no lock here and reads or writes no byte —
+    /// whether its lock rides the access or its requester's lock cache
+    /// still covers the range. A transaction begun here is never stranded
+    /// here, and the local commit path pays nothing for the check.
+    fn check_not_refused(&self, owner: Owner) -> Result<()> {
+        match owner {
+            Owner::Trans(tid)
+                if tid.site != self.site
+                    && self.txn_service_ref().is_ok_and(|txn| txn.refused(tid)) =>
+            {
+                Err(Error::TxnAborted(tid))
+            }
+            _ => Ok(()),
         }
     }
 

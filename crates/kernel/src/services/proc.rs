@@ -76,6 +76,15 @@ impl Kernel {
         if dest == self.site {
             return Ok(());
         }
+        // Its releases go before it does: its requests from the new site
+        // will not carry this site's queue. One that cannot go is left to
+        // close/exit's `UnlockAll`.
+        self.releases.wait_settled(None, pid);
+        for site in self.releases.sites(Some(pid)) {
+            if self.send_releases(site, acct) == 0 {
+                self.releases.drop_site(site, Some(pid));
+            }
+        }
         let blob = self.procs.begin_migrate(pid)?;
         self.events.push(Event::MigrateStart {
             pid,

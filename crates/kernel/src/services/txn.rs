@@ -23,4 +23,8 @@ pub trait TxnService: Send + Sync {
     /// without the message that would bring it. Returns whether it was —
     /// its locks are gone, and the request may ask again.
     fn wanted(&self, tid: TransId, acct: &mut Account) -> bool;
+
+    /// Whether this site rolled `tid` back and refuses it: the transaction
+    /// can only abort, and an access of it here is refused.
+    fn refused(&self, tid: TransId) -> bool;
 }

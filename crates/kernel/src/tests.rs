@@ -1144,6 +1144,8 @@ fn downgrade_admits_readers() {
 #[derive(Default)]
 struct WireTap {
     seen: parking_lot::Mutex<Vec<(SiteId, &'static str)>>,
+    /// What `seen` holds, with every batch replaced by its members.
+    members: parking_lot::Mutex<Vec<&'static str>>,
     fault: parking_lot::Mutex<Option<(&'static str, locus_net::FaultDecision)>>,
 }
 
@@ -1156,13 +1158,24 @@ impl WireTap {
 
     /// The kinds seen since the last call.
     fn kinds(&self) -> Vec<&'static str> {
+        self.members.lock().clear();
         self.seen.lock().drain(..).map(|(_, kind)| kind).collect()
+    }
+
+    /// The kinds seen since the last call, a batch as its members.
+    fn member_kinds(&self) -> Vec<&'static str> {
+        self.seen.lock().clear();
+        self.members.lock().drain(..).collect()
     }
 }
 
 impl locus_net::FaultInjector for WireTap {
     fn decide(&self, _: SiteId, to: SiteId, msg: &Msg, _: bool) -> locus_net::FaultDecision {
         self.seen.lock().push((to, msg.kind()));
+        match msg {
+            Msg::Batch(members) => self.members.lock().extend(members.iter().map(Msg::kind)),
+            m => self.members.lock().push(m.kind()),
+        }
         let mut fault = self.fault.lock();
         match *fault {
             Some((kind, decision)) if kind == msg.kind() => {
@@ -1606,7 +1619,8 @@ fn every_other_lock_request_gets_a_bare_grant() {
     let before = a1.clone();
     k1.lock(p, ch, 4096, SHARED, opts, &mut a1).unwrap();
     let cache_off = a1.delta_since(&before);
-    let sent = tap.kinds();
+    // The unlock rode the append lock's message.
+    let sent = tap.member_kinds();
     let locks: Vec<_> = sent
         .iter()
         .copied()
@@ -1838,8 +1852,12 @@ fn a_lost_or_doubled_grant_leaves_one_lock_entry_and_a_coherent_cache() {
     // (the two came clean, and are kept for the next grant to name current).
     k1.lseek(p1, ch1, 0, &mut a1).unwrap();
     k1.unlock(p1, ch1, 2048, &mut a1).unwrap();
-    assert!(k1.pages.is_empty() && k0.locks.descriptors(fid).is_empty());
+    assert!(k1.pages.is_empty());
     assert_eq!(k1.pages.retained_len(), 2);
+    // The release leaves with the next message there, here on its own.
+    assert_eq!(locks_of(k0, fid, owner), held);
+    k1.flush_releases(&mut a1);
+    assert!(k0.locks.descriptors(fid).is_empty());
 }
 
 #[test]
@@ -2002,8 +2020,9 @@ fn a_revalidated_relock_of_four_pages_is_one_message_with_no_pages_and_no_disk_r
     k1.lock(p1, ch1, 4096, SHARED, LockOpts::default(), &mut a1)
         .unwrap();
     let locked = a1.delta_since(&before.0);
-    // One round trip that carried no page and read nothing off the disk.
-    assert_eq!(tap.kinds(), ["LockReq+Fetch"]);
+    // One round trip that carried no page and read nothing off the disk;
+    // the first scan's release rode ahead of the request.
+    assert_eq!(tap.member_kinds(), ["LockReq", "LockReq+Fetch"]);
     assert_eq!((locked.messages, locked.disk_reads), (1, 0));
     assert!(locked.elapsed < c.model.net_rtt + c.model.net_page_transfer);
     assert!((0..4).all(|n| has_page(k1, fid, Owner::Proc(p1), n)));
@@ -2146,14 +2165,24 @@ fn a_lost_unlock_reply_leaves_nothing_served_from_the_released_lock() {
     let mut a1 = acct(1);
     let (p1, ch1, _) = open_locked(k1, &mut a1, 0, 4096, SHARED);
     assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
-    // The storage site releases the lock; the reply never arrives.
-    *tap.fault.lock() = Some(("LockReq", locus_net::FaultDecision::DropReply));
+    // The unlock returns at once; the read after it carries the release,
+    // the storage site releases the lock, and the reply never arrives.
     k1.lseek(p1, ch1, 0, &mut a1).unwrap();
-    assert!(k1.unlock(p1, ch1, 4096, &mut a1).is_err());
-    // So nothing refuses site 0's write, and site 1 reads it.
+    k1.unlock(p1, ch1, 4096, &mut a1).unwrap();
+    *tap.fault.lock() = Some(("Batch", locus_net::FaultDecision::DropReply));
+    assert!(k1.read(p1, ch1, 64, &mut a1).is_err());
+    assert_eq!(
+        k1.releases_pending(),
+        1,
+        "a lost carrier's release goes again"
+    );
+    // So nothing refuses site 0's write, and site 1 reads it, the release
+    // riding again, a no-op.
     commit_at_site0(&c, ByteRange::new(0, 64), 9);
     k1.lseek(p1, ch1, 0, &mut a1).unwrap();
     assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![9u8; 64]);
+    assert_eq!(tap.member_kinds().last(), Some(&"ReadReq"));
+    assert_eq!(k1.releases_pending(), 0);
 }
 
 #[test]
@@ -2523,6 +2552,10 @@ impl crate::TxnService for SettlesAll {
         k.push_grants(granted, acct);
         true
     }
+
+    fn refused(&self, _: TransId) -> bool {
+        false
+    }
 }
 
 #[test]
@@ -2558,4 +2591,249 @@ fn a_request_settled_in_the_same_call_is_granted_once() {
     assert!(!k.take_wakeup(p));
     assert!(k.locks.snapshot().edges.is_empty());
     drop(svc);
+}
+
+// ----- A release rides the next message to its storage site ----------------
+
+/// `[0, 4096)` of `/cached` at site 0, locked shared by a process at site
+/// 1, scanned and released: the release waits at site 1.
+fn released_at_site1(c: &MiniCluster, a1: &mut Account) -> (Pid, Channel, Fid) {
+    let (p1, ch1, fid) = scanned_and_released(c, a1);
+    assert_eq!(c.kernels[1].releases_pending(), 1);
+    assert_eq!(locks_of(&c.kernels[0], fid, Owner::Proc(p1)).len(), 1);
+    (p1, ch1, fid)
+}
+
+#[test]
+fn after_warm_up_four_locked_scans_cost_four_messages() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = scanned_and_released(&c, &mut a1);
+    let before = a1.clone();
+    for _ in 0..4 {
+        relock(k1, p1, ch1, &mut a1);
+        assert_eq!(scan_released(k1, p1, ch1, &mut a1), vec![7u8; 4096]);
+    }
+    // Each grant carried the release before it; the last one waits.
+    assert_eq!(a1.delta_since(&before).messages, 4);
+    assert_eq!(k1.releases_pending(), 1);
+    assert_eq!(locks_of(&c.kernels[0], fid, Owner::Proc(p1)).len(), 1);
+}
+
+#[test]
+fn a_request_the_release_would_admit_costs_one_recall_exchange() {
+    let c = mini_cluster(3);
+    seed_remote_file(&c, 8192);
+    let tap = WireTap::install(&c);
+    let (k0, k1, k2) = (&c.kernels[0], &c.kernels[1], &c.kernels[2]);
+    let mut a1 = acct(1);
+    // A non-waiting write at the storage site.
+    let (p1, ch1, fid) = released_at_site1(&c, &mut a1);
+    tap.kinds();
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    let before = a0.clone();
+    k0.write(p0, ch0, b"mine", &mut a0).unwrap();
+    assert_eq!(tap.kinds(), ["LockRecall"]);
+    assert_eq!(a0.delta_since(&before).messages, 1);
+    assert!(locks_of(k0, fid, Owner::Proc(p1)).is_empty());
+    assert_eq!(k1.releases_pending(), 0);
+    k0.abort_file(p0, ch0, &mut a0).unwrap();
+    // A non-waiting lock from a third site.
+    relock(k1, p1, ch1, &mut a1);
+    scan_released(k1, p1, ch1, &mut a1);
+    let mut a2 = acct(2);
+    let p2 = k2.spawn();
+    let ch2 = k2.open(p2, "/cached", true, &mut a2).unwrap();
+    tap.kinds();
+    let got = k2.lock(
+        p2,
+        ch2,
+        64,
+        LockRequestMode::Exclusive,
+        LockOpts::default(),
+        &mut a2,
+    );
+    assert_eq!(got, Ok(ByteRange::new(0, 64)));
+    assert_eq!(tap.kinds(), ["LockReq", "LockRecall"]);
+    assert!(locks_of(k0, fid, Owner::Proc(p1)).is_empty());
+}
+
+#[test]
+fn a_request_meeting_an_unreachable_holders_lock_waits_or_is_refused_as_before() {
+    let c = mini_cluster(3);
+    seed_remote_file(&c, 8192);
+    let (k0, k2) = (&c.kernels[0], &c.kernels[2]);
+    let mut a1 = acct(1);
+    let (p1, _, fid) = released_at_site1(&c, &mut a1);
+    c.transport.partition(&[SiteId(1)]);
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    assert!(matches!(
+        k0.write(p0, ch0, b"mine", &mut a0),
+        Err(Error::AccessDenied { .. })
+    ));
+    let mut a2 = acct(2);
+    let p2 = k2.spawn();
+    let ch2 = k2.open(p2, "/cached", true, &mut a2).unwrap();
+    let x = LockRequestMode::Exclusive;
+    assert!(matches!(
+        k2.lock(p2, ch2, 64, x, LockOpts::default(), &mut a2),
+        Err(Error::LockConflict { .. })
+    ));
+    let wait = LockOpts {
+        wait: true,
+        ..LockOpts::default()
+    };
+    assert!(matches!(
+        k2.lock(p2, ch2, 64, x, wait, &mut a2),
+        Err(Error::WouldBlock { .. })
+    ));
+    assert_eq!(locks_of(k0, fid, Owner::Proc(p1)).len(), 1);
+    assert_eq!(c.kernels[1].releases_pending(), 1);
+    // Healed, the next recall brings the release, and the waiter is
+    // granted with it.
+    c.transport.heal();
+    k0.lseek(p0, ch0, 1000, &mut a0).unwrap();
+    k0.write(p0, ch0, b"mine", &mut a0).unwrap();
+    assert!(locks_of(k0, fid, Owner::Proc(p1)).is_empty());
+    assert!(k2.take_wakeup(p2));
+}
+
+#[test]
+fn a_waiter_queued_before_the_unlock_is_granted_within_one_pump_turn() {
+    let c = mini_cluster(3);
+    seed_remote_file(&c, 8192);
+    let (k0, k1, k2) = (&c.kernels[0], &c.kernels[1], &c.kernels[2]);
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 4096, LockRequestMode::Exclusive);
+    let mut a2 = acct(2);
+    let p2 = k2.spawn();
+    let ch2 = k2.open(p2, "/cached", true, &mut a2).unwrap();
+    let wait = LockOpts {
+        wait: true,
+        ..LockOpts::default()
+    };
+    let x = LockRequestMode::Exclusive;
+    assert!(matches!(
+        k2.lock(p2, ch2, 64, x, wait, &mut a2),
+        Err(Error::WouldBlock { .. })
+    ));
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    k1.unlock(p1, ch1, 4096, &mut a1).unwrap();
+    assert_eq!(wait_edges(k0, fid), 1);
+    // The waiter's recall found nothing, and marked the next release due.
+    assert_eq!(k1.pump_releases(&mut a1), 1);
+    assert_eq!(wait_edges(k0, fid), 0);
+    assert!(k2.take_wakeup(p2));
+    assert_eq!(
+        k2.lock(p2, ch2, 64, x, wait, &mut a2),
+        Ok(ByteRange::new(0, 64))
+    );
+}
+
+#[test]
+fn a_release_nothing_carries_goes_alone_on_the_second_pump_turn() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    let (p1, _, fid) = released_at_site1(&c, &mut a1);
+    assert_eq!(k1.pump_releases(&mut a1), 1, "began its waiting turn");
+    assert_eq!(locks_of(&c.kernels[0], fid, Owner::Proc(p1)).len(), 1);
+    assert_eq!(k1.pump_releases(&mut a1), 1, "went alone");
+    assert!(locks_of(&c.kernels[0], fid, Owner::Proc(p1)).is_empty());
+    assert_eq!(k1.pump_releases(&mut a1), 0);
+}
+
+#[test]
+fn a_crash_empties_the_release_queue() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let k1 = &c.kernels[1];
+    let mut a1 = acct(1);
+    released_at_site1(&c, &mut a1);
+    k1.crash();
+    assert_eq!(k1.releases_pending(), 0);
+    k1.reboot();
+    assert_eq!(k1.pump_releases(&mut a1), 0);
+}
+
+#[test]
+fn a_migrating_process_sends_its_releases_before_it_moves() {
+    let c = mini_cluster(3);
+    seed_remote_file(&c, 8192);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let (p1, _, fid) = released_at_site1(&c, &mut a1);
+    let tap = WireTap::install(&c);
+    k1.migrate(p1, SiteId(2), &mut a1).unwrap();
+    assert_eq!(tap.kinds(), ["LockReq", "Migrate"]);
+    assert!(locks_of(k0, fid, Owner::Proc(p1)).is_empty());
+    assert_eq!(k1.releases_pending(), 0);
+}
+
+#[test]
+fn a_relock_is_never_released_by_an_older_release() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let tap = WireTap::install(&c);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = released_at_site1(&c, &mut a1);
+    // The relock carries the release; both run, and the reply is lost: the
+    // release goes back to the queue.
+    *tap.fault.lock() = Some(("Batch", locus_net::FaultDecision::DropReply));
+    k1.lseek(p1, ch1, 0, &mut a1).unwrap();
+    assert!(k1
+        .lock(p1, ch1, 4096, SHARED, LockOpts::default(), &mut a1)
+        .is_err());
+    assert_eq!(k1.releases_pending(), 1);
+    // Asked again, the old release rides ahead of the new request: the
+    // lock stands once, for the new grant, and the queue is empty.
+    k1.lock(p1, ch1, 4096, SHARED, LockOpts::default(), &mut a1)
+        .unwrap();
+    let held = [(LockMode::Shared, ByteRange::new(0, 4096))];
+    assert_eq!(locks_of(k0, fid, Owner::Proc(p1)), held);
+    assert_eq!(k1.releases_pending(), 0);
+    // No later turn of the pump, nor a writer's recall, finds anything
+    // to release it with.
+    for _ in 0..2 {
+        assert_eq!(k1.pump_releases(&mut a1), 0);
+    }
+    let mut a0 = acct(0);
+    let p0 = k0.spawn();
+    let ch0 = k0.open(p0, "/cached", true, &mut a0).unwrap();
+    assert!(matches!(
+        k0.write(p0, ch0, b"mine", &mut a0),
+        Err(Error::AccessDenied { .. })
+    ));
+    assert_eq!(locks_of(k0, fid, Owner::Proc(p1)), held);
+}
+
+#[test]
+fn a_reply_from_a_new_incarnation_drops_what_the_old_one_granted() {
+    let c = mini_cluster(2);
+    seed_remote_file(&c, 8192);
+    let (k0, k1) = (&c.kernels[0], &c.kernels[1]);
+    let mut a1 = acct(1);
+    let (p1, ch1, fid) = open_locked(k1, &mut a1, 0, 4096, SHARED);
+    assert_eq!(k1.read(p1, ch1, 64, &mut a1).unwrap(), vec![7u8; 64]);
+    let other = k1.spawn();
+    let och = k1.open(other, "/cached", true, &mut a1).unwrap();
+    k1.lseek(other, och, 4096, &mut a1).unwrap();
+    k1.unlock(other, och, 64, &mut a1).unwrap();
+    assert_eq!(k1.releases_pending(), 1);
+    k0.crash();
+    k0.reboot();
+    // The storage site's lock list is gone; the next reply says so.
+    k1.open(other, "/cached", false, &mut a1).unwrap();
+    let all = ByteRange::new(0, 4096);
+    assert!(!k1.cache.covers(fid, Owner::Proc(p1), all, false));
+    assert!(k1.pages.is_empty());
+    assert_eq!(k1.releases_pending(), 0);
 }

@@ -142,6 +142,32 @@ impl LockCache {
         }
     }
 
+    /// Drops every owner's coverage of each file `pick` selects (its
+    /// storage site came back as a new incarnation, whose lock list holds
+    /// none of it). Returns the `(fid, owner)` pairs that had any.
+    pub fn drop_files(&self, pick: impl Fn(Fid) -> bool) -> Vec<(Fid, Owner)> {
+        let mut dropped = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            if self.occupancy[i].load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut inner = shard.lock();
+            let CacheInner { shared, exclusive } = &mut *inner;
+            for map in [shared, exclusive] {
+                map.retain(|&key, _| {
+                    let keep = !pick(key.0);
+                    if !keep && !dropped.contains(&key) {
+                        dropped.push(key);
+                    }
+                    keep
+                });
+            }
+            let count = inner.shared.len() + inner.exclusive.len();
+            self.occupancy[i].store(count, Ordering::Relaxed);
+        }
+        dropped
+    }
+
     /// Whether `owner` is known to hold a lock sufficient for the access:
     /// exclusive coverage for writes, shared-or-exclusive for reads. An empty
     /// range is never covered.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use locus_sim::{Account, CostModel, Counters, Event, EventLog, SpanPhase, VirtSpan};
-use locus_types::{ByteRange, Error, Fid, LockDescriptor, Owner, Pid, Result, TransId};
+use locus_types::{ByteRange, Error, Fid, LockDescriptor, Owner, Pid, Result};
 
 use crate::lock_list::{FileLocks, LockOutcome, LockRequest};
 
@@ -254,22 +254,14 @@ impl LockManager {
             .unwrap_or_default()
     }
 
-    /// The transactions holding granted locks on `fid`, each once, in
-    /// order.
-    pub fn transactions_on(&self, fid: Fid) -> Vec<TransId> {
+    /// The owners holding granted locks on `fid`, each once, in order.
+    pub fn owners_on(&self, fid: Fid) -> Vec<Owner> {
         let files = self.files.lock();
         let Some(fl) = files.get(&fid) else {
             return Vec::new();
         };
-        let tids: BTreeSet<TransId> = fl
-            .entries
-            .iter()
-            .filter_map(|e| match e.owner() {
-                Owner::Trans(tid) => Some(tid),
-                Owner::Proc(_) => None,
-            })
-            .collect();
-        tids.into_iter().collect()
+        let owners: BTreeSet<Owner> = fl.entries.iter().map(|e| e.owner()).collect();
+        owners.into_iter().collect()
     }
 
     /// Whether any lock list mentions `owner`.

@@ -126,6 +126,11 @@ pub enum LockMsg {
     Granted { pid: Pid },
     /// Release all locks held by a process on a file (close / exit path).
     UnlockAll { fid: Fid, pid: Pid },
+    /// Storage site → a site whose process holds a lock a request there is
+    /// about to wait on or be refused by: send the releases you have queued
+    /// for me. Answered by a [`Msg::Batch`] of those `Req { mode: Unlock }`
+    /// messages, in queue order (empty when there are none).
+    Recall,
 }
 
 /// Process machinery: migration, file-list merging toward the top-level
@@ -328,6 +333,7 @@ impl Msg {
                 LockMsg::Resp { .. } => "LockResp",
                 LockMsg::Granted { .. } => "LockGranted",
                 LockMsg::UnlockAll { .. } => "UnlockAll",
+                LockMsg::Recall => "LockRecall",
             },
             Msg::Proc(m) => match m {
                 ProcMsg::Migrate { .. } => "Migrate",

@@ -7,7 +7,7 @@
 //! codec is hand-rolled over `locus_types::codec`, where the layouts of the
 //! shared types these messages are built from live.)
 //!
-//! Layout (version 11): a version byte, then a service tag, then a variant
+//! Layout (version 12): a version byte, then a service tag, then a variant
 //! byte within the service, then the variant fields. A batch is the service
 //! tag `TAG_BATCH` followed by a message count and the member encodings
 //! (sans version byte); batches cannot nest, which the decoder enforces.
@@ -35,8 +35,9 @@ use crate::msg::{FileMsg, Held, LockMsg, Msg, ProcMsg, ReplicaMsg, TxnMsg};
 /// whole file list, with its epochs, in place of one site's fids and epoch;
 /// version 10 added the error `NotLanded`, a phase-two commit installed but
 /// not yet durable; version 11 dropped `Delegate`'s `forget`: a `Forget`
-/// rides as a batch member of its own.
-pub const WIRE_VERSION: u8 = 11;
+/// rides as a batch member of its own; version 12 added `Recall`, a storage
+/// site's request for the releases queued for it.
+pub const WIRE_VERSION: u8 = 12;
 
 // 2 was CloseReq, 7 and 10 were PrefetchReq / PrefetchResp (all retired) and
 // stay unassigned.
@@ -59,6 +60,7 @@ wire!(enum LockMsg {
     1 => Resp { granted, epoch, committed_len, pages },
     2 => Granted { pid },
     3 => UnlockAll { fid, pid },
+    7 => Recall,
 });
 
 // 1 was FileListMerge (retired) and stays unassigned.
@@ -276,6 +278,7 @@ mod tests {
                 fid: fid(),
                 pid: pid(),
             }),
+            Msg::Lock(LockMsg::Recall),
             Msg::Proc(ProcMsg::Migrate {
                 blob: vec![0xAB; 32],
             }),
@@ -417,10 +420,11 @@ mod tests {
     /// `MemberAdded` and `MemberExited` at 08 when they gained the member and
     /// its file-list, and `Delegate` at 09 when it gained the whole file
     /// list, and at 0b when it lost `forget`; `NotLanded` was first
-    /// recorded at 0a. What is pinned is the body after it.
+    /// recorded at 0a, and `Recall` at 0c. What is pinned is the body after
+    /// it.
     #[test]
     fn layouts_are_pinned() {
-        const GOLDEN: [&str; 57] = [
+        const GOLDEN: [&str; 58] = [
             "0700000200000009000000",
             "02000100100000000000000200000000000000",
             "0300030200000009000000070000000100000000030000002c000000000000000a00000000000000\
@@ -446,6 +450,7 @@ mod tests {
              0400000000000000010300000001020300",
             "0701020700000001000000",
             "02010302000000090000000700000001000000",
+            "0c0107",
             "07020020000000abababababababababababababababababababababababababababababababab",
             "07020207000000010000000200000000000000",
             "08020307000000010000000200000000000000",
@@ -497,7 +502,7 @@ mod tests {
         for (msg, golden) in samples.iter().zip(GOLDEN) {
             let (version, body) = golden.split_at(2);
             assert!(
-                ["02", "03", "05", "06", "07", "08", "09", "0a", "0b"].contains(&version),
+                ["02", "03", "05", "06", "07", "08", "09", "0a", "0b", "0c"].contains(&version),
                 "the version byte"
             );
             assert_pinned(msg, body);

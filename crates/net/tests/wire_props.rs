@@ -154,6 +154,7 @@ fn lock_msg() -> BoxedStrategy<LockMsg> {
         ),
         pid().prop_map(|pid| LockMsg::Granted { pid }),
         (fid(), pid()).prop_map(|(fid, pid)| LockMsg::UnlockAll { fid, pid }),
+        Just(LockMsg::Recall),
     ]
     .boxed()
 }

@@ -125,3 +125,51 @@ fn a_healthy_cluster_yields_an_empty_graph() {
     assert!(detector.build_graph().is_empty());
     assert!(detector.run_once(&mut c.account(0)).is_empty());
 }
+
+/// A wait-for edge through a lock its holder has released, while the
+/// release still waits for a message to its storage site, is no edge: the
+/// detector sends every queued release before it reads the lock tables.
+#[test]
+fn no_cycle_runs_through_a_released_lock() {
+    // `/a` at site 0, `/b` at site 2; P1 at site 1, P2 at site 2.
+    let c = Cluster::new(3);
+    for (site, name) in [(0, "/a"), (2, "/b")] {
+        let k = &c.site(site).kernel;
+        let mut acct = c.account(site);
+        let p = k.spawn();
+        let ch = k.creat(p, name, &mut acct).unwrap();
+        k.write(p, ch, &[0; 8], &mut acct).unwrap();
+        k.close(p, ch, &mut acct).unwrap();
+    }
+    let x = LockRequestMode::Exclusive;
+    let wait = LockOpts {
+        wait: true,
+        ..LockOpts::default()
+    };
+    let (k1, k2) = (&c.site(1).kernel, &c.site(2).kernel);
+    let (mut a1, mut a2) = (c.account(1), c.account(2));
+    let (p1, p2) = (k1.spawn(), k2.spawn());
+    let (a_1, b_1) = (
+        k1.open(p1, "/a", true, &mut a1).unwrap(),
+        k1.open(p1, "/b", true, &mut a1).unwrap(),
+    );
+    let (a_2, b_2) = (
+        k2.open(p2, "/a", true, &mut a2).unwrap(),
+        k2.open(p2, "/b", true, &mut a2).unwrap(),
+    );
+    k1.lock(p1, a_1, 8, x, wait, &mut a1).unwrap();
+    k2.lock(p2, b_2, 8, x, wait, &mut a2).unwrap();
+    // P2 queues behind P1 on `/a`; P1 releases `/a` — the release waits at
+    // site 1 — and queues behind P2 on `/b`, at another site.
+    assert!(k2.lock(p2, a_2, 8, x, wait, &mut a2).is_err());
+    k1.unlock(p1, a_1, 8, &mut a1).unwrap();
+    assert!(k1.lock(p1, b_1, 8, x, wait, &mut a1).is_err());
+    assert_eq!(k1.releases_pending(), 1);
+    let graph = DeadlockDetector::new(c.sites.clone()).build_graph();
+    assert!(graph.cycles().is_empty(), "a cycle through a released lock");
+    assert_eq!(k1.releases_pending(), 0);
+    // P2 now holds both; P1 waits on it alone.
+    assert!(k2.take_wakeup(p2));
+    k2.lock(p2, a_2, 8, x, wait, &mut a2).unwrap();
+    assert_eq!(graph.node_count(), 2);
+}
